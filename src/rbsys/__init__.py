@@ -55,6 +55,7 @@ from .cohomology import (
     BettiReport,
     Cochain,
     CochainComplex,
+    Complexes,
     ComplexSlice,
     DimensionCapExceeded,
     betti,

@@ -46,6 +46,38 @@ class Verdict:
         return msg
 
 
+def first_mismatch(tag, lhs, rhs, dims):
+    """Compare two sides of an identity column by column.
+
+    Columns index basis tuples in mixed radix over the argument dimensions
+    dims (big-endian, as encode_tuple).  Returns a passing Verdict when the
+    sides agree, else one naming the first differing tuple and both columns.
+    """
+    if lhs == rhs:
+        return Verdict(True)
+    col = rest = int(np.flatnonzero((lhs.a != rhs.a).any(axis=0))[0])
+    idx = []
+    for dim in reversed(dims):
+        rest, i = divmod(rest, dim)
+        idx.append(i)
+    return Verdict(
+        False,
+        tag=tag,
+        witness=tuple(reversed(idx)),
+        lhs=lhs.col(col).entries(),
+        rhs=rhs.col(col).entries(),
+    )
+
+
+def first_failure(checks):
+    """The first failing first_mismatch over (tag, lhs, rhs, dims) checks."""
+    for check in checks:
+        verdict = first_mismatch(*check)
+        if not verdict:
+            return verdict
+    return Verdict(True)
+
+
 def encode_tuple(d, idx):
     """Column index of a basis tuple (0-based entries, big-endian)."""
     col = 0
@@ -78,13 +110,14 @@ def _tensor3(field, data, shape):
 class Algebra:
     """Associative algebra given by structure constants over an exact field."""
 
-    __slots__ = ("field", "dim", "mult", "_mult_matrix")
+    __slots__ = ("field", "dim", "mult", "_mult_matrix", "_assoc")
 
     def __init__(self, field, dim, mult):
         self.field = field
         self.dim = dim
         self.mult = _tensor3(field, mult, (dim, dim, dim))
         self._mult_matrix = None
+        self._assoc = None  # verdict of check_associative, once computed
 
     def mult_matrix(self):
         """The multiplication as a d x d^2 matrix on tuple columns."""
@@ -124,25 +157,14 @@ def zero_algebra(field, dim):
 
 def check_associative(alg):
     """Verify (e_i e_j) e_k = e_i (e_j e_k) on every basis triple."""
-    mu = alg.mult_matrix()
-    d = alg.dim
-    idd = Matrix.identity(alg.field, d)
-    left = mu @ mu.kron(idd)
-    right = mu @ idd.kron(mu)
-    if left == right:
-        return Verdict(True)
-    diff = left - right
-    for col in range(diff.cols):
-        if not diff.col(col).is_zero():
-            ijk = decode_tuple(d, 3, col)
-            return Verdict(
-                False,
-                tag="associativity",
-                witness=ijk,
-                lhs=left.col(col).entries(),
-                rhs=right.col(col).entries(),
-            )
-    raise AssertionError("unreachable")
+    if alg._assoc is None:
+        mu = alg.mult_matrix()
+        d = alg.dim
+        idd = Matrix.identity(alg.field, d)
+        alg._assoc = first_mismatch(
+            "associativity", mu @ mu.kron(idd), mu @ idd.kron(mu), (d, d, d)
+        )
+    return alg._assoc
 
 
 def check_nondegenerate(alg):
@@ -244,24 +266,7 @@ def check_bimodule(alg, actions):
         ("right_action", rho @ idm.kron(mu), rho @ rho.kron(idd), (m, d, d)),
         ("middle_action", rho @ lam.kron(idd), lam @ idd.kron(rho), (d, m, d)),
     ]
-    for tag, lhs, rhs, dims in checks:
-        if lhs != rhs:
-            diff = lhs - rhs
-            for col in range(diff.cols):
-                if not diff.col(col).is_zero():
-                    rest = col
-                    idx = []
-                    for dim in reversed(dims):
-                        idx.append(rest % dim)
-                        rest //= dim
-                    return Verdict(
-                        False,
-                        tag=tag,
-                        witness=tuple(reversed(idx)),
-                        lhs=lhs.col(col).entries(),
-                        rhs=rhs.col(col).entries(),
-                    )
-    return Verdict(True)
+    return first_failure(checks)
 
 
 class MultiMap:

@@ -16,15 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import BimoduleActions, Verdict, check_bimodule, regular_actions
+from .algebra import BimoduleActions, check_bimodule, first_failure, regular_actions
 from .linalg import Matrix, block_diag
 from .systems import RotaBaxterSystem, _star_algebra_unchecked, check_rbs
 
 
 class RBSBimodule:
-    """An A-bimodule with operators (R_M, S_M) over a system (A, R, S)."""
+    """An A-bimodule with operators (R_M, S_M) over a system (A, R, S).
 
-    __slots__ = ("base", "actions", "RM", "SM")
+    Immutable, so the verdict of check_rbs_bimodule is computed once and kept.
+    """
+
+    __slots__ = ("base", "actions", "RM", "SM", "_verdict")
 
     def __init__(self, base, actions, RM, SM):
         m = actions.dim
@@ -33,10 +36,14 @@ class RBSBimodule:
         for name, op in (("RM", RM), ("SM", SM)):
             if op.shape != (m, m):
                 raise ValueError(f"{name} has shape {op.shape}, expected ({m}, {m})")
-        self.base = base
-        self.actions = actions
-        self.RM = RM
-        self.SM = SM
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "RM", RM)
+        object.__setattr__(self, "SM", SM)
+        object.__setattr__(self, "_verdict", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RBSBimodule is immutable")
 
     @property
     def dim(self):
@@ -69,6 +76,12 @@ def regular_bimodule(sys):
 
 def check_rbs_bimodule(mod):
     """A-bimodule axioms plus the four operator equations on basis pairs."""
+    if mod._verdict is None:
+        object.__setattr__(mod, "_verdict", _rbs_bimodule_verdict(mod))
+    return mod._verdict
+
+
+def _rbs_bimodule_verdict(mod):
     sys = mod.base
     verdict = check_rbs(sys)
     if not verdict:
@@ -85,23 +98,12 @@ def check_rbs_bimodule(mod):
     # inner maps (a, m) -> R(a)m + a S_M(m) and (m, a) -> R_M(m)a + m S(a)
     inner_am = lam @ R.kron(idm) + lam @ idd.kron(SM)
     inner_ma = rho @ RM.kron(idd) + rho @ idm.kron(S)
-    checks = [
+    return first_failure([
         ("eq1", lam @ R.kron(RM), RM @ inner_am, (d, m)),
         ("eq2", rho @ RM.kron(R), RM @ inner_ma, (m, d)),
         ("eq3", lam @ S.kron(SM), SM @ inner_am, (d, m)),
         ("eq4", rho @ SM.kron(S), SM @ inner_ma, (m, d)),
-    ]
-    for tag, lhs, rhs, dims in checks:
-        if lhs != rhs:
-            diff = lhs - rhs
-            for col in range(diff.cols):
-                if not diff.col(col).is_zero():
-                    i, j = divmod(col, dims[1])
-                    return Verdict(
-                        False, tag=tag, witness=(i, j),
-                        lhs=lhs.col(col).entries(), rhs=rhs.col(col).entries(),
-                    )
-    return Verdict(True)
+    ])
 
 
 def semidirect_maps(field, d, m):

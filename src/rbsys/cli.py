@@ -14,7 +14,8 @@ Subcommands wire the library modules to JSON documents on disk:
 Exit codes: 0 all checks pass, 1 a mathematical check fails (first witness
 reported), 2 malformed input, shape mismatch, or cap exceeded.  Every
 command accepts --json for a machine-readable report with the same numbers.
-The environment variable RBS_DIM_CAP overrides the slice-size guard.
+--cap sets the slice-size guard; when it is not given, the environment
+variable RBS_DIM_CAP replaces the default of 20000.
 """
 
 from __future__ import annotations
@@ -267,23 +268,19 @@ def cmd_deform(args, rep):
         raise DocumentError(f"{sub} needs a full deformation document (with \"mus\")")
     if sub == "verify":
         report = verify_deformation(sys_obj, defn)
-        bad = [
-            n
-            for n, (a, r, s) in enumerate(report.residuals)
-            if not (a.is_zero() and r.is_zero() and s.is_zero())
-        ]
+        bad = report.failing_orders()
         rep.set("ok", report.ok)
         rep.set("failing_orders", bad)
         rep.line(f"deformation: {'valid' if report.ok else f'fails at orders {bad}'}")
         return PASS if report.ok else FAIL
     if sub == "infinitesimal":
-        cochain, ok = infinitesimal(sys_obj, defn)
+        cochain, ok = infinitesimal(sys_obj, defn, args.cap)
         rep.set("cocycle", ok)
         rep.set("coordinates", [sys_obj.field.scalar_token(cochain.vector[i, 0]) for i in range(cochain.vector.rows)])
         rep.line(f"infinitesimal packaged; cocycle: {ok}")
         return PASS if ok else FAIL
     if sub == "rigidify":
-        report = rigidify(sys_obj, defn)
+        report = rigidify(sys_obj, defn, args.cap)
         if report.success:
             gauge_tokens = [docs._matrix_tokens(p) for p in report.gauge.psis]
             rep.set("success", True)
@@ -345,11 +342,11 @@ def cmd_extend(args, rep):
         cdoc = docs.load(args.cocycle)
         docs.check_system_reference(cdoc, system_doc, args.cocycle, args.system)
         c = docs.parse_cocycle(cdoc, sys_obj, mod)
-        if not is_cocycle(sys_obj, mod, c):
+        if not is_cocycle(sys_obj, mod, c, args.cap):
             rep.line("payload is not a 2-cocycle; refusing to build")
             rep.set("cocycle", False)
             return FAIL
-        ext = build_extension(sys_obj, mod, c)
+        ext = build_extension(sys_obj, mod, c, args.cap)
         doc = docs.serialize_extension(ext)
         rep.set("document", doc)
         if args.output:
@@ -360,7 +357,7 @@ def cmd_extend(args, rep):
         return PASS
     if sub == "census":
         mod = _bimodule_or_regular(args, sys_obj, system_doc)
-        entries = h2_extension_census(sys_obj, mod, cap=args.census_cap)
+        entries = h2_extension_census(sys_obj, mod, cap=args.census_cap, dim_cap=args.cap)
         rep.set("h2_dim", len(entries) - 1)
         rep.line(f"dim H^2 = {len(entries) - 1}")
         written = []

@@ -11,6 +11,12 @@ Complexes (all over one field, m the coefficient dimension, d = dim A):
         n >= 1 is C^n_alg (+) C^(n-1)_rbso, with differential
         d(f, (x, y)) = (delta f, -partial(x, y) - phi(f)).
 
+One Complexes object owns the three maps delta_n, partial_n (with D(M)
+built once) and phi_n for a (system, bimodule) pair, builds each at most
+once, and assembles the rbs slices from those blocks.  Every analysis here
+and in the deformation and extension modules reads its slices from a single
+Complexes per call; CochainComplex is a per-tag view over one.
+
 The sign convention is fixed once: the degree-n Hochschild differential is
 
   delta(f)(a_1..a_{n+1}) = (-1)^(n+1) a_1 f(a_2..a_{n+1})
@@ -65,14 +71,6 @@ class ComplexSlice:
         self.tag = tag
         self.degree = degree
         self.matrix = matrix
-
-    @property
-    def source_dim(self):
-        return self.matrix.cols
-
-    @property
-    def target_dim(self):
-        return self.matrix.rows
 
     def __repr__(self):
         return f"ComplexSlice({self.tag}, n={self.degree}, {self.matrix.rows}x{self.matrix.cols})"
@@ -142,8 +140,7 @@ def delta(n, alg, actions, cap=None):
 
 def partial(n, sys, mod, cap=None):
     """Differential of the operator complex: Hochschild of (A_*, D(M))."""
-    dm = _d_module_unchecked(mod)
-    return ComplexSlice(RBSO, n, hochschild_slice(dm.star, dm.actions, n, cap))
+    return ComplexSlice(RBSO, n, Complexes(sys, mod, cap).partial(n))
 
 
 def phi(n, sys, mod, cap=None):
@@ -184,61 +181,120 @@ def rbs_d(n, sys, mod, cap=None):
     Block form [[delta, 0], [-phi, -partial]]; degree 0 maps f to
     (delta f, -phi f).
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    field, d, m = sys.field, sys.dim, mod.dim
-    _guard(rbs_dim(n + 1, d, m), cap)
-    delta_n = hochschild_slice(sys.alg, mod.actions, n, cap)
-    phi_n = phi(n, sys, mod, cap)
-    if n == 0:
-        return ComplexSlice(RBS, 0, vstack([delta_n, -phi_n]))
-    partial_prev = partial(n - 1, sys, mod, cap).matrix
-    zero = Matrix.zeros(field, delta_n.rows, partial_prev.cols)
-    top = hstack([delta_n, zero])
-    bottom = hstack([-phi_n, -partial_prev])
-    return ComplexSlice(RBS, n, vstack([top, bottom]))
+    return ComplexSlice(RBS, n, Complexes(sys, mod, cap).rbs(n))
+
+
+class Complexes:
+    """The differentials of all three complexes of one (system, bimodule) pair.
+
+    delta_n, partial_n and phi_n are each built at most once, through the
+    module-level hochschild_slice and phi, and the rbs slices are assembled
+    from them.  A block is stored on its own until the rbs slice holding it
+    is assembled; after that it is cut back out of that slice when asked
+    for, so no block is stored twice.  Memoised for the life of the object
+    only: an analysis makes one per call.
+    """
+
+    def __init__(self, sys, mod, cap=None):
+        self.sys = sys
+        self.mod = mod
+        self.cap = cap
+        self._built = {}
+        self._dm = None
+
+    def dim(self, tag, n):
+        d, m = self.sys.dim, self.mod.dim
+        if n < 0:
+            return 0
+        if tag == ALG:
+            return m * d**n
+        if tag == RBSO:
+            return 2 * m * d**n
+        return rbs_dim(n, d, m)
+
+    def delta(self, n):
+        return self._block(
+            (ALG, n), n, lambda: hochschild_slice(self.sys.alg, self.mod.actions, n, self.cap)
+        )
+
+    def phi(self, n):
+        return self._block(("phi", n), n, lambda: phi(n, self.sys, self.mod, self.cap))
+
+    def partial(self, n):
+        if self._dm is None:
+            self._dm = _d_module_unchecked(self.mod)
+        dm = self._dm
+        return self._block(
+            (RBSO, n), n + 1, lambda: hochschild_slice(dm.star, dm.actions, n, self.cap)
+        )
+
+    def _block(self, key, degree, build):
+        if key not in self._built:
+            whole = self._built.get((RBS, degree))
+            self._built[key] = build() if whole is None else self._cut(whole, key[0], degree)
+        return self._built[key]
+
+    def _cut(self, whole, kind, n):
+        # rbs_n = [[delta_n, 0], [-phi_n, -partial_(n-1)]]
+        top, left = self.dim(ALG, n + 1), self.dim(ALG, n)
+        if kind == ALG:
+            return Matrix(whole.field, whole.a[:top, :left])
+        if kind == RBSO:
+            return -Matrix(whole.field, whole.a[top:, left:])
+        return -Matrix(whole.field, whole.a[top:, :left])
+
+    def rbs(self, n):
+        if (RBS, n) not in self._built:
+            if n < 0:
+                raise ValueError("degree must be non-negative")
+            _guard(rbs_dim(n + 1, self.sys.dim, self.mod.dim), self.cap)
+            delta_n, phi_n = self.delta(n), self.phi(n)
+            if n == 0:
+                whole = vstack([delta_n, -phi_n])
+            else:
+                partial_prev = self.partial(n - 1)
+                zero = Matrix.zeros(self.sys.field, delta_n.rows, partial_prev.cols)
+                whole = vstack([hstack([delta_n, zero]), hstack([-phi_n, -partial_prev])])
+            for key in ((ALG, n), ("phi", n), (RBSO, n - 1)):
+                self._built.pop(key, None)
+            self._built[RBS, n] = whole
+        return self._built[RBS, n]
+
+    def slice(self, tag, n):
+        """The degree-n differential of the complex named by tag."""
+        if tag == ALG:
+            return self.delta(n)
+        if tag == RBSO:
+            return self.partial(n)
+        return self.rbs(n)
+
+    def is_cocycle(self, cochain):
+        self._check(cochain)
+        return (self.slice(cochain.tag, cochain.degree) @ cochain.vector).is_zero()
+
+    def _check(self, cochain):
+        if cochain.vector.rows != self.dim(cochain.tag, cochain.degree):
+            raise ValueError("cochain coordinate length does not match its degree")
 
 
 class CochainComplex:
-    """Slice cache for one tag over a fixed system and bimodule."""
+    """One of the three complexes, as a view over a Complexes."""
 
     def __init__(self, tag, sys, mod, cap=None):
         if tag not in (ALG, RBSO, RBS):
             raise ValueError(f"unknown complex tag {tag!r}")
         self.tag = tag
-        self.sys = sys
-        self.mod = mod
-        self.cap = cap
-        self._slices = {}
-
-    @property
-    def field(self):
-        return self.sys.field
+        self.complexes = Complexes(sys, mod, cap)
 
     def dim(self, n):
-        d, m = self.sys.dim, self.mod.dim
-        if n < 0:
-            return 0
-        if self.tag == ALG:
-            return m * d**n
-        if self.tag == RBSO:
-            return 2 * m * d**n
-        return rbs_dim(n, d, m)
+        return self.complexes.dim(self.tag, n)
 
     def slice(self, n):
-        if n not in self._slices:
-            if self.tag == ALG:
-                sl = delta(n, self.sys.alg, self.mod.actions, self.cap)
-            elif self.tag == RBSO:
-                sl = partial(n, self.sys, self.mod, self.cap)
-            else:
-                sl = rbs_d(n, self.sys, self.mod, self.cap)
-            self._slices[n] = sl
-        return self._slices[n]
+        return ComplexSlice(self.tag, n, self.complexes.slice(self.tag, n))
 
     def is_cocycle(self, cochain):
         self._check(cochain)
-        return (self.slice(cochain.degree).matrix @ cochain.vector).is_zero()
+        return self.complexes.is_cocycle(cochain)
 
     def coboundary_preimage(self, cochain):
         """Some x with d(x) = cochain, or None; degree 0 has no source."""
@@ -246,27 +302,13 @@ class CochainComplex:
         n = cochain.degree
         if n == 0:
             return None
-        x = self.slice(n - 1).matrix.solve(cochain.vector)
-        if x is None:
-            return None
-        return Cochain(self.tag, n - 1, x)
-
-    def cohomology_dims(self, max_degree):
-        dims = []
-        prev_rank = 0
-        for n in range(max_degree + 1):
-            mat = self.slice(n).matrix
-            rank = mat.rank()
-            kernel = mat.cols - rank
-            dims.append(kernel - prev_rank)
-            prev_rank = rank
-        return dims
+        x = self.complexes.slice(self.tag, n - 1).solve(cochain.vector)
+        return None if x is None else Cochain(self.tag, n - 1, x)
 
     def _check(self, cochain):
         if cochain.tag != self.tag:
             raise ValueError(f"cochain tag {cochain.tag!r} does not match complex {self.tag!r}")
-        if cochain.vector.rows != self.dim(cochain.degree):
-            raise ValueError("cochain coordinate length does not match its degree")
+        self.complexes._check(cochain)
 
 
 class BettiReport:
@@ -290,11 +332,13 @@ def betti(tag, sys, mod, max_degree, cap=None):
     """Exact cohomology dimensions of one complex up to max_degree."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    cx = CochainComplex(tag, sys, mod, cap)
+    if tag not in (ALG, RBSO, RBS):
+        raise ValueError(f"unknown complex tag {tag!r}")
+    cx = Complexes(sys, mod, cap)
     rows = []
     prev_rank = 0
     for n in range(max_degree + 1):
-        mat = cx.slice(n).matrix
+        mat = cx.slice(tag, n)
         rank = mat.rank()
         kernel = mat.cols - rank
         rows.append(
@@ -401,80 +445,64 @@ def les_check(sys, mod, max_degree, cap=None):
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    field, d, m = sys.field, sys.dim, mod.dim
-    c_alg = CochainComplex(ALG, sys, mod, cap)
-    c_rbso = CochainComplex(RBSO, sys, mod, cap)
-    c_rbs = CochainComplex(RBS, sys, mod, cap)
+    field = sys.field
+    cx = Complexes(sys, mod, cap)
 
     def proj(p):
         # C^p_rbs -> C^p_alg
-        idp = Matrix.identity(field, c_alg.dim(p))
-        if p == 0:
-            return idp
-        return hstack([idp, Matrix.zeros(field, c_alg.dim(p), 2 * m * d ** (p - 1))])
+        idp = Matrix.identity(field, cx.dim(ALG, p))
+        return hstack([idp, Matrix.zeros(field, cx.dim(ALG, p), cx.dim(RBSO, p - 1))])
 
     def incl(p):
         # C^p_rbso -> C^(p+1)_rbs
         return vstack(
             [
-                Matrix.zeros(field, c_alg.dim(p + 1), c_rbso.dim(p)),
-                Matrix.identity(field, c_rbso.dim(p)),
+                Matrix.zeros(field, cx.dim(ALG, p + 1), cx.dim(RBSO, p)),
+                Matrix.identity(field, cx.dim(RBSO, p)),
             ]
         )
 
     kernels = {}
 
-    def kernel(cx, p):
-        key = (cx.tag, p)
-        if key not in kernels:
-            kernels[key] = cx.slice(p).matrix.kernel_basis()
-        return kernels[key]
+    def kernel(tag, p):
+        if (tag, p) not in kernels:
+            kernels[tag, p] = cx.slice(tag, p).kernel_basis()
+        return kernels[tag, p]
 
-    def image(cx, p):
+    def image(tag, p):
         if p == 0:
-            return Matrix.zeros(field, cx.dim(0), 0)
-        return cx.slice(p - 1).matrix  # columns span the coboundaries
+            return Matrix.zeros(field, cx.dim(tag, 0), 0)
+        return cx.slice(tag, p - 1)  # columns span the coboundaries
+
+    def slot(name, p, incoming, outgoing_map, z, target_image):
+        # exactness at one slot: image of the incoming map = kernel of the
+        # outgoing one, both taken modulo the coboundaries of the slot
+        outgoing = _preimage_in_span(outgoing_map @ z, target_image)
+        im_dim = column_space_rank([incoming])
+        ker_members = z @ outgoing if outgoing.cols else Matrix.zeros(field, z.rows, 0)
+        ker_dim = column_space_rank([ker_members, image(name, p)])
+        ok = im_dim == ker_dim and column_space_rank([incoming, ker_members, image(name, p)]) == ker_dim
+        return LesSlot(name, p, im_dim, ker_dim, ok)
 
     slots = []
     for p in range(max_degree + 1):
         # slot H^p_rbs: image of the shift inclusion = kernel of the projection
-        z_rbs = kernel(c_rbs, p)
+        z_rbs = kernel(RBS, p)
         if p == 0:
-            incoming = Matrix.zeros(field, c_rbs.dim(0), 0)
+            incoming = Matrix.zeros(field, cx.dim(RBS, 0), 0)
         else:
-            incoming = hstack([incl(p - 1) @ kernel(c_rbso, p - 1), image(c_rbs, p)])
-        outgoing = _preimage_in_span(proj(p) @ z_rbs, image(c_alg, p))
-        im_dim = column_space_rank([incoming])
-        ker_members = z_rbs @ outgoing if outgoing.cols else Matrix.zeros(field, c_rbs.dim(p), 0)
-        ker_dim = column_space_rank([ker_members, image(c_rbs, p)])
-        ok = im_dim == ker_dim and column_space_rank([incoming, ker_members, image(c_rbs, p)]) == ker_dim
-        slots.append(LesSlot("rbs", p, im_dim, ker_dim, ok))
+            incoming = hstack([incl(p - 1) @ kernel(RBSO, p - 1), image(RBS, p)])
+        slots.append(slot(RBS, p, incoming, proj(p), z_rbs, image(ALG, p)))
 
         # slot H^p_alg: image of the projection = kernel of -phi into H^p_rbso
-        z_alg = kernel(c_alg, p)
-        phi_p = phi(p, sys, mod, cap)
-        incoming = hstack([proj(p) @ z_rbs, image(c_alg, p)])
-        outgoing = _preimage_in_span(phi_p @ z_alg, image(c_rbso, p))
-        im_dim = column_space_rank([incoming])
-        ker_members = z_alg @ outgoing if outgoing.cols else Matrix.zeros(field, c_alg.dim(p), 0)
-        ker_dim = column_space_rank([ker_members, image(c_alg, p)])
-        ok = im_dim == ker_dim and column_space_rank([incoming, ker_members, image(c_alg, p)]) == ker_dim
-        slots.append(LesSlot("alg", p, im_dim, ker_dim, ok))
+        z_alg = kernel(ALG, p)
+        incoming = hstack([proj(p) @ z_rbs, image(ALG, p)])
+        slots.append(slot(ALG, p, incoming, cx.phi(p), z_alg, image(RBSO, p)))
 
         # slot H^p_rbso: image of -phi = kernel of the shift inclusion
         if p <= max_degree - 1:
-            z_rbso = kernel(c_rbso, p)
-            incoming = hstack([phi_p @ z_alg, image(c_rbso, p)])
-            outgoing = _preimage_in_span(incl(p) @ z_rbso, image(c_rbs, p + 1))
-            im_dim = column_space_rank([incoming])
-            ker_members = (
-                z_rbso @ outgoing if outgoing.cols else Matrix.zeros(field, c_rbso.dim(p), 0)
-            )
-            ker_dim = column_space_rank([ker_members, image(c_rbso, p)])
-            ok = im_dim == ker_dim and column_space_rank(
-                [incoming, ker_members, image(c_rbso, p)]
-            ) == ker_dim
-            slots.append(LesSlot("rbso", p, im_dim, ker_dim, ok))
+            incoming = hstack([cx.phi(p) @ z_alg, image(RBSO, p)])
+            slots.append(slot(RBSO, p, incoming, incl(p), kernel(RBSO, p), image(RBS, p + 1)))
     return LesReport(slots)
 
 
@@ -552,26 +580,22 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     on the cokernel (f, x, y) -> y - x matches the displayed formula entry
     for entry.
     """
-    sys1, _ = from_rb_operator(alg, R, lam)
-    sys = sys1
+    sys = from_rb_operator(alg, R, lam)[0]
     mod = regular_bimodule(sys)
+    cx = Complexes(sys, mod, cap)
     field, d = sys.field, sys.dim
     m = d
     details = []
     ok = True
     for n in range(max_degree + 1):
-        d_n = rbs_d(n, sys, mod, cap).matrix
+        d_n = cx.rbs(n)
         # psi at degree n and n + 1
         psi_n = _psi_matrix(field, d, m, n)
         psi_next = _psi_matrix(field, d, m, n + 1)
-        image_closed = True
         dpsi = d_n @ psi_n
-        if n + 1 >= 1:
-            fa = m * d ** (n + 1)
-            xa = m * d**n
-            xpart = dpsi.take_rows(fa, fa + xa)
-            ypart = dpsi.take_rows(fa + xa, fa + 2 * xa)
-            image_closed = xpart == ypart
+        fa = m * d ** (n + 1)
+        xa = m * d**n
+        image_closed = dpsi.take_rows(fa, fa + xa) == dpsi.take_rows(fa + xa, fa + 2 * xa)
         injective = psi_n.rank() == psi_n.cols
         # chain map property for the induced differential
         chain_ok = True

@@ -11,6 +11,10 @@ each t^n:
                                             - R_i mu_j(Id (x) S_k)
   resS_n  = the same with S outside and mu_i(S_j (x) S_k) inside
 
+Both operator residuals share the series inner_p = sum_{j+k=p} mu_j(R_k (x)
+Id + Id (x) S_k), so resR_n = sum_i mu_i RR_{n-i} - R_i inner_{n-i} with
+RR_p = sum_{j+k=p} R_j (x) R_k, and resS_n likewise with S and SS_p.
+
 Gauges are truncated series Id + Psi_1 t + ... acting by conjugation; the
 order-t coefficient of any valid deformation is a 2-cocycle of the total
 complex, and gauge changes move it by a coboundary.
@@ -18,18 +22,14 @@ complex, and gauge changes move it by a coboundary.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from .algebra import MultiMap, multimap_from_vector
-from .cohomology import (
-    RBS,
-    RBSO,
-    CochainComplex,
-    hochschild_slice,
-    pack_rbs_cochain,
-    pack_rbso_cochain,
-    phi,
-)
+from .cohomology import ALG, Complexes, pack_rbs_cochain, pack_rbso_cochain
+from .cohomology import hochschild_slice, phi  # noqa: F401  (re-exported: read from here)
 from .bimodules import regular_bimodule
-from .linalg import Matrix, vstack
+from .linalg import Matrix
 
 
 class DeformationData:
@@ -87,51 +87,57 @@ class DeformationReport:
     def __init__(self, residuals):
         self.residuals = residuals
 
+    def failing_orders(self):
+        return [n for n, res in enumerate(self.residuals) if not all(r.is_zero() for r in res)]
+
     @property
     def ok(self):
-        return all(a.is_zero() and r.is_zero() and s.is_zero() for a, r, s in self.residuals)
+        return not self.failing_orders()
 
     def ok_through(self, order):
-        return all(
-            a.is_zero() and r.is_zero() and s.is_zero()
-            for a, r, s in self.residuals[: order + 1]
-        )
+        return all(n > order for n in self.failing_orders())
 
     def first_failure(self):
-        for n, (a, r, s) in enumerate(self.residuals):
-            if not (a.is_zero() and r.is_zero() and s.is_zero()):
-                return n
-        return None
+        return next(iter(self.failing_orders()), None)
 
     def __repr__(self):
         return f"DeformationReport(ok={self.ok})"
 
 
-def _deformation_residuals(field, d, mus, Rs, Ss, order):
-    idd = Matrix.identity(field, d)
+def _sum(terms):
+    """Sum of a non-empty iterable of matrices, in order."""
+    return reduce(operator.add, terms)
+
+
+def _operator_residuals(mus, Rs, Ss, order):
+    """Per-order (resR_n, resS_n) of the two operator equations.
+
+    mus may be shorter than Rs and Ss; the missing mu coefficients are zero.
+    """
+    idd = Matrix.identity(Rs[0].field, Rs[0].rows)
+    inner, rr, ss, residuals = [], [], [], []
+    for p in range(order + 1):
+        low = list(enumerate(mus[: p + 1]))
+        inner.append(_sum(mu @ (Rs[p - j].kron(idd) + idd.kron(Ss[p - j])) for j, mu in low))
+        rr.append(_sum(Rs[j].kron(Rs[p - j]) for j in range(p + 1)))
+        ss.append(_sum(Ss[j].kron(Ss[p - j]) for j in range(p + 1)))
+        res_r = _sum(mu @ rr[p - i] for i, mu in low) - _sum(
+            Rs[i] @ inner[p - i] for i in range(p + 1)
+        )
+        res_s = _sum(mu @ ss[p - i] for i, mu in low) - _sum(
+            Ss[i] @ inner[p - i] for i in range(p + 1)
+        )
+        residuals.append((res_r, res_s))
+    return residuals
+
+
+def _deformation_residuals(mus, Rs, Ss, order):
+    idd = Matrix.identity(Rs[0].field, Rs[0].rows)
     out = []
-    for n in range(order + 1):
-        assoc = Matrix.zeros(field, d, d**3)
-        for i in range(n + 1):
-            j = n - i
-            assoc = assoc + mus[i] @ mus[j].kron(idd) - mus[i] @ idd.kron(mus[j])
-        res_r = Matrix.zeros(field, d, d * d)
-        res_s = Matrix.zeros(field, d, d * d)
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                k = n - i - j
-                res_r = (
-                    res_r
-                    + mus[i] @ Rs[j].kron(Rs[k])
-                    - Rs[i] @ mus[j] @ Rs[k].kron(idd)
-                    - Rs[i] @ mus[j] @ idd.kron(Ss[k])
-                )
-                res_s = (
-                    res_s
-                    + mus[i] @ Ss[j].kron(Ss[k])
-                    - Ss[i] @ mus[j] @ Rs[k].kron(idd)
-                    - Ss[i] @ mus[j] @ idd.kron(Ss[k])
-                )
+    for n, (res_r, res_s) in enumerate(_operator_residuals(mus, Rs, Ss, order)):
+        assoc = _sum(
+            mus[i] @ mus[n - i].kron(idd) - mus[i] @ idd.kron(mus[n - i]) for i in range(n + 1)
+        )
         out.append((assoc, res_r, res_s))
     return out
 
@@ -139,13 +145,10 @@ def _deformation_residuals(field, d, mus, Rs, Ss, order):
 def verify_deformation(sys, defn):
     """Expand the deformed equations and report the residual of each order."""
     _check_normalised(sys, defn)
-    residuals = _deformation_residuals(
-        sys.field, sys.dim, defn.mus, defn.Rs, defn.Ss, defn.order
-    )
-    return DeformationReport(residuals)
+    return DeformationReport(_deformation_residuals(defn.mus, defn.Rs, defn.Ss, defn.order))
 
 
-def infinitesimal(sys, defn):
+def infinitesimal(sys, defn, cap=None):
     """Package the order-t coefficient as a degree-2 total cochain.
 
     Requires the deformation to hold through order 1; returns the cochain
@@ -157,14 +160,17 @@ def infinitesimal(sys, defn):
     report = verify_deformation(sys, defn)
     if not report.ok_through(1):
         raise ValueError("order-1 deformation equations fail")
-    mod = regular_bimodule(sys)
-    m = mod.dim
-    f = MultiMap(sys.alg, 2, defn.mus[1])
-    x = MultiMap(sys.alg, 1, defn.Rs[1])
-    y = MultiMap(sys.alg, 1, defn.Ss[1])
-    cochain = pack_rbs_cochain(f, x, y)
-    cx = CochainComplex(RBS, sys, mod)
-    return cochain, cx.is_cocycle(cochain)
+    cochain = _order_cochain(sys, defn, 1)
+    return cochain, Complexes(sys, regular_bimodule(sys), cap).is_cocycle(cochain)
+
+
+def _order_cochain(sys, defn, k):
+    """The order-k coefficients (mu_k, (R_k, S_k)) as a degree-2 total cochain."""
+    return pack_rbs_cochain(
+        MultiMap(sys.alg, 2, defn.mus[k]),
+        MultiMap(sys.alg, 1, defn.Rs[k]),
+        MultiMap(sys.alg, 1, defn.Ss[k]),
+    )
 
 
 class GaugeSeries:
@@ -201,27 +207,15 @@ def compose_gauges(g, h):
     """The series of x -> g(h(x)), truncated at the common order."""
     if g.order != h.order:
         raise ValueError("order mismatch")
-    field = g.psis[0].field
-    d = g.psis[0].rows
-    psis = []
-    for n in range(g.order + 1):
-        acc = Matrix.zeros(field, d, d)
-        for i in range(n + 1):
-            acc = acc + g.psis[i] @ h.psis[n - i]
-        psis.append(acc)
+    psis = [_sum(g.psis[i] @ h.psis[n - i] for i in range(n + 1)) for n in range(g.order + 1)]
     return GaugeSeries(g.order, psis)
 
 
 def gauge_inverse(g):
     """Series inverse: compose_gauges(gauge_inverse(g), g) is the identity."""
-    field = g.psis[0].field
-    d = g.psis[0].rows
-    thetas = [Matrix.identity(field, d)]
+    thetas = [Matrix.identity(g.psis[0].field, g.psis[0].rows)]
     for n in range(1, g.order + 1):
-        acc = Matrix.zeros(field, d, d)
-        for j in range(1, n + 1):
-            acc = acc + thetas[n - j] @ g.psis[j]
-        thetas.append(-acc)
+        thetas.append(-_sum(thetas[n - j] @ g.psis[j] for j in range(1, n + 1)))
     return GaugeSeries(g.order, thetas)
 
 
@@ -233,24 +227,18 @@ def apply_gauge(defn, g):
     """
     if g.order != defn.order:
         raise ValueError("order mismatch")
-    field = g.psis[0].field
-    d = g.psis[0].rows
-    inv = gauge_inverse(g).psis
+    inv, psis = gauge_inverse(g).psis, g.psis
     mus, Rs, Ss = [], [], []
     for n in range(defn.order + 1):
-        mu_n = Matrix.zeros(field, d, d * d)
-        r_n = Matrix.zeros(field, d, d)
-        s_n = Matrix.zeros(field, d, d)
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                rem = n - i - j
-                r_n = r_n + inv[i] @ defn.Rs[j] @ g.psis[rem]
-                s_n = s_n + inv[i] @ defn.Ss[j] @ g.psis[rem]
-                for k in range(rem + 1):
-                    mu_n = mu_n + inv[i] @ defn.mus[j] @ g.psis[k].kron(g.psis[rem - k])
-        mus.append(mu_n)
-        Rs.append(r_n)
-        Ss.append(s_n)
+        # (i, j, rem): orders of g^-1, of the coefficient, and of the g factors
+        split = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+        Rs.append(_sum(inv[i] @ defn.Rs[j] @ psis[rem] for i, j, rem in split))
+        Ss.append(_sum(inv[i] @ defn.Ss[j] @ psis[rem] for i, j, rem in split))
+        mus.append(_sum(
+            inv[i] @ defn.mus[j] @ psis[k].kron(psis[rem - k])
+            for i, j, rem in split
+            for k in range(rem + 1)
+        ))
     return DeformationData(defn.order, mus, Rs, Ss)
 
 
@@ -271,19 +259,18 @@ def trivialize_step(sys, defn, n):
     report = verify_deformation(sys, defn)
     if not report.ok:
         raise ValueError("deformation equations fail")
-    mod = regular_bimodule(sys)
-    f = MultiMap(sys.alg, 2, defn.mus[n + 1])
-    x = MultiMap(sys.alg, 1, defn.Rs[n + 1])
-    y = MultiMap(sys.alg, 1, defn.Ss[n + 1])
-    target = pack_rbs_cochain(f, x, y)
-    cx = CochainComplex(RBS, sys, mod)
+    return _gauge_step(Complexes(sys, regular_bimodule(sys)), defn, n)
+
+
+def _gauge_step(cx, defn, n):
+    """trivialize_step on a verified deformation, reading slices from cx."""
+    sys = cx.sys
+    target = _order_cochain(sys, defn, n + 1)
     if not cx.is_cocycle(target):
         raise AssertionError("leading coefficient of a valid deformation is not a cocycle")
     field, d = sys.field, sys.dim
-    delta1 = hochschild_slice(sys.alg, mod.actions, 1)
-    phi1 = phi(1, sys, mod)
-    system = vstack([delta1, -phi1])
-    solution = system.solve(target.vector)
+    # d(Psi, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
+    solution = cx.rbs(1).take_cols(0, cx.dim(ALG, 1)).solve(target.vector)
     if solution is None:
         return None
     psi = multimap_from_vector(sys.alg, 1, d, solution).mat
@@ -313,25 +300,27 @@ class RigidifyReport:
         return f"RigidifyReport(stuck at order {self.stuck_order})"
 
 
-def rigidify(sys, defn):
-    """Trivialise order by order; report the composite gauge or where it sticks."""
+def rigidify(sys, defn, cap=None):
+    """Trivialise order by order; report the composite gauge or where it sticks.
+
+    The input is verified once; each deformation a gauge step produces is
+    verified before the next step runs on it, as trivialize_step would.
+    """
     _check_normalised(sys, defn)
     report = verify_deformation(sys, defn)
     if not report.ok:
         raise ValueError("deformation equations fail")
+    cx = Complexes(sys, regular_bimodule(sys), cap)
     current = defn
     composite = identity_gauge(sys.field, sys.dim, defn.order)
     for n in range(defn.order):
         if current.coefficients_vanish(n + 1, n + 1):
             continue
-        step = trivialize_step(sys, current, n)
+        if current is not defn and not verify_deformation(sys, current).ok:
+            raise ValueError("deformation equations fail")
+        step = _gauge_step(cx, current, n)
         if step is None:
-            mod = regular_bimodule(sys)
-            stuck = pack_rbs_cochain(
-                MultiMap(sys.alg, 2, current.mus[n + 1]),
-                MultiMap(sys.alg, 1, current.Rs[n + 1]),
-                MultiMap(sys.alg, 1, current.Ss[n + 1]),
-            )
+            stuck = _order_cochain(sys, current, n + 1)
             return RigidifyReport(False, composite, current, n + 1, stuck)
         gauge, current = step
         composite = compose_gauges(composite, gauge)
@@ -363,29 +352,7 @@ def verify_operator_deformation(sys, od):
     """Per-order residuals of the operator equations with mu fixed."""
     if od.Rs[0] != sys.R or od.Ss[0] != sys.S:
         raise ValueError("operator deformation is not normalised at order 0")
-    field, d = sys.field, sys.dim
-    mu = sys.alg.mult_matrix()
-    idd = Matrix.identity(field, d)
-    residuals = []
-    for n in range(od.order + 1):
-        res_r = Matrix.zeros(field, d, d * d)
-        res_s = Matrix.zeros(field, d, d * d)
-        for i in range(n + 1):
-            j = n - i
-            res_r = (
-                res_r
-                + mu @ od.Rs[i].kron(od.Rs[j])
-                - od.Rs[i] @ mu @ od.Rs[j].kron(idd)
-                - od.Rs[i] @ mu @ idd.kron(od.Ss[j])
-            )
-            res_s = (
-                res_s
-                + mu @ od.Ss[i].kron(od.Ss[j])
-                - od.Ss[i] @ mu @ od.Rs[j].kron(idd)
-                - od.Ss[i] @ mu @ idd.kron(od.Ss[j])
-            )
-        residuals.append((res_r, res_s))
-    return residuals
+    return _operator_residuals([sys.alg.mult_matrix()], od.Rs, od.Ss, od.order)
 
 
 def operator_deformation_ok(residuals, through=None):
@@ -400,9 +367,7 @@ def operator_infinitesimal(sys, od):
     residuals = verify_operator_deformation(sys, od)
     if not operator_deformation_ok(residuals, through=1):
         raise ValueError("order-1 operator deformation equations fail")
-    mod = regular_bimodule(sys)
     cochain = pack_rbso_cochain(
         MultiMap(sys.alg, 1, od.Rs[1]), MultiMap(sys.alg, 1, od.Ss[1])
     )
-    cx = CochainComplex(RBSO, sys, mod)
-    return cochain, cx.is_cocycle(cochain)
+    return cochain, Complexes(sys, regular_bimodule(sys)).is_cocycle(cochain)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import Algebra, BimoduleActions, MultiMap, Verdict, multimap_from_vector
 from .bimodules import RBSBimodule, check_rbs_bimodule
-from .cohomology import RBS, Cochain, CochainComplex, pack_rbs_cochain, unpack_rbs_cochain
+from .cohomology import RBS, Cochain, Complexes, pack_rbs_cochain, unpack_rbs_cochain
 from .linalg import Matrix, hstack, vstack
 from .systems import RotaBaxterSystem, check_morphism, check_rbs
 
@@ -80,9 +80,8 @@ def cocycle_from_cochain(sys, mod, cochain):
     return Cocycle2(f, x, y)
 
 
-def is_cocycle(sys, mod, c):
-    cx = CochainComplex(RBS, sys, mod)
-    return cx.is_cocycle(c.as_cochain())
+def is_cocycle(sys, mod, c, cap=None):
+    return Complexes(sys, mod, cap).is_cocycle(c.as_cochain())
 
 
 class ExtensionData:
@@ -155,21 +154,23 @@ def assemble_extension(sys, mod, c):
     return ExtensionData(hat, iota_m, proj_a, section, retraction)
 
 
-def build_extension(sys, mod, c):
+def build_extension(sys, mod, c, cap=None):
     """Materialise a verified 2-cocycle as an abelian extension.
 
     Validates the cocycle condition, assembles the structure, and checks
     the result end to end (system axioms and extension invariants).
     """
-    verdict = check_rbs_bimodule(mod)
+    return _build(Complexes(sys, mod, cap), c)
+
+
+def _build(cx, c):
+    """build_extension, reading slices from cx."""
+    verdict = check_rbs_bimodule(cx.mod)
     if not verdict:
         raise ValueError(f"not a Rota-Baxter system bimodule: {verdict.describe()}")
-    if not is_cocycle(sys, mod, c):
+    if not cx.is_cocycle(c.as_cochain()):
         raise ValueError("payload is not a 2-cocycle; the assembled structure would fail")
-    ext = assemble_extension(sys, mod, c)
-    hat_check = check_rbs(ext.hat)
-    if not hat_check:
-        raise AssertionError(f"extension of a cocycle failed the axioms: {hat_check.describe()}")
+    ext = assemble_extension(cx.sys, cx.mod, c)
     ext_check = check_extension(ext)
     if not ext_check:
         raise AssertionError(f"extension invariants failed: {ext_check.describe()}")
@@ -307,8 +308,8 @@ def extract_cocycle(ext, section=None):
     field, d, m = ext.hat.field, ext.base_dim, ext.fiber_dim
     if ext.proj @ t != Matrix.identity(field, d):
         raise ValueError("not a section of the projection")
-    sys = induced_base_system(ext, t)
     mod = induced_bimodule(ext, t)
+    sys = mod.base
     psi = np.zeros((m, d * d), dtype=field.dtype)
     for i in range(d):
         ti = t.col(i)
@@ -373,13 +374,12 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma):
     if gamma.arity != 1 or gamma.target_dim != mod.dim:
         raise ValueError("gamma must be a linear map from the base into the kernel")
     diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
-    cx = CochainComplex(RBS, sys, mod)
     gauge_shaped = pack_rbs_cochain(
         gamma,
         multimap_from_vector(sys.alg, 0, mod.dim, Matrix.zeros(sys.field, mod.dim, 1)),
         multimap_from_vector(sys.alg, 0, mod.dim, Matrix.zeros(sys.field, mod.dim, 1)),
     )
-    expected = cx.slice(1).matrix @ gauge_shaped.vector
+    expected = Complexes(sys, mod).rbs(1) @ gauge_shaped.vector
     if diff != expected:
         raise ValueError("payload difference is not the coboundary of the supplied map")
     field, d, m = sys.field, sys.dim, mod.dim
@@ -422,19 +422,19 @@ def same_class_check(ext1, ext2, iso):
     return Verdict(True)
 
 
-def h2_extension_census(sys, mod, cap=64):
+def h2_extension_census(sys, mod, cap=64, dim_cap=None):
     """One extension per second-cohomology basis class over a prime field.
 
     Returns the trivial class first (zero payload, the semidirect product)
     followed by one echelon-basis representative per basis vector of the
     degree-2 cohomology.  Refused over the rationals, where the class set
-    is infinite.
+    is infinite.  cap bounds dim H^2; dim_cap is the cochain-space guard.
     """
     if not sys.field.is_prime_field:
         raise ValueError("census requires a finite prime field")
-    cx = CochainComplex(RBS, sys, mod)
-    kernel = cx.slice(2).matrix.kernel_basis()
-    boundaries = cx.slice(1).matrix
+    cx = Complexes(sys, mod, dim_cap)
+    kernel = cx.rbs(2).kernel_basis()
+    boundaries = cx.rbs(1)
     # columns of `kernel` that extend a basis of the coboundary space
     reps = []
     current = boundaries
@@ -448,8 +448,8 @@ def h2_extension_census(sys, mod, cap=64):
         raise ValueError(f"second cohomology has dimension {h2_dim}, cap is {cap}")
     out = []
     zero = zero_cocycle(sys, mod)
-    out.append((zero, build_extension(sys, mod, zero)))
+    out.append((zero, _build(cx, zero)))
     for vec in reps:
         c = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, vec))
-        out.append((c, build_extension(sys, mod, c)))
+        out.append((c, _build(cx, c)))
     return out

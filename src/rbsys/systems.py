@@ -11,14 +11,17 @@ All checks run on basis pairs; bilinearity extends them to the whole space.
 
 from __future__ import annotations
 
-from .algebra import Algebra, Verdict, check_associative, decode_tuple
+from .algebra import Algebra, Verdict, check_associative, first_failure, first_mismatch
 from .linalg import Matrix
 
 
 class RotaBaxterSystem:
-    """An algebra together with its operator pair (R, S)."""
+    """An algebra together with its operator pair (R, S).
 
-    __slots__ = ("alg", "R", "S")
+    Immutable, so the verdict of check_rbs is computed once and kept.
+    """
+
+    __slots__ = ("alg", "R", "S", "_verdict")
 
     def __init__(self, alg, R, S):
         d = alg.dim
@@ -27,9 +30,13 @@ class RotaBaxterSystem:
                 raise ValueError(f"{name} has shape {op.shape}, expected ({d}, {d})")
             if op.field != alg.field:
                 raise ValueError(f"{name} lives over {op.field}, algebra over {alg.field}")
-        self.alg = alg
-        self.R = R
-        self.S = S
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "_verdict", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RotaBaxterSystem is immutable")
 
     @property
     def field(self):
@@ -51,36 +58,23 @@ class RotaBaxterSystem:
         return f"RotaBaxterSystem({self.field}, dim={self.dim})"
 
 
-def _first_bad_pair(diff, d):
-    for col in range(diff.cols):
-        if not diff.col(col).is_zero():
-            return decode_tuple(d, 2, col), col
-    raise AssertionError("no differing column")
-
-
 def check_rbs(sys):
-    """Verify both operator equations on all basis pairs."""
+    """Verify both operator equations on all basis pairs.
+
+    Raises on a non-associative algebra, on every call.
+    """
     assoc = check_associative(sys.alg)
     if not assoc:
         raise ValueError(f"underlying algebra is not associative: {assoc.describe()}")
-    field, d = sys.field, sys.dim
-    mu = sys.alg.mult_matrix()
-    idd = Matrix.identity(field, d)
-    R, S = sys.R, sys.S
-    inner = mu @ R.kron(idd) + mu @ idd.kron(S)  # (a, b) -> R(a)b + aS(b)
-    for tag, op in (("eqR", R), ("eqS", S)):
-        lhs = mu @ op.kron(op)
-        rhs = op @ inner
-        if lhs != rhs:
-            pair, col = _first_bad_pair(lhs - rhs, d)
-            return Verdict(
-                False,
-                tag=tag,
-                witness=pair,
-                lhs=lhs.col(col).entries(),
-                rhs=rhs.col(col).entries(),
-            )
-    return Verdict(True)
+    if sys._verdict is None:
+        d, mu, R, S = sys.dim, sys.alg.mult_matrix(), sys.R, sys.S
+        idd = Matrix.identity(sys.field, d)
+        inner = mu @ R.kron(idd) + mu @ idd.kron(S)  # (a, b) -> R(a)b + aS(b)
+        verdict = first_failure(
+            (tag, mu @ op.kron(op), op @ inner, (d, d)) for tag, op in (("eqR", R), ("eqS", S))
+        )
+        object.__setattr__(sys, "_verdict", verdict)
+    return sys._verdict
 
 
 def check_rb_operator(alg, R, lam):
@@ -91,13 +85,7 @@ def check_rb_operator(alg, R, lam):
     idd = Matrix.identity(field, d)
     lhs = mu @ R.kron(R)
     rhs = R @ (mu @ R.kron(idd) + mu @ idd.kron(R) + mu.scale(lam))
-    if lhs == rhs:
-        return Verdict(True)
-    pair, col = _first_bad_pair(lhs - rhs, d)
-    return Verdict(
-        False, tag="rb_weight", witness=pair,
-        lhs=lhs.col(col).entries(), rhs=rhs.col(col).entries(),
-    )
+    return first_mismatch("rb_weight", lhs, rhs, (d, d))
 
 
 def from_rb_operator(alg, R, lam):
@@ -208,14 +196,11 @@ def check_morphism(f, src, dst):
     """Is f an algebra map intertwining both operator pairs?"""
     if f.shape != (dst.dim, src.dim):
         raise ValueError(f"morphism has shape {f.shape}, expected ({dst.dim}, {src.dim})")
-    mult_src = src.alg.mult_matrix()
-    mult_dst = dst.alg.mult_matrix()
-    lhs = f @ mult_src
-    rhs = mult_dst @ f.kron(f)
-    if lhs != rhs:
-        pair, col = _first_bad_pair(lhs - rhs, src.dim)
-        return Verdict(False, tag="multiplicative", witness=pair,
-                       lhs=lhs.col(col).entries(), rhs=rhs.col(col).entries())
+    lhs = f @ src.alg.mult_matrix()
+    rhs = dst.alg.mult_matrix() @ f.kron(f)
+    multiplicative = first_mismatch("multiplicative", lhs, rhs, (src.dim, src.dim))
+    if not multiplicative:
+        return multiplicative
     if f @ src.R != dst.R @ f:
         return Verdict(False, tag="intertwine_R")
     if f @ src.S != dst.S @ f:

@@ -269,3 +269,48 @@ def test_env_cap_override(f2_zero_path, monkeypatch):
     assert main(["cohomology", f2_zero_path, "--max-degree", "3"]) == 2
     monkeypatch.setenv("RBS_DIM_CAP", "50000")
     assert main(["cohomology", f2_zero_path, "--max-degree", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deform", "infinitesimal", "{sys}", "{defn}"],
+        ["deform", "rigidify", "{sys}", "{defn}"],
+        ["extend", "build", "{sys}", "{cocycle}"],
+        ["extend", "census", "{sys}"],
+    ],
+)
+def test_cap_applies_to_deform_and_extend(argv, tmp_path, capsys):
+    import random
+
+    from rbsys import apply_gauge, constant_deformation
+
+    from instances import random_gauge
+
+    sys = triangular_system(GF5(), 1, 2)  # d = 3
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("sys", "defn", "cocycle")}
+    docs.dump(docs.serialize_system(sys), paths["sys"])
+    defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, random.Random(1)))
+    docs.dump(docs.serialize_deformation(defn, sys), paths["defn"])
+    docs.dump(docs.serialize_cocycle(zero_cocycle(sys, regular_bimodule(sys))), paths["cocycle"])
+    assert main([arg.format(**paths) for arg in argv] + ["--cap", "5"]) == 2
+    assert "exceeds cap 5" in capsys.readouterr().out
+
+
+def test_large_prime_field_documents(tmp_path, capsys):
+    import time
+
+    from rbsys import GF, Matrix, RotaBaxterSystem, zero_algebra
+
+    field = GF(2**61 - 1)
+    z = Matrix.zeros(field, 1, 1)
+    doc = docs.serialize_system(RotaBaxterSystem(zero_algebra(field, 1), z, z))
+    path = tmp_path / "big.json"
+    docs.dump(doc, path)
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    doc["field"] = {"Fp": 2**89 - 1}  # prime, beyond the deterministic Miller-Rabin range
+    docs.dump(doc, path)
+    assert main(["validate", str(path)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "too large" in capsys.readouterr().out

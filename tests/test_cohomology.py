@@ -379,3 +379,28 @@ def test_rba_embedding_dbar_line_example():
     z1 = Matrix.zeros(QQ, 1, 1)
     sys = from_rb_operator(line, z1, 1)[0]
     assert _dbar_display_slice(sys, QQ.coerce(1), 1).entries() == [[-1]]
+
+
+def test_les_check_builds_each_block_once(monkeypatch):
+    # degree 3 needs delta_0..delta_3 and partial_0..partial_2 (seven
+    # Hochschild slices), phi_0..phi_3, and the doubled module once
+    from collections import Counter
+
+    from rbsys import cohomology
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(cohomology, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cohomology, name, wrapper)
+
+    for name in ("hochschild_slice", "phi", "_d_module_unchecked"):
+        counted(name)
+    sys = triangular_system(GF(5), 1, 2)
+    assert les_check(sys, regular_bimodule(sys), 3).ok
+    assert calls == {"hochschild_slice": 7, "phi": 4, "_d_module_unchecked": 1}

@@ -331,3 +331,33 @@ def test_order0_residuals_match_axioms():
     report = verify_deformation(sys_bad, defn)
     assert not report.ok
     assert report.first_failure() == 0
+
+
+def test_rigidify_checks_each_object_once(monkeypatch):
+    # one system check per distinct system object, one verification per
+    # deformation object, over a three-step rigidification
+    from collections import Counter
+
+    from rbsys import bimodules, deformation, systems
+
+    system_checks = Counter()
+    verified = Counter()
+    check_rbs, verify = systems.check_rbs, deformation.verify_deformation
+
+    def counting_check(sys):
+        system_checks[id(sys)] += 1
+        return check_rbs(sys)
+
+    def counting_verify(sys, defn):
+        verified[id(defn)] += 1
+        return verify(sys, defn)
+
+    for module in (systems, bimodules):
+        monkeypatch.setattr(module, "check_rbs", counting_check)
+    monkeypatch.setattr(deformation, "verify_deformation", counting_verify)
+    sys = triangular_system(GF(5), 1, 2)
+    defn = apply_gauge(constant_deformation(sys, 3), random_gauge(sys, 3, random.Random(3)))
+    report = rigidify(sys, defn)
+    assert report.success
+    assert set(system_checks.values()) == {1}
+    assert len(verified) == 3 and set(verified.values()) == {1}

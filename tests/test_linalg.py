@@ -114,3 +114,26 @@ def test_kron_mixed():
     a = Matrix.from_rows(QQ, [[1, 2]])
     b = Matrix.from_rows(QQ, [[3], [4]])
     assert a.kron(b).entries() == [[3, 6], [4, 8]]
+
+
+def test_large_prime_moduli_are_decided_quickly():
+    import time
+
+    start = time.perf_counter()
+    assert Field(2**61 - 1).p == 2**61 - 1  # a Mersenne prime
+    with pytest.raises(ValueError):
+        Field(2**61 + 1)  # divisible by 3
+    with pytest.raises(ValueError):
+        Field(3825123056546413051)  # strong pseudoprime to the bases 2..23
+    with pytest.raises(ValueError, match="too large"):
+        Field(2**89 - 1)  # prime, above the deterministic Miller-Rabin range
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_matches_trial_division():
+    from rbsys.linalg import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
