@@ -5,7 +5,9 @@ c[i][j][k] e_k); a bimodule is a pair of action tensors.  Multilinear maps
 A^(x)n -> M are stored as m x d^n matrices against a single project-wide
 column convention: the tuple (i_1, ..., i_n) of 0-based basis indices sits
 in column sum_k i_k * d^(n-k), i.e. big-endian lexicographic.  All Kronecker
-assembly elsewhere relies on this one convention.
+assembly elsewhere relies on this one convention.  The pair tensor_matrix /
+matrix_tensor is the one place it is coded for tensors: an (a, b, k) tensor
+t is the k x ab matrix whose column i b + j holds t[i][j][:].
 
 Algebras need not be unital; nothing here assumes a unit.
 """
@@ -95,6 +97,17 @@ def decode_tuple(d, n, col):
     return tuple(reversed(out))
 
 
+def tensor_matrix(field, t):
+    """The (a, b, k) tensor t as a k x ab matrix: column i b + j holds t[i, j, :]."""
+    a, b, k = t.shape
+    return Matrix(field, t.transpose(2, 0, 1).reshape(k, a * b).copy())
+
+
+def matrix_tensor(mat, a, b):
+    """Inverse of tensor_matrix: the (a, b, k) tensor of a k x ab matrix."""
+    return mat.a.reshape(mat.rows, a, b).transpose(1, 2, 0)
+
+
 def _tensor3(field, data, shape):
     a = np.empty(shape, dtype=field.dtype)
     if list(np.shape(data)) != list(shape):
@@ -122,9 +135,7 @@ class Algebra:
     def mult_matrix(self):
         """The multiplication as a d x d^2 matrix on tuple columns."""
         if self._mult_matrix is None:
-            d = self.dim
-            a = self.mult.transpose(2, 0, 1).reshape(d, d * d).copy()
-            self._mult_matrix = Matrix(self.field, a)
+            self._mult_matrix = tensor_matrix(self.field, self.mult)
         return self._mult_matrix
 
     def multiply(self, x, y):
@@ -169,17 +180,12 @@ def check_associative(alg):
 
 def check_nondegenerate(alg):
     """Fail when some nonzero b has bA = 0 or Ab = 0."""
-    d = alg.dim
-    # stack of right multiplications b -> (b e_i)_i and left b -> (e_i b)_i
-    right_stack = np.zeros((d * d, d), dtype=alg.field.dtype)
-    left_stack = np.zeros((d * d, d), dtype=alg.field.dtype)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                right_stack[i * d + k, j] = alg.mult[j, i, k]
-                left_stack[i * d + k, j] = alg.mult[i, j, k]
+    d, c = alg.dim, alg.mult
+    # b -> (b e_i)_i and b -> (e_i b)_i as (i, k) x b matrices
+    right_stack = c.reshape(d, d * d).T
+    left_stack = c.transpose(0, 2, 1).reshape(d * d, d)
     for tag, stack in (("right_annihilator", right_stack), ("left_annihilator", left_stack)):
-        ker = Matrix(alg.field, stack).kernel_basis()
+        ker = Matrix(alg.field, stack.copy()).kernel_basis()
         if ker.cols > 0:
             return Verdict(False, tag=tag, witness=ker.col(0).entries())
     return Verdict(True)
@@ -203,18 +209,16 @@ class BimoduleActions:
 
     def left_matrix(self):
         """Action A (x) M -> M as an m x (d m) matrix."""
-        m, d = self.dim, self.adim
-        return Matrix(self.field, self.left.transpose(2, 0, 1).reshape(m, d * m).copy())
+        return tensor_matrix(self.field, self.left)
 
     def right_matrix(self):
         """Action M (x) A -> M as an m x (m d) matrix."""
-        m, d = self.dim, self.adim
-        return Matrix(self.field, self.right.transpose(2, 0, 1).reshape(m, m * d).copy())
+        return tensor_matrix(self.field, self.right)
 
     def stacked_left(self):
         """(m d) x m matrix with block row (v, i) built from left[i][u][v]."""
         m, d = self.dim, self.adim
-        return Matrix(self.field, self.left.transpose(2, 0, 1).reshape(m * d, m).copy())
+        return Matrix(self.field, self.left_matrix().a.reshape(m * d, m).copy())
 
     def right_slices(self):
         """For each basis index j of A, the m x m matrix of . e_j."""

@@ -16,9 +16,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import BimoduleActions, check_bimodule, first_failure, regular_actions
-from .linalg import Matrix, block_diag
-from .systems import RotaBaxterSystem, _star_algebra_unchecked, check_rbs
+from .algebra import (
+    Algebra,
+    BimoduleActions,
+    check_bimodule,
+    first_failure,
+    matrix_tensor,
+    regular_actions,
+)
+from .linalg import Matrix, block_diag, hstack, vstack
+from .systems import (
+    RotaBaxterSystem,
+    _star_algebra_unchecked,
+    check_rbs,
+    conjugate_system,
+    star_rbs_if_commuting,
+)
 
 
 class RBSBimodule:
@@ -128,21 +141,37 @@ def semidirect_product(mod):
     verdict = check_rbs_bimodule(mod)
     if not verdict:
         raise ValueError(f"not a Rota-Baxter system bimodule: {verdict.describe()}")
+    field, d, m = mod.field, mod.base.dim, mod.dim
+    zero = Matrix.zeros(field, m, d)
+    out = _square_zero_system(mod, Matrix.zeros(field, m, d * d), zero, zero)
+    check = check_rbs(out)
+    if not check:
+        raise AssertionError(f"semidirect product failed the axioms: {check.describe()}")
+    return out
+
+
+def _square_zero_system(mod, psi, chi_r, chi_s):
+    """The system on A (+) M with payload psi (m x d^2), chi_r, chi_s (m x d).
+
+    (a, m)(b, n) = (ab, an + mb + psi(a, b)) and (a, m) -> (R(a), chi_r(a) +
+    R_M(m)), S likewise.  Not validated: it is a system exactly when the
+    payload is a 2-cocycle.
+    """
     sys = mod.base
     field, d, m = mod.field, sys.dim, mod.dim
     n = d + m
     mult = np.zeros((n, n, n), dtype=field.dtype)
     mult[:d, :d, :d] = sys.alg.mult
+    mult[:d, :d, d:] = matrix_tensor(psi, d, d)
     mult[:d, d:, d:] = mod.actions.left
     mult[d:, :d, d:] = mod.actions.right
-    from .algebra import Algebra
 
-    alg = Algebra(field, n, mult)
-    out = RotaBaxterSystem(alg, block_diag([sys.R, mod.RM]), block_diag([sys.S, mod.SM]))
-    check = check_rbs(out)
-    if not check:
-        raise AssertionError(f"semidirect product failed the axioms: {check.describe()}")
-    return out
+    def lower(op, chi, op_m):
+        return vstack([hstack([op, Matrix.zeros(field, d, m)]), hstack([chi, op_m])])
+
+    return RotaBaxterSystem(
+        Algebra(field, n, mult), lower(sys.R, chi_r, mod.RM), lower(sys.S, chi_s, mod.SM)
+    )
 
 
 def semidirect_extract(sys, actions, Rp, Sp):
@@ -199,28 +228,21 @@ def d_module(mod):
 def _d_module_unchecked(mod):
     sys = mod.base
     field, d, m = mod.field, sys.dim, mod.dim
-    l, r = mod.actions.left, mod.actions.right
-    R, S, RM, SM = sys.R.a, sys.S.a, mod.RM.a, mod.SM.a
-
+    lam, rho = mod.actions.left_matrix(), mod.actions.right_matrix()
+    idm = Matrix.identity(field, m)
+    R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
     left = np.zeros((d, 2 * m, 2 * m), dtype=field.dtype)
     right = np.zeros((2 * m, d, 2 * m), dtype=field.dtype)
-    for i in range(d):
-        for u in range(m):
-            for v in range(m):
-                # e_i |> (f_u, 0) = (R(e_i) f_u, 0)
-                left[i, u, v] = sum(R[k, i] * l[k, u, v] for k in range(d))
-                # e_i |> (0, f_u) = (-R_M(e_i f_u), S(e_i) f_u - S_M(e_i f_u))
-                left[i, m + u, v] = -sum(l[i, u, w] * RM[v, w] for w in range(m))
-                left[i, m + u, m + v] = sum(S[k, i] * l[k, u, v] for k in range(d)) - sum(
-                    l[i, u, w] * SM[v, w] for w in range(m)
-                )
-                # (f_u, 0) <| e_i = (f_u R(e_i) - R_M(f_u e_i), -S_M(f_u e_i))
-                right[u, i, v] = sum(R[k, i] * r[u, k, v] for k in range(d)) - sum(
-                    r[u, i, w] * RM[v, w] for w in range(m)
-                )
-                right[u, i, m + v] = -sum(r[u, i, w] * SM[v, w] for w in range(m))
-                # (0, f_u) <| e_i = (0, f_u S(e_i))
-                right[m + u, i, m + v] = sum(S[k, i] * r[u, k, v] for k in range(d))
+    # e_i |> (f_u, 0) = (R(e_i) f_u, 0)
+    left[:, :m, :m] = matrix_tensor(lam @ R.kron(idm), d, m)
+    # e_i |> (0, f_u) = (-R_M(e_i f_u), S(e_i) f_u - S_M(e_i f_u))
+    left[:, m:, :m] = matrix_tensor(-(RM @ lam), d, m)
+    left[:, m:, m:] = matrix_tensor(lam @ S.kron(idm) - SM @ lam, d, m)
+    # (f_u, 0) <| e_i = (f_u R(e_i) - R_M(f_u e_i), -S_M(f_u e_i))
+    right[:m, :, :m] = matrix_tensor(rho @ idm.kron(R) - RM @ rho, m, d)
+    right[:m, :, m:] = matrix_tensor(-(SM @ rho), m, d)
+    # (0, f_u) <| e_i = (0, f_u S(e_i))
+    right[m:, :, m:] = matrix_tensor(rho @ idm.kron(S), m, d)
     star = _star_algebra_unchecked(sys)
     return DModule(star, BimoduleActions(field, d, 2 * m, left, right))
 
@@ -235,8 +257,6 @@ def d_module_rbs(mod):
     sys = mod.base
     if sys.R @ sys.S != sys.S @ sys.R:
         return None
-    from .systems import star_rbs_if_commuting
-
     star_sys = star_rbs_if_commuting(sys)
     dm = d_module(mod)
     out = RBSBimodule(
@@ -255,8 +275,6 @@ def d_module_rbs(mod):
 
 def conjugate_bimodule(mod, P, Q):
     """Transport a bimodule along base changes P (on A) and Q (on M)."""
-    from .systems import conjugate_system
-
     Pinv, Qinv = P.inverse(), Q.inverse()
     if Pinv is None or Qinv is None:
         raise ValueError("base change matrix is singular")
@@ -264,7 +282,5 @@ def conjugate_bimodule(mod, P, Q):
     field, d, m = mod.field, mod.base.dim, mod.dim
     lam = Qinv @ mod.actions.left_matrix() @ P.kron(Q)
     rho = Qinv @ mod.actions.right_matrix() @ Q.kron(P)
-    left = lam.a.reshape(m, d, m).transpose(1, 2, 0)
-    right = rho.a.reshape(m, m, d).transpose(1, 2, 0)
-    actions = BimoduleActions(field, d, m, left, right)
+    actions = BimoduleActions(field, d, m, matrix_tensor(lam, d, m), matrix_tensor(rho, m, d))
     return RBSBimodule(sys2, actions, Qinv @ mod.RM @ Q, Qinv @ mod.SM @ Q)

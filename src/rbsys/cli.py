@@ -47,12 +47,12 @@ from .deformation import (
     verify_operator_deformation,
 )
 from .extensions import (
+    NotACocycle,
     build_extension,
     check_extension,
     check_iso,
     extract_cocycle,
     h2_extension_census,
-    is_cocycle,
     same_class_check,
 )
 from .systems import check_rbs, star_algebra, check_rb_operator, RotaBaxterSystem
@@ -91,6 +91,20 @@ def _witness_dict(verdict):
             out["lhs"] = verdict.lhs
             out["rhs"] = verdict.rhs
     return out
+
+
+def _emit_document(rep, doc, output, label):
+    """Report doc; write it to output when given, else print it."""
+    rep.set("document", doc)
+    if output:
+        docs.dump(doc, output)
+        rep.line(f"{label} written to {output}")
+    else:
+        rep.line(json.dumps(doc, indent=2))
+
+
+def _column_tokens(field, col):
+    return [field.scalar_token(col[i, 0]) for i in range(col.rows)]
 
 
 def _load_system(path):
@@ -149,15 +163,9 @@ def cmd_star(args, rep):
         return FAIL
     alg = star_algebra(sys_obj)
     out_sys = RotaBaxterSystem(alg, sys_obj.R, sys_obj.S)
-    doc = docs.serialize_system(out_sys, name="star")
     commuting = sys_obj.R @ sys_obj.S == sys_obj.S @ sys_obj.R
-    rep.set("document", doc)
+    _emit_document(rep, docs.serialize_system(out_sys, name="star"), args.output, "star algebra")
     rep.set("operators_commute", commuting)
-    if args.output:
-        docs.dump(doc, args.output)
-        rep.line(f"star algebra written to {args.output}")
-    else:
-        rep.line(json.dumps(doc, indent=2))
     rep.line(f"operators commute (star system keeps the axioms): {commuting}")
     return PASS
 
@@ -167,14 +175,8 @@ def cmd_semidirect(args, rep):
     if not _system_guard(sys_obj, rep):
         return FAIL
     mod = _bimodule_or_regular(args, sys_obj, system_doc)
-    out_sys = semidirect_product(mod)
-    doc = docs.serialize_system(out_sys, name="semidirect")
-    rep.set("document", doc)
-    if args.output:
-        docs.dump(doc, args.output)
-        rep.line(f"semidirect product written to {args.output}")
-    else:
-        rep.line(json.dumps(doc, indent=2))
+    doc = docs.serialize_system(semidirect_product(mod), name="semidirect")
+    _emit_document(rep, doc, args.output, "semidirect product")
     return PASS
 
 
@@ -276,7 +278,7 @@ def cmd_deform(args, rep):
     if sub == "infinitesimal":
         cochain, ok = infinitesimal(sys_obj, defn, args.cap)
         rep.set("cocycle", ok)
-        rep.set("coordinates", [sys_obj.field.scalar_token(cochain.vector[i, 0]) for i in range(cochain.vector.rows)])
+        rep.set("coordinates", _column_tokens(sys_obj.field, cochain.vector))
         rep.line(f"infinitesimal packaged; cocycle: {ok}")
         return PASS if ok else FAIL
     if sub == "rigidify":
@@ -291,11 +293,7 @@ def cmd_deform(args, rep):
             return PASS
         rep.set("success", False)
         rep.set("stuck_order", report.stuck_order)
-        coords = report.stuck_class.vector
-        rep.set(
-            "stuck_class",
-            [sys_obj.field.scalar_token(coords[i, 0]) for i in range(coords.rows)],
-        )
+        rep.set("stuck_class", _column_tokens(sys_obj.field, report.stuck_class.vector))
         rep.line(f"stuck at order {report.stuck_order}; cohomology class coordinates:")
         rep.line("  " + str(rep.payload["stuck_class"]))
         return FAIL
@@ -324,14 +322,7 @@ def cmd_extend(args, rep):
             rep.set("extension", _witness_dict(verdict))
             rep.line(f"not a valid extension: {verdict.describe()}")
             return FAIL
-        c = extract_cocycle(ext)
-        doc = docs.serialize_cocycle(c)
-        rep.set("document", doc)
-        if args.output:
-            docs.dump(doc, args.output)
-            rep.line(f"cocycle written to {args.output}")
-        else:
-            rep.line(json.dumps(doc, indent=2))
+        _emit_document(rep, docs.serialize_cocycle(extract_cocycle(ext)), args.output, "cocycle")
         return PASS
 
     sys_obj, system_doc = _load_system(args.system)
@@ -342,18 +333,13 @@ def cmd_extend(args, rep):
         cdoc = docs.load(args.cocycle)
         docs.check_system_reference(cdoc, system_doc, args.cocycle, args.system)
         c = docs.parse_cocycle(cdoc, sys_obj, mod)
-        if not is_cocycle(sys_obj, mod, c, args.cap):
+        try:
+            ext = build_extension(sys_obj, mod, c, args.cap)
+        except NotACocycle:
             rep.line("payload is not a 2-cocycle; refusing to build")
             rep.set("cocycle", False)
             return FAIL
-        ext = build_extension(sys_obj, mod, c, args.cap)
-        doc = docs.serialize_extension(ext)
-        rep.set("document", doc)
-        if args.output:
-            docs.dump(doc, args.output)
-            rep.line(f"extension written to {args.output}")
-        else:
-            rep.line(json.dumps(doc, indent=2))
+        _emit_document(rep, docs.serialize_extension(ext), args.output, "extension")
         return PASS
     if sub == "census":
         mod = _bimodule_or_regular(args, sys_obj, system_doc)

@@ -18,12 +18,14 @@ RR_p = sum_{j+k=p} R_j (x) R_k, and resS_n likewise with S and SS_p.
 Gauges are truncated series Id + Psi_1 t + ... acting by conjugation; the
 order-t coefficient of any valid deformation is a 2-cocycle of the total
 complex, and gauge changes move it by a coboundary.
+
+Every product of series here (the residuals, gauge composition and gauge
+action) is one truncated Cauchy product, _series.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import reduce
 
 from .algebra import MultiMap, multimap_from_vector
 from .cohomology import ALG, Complexes, pack_rbs_cochain, pack_rbso_cochain
@@ -104,48 +106,43 @@ class DeformationReport:
         return f"DeformationReport(ok={self.ok})"
 
 
-def _sum(terms):
-    """Sum of a non-empty iterable of matrices, in order."""
-    return reduce(operator.add, terms)
+def _series(a, b, op=operator.matmul):
+    """Truncated Cauchy product: [sum_{i+j=n} op(a_i, b_j) for n < len(b)].
+
+    a may be shorter than b; its missing coefficients are zero.
+    """
+    out = []
+    for n in range(len(b)):
+        terms = (op(a[i], b[n - i]) for i in range(1, min(n, len(a) - 1) + 1))
+        out.append(sum(terms, op(a[0], b[n])))
+    return out
 
 
-def _operator_residuals(mus, Rs, Ss, order):
+def _operator_residuals(mus, Rs, Ss):
     """Per-order (resR_n, resS_n) of the two operator equations.
 
     mus may be shorter than Rs and Ss; the missing mu coefficients are zero.
     """
     idd = Matrix.identity(Rs[0].field, Rs[0].rows)
-    inner, rr, ss, residuals = [], [], [], []
-    for p in range(order + 1):
-        low = list(enumerate(mus[: p + 1]))
-        inner.append(_sum(mu @ (Rs[p - j].kron(idd) + idd.kron(Ss[p - j])) for j, mu in low))
-        rr.append(_sum(Rs[j].kron(Rs[p - j]) for j in range(p + 1)))
-        ss.append(_sum(Ss[j].kron(Ss[p - j]) for j in range(p + 1)))
-        res_r = _sum(mu @ rr[p - i] for i, mu in low) - _sum(
-            Rs[i] @ inner[p - i] for i in range(p + 1)
-        )
-        res_s = _sum(mu @ ss[p - i] for i, mu in low) - _sum(
-            Ss[i] @ inner[p - i] for i in range(p + 1)
-        )
-        residuals.append((res_r, res_s))
-    return residuals
+    inner = _series(mus, [R.kron(idd) + idd.kron(S) for R, S in zip(Rs, Ss)])
+
+    def residual(ops):
+        twice = _series(ops, ops, Matrix.kron)
+        return [x - y for x, y in zip(_series(mus, twice), _series(ops, inner))]
+
+    return list(zip(residual(Rs), residual(Ss)))
 
 
-def _deformation_residuals(mus, Rs, Ss, order):
+def _deformation_residuals(mus, Rs, Ss):
     idd = Matrix.identity(Rs[0].field, Rs[0].rows)
-    out = []
-    for n, (res_r, res_s) in enumerate(_operator_residuals(mus, Rs, Ss, order)):
-        assoc = _sum(
-            mus[i] @ mus[n - i].kron(idd) - mus[i] @ idd.kron(mus[n - i]) for i in range(n + 1)
-        )
-        out.append((assoc, res_r, res_s))
-    return out
+    assoc = _series(mus, [mu.kron(idd) - idd.kron(mu) for mu in mus])
+    return [(a, *res) for a, res in zip(assoc, _operator_residuals(mus, Rs, Ss))]
 
 
 def verify_deformation(sys, defn):
     """Expand the deformed equations and report the residual of each order."""
     _check_normalised(sys, defn)
-    return DeformationReport(_deformation_residuals(defn.mus, defn.Rs, defn.Ss, defn.order))
+    return DeformationReport(_deformation_residuals(defn.mus, defn.Rs, defn.Ss))
 
 
 def infinitesimal(sys, defn, cap=None):
@@ -207,15 +204,15 @@ def compose_gauges(g, h):
     """The series of x -> g(h(x)), truncated at the common order."""
     if g.order != h.order:
         raise ValueError("order mismatch")
-    psis = [_sum(g.psis[i] @ h.psis[n - i] for i in range(n + 1)) for n in range(g.order + 1)]
-    return GaugeSeries(g.order, psis)
+    return GaugeSeries(g.order, _series(g.psis, h.psis))
 
 
 def gauge_inverse(g):
     """Series inverse: compose_gauges(gauge_inverse(g), g) is the identity."""
     thetas = [Matrix.identity(g.psis[0].field, g.psis[0].rows)]
     for n in range(1, g.order + 1):
-        thetas.append(-_sum(thetas[n - j] @ g.psis[j] for j in range(1, n + 1)))
+        terms = (thetas[n - j] @ g.psis[j] for j in range(2, n + 1))
+        thetas.append(-sum(terms, thetas[n - 1] @ g.psis[1]))
     return GaugeSeries(g.order, thetas)
 
 
@@ -228,18 +225,16 @@ def apply_gauge(defn, g):
     if g.order != defn.order:
         raise ValueError("order mismatch")
     inv, psis = gauge_inverse(g).psis, g.psis
-    mus, Rs, Ss = [], [], []
-    for n in range(defn.order + 1):
-        # (i, j, rem): orders of g^-1, of the coefficient, and of the g factors
-        split = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
-        Rs.append(_sum(inv[i] @ defn.Rs[j] @ psis[rem] for i, j, rem in split))
-        Ss.append(_sum(inv[i] @ defn.Ss[j] @ psis[rem] for i, j, rem in split))
-        mus.append(_sum(
-            inv[i] @ defn.mus[j] @ psis[k].kron(psis[rem - k])
-            for i, j, rem in split
-            for k in range(rem + 1)
-        ))
-    return DeformationData(defn.order, mus, Rs, Ss)
+
+    def conjugate(coeffs, right):
+        return _series(_series(inv, coeffs), right)
+
+    return DeformationData(
+        defn.order,
+        conjugate(defn.mus, _series(psis, psis, Matrix.kron)),
+        conjugate(defn.Rs, psis),
+        conjugate(defn.Ss, psis),
+    )
 
 
 def trivialize_step(sys, defn, n):
@@ -352,7 +347,7 @@ def verify_operator_deformation(sys, od):
     """Per-order residuals of the operator equations with mu fixed."""
     if od.Rs[0] != sys.R or od.Ss[0] != sys.S:
         raise ValueError("operator deformation is not normalised at order 0")
-    return _operator_residuals([sys.alg.mult_matrix()], od.Rs, od.Ss, od.order)
+    return _operator_residuals([sys.alg.mult_matrix()], od.Rs, od.Ss)
 
 
 def operator_deformation_ok(residuals, through=None):

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .algebra import Algebra, BimoduleActions, MultiMap
+from .algebra import Algebra, BimoduleActions, MultiMap, matrix_tensor
 from .bimodules import RBSBimodule
 from .deformation import DeformationData, OperatorDeformation
 from .extensions import Cocycle2, ExtensionData, ExtensionIso
@@ -33,9 +33,11 @@ def _parse_field(spec):
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
+        if type(spec["Fp"]) is not int:
+            raise DocumentError(f'bad prime field spec: "Fp" must be an integer, got {spec["Fp"]!r}')
         try:
-            return GF(int(spec["Fp"]))
-        except (TypeError, ValueError) as exc:
+            return GF(spec["Fp"])
+        except ValueError as exc:
             raise DocumentError(f"bad prime field spec: {exc}") from exc
     raise DocumentError(f'field must be "Q" or {{"Fp": p}}, got {spec!r}')
 
@@ -44,19 +46,35 @@ def _field_spec(field):
     return "Q" if field.p is None else {"Fp": field.p}
 
 
+def _count(doc, key, least, words):
+    value = doc.get(key)
+    # JSON true is a Python int, but not a count
+    if type(value) is not int or value < least:
+        raise DocumentError(f'"{key}" must be a {words} integer')
+    return value
+
+
+def _check_entry(field, x, what):
+    """Prime-field entries must be integers in [0, p); Q entries go to coerce."""
+    if field.p is not None and not (type(x) is int and 0 <= x < field.p):
+        raise DocumentError(f"{what}: entry {x!r} is not an integer in [0, {field.p})")
+
+
 def _parse_matrix(field, data, rows, cols, what):
     if not isinstance(data, list) or len(data) != rows:
         raise DocumentError(f"{what}: expected {rows} rows")
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"{what}: expected {cols} columns per row")
+        for x in row:
+            _check_entry(field, x, what)
     try:
         return Matrix.from_rows(field, data)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"{what}: {exc}") from exc
 
 
-def _parse_tensor3(data, shape, what):
+def _parse_tensor3(field, data, shape, what):
     arr = np.empty(shape, dtype=object)
     if not isinstance(data, list) or len(data) != shape[0]:
         raise DocumentError(f"{what}: expected shape {shape}")
@@ -67,6 +85,7 @@ def _parse_tensor3(data, shape, what):
             if not isinstance(row, list) or len(row) != shape[2]:
                 raise DocumentError(f"{what}: expected shape {shape}")
             for k, x in enumerate(row):
+                _check_entry(field, x, what)
                 arr[i, j, k] = x
     return arr
 
@@ -120,10 +139,8 @@ def dump(doc, path):
 def parse_system(doc):
     _require(doc, "system")
     field = _parse_field(doc.get("field"))
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise DocumentError('"dim" must be a positive integer')
-    tensor = _parse_tensor3(doc.get("mult"), (dim, dim, dim), "mult")
+    dim = _count(doc, "dim", 1, "positive")
+    tensor = _parse_tensor3(field, doc.get("mult"), (dim, dim, dim), "mult")
     try:
         alg = Algebra(field, dim, tensor)
     except (TypeError, ValueError) as exc:
@@ -153,12 +170,10 @@ def serialize_system(sys, name=None):
 
 def parse_bimodule(doc, sys):
     _require(doc, "bimodule")
-    m = doc.get("dim")
-    if not isinstance(m, int) or m < 1:
-        raise DocumentError('"dim" must be a positive integer')
+    m = _count(doc, "dim", 1, "positive")
     d, field = sys.dim, sys.field
-    left = _parse_tensor3(doc.get("left"), (d, m, m), "left")
-    right = _parse_tensor3(doc.get("right"), (m, d, m), "right")
+    left = _parse_tensor3(field, doc.get("left"), (d, m, m), "left")
+    right = _parse_tensor3(field, doc.get("right"), (m, d, m), "right")
     try:
         actions = BimoduleActions(field, d, m, left, right)
     except (TypeError, ValueError) as exc:
@@ -217,9 +232,7 @@ def serialize_cocycle(c, system_doc=None):
 def parse_deformation(doc, sys):
     """Full deformation when "mus" is present, operator-only otherwise."""
     _require(doc, "deformation")
-    order = doc.get("order")
-    if not isinstance(order, int) or order < 0:
-        raise DocumentError('"order" must be a non-negative integer')
+    order = _count(doc, "order", 0, "non-negative")
     d, field = sys.dim, sys.field
     rs_data = doc.get("Rs")
     ss_data = doc.get("Ss")
@@ -236,9 +249,11 @@ def parse_deformation(doc, sys):
         raise DocumentError(f'"mus" must list {order + 1} tensors')
     mus = []
     for k, data in enumerate(mus_data):
-        tensor = _parse_tensor3(data, (d, d, d), f"mus[{k}]")
-        alg = Algebra(field, d, tensor)
-        mus.append(alg.mult_matrix())
+        tensor = _parse_tensor3(field, data, (d, d, d), f"mus[{k}]")
+        try:
+            mus.append(Algebra(field, d, tensor).mult_matrix())
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"mus[{k}]: {exc}") from exc
     return DeformationData(order, mus, Rs, Ss)
 
 
@@ -246,11 +261,7 @@ def serialize_deformation(defn, sys, system_doc=None):
     field, d = sys.field, sys.dim
     doc = {"schema": SCHEMA, "kind": "deformation", "order": defn.order}
     if isinstance(defn, DeformationData):
-        mus = []
-        for mu in defn.mus:
-            tensor = mu.a.reshape(d, d, d).transpose(1, 2, 0)
-            mus.append(_tensor_tokens(field, tensor))
-        doc["mus"] = mus
+        doc["mus"] = [_tensor_tokens(field, matrix_tensor(mu, d, d)) for mu in defn.mus]
     doc["Rs"] = [_matrix_tokens(r) for r in defn.Rs]
     doc["Ss"] = [_matrix_tokens(s) for s in defn.Ss]
     if system_doc is not None:

@@ -21,13 +21,23 @@ triple is a cocycle.  Cohomologous cocycles give isomorphic extensions via
 
 from __future__ import annotations
 
-import numpy as np
-
-from .algebra import Algebra, BimoduleActions, MultiMap, Verdict, multimap_from_vector
-from .bimodules import RBSBimodule, check_rbs_bimodule
+from .algebra import (
+    Algebra,
+    BimoduleActions,
+    MultiMap,
+    Verdict,
+    check_associative,
+    matrix_tensor,
+    multimap_from_vector,
+)
+from .bimodules import RBSBimodule, _square_zero_system, check_rbs_bimodule, semidirect_maps
 from .cohomology import RBS, Cochain, Complexes, pack_rbs_cochain, unpack_rbs_cochain
 from .linalg import Matrix, hstack, vstack
 from .systems import RotaBaxterSystem, check_morphism, check_rbs
+
+
+class NotACocycle(ValueError):
+    """A degree-2 payload that fails the cocycle condition."""
 
 
 class Cocycle2:
@@ -127,31 +137,10 @@ def assemble_extension(sys, mod, c):
     payload is a cocycle, which is what build_extension enforces.
     """
     field, d, m = sys.field, sys.dim, mod.dim
-    n = d + m
-    mult = np.zeros((n, n, n), dtype=field.dtype)
-    mult[:d, :d, :d] = sys.alg.mult
-    mult[:d, d:, d:] = mod.actions.left
-    mult[d:, :d, d:] = mod.actions.right
-    for i in range(d):
-        for j in range(d):
-            col = c.psi.mat.col(i * d + j)
-            for v in range(m):
-                mult[i, j, d + v] = col[v, 0]
-    alg = Algebra(field, n, mult)
-    r_hat = vstack([
-        hstack([sys.R, Matrix.zeros(field, d, m)]),
-        hstack([c.chi_r.mat, mod.RM]),
-    ])
-    s_hat = vstack([
-        hstack([sys.S, Matrix.zeros(field, d, m)]),
-        hstack([c.chi_s.mat, mod.SM]),
-    ])
-    hat = RotaBaxterSystem(alg, r_hat, s_hat)
+    hat = _square_zero_system(mod, c.psi.mat, c.chi_r.mat, c.chi_s.mat)
+    section, proj_a = semidirect_maps(field, d, m)
     iota_m = vstack([Matrix.zeros(field, d, m), Matrix.identity(field, m)])
-    proj_a = hstack([Matrix.identity(field, d), Matrix.zeros(field, d, m)])
-    section = vstack([Matrix.identity(field, d), Matrix.zeros(field, m, d)])
-    retraction = hstack([Matrix.zeros(field, m, d), Matrix.identity(field, m)])
-    return ExtensionData(hat, iota_m, proj_a, section, retraction)
+    return ExtensionData(hat, iota_m, proj_a, section, iota_m.transpose())
 
 
 def build_extension(sys, mod, c, cap=None):
@@ -164,12 +153,12 @@ def build_extension(sys, mod, c, cap=None):
 
 
 def _build(cx, c):
-    """build_extension, reading slices from cx."""
+    """build_extension, reading slices from cx; the cocycle is tested first."""
+    if not cx.is_cocycle(c.as_cochain()):
+        raise NotACocycle("payload is not a 2-cocycle; the assembled structure would fail")
     verdict = check_rbs_bimodule(cx.mod)
     if not verdict:
         raise ValueError(f"not a Rota-Baxter system bimodule: {verdict.describe()}")
-    if not cx.is_cocycle(c.as_cochain()):
-        raise ValueError("payload is not a 2-cocycle; the assembled structure would fail")
     ext = assemble_extension(cx.sys, cx.mod, c)
     ext_check = check_extension(ext)
     if not ext_check:
@@ -179,8 +168,6 @@ def _build(cx, c):
 
 def check_extension(ext):
     """Exactness, square-zero ideal kernel, and the commuting operator squares."""
-    from .algebra import check_associative
-
     field = ext.hat.field
     n, d, m = ext.hat.dim, ext.base_dim, ext.fiber_dim
     if d + m != n:
@@ -205,7 +192,6 @@ def check_extension(ext):
             if ext.incl @ ext.retraction + ext.section @ ext.proj != Matrix.identity(field, n):
                 return Verdict(False, tag="splitting_not_identity")
 
-    mu_hat = ext.hat.alg.mult_matrix()
     # image of incl is an ideal with zero internal multiplication
     for u in range(m):
         iu = ext.incl.col(u)
@@ -253,15 +239,9 @@ def canonical_section(ext):
 def induced_base_system(ext, section=None):
     """The quotient system carried by the projection (independent of section)."""
     t = canonical_section(ext) if section is None else section
-    field, d = ext.hat.field, ext.base_dim
-    mult = np.zeros((d, d, d), dtype=field.dtype)
-    for i in range(d):
-        ti = t.col(i)
-        for j in range(d):
-            prod = ext.proj @ ext.hat.alg.multiply(ti, t.col(j))
-            for k in range(d):
-                mult[i, j, k] = prod[k, 0]
-    alg = Algebra(field, d, mult)
+    d = ext.base_dim
+    mu = ext.proj @ ext.hat.alg.mult_matrix() @ t.kron(t)
+    alg = Algebra(ext.hat.field, d, matrix_tensor(mu, d, d))
     return RotaBaxterSystem(alg, ext.proj @ ext.hat.R @ t, ext.proj @ ext.hat.S @ t)
 
 
@@ -281,20 +261,12 @@ def induced_bimodule(ext, section=None):
     sm = induced_fiber_operator(ext, ext.hat.S)
     if rm is None or sm is None:
         raise ValueError("operators do not preserve the kernel")
-    left = np.zeros((d, m, m), dtype=field.dtype)
-    right = np.zeros((m, d, m), dtype=field.dtype)
-    for i in range(d):
-        ti = t.col(i)
-        for u in range(m):
-            iu = ext.incl.col(u)
-            lv = ext.incl.solve(ext.hat.alg.multiply(ti, iu))
-            rv = ext.incl.solve(ext.hat.alg.multiply(iu, ti))
-            if lv is None or rv is None:
-                raise ValueError("kernel is not an ideal")
-            for v in range(m):
-                left[i, u, v] = lv[v, 0]
-                right[u, i, v] = rv[v, 0]
-    actions = BimoduleActions(field, d, m, left, right)
+    mu_hat = ext.hat.alg.mult_matrix()
+    lam = ext.incl.solve(mu_hat @ t.kron(ext.incl))
+    rho = ext.incl.solve(mu_hat @ ext.incl.kron(t))
+    if lam is None or rho is None:
+        raise ValueError("kernel is not an ideal")
+    actions = BimoduleActions(field, d, m, matrix_tensor(lam, d, m), matrix_tensor(rho, m, d))
     mod = RBSBimodule(sys, actions, rm, sm)
     verdict = check_rbs_bimodule(mod)
     if not verdict:
@@ -305,29 +277,19 @@ def induced_bimodule(ext, section=None):
 def extract_cocycle(ext, section=None):
     """Read off (Psi, chi_R, chi_S) through a section; asserts the cocycle law."""
     t = canonical_section(ext) if section is None else section
-    field, d, m = ext.hat.field, ext.base_dim, ext.fiber_dim
-    if ext.proj @ t != Matrix.identity(field, d):
+    if ext.proj @ t != Matrix.identity(ext.hat.field, ext.base_dim):
         raise ValueError("not a section of the projection")
     mod = induced_bimodule(ext, t)
     sys = mod.base
-    psi = np.zeros((m, d * d), dtype=field.dtype)
-    for i in range(d):
-        ti = t.col(i)
-        for j in range(d):
-            val = ext.hat.alg.multiply(ti, t.col(j)) - t @ sys.alg.multiply(
-                Matrix.unit_column(field, d, i), Matrix.unit_column(field, d, j)
-            )
-            coords = ext.incl.solve(val)
-            if coords is None:
-                raise ValueError("section defect does not land in the kernel")
-            for v in range(m):
-                psi[v, i * d + j] = coords[v, 0]
+    psi = ext.incl.solve(ext.hat.alg.mult_matrix() @ t.kron(t) - t @ sys.alg.mult_matrix())
+    if psi is None:
+        raise ValueError("section defect does not land in the kernel")
     chi_r_mat = ext.incl.solve(ext.hat.R @ t - t @ sys.R)
     chi_s_mat = ext.incl.solve(ext.hat.S @ t - t @ sys.S)
     if chi_r_mat is None or chi_s_mat is None:
         raise ValueError("operator defects do not land in the kernel")
     c = Cocycle2(
-        MultiMap(sys.alg, 2, Matrix(field, psi)),
+        MultiMap(sys.alg, 2, psi),
         MultiMap(sys.alg, 1, chi_r_mat),
         MultiMap(sys.alg, 1, chi_s_mat),
     )

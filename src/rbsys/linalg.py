@@ -83,16 +83,21 @@ class Field:
         return 1
 
     def coerce(self, x):
-        """Bring a scalar into canonical form.  Floats are refused."""
+        """Bring a scalar into canonical form.  Floats and booleans are refused."""
         if isinstance(x, (float, complex, np.floating)):
             raise TypeError("floating-point values are not allowed in exact arithmetic")
+        if isinstance(x, (bool, np.bool_)):
+            raise TypeError(f"boolean {x!r} is not a scalar")
         if self.p is None:
             if isinstance(x, (int, np.integer)):
                 return int(x)
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, str):
-                return Fraction(x)
+                try:
+                    return Fraction(x)
+                except ZeroDivisionError:
+                    raise ValueError(f"{x!r} has a zero denominator") from None
             raise TypeError(f"cannot interpret {x!r} as a rational")
         if isinstance(x, Fraction) and x.denominator == 1:
             x = x.numerator
@@ -305,12 +310,12 @@ class Matrix:
     def kernel_basis(self):
         """Columns form the canonical basis of the null space."""
         r, piv = self.rref()
-        free = [c for c in range(self.cols) if c not in piv]
+        pivots = set(piv)
+        free = [c for c in range(self.cols) if c not in pivots]
         basis = np.zeros((self.cols, len(free)), dtype=self.field.dtype)
-        for k, fc in enumerate(free):
-            basis[fc, k] = 1
-            for row, pc in enumerate(piv):
-                basis[pc, k] = self.field.neg(r.a[row, fc])
+        basis[free, range(len(free))] = 1
+        neg = -r.a[: len(piv), free]
+        basis[list(piv)] = neg if self.field.p is None else neg % self.field.p
         return Matrix(self.field, basis)
 
     def solve(self, b):
@@ -327,8 +332,7 @@ class Matrix:
         if any(pc >= self.cols for pc in piv):
             return None
         x = np.zeros((self.cols, b.cols), dtype=self.field.dtype)
-        for row, pc in enumerate(piv):
-            x[pc, :] = r[row, self.cols :]
+        x[piv] = r[: len(piv), self.cols :]
         return Matrix(self.field, x)
 
     def inverse(self):

@@ -11,7 +11,15 @@ All checks run on basis pairs; bilinearity extends them to the whole space.
 
 from __future__ import annotations
 
-from .algebra import Algebra, Verdict, check_associative, first_failure, first_mismatch
+from .algebra import (
+    Algebra,
+    Verdict,
+    check_associative,
+    check_nondegenerate,
+    first_failure,
+    first_mismatch,
+    matrix_tensor,
+)
 from .linalg import Matrix
 
 
@@ -138,8 +146,6 @@ def orthogonality_criterion(alg, R, S):
     aR(S(b)) = 0 = S(R(a))b for all a, b; for non-degenerate A this becomes
     R o S = S o R = 0.
     """
-    from .algebra import check_nondegenerate
-
     field, d = alg.field, alg.dim
     mu = alg.mult_matrix()
     idd = Matrix.identity(field, d)
@@ -171,8 +177,7 @@ def _star_algebra_unchecked(sys):
     mu = sys.alg.mult_matrix()
     idd = Matrix.identity(field, d)
     star_mult = mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S)  # d x d^2
-    tensor = star_mult.a.reshape(d, d, d).transpose(1, 2, 0)
-    return Algebra(field, d, tensor)
+    return Algebra(field, d, matrix_tensor(star_mult, d, d))
 
 
 def star_rbs_if_commuting(sys):
@@ -217,9 +222,6 @@ def conjugate_system(sys, P):
     Pinv = P.inverse()
     if Pinv is None:
         raise ValueError("base change matrix is singular")
-    field, d = sys.field, sys.dim
-    mu = sys.alg.mult_matrix()
-    new_mult = Pinv @ mu @ P.kron(P)
-    tensor = new_mult.a.reshape(d, d, d).transpose(1, 2, 0)
-    alg = Algebra(field, d, tensor)
+    d = sys.dim
+    alg = Algebra(sys.field, d, matrix_tensor(Pinv @ sys.alg.mult_matrix() @ P.kron(P), d, d))
     return RotaBaxterSystem(alg, Pinv @ sys.R @ P, Pinv @ sys.S @ P)

@@ -271,6 +271,77 @@ def test_env_cap_override(f2_zero_path, monkeypatch):
     assert main(["cohomology", f2_zero_path, "--max-degree", "3"]) == 0
 
 
+def test_extend_build_builds_each_block_once(tmp_path, monkeypatch):
+    # the cocycle test inside build reads rbs_2 = [[delta_2, 0], [-phi_2,
+    # -partial_1]]: two Hochschild slices, one phi and the doubled module once
+    from collections import Counter
+
+    from rbsys import cohomology
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(cohomology, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cohomology, name, wrapper)
+
+    for name in ("hochschild_slice", "phi", "_d_module_unchecked"):
+        counted(name)
+    sys = triangular_system(GF5(), 1, 2)  # d = 3
+    spath, cpath = str(tmp_path / "sys.json"), str(tmp_path / "c.json")
+    docs.dump(docs.serialize_system(sys), spath)
+    docs.dump(docs.serialize_cocycle(zero_cocycle(sys, regular_bimodule(sys))), cpath)
+    assert main(["extend", "build", spath, cpath, "-o", str(tmp_path / "ext.json")]) == 0
+    assert calls == {"hochschild_slice": 2, "phi": 1, "_d_module_unchecked": 1}
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "field, path, value, extra, message",
+    [
+        ("Q", ("sys", "dim"), True, [], '"dim" must be a positive integer'),
+        ("Q", ("sys", "R", 0, 0), "1/0", [], "zero denominator"),
+        ("Q", ("sys", "mult", 0, 0, 0), True, [], "boolean"),
+        ("Q", ("defn", "order"), True, [], '"order" must be a non-negative integer'),
+        ("Q", ("defn", "mus", 1, 0, 0, 0), True, [], "boolean"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "1/0"], "zero denominator"),
+        (5, ("sys", "S", 1, 2), True, [], "not an integer in [0, 5)"),
+        (5, ("sys", "mult", 2, 2, 2), 7, [], "not an integer in [0, 5)"),
+        (5, ("sys", "R", 0, 0), -1, [], "not an integer in [0, 5)"),
+        (5, ("defn", "Rs", 1, 0, 1), 5, [], "not an integer in [0, 5)"),
+        (5, ("defn", "mus", 1, 0, 0, 0), "3", [], "not an integer in [0, 5)"),
+        (5, ("sys", "field", "Fp"), 5.0, [], '"Fp" must be an integer'),
+    ],
+)
+def test_malformed_scalars_and_counts_exit_2(field, path, value, extra, message, tmp_path, capsys):
+    from rbsys import GF, QQ, constant_deformation
+
+    sys = triangular_system(QQ if field == "Q" else GF(field), 1, 1)
+    found = {
+        "sys": docs.serialize_system(sys),
+        "defn": docs.serialize_deformation(constant_deformation(sys, 1), sys),
+    }
+    if path is not None:
+        _set(found, path, value)
+    paths = {name: str(tmp_path / f"{name}.json") for name in found}
+    for name, doc in found.items():
+        docs.dump(doc, paths[name])
+    argv = [arg.format(**paths) for arg in extra] or ["deform", "verify", paths["sys"], paths["defn"]]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and message in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

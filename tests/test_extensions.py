@@ -17,6 +17,7 @@ from rbsys import (
     check_extension,
     check_iso,
     check_rbs,
+    check_rbs_bimodule,
     extract_cocycle,
     h2_extension_census,
     induced_bimodule,
@@ -291,3 +292,37 @@ def test_extension_invariants_of_build():
     assert ext.retraction @ ext.incl == Matrix.identity(field, 3)
     assert (ext.retraction @ ext.section).is_zero()
     assert ext.incl @ ext.retraction + ext.section @ ext.proj == Matrix.identity(field, 6)
+
+
+def test_extract_cocycle_solves_once_per_map(monkeypatch):
+    # one solve each for Psi, chi_R, chi_S, R_M, S_M and the two actions
+    rng = random.Random(8)
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)  # d = m = 3
+    c = _random_cocycle(sys, mod, rng)
+    ext = build_extension(sys, mod, c)
+    calls = []
+    solve = Matrix.solve
+
+    def counted(self, b):
+        calls.append(b.cols)
+        return solve(self, b)
+
+    monkeypatch.setattr(Matrix, "solve", counted)
+    assert extract_cocycle(ext) == c
+    assert len(calls) <= 7
+
+
+def test_build_tests_the_cocycle_before_the_bimodule_axioms():
+    from rbsys import RBSBimodule
+    from rbsys.extensions import NotACocycle
+
+    rng = random.Random(9)
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    bad = RBSBimodule(sys, mod.actions, Matrix.identity(sys.field, 3), mod.SM)
+    assert not check_rbs_bimodule(bad)
+    with pytest.raises(NotACocycle, match="not a 2-cocycle"):
+        build_extension(sys, bad, _random_non_cocycle(sys, bad, rng))
+    with pytest.raises(ValueError, match="not a Rota-Baxter system bimodule"):
+        build_extension(sys, bad, zero_cocycle(sys, bad))
