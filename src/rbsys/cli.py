@@ -39,9 +39,9 @@ from .cohomology import (
 )
 from .deformation import (
     DeformationData,
+    DeformationReport,
     OperatorDeformation,
     infinitesimal,
-    operator_deformation_ok,
     rigidify,
     verify_deformation,
     verify_operator_deformation,
@@ -57,6 +57,7 @@ from .extensions import (
 )
 from .systems import check_rbs, star_algebra, check_rb_operator, RotaBaxterSystem
 from .documents import DocumentError
+from .linalg import QQ
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -75,7 +76,8 @@ class _Reporter:
 
     def flush(self):
         if self.as_json:
-            print(json.dumps(self.payload, indent=2))
+            # over Q a failing verdict's witness values can be Fractions
+            print(json.dumps(self.payload, indent=2, default=QQ.scalar_token))
         else:
             for line in self.lines:
                 print(line)
@@ -259,13 +261,12 @@ def cmd_deform(args, rep):
             if not all(m.is_zero() for m in defn.mus[1:]):
                 raise DocumentError("op-verify needs an operator deformation (omit \"mus\")")
             defn = OperatorDeformation(defn.order, defn.Rs, defn.Ss)
-        residuals = verify_operator_deformation(sys_obj, defn)
-        ok = operator_deformation_ok(residuals)
-        bad = [n for n, (r, s) in enumerate(residuals) if not (r.is_zero() and s.is_zero())]
-        rep.set("ok", ok)
+        report = DeformationReport(verify_operator_deformation(sys_obj, defn))
+        bad = report.failing_orders()
+        rep.set("ok", report.ok)
         rep.set("failing_orders", bad)
-        rep.line(f"operator deformation: {'valid' if ok else f'fails at orders {bad}'}")
-        return PASS if ok else FAIL
+        rep.line(f"operator deformation: {'valid' if report.ok else f'fails at orders {bad}'}")
+        return PASS if report.ok else FAIL
     if isinstance(defn, OperatorDeformation):
         raise DocumentError(f"{sub} needs a full deformation document (with \"mus\")")
     if sub == "verify":

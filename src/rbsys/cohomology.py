@@ -17,6 +17,12 @@ once, and assembles the rbs slices from those blocks.  Every analysis here
 and in the deformation and extension modules reads its slices from a single
 Complexes per call; CochainComplex is a per-tag view over one.
 
+hochschild_slice is the one Hochschild assembler.  Besides delta and
+partial it builds the displayed cokernel differential of the weight-lambda
+embedding check: the Hochschild complex of the star algebra
+(A, R(a)b + a(R+lambda)(b)) with coefficients in A under the twisted
+actions a.h = R(a)h and h.b = h(R+lambda)(b).
+
 The sign convention is fixed once: the degree-n Hochschild differential is
 
   delta(f)(a_1..a_{n+1}) = (-1)^(n+1) a_1 f(a_2..a_{n+1})
@@ -31,9 +37,13 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
-from .algebra import multimap_from_vector, multimap_vector
+from .algebra import (
+    Algebra,
+    BimoduleActions,
+    matrix_tensor,
+    multimap_from_vector,
+    multimap_vector,
+)
 from .bimodules import _d_module_unchecked, regular_bimodule
 from .linalg import Matrix, column_space_rank, hstack, kron_all, vstack
 from .systems import from_rb_operator
@@ -447,21 +457,6 @@ def les_check(sys, mod, max_degree, cap=None):
         raise ValueError("max_degree must be at least 1")
     field = sys.field
     cx = Complexes(sys, mod, cap)
-
-    def proj(p):
-        # C^p_rbs -> C^p_alg
-        idp = Matrix.identity(field, cx.dim(ALG, p))
-        return hstack([idp, Matrix.zeros(field, cx.dim(ALG, p), cx.dim(RBSO, p - 1))])
-
-    def incl(p):
-        # C^p_rbso -> C^(p+1)_rbs
-        return vstack(
-            [
-                Matrix.zeros(field, cx.dim(ALG, p + 1), cx.dim(RBSO, p)),
-                Matrix.identity(field, cx.dim(RBSO, p)),
-            ]
-        )
-
     kernels = {}
 
     def kernel(tag, p):
@@ -474,10 +469,16 @@ def les_check(sys, mod, max_degree, cap=None):
             return Matrix.zeros(field, cx.dim(tag, 0), 0)
         return cx.slice(tag, p - 1)  # columns span the coboundaries
 
-    def slot(name, p, incoming, outgoing_map, z, target_image):
+    def shifted(p):
+        # the shift inclusion C^p_rbso -> C^(p+1)_rbs applied to the cocycles
+        z = kernel(RBSO, p)
+        return vstack([Matrix.zeros(field, cx.dim(ALG, p + 1), z.cols), z])
+
+    def slot(name, p, incoming, z, outgoing_image, target_image):
         # exactness at one slot: image of the incoming map = kernel of the
-        # outgoing one, both taken modulo the coboundaries of the slot
-        outgoing = _preimage_in_span(outgoing_map @ z, target_image)
+        # outgoing one, both taken modulo the coboundaries of the slot;
+        # outgoing_image holds the outgoing map applied to the cocycles z
+        outgoing = _preimage_in_span(outgoing_image, target_image)
         im_dim = column_space_rank([incoming])
         ker_members = z @ outgoing if outgoing.cols else Matrix.zeros(field, z.rows, 0)
         ker_dim = column_space_rank([ker_members, image(name, p)])
@@ -488,21 +489,23 @@ def les_check(sys, mod, max_degree, cap=None):
     for p in range(max_degree + 1):
         # slot H^p_rbs: image of the shift inclusion = kernel of the projection
         z_rbs = kernel(RBS, p)
+        projected = z_rbs.take_rows(0, cx.dim(ALG, p))
         if p == 0:
             incoming = Matrix.zeros(field, cx.dim(RBS, 0), 0)
         else:
-            incoming = hstack([incl(p - 1) @ kernel(RBSO, p - 1), image(RBS, p)])
-        slots.append(slot(RBS, p, incoming, proj(p), z_rbs, image(ALG, p)))
+            incoming = hstack([shifted(p - 1), image(RBS, p)])
+        slots.append(slot(RBS, p, incoming, z_rbs, projected, image(ALG, p)))
 
         # slot H^p_alg: image of the projection = kernel of -phi into H^p_rbso
         z_alg = kernel(ALG, p)
-        incoming = hstack([proj(p) @ z_rbs, image(ALG, p)])
-        slots.append(slot(ALG, p, incoming, cx.phi(p), z_alg, image(RBSO, p)))
+        phi_z = cx.phi(p) @ z_alg
+        incoming = hstack([projected, image(ALG, p)])
+        slots.append(slot(ALG, p, incoming, z_alg, phi_z, image(RBSO, p)))
 
         # slot H^p_rbso: image of -phi = kernel of the shift inclusion
         if p <= max_degree - 1:
-            incoming = hstack([cx.phi(p) @ z_alg, image(RBSO, p)])
-            slots.append(slot(RBSO, p, incoming, incl(p), kernel(RBSO, p), image(RBS, p + 1)))
+            incoming = hstack([phi_z, image(RBSO, p)])
+            slots.append(slot(RBSO, p, incoming, kernel(RBSO, p), shifted(p), image(RBS, p + 1)))
     return LesReport(slots)
 
 
@@ -515,49 +518,18 @@ def _dbar_display_slice(sys, lam, n, cap=None):
     dbar(h)(a_1..a_n) = (-1)^(n-1) R(a_1) h(a_2..a_n)
         + sum_{i<n} (-1)^(n-i-1) h(.. R(a_i)a_{i+1} + a_i (R+lam)(a_{i+1}) ..)
         - h(a_1..a_{n-1}) (R+lam)(a_n)
+
+    is minus the degree-(n-1) Hochschild differential of the star algebra
+    (A, R(a)b + a(R+lam)(b)) with coefficients in A under the twisted
+    actions a.h = R(a)h and h.b = h(R+lam)(b).
     """
     field, d = sys.field, sys.dim
-    _guard(d**n * d, cap)
-    alg = sys.alg
-    mu = alg.mult_matrix()
-    R = sys.R
-    Rlam = sys.R + Matrix.identity(field, d).scale(lam)
-    idd = Matrix.identity(field, d)
-    src = d ** (n - 1)
-    total = Matrix.zeros(field, d * d**n, d * src)
-
-    # left term: R(a_1) h(tail); stacked tensor B[(v, i), u] for b -> R(e_i) b
-    stacked = np.zeros((d * d, d), dtype=field.dtype)
-    for i in range(d):
-        for u in range(d):
-            for v in range(d):
-                stacked[v * d + i, u] = field.coerce(
-                    sum(R[k, i] * alg.constant(k, u, v) for k in range(d))
-                )
-    left = Matrix(field, stacked).kron(Matrix.identity(field, src))
-    total = total + left if (n - 1) % 2 == 0 else total - left
-
-    # middle terms with the twisted product W(a, b) = R(a) b + a (R+lam)(b)
-    w = mu @ R.kron(idd) + mu @ idd.kron(Rlam)
-    for i in range(1, n):
-        k = kron_all(
-            field,
-            [Matrix.identity(field, d ** (i - 1)), w, Matrix.identity(field, d ** (n - 1 - i))],
-        )
-        term = idd.kron(k.transpose())
-        total = total + term if (n - i - 1) % 2 == 0 else total - term
-
-    # right term: -h(front) (R+lam)(a_n)
-    for j in range(d):
-        cj = np.zeros((d, d), dtype=field.dtype)
-        for u in range(d):
-            for v in range(d):
-                cj[v, u] = field.coerce(
-                    sum(Rlam[k, j] * alg.constant(u, k, v) for k in range(d))
-                )
-        ej = Matrix.unit_column(field, d, j)
-        total = total - Matrix(field, cj).kron(Matrix.identity(field, src)).kron(ej)
-    return total
+    mu, idd = sys.alg.mult_matrix(), Matrix.identity(field, d)
+    left = mu @ sys.R.kron(idd)
+    right = mu @ idd.kron(sys.R + idd.scale(lam))
+    star = Algebra(field, d, matrix_tensor(left + right, d, d))
+    twisted = BimoduleActions(field, d, d, matrix_tensor(left, d, d), matrix_tensor(right, d, d))
+    return -hochschild_slice(star, twisted, n - 1, cap)
 
 
 class EmbeddingReport:
@@ -578,7 +550,10 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     pairs (f, g) as (f, (g, g)), checks that the embedding is injective and
     closed under the total differential, and that the induced differential
     on the cokernel (f, x, y) -> y - x matches the displayed formula entry
-    for entry.
+    for entry.  The displayed formula is minus the Hochschild differential
+    of the star algebra (A, R(a)b + a(R+lam)(b)) with coefficients in A
+    under the twisted actions a.h = R(a)h and h.b = h(R+lam)(b), one degree
+    lower.
     """
     sys = from_rb_operator(alg, R, lam)[0]
     mod = regular_bimodule(sys)

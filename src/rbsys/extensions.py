@@ -28,10 +28,10 @@ from .algebra import (
     Verdict,
     check_associative,
     matrix_tensor,
-    multimap_from_vector,
+    multimap_vector,
 )
 from .bimodules import RBSBimodule, _square_zero_system, check_rbs_bimodule, semidirect_maps
-from .cohomology import RBS, Cochain, Complexes, pack_rbs_cochain, unpack_rbs_cochain
+from .cohomology import ALG, RBS, Cochain, Complexes, pack_rbs_cochain, unpack_rbs_cochain
 from .linalg import Matrix, hstack, vstack
 from .systems import RotaBaxterSystem, check_morphism, check_rbs
 
@@ -336,12 +336,9 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma):
     if gamma.arity != 1 or gamma.target_dim != mod.dim:
         raise ValueError("gamma must be a linear map from the base into the kernel")
     diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
-    gauge_shaped = pack_rbs_cochain(
-        gamma,
-        multimap_from_vector(sys.alg, 0, mod.dim, Matrix.zeros(sys.field, mod.dim, 1)),
-        multimap_from_vector(sys.alg, 0, mod.dim, Matrix.zeros(sys.field, mod.dim, 1)),
-    )
-    expected = Complexes(sys, mod).rbs(1) @ gauge_shaped.vector
+    cx = Complexes(sys, mod)
+    # d(gamma, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
+    expected = cx.rbs(1).take_cols(0, cx.dim(ALG, 1)) @ multimap_vector(gamma)
     if diff != expected:
         raise ValueError("payload difference is not the coboundary of the supplied map")
     field, d, m = sys.field, sys.dim, mod.dim
@@ -397,14 +394,10 @@ def h2_extension_census(sys, mod, cap=64, dim_cap=None):
     cx = Complexes(sys, mod, dim_cap)
     kernel = cx.rbs(2).kernel_basis()
     boundaries = cx.rbs(1)
-    # columns of `kernel` that extend a basis of the coboundary space
-    reps = []
-    current = boundaries
-    for k in range(kernel.cols):
-        candidate = hstack([current, kernel.col(k)])
-        if candidate.rank() > current.rank():
-            reps.append(kernel.col(k))
-            current = candidate
+    # the kernel columns that are pivots past the coboundaries extend a
+    # basis of the coboundary space, each chosen greedily in column order
+    pivots = hstack([boundaries, kernel]).rref()[1]
+    reps = [kernel.col(c - boundaries.cols) for c in pivots if c >= boundaries.cols]
     h2_dim = len(reps)
     if h2_dim > cap:
         raise ValueError(f"second cohomology has dimension {h2_dim}, cap is {cap}")

@@ -74,14 +74,6 @@ class Field:
             return np.int64
         return object
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def coerce(self, x):
         """Bring a scalar into canonical form.  Floats and booleans are refused."""
         if isinstance(x, (float, complex, np.floating)):

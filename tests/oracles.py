@@ -115,6 +115,27 @@ def naive_phi_apply(sys, mod, fmap, tup):
     return fmap.apply(r_args) - RM @ mixed, fmap.apply(s_args) - SM @ mixed
 
 
+def naive_dbar_apply(sys, lam, hmap, tup):
+    """Evaluate the displayed weight-lam quotient differential on one basis tuple.
+
+    dbar(h)(a_1..a_n) = (-1)^(n-1) R(a_1) h(a_2..a_n)
+        + sum_{i<n} (-1)^(n-i-1) h(.. R(a_i) a_{i+1} + a_i (R+lam)(a_{i+1}) ..)
+        - h(a_1..a_{n-1}) (R+lam)(a_n)
+    """
+    field, d = sys.field, sys.dim
+    alg, R = sys.alg, sys.R
+    shifted = R + Matrix.identity(field, d).scale(lam)
+    cols = [unit(field, d, i) for i in tup]
+    n = len(tup)
+    first = alg.multiply(R @ cols[0], hmap.apply(cols[1:]))
+    total = first if (n - 1) % 2 == 0 else -first
+    for i in range(1, n):
+        merged = alg.multiply(R @ cols[i - 1], cols[i]) + alg.multiply(cols[i - 1], shifted @ cols[i])
+        term = hmap.apply(cols[: i - 1] + [merged] + cols[i + 1 :])
+        total = total + term if (n - i - 1) % 2 == 0 else total - term
+    return total - alg.multiply(hmap.apply(cols[:-1]), shifted @ cols[-1])
+
+
 def gf2_rank(rows):
     """Rank over GF(2) of a list of 0/1 rows (lists of ints)."""
     rows = [list(r) for r in rows]

@@ -385,3 +385,38 @@ def test_large_prime_field_documents(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     assert time.perf_counter() - start < 2.0
     assert "too large" in capsys.readouterr().out
+
+
+def test_json_reports_rational_witnesses(tmp_path, capsys):
+    # R = 1/2 on the unital line is not a weight-1 operator: R(1)R(1) = 1/4
+    # while R(R(1) + R(1) + 1) = 1
+    from rbsys import QQ
+
+    path = tmp_path / "half.json"
+    docs.dump(docs.serialize_system(line_system(QQ, "1/2", "1/2")), path)
+    assert main(["rba-embed", str(path), "--weight", "1", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["rb_operator"]["lhs"] == [["1/4"]]
+    assert report["rb_operator"]["rhs"] == [[1]]
+    assert report["exit_code"] == 1
+
+    assert main(["rba-embed", str(path), "--weight", "1"]) == 1
+
+
+def test_json_check_iso_rational_witness(tmp_path, capsys):
+    # scaling by 1/2 is invertible but not multiplicative: on (e0, e0) the
+    # two sides are 1/2 e0 and 1/4 e0
+    from rbsys import QQ, Matrix, build_extension
+    from rbsys.extensions import ExtensionIso
+
+    sys = line_system(QQ, 0, 0)
+    mod = regular_bimodule(sys)
+    ext = docs.serialize_extension(build_extension(sys, mod, zero_cocycle(sys, mod)))
+    e1, ipath = tmp_path / "e1.json", tmp_path / "iso.json"
+    docs.dump(ext, e1)
+    docs.dump(docs.serialize_iso(ExtensionIso(Matrix.identity(QQ, 2).scale("1/2"))), ipath)
+    assert main(["extend", "check-iso", str(e1), str(e1), str(ipath), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagram"]["tag"] == "multiplicative"
+    assert report["diagram"]["lhs"] == [["1/2"], [0]]
+    assert report["diagram"]["rhs"] == [["1/4"], [0]]

@@ -40,6 +40,7 @@ from instances import (
 from oracles import (
     basis_tuples,
     gf2_rank,
+    naive_dbar_apply,
     naive_delta_apply,
     naive_partial_apply,
     naive_phi_apply,
@@ -404,3 +405,62 @@ def test_les_check_builds_each_block_once(monkeypatch):
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
     assert calls == {"hochschild_slice": 7, "phi": 4, "_d_module_unchecked": 1}
+
+
+def _weight_lam_systems(field, lam, rng):
+    """Scrambled (A, R, R + lam id) for R = -lam e. on a central and a
+    non-central idempotent e, both weight-lam operators."""
+    from rbsys import conjugate_system, from_rb_operator
+
+    from instances import (
+        diagonal_algebra,
+        idempotent_rb_operator,
+        random_invertible,
+        triangular_algebra,
+    )
+
+    diag = diagonal_algebra(field, 2)
+    tri = triangular_algebra(field)
+    left_e0 = Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])  # a -> e0 a
+    operators = [
+        (diag, idempotent_rb_operator(field, 2, [0], lam)),
+        (tri, left_e0.scale(field.neg(lam))),
+    ]
+    for alg, R in operators:
+        sys = from_rb_operator(alg, R, lam)[0]
+        yield conjugate_system(sys, random_invertible(field, alg.dim, rng))
+
+
+def test_dbar_display_slice_matches_naive_evaluation():
+    from rbsys.cohomology import _dbar_display_slice
+
+    rng = random.Random(29)
+    weights = {QQ: "-1/2", GF(2): 1, GF(5): 3, GF(40009): 12345}
+    for field, nonzero in weights.items():
+        for lam in (field.coerce(0), field.coerce(nonzero)):
+            for sys in _weight_lam_systems(field, lam, rng):
+                d = sys.dim
+                for n in (1, 2, 3):
+                    sl = _dbar_display_slice(sys, lam, n)
+                    h = MultiMap(sys.alg, n - 1, random_matrix(field, d, d ** (n - 1), rng))
+                    image = sl @ multimap_vector(h)
+                    for col, tup in enumerate(basis_tuples(d, n)):
+                        got = Matrix.from_rows(field, [[image[v * d**n + col, 0]] for v in range(d)])
+                        assert got == naive_dbar_apply(sys, lam, h, tup), (field, lam, n, tup)
+
+
+def test_les_check_matrix_products(monkeypatch):
+    # the projection and the shift inclusion are row slices and zero
+    # padding, not products, and phi_p is applied to the algebra cocycles
+    # once per degree
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    sys = triangular_system(GF(5), 1, 2)
+    assert les_check(sys, regular_bimodule(sys), 3).ok
+    assert len(calls) == 31

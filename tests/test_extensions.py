@@ -20,6 +20,7 @@ from rbsys import (
     check_rbs_bimodule,
     extract_cocycle,
     h2_extension_census,
+    hstack,
     induced_bimodule,
     iso_from_cohomologous,
     multimap_vector,
@@ -326,3 +327,36 @@ def test_build_tests_the_cocycle_before_the_bimodule_axioms():
         build_extension(sys, bad, _random_non_cocycle(sys, bad, rng))
     with pytest.raises(ValueError, match="not a Rota-Baxter system bimodule"):
         build_extension(sys, bad, zero_cocycle(sys, bad))
+
+
+def test_census_selects_classes_with_one_elimination(monkeypatch):
+    # one elimination for the kernel of rbs_2, one for the class selection,
+    # and four for each extension built (trivial class plus nine)
+    from rbsys import linalg
+
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    calls = []
+    rref = linalg._rref_array
+
+    def counted(a, field):
+        calls.append(a.shape)
+        return rref(a, field)
+
+    monkeypatch.setattr(linalg, "_rref_array", counted)
+    entries = h2_extension_census(sys, mod)
+    assert len(entries) == 10
+    assert len(calls) == 2 + 4 * 10
+
+    # the same classes as adding kernel columns one at a time, keeping
+    # those that raise the rank over the coboundaries
+    monkeypatch.undo()
+    cx = CochainComplex(RBS, sys, mod)
+    kernel = cx.slice(2).matrix.kernel_basis()
+    current, greedy = cx.slice(1).matrix, []
+    for k in range(kernel.cols):
+        candidate = hstack([current, kernel.col(k)])
+        if candidate.rank() > current.rank():
+            greedy.append(kernel.col(k))
+            current = candidate
+    assert [c.as_cochain().vector for c, _ in entries[1:]] == greedy
