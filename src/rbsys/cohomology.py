@@ -553,7 +553,9 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     for entry.  The displayed formula is minus the Hochschild differential
     of the star algebra (A, R(a)b + a(R+lam)(b)) with coefficients in A
     under the twisted actions a.h = R(a)h and h.b = h(R+lam)(b), one degree
-    lower.
+    lower.  The embedding, the quotient and its section are 0/1 maps, so
+    they are applied as row copies, column sums and row differences of the
+    total differential, never as matrix products.
     """
     sys = from_rb_operator(alg, R, lam)[0]
     mod = regular_bimodule(sys)
@@ -564,27 +566,29 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     ok = True
     for n in range(max_degree + 1):
         d_n = cx.rbs(n)
-        # psi at degree n and n + 1
-        psi_n = _psi_matrix(field, d, m, n)
-        psi_next = _psi_matrix(field, d, m, n + 1)
-        dpsi = d_n @ psi_n
-        fa = m * d ** (n + 1)
-        xa = m * d**n
-        image_closed = dpsi.take_rows(fa, fa + xa) == dpsi.take_rows(fa + xa, fa + 2 * xa)
-        injective = psi_n.rank() == psi_n.cols
-        # chain map property for the induced differential
+        # C^n_rbs = (f, x, y): f has fa coordinates, x and y have ga each
+        fa, ga = m * d**n, (m * d ** (n - 1) if n else 0)
+        fb, gb = m * d ** (n + 1), m * d**n
+        psi = _embed(Matrix.identity(field, fa + ga), fa, ga)
+        # the (f, x) coordinates are a left inverse of the embedding
+        injective = psi.take_rows(0, fa + ga) == Matrix.identity(field, fa + ga)
+        # d_n after the embedding: (f, g) -> d_n (f, g, g)
+        x_cols, y_cols = d_n.take_cols(fa, fa + ga), d_n.take_cols(fa + ga, fa + 2 * ga)
+        dpsi = hstack([d_n.take_cols(0, fa), x_cols + y_cols])
+        image_closed = dpsi.take_rows(fb, fb + gb) == dpsi.take_rows(fb + gb, fb + 2 * gb)
+        # chain map property: the induced differential is read off the f- and
+        # x-rows, and embedding it must give back d_n after the embedding
         chain_ok = True
         if image_closed:
-            induced = psi_next.solve(dpsi)
-            chain_ok = induced is not None and (psi_next @ induced) == dpsi
+            chain_ok = _embed(dpsi.take_rows(0, fb + gb), fb, gb) == dpsi
         # quotient differential against the displayed formula
         quotient_ok = True
         if n >= 1:
-            q_n = _quotient_matrix(field, d, m, n)
-            q_next = _quotient_matrix(field, d, m, n + 1)
-            section = _quotient_section(field, d, m, n)
-            dbar = q_next @ d_n @ section
-            quotient_ok = (dbar @ q_n) == (q_next @ d_n)
+            # the quotient after d_n, and dbar = that on the section h -> (0, 0, h)
+            qd = d_n.take_rows(fb + gb, fb + 2 * gb) - d_n.take_rows(fb, fb + gb)
+            dbar = qd.take_cols(fa + ga, fa + 2 * ga)
+            # dbar after the quotient must equal the quotient after d_n
+            quotient_ok = qd == hstack([Matrix.zeros(field, gb, fa), -dbar, dbar])
             display = _dbar_display_slice(sys, lam, n, cap)
             quotient_ok = quotient_ok and dbar == display
         degree_ok = injective and image_closed and chain_ok and quotient_ok
@@ -601,33 +605,6 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     return EmbeddingReport(ok, details)
 
 
-def _psi_matrix(field, d, m, n):
-    """(f, g) -> (f, (g, g)) in coordinates; degree 0 is the identity."""
-    if n == 0:
-        return Matrix.identity(field, m)
-    fa = m * d**n
-    ga = m * d ** (n - 1)
-    idf = Matrix.identity(field, fa)
-    idg = Matrix.identity(field, ga)
-    top = hstack([idf, Matrix.zeros(field, fa, ga)])
-    mid = hstack([Matrix.zeros(field, ga, fa), idg])
-    return vstack([top, mid, mid])
-
-
-def _quotient_matrix(field, d, m, n):
-    """(f, x, y) -> y - x; zero map in degree 0."""
-    if n == 0:
-        return Matrix.zeros(field, 0, m)
-    fa = m * d**n
-    xa = m * d ** (n - 1)
-    idx = Matrix.identity(field, xa)
-    return hstack([Matrix.zeros(field, xa, fa), -idx, idx])
-
-
-def _quotient_section(field, d, m, n):
-    """h -> (0, (0, h)), a right inverse of the quotient map."""
-    fa = m * d**n
-    xa = m * d ** (n - 1)
-    return vstack(
-        [Matrix.zeros(field, fa, xa), Matrix.zeros(field, xa, xa), Matrix.identity(field, xa)]
-    )
+def _embed(v, fa, ga):
+    """(f, g) -> (f, g, g) on the columns of v; f has fa rows and g has ga."""
+    return vstack([v, v.take_rows(fa, fa + ga)])

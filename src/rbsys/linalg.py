@@ -9,16 +9,46 @@ Matrices are immutable after construction and all operations are pure, so
 values can be shared freely.  Elimination uses a fixed pivoting order and
 reduced-echelon normalisation, which makes every derived object (kernel
 bases, particular solutions, cocycle representatives) reproducible.
+
+One kernel, ``_rref_array``, does every elimination (rref, rank,
+kernel_basis, solve, inverse), on one of two paths:
+
+* GF(p): Gauss-Jordan elimination mod p.  For p < 2^31 it runs in int64,
+  which is exact because a product of two residues stays below 2^62; larger
+  primes run the same code on Python ints.
+* Q: elimination modulo primes, then an exact certificate.  Scaling each
+  row by its common denominator gives an integer matrix B with the same
+  RREF.  B is reduced modulo primes below 2^31, largest first; the primes
+  of the highest rank r and, at that rank, of the lexicographically first
+  pivot list P are kept, combined by CRT, and the entries rationally
+  reconstructed (Wang, Guy and Davenport) into a candidate R with a common
+  denominator L.  R is returned only if B L = B[:, P] (L R) holds exactly.
+  Proof sketch: that identity puts every row of B in the row space of R,
+  so rank_Q B <= r; a kept prime has rank_p B = r, and no prime raises
+  the rank, so rank_Q B = r and row(B) = row(R).  R is in reduced echelon
+  form, and the RREF of a row space is unique, so R is the RREF.  A failed
+  reconstruction or check adds a prime.  This ends: a prime whose rank or
+  pivots differ from those over Q divides a nonzero minor of B, so there
+  are finitely many such primes, and once the product of the kept primes is
+  large enough the reconstruction is the RREF.  Over Q the result is a
+  Fraction array, as from elimination in Fractions (a zero matrix is
+  returned as given).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-# primes at or above this bound use object arrays (no int64 overflow risk)
+# Matrix stores int64 only below this prime: a product sums a whole row of
+# entry products, which must stay below 2^63.  Elimination works entry by
+# entry and runs in int64 for every prime below _ELIM_PRIME_LIMIT.
 _INT64_PRIME_LIMIT = 1 << 15
+_ELIM_PRIME_LIMIT = 1 << 31
 
 
 # Miller-Rabin on the primes up to 41 is deterministic below this bound
@@ -335,31 +365,199 @@ class Matrix:
 
 
 def _rref_array(a, field):
-    a = np.array(a, dtype=field.dtype)
+    """Reduced row echelon form of array a over field, and the pivot columns."""
+    p = field.p
+    if p is None:
+        return _rref_rational(a)
+    if p < _ELIM_PRIME_LIMIT:
+        r, pivots = _rref_mod(a.astype(np.int64), p)
+        return r.astype(field.dtype, copy=False), pivots
+    return _rref_mod(a.copy(), p)
+
+
+def _rref_mod(a, p):
+    """RREF over GF(p) of a (entries in [0, p)), in place; the pivot columns.
+
+    a is int64 for p < 2^31, where every product of two residues stays
+    below 2^62, and holds Python ints otherwise.  A pivot step touches only
+    the rows with a nonzero entry in the pivot column, and only the columns
+    from the pivot on (the pivot row is zero left of it).
+    """
     nrows, ncols = a.shape
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[:, c]
+        rows = col.nonzero()[0]
+        k = rows.searchsorted(r)
+        if k == len(rows):
             continue
-        i = r + int(nz[0])
+        i = rows[k]
         if i != r:
+            # rows r .. i - 1 are zero in column c, so rows stays sorted
             a[[r, i]] = a[[i, r]]
-        inv = field.inv(a[r, c] if field.p is None else int(a[r, c]))
-        a[r] = a[r] * inv
-        if field.p is not None:
-            a[r] %= field.p
-        fac = a[:, c].copy()
-        fac[r] = 0
-        a = a - np.outer(fac, a[r])
-        if field.p is not None:
-            a %= field.p
+            rows[k] = r
+        # one update scales the pivot row and clears column c in the other
+        # rows: the pivot row's own factor is its pivot minus one
+        fac = col[rows]
+        fac[k] -= 1
+        row = a[r, c:] * pow(int(col[r]), -1, p) % p
+        a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+@functools.cache
+def _prime(i):
+    """The i-th prime below _ELIM_PRIME_LIMIT, counting down from the largest."""
+    q = _ELIM_PRIME_LIMIT - 1 if i == 0 else _prime(i - 1) - 2
+    while not _is_prime(q):
+        q -= 2
+    return q
+
+
+def _primes():
+    return map(_prime, itertools.count())
+
+
+def _residues(b, p):
+    return (b % p).astype(np.int64, copy=False)
+
+
+def _rref_rational(a):
+    """RREF over Q by elimination modulo primes, certified exactly.
+
+    Each row of a is scaled to integers (same RREF).  Among the primes
+    tried, those of the highest rank and, at that rank, of the
+    lexicographically first pivot list are kept; their RREFs are combined
+    by CRT and the entries right of the pivots rationally reconstructed.
+    A candidate is returned only once it passes the exact check of
+    _certified; otherwise one more prime is tried.
+    """
+    b, bmax = _integer_rows(a)
+    if bmax == 0:
+        return a.copy(), []
+    best = None
+    for p in _primes():
+        rp, pivots = _rref_mod(_residues(b, p), p)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus = key, p
+            taken = set(pivots)
+            free = np.array([c for c in range(b.shape[1]) if c not in taken], dtype=np.int64)
+            x = rp[: len(pivots), free].ravel().tolist()
+        elif key == best:
+            # CRT: the residue mod modulus * p that is x mod modulus and rp mod p
+            inv = pow(modulus, -1, p)
+            y = rp[: len(pivots), free].ravel().tolist()
+            x = [u + modulus * ((v - u) * inv % p) for u, v in zip(x, y)]
+            modulus *= p
+        else:
+            continue
+        candidate = _reconstruct(x, modulus)
+        if candidate is None:
+            continue
+        num, den = candidate
+        nmax = max(map(abs, num), default=0)
+        block = np.array(num, dtype=_dtype_for(nmax)).reshape(len(pivots), free.size)
+        if _certified(b, bmax * (den + len(pivots) * nmax), pivots, free, block, den):
+            break
+    r = np.full(a.shape, _ZERO, dtype=object)
+    r[range(len(pivots)), pivots] = _ONE
+    r[: len(pivots), free] = np.array(
+        [Fraction(v, den) if v else _ZERO for v in num], dtype=object
+    ).reshape(block.shape)
+    return r, pivots
+
+
+def _dtype_for(bound):
+    return np.int64 if bound < 1 << 62 else object
+
+
+def _integer_rows(a):
+    """a with every row times the lcm of its denominators, and its max |entry|."""
+    rows = []
+    for row in a.tolist():
+        lcm = math.lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    bmax = max((abs(x) for row in rows for x in row), default=0)
+    return np.array(rows, dtype=_dtype_for(bmax)).reshape(a.shape), bmax
+
+
+def _reconstruct(x, m):
+    """Integers n and L with n/L = x mod m, |n|, L <= sqrt(m/2); or None.
+
+    L is a common denominator, grown from the first entry that needs more.
+    Rationals this small are unique when they exist (Wang, Guy and
+    Davenport), so the candidate is the RREF once m is large enough.
+    """
+    bound, half = math.isqrt(m // 2), m // 2
+    den = 1
+    while True:
+        num = [v * den % m for v in x] if den > 1 else x
+        num = [v - m if v > half else v for v in num]
+        over = next((i for i, v in enumerate(num) if abs(v) > bound), None)
+        if over is None:
+            return num, den
+        grown = _wang_denominator(x[over], m, bound)
+        if grown is None:
+            return None
+        grown = math.lcm(den, grown)
+        if grown == den or grown > bound:
+            return None
+        den = grown
+
+
+def _wang_denominator(u, m, bound):
+    """Denominator of the rational n/d = u mod m with |n|, d <= bound, or None."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return abs(t1)
+
+
+def _certified(b, h, pivots, free, num, den):
+    """Whether b[:, free] den == b[:, pivots] num holds over the integers.
+
+    num is den times the candidate RREF on the free columns, and h bounds
+    both sides in absolute value.  The identity is tested in int64 when
+    h < 2^62, and otherwise modulo primes whose product exceeds 2h.
+    """
+    if h < 1 << 62:
+        return bool((b[:, free] * den == b[:, pivots] @ num).all())
+    modulus = 1
+    for q in _primes():
+        bq = _residues(b, q)
+        lhs = bq[:, free] * (den % q) % q
+        if not (lhs == _matmul_mod(bq[:, pivots], _residues(num, q), q)).all():
+            return False
+        modulus *= q
+        if modulus > 2 * h:
+            return True
+
+
+def _matmul_mod(x, y, p):
+    """x @ y mod p for int64 residues mod p < 2^31, without overflow.
+
+    y is split into 16-bit halves, and the inner dimension is taken 2^15 at
+    a time, so every partial sum stays below 2^63.
+    """
+    lo, hi = y & 0xFFFF, y >> 16
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    step = 1 << 15
+    for k in range(0, x.shape[1], step):
+        xs = x[:, k : k + step]
+        out = (out + (xs @ hi[k : k + step] % p << 16) + xs @ lo[k : k + step]) % p
+    return out
 
 
 def hstack(mats):

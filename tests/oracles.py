@@ -4,12 +4,18 @@ The library assembles differentials via Kronecker identities on row-major
 coordinates.  These helpers instead evaluate the written-out formulas term
 by term on explicit basis tuples, so a slice and its oracle share no
 assembly code.  A tiny standalone GF(2) rank routine backs the frozen
-cohomology table.
+cohomology table, and sympy's DomainMatrix is a second elimination
+engine for the exact kernels of rbsys.linalg.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+
+from sympy import GF as SympyGF
+from sympy import QQ as SympyQQ
+from sympy.polys.matrices import DomainMatrix
 
 from rbsys import Matrix
 
@@ -156,3 +162,25 @@ def gf2_rank(rows):
             if i != pivot and row[c] % 2 == 1:
                 rows[i] = [(a + b) % 2 for a, b in zip(row, rows[pivot])]
     return rank
+
+
+def sympy_rref(mat):
+    """RREF (nested lists of Fractions or residues) and pivots, by sympy."""
+    p = mat.field.p
+    if p is None:
+        domain = SympyQQ
+        rows = [[SympyQQ(x.numerator, x.denominator) for x in row] for row in mat.entries()]
+    else:
+        domain = SympyGF(p)
+        rows = [[domain(x) for x in row] for row in mat.entries()]
+    r, pivots = DomainMatrix(rows, mat.shape, domain).rref()
+    if p is None:
+        out = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in r.to_list()]
+    else:
+        out = [[int(x) % p for x in row] for row in r.to_list()]
+    return out, tuple(pivots)
+
+
+def sympy_rank(mat):
+    """Rank of a Matrix by sympy."""
+    return len(sympy_rref(mat)[1])

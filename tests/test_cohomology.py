@@ -34,6 +34,7 @@ from instances import (
     instance_set,
     line_system,
     random_matrix,
+    triangular_algebra,
     triangular_system,
     unital_line,
 )
@@ -464,3 +465,36 @@ def test_les_check_matrix_products(monkeypatch):
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
     assert len(calls) == 31
+
+
+def test_rba_embedding_check_matrix_products(monkeypatch):
+    # the embedding, the quotient and its section are applied as row
+    # copies, column sums and row differences of rbs_n, and the induced
+    # differential is read off rows: no products with 0/1 matrices and no
+    # elimination.  What is left are the products that assemble the slices
+    # and the displayed differential.
+    from rbsys import linalg
+
+    products, eliminations = [], []
+    matmul, rref = Matrix.__matmul__, linalg._rref_array
+
+    def counted_matmul(self, other):
+        products.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    def counted_rref(a, field):
+        eliminations.append(a.shape)
+        return rref(a, field)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(linalg, "_rref_array", counted_rref)
+    field = GF(5)
+    alg = triangular_algebra(field)
+    R = Matrix.from_rows(field, [[-1, 0, 0], [0, -1, 0], [0, 0, 0]])  # -(e0 .)
+    report = rba_embedding_check(alg, R, 1, 3)
+    assert report.ok
+    assert [sorted(row) for row in report.details] == [
+        ["chain_map", "image_closed", "injective", "n", "quotient_matches_display"]
+    ] * 4
+    assert len(products) == 28
+    assert eliminations == []

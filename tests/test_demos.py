@@ -9,11 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# demos/02_cohomology.py is left out: its Q d=3 degree-3 rank takes about
-# 85 s with Fraction elimination.  It joins once elimination over Q is fast
-# (ROADMAP item 2, multimodular elimination).
 DEMOS = [
     "01_systems_and_star.py",
+    "02_cohomology.py",
     "03_deformations.py",
     "04_extensions.py",
     "05_documents_and_cli.py",

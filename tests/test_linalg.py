@@ -2,12 +2,16 @@ import random
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbsys import GF, QQ, Matrix
+from rbsys import GF, QQ, Matrix, rbs_d, regular_bimodule
 from rbsys.linalg import Field, hstack
 
-from instances import random_matrix
+from instances import random_matrix, triangular_system
+from oracles import sympy_rref
 
 
 def test_rank_examples():
@@ -137,3 +141,186 @@ def test_is_prime_matches_trial_division():
         return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
 
     assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+
+
+# -- the elimination kernel against an independent oracle ---------------------
+
+P1 = 2**31 - 1  # the first prime the multimodular RREF over Q tries
+ORACLE_FIELDS = [QQ, GF(2), GF(5), GF(40009), GF(P1), GF(2147483659)]
+
+
+def _kernel_from_rref(rref, pivots, p, cols):
+    """Canonical kernel basis (columns) read off an RREF over Q or GF(p)."""
+    free = [c for c in range(cols) if c not in pivots]
+    basis = [[0] * len(free) for _ in range(cols)]
+    for k, f in enumerate(free):
+        basis[f][k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc][k] = -rref[i][f] if p is None else -rref[i][f] % p
+    return basis
+
+
+def _assert_matches_oracle(m, b):
+    """rref, pivots, kernel_basis and solve of m against sympy."""
+    rref, pivots = sympy_rref(m)
+    ours, our_pivots = m.rref()
+    assert ours.entries() == rref and our_pivots == pivots
+    assert m.kernel_basis().entries() == _kernel_from_rref(rref, pivots, m.field.p, m.cols)
+    aug_rref, aug_pivots = sympy_rref(hstack([m, b]))
+    x = m.solve(b)
+    if any(pc >= m.cols for pc in aug_pivots):
+        assert x is None
+    else:
+        expected = [[0] * b.cols for _ in range(m.cols)]
+        for i, pc in enumerate(aug_pivots):
+            expected[pc] = aug_rref[i][m.cols :]
+        assert x.entries() == expected
+
+
+@st.composite
+def _matrix_pair(draw, field):
+    """A matrix of bounded rank (a product a @ b) and a right-hand side."""
+    if field.p is None:
+        scalar = st.one_of(
+            st.just(0), st.integers(-3, 3), st.fractions(-10**6, 10**6, max_denominator=10**4)
+        )
+    else:
+        scalar = st.one_of(st.just(0), st.integers(0, field.p - 1))
+
+    def matrix(rows, cols):
+        if rows == 0 or cols == 0:
+            return Matrix.zeros(field, rows, cols)
+        entries = st.lists(st.lists(scalar, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return Matrix.from_rows(field, draw(entries))
+
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    m = matrix(rows, inner) @ matrix(inner, cols)
+    if draw(st.booleans()):
+        m = m + matrix(rows, cols)
+    return m, matrix(rows, draw(st.integers(1, 2)))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(data=st.data())
+def test_elimination_matches_sympy(field, data):
+    _assert_matches_oracle(*data.draw(_matrix_pair(field)))
+
+
+def _primes_tried(monkeypatch):
+    """Record (prime, pivots) of every mod-p elimination."""
+    from rbsys import linalg
+
+    seen = []
+    rref_mod = linalg._rref_mod
+
+    def spy(a, p):
+        r, pivots = rref_mod(a, p)
+        seen.append((p, tuple(pivots)))
+        return r, pivots
+
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    return seen
+
+
+def test_unlucky_prime_that_drops_the_rank(monkeypatch):
+    seen = _primes_tried(monkeypatch)
+    m = Matrix.from_rows(QQ, [[P1, 0, 3], [0, 1, 2], [2 * P1, 1, 9]])
+    _assert_matches_oracle(m, Matrix.column(QQ, [1, 2, 3]))
+    assert seen[0] == (P1, (1, 2))  # the first prime loses column 0
+    assert (0, 1, 2) in [pivots for _, pivots in seen]
+    assert m.rank() == 3
+
+
+def test_unlucky_prime_that_shifts_a_pivot(monkeypatch):
+    seen = _primes_tried(monkeypatch)
+    m = Matrix.from_rows(QQ, [[P1, 1], [0, 0]])
+    assert m.rref()[0].entries() == [[1, Fraction(1, P1)], [0, 0]]
+    assert m.rref()[1] == (0,)
+    assert seen[0] == (P1, (1,))
+    _assert_matches_oracle(m, Matrix.column(QQ, [1, 0]))
+
+
+def test_entries_that_need_several_primes(monkeypatch):
+    seen = _primes_tried(monkeypatch)
+    big = Fraction(10**40, 3**25)
+    m = Matrix.from_rows(QQ, [[big, 1, 2], [1, Fraction(3, 7), 5]])
+    r, _ = m.rref()
+    assert r.entries()[1][2] == Fraction(
+        349999999999999999999999999988137959467798, 29999999999999999999999999994068979733899
+    )
+    assert len({p for p, _ in seen}) > 3
+    _assert_matches_oracle(m, Matrix.column(QQ, [big, -1]))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_zero_empty_and_zero_row_matrices(field):
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        zero = Matrix.zeros(field, rows, cols)
+        r, pivots = zero.rref()
+        assert r == zero and pivots == ()
+        assert zero.kernel_basis() == Matrix.identity(field, cols)
+    # a zero matrix is returned as given, Fraction zeros included
+    given = Matrix.from_rows(QQ, [[Fraction(0), 0]])
+    assert [type(x) for x in given.rref()[0].entries()[0]] == [Fraction, int]
+    m = Matrix.from_rows(field, [[0, 0, 0], [0, 1, 2], [0, 0, 0], [0, 2, 4]])
+    _assert_matches_oracle(m, Matrix.column(field, [0, 1, 0, 2]))
+
+
+def test_rational_rref_is_all_fractions():
+    r, pivots = Matrix.from_rows(QQ, [[2, 4, 1], [1, 2, 0]]).rref()
+    assert pivots == (0, 2)
+    assert r.entries() == [[1, 2, 0], [0, 0, 1]]
+    assert all(type(x) is Fraction for row in r.entries() for x in row)
+
+
+def test_rank_ladder_rational_slice_matches_sympy():
+    # the unscrambled pair of the rl_q_tri_deg3 rung of the benchmark:
+    # its degree-3 slice is 405 x 135
+    sys = triangular_system(QQ, -1, 1)
+    m = rbs_d(3, sys, regular_bimodule(sys)).matrix
+    assert m.shape == (405, 135)
+    r, pivots = m.rref()
+    assert (r.entries(), pivots) == sympy_rref(m)
+    assert len(pivots) == 70
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3, 4], [Fraction(1, 2), 1, 7, Fraction(2, 3)], [0, 5, 1, 1]],
+        [[Fraction(10**40, 3**25), 1, 2], [1, Fraction(3, 7), 5]],
+    ],
+    ids=["int64-check", "modular-check"],
+)
+def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows):
+    from rbsys import linalg
+
+    reconstruct = linalg._reconstruct
+    candidates = []
+
+    def wrong_once(x, m):
+        out = reconstruct(x, m)
+        if out is not None:
+            candidates.append(out)
+            if len(candidates) == 1:
+                num, den = out
+                return [num[0] + 1] + num[1:], den
+        return out
+
+    monkeypatch.setattr(linalg, "_reconstruct", wrong_once)
+    m = Matrix.from_rows(QQ, rows)
+    assert m.rref() == (Matrix.from_rows(QQ, sympy_rref(m)[0]), sympy_rref(m)[1])
+    assert len(candidates) >= 2
+
+
+def test_matmul_mod_crosses_the_int64_chunk():
+    from rbsys.linalg import _matmul_mod
+
+    rng = random.Random(4)
+    inner = (1 << 15) + 7
+    x = [[rng.choice([P1 - 1, rng.randrange(P1)]) for _ in range(inner)] for _ in range(2)]
+    y = [[rng.choice([P1 - 1, rng.randrange(P1)]) for _ in range(2)] for _ in range(inner)]
+    got = _matmul_mod(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), P1)
+    expected = [[sum(a * y[k][j] for k, a in enumerate(row)) % P1 for j in range(2)] for row in x]
+    assert got.tolist() == expected
