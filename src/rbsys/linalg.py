@@ -49,6 +49,10 @@ import numpy as np
 # entry and runs in int64 for every prime below _ELIM_PRIME_LIMIT.
 _INT64_PRIME_LIMIT = 1 << 15
 _ELIM_PRIME_LIMIT = 1 << 31
+# Up to this many entries, per-call numpy overhead dominates elimination
+# mod p, and updating the whole array beats updating only the rows that
+# change; timed crossover (int64, GF(5)): between 256 and 900 entries.
+_WHOLE_UPDATE_SIZE = 256
 
 
 # Miller-Rabin on the primes up to 41 is deterministic below this bound
@@ -376,12 +380,15 @@ def _rref_array(a, field):
 
 
 def _rref_mod(a, p):
-    """RREF over GF(p) of a (entries in [0, p)), in place; the pivot columns.
+    """RREF over GF(p) of a (entries in [0, p)), and the pivot columns.
 
     a is int64 for p < 2^31, where every product of two residues stays
-    below 2^62, and holds Python ints otherwise.  A pivot step touches only
-    the rows with a nonzero entry in the pivot column, and only the columns
-    from the pivot on (the pivot row is zero left of it).
+    below 2^62, and holds Python ints otherwise; it is used as scratch, so
+    the result is the returned array.  On a matrix of more than
+    _WHOLE_UPDATE_SIZE entries a pivot step touches only the rows with a
+    nonzero entry in the pivot column, and only the columns from the pivot
+    on (the pivot row is zero left of it); on a smaller one it updates the
+    whole array, which there costs less than gathering and scattering rows.
     """
     nrows, ncols = a.shape
     pivots = []
@@ -390,21 +397,27 @@ def _rref_mod(a, p):
         if r == nrows:
             break
         col = a[:, c]
-        rows = col.nonzero()[0]
-        k = rows.searchsorted(r)
-        if k == len(rows):
+        below = col[r:].nonzero()[0]
+        if not len(below):
             continue
-        i = rows[k]
+        i = r + below[0]
         if i != r:
-            # rows r .. i - 1 are zero in column c, so rows stays sorted
             a[[r, i]] = a[[i, r]]
-            rows[k] = r
         # one update scales the pivot row and clears column c in the other
         # rows: the pivot row's own factor is its pivot minus one
-        fac = col[rows]
-        fac[k] -= 1
-        row = a[r, c:] * pow(int(col[r]), -1, p) % p
-        a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
+        inv = pow(int(col[r]), -1, p)
+        if a.size <= _WHOLE_UPDATE_SIZE:
+            fac = col.copy()
+            fac[r] -= 1
+            a = (a - np.multiply.outer(fac, a[r] * inv % p)) % p
+        else:
+            # the nonzero rows of column c: k rows above r, then r and below
+            rows = col.nonzero()[0]
+            k = len(rows) - len(below)
+            fac = col[rows]
+            fac[k] -= 1
+            row = a[r, c:] * inv % p
+            a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -422,14 +435,6 @@ def _prime(i):
     return q
 
 
-def _primes():
-    return map(_prime, itertools.count())
-
-
-def _residues(b, p):
-    return (b % p).astype(np.int64, copy=False)
-
-
 def _rref_rational(a):
     """RREF over Q by elimination modulo primes, certified exactly.
 
@@ -444,8 +449,8 @@ def _rref_rational(a):
     if bmax == 0:
         return a.copy(), []
     best = None
-    for p in _primes():
-        rp, pivots = _rref_mod(_residues(b, p), p)
+    for p in map(_prime, itertools.count()):
+        rp, pivots = _rref_mod((b % p).astype(np.int64, copy=False), p)
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, modulus = key, p
@@ -529,35 +534,12 @@ def _certified(b, h, pivots, free, num, den):
     """Whether b[:, free] den == b[:, pivots] num holds over the integers.
 
     num is den times the candidate RREF on the free columns, and h bounds
-    both sides in absolute value.  The identity is tested in int64 when
-    h < 2^62, and otherwise modulo primes whose product exceeds 2h.
+    both sides in absolute value: the identity is tested in int64 when
+    h < 2^62, and over Python ints otherwise.
     """
-    if h < 1 << 62:
-        return bool((b[:, free] * den == b[:, pivots] @ num).all())
-    modulus = 1
-    for q in _primes():
-        bq = _residues(b, q)
-        lhs = bq[:, free] * (den % q) % q
-        if not (lhs == _matmul_mod(bq[:, pivots], _residues(num, q), q)).all():
-            return False
-        modulus *= q
-        if modulus > 2 * h:
-            return True
-
-
-def _matmul_mod(x, y, p):
-    """x @ y mod p for int64 residues mod p < 2^31, without overflow.
-
-    y is split into 16-bit halves, and the inner dimension is taken 2^15 at
-    a time, so every partial sum stays below 2^63.
-    """
-    lo, hi = y & 0xFFFF, y >> 16
-    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-    step = 1 << 15
-    for k in range(0, x.shape[1], step):
-        xs = x[:, k : k + step]
-        out = (out + (xs @ hi[k : k + step] % p << 16) + xs @ lo[k : k + step]) % p
-    return out
+    if h >= 1 << 62:
+        b, num = b.astype(object), num.astype(object)
+    return bool((b[:, free] * den == b[:, pivots] @ num).all())
 
 
 def hstack(mats):

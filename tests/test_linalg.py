@@ -2,7 +2,6 @@ import random
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,10 +200,31 @@ def _matrix_pair(draw, field):
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+# raised inside hypothesis' own failure report, which it would turn into an
+# internal error that hides the falsifying example
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(data=st.data())
 def test_elimination_matches_sympy(field, data):
     _assert_matches_oracle(*data.draw(_matrix_pair(field)))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_elimination_above_the_whole_update_size_matches_sympy(field):
+    # past _WHOLE_UPDATE_SIZE entries a pivot step updates only the rows
+    # with a nonzero entry in the pivot column; sparse factors of rank 8
+    # leave most rows out of most steps
+    from rbsys.linalg import _WHOLE_UPDATE_SIZE
+
+    rng = random.Random(8)
+
+    def sparse(rows, cols):
+        draw = [[0 if rng.random() < 0.7 else rng.randint(1, 9) for _ in range(cols)] for _ in range(rows)]
+        return Matrix.from_rows(field, draw)
+
+    m = sparse(20, 8) @ sparse(8, 30)
+    assert m.rows * m.cols > _WHOLE_UPDATE_SIZE
+    _assert_matches_oracle(m, sparse(20, 2))
 
 
 def _primes_tried(monkeypatch):
@@ -291,7 +311,7 @@ def test_rank_ladder_rational_slice_matches_sympy():
         [[1, 2, 3, 4], [Fraction(1, 2), 1, 7, Fraction(2, 3)], [0, 5, 1, 1]],
         [[Fraction(10**40, 3**25), 1, 2], [1, Fraction(3, 7), 5]],
     ],
-    ids=["int64-check", "modular-check"],
+    ids=["int64-check", "python-int-check"],
 )
 def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows):
     from rbsys import linalg
@@ -312,15 +332,3 @@ def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows):
     m = Matrix.from_rows(QQ, rows)
     assert m.rref() == (Matrix.from_rows(QQ, sympy_rref(m)[0]), sympy_rref(m)[1])
     assert len(candidates) >= 2
-
-
-def test_matmul_mod_crosses_the_int64_chunk():
-    from rbsys.linalg import _matmul_mod
-
-    rng = random.Random(4)
-    inner = (1 << 15) + 7
-    x = [[rng.choice([P1 - 1, rng.randrange(P1)]) for _ in range(inner)] for _ in range(2)]
-    y = [[rng.choice([P1 - 1, rng.randrange(P1)]) for _ in range(2)] for _ in range(inner)]
-    got = _matmul_mod(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), P1)
-    expected = [[sum(a * y[k][j] for k, a in enumerate(row)) % P1 for j in range(2)] for row in x]
-    assert got.tolist() == expected
