@@ -17,6 +17,14 @@ once, and assembles the rbs slices from those blocks.  Every analysis here
 and in the deformation and extension modules reads its slices from a single
 Complexes per call; CochainComplex is a per-tag view over one.
 
+Slices are assembled by index scatter.  Every term of the Hochschild
+differential is I_p (x) X (x) I_q for a small X (the stacked left action,
+mu^T, or one right-action slice, whose rows go to stride d and offset j),
+and so are the identity terms I_m (x) (R^(x)n)^T and I_m (x) (S^(x)n)^T
+of phi.  The nonzero entries of each term are added into one zero array
+through index arrays, one signed add per term; no Kronecker product by an
+identity is formed.
+
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
 embedding check: the Hochschild complex of the star algebra
@@ -36,6 +44,8 @@ then y.
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 from .algebra import (
     Algebra,
@@ -120,27 +130,35 @@ def hochschild_slice(alg, actions, n, cap=None):
         raise ValueError("degree must be non-negative")
     field, d, m = alg.field, alg.dim, actions.dim
     _guard(m * d ** (n + 1), cap)
-    idm = Matrix.identity(field, m)
-    idn = Matrix.identity(field, d**n)
-    mu = alg.mult_matrix()
-
-    total = Matrix.zeros(field, m * d ** (n + 1), m * d**n)
-    # left action term, sign (-1)^(n+1)
-    left = actions.stacked_left().kron(idn)
-    total = total - left if n % 2 == 0 else total + left
-    # inner multiplications, sign (-1)^(n-i+1)
+    out = np.zeros((m * d ** (n + 1), m * d**n), dtype=field.dtype)
+    # left action term Lambda (x) I_(d^n), sign (-1)^(n+1)
+    _scatter(out, actions.stacked_left(), 1, d**n, (-1) ** (n + 1))
+    # inner multiplications I_m (x) I_(d^(i-1)) (x) mu^T (x) I_(d^(n-i)),
+    # sign (-1)^(n-i+1)
+    mu_t = alg.mult_matrix().transpose()
     for i in range(1, n + 1):
-        k = kron_all(
-            field,
-            [Matrix.identity(field, d ** (i - 1)), mu, Matrix.identity(field, d ** (n - i))],
-        )
-        term = idm.kron(k.transpose())
-        total = total + term if (n - i) % 2 == 1 else total - term
-    # right action term, sign +1
+        _scatter(out, mu_t, m * d ** (i - 1), d ** (n - i), (-1) ** (n - i + 1))
+    # right action term: C_j (x) I_(d^n) (x) e_j, i.e. the rows of
+    # C_j (x) I_(d^n) at stride d from row j, sign +1
     for j, cj in enumerate(actions.right_slices()):
-        ej = Matrix.unit_column(field, d, j)
-        total = total + cj.kron(idn).kron(ej)
-    return total
+        _scatter(out, cj, 1, d**n, 1, stride=d, offset=j)
+    return Matrix._wrap(field, out)
+
+
+def _scatter(out, x, p, q, sign, stride=1, offset=0):
+    """Add sign (I_p (x) x (x) I_q) into the array out, in place.
+
+    Row r of the Kronecker product lands on row r stride + offset of out.
+    Its nonzero entries sit at row (i rows(x) + r) q + k and column
+    (i cols(x) + c) q + k, for each nonzero x[r, c], i < p and k < q; these
+    positions are distinct, so one fancy-index add is exact.
+    """
+    r, c = np.nonzero(x.a)
+    vals = x.a[r, c][:, None]
+    blocks, inner = np.arange(p)[:, None, None], np.arange(q)
+    rows = ((blocks * x.rows + r[:, None]) * q + inner) * stride + offset
+    cols = (blocks * x.cols + c[:, None]) * q + inner
+    out[rows, cols] += vals if sign > 0 else -vals
 
 
 def delta(n, alg, actions, cap=None):
@@ -165,17 +183,20 @@ def phi(n, sys, mod, cap=None):
     field, d, m = sys.field, sys.dim, mod.dim
     _guard(2 * m * d**n, cap)
     R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
-    idm = Matrix.identity(field, m)
-    kr = kron_all(field, [R] * n)
-    ks = kron_all(field, [S] * n)
     t = Matrix.zeros(field, d**n, d**n)
     for i in range(1, n + 1):
         t = t + kron_all(
             field, [R] * (i - 1) + [Matrix.identity(field, d)] + [S] * (n - i)
         )
-    top = idm.kron(kr.transpose()) - RM.kron(t.transpose())
-    bottom = idm.kron(ks.transpose()) - SM.kron(t.transpose())
-    return vstack([top, bottom])
+    t = t.transpose()
+    # [[I_m (x) (R^(x)n)^T - R_M (x) T^T], [I_m (x) (S^(x)n)^T - S_M (x) T^T]]
+    half = m * d**n
+    out = np.zeros((2 * half, half), dtype=field.dtype)
+    _scatter(out, kron_all(field, [R] * n).transpose(), m, 1, 1)
+    _scatter(out, kron_all(field, [S] * n).transpose(), m, 1, 1, offset=half)
+    out[:half] -= RM.kron(t).a
+    out[half:] -= SM.kron(t).a
+    return Matrix._wrap(field, out)
 
 
 def rbs_dim(n, d, m):

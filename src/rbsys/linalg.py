@@ -33,6 +33,15 @@ kernel_basis, solve, inverse), on one of two paths:
   large enough the reconstruction is the RREF.  Over Q the result is a
   Fraction array, as from elimination in Fractions (a zero matrix is
   returned as given).
+
+Products over Q (``@`` and ``kron``) do no Fraction arithmetic.  The rows
+of the left factor and the columns of the right one are scaled to integers
+by ``_integer_rows``, the helper the RREF uses; the integer product runs in
+int64 when max|x| max|y| k < 2^62 (each maximum taken as at least 1) bounds
+every sum of k entry products, and over Python ints otherwise; only the
+nonzero results become Fractions again.  Factors that hold only Python ints
+are multiplied as they are.  Prime fields multiply their stored arrays and
+reduce mod p.  Every ``kron`` is one outer product of the two arrays.
 """
 
 from __future__ import annotations
@@ -292,12 +301,15 @@ class Matrix:
         self._same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        prod = self.a.dot(other.a)
-        return Matrix._wrap(self.field, prod)
+        if self.field.p is None:
+            return Matrix(self.field, _rational_dot(self.a, other.a))
+        return Matrix._wrap(self.field, self.a.dot(other.a))
 
     def kron(self, other):
         self._same_field(other)
-        return Matrix._wrap(self.field, np.kron(self.a, other.a))
+        if self.field.p is None:
+            return Matrix(self.field, _rational_kron(self.a, other.a))
+        return Matrix._wrap(self.field, _kron(self.a, other.a))
 
     def transpose(self):
         return Matrix(self.field, self.a.T.copy())
@@ -445,7 +457,9 @@ def _rref_rational(a):
     A candidate is returned only once it passes the exact check of
     _certified; otherwise one more prime is tried.
     """
-    b, bmax = _integer_rows(a)
+    b, _, _ = _integer_rows(a)
+    bmax = _max_abs(b)
+    b = np.array(b, dtype=_dtype_for(bmax)).reshape(a.shape)
     if bmax == 0:
         return a.copy(), []
     best = None
@@ -486,13 +500,85 @@ def _dtype_for(bound):
 
 
 def _integer_rows(a):
-    """a with every row times the lcm of its denominators, and its max |entry|."""
-    rows = []
-    for row in a.tolist():
-        lcm = math.lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (lcm // x.denominator) for x in row])
-    bmax = max((abs(x) for row in rows for x in row), default=0)
-    return np.array(rows, dtype=_dtype_for(bmax)).reshape(a.shape), bmax
+    """The entries of a as a flat list, row by row, with every row times
+    the lcm of its denominators; the row lcms; and whether every entry of
+    a is a Python int."""
+    flat = a.ravel().tolist()
+    ints = all(type(x) is int for x in flat)
+    if ints:
+        nums, lcms = flat, [1] * a.shape[0]
+    else:
+        k = a.shape[1]
+        dens = [x.denominator for x in flat]
+        lcms = [math.lcm(*dens[i : i + k]) for i in range(0, len(dens), k)]
+        nums = [
+            x.numerator * (lcms[i // k] // u)
+            for i, (x, u) in enumerate(zip(flat, dens))
+        ]
+    return nums, lcms, ints
+
+
+def _max_abs(nums):
+    """max |x| over a list of ints, 0 for an empty list."""
+    return max(max(nums), -min(nums)) if nums else 0
+
+
+def _rational_dot(a, b):
+    """a @ b over Q, from the rows of a and the columns of b scaled to integers.
+
+    The integer product runs in int64 when max|x| max|y| k < 2^62, which
+    bounds every sum of k entry products, and over Python ints otherwise.
+    Each of the three factors of the bound is taken as at least 1, so a
+    zero factor or k = 0 cannot let an unbounded other factor into int64.
+    Two factors of Python ints are multiplied as they are: that is exact
+    already, and on the small products where it occurs it costs less than
+    converting to int64 and back.
+    """
+    x, rden, xints = _integer_rows(a)
+    y, cden, yints = _integer_rows(b.T)
+    if xints and yints:
+        return a.dot(b)
+    bound = max(_max_abs(x), 1) * max(_max_abs(y), 1) * max(a.shape[1], 1)
+    dtype = _dtype_for(bound)
+    x = np.array(x, dtype=dtype).reshape(a.shape)
+    y = np.array(y, dtype=dtype).reshape(b.shape[::-1])
+    return _over(x.dot(y.T), rden, cden)
+
+
+def _rational_kron(a, b):
+    """The Kronecker product over Q, from the rows of a and b scaled to
+    integers; in int64 when max|x| max|y| < 2^62 (each at least 1)."""
+    x, xden, xints = _integer_rows(a)
+    y, yden, yints = _integer_rows(b)
+    if xints and yints:
+        return _kron(a, b)
+    dtype = _dtype_for(max(_max_abs(x), 1) * max(_max_abs(y), 1))
+    x = np.array(x, dtype=dtype).reshape(a.shape)
+    y = np.array(y, dtype=dtype).reshape(b.shape)
+    c = _kron(x, y)
+    return _over(c, [u * v for u in xden for v in yden], [1] * c.shape[1])
+
+
+def _kron(x, y):
+    """np.kron(x, y) of two matrices, as one outer product."""
+    c = np.multiply.outer(x, y).transpose(0, 2, 1, 3)
+    return c.reshape(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
+
+
+def _over(c, rden, cden):
+    """The Q array of c[i, j] / (rden[i] cden[j]) for an integer array c.
+
+    Zeros are the int 0.  When every denominator is 1 the entries are the
+    Python ints of c; otherwise each nonzero entry becomes a Fraction.
+    """
+    out = c.astype(object)
+    if max(rden, default=1) > 1 or max(cden, default=1) > 1:
+        i, j = c.nonzero()
+        out[i, j] = [
+            Fraction(v, rden[r] * cden[s])
+            for v, r, s in zip(c[i, j].tolist(), i.tolist(), j.tolist())
+        ]
+    return out
 
 
 def _reconstruct(x, m):

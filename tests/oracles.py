@@ -1,6 +1,7 @@
 """Independent formula-driven evaluators used as oracles.
 
-The library assembles differentials via Kronecker identities on row-major
+The library assembles differentials by scattering the nonzero entries of
+each Kronecker term I_p (x) X (x) I_q into one array, indexed by row-major
 coordinates.  These helpers instead evaluate the written-out formulas term
 by term on explicit basis tuples, so a slice and its oracle share no
 assembly code.  A tiny standalone GF(2) rank routine backs the frozen

@@ -67,6 +67,7 @@ from instances import (
     random_gauge,
     random_matrix,
     random_system_bimodule,
+    triangular_system,
     unital_line,
 )
 from oracles import gf2_rank, sympy_rank
@@ -402,6 +403,35 @@ def test_rational_dim3_les_and_betti():
         f"\n[acceptance] Q dim 3 PASS: long exact sequence exact and H_rbs matching "
         f"sympy ranks through degree 3 on {len(pairs)} scrambled pairs"
     )
+
+
+def _rbs_ranks_match_sympy(sys, mod, top):
+    """The rbs slice ranks through degree top are sympy's, and H_rbs follows."""
+    cx = CochainComplex(RBS, sys, mod)
+    slices = [cx.slice(n).matrix for n in range(top + 1)]
+    ranks = [sympy_rank(s) for s in slices]
+    assert [s.rank() for s in slices] == ranks
+    expected = [slices[n].cols - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
+    assert betti(RBS, sys, mod, top).h == expected
+    return slices[top].shape
+
+
+def test_rational_triangular_degree4_ranks():
+    """The triangular system over Q: rbs ranks as sympy's through degree 4."""
+    sys = triangular_system(QQ, -1, 1)
+    shape = _rbs_ranks_match_sympy(sys, regular_bimodule(sys), 4)
+    assert shape == (1215, 405)
+    print(f"\n[acceptance] Q degree 4 PASS: triangular rbs ranks match sympy, slice {shape}")
+
+
+def test_rational_scrambled_dim2_degree4_ranks():
+    """A scrambled dim-2 pair over Q: rbs ranks as sympy's through degree 4."""
+    rng = random.Random(402)  # its first dim-2 draw has Fraction structure constants
+    sys, mod = random_system_bimodule(rng, QQ, big=True)
+    while sys.dim != 2:
+        sys, mod = random_system_bimodule(rng, QQ, big=True)
+    shape = _rbs_ranks_match_sympy(sys, mod, 4)
+    print(f"\n[acceptance] Q degree 4 PASS: scrambled dim-2 rbs ranks match sympy, slice {shape}")
 
 
 def test_criterion_10_embedding_and_cokernel():

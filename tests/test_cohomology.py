@@ -14,6 +14,8 @@ from rbsys import (
     Matrix,
     MultiMap,
     betti,
+    conjugate_bimodule,
+    conjugate_system,
     delta,
     les_check,
     multimap_vector,
@@ -33,7 +35,9 @@ from instances import (
     f2_zero_instance,
     instance_set,
     line_system,
+    random_invertible,
     random_matrix,
+    random_system_bimodule,
     triangular_algebra,
     triangular_system,
     unital_line,
@@ -75,77 +79,88 @@ def test_delta_degree_zero_formula():
             assert got == expected
 
 
+def _check_delta(sys, mod, n, rng):
+    """delta_n against the term-by-term Hochschild differential."""
+    d, m, field = sys.dim, mod.dim, sys.field
+    sl = delta(n, sys.alg, mod.actions).matrix
+    f = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
+    image = sl @ multimap_vector(f)
+    for col, tup in enumerate(basis_tuples(d, n + 1)):
+        got = Matrix.from_rows(field, [[image[v * d ** (n + 1) + col, 0]] for v in range(m)])
+        assert got == naive_delta_apply(sys.alg, mod.actions, f, tup)
+
+
+def _check_partial(sys, mod, n, rng):
+    """partial_n against the written-out operator-complex formulas."""
+    d, m, field = sys.dim, mod.dim, sys.field
+    sl = partial(n, sys, mod).matrix
+    x = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
+    y = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
+    image = sl @ vstack([multimap_vector(x), multimap_vector(y)])
+    cols_out = d ** (n + 1)
+    for col, tup in enumerate(basis_tuples(d, n + 1)):
+        first = Matrix.from_rows(field, [[image[v * cols_out + col, 0]] for v in range(m)])
+        second = Matrix.from_rows(
+            field, [[image[m * cols_out + v * cols_out + col, 0]] for v in range(m)]
+        )
+        assert (first, second) == naive_partial_apply(sys, mod, x, y, tup)
+
+
+def _check_phi(sys, mod, n, rng):
+    """phi_n against the componentwise comparison map."""
+    d, m, field = sys.dim, mod.dim, sys.field
+    mat = phi(n, sys, mod)
+    f = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
+    image = mat @ multimap_vector(f)
+    cols_out = d**n
+    for col, tup in enumerate(basis_tuples(d, n)):
+        first = Matrix.from_rows(field, [[image[v * cols_out + col, 0]] for v in range(m)])
+        second = Matrix.from_rows(
+            field, [[image[m * cols_out + v * cols_out + col, 0]] for v in range(m)]
+        )
+        assert (first, second) == naive_phi_apply(sys, mod, f, tup)
+
+
 def test_slices_match_naive_evaluation():
     rng = random.Random(17)
     for sys, mod in instance_set(8, seed=101):
-        d, m = sys.dim, mod.dim
-        field = sys.field
         for n in range(3):
-            sl = delta(n, sys.alg, mod.actions).matrix
-            f = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
-            image = sl @ multimap_vector(f)
-            for tup in basis_tuples(d, n + 1):
-                col = 0
-                for i in tup:
-                    col = col * d + i
-                got = Matrix.from_rows(
-                    field, [[image[v * d ** (n + 1) + col, 0]] for v in range(m)]
-                )
-                assert got == naive_delta_apply(sys.alg, mod.actions, f, tup)
+            _check_delta(sys, mod, n, rng)
 
 
 def test_partial_matches_displayed_formulas():
     rng = random.Random(23)
     for sys, mod in instance_set(8, seed=131):
-        d, m = sys.dim, mod.dim
-        field = sys.field
         for n in range(3):
-            sl = partial(n, sys, mod).matrix
-            x = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
-            y = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
-            vec = vstack([multimap_vector(x), multimap_vector(y)])
-            image = sl @ vec
-            cols_out = d ** (n + 1)
-            for tup in basis_tuples(d, n + 1):
-                col = 0
-                for i in tup:
-                    col = col * d + i
-                first = Matrix.from_rows(
-                    field, [[image[v * cols_out + col, 0]] for v in range(m)]
-                )
-                second = Matrix.from_rows(
-                    field, [[image[m * cols_out + v * cols_out + col, 0]] for v in range(m)]
-                )
-                want_first, want_second = naive_partial_apply(sys, mod, x, y, tup)
-                assert first == want_first
-                assert second == want_second
+            _check_partial(sys, mod, n, rng)
 
 
 def test_phi_matches_naive_evaluation():
     rng = random.Random(29)
     for sys, mod in instance_set(8, seed=151):
-        d, m = sys.dim, mod.dim
-        field = sys.field
         for n in range(3):
-            mat = phi(n, sys, mod)
-            f = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
-            image = mat @ multimap_vector(f)
-            cols_out = d**n
-            for tup in basis_tuples(d, n):
-                col = 0
-                for i in tup:
-                    col = col * d + i
-                first = Matrix.from_rows(field, [[image[v * cols_out + col, 0]] for v in range(m)])
-                second = Matrix.from_rows(
-                    field, [[image[m * cols_out + v * cols_out + col, 0]] for v in range(m)]
-                )
-                want_first, want_second = naive_phi_apply(sys, mod, f, tup)
-                if n == 0:
-                    assert first == want_first and second == want_second
-                else:
-                    want_first_col = want_first
-                    assert first == want_first_col
-                    assert second == want_second
+            _check_phi(sys, mod, n, rng)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(40009), GF(2**31 - 1), GF(4294967311)], ids=repr)
+def test_scatter_slices_match_naive_evaluation_in_degree_3(field):
+    # the index-scatter assembly up to degree 3, also over the primes whose
+    # matrices hold Python ints (p >= 2^15), one of them above 2^32: two
+    # random pairs of dimension at least 2 and the scrambled triangular pair
+    rng = random.Random(field.p or 0)
+    pairs = []
+    while len(pairs) < 2:
+        sys, mod = random_system_bimodule(rng, field, big=True)
+        if sys.dim >= 2:
+            pairs.append((sys, mod))
+    tri = triangular_system(field, 2, field.neg(1))
+    p, q = random_invertible(field, 3, rng), random_invertible(field, 3, rng)
+    pairs.append((conjugate_system(tri, p), conjugate_bimodule(regular_bimodule(tri), p, q)))
+    for sys, mod in pairs:
+        for n in range(4):
+            _check_delta(sys, mod, n, rng)
+            _check_partial(sys, mod, n, rng)
+            _check_phi(sys, mod, n, rng)
 
 
 def test_phi_zero_operators():

@@ -1,6 +1,8 @@
+import operator
 import random
-
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -332,3 +334,103 @@ def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows):
     m = Matrix.from_rows(QQ, rows)
     assert m.rref() == (Matrix.from_rows(QQ, sympy_rref(m)[0]), sympy_rref(m)[1])
     assert len(candidates) >= 2
+
+
+
+# -- integer products over Q -----------------------------------------------
+
+
+def _fractions(m):
+    """The entries of a Q Matrix as an object array of Fractions."""
+    return np.array([Fraction(x) for row in m.entries() for x in row], dtype=object).reshape(m.shape)
+
+
+def _assert_exact(got, want):
+    """A Q Matrix equals an object array, entry for entry, in Python scalars."""
+    assert got.shape == want.shape
+    assert got.entries() == want.tolist()
+    assert all(type(x) in (int, Fraction) for row in got.entries() for x in row)
+
+
+@st.composite
+def _rational_factors(draw):
+    """Factors for a @ b: small, huge (about 2^62) and non-integral entries,
+    empty shapes, and now and then a zero factor."""
+    huge = st.integers(2**62 - 2, 2**62 + 2)
+    scalar = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.fractions(-(10**6), 10**6, max_denominator=10**4),
+        st.fractions(-(2**70), 2**70, max_denominator=2**40),
+        huge,
+        huge.map(operator.neg),
+    )
+
+    def factor(rows, cols):
+        if rows == 0 or cols == 0 or draw(st.integers(0, 3)) == 0:
+            return Matrix.zeros(QQ, rows, cols)
+        return Matrix.from_rows(QQ, [[draw(scalar) for _ in range(cols)] for _ in range(rows)])
+
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    return factor(rows, inner), factor(inner, cols)
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(factors=_rational_factors())
+def test_rational_products_match_fraction_arithmetic(factors):
+    a, b = factors
+    fa, fb = _fractions(a), _fractions(b)
+    _assert_exact(a @ b, np.dot(fa, fb))
+    _assert_exact(a.kron(b), np.kron(fa, fb))
+    _assert_exact(b.kron(a), np.kron(fb, fa))
+
+
+def test_rational_product_of_a_zero_factor_and_huge_entries():
+    # a zero factor must not let the other, unbounded one into int64
+    huge = Matrix.from_rows(QQ, [[2**70, Fraction(1, 3)], [-(2**65), 5]])
+    zero = Matrix.zeros(QQ, 2, 2)
+    for a, b in ((zero, huge), (huge, zero)):
+        _assert_exact(a @ b, np.dot(_fractions(a), _fractions(b)))
+        _assert_exact(a.kron(b), np.kron(_fractions(a), _fractions(b)))
+    empty = Matrix.zeros(QQ, 0, 2) @ huge
+    assert empty.shape == (0, 2)
+    assert (huge @ Matrix.zeros(QQ, 2, 0)).shape == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "entry, inner, dtype",
+    [(2**30, 3, np.int64), (2**30, 4, object), (2**31 - 1, 1, np.int64), (2**31, 2, object)],
+)
+def test_rational_product_either_side_of_the_int64_bound(monkeypatch, entry, inner, dtype):
+    # max|x| max|y| k against 2^62; a sum of (2^31)^2 + (2^31)^2 = 2^63
+    # would wrap in int64
+    from rbsys import linalg
+
+    chosen = []
+    dtype_for = linalg._dtype_for
+
+    def spy(bound):
+        chosen.append(dtype_for(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(linalg, "_dtype_for", spy)
+    half = Fraction(1, 2)  # keeps both factors off the all-int path
+    a = Matrix.from_rows(QQ, [[entry] * inner, [half] * inner])
+    b = Matrix.from_rows(QQ, [[entry, half]] * inner)
+    _assert_exact(a @ b, np.dot(_fractions(a), _fractions(b)))
+    assert chosen[-1] is dtype
+
+
+@pytest.mark.parametrize("p", [2, 5, 40009, 2**31 - 1, 4294967311])
+def test_prime_field_kron_matches_numpy(p):
+    # one outer product, as np.kron, on the int64 and the object dtypes
+    field = GF(p)
+    rng = random.Random(p)
+    for (r, c), (s, t) in [((2, 3), (3, 2)), ((1, 4), (4, 1)), ((0, 2), (2, 3)), ((2, 0), (3, 3))]:
+        a, b = random_matrix(field, r, c, rng), random_matrix(field, s, t, rng)
+        want = np.kron(a.a, b.a) % p
+        got = a.kron(b)
+        assert got.shape == want.shape
+        assert got.entries() == want.tolist()
+        assert got.a.dtype == field.dtype
