@@ -14,9 +14,11 @@ Algebras need not be unital; nothing here assumes a unit.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from .linalg import Matrix, kron_all
+from .linalg import QQ, Matrix, kron_all
 
 
 class Verdict:
@@ -42,10 +44,17 @@ class Verdict:
     def describe(self):
         if self.ok:
             return "pass"
-        msg = f"fail [{self.tag}] at {self.witness}"
+        msg = f"fail [{self.tag}] at {_text(self.witness)}"
         if self.lhs is not None:
-            msg += f": lhs={self.lhs} rhs={self.rhs}"
+            msg += f": lhs={_text(self.lhs)} rhs={_text(self.rhs)}"
         return msg
+
+
+def _text(x):
+    """x as text, each Fraction written as its JSON token (a/b, or n)."""
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_text, x)) + "]"
+    return str(QQ.scalar_token(x)) if isinstance(x, Fraction) else str(x)
 
 
 def first_mismatch(tag, lhs, rhs, dims):
@@ -218,7 +227,7 @@ class BimoduleActions:
     def stacked_left(self):
         """(m d) x m matrix with block row (v, i) built from left[i][u][v]."""
         m, d = self.dim, self.adim
-        return Matrix(self.field, self.left_matrix().a.reshape(m * d, m).copy())
+        return self.left_matrix().reshape(m * d, m)
 
     def right_slices(self):
         """For each basis index j of A, the m x m matrix of . e_j."""
@@ -368,11 +377,9 @@ def multimap_from_vector(alg, arity, target_dim, vec):
     d = alg.dim
     if vec.rows != target_dim * d**arity or vec.cols != 1:
         raise ValueError("coordinate vector has wrong length")
-    a = vec.a.reshape(target_dim, d**arity).copy()
-    return MultiMap(alg, arity, Matrix(alg.field, a))
+    return MultiMap(alg, arity, vec.reshape(target_dim, d**arity))
 
 
 def multimap_vector(f):
     """Row-major coordinate column of a MultiMap (inverse of the above)."""
-    a = f.mat.a.reshape(f.mat.rows * f.mat.cols, 1).copy()
-    return Matrix(f.mat.field, a)
+    return f.mat.reshape(f.mat.rows * f.mat.cols, 1)

@@ -21,9 +21,10 @@ Slices are assembled by index scatter.  Every term of the Hochschild
 differential is I_p (x) X (x) I_q for a small X (the stacked left action,
 mu^T, or one right-action slice, whose rows go to stride d and offset j),
 and so are the identity terms I_m (x) (R^(x)n)^T and I_m (x) (S^(x)n)^T
-of phi.  The nonzero entries of each term are added into one zero array
-through index arrays, one signed add per term; no Kronecker product by an
-identity is formed.
+of phi.  Matrix.identity_kron_sum adds the nonzero entries of each term
+into one integer array through index arrays, one signed add per term; no
+Kronecker product by an identity is formed.  The rest of phi is one
+Kronecker product, [[R_M], [S_M]] (x) T^T, the base of that sum.
 
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
@@ -44,8 +45,6 @@ then y.
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 from .algebra import (
     Algebra,
@@ -130,35 +129,18 @@ def hochschild_slice(alg, actions, n, cap=None):
         raise ValueError("degree must be non-negative")
     field, d, m = alg.field, alg.dim, actions.dim
     _guard(m * d ** (n + 1), cap)
-    out = np.zeros((m * d ** (n + 1), m * d**n), dtype=field.dtype)
     # left action term Lambda (x) I_(d^n), sign (-1)^(n+1)
-    _scatter(out, actions.stacked_left(), 1, d**n, (-1) ** (n + 1))
+    terms = [(actions.stacked_left(), 1, d**n, (-1) ** (n + 1), 1, 0)]
     # inner multiplications I_m (x) I_(d^(i-1)) (x) mu^T (x) I_(d^(n-i)),
     # sign (-1)^(n-i+1)
     mu_t = alg.mult_matrix().transpose()
     for i in range(1, n + 1):
-        _scatter(out, mu_t, m * d ** (i - 1), d ** (n - i), (-1) ** (n - i + 1))
+        terms.append((mu_t, m * d ** (i - 1), d ** (n - i), (-1) ** (n - i + 1), 1, 0))
     # right action term: C_j (x) I_(d^n) (x) e_j, i.e. the rows of
     # C_j (x) I_(d^n) at stride d from row j, sign +1
     for j, cj in enumerate(actions.right_slices()):
-        _scatter(out, cj, 1, d**n, 1, stride=d, offset=j)
-    return Matrix._wrap(field, out)
-
-
-def _scatter(out, x, p, q, sign, stride=1, offset=0):
-    """Add sign (I_p (x) x (x) I_q) into the array out, in place.
-
-    Row r of the Kronecker product lands on row r stride + offset of out.
-    Its nonzero entries sit at row (i rows(x) + r) q + k and column
-    (i cols(x) + c) q + k, for each nonzero x[r, c], i < p and k < q; these
-    positions are distinct, so one fancy-index add is exact.
-    """
-    r, c = np.nonzero(x.a)
-    vals = x.a[r, c][:, None]
-    blocks, inner = np.arange(p)[:, None, None], np.arange(q)
-    rows = ((blocks * x.rows + r[:, None]) * q + inner) * stride + offset
-    cols = (blocks * x.cols + c[:, None]) * q + inner
-    out[rows, cols] += vals if sign > 0 else -vals
+        terms.append((cj, 1, d**n, 1, d, j))
+    return Matrix.identity_kron_sum(field, (m * d ** (n + 1), m * d**n), terms)
 
 
 def delta(n, alg, actions, cap=None):
@@ -188,15 +170,14 @@ def phi(n, sys, mod, cap=None):
         t = t + kron_all(
             field, [R] * (i - 1) + [Matrix.identity(field, d)] + [S] * (n - i)
         )
-    t = t.transpose()
-    # [[I_m (x) (R^(x)n)^T - R_M (x) T^T], [I_m (x) (S^(x)n)^T - S_M (x) T^T]]
+    # [[I_m (x) (R^(x)n)^T], [I_m (x) (S^(x)n)^T]] - [[R_M], [S_M]] (x) T^T
     half = m * d**n
-    out = np.zeros((2 * half, half), dtype=field.dtype)
-    _scatter(out, kron_all(field, [R] * n).transpose(), m, 1, 1)
-    _scatter(out, kron_all(field, [S] * n).transpose(), m, 1, 1, offset=half)
-    out[:half] -= RM.kron(t).a
-    out[half:] -= SM.kron(t).a
-    return Matrix._wrap(field, out)
+    terms = [
+        (kron_all(field, [R] * n).transpose(), m, 1, 1, 1, 0),
+        (kron_all(field, [S] * n).transpose(), m, 1, 1, 1, half),
+    ]
+    dense = vstack([RM, SM]).kron(-t.transpose())
+    return Matrix.identity_kron_sum(field, (2 * half, half), terms, base=dense)
 
 
 def rbs_dim(n, d, m):
@@ -269,10 +250,10 @@ class Complexes:
         # rbs_n = [[delta_n, 0], [-phi_n, -partial_(n-1)]]
         top, left = self.dim(ALG, n + 1), self.dim(ALG, n)
         if kind == ALG:
-            return Matrix(whole.field, whole.a[:top, :left])
+            return whole.take(0, top, 0, left)
         if kind == RBSO:
-            return -Matrix(whole.field, whole.a[top:, left:])
-        return -Matrix(whole.field, whole.a[top:, :left])
+            return -whole.take(top, None, left, None)
+        return -whole.take(top, None, 0, left)
 
     def rbs(self, n):
         if (RBS, n) not in self._built:

@@ -10,38 +10,53 @@ values can be shared freely.  Elimination uses a fixed pivoting order and
 reduced-echelon normalisation, which makes every derived object (kernel
 bases, particular solutions, cocycle representatives) reproducible.
 
+Storage is integer arrays, and only this module reads it.  Over GF(p) a
+matrix stores its residues, in int64 for every p < 2^31 and as Python ints
+above.  Over Q it stores one integer numerator array and one positive
+denominator in canonical form: the gcd of the denominator and all the
+numerators is 1, so equal matrices store equal arrays.  The numerators are
+int64 while every |n| < 2^62 and Python ints otherwise.  Over Q,
+``Matrix.a`` is a view of the entries as Python ints and Fractions for the
+readers outside this module, built on first use and kept; a matrix built
+from Python scalars keeps them as that view, and every entry of an RREF's
+view is a Fraction.
+
+Arithmetic is integer array arithmetic and builds no Fraction.  Over Q a
+sum brings both numerator arrays to the lcm of the denominators, and a
+product (``@``, ``kron``) multiplies numerators and denominators; the
+result is brought back to canonical form.  Each runs in int64 when a bound
+on every result is below 2^62, and over Python ints otherwise; for ``@``
+with inner dimension k the bound is max|x| max|y| k, each of the three
+factors taken as at least 1.  When that bound fails, each row of the left
+factor and each column of the right one is first divided by its common
+factor with the denominator, and the smaller product may still run in
+int64.  Over GF(p) an int64 product reduces mod p after every
+floor((2^63 - 1) / (p - 1)^2) inner terms, the delayed reduction of Dumas,
+Giorgi and Pernet (FFLAS-FFPACK), so int64 is exact for every p < 2^31.
+Every ``kron`` is one outer product of the two arrays.
+
 One kernel, ``_rref_array``, does every elimination (rref, rank,
-kernel_basis, solve, inverse), on one of two paths:
+kernel_basis, solve, inverse) on the stored integer array, on one of two
+paths:
 
 * GF(p): Gauss-Jordan elimination mod p.  For p < 2^31 it runs in int64,
   which is exact because a product of two residues stays below 2^62; larger
   primes run the same code on Python ints.
-* Q: elimination modulo primes, then an exact certificate.  Scaling each
-  row by its common denominator gives an integer matrix B with the same
-  RREF.  B is reduced modulo primes below 2^31, largest first; the primes
-  of the highest rank r and, at that rank, of the lexicographically first
-  pivot list P are kept, combined by CRT, and the entries rationally
-  reconstructed (Wang, Guy and Davenport) into a candidate R with a common
-  denominator L.  R is returned only if B L = B[:, P] (L R) holds exactly.
-  Proof sketch: that identity puts every row of B in the row space of R,
-  so rank_Q B <= r; a kept prime has rank_p B = r, and no prime raises
-  the rank, so rank_Q B = r and row(B) = row(R).  R is in reduced echelon
-  form, and the RREF of a row space is unique, so R is the RREF.  A failed
-  reconstruction or check adds a prime.  This ends: a prime whose rank or
-  pivots differ from those over Q divides a nonzero minor of B, so there
-  are finitely many such primes, and once the product of the kept primes is
-  large enough the reconstruction is the RREF.  Over Q the result is a
-  Fraction array, as from elimination in Fractions (a zero matrix is
-  returned as given).
-
-Products over Q (``@`` and ``kron``) do no Fraction arithmetic.  The rows
-of the left factor and the columns of the right one are scaled to integers
-by ``_integer_rows``, the helper the RREF uses; the integer product runs in
-int64 when max|x| max|y| k < 2^62 (each maximum taken as at least 1) bounds
-every sum of k entry products, and over Python ints otherwise; only the
-nonzero results become Fractions again.  Factors that hold only Python ints
-are multiplied as they are.  Prime fields multiply their stored arrays and
-reduce mod p.  Every ``kron`` is one outer product of the two arrays.
+* Q: elimination modulo primes, then an exact certificate.  The numerator
+  array B has the same RREF as the matrix.  B is reduced modulo primes below
+  2^31, largest first; the primes of the highest rank r and, at that rank,
+  of the lexicographically first pivot list P are kept, combined by CRT,
+  and the entries rationally reconstructed (Wang, Guy and Davenport) into a
+  candidate R with a common denominator L.  R is returned only if B L =
+  B[:, P] (L R) holds exactly.  Proof sketch: that identity puts every row
+  of B in the row space of R, so rank_Q B <= r; a kept prime has rank_p B =
+  r, and no prime raises the rank, so rank_Q B = r and row(B) = row(R).  R
+  is in reduced echelon form, and the RREF of a row space is unique, so R
+  is the RREF.  A failed reconstruction or check adds a prime.  This ends:
+  a prime whose rank or pivots differ from those over Q divides a nonzero
+  minor of B, so there are finitely many such primes, and once the product
+  of the kept primes is large enough the reconstruction is the RREF.  A
+  zero matrix is its own RREF and is returned as given.
 """
 
 from __future__ import annotations
@@ -53,11 +68,13 @@ from fractions import Fraction
 
 import numpy as np
 
-# Matrix stores int64 only below this prime: a product sums a whole row of
-# entry products, which must stay below 2^63.  Elimination works entry by
-# entry and runs in int64 for every prime below _ELIM_PRIME_LIMIT.
-_INT64_PRIME_LIMIT = 1 << 15
-_ELIM_PRIME_LIMIT = 1 << 31
+# The one int64 limit: below it a field stores int64 residues, products of
+# two residues stay below 2^62, and the multimodular RREF over Q takes its
+# primes from below it.
+_INT64_PRIME_LIMIT = 1 << 31
+# Integer arrays over Q are int64 while every |entry| is below this bound,
+# so that a sum of two of them cannot wrap.
+_INT64_BOUND = 1 << 62
 # Up to this many entries, per-call numpy overhead dominates elimination
 # mod p, and updating the whole array beats updating only the rows that
 # change; timed crossover (int64, GF(5)): between 256 and 900 entries.
@@ -113,6 +130,7 @@ class Field:
 
     @property
     def dtype(self):
+        """The dtype of arrays of scalars: Python objects over Q."""
         if self.p is not None and self.p < _INT64_PRIME_LIMIT:
             return np.int64
         return object
@@ -189,15 +207,37 @@ def _freeze(a):
     return a
 
 
+def _int_dtype(field):
+    """The dtype of a new integer array of field: int64 over Q."""
+    return np.int64 if field.p is None else field.dtype
+
+
 class Matrix:
-    """Immutable dense matrix over a Field, stored row-major."""
+    """Immutable dense matrix over a Field, stored row-major.
 
-    __slots__ = ("field", "a", "_rref")
+    The entries are num / den: over GF(p) num holds the residues and den is
+    1; over Q num and den are in canonical form (see the module docstring),
+    and _mag bounds max |num|.
+    """
 
-    def __init__(self, field, array):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", _freeze(array))
-        object.__setattr__(self, "_rref", None)
+    # _view: the Python scalars of ``a`` once built; before that None, or
+    # Fraction for an RREF, every entry of whose view is a Fraction
+    __slots__ = ("field", "num", "den", "_mag", "_view", "_rref")
+
+    def __new__(cls, field, array):
+        """The matrix of an array of scalars of field: Python ints and
+        Fractions over Q (kept as the view ``a``), integers over GF(p)."""
+        if field.p is not None:
+            return _new(field, array if array.dtype == field.dtype else array.astype(field.dtype))
+        nums, den = array.ravel().tolist(), 1
+        if not set(map(type, nums)) <= {int}:
+            den = math.lcm(*(x.denominator for x in nums))
+            nums = [x.numerator * (den // x.denominator) for x in nums]
+        mag = max(max(nums), -min(nums)) if nums else 0
+        m = _new(field, np.array(nums, dtype=_dtype_for(mag)).reshape(array.shape), den, mag)
+        if array.dtype == object:
+            _SET_VIEW(m, _freeze(array))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -205,18 +245,12 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _wrap(cls, field, array):
-        if field.p is not None:
-            array = array % field.p
-        return cls(field, array)
-
-    @classmethod
     def zeros(cls, field, rows, cols):
-        return cls(field, np.zeros((rows, cols), dtype=field.dtype))
+        return _new(field, np.zeros((rows, cols), dtype=_int_dtype(field)), 1, 0)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, np.eye(n, dtype=field.dtype))
+        return _new(field, np.eye(n, dtype=_int_dtype(field)), 1, min(n, 1))
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -232,27 +266,42 @@ class Matrix:
 
     @classmethod
     def column(cls, field, entries):
-        return cls.from_rows(field, [[x] for x in entries])
+        values = [field.coerce(x) for x in entries]
+        a = np.empty((len(values), 1), dtype=field.dtype)
+        a[:, 0] = values
+        return cls(field, a)
 
     @classmethod
     def unit_column(cls, field, n, k):
-        a = np.zeros((n, 1), dtype=field.dtype)
+        a = np.zeros((n, 1), dtype=_int_dtype(field))
         a[k, 0] = 1
-        return cls(field, a)
+        return _new(field, a, 1, 1)
 
     # -- shape / access ------------------------------------------------
 
     @property
     def rows(self):
-        return self.a.shape[0]
+        return self.num.shape[0]
 
     @property
     def cols(self):
-        return self.a.shape[1]
+        return self.num.shape[1]
 
     @property
     def shape(self):
-        return self.a.shape
+        return self.num.shape
+
+    @property
+    def a(self):
+        """The entries as an array: the residues over GF(p); over Q Python
+        ints and Fractions, built on first use."""
+        if self.field.p is not None:
+            return self.num
+        view = self._view
+        if view is None or view is Fraction:
+            view = _freeze(_rationals(self.num, self.den, view is Fraction))
+            _SET_VIEW(self, view)
+        return view
 
     def __getitem__(self, ij):
         i, j = ij
@@ -261,58 +310,150 @@ class Matrix:
 
     def entries(self):
         """All entries as Python scalars, row-major nested lists."""
-        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        return self.a.tolist()
+
+    def _part(self, num):
+        """The matrix of some entries of self, num taken from self.num."""
+        if self.field.p is not None:
+            return _new(self.field, num)
+        return _of(self.field, num, self.den, self._mag)
+
+    def take(self, r0, r1, c0, c1):
+        """Rows r0:r1 and columns c0:c1, sharing storage with self."""
+        return self._part(self.num[r0:r1, c0:c1])
 
     def col(self, j):
-        return Matrix(self.field, self.a[:, j : j + 1].copy())
+        return self._part(self.num[:, j : j + 1].copy())
 
     def take_rows(self, start, stop):
-        return Matrix(self.field, self.a[start:stop, :].copy())
+        return self._part(self.num[start:stop, :].copy())
 
     def take_cols(self, start, stop):
-        return Matrix(self.field, self.a[:, start:stop].copy())
+        return self._part(self.num[:, start:stop].copy())
+
+    def reshape(self, rows, cols):
+        """The same entries, row-major, as a rows x cols matrix."""
+        return _new(self.field, self.num.reshape(rows, cols), self.den, self._mag)
 
     # -- arithmetic ----------------------------------------------------
 
+    @classmethod
+    def identity_kron_sum(cls, field, shape, terms, base=None):
+        """base (zero if None) plus the terms sign (I_p (x) x (x) I_q), as
+        one matrix of the given shape.
+
+        terms holds (x, p, q, sign, stride, offset): row r of the term's
+        Kronecker product lands on row r stride + offset.  Its nonzero
+        entries sit at row (i rows(x) + r) q + k and column (i cols(x) + c)
+        q + k, for each nonzero x[r, c], i < p and k < q; these positions are
+        distinct, so each term is one fancy-index add.  Over Q every term is
+        brought to one denominator and the sum is taken in integers.
+        """
+        den, bound, dtype = 1, None, field.dtype
+        if field.p is None:
+            mats = [x for x, *_ in terms] + ([] if base is None else [base])
+            den = math.lcm(*(x.den for x in mats))
+            bound = _bound(lambda *mags: sum(max(g, 1) * (den // x.den) for g, x in zip(mags, mats)), mats)
+            dtype = _dtype_for(bound)
+        if base is None:
+            out = np.zeros(shape, dtype=dtype)
+        else:
+            out = base.num.astype(dtype)
+            if base.den != den:
+                out *= den // base.den
+        for x, p, q, sign, stride, offset in terms:
+            r, c = np.nonzero(x.num)
+            vals = x.num[r, c][:, None]
+            if x.den != den:
+                vals = vals.astype(dtype) * (den // x.den)
+            blocks, inner = np.arange(p)[:, None, None], np.arange(q)
+            rows = ((blocks * x.rows + r[:, None]) * q + inner) * stride + offset
+            cols = (blocks * x.cols + c[:, None]) * q + inner
+            if sign > 0:
+                out[rows, cols] += vals
+            else:
+                out[rows, cols] -= vals
+        return _of(field, out, den, bound)
+
     def _same_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
-    def __add__(self, other):
+    def _sum(self, other, op):
         self._same_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix._wrap(self.field, self.a + other.a)
+        x, y, den = self.num, other.num, self.den
+        if self.field.p is not None:
+            return _of(self.field, op(x, y))
+        if other.den == den:
+            # |x|, |y| < 2^62 when both are int64, so x + y cannot wrap
+            bound = self._mag + other._mag
+        else:
+            den = math.lcm(self.den, other.den)
+            u, v = den // self.den, den // other.den
+            bound = _bound(lambda ma, mb: max(ma, 1) * u + max(mb, 1) * v, (self, other))
+            dtype = _dtype_for(bound)
+            x, y = x.astype(dtype) * u, y.astype(dtype) * v
+        return _of(self.field, op(x, y), den, bound)
+
+    def __add__(self, other):
+        return self._sum(other, np.add)
 
     def __sub__(self, other):
-        self._same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix._wrap(self.field, self.a - other.a)
+        return self._sum(other, np.subtract)
 
     def __neg__(self):
-        return Matrix._wrap(self.field, -self.a)
+        if self.field.p is not None:
+            return _of(self.field, -self.num)
+        return _new(self.field, -self.num, self.den, self._mag)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return Matrix._wrap(self.field, self.a * c)
+        if self.field.p is not None:
+            return _of(self.field, self.num * c)
+        n, d = c.numerator, c.denominator
+        bound = _bound(lambda mag: max(mag, 1) * max(abs(n), 1), (self,))
+        num = self.num.astype(_dtype_for(bound), copy=False) * n
+        return _of(self.field, num, self.den * d, bound)
 
     def __matmul__(self, other):
         self._same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        if self.field.p is None:
-            return Matrix(self.field, _rational_dot(self.a, other.a))
-        return Matrix._wrap(self.field, self.a.dot(other.a))
+        if self.field.p is not None:
+            return _new(self.field, _dot_mod(self.num, other.num, self.field.p))
+        # max|x| max|y| k bounds every sum of k entry products; each factor
+        # is taken as at least 1, so a zero factor or k = 0 cannot let an
+        # unbounded other factor into int64
+        x, y, k = self.num, other.num, self.cols
+        bound = _bound(lambda ma, mb: max(ma, 1) * max(mb, 1) * max(k, 1), (self, other))
+        dtype = _dtype_for(bound)
+        if dtype is object and self.den * other.den > 1:
+            # each row of x and column of y divided by its common factor
+            # with the denominator may still multiply in int64
+            g = np.gcd(np.gcd.reduce(x, axis=1), self.den).astype(object)[:, None]
+            h = np.gcd(np.gcd.reduce(y, axis=0), other.den).astype(object)
+            x, y = x // g, y // h
+            dtype = _dtype_for(max(_mag(x), 1) * max(_mag(y), 1) * max(k, 1))
+            c, bound = x.astype(dtype).dot(y.astype(dtype)).astype(object) * g * h, None
+        else:
+            c = x.astype(dtype, copy=False).dot(y.astype(dtype, copy=False))
+        return _of(self.field, c, self.den * other.den, bound)
 
     def kron(self, other):
         self._same_field(other)
+        x, y, bound = self.num, other.num, None
         if self.field.p is None:
-            return Matrix(self.field, _rational_kron(self.a, other.a))
-        return Matrix._wrap(self.field, _kron(self.a, other.a))
+            bound = _bound(lambda ma, mb: max(ma, 1) * max(mb, 1), (self, other))
+            dtype = _dtype_for(bound)
+            x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+        c = np.multiply.outer(x, y).transpose(0, 2, 1, 3)
+        c = c.reshape(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
+        return _of(self.field, c, self.den * other.den, bound)
 
     def transpose(self):
-        return Matrix(self.field, self.a.T.copy())
+        return _new(self.field, self.num.T.copy(), self.den, self._mag)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -320,7 +461,8 @@ class Matrix:
         return (
             self.field == other.field
             and self.shape == other.shape
-            and bool(np.array_equal(self.a, other.a))
+            and self.den == other.den
+            and bool(np.array_equal(self.num, other.num))
         )
 
     def __ne__(self, other):
@@ -328,7 +470,7 @@ class Matrix:
         return NotImplemented if eq is NotImplemented else not eq
 
     def is_zero(self):
-        return not np.any(self.a)
+        return not np.any(self.num)
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
@@ -338,8 +480,16 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns."""
         if self._rref is None:
-            r, piv = _rref_array(self.a, self.field)
-            object.__setattr__(self, "_rref", (Matrix(self.field, r), tuple(piv)))
+            r, den, piv = _rref_array(self.num, self.field)
+            if piv and self.field.p is not None:
+                r = _new(self.field, r)
+            elif piv:
+                r = _of(self.field, r, den)
+                _SET_VIEW(r, Fraction)
+            else:  # a zero matrix, returned as given
+                r = _new(self.field, self.num, 1, self._mag)
+                _SET_VIEW(r, self._view)
+            object.__setattr__(self, "_rref", (r, tuple(piv)))
         return self._rref
 
     def rank(self):
@@ -350,11 +500,10 @@ class Matrix:
         r, piv = self.rref()
         pivots = set(piv)
         free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((self.cols, len(free)), dtype=self.field.dtype)
-        basis[free, range(len(free))] = 1
-        neg = -r.a[: len(piv), free]
-        basis[list(piv)] = neg if self.field.p is None else neg % self.field.p
-        return Matrix(self.field, basis)
+        basis = np.zeros((self.cols, len(free)), dtype=r.num.dtype)
+        basis[free, range(len(free))] = r.den
+        basis[list(piv)] = -r.num[: len(piv), free]
+        return _of(self.field, basis, r.den)
 
     def solve(self, b):
         """Particular solution x of self @ x = b, or None if inconsistent.
@@ -365,13 +514,12 @@ class Matrix:
         self._same_field(b)
         if b.rows != self.rows:
             raise ValueError(f"rhs has {b.rows} rows, expected {self.rows}")
-        aug = np.concatenate([self.a, b.a], axis=1)
-        r, piv = _rref_array(aug, self.field)
+        r, den, piv = _rref_array(_concat([self, b], 1).num, self.field)
         if any(pc >= self.cols for pc in piv):
             return None
-        x = np.zeros((self.cols, b.cols), dtype=self.field.dtype)
+        x = np.zeros((self.cols, b.cols), dtype=r.dtype)
         x[piv] = r[: len(piv), self.cols :]
-        return Matrix(self.field, x)
+        return _of(self.field, x, den)
 
     def inverse(self):
         """Inverse of a square matrix, or None if singular."""
@@ -380,15 +528,121 @@ class Matrix:
         return self.solve(Matrix.identity(self.field, self.rows))
 
 
+def _dtype_for(bound):
+    return np.int64 if bound < _INT64_BOUND else object
+
+
+def _mag(num):
+    """max |n| over an integer array, 0 when it is empty."""
+    if not num.size:
+        return 0
+    if num.dtype == object:
+        flat = num.ravel().tolist()
+        return max(max(flat), -min(flat))
+    return int(np.abs(num).max())
+
+
+def _of(field, num, den=1, bound=None):
+    """The matrix num / den of an integer array num and a positive den
+    over Q, brought to canonical form; bound, if given, bounds max |num|.
+    Over GF(p), the matrix of the residues of num."""
+    if field.p is not None:
+        return _new(field, num % field.p)
+    if den != 1:
+        g = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
+        if g > 1:
+            num, den = num // g, den // g
+            bound = bound and bound // g
+    num, mag = _store(num, bound)
+    return _new(field, num, den, mag)
+
+
+def _new(field, num, den=1, mag=None):
+    """A Matrix of storage that is already canonical.  Its slots are set
+    through their descriptors, since Matrix refuses attribute assignment;
+    the view and the RREF come later."""
+    m = object.__new__(Matrix)
+    num.setflags(write=False)
+    _SET_FIELD(m, field)
+    _SET_NUM(m, num)
+    _SET_DEN(m, den)
+    _SET_MAG(m, mag)
+    _SET_VIEW(m, None)
+    _SET_RREF(m, None)
+    return m
+
+
+_SET_FIELD, _SET_NUM, _SET_DEN, _SET_MAG, _SET_VIEW, _SET_RREF = (
+    vars(Matrix)[name].__set__ for name in Matrix.__slots__
+)
+
+
+def _store(num, bound):
+    """An integer array in its storage dtype (int64 while every |n| < 2^62)
+    and a bound on max |n|: bound itself when it is below 2^62 and num is
+    int64, else the exact maximum."""
+    if bound is not None and bound < _INT64_BOUND and num.dtype == np.int64:
+        return num, bound
+    mag = _mag(num)
+    if (mag < _INT64_BOUND) != (num.dtype == np.int64):
+        num = num.astype(np.int64 if mag < _INT64_BOUND else object)
+    return num, mag
+
+
+def _bound(f, mats):
+    """f of the bounds _mag of the Q matrices mats.  If that reaches 2^62,
+    the bounds are first made exact (they may be loose), and f retried."""
+    bound = f(*(m._mag for m in mats))
+    if bound >= _INT64_BOUND:
+        for m in mats:
+            _SET_MAG(m, _mag(m.num))
+        bound = f(*(m._mag for m in mats))
+    return bound
+
+
+def _rationals(num, den, fractions):
+    """The Q array num / den as Python scalars: every entry a Fraction if
+    fractions, else ints when den is 1 and Fractions for the nonzero entries
+    otherwise."""
+    if den == 1 and not fractions:
+        return num.astype(object)
+    vals = [Fraction(n, den) if n or fractions else 0 for n in num.ravel().tolist()]
+    return np.array(vals, dtype=object).reshape(num.shape)
+
+
+def _dot_mod(x, y, p):
+    """x @ y mod p of two residue arrays.
+
+    An int64 product is reduced mod p after every _chunk(p) inner terms, so
+    no partial sum wraps.
+    """
+    step = _chunk(p)
+    if x.dtype == object or x.shape[1] <= step:
+        return x.dot(y) % p
+    out = x[:, :step].dot(y[:step]) % p
+    for s in range(step, x.shape[1], step):
+        out += x[:, s : s + step].dot(y[s : s + step]) % p
+    return out % p
+
+
+@functools.cache
+def _chunk(p):
+    """How many inner terms of an int64 product mod p cannot wrap: each is
+    at most (p - 1)^2."""
+    return (2**63 - 1) // max(p - 1, 1) ** 2
+
+
 def _rref_array(a, field):
-    """Reduced row echelon form of array a over field, and the pivot columns."""
+    """RREF of the integer array a over field: (r, den, pivot columns).
+
+    The RREF is r / den; den is 1 over GF(p), where r holds residues.  A
+    zero array has no pivots and is returned as given.
+    """
     p = field.p
     if p is None:
         return _rref_rational(a)
-    if p < _ELIM_PRIME_LIMIT:
-        r, pivots = _rref_mod(a.astype(np.int64), p)
-        return r.astype(field.dtype, copy=False), pivots
-    return _rref_mod(a.copy(), p)
+    r, pivots = _rref_mod(a.copy(), p)
+    return r, 1, pivots
 
 
 def _rref_mod(a, p):
@@ -435,33 +689,28 @@ def _rref_mod(a, p):
     return a, pivots
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 @functools.cache
 def _prime(i):
-    """The i-th prime below _ELIM_PRIME_LIMIT, counting down from the largest."""
-    q = _ELIM_PRIME_LIMIT - 1 if i == 0 else _prime(i - 1) - 2
+    """The i-th prime below _INT64_PRIME_LIMIT, counting down from the largest."""
+    q = _INT64_PRIME_LIMIT - 1 if i == 0 else _prime(i - 1) - 2
     while not _is_prime(q):
         q -= 2
     return q
 
 
-def _rref_rational(a):
-    """RREF over Q by elimination modulo primes, certified exactly.
+def _rref_rational(b):
+    """RREF over Q of the integer array b by elimination modulo primes,
+    certified exactly: (numerators, denominator, pivot columns).
 
-    Each row of a is scaled to integers (same RREF).  Among the primes
-    tried, those of the highest rank and, at that rank, of the
-    lexicographically first pivot list are kept; their RREFs are combined
-    by CRT and the entries right of the pivots rationally reconstructed.
-    A candidate is returned only once it passes the exact check of
-    _certified; otherwise one more prime is tried.
+    Among the primes tried, those of the highest rank and, at that rank,
+    of the lexicographically first pivot list are kept; their RREFs are
+    combined by CRT and the entries right of the pivots rationally
+    reconstructed.  A candidate is returned only once it passes the exact
+    check of _certified; otherwise one more prime is tried.
     """
-    b, _, _ = _integer_rows(a)
-    bmax = _max_abs(b)
-    b = np.array(b, dtype=_dtype_for(bmax)).reshape(a.shape)
+    bmax = _mag(b)
     if bmax == 0:
-        return a.copy(), []
+        return b, 1, []
     best = None
     for p in map(_prime, itertools.count()):
         rp, pivots = _rref_mod((b % p).astype(np.int64, copy=False), p)
@@ -487,98 +736,10 @@ def _rref_rational(a):
         block = np.array(num, dtype=_dtype_for(nmax)).reshape(len(pivots), free.size)
         if _certified(b, bmax * (den + len(pivots) * nmax), pivots, free, block, den):
             break
-    r = np.full(a.shape, _ZERO, dtype=object)
-    r[range(len(pivots)), pivots] = _ONE
-    r[: len(pivots), free] = np.array(
-        [Fraction(v, den) if v else _ZERO for v in num], dtype=object
-    ).reshape(block.shape)
-    return r, pivots
-
-
-def _dtype_for(bound):
-    return np.int64 if bound < 1 << 62 else object
-
-
-def _integer_rows(a):
-    """The entries of a as a flat list, row by row, with every row times
-    the lcm of its denominators; the row lcms; and whether every entry of
-    a is a Python int."""
-    flat = a.ravel().tolist()
-    ints = all(type(x) is int for x in flat)
-    if ints:
-        nums, lcms = flat, [1] * a.shape[0]
-    else:
-        k = a.shape[1]
-        dens = [x.denominator for x in flat]
-        lcms = [math.lcm(*dens[i : i + k]) for i in range(0, len(dens), k)]
-        nums = [
-            x.numerator * (lcms[i // k] // u)
-            for i, (x, u) in enumerate(zip(flat, dens))
-        ]
-    return nums, lcms, ints
-
-
-def _max_abs(nums):
-    """max |x| over a list of ints, 0 for an empty list."""
-    return max(max(nums), -min(nums)) if nums else 0
-
-
-def _rational_dot(a, b):
-    """a @ b over Q, from the rows of a and the columns of b scaled to integers.
-
-    The integer product runs in int64 when max|x| max|y| k < 2^62, which
-    bounds every sum of k entry products, and over Python ints otherwise.
-    Each of the three factors of the bound is taken as at least 1, so a
-    zero factor or k = 0 cannot let an unbounded other factor into int64.
-    Two factors of Python ints are multiplied as they are: that is exact
-    already, and on the small products where it occurs it costs less than
-    converting to int64 and back.
-    """
-    x, rden, xints = _integer_rows(a)
-    y, cden, yints = _integer_rows(b.T)
-    if xints and yints:
-        return a.dot(b)
-    bound = max(_max_abs(x), 1) * max(_max_abs(y), 1) * max(a.shape[1], 1)
-    dtype = _dtype_for(bound)
-    x = np.array(x, dtype=dtype).reshape(a.shape)
-    y = np.array(y, dtype=dtype).reshape(b.shape[::-1])
-    return _over(x.dot(y.T), rden, cden)
-
-
-def _rational_kron(a, b):
-    """The Kronecker product over Q, from the rows of a and b scaled to
-    integers; in int64 when max|x| max|y| < 2^62 (each at least 1)."""
-    x, xden, xints = _integer_rows(a)
-    y, yden, yints = _integer_rows(b)
-    if xints and yints:
-        return _kron(a, b)
-    dtype = _dtype_for(max(_max_abs(x), 1) * max(_max_abs(y), 1))
-    x = np.array(x, dtype=dtype).reshape(a.shape)
-    y = np.array(y, dtype=dtype).reshape(b.shape)
-    c = _kron(x, y)
-    return _over(c, [u * v for u in xden for v in yden], [1] * c.shape[1])
-
-
-def _kron(x, y):
-    """np.kron(x, y) of two matrices, as one outer product."""
-    c = np.multiply.outer(x, y).transpose(0, 2, 1, 3)
-    return c.reshape(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
-
-
-def _over(c, rden, cden):
-    """The Q array of c[i, j] / (rden[i] cden[j]) for an integer array c.
-
-    Zeros are the int 0.  When every denominator is 1 the entries are the
-    Python ints of c; otherwise each nonzero entry becomes a Fraction.
-    """
-    out = c.astype(object)
-    if max(rden, default=1) > 1 or max(cden, default=1) > 1:
-        i, j = c.nonzero()
-        out[i, j] = [
-            Fraction(v, rden[r] * cden[s])
-            for v, r, s in zip(c[i, j].tolist(), i.tolist(), j.tolist())
-        ]
-    return out
+    r = np.zeros(b.shape, dtype=_dtype_for(max(den, nmax)))
+    r[range(len(pivots)), pivots] = den
+    r[: len(pivots), free] = block
+    return r, den, pivots
 
 
 def _reconstruct(x, m):
@@ -623,38 +784,49 @@ def _certified(b, h, pivots, free, num, den):
     both sides in absolute value: the identity is tested in int64 when
     h < 2^62, and over Python ints otherwise.
     """
-    if h >= 1 << 62:
+    if h >= _INT64_BOUND:
         b, num = b.astype(object), num.astype(object)
     return bool((b[:, free] * den == b[:, pivots] @ num).all())
 
 
-def hstack(mats):
+def _common(mats, what):
+    """The field of mats, their common denominator, and each numerator
+    array brought to it (in one dtype)."""
     field = mats[0].field
     for m in mats[1:]:
         if m.field != field:
-            raise ValueError("field mismatch in hstack")
-    return Matrix(field, np.concatenate([m.a for m in mats], axis=1))
+            raise ValueError(f"field mismatch in {what}")
+    if field.p is not None:
+        return field, 1, None, [m.num for m in mats]
+    den = math.lcm(*(m.den for m in mats))
+    mag = _bound(lambda *mags: max(max(g, 1) * (den // m.den) for g, m in zip(mags, mats)), mats)
+    dtype = _dtype_for(mag)
+    nums = [m.num.astype(dtype, copy=False) for m in mats]
+    return field, den, mag, [x if m.den == den else x * (den // m.den) for x, m in zip(nums, mats)]
+
+
+def _concat(mats, axis):
+    field, den, mag, nums = _common(mats, "vstack" if axis == 0 else "hstack")
+    return _new(field, np.concatenate(nums, axis=axis), den, mag)
+
+
+def hstack(mats):
+    return _concat(mats, 1)
 
 
 def vstack(mats):
-    field = mats[0].field
-    for m in mats[1:]:
-        if m.field != field:
-            raise ValueError("field mismatch in vstack")
-    return Matrix(field, np.concatenate([m.a for m in mats], axis=0))
+    return _concat(mats, 0)
 
 
 def block_diag(mats):
-    field = mats[0].field
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    a = np.zeros((rows, cols), dtype=field.dtype)
+    field, den, mag, nums = _common(mats, "block_diag")
+    a = np.zeros((sum(m.rows for m in mats), sum(m.cols for m in mats)), dtype=nums[0].dtype)
     r = c = 0
-    for m in mats:
-        a[r : r + m.rows, c : c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return Matrix(field, a)
+    for x in nums:
+        a[r : r + x.shape[0], c : c + x.shape[1]] = x
+        r += x.shape[0]
+        c += x.shape[1]
+    return _new(field, a, den, mag)
 
 
 def kron_all(field, mats, empty_dim=1):

@@ -420,3 +420,21 @@ def test_json_check_iso_rational_witness(tmp_path, capsys):
     assert report["diagram"]["tag"] == "multiplicative"
     assert report["diagram"]["lhs"] == [["1/2"], [0]]
     assert report["diagram"]["rhs"] == [["1/4"], [0]]
+
+
+def test_text_witnesses_print_the_json_tokens(tmp_path, capsys):
+    # on the line with e e = e/2, R = 1/3 and S = 1/5 the first operator
+    # equation fails: R(e)R(e) = 1/18 e, R(R(e)e + e S(e)) = 4/45 e
+    from rbsys import QQ, Algebra, Matrix, RotaBaxterSystem
+
+    line = Algebra(QQ, 1, [[["1/2"]]])
+    sys = RotaBaxterSystem(line, Matrix.from_rows(QQ, [["1/3"]]), Matrix.from_rows(QQ, [["1/5"]]))
+    path = tmp_path / "line.json"
+    docs.dump(docs.serialize_system(sys), path)
+    assert main(["validate", str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)["checks"]["system_axioms"]
+    assert (report["lhs"], report["rhs"]) == ([["1/18"]], [["4/45"]])
+    assert main(["validate", str(path)]) == 1
+    text = capsys.readouterr().out
+    assert "lhs=[[1/18]] rhs=[[4/45]]" in text
+    assert "Fraction" not in text

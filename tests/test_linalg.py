@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsys import GF, QQ, Matrix, rbs_d, regular_bimodule
-from rbsys.linalg import Field, hstack
+from rbsys.linalg import Field, block_diag, hstack, vstack
 
 from instances import random_matrix, triangular_system
 from oracles import sympy_rref
@@ -434,3 +435,105 @@ def test_prime_field_kron_matches_numpy(p):
         assert got.shape == want.shape
         assert got.entries() == want.tolist()
         assert got.a.dtype == field.dtype
+
+
+# -- integer storage: numerators over one denominator, int64 residues ---------
+
+
+def test_column_of_no_entries_is_one_column_wide():
+    for field in (QQ, GF(5), GF(2147483659)):
+        assert Matrix.column(field, []).shape == (0, 1)
+        assert Matrix.column(field, [1, 2]).shape == (2, 1)
+
+
+def _assert_canonical(m):
+    """A Q Matrix stores num / den with den > 0 and gcd(num, den) = 1, and
+    int64 numerators only while every |n| < 2^62."""
+    assert m.den > 0
+    assert math.gcd(int(np.gcd.reduce(m.num, axis=None)), m.den) == 1
+    if m.num.dtype == np.int64:
+        assert all(abs(x) < 2**62 for row in m.num.tolist() for x in row)
+    else:
+        assert m.num.dtype == object
+
+
+@st.composite
+def _rational_operands(draw):
+    """Factors a, b of _rational_factors, and c of a's shape whose entries
+    are those of a second draw, cycled."""
+    a, b = draw(_rational_factors())
+    pool = [x for m in draw(_rational_factors()) for row in m.entries() for x in row] or [0]
+    cycled = [[pool[(i * a.cols + j) % len(pool)] for j in range(a.cols)] for i in range(a.rows)]
+    return a, b, (Matrix.from_rows(QQ, cycled) if a.rows else Matrix.zeros(QQ, 0, a.cols))
+
+
+def _block_diag_fractions(x, y):
+    out = np.full((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), Fraction(0), dtype=object)
+    out[: x.shape[0], : x.shape[1]] = x
+    out[x.shape[0] :, x.shape[1] :] = y
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(operands=_rational_operands())
+def test_rational_arithmetic_matches_fraction_arithmetic(operands):
+    a, b, c = operands
+    fa, fb, fc = _fractions(a), _fractions(b), _fractions(c)
+    results = [
+        (a + c, fa + fc),
+        (a - c, fa - fc),
+        (-a, -fa),
+        (a.transpose(), fa.T),
+        (hstack([a, c]), np.concatenate([fa, fc], axis=1)),
+        (vstack([a, c]), np.concatenate([fa, fc], axis=0)),
+        (block_diag([a, b]), _block_diag_fractions(fa, fb)),
+        (a @ b, np.dot(fa, fb)),
+        (a.kron(b), np.kron(fa, fb)),
+    ]
+    for s in (0, -1, Fraction(3, 7), 2**62 + 1, Fraction(-(2**40), 3)):
+        results.append((a.scale(s), fa * s))
+    for got, want in results:
+        _assert_exact(got, want)
+        _assert_canonical(got)
+    assert (a + c) - c == a
+    assert (a - a).is_zero() and (a - a).den == 1
+    if a.rows and a.cols:
+        _assert_matches_oracle(a, c)
+        x = a.solve(a @ b)
+        assert x is not None and a @ x == a @ b
+        _assert_canonical(x)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 4294967311])
+def test_prime_field_products_match_python_ints(p):
+    # int64 below 2^31 reduces every _chunk(p) inner terms (2 for 2^31 - 1);
+    # 4294967311 stores Python ints
+    from rbsys.linalg import _chunk
+
+    field = GF(p)
+    rng = random.Random(p)
+    if p < 2**31:
+        assert _chunk(p) == 2
+    for inner in (1, 2, 3, 5, 64):
+        # entries near p - 1, the worst case for a sum of products
+        a = [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(inner)] for _ in range(3)]
+        b = [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(4)] for _ in range(inner)]
+        got = Matrix.from_rows(field, a) @ Matrix.from_rows(field, b)
+        want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+        assert got.entries() == want
+        assert got.num.dtype == field.dtype
+        kron = Matrix.from_rows(field, a).kron(Matrix.from_rows(field, b))
+        assert kron.entries() == [[x * y % p for x in ra for y in rb] for ra in a for rb in b]
+
+
+def test_fraction_view_types():
+    # a matrix built from Python scalars keeps them; arithmetic results read
+    # as ints where the denominator is 1 and Fractions elsewhere
+    given = Matrix.from_rows(QQ, [[Fraction(4, 2), 3], [Fraction(1, 2), 0]])
+    assert [type(x) for row in given.entries() for x in row] == [Fraction, int, Fraction, int]
+    assert (given.den, given.num.tolist()) == (2, [[4, 6], [1, 0]])
+    doubled = given.scale(2)
+    assert doubled.entries() == [[4, 6], [1, 0]]
+    assert all(type(x) is int for row in doubled.entries() for x in row)
+    assert [type(x) for x in given.scale(Fraction(1, 3)).entries()[1]] == [Fraction, int]
