@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,29 @@ def test_scatter_slices_match_naive_evaluation_in_degree_3(field):
             _check_delta(sys, mod, n, rng)
             _check_partial(sys, mod, n, rng)
             _check_phi(sys, mod, n, rng)
+
+
+def test_scatter_slices_with_numerators_beyond_int64():
+    # the triangular pair scrambled by rational base changes whose
+    # numerators pass 2^62, with mixed denominators: the slices are summed
+    # over Python ints
+    rng = random.Random(7)
+
+    def base_change():
+        scalars = [0, 1, -(2**62) + 3, Fraction(2**61 + 5, 3), Fraction(2**61 + 1, 2**35)]
+        while True:
+            m = Matrix.from_rows(QQ, [[rng.choice(scalars) for _ in range(3)] for _ in range(3)])
+            if m.rank() == 3:
+                return m
+
+    tri = triangular_system(QQ, 2, -1)
+    p, q = base_change(), base_change()
+    sys, mod = conjugate_system(tri, p), conjugate_bimodule(regular_bimodule(tri), p, q)
+    assert mod.RM.num.dtype == object
+    for n in range(3):
+        _check_delta(sys, mod, n, rng)
+        _check_partial(sys, mod, n, rng)
+        _check_phi(sys, mod, n, rng)
 
 
 def test_phi_zero_operators():
