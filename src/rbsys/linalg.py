@@ -312,24 +312,21 @@ class Matrix:
         """All entries as Python scalars, row-major nested lists."""
         return self.a.tolist()
 
-    def _part(self, num):
-        """The matrix of some entries of self, num taken from self.num."""
+    def take(self, r0, r1, c0, c1):
+        """Rows r0:r1 and columns c0:c1, sharing storage with self."""
+        num = self.num[r0:r1, c0:c1]
         if self.field.p is not None:
             return _new(self.field, num)
         return _of(self.field, num, self.den, self._mag)
 
-    def take(self, r0, r1, c0, c1):
-        """Rows r0:r1 and columns c0:c1, sharing storage with self."""
-        return self._part(self.num[r0:r1, c0:c1])
-
     def col(self, j):
-        return self._part(self.num[:, j : j + 1].copy())
+        return self.take(None, None, j, j + 1)
 
     def take_rows(self, start, stop):
-        return self._part(self.num[start:stop, :].copy())
+        return self.take(start, stop, None, None)
 
     def take_cols(self, start, stop):
-        return self._part(self.num[:, start:stop].copy())
+        return self.take(None, None, start, stop)
 
     def reshape(self, rows, cols):
         """The same entries, row-major, as a rows x cols matrix."""
@@ -353,7 +350,7 @@ class Matrix:
         if field.p is None:
             mats = [x for x, *_ in terms] + ([] if base is None else [base])
             den = math.lcm(*(x.den for x in mats))
-            bound = _bound(lambda *mags: sum(max(g, 1) * (den // x.den) for g, x in zip(mags, mats)), mats)
+            bound = sum(max(x._mag, 1) * (den // x.den) for x in mats)
             dtype = _dtype_for(bound)
         if base is None:
             out = np.zeros(shape, dtype=dtype)
@@ -392,7 +389,7 @@ class Matrix:
         else:
             den = math.lcm(self.den, other.den)
             u, v = den // self.den, den // other.den
-            bound = _bound(lambda ma, mb: max(ma, 1) * u + max(mb, 1) * v, (self, other))
+            bound = max(self._mag, 1) * u + max(other._mag, 1) * v
             dtype = _dtype_for(bound)
             x, y = x.astype(dtype) * u, y.astype(dtype) * v
         return _of(self.field, op(x, y), den, bound)
@@ -413,7 +410,7 @@ class Matrix:
         if self.field.p is not None:
             return _of(self.field, self.num * c)
         n, d = c.numerator, c.denominator
-        bound = _bound(lambda mag: max(mag, 1) * max(abs(n), 1), (self,))
+        bound = max(self._mag, 1) * max(abs(n), 1)
         num = self.num.astype(_dtype_for(bound), copy=False) * n
         return _of(self.field, num, self.den * d, bound)
 
@@ -427,13 +424,14 @@ class Matrix:
         # is taken as at least 1, so a zero factor or k = 0 cannot let an
         # unbounded other factor into int64
         x, y, k = self.num, other.num, self.cols
-        bound = _bound(lambda ma, mb: max(ma, 1) * max(mb, 1) * max(k, 1), (self, other))
+        bound = max(self._mag, 1) * max(other._mag, 1) * max(k, 1)
         dtype = _dtype_for(bound)
         if dtype is object and self.den * other.den > 1:
             # each row of x and column of y divided by its common factor
-            # with the denominator may still multiply in int64
-            g = np.gcd(np.gcd.reduce(x, axis=1), self.den).astype(object)[:, None]
-            h = np.gcd(np.gcd.reduce(y, axis=0), other.den).astype(object)
+            # with the denominator may still multiply in int64; the gcds
+            # run over Python ints, since a denominator may pass int64
+            g = np.gcd(np.gcd.reduce(x, axis=1).astype(object), self.den)[:, None]
+            h = np.gcd(np.gcd.reduce(y, axis=0).astype(object), other.den)
             x, y = x // g, y // h
             dtype = _dtype_for(max(_mag(x), 1) * max(_mag(y), 1) * max(k, 1))
             c, bound = x.astype(dtype).dot(y.astype(dtype)).astype(object) * g * h, None
@@ -445,7 +443,7 @@ class Matrix:
         self._same_field(other)
         x, y, bound = self.num, other.num, None
         if self.field.p is None:
-            bound = _bound(lambda ma, mb: max(ma, 1) * max(mb, 1), (self, other))
+            bound = max(self._mag, 1) * max(other._mag, 1)
             dtype = _dtype_for(bound)
             x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
         c = np.multiply.outer(x, y).transpose(0, 2, 1, 3)
@@ -549,8 +547,12 @@ def _of(field, num, den=1, bound=None):
     if field.p is not None:
         return _new(field, num % field.p)
     if den != 1:
+        # g is at most max |n| unless num is zero, where it is den, which
+        # may not fit the int64 of num; a zero matrix is zero over 1
         g = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
-        if g > 1:
+        if g == den and not num.any():
+            den = 1
+        elif g > 1:
             num, den = num // g, den // g
             bound = bound and bound // g
     num, mag = _store(num, bound)
@@ -587,17 +589,6 @@ def _store(num, bound):
     if (mag < _INT64_BOUND) != (num.dtype == np.int64):
         num = num.astype(np.int64 if mag < _INT64_BOUND else object)
     return num, mag
-
-
-def _bound(f, mats):
-    """f of the bounds _mag of the Q matrices mats.  If that reaches 2^62,
-    the bounds are first made exact (they may be loose), and f retried."""
-    bound = f(*(m._mag for m in mats))
-    if bound >= _INT64_BOUND:
-        for m in mats:
-            _SET_MAG(m, _mag(m.num))
-        bound = f(*(m._mag for m in mats))
-    return bound
 
 
 def _rationals(num, den, fractions):
@@ -799,7 +790,7 @@ def _common(mats, what):
     if field.p is not None:
         return field, 1, None, [m.num for m in mats]
     den = math.lcm(*(m.den for m in mats))
-    mag = _bound(lambda *mags: max(max(g, 1) * (den // m.den) for g, m in zip(mags, mats)), mats)
+    mag = max(max(m._mag, 1) * (den // m.den) for m in mats)
     dtype = _dtype_for(mag)
     nums = [m.num.astype(dtype, copy=False) for m in mats]
     return field, den, mag, [x if m.den == den else x * (den // m.den) for x, m in zip(nums, mats)]
@@ -807,7 +798,7 @@ def _common(mats, what):
 
 def _concat(mats, axis):
     field, den, mag, nums = _common(mats, "vstack" if axis == 0 else "hstack")
-    return _new(field, np.concatenate(nums, axis=axis), den, mag)
+    return _stacked(field, np.concatenate(nums, axis=axis), den, mag)
 
 
 def hstack(mats):
@@ -826,6 +817,14 @@ def block_diag(mats):
         a[r : r + x.shape[0], c : c + x.shape[1]] = x
         r += x.shape[0]
         c += x.shape[1]
+    return _stacked(field, a, den, mag)
+
+
+def _stacked(field, a, den, mag):
+    """The matrix a / den of canonical parts placed in one array a, where
+    mag bounds max |a|; over Q a is brought to its storage dtype."""
+    if field.p is None:
+        a, mag = _store(a, mag)
     return _new(field, a, den, mag)
 
 

@@ -448,13 +448,11 @@ def test_column_of_no_entries_is_one_column_wide():
 
 def _assert_canonical(m):
     """A Q Matrix stores num / den with den > 0 and gcd(num, den) = 1, and
-    int64 numerators only while every |n| < 2^62."""
+    int64 numerators exactly while every |n| < 2^62."""
     assert m.den > 0
     assert math.gcd(int(np.gcd.reduce(m.num, axis=None)), m.den) == 1
-    if m.num.dtype == np.int64:
-        assert all(abs(x) < 2**62 for row in m.num.tolist() for x in row)
-    else:
-        assert m.num.dtype == object
+    small = all(abs(x) < 2**62 for row in m.num.tolist() for x in row)
+    assert m.num.dtype == (np.int64 if small else object)
 
 
 @st.composite
@@ -493,6 +491,17 @@ def test_rational_arithmetic_matches_fraction_arithmetic(operands):
     ]
     for s in (0, -1, Fraction(3, 7), 2**62 + 1, Fraction(-(2**40), 3)):
         results.append((a.scale(s), fa * s))
+    # a denominator past int64 over numerators that may still be int64
+    t = Fraction(1, 3**41)
+    tiny, ft = a.scale(t), fa * t
+    results += [
+        (tiny - tiny, ft - ft),
+        (tiny.scale(0), ft * 0),
+        (tiny @ b, np.dot(ft, fb)),
+        (tiny.kron(b), np.kron(ft, fb)),
+        (b.kron(tiny), np.kron(fb, ft)),
+        (hstack([c, tiny]), np.concatenate([fc, ft], axis=1)),
+    ]
     for got, want in results:
         _assert_exact(got, want)
         _assert_canonical(got)
@@ -503,6 +512,32 @@ def test_rational_arithmetic_matches_fraction_arithmetic(operands):
         x = a.solve(a @ b)
         assert x is not None and a @ x == a @ b
         _assert_canonical(x)
+
+
+def test_int64_numerators_over_a_denominator_past_int64():
+    # products multiply denominators, so int64 numerators can sit over a
+    # denominator of 2^63 or more; a zero result is zero over 1
+    t = Fraction(1, 3**20)
+    x, y = Matrix.from_rows(QQ, [[t, 0]]), Matrix.from_rows(QQ, [[0], [t]])
+    a = x.kron(Matrix.from_rows(QQ, [[t, 2]]))
+    assert a.num.dtype == np.int64 and a.den == 3**40 > 2**63
+    huge = Matrix.column(QQ, [2**62 + 5, 1, Fraction(1, 2**64), -3])
+    zero = Matrix.zeros(QQ, 2, 2)
+    fa, fhuge, fzero = _fractions(a), _fractions(huge), _fractions(zero)
+    cases = [
+        (x @ y, np.dot(_fractions(x), _fractions(y))),
+        (a - a, fa - fa),
+        (a.scale(0), fa * 0),
+        (a.kron(zero), np.kron(fa, fzero)),
+        (zero.kron(a), np.kron(fzero, fa)),
+        (a.take(0, 1, 2, 4), fa[:, 2:4]),
+        (a @ huge, np.dot(fa, fhuge)),  # max|x| max|y| k passes 2^62
+        (huge.transpose() @ a.transpose(), np.dot(fhuge.T, fa.T)),
+    ]
+    for got, want in cases:
+        _assert_exact(got, want)
+        _assert_canonical(got)
+    assert (a - a).den == 1 and (a - a).num.dtype == np.int64
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 4294967311])
