@@ -207,7 +207,9 @@ class BimoduleActions:
     right[u][i][v]: coefficient of f_v in f_u . e_i
     """
 
-    __slots__ = ("field", "adim", "dim", "left", "right")
+    __slots__ = (
+        "field", "adim", "dim", "left", "right", "_left_matrix", "_right_matrix", "_right_slices"
+    )
 
     def __init__(self, field, adim, dim, left, right):
         self.field = field
@@ -215,14 +217,19 @@ class BimoduleActions:
         self.dim = dim
         self.left = _tensor3(field, left, (adim, dim, dim))
         self.right = _tensor3(field, right, (dim, adim, dim))
+        self._left_matrix = self._right_matrix = self._right_slices = None
 
     def left_matrix(self):
         """Action A (x) M -> M as an m x (d m) matrix."""
-        return tensor_matrix(self.field, self.left)
+        if self._left_matrix is None:
+            self._left_matrix = tensor_matrix(self.field, self.left)
+        return self._left_matrix
 
     def right_matrix(self):
         """Action M (x) A -> M as an m x (m d) matrix."""
-        return tensor_matrix(self.field, self.right)
+        if self._right_matrix is None:
+            self._right_matrix = tensor_matrix(self.field, self.right)
+        return self._right_matrix
 
     def stacked_left(self):
         """(m d) x m matrix with block row (v, i) built from left[i][u][v]."""
@@ -231,7 +238,11 @@ class BimoduleActions:
 
     def right_slices(self):
         """For each basis index j of A, the m x m matrix of . e_j."""
-        return [Matrix(self.field, self.right[:, j, :].T.copy()) for j in range(self.adim)]
+        if self._right_slices is None:
+            self._right_slices = tuple(
+                Matrix(self.field, self.right[:, j, :].T.copy()) for j in range(self.adim)
+            )
+        return self._right_slices
 
     def act_left(self, a_col, m_col):
         return self.left_matrix() @ a_col.kron(m_col)

@@ -26,22 +26,29 @@ sum brings both numerator arrays to the lcm of the denominators, and a
 product (``@``, ``kron``) multiplies numerators and denominators; the
 result is brought back to canonical form.  Each runs in int64 when a bound
 on every result is below 2^62, and over Python ints otherwise; for ``@``
-with inner dimension k the bound is max|x| max|y| k, each of the three
-factors taken as at least 1.  When that bound fails, each row of the left
-factor and each column of the right one is first divided by its common
-factor with the denominator, and the smaller product may still run in
-int64.  Over GF(p) an int64 product reduces mod p after every
-floor((2^63 - 1) / (p - 1)^2) inner terms, the delayed reduction of Dumas,
-Giorgi and Pernet (FFLAS-FFPACK), so int64 is exact for every p < 2^31.
-Every ``kron`` is one outer product of the two arrays.
+with inner dimension k the bound is max|x| max|y| k over the stored
+numerators, each of the three factors taken as at least 1.  Over GF(p) a
+product of inner dimension k runs in float64 BLAS when k (p - 1)^2 < 2^53
+and the product is large enough to pay for the conversions: the residues
+are non-negative, so every partial sum, in whatever order BLAS adds, is an
+integer of at most k (p - 1)^2 and exact in float64.  No entry is ever a
+float; float64 holds only these exact integers inside a product.  Other
+int64 products reduce mod p after every floor((2^63 - 1) / (p - 1)^2)
+inner terms.  Both are the delayed reduction of Dumas, Giorgi and Pernet
+(FFLAS-FFPACK), and int64 is exact for every p < 2^31.  Every ``kron`` is
+one outer product of the two arrays.
 
 One kernel, ``_rref_array``, does every elimination (rref, rank,
 kernel_basis, solve, inverse) on the stored integer array, on one of two
 paths:
 
-* GF(p): Gauss-Jordan elimination mod p.  For p < 2^31 it runs in int64,
-  which is exact because a product of two residues stays below 2^62; larger
-  primes run the same code on Python ints.
+* GF(p): elimination mod p, in int64 for p < 2^31 (a product of two
+  residues stays below 2^62) and on Python ints above.  A matrix of fewer
+  than two blocks of rows runs Gauss-Jordan elimination one pivot at a
+  time.  A taller one is reduced block by block against the RREF of the
+  rows before the block, with two products per block in place of one
+  rank-one update per pivot and row (see ``_rref_mod``); the RREF of a row
+  space is unique, so both give the same array.
 * Q: elimination modulo primes, then an exact certificate.  The numerator
   array B has the same RREF as the matrix.  B is reduced modulo primes below
   2^31, largest first; the primes of the highest rank r and, at that rank,
@@ -79,6 +86,22 @@ _INT64_BOUND = 1 << 62
 # mod p, and updating the whole array beats updating only the rows that
 # change; timed crossover (int64, GF(5)): between 256 and 900 entries.
 _WHOLE_UPDATE_SIZE = 256
+# A matrix of at least two blocks of this many rows is reduced mod p block
+# by block (see _rref_mod).  Timed against one pivot at a time on every
+# elimination input of the benchmark workloads (GF(2), GF(5), GF(40009)
+# and the primes near 2^31; a 2-vCPU Xeon, one BLAS thread): blocks of 32,
+# 48 or 64 rows are within 5 % of each other in total; a 1536 x 384 GF(5)
+# slice takes 37 ms against 700 ms, 243-405 rows take 2-3x less, 100-200
+# rows about the same, and 81 rows 5-15 % more, so the cut-over is two
+# blocks.
+_BLOCK_ROWS = 48
+# A product mod p runs in float64 BLAS when m k n >= _FLOAT_RATIO (m k + k n
+# + m n): the multiply-adds outnumber the entries converted to and from
+# float64 by that factor.  Timed on the same machine (GF(5), GF(40009)):
+# above 3.5 float64 is 1.5-15x faster, below 1 it is about 2x slower; 3 x 3
+# x 3 takes 2.0 us in int64 and 3.7 us in float64, 405 x 135 x 135 8.0 ms
+# and 0.9 ms.
+_FLOAT_RATIO = 4
 
 
 # Miller-Rabin on the primes up to 41 is deterministic below this bound
@@ -423,20 +446,9 @@ class Matrix:
         # max|x| max|y| k bounds every sum of k entry products; each factor
         # is taken as at least 1, so a zero factor or k = 0 cannot let an
         # unbounded other factor into int64
-        x, y, k = self.num, other.num, self.cols
-        bound = max(self._mag, 1) * max(other._mag, 1) * max(k, 1)
+        bound = max(self._mag, 1) * max(other._mag, 1) * max(self.cols, 1)
         dtype = _dtype_for(bound)
-        if dtype is object and self.den * other.den > 1:
-            # each row of x and column of y divided by its common factor
-            # with the denominator may still multiply in int64; the gcds
-            # run over Python ints, since a denominator may pass int64
-            g = np.gcd(np.gcd.reduce(x, axis=1).astype(object), self.den)[:, None]
-            h = np.gcd(np.gcd.reduce(y, axis=0).astype(object), other.den)
-            x, y = x // g, y // h
-            dtype = _dtype_for(max(_mag(x), 1) * max(_mag(y), 1) * max(k, 1))
-            c, bound = x.astype(dtype).dot(y.astype(dtype)).astype(object) * g * h, None
-        else:
-            c = x.astype(dtype, copy=False).dot(y.astype(dtype, copy=False))
+        c = self.num.astype(dtype, copy=False).dot(other.num.astype(dtype, copy=False))
         return _of(self.field, c, self.den * other.den, bound)
 
     def kron(self, other):
@@ -604,16 +616,31 @@ def _rationals(num, den, fractions):
 def _dot_mod(x, y, p):
     """x @ y mod p of two residue arrays.
 
-    An int64 product is reduced mod p after every _chunk(p) inner terms, so
-    no partial sum wraps.
+    With inner size k, the product runs in float64 (_dot_float) when k (p -
+    1)^2 < 2^53 and it is large enough for BLAS to pay off.  Otherwise an
+    int64 product is reduced mod p after every _chunk(p) inner terms, so no
+    partial sum wraps.
     """
+    m, k = x.shape
+    n = y.shape[1]
+    if x.dtype == object:
+        return x.dot(y) % p
+    if 0 < k <= _float_inner(p) and m * k * n >= _FLOAT_RATIO * (m * k + k * n + m * n):
+        return _dot_float(x, y, p)
     step = _chunk(p)
-    if x.dtype == object or x.shape[1] <= step:
+    if k <= step:
         return x.dot(y) % p
     out = x[:, :step].dot(y[:step]) % p
-    for s in range(step, x.shape[1], step):
+    for s in range(step, k, step):
         out += x[:, s : s + step].dot(y[s : s + step]) % p
     return out % p
+
+
+def _dot_float(x, y, p):
+    """x @ y mod p through float64 for k (p - 1)^2 < 2^53: the residues are
+    non-negative, so every partial sum of every order of summation is an
+    integer of at most k (p - 1)^2, which float64 holds exactly."""
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
 
 
 @functools.cache
@@ -621,6 +648,13 @@ def _chunk(p):
     """How many inner terms of an int64 product mod p cannot wrap: each is
     at most (p - 1)^2."""
     return (2**63 - 1) // max(p - 1, 1) ** 2
+
+
+@functools.cache
+def _float_inner(p):
+    """The largest inner size k of a product mod p that float64 holds
+    exactly, k (p - 1)^2 < 2^53; 0 when one product (p - 1)^2 reaches 2^53."""
+    return (2**53 - 1) // max(p - 1, 1) ** 2
 
 
 def _rref_array(a, field):
@@ -639,13 +673,60 @@ def _rref_array(a, field):
 def _rref_mod(a, p):
     """RREF over GF(p) of a (entries in [0, p)), and the pivot columns.
 
-    a is int64 for p < 2^31, where every product of two residues stays
-    below 2^62, and holds Python ints otherwise; it is used as scratch, so
-    the result is the returned array.  On a matrix of more than
-    _WHOLE_UPDATE_SIZE entries a pivot step touches only the rows with a
-    nonzero entry in the pivot column, and only the columns from the pivot
-    on (the pivot row is zero left of it); on a smaller one it updates the
-    whole array, which there costs less than gathering and scattering rows.
+    a is int64 for p < 2^31 and holds Python ints otherwise; it is used as
+    scratch, and the result is written into it.  A matrix of fewer than two
+    blocks of _BLOCK_ROWS rows goes to _gauss_jordan whole.  A taller one is
+    reduced one block of rows at a time.  The top rows of a hold the RREF R
+    of the rows before the block, with pivot columns P (R has no more rows
+    than it has seen).  A block X is reduced against R by one product, Y =
+    X - X[:, P] R, which is zero on P; _gauss_jordan reduces Y on the other
+    columns to rows R_Y with pivots P_Y; one more product, R - R[:, P_Y]
+    R_Y, clears R on P_Y, and R_Y joins R.  R is then the RREF of the rows
+    seen up to the order of its rows, which are sorted by pivot at the end.
+    The RREF of a row space is unique, so the result is the array and the
+    pivots that _gauss_jordan gives on the whole matrix.
+    """
+    nrows, ncols = a.shape
+    if nrows < 2 * _BLOCK_ROWS:
+        return _gauss_jordan(a, p)
+    pivots = []  # the pivot column of each row of R = a[:len(pivots)]
+    free = np.ones(ncols, dtype=bool)
+    for s in range(0, nrows, _BLOCK_ROWS):
+        r, x = len(pivots), a[s : s + _BLOCK_ROWS]
+        y = x[:, free]
+        if r:
+            y -= _dot_mod(x[:, pivots], a[:r, free], p)
+            y %= p
+        # Y's zero rows add nothing, and its zero columns stay zero
+        rows, used = y.any(axis=1), y.any(axis=0)
+        if not used.any():
+            continue
+        y, new = _gauss_jordan(y[np.ix_(rows, used)], p)
+        cols = free.nonzero()[0][used]
+        k, found = len(new), cols[new]
+        if r:
+            a[:r, cols] = (a[:r, cols] - _dot_mod(a[:r, found], y[:k], p)) % p
+        a[r : r + k] = 0
+        a[r : r + k, cols] = y[:k]
+        pivots += found.tolist()
+        free[found] = False
+        if r + k == ncols:
+            break
+    r = len(pivots)
+    a[:r] = a[np.argsort(pivots)]
+    a[r:] = 0
+    return a, sorted(pivots)
+
+
+def _gauss_jordan(a, p):
+    """RREF over GF(p) of a, and the pivot columns, by Gauss-Jordan
+    elimination one pivot at a time; a is used as scratch.
+
+    On a matrix of more than _WHOLE_UPDATE_SIZE entries a pivot step
+    touches only the rows with a nonzero entry in the pivot column, and only
+    the columns from the pivot on (the pivot row is zero left of it); on a
+    smaller one it updates the whole array, which there costs less than
+    gathering and scattering rows.
     """
     nrows, ncols = a.shape
     pivots = []

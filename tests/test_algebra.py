@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 import pytest
 
 from rbsys import (
@@ -128,3 +130,16 @@ def test_regular_actions_match_multiplication():
     b = Matrix.column(QQ, [0, 1, 3])
     assert acts.act_left(a, b) == tri.multiply(a, b)
     assert acts.act_right(a, b) == tri.multiply(a, b)
+
+
+def test_action_matrices_are_built_once():
+    # the actions are immutable, so their matrices are built on first use
+    # and every later call returns the same object
+    acts = regular_actions(triangular_algebra(QQ))
+    assert acts.left_matrix() is acts.left_matrix()
+    assert acts.right_matrix() is acts.right_matrix()
+    assert acts.right_slices() is acts.right_slices()
+    assert np.shares_memory(acts.stacked_left().num, acts.left_matrix().num)
+    d = acts.adim
+    for j, cj in enumerate(acts.right_slices()):
+        assert cj.entries() == [[acts.right[u, j, v] for u in range(d)] for v in range(d)]

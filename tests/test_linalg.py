@@ -230,6 +230,65 @@ def test_elimination_above_the_whole_update_size_matches_sympy(field):
     _assert_matches_oracle(m, sparse(20, 2))
 
 
+def _tall_cases(field, block):
+    """Matrices of at least two row blocks, each with a right-hand side."""
+    rng = random.Random(block)
+
+    def low_rank(rows, cols, rank):
+        return random_matrix(field, rows, rank, rng) @ random_matrix(field, rank, cols, rng)
+
+    # rows of pivots 1, 2, 3 and nonzero entries right of them
+    basis = hstack([Matrix.identity(field, 3), Matrix.from_rows(field, [[1, 2, 1, 1, 3, 1]] * 3)])
+    spanned = random_matrix(field, 3 * block, 3, rng) @ basis
+    zero_first = hstack([Matrix.zeros(field, 3 * block, 1), spanned])
+    cases = {
+        # rank block + 7, so the second block adds pivots, and a last block
+        # of 7 rows
+        "ragged": low_rank(2 * block + 7, block + 12, block + 7),
+        # column 0 is zero and column 4 off the pivots until the last block,
+        # whose rows take both as pivots; R must be cleared on column 4 and
+        # its rows put back in pivot order
+        "late_pivot": vstack([zero_first, random_matrix(field, 5, 10, rng)]),
+        "zero_block": vstack(
+            [low_rank(block, 10, 4), Matrix.zeros(field, block, 10), low_rank(block + 3, 10, 6)]
+        ),
+        # full column rank in the first block; the rows after it are left over
+        "full_rank_early": vstack(
+            [random_matrix(field, block, 9, rng), low_rank(2 * block + 1, 9, 5)]
+        ),
+    }
+    return {name: (m, random_matrix(field, m.rows, 2, rng)) for name, m in cases.items()}
+
+
+@pytest.mark.parametrize("case", ["ragged", "late_pivot", "zero_block", "full_rank_early"])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_blocked_elimination_matches_sympy(monkeypatch, field, case):
+    # a matrix of two or more blocks of _BLOCK_ROWS rows is reduced block by
+    # block, and no Gauss-Jordan step sees more than one block; over Q each
+    # prime of the multimodular RREF takes the blocked path
+    from rbsys import linalg
+
+    seen = []
+    gauss_jordan = linalg._gauss_jordan
+
+    def spy(a, p):
+        seen.append(a.shape[0])
+        return gauss_jordan(a, p)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    m, b = _tall_cases(field, linalg._BLOCK_ROWS)[case]
+    assert m.rows >= 2 * linalg._BLOCK_ROWS and m.rows % linalg._BLOCK_ROWS
+    _assert_matches_oracle(m, b)
+    assert seen and max(seen) <= linalg._BLOCK_ROWS
+    if case == "late_pivot":
+        assert m.take_rows(0, 3 * linalg._BLOCK_ROWS).rref()[1] == (1, 2, 3)
+        assert m.rref()[1][:5] == (0, 1, 2, 3, 4)
+    if case == "ragged":
+        assert m.rank() == linalg._BLOCK_ROWS + 7
+    if case == "full_rank_early":
+        assert m.rank() == m.cols
+
+
 def _primes_tried(monkeypatch):
     """Record (prime, pivots) of every mod-p elimination."""
     from rbsys import linalg
@@ -401,11 +460,19 @@ def test_rational_product_of_a_zero_factor_and_huge_entries():
 
 @pytest.mark.parametrize(
     "entry, inner, dtype",
-    [(2**30, 3, np.int64), (2**30, 4, object), (2**31 - 1, 1, np.int64), (2**31, 2, object)],
+    [
+        (2**30 - 1, 1, np.int64),
+        (2**30, 1, object),
+        (2**30, 3, object),
+        (2**30, 4, object),
+        (2**31 - 1, 1, object),
+        (2**31, 2, object),
+    ],
 )
 def test_rational_product_either_side_of_the_int64_bound(monkeypatch, entry, inner, dtype):
-    # max|x| max|y| k against 2^62; a sum of (2^31)^2 + (2^31)^2 = 2^63
-    # would wrap in int64
+    # max|x| max|y| k against 2^62, taken on the stored numerators: over the
+    # denominator 2 an entry n is stored as 2n, so (2^30 - 1, 1) is the last
+    # product in int64; a sum of (2^31)^2 + (2^31)^2 = 2^63 would wrap
     from rbsys import linalg
 
     chosen = []
@@ -560,6 +627,59 @@ def test_prime_field_products_match_python_ints(p):
         assert got.num.dtype == field.dtype
         kron = Matrix.from_rows(field, a).kron(Matrix.from_rows(field, b))
         assert kron.entries() == [[x * y % p for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _float_products(monkeypatch):
+    """Record the inner size of every float64 product mod p, with the size
+    crossover off, so that only the exactness bound decides."""
+    from rbsys import linalg
+
+    taken = []
+    dot_float = linalg._dot_float
+
+    def spy(x, y, p):
+        taken.append(x.shape[1])
+        return dot_float(x, y, p)
+
+    monkeypatch.setattr(linalg, "_dot_float", spy)
+    monkeypatch.setattr(linalg, "_FLOAT_RATIO", 0)
+    return taken
+
+
+def _full_product(p, inner):
+    """The 1 x 1 product over GF(p) of a row and a column of inner entries
+    p - 1, and its Python-int sum; the factors are broadcast views, so only
+    a float64 product allocates."""
+    field = GF(p)
+    row = Matrix(field, np.broadcast_to(np.int64(p - 1), (1, inner)))
+    col = Matrix(field, np.broadcast_to(np.int64(p - 1), (inner, 1)))
+    return (row @ col)[0, 0], inner * (p - 1) ** 2 % p
+
+
+# 94906249 < sqrt(2^53) < 94906297, the primes either side
+@pytest.mark.parametrize("p", [40009, 94906249])
+def test_float_products_are_exact_up_to_the_bound(monkeypatch, p):
+    # entries all p - 1 make every partial sum as large as it can be; the
+    # largest inner size k with k (p - 1)^2 < 2^53 (5,627,208 for 40009)
+    # runs in float64, k + 1 in int64, and both agree with Python ints
+    taken = _float_products(monkeypatch)
+    k = (2**53 - 1) // (p - 1) ** 2
+    assert k * (p - 1) ** 2 < 2**53 <= (k + 1) * (p - 1) ** 2
+    for inner in (k, k + 1):
+        got, want = _full_product(p, inner)
+        assert got == want
+    assert taken == [k]
+
+
+@pytest.mark.parametrize("p", [94906297, 2**31 - 1])
+def test_no_float_products_past_the_square_root_of_2_53(monkeypatch, p):
+    # one product (p - 1)^2 already reaches 2^53
+    taken = _float_products(monkeypatch)
+    assert (p - 1) ** 2 >= 2**53
+    for inner in (1, 2, 3, 64):
+        got, want = _full_product(p, inner)
+        assert got == want
+    assert taken == []
 
 
 def test_fraction_view_types():
