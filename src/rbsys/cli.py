@@ -215,11 +215,14 @@ def cmd_les(args, rep):
         "slots",
         [
             {"name": s.name, "degree": s.degree, "image": s.image_dim, "kernel": s.kernel_dim, "ok": s.ok}
+            | ({} if s.ok else _witness_dict(s.witness))
             for s in report.slots
         ],
     )
     for s in report.slots:
         rep.line(f"slot {s.name}^{s.degree}: image {s.image_dim}, kernel {s.kernel_dim}, {'ok' if s.ok else 'FAIL'}")
+        if not s.ok:
+            rep.line(f"  {s.witness.describe()}")
     rep.line(f"long exact sequence: {'exact' if report.ok else 'EXACTNESS FAILURE'}")
     return PASS if report.ok else FAIL
 

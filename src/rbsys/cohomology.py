@@ -49,12 +49,13 @@ import os
 from .algebra import (
     Algebra,
     BimoduleActions,
+    Verdict,
     matrix_tensor,
     multimap_from_vector,
     multimap_vector,
 )
 from .bimodules import _d_module_unchecked, regular_bimodule
-from .linalg import Matrix, column_space_rank, hstack, kron_all, vstack
+from .linalg import Matrix, hstack, kron_all, modulo_span, span_echelon, vstack
 from .systems import from_rb_operator
 
 ALG = "alg"
@@ -407,26 +408,20 @@ def pack_rbso_cochain(x, y):
 # -- long exact sequence ---------------------------------------------------
 
 
-def _preimage_in_span(w, b):
-    """Basis (as columns) of { c : w @ c lies in the column span of b }."""
-    if w.cols == 0:
-        return Matrix.zeros(w.field, 0, 0)
-    if b.cols == 0:
-        return w.kernel_basis()
-    stacked = hstack([w, -b])
-    ker = stacked.kernel_basis()
-    return ker.take_rows(0, w.cols)
-
-
 class LesSlot:
-    __slots__ = ("name", "degree", "image_dim", "kernel_dim", "ok")
+    """Exactness at one slot; witness (None when ok) is a Verdict whose
+    witness holds the coordinates of a cochain of the slot: an image member
+    outside the kernel, or else a kernel member outside the image."""
 
-    def __init__(self, name, degree, image_dim, kernel_dim, ok):
+    __slots__ = ("name", "degree", "image_dim", "kernel_dim", "ok", "witness")
+
+    def __init__(self, name, degree, image_dim, kernel_dim, ok, witness):
         self.name = name
         self.degree = degree
         self.image_dim = image_dim
         self.kernel_dim = kernel_dim
         self.ok = ok
+        self.witness = witness
 
     def __repr__(self):
         status = "ok" if self.ok else "FAIL"
@@ -452,63 +447,87 @@ def les_check(sys, mod, max_degree, cap=None):
 
     The sequence runs  ... -> H^p_rbs -> H^p_alg -> H^p_rbso -> H^(p+1)_rbs
     -> ...  with the projection, the map induced by -phi, and the shift
-    inclusion (x, y) -> (0, (x, y)).  Exactness at each slot is verified by
-    comparing column spans of chain-level data.
+    inclusion (x, y) -> (0, (x, y)).  At each slot the image of the incoming
+    map and the kernel of the outgoing one are compared as chain-level
+    spans, each taken together with the coboundaries B of the slot.
+
+    Each B is eliminated once, to the echelon (R, P) of its columns, and
+    every other span is reduced modulo it: reduce(X) = X^T - X^T[:, P] R.
+    For any X, rank [X, B] = |P| + rank reduce(X), and X c lies in B exactly
+    when c^T reduce(X) = 0.  Both hold for any B and X, so no step assumes
+    that phi is a chain map or that d^2 = 0: on a broken map the dimensions
+    are those of the spans themselves.  The kernel at a slot is spanned by
+    the z c with c^T reduce(W) = 0, for W the outgoing map on the cocycles z
+    reduced against the target's B, and one elimination of K = reduce(z c)
+    gives its dimension.  The incoming image is the previous slot's W
+    against this slot's B: its residual and, by rank-nullity, its rank carry
+    over, and it lies in the kernel when its residual is zero modulo the
+    echelon of K.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     field = sys.field
     cx = Complexes(sys, mod, cap)
-    kernels = {}
+    kernels, spans, slots = {}, {}, []
 
     def kernel(tag, p):
         if (tag, p) not in kernels:
             kernels[tag, p] = cx.slice(tag, p).kernel_basis()
         return kernels[tag, p]
 
-    def image(tag, p):
-        if p == 0:
-            return Matrix.zeros(field, cx.dim(tag, 0), 0)
-        return cx.slice(tag, p - 1)  # columns span the coboundaries
+    def span(tag, p):
+        # the echelon of the coboundaries in degree p
+        if (tag, p) not in spans:
+            b = cx.slice(tag, p - 1) if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
+            spans[tag, p] = span_echelon(b.transpose())
+        return spans[tag, p]
 
     def shifted(p):
         # the shift inclusion C^p_rbso -> C^(p+1)_rbs applied to the cocycles
         z = kernel(RBSO, p)
         return vstack([Matrix.zeros(field, cx.dim(ALG, p + 1), z.cols), z])
 
-    def slot(name, p, incoming, z, outgoing_image, target_image):
-        # exactness at one slot: image of the incoming map = kernel of the
-        # outgoing one, both taken modulo the coboundaries of the slot;
-        # outgoing_image holds the outgoing map applied to the cocycles z
-        outgoing = _preimage_in_span(outgoing_image, target_image)
-        im_dim = column_space_rank([incoming])
-        ker_members = z @ outgoing if outgoing.cols else Matrix.zeros(field, z.rows, 0)
-        ker_dim = column_space_rank([ker_members, image(name, p)])
-        ok = im_dim == ker_dim and column_space_rank([incoming, ker_members, image(name, p)]) == ker_dim
-        return LesSlot(name, p, im_dim, ker_dim, ok)
+    def slot(name, p, incoming, z, w, target):
+        # incoming: the previous slot's W, its residuals modulo span(name, p)
+        # and their rank; w: the outgoing map on the cocycles z, whose
+        # coboundaries target names; returns the same triple for the next slot
+        v, v_res, v_rank = incoming
+        w_res = modulo_span(w.transpose(), span(*target))
+        outgoing = Matrix.identity(field, w.cols) if w_res.is_zero() else w_res.transpose().kernel_basis()
+        members = z @ outgoing
+        k_res = modulo_span(members.transpose(), span(name, p))
+        k_span = span_echelon(k_res)
+        base = len(span(name, p)[1])
+        im_dim, ker_dim = base + v_rank, base + len(k_span[1])
+        witness = _first_outside(v, modulo_span(v_res, k_span), "image_not_in_kernel")
+        if witness is None and im_dim != ker_dim:
+            extra = modulo_span(k_res, span_echelon(v_res))
+            witness = _first_outside(members, extra, "kernel_not_in_image")
+        slots.append(LesSlot(name, p, im_dim, ker_dim, witness is None, witness))
+        return w, w_res, w.cols - outgoing.cols
 
-    slots = []
+    start = Matrix.zeros(field, cx.dim(RBS, 0), 0)
+    incoming = (start, start.transpose(), 0)
     for p in range(max_degree + 1):
-        # slot H^p_rbs: image of the shift inclusion = kernel of the projection
-        z_rbs = kernel(RBS, p)
-        projected = z_rbs.take_rows(0, cx.dim(ALG, p))
-        if p == 0:
-            incoming = Matrix.zeros(field, cx.dim(RBS, 0), 0)
-        else:
-            incoming = hstack([shifted(p - 1), image(RBS, p)])
-        slots.append(slot(RBS, p, incoming, z_rbs, projected, image(ALG, p)))
-
-        # slot H^p_alg: image of the projection = kernel of -phi into H^p_rbso
-        z_alg = kernel(ALG, p)
-        phi_z = cx.phi(p) @ z_alg
-        incoming = hstack([projected, image(ALG, p)])
-        slots.append(slot(ALG, p, incoming, z_alg, phi_z, image(RBSO, p)))
-
-        # slot H^p_rbso: image of -phi = kernel of the shift inclusion
-        if p <= max_degree - 1:
-            incoming = hstack([phi_z, image(RBSO, p)])
-            slots.append(slot(RBSO, p, incoming, kernel(RBSO, p), shifted(p), image(RBS, p + 1)))
+        # H^p_rbs: image of the shift inclusion = kernel of the projection
+        z = kernel(RBS, p)
+        incoming = slot(RBS, p, incoming, z, z.take_rows(0, cx.dim(ALG, p)), (ALG, p))
+        # H^p_alg: image of the projection = kernel of -phi into H^p_rbso
+        z = kernel(ALG, p)
+        incoming = slot(ALG, p, incoming, z, cx.phi(p) @ z, (RBSO, p))
+        # H^p_rbso: image of -phi = kernel of the shift inclusion
+        if p < max_degree:
+            incoming = slot(RBSO, p, incoming, kernel(RBSO, p), shifted(p), (RBS, p + 1))
     return LesReport(slots)
+
+
+def _first_outside(cols, res, tag):
+    """A failing Verdict holding the column of cols at the first nonzero row
+    of the residuals res, or None when res is zero."""
+    if res.is_zero():
+        return None
+    i = next(i for i in range(res.rows) if not res.take_rows(i, i + 1).is_zero())
+    return Verdict(False, tag, [row[0] for row in cols.col(i).entries()])
 
 
 # -- embedding of the weight-lambda operator complex ------------------------

@@ -919,9 +919,23 @@ def kron_all(field, mats, empty_dim=1):
     return out
 
 
-def column_space_rank(mats):
-    """Rank of the span of the columns of all given matrices together."""
-    nonempty = [m for m in mats if m.cols > 0]
-    if not nonempty:
-        return 0
-    return hstack(nonempty).rank()
+def span_echelon(m):
+    """(R, P) for the span of the rows of m: the nonzero rows of its RREF
+    and their pivot columns.  A zero matrix spans zero, with no elimination."""
+    if m.is_zero():
+        return m.take_rows(0, 0), ()
+    r, piv = m.rref()
+    return r.take_rows(0, len(piv)), piv
+
+
+def modulo_span(m, echelon):
+    """The rows of m modulo the span of an echelon (R, P) of span_echelon:
+    m - m[:, P] R, one product.  R[:, P] is the identity, so a row of the
+    result is zero exactly when that row of m lies in the span, and m
+    stacked on R has rank |P| + the rank of the result."""
+    r, piv = echelon
+    if not (piv and m.rows):
+        return m
+    cols = m.num[:, list(piv)]
+    picked = _new(m.field, cols) if m.field.p is not None else _of(m.field, cols, m.den, m._mag)
+    return m - picked @ r

@@ -212,6 +212,21 @@ def instance_set(count, seed=2024):
     return out
 
 
+def perturbed_phi(phi, degree, seed, scale=1):
+    """phi with a rank-one term scale u v^T added in one degree, the same
+    term on every call: a comparison map that is no longer a chain map."""
+
+    def perturbed(n, sys, mod, cap=None):
+        out = phi(n, sys, mod, cap)
+        if n != degree:
+            return out
+        rng = random.Random(seed)
+        u = random_matrix(sys.field, out.rows, 1, rng).scale(scale)
+        return out + u @ random_matrix(sys.field, 1, out.cols, rng)
+
+    return perturbed
+
+
 def random_gauge(sys, order, rng):
     from rbsys import GaugeSeries
 

@@ -6,7 +6,8 @@ coordinates.  These helpers instead evaluate the written-out formulas term
 by term on explicit basis tuples, so a slice and its oracle share no
 assembly code.  A tiny standalone GF(2) rank routine backs the frozen
 cohomology table, and sympy's DomainMatrix is a second elimination
-engine for the exact kernels of rbsys.linalg.
+engine for the exact kernels of rbsys.linalg.  The long exact sequence is
+checked a second way by eliminating each column span afresh.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
-from rbsys import Matrix
+from rbsys import ALG, RBS, RBSO, Complexes, Matrix, hstack, vstack
 
 
 def basis_tuples(d, n):
@@ -185,3 +186,84 @@ def sympy_rref(mat):
 def sympy_rank(mat):
     """Rank of a Matrix by sympy."""
     return len(sympy_rref(mat)[1])
+
+
+def column_space_rank(mats):
+    """Rank of the span of the columns of all given matrices together."""
+    nonempty = [m for m in mats if m.cols > 0]
+    if not nonempty:
+        return 0
+    return hstack(nonempty).rank()
+
+
+def preimage_in_span(w, b):
+    """Basis (as columns) of { c : w @ c lies in the column span of b }."""
+    if w.cols == 0:
+        return Matrix.zeros(w.field, 0, 0)
+    if b.cols == 0:
+        return w.kernel_basis()
+    stacked = hstack([w, -b])
+    ker = stacked.kernel_basis()
+    return ker.take_rows(0, w.cols)
+
+
+def les_slots_by_column_spans(sys, mod, max_degree, cap=None, spans=None):
+    """(name, degree, image, kernel, ok) of every slot of the long exact
+    sequence, by eliminating the column spans of each slot afresh: the image
+    of the incoming map and the kernel of the outgoing one, each with the
+    coboundaries, and both together.  A dict spans, if given, receives the
+    two spanning sets (image, kernel) of each slot, keyed (name, degree)."""
+    field = sys.field
+    cx = Complexes(sys, mod, cap)
+    kernels = {}
+
+    def kernel(tag, p):
+        if (tag, p) not in kernels:
+            kernels[tag, p] = cx.slice(tag, p).kernel_basis()
+        return kernels[tag, p]
+
+    def image(tag, p):
+        if p == 0:
+            return Matrix.zeros(field, cx.dim(tag, 0), 0)
+        return cx.slice(tag, p - 1)  # columns span the coboundaries
+
+    def shifted(p):
+        # the shift inclusion C^p_rbso -> C^(p+1)_rbs applied to the cocycles
+        z = kernel(RBSO, p)
+        return vstack([Matrix.zeros(field, cx.dim(ALG, p + 1), z.cols), z])
+
+    def slot(name, p, incoming, z, outgoing_image, target_image):
+        # image of the incoming map = kernel of the outgoing one, both taken
+        # modulo the coboundaries of the slot; outgoing_image holds the
+        # outgoing map applied to the cocycles z
+        outgoing = preimage_in_span(outgoing_image, target_image)
+        im_dim = column_space_rank([incoming])
+        ker_members = z @ outgoing if outgoing.cols else Matrix.zeros(field, z.rows, 0)
+        ker_dim = column_space_rank([ker_members, image(name, p)])
+        ok = im_dim == ker_dim and column_space_rank([incoming, ker_members, image(name, p)]) == ker_dim
+        if spans is not None:
+            spans[name, p] = (incoming, hstack([ker_members, image(name, p)]))
+        return (name, p, im_dim, ker_dim, ok)
+
+    slots = []
+    for p in range(max_degree + 1):
+        # slot H^p_rbs: image of the shift inclusion = kernel of the projection
+        z_rbs = kernel(RBS, p)
+        projected = z_rbs.take_rows(0, cx.dim(ALG, p))
+        if p == 0:
+            incoming = Matrix.zeros(field, cx.dim(RBS, 0), 0)
+        else:
+            incoming = hstack([shifted(p - 1), image(RBS, p)])
+        slots.append(slot(RBS, p, incoming, z_rbs, projected, image(ALG, p)))
+
+        # slot H^p_alg: image of the projection = kernel of -phi into H^p_rbso
+        z_alg = kernel(ALG, p)
+        phi_z = cx.phi(p) @ z_alg
+        incoming = hstack([projected, image(ALG, p)])
+        slots.append(slot(ALG, p, incoming, z_alg, phi_z, image(RBSO, p)))
+
+        # slot H^p_rbso: image of -phi = kernel of the shift inclusion
+        if p <= max_degree - 1:
+            incoming = hstack([phi_z, image(RBSO, p)])
+            slots.append(slot(RBSO, p, incoming, kernel(RBSO, p), shifted(p), image(RBS, p + 1)))
+    return slots

@@ -6,7 +6,7 @@ from rbsys import documents as docs
 from rbsys import regular_bimodule, zero_cocycle
 from rbsys.cli import main
 
-from instances import f2_zero_instance, line_system, triangular_system
+from instances import f2_zero_instance, line_system, perturbed_phi, triangular_system
 
 
 @pytest.fixture
@@ -99,6 +99,40 @@ def test_cohomology_cap_exceeded(f2_zero_path, capsys):
 def test_les_command(f2_zero_path, capsys):
     assert main(["les", f2_zero_path, "--max-degree", "2"]) == 0
     assert "exact" in capsys.readouterr().out
+
+
+def test_les_failure_exit_code_and_witness(tmp_path, monkeypatch, capsys):
+    # phi_0 plus a rank-one term is no longer a chain map: the sequence
+    # fails at H^0_rbso, where the image of -phi leaves the kernel of the
+    # shift inclusion, and the report names a cochain of the image there
+    from fractions import Fraction
+
+    from rbsys import QQ, cohomology
+
+    path = str(tmp_path / "line.json")
+    docs.dump(docs.serialize_system(line_system(QQ, 2, 0)), path)
+    monkeypatch.setattr(cohomology, "phi", perturbed_phi(cohomology.phi, 0, 1, Fraction(1, 3)))
+    assert main(["les", path, "--max-degree", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "slot rbso^0: image 1, kernel 0, FAIL\n  fail [image_not_in_kernel] at [5/3, -1/3]\n" in out
+    assert out.endswith("long exact sequence: EXACTNESS FAILURE\n")
+    assert main(["les", path, "--max-degree", "2", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    failing = [s for s in report["slots"] if not s["ok"]]
+    assert failing == [
+        {
+            "name": "rbso",
+            "degree": 0,
+            "image": 1,
+            "kernel": 0,
+            "ok": False,
+            "tag": "image_not_in_kernel",
+            "witness": ["5/3", "-1/3"],
+        }
+    ]
+    # passing slots are reported as before, with no witness
+    assert all(sorted(s) == ["degree", "image", "kernel", "name", "ok"] for s in report["slots"] if s["ok"])
 
 
 def test_rba_embed_command(f2_zero_path, capsys):

@@ -36,6 +36,7 @@ from instances import (
     f2_zero_instance,
     instance_set,
     line_system,
+    perturbed_phi,
     random_invertible,
     random_matrix,
     random_system_bimodule,
@@ -45,7 +46,9 @@ from instances import (
 )
 from oracles import (
     basis_tuples,
+    column_space_rank,
     gf2_rank,
+    les_slots_by_column_spans,
     naive_dbar_apply,
     naive_delta_apply,
     naive_partial_apply,
@@ -492,7 +495,9 @@ def test_dbar_display_slice_matches_naive_evaluation():
 def test_les_check_matrix_products(monkeypatch):
     # the projection and the shift inclusion are row slices and zero
     # padding, not products, and phi_p is applied to the algebra cocycles
-    # once per degree
+    # once per degree; the rest are the products that assemble the slices,
+    # the kernel members z c of each slot and the residuals modulo the
+    # coboundary echelons
     calls = []
     matmul = Matrix.__matmul__
 
@@ -503,7 +508,83 @@ def test_les_check_matrix_products(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
-    assert len(calls) == 31
+    assert len(calls) == 54
+
+
+def test_les_check_eliminations(monkeypatch):
+    # one elimination per slice kernel (11) and per coboundary span (9), and
+    # per slot at most one for the kernel of the outgoing residuals and one
+    # for the echelon of the kernel members; a zero residual needs none (4
+    # and 4 here, of 11 slots)
+    from rbsys import linalg
+
+    calls = []
+    rref = linalg._rref_array
+
+    def counted(a, field):
+        calls.append(a.shape)
+        return rref(a, field)
+
+    monkeypatch.setattr(linalg, "_rref_array", counted)
+    sys = triangular_system(GF(5), 1, 2)
+    assert les_check(sys, regular_bimodule(sys), 3).ok
+    assert len(calls) == 28
+
+
+def _assert_witness(field, slot, spans):
+    """A failing slot's witness lies in one of its two spans and not in the
+    other: the image for image_not_in_kernel, the kernel otherwise."""
+    if slot.ok:
+        assert slot.witness is None
+        return
+    image, kernel = spans[slot.name, slot.degree]
+    inside, outside = (image, kernel) if slot.witness.tag == "image_not_in_kernel" else (kernel, image)
+    v = Matrix.column(field, slot.witness.witness)
+    assert column_space_rank([inside, v]) == column_space_rank([inside])
+    assert column_space_rank([outside, v]) == column_space_rank([outside]) + 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(40009)], ids=repr)
+def test_les_check_matches_column_span_oracle(field, monkeypatch):
+    # slot for slot against eliminating every span afresh, with phi intact
+    # and with phi perturbed in one degree by a rank-one term, so that it is
+    # no longer a chain map and slots fail; failing slots carry a witness
+    from rbsys import cohomology
+
+    rng = random.Random(401)
+    phi = cohomology.phi
+    failing, tags = 0, set()
+    for seed in range(8):
+        sys, mod = random_system_bimodule(rng, field)
+        for degree in (None, 0, 1, 2):
+            monkeypatch.setattr(cohomology, "phi", phi if degree is None else perturbed_phi(phi, degree, seed))
+            report = les_check(sys, mod, 3)
+            spans = {}
+            expected = les_slots_by_column_spans(sys, mod, 3, spans=spans)
+            assert [(s.name, s.degree, s.image_dim, s.kernel_dim, s.ok) for s in report.slots] == expected
+            for s in report.slots:
+                _assert_witness(field, s, spans)
+                tags.add(s.witness.tag if s.witness is not None else None)
+            assert report.ok or degree is not None
+            failing += not report.ok
+    assert failing >= 3
+    assert {"image_not_in_kernel", "kernel_not_in_image"} <= tags
+
+
+def test_les_kernel_witness_is_outside_the_image(monkeypatch):
+    # at rbs^2 the first kernel member outside the coboundaries lies in the
+    # image, so the witness must be reduced modulo the incoming span too
+    from rbsys import cohomology
+
+    field = GF(2)
+    sys = triangular_system(field, 1, 2)
+    mod = regular_bimodule(sys)
+    monkeypatch.setattr(cohomology, "phi", perturbed_phi(cohomology.phi, 1, 1))
+    spans = {}
+    les_slots_by_column_spans(sys, mod, 3, spans=spans)
+    (slot,) = [s for s in les_check(sys, mod, 3).slots if not s.ok]
+    assert (slot.name, slot.degree, slot.witness.tag) == ("rbs", 2, "kernel_not_in_image")
+    _assert_witness(field, slot, spans)
 
 
 def test_rba_embedding_check_matrix_products(monkeypatch):
