@@ -118,9 +118,9 @@ def matrix_tensor(mat, a, b):
 
 
 def _tensor3(field, data, shape):
-    a = np.empty(shape, dtype=field.dtype)
     if list(np.shape(data)) != list(shape):
         raise ValueError(f"tensor has shape {np.shape(data)}, expected {shape}")
+    a = np.empty(shape, dtype=field.dtype)
     for i in range(shape[0]):
         for j in range(shape[1]):
             for k in range(shape[2]):
@@ -150,9 +150,6 @@ class Algebra:
     def multiply(self, x, y):
         """Product of two coordinate columns."""
         return self.mult_matrix() @ x.kron(y)
-
-    def basis(self, i):
-        return Matrix.unit_column(self.field, self.dim, i)
 
     def constant(self, i, j, k):
         x = self.mult[i, j, k]

@@ -12,8 +12,10 @@ Subcommands wire the library modules to JSON documents on disk:
   extend      build | extract | census | check-iso
 
 Exit codes: 0 all checks pass, 1 a mathematical check fails (first witness
-reported), 2 malformed input, shape mismatch, or cap exceeded.  Every
-command accepts --json for a machine-readable report with the same numbers.
+reported), 2 malformed input, shape mismatch, or cap exceeded.  Every leaf
+command (``deform verify``, not ``deform``) accepts --json for a
+machine-readable report with the same numbers, --max-degree and --cap; they
+follow the leaf's name, as in ``rbs extend census S --json``.
 --cap sets the slice-size guard; when it is not given, the environment
 variable RBS_DIM_CAP replaces the default of 20000.
 """
@@ -31,11 +33,9 @@ from .cohomology import (
     ALG,
     RBS,
     RBSO,
-    DimensionCapExceeded,
     betti,
     les_check,
     rba_embedding_check,
-    resolve_cap,
 )
 from .deformation import (
     DeformationData,
@@ -88,7 +88,7 @@ def _witness_dict(verdict):
     if not verdict:
         out["tag"] = verdict.tag
         if verdict.witness is not None:
-            out["witness"] = list(verdict.witness) if isinstance(verdict.witness, tuple) else verdict.witness
+            out["witness"] = verdict.witness
         if verdict.lhs is not None:
             out["lhs"] = verdict.lhs
             out["rhs"] = verdict.rhs
@@ -126,19 +126,25 @@ def _bimodule_or_regular(args, sys_obj, system_doc):
     return regular_bimodule(sys_obj)
 
 
-def _system_guard(sys_obj, rep):
-    """Report the first failing axiom; mathematical failures exit 1, not 2."""
+class _SystemFails(Exception):
+    """The input system fails an axiom; the witness is reported, exit 1."""
+
+
+def _guarded_system(args, rep):
+    """The system and its document, after the axiom checks: a failing axiom is
+    a mathematical failure (exit 1), not malformed input (exit 2)."""
+    sys_obj, system_doc = _load_system(args.system)
     assoc = check_associative(sys_obj.alg)
     if not assoc:
         rep.set("system", _witness_dict(assoc))
         rep.line(f"input is not associative: {assoc.describe()}")
-        return False
+        raise _SystemFails
     axioms = check_rbs(sys_obj)
     if not axioms:
         rep.set("system", _witness_dict(axioms))
         rep.line(f"input fails the operator equations: {axioms.describe()}")
-        return False
-    return True
+        raise _SystemFails
+    return sys_obj, system_doc
 
 
 def cmd_validate(args, rep):
@@ -160,9 +166,7 @@ def cmd_validate(args, rep):
 
 
 def cmd_star(args, rep):
-    sys_obj, _ = _load_system(args.system)
-    if not _system_guard(sys_obj, rep):
-        return FAIL
+    sys_obj, _ = _guarded_system(args, rep)
     alg = star_algebra(sys_obj)
     out_sys = RotaBaxterSystem(alg, sys_obj.R, sys_obj.S)
     commuting = sys_obj.R @ sys_obj.S == sys_obj.S @ sys_obj.R
@@ -173,9 +177,7 @@ def cmd_star(args, rep):
 
 
 def cmd_semidirect(args, rep):
-    sys_obj, system_doc = _load_system(args.system)
-    if not _system_guard(sys_obj, rep):
-        return FAIL
+    sys_obj, system_doc = _guarded_system(args, rep)
     mod = _bimodule_or_regular(args, sys_obj, system_doc)
     doc = docs.serialize_system(semidirect_product(mod), name="semidirect")
     _emit_document(rep, doc, args.output, "semidirect product")
@@ -186,9 +188,7 @@ _TAGS = {"alg": ALG, "rbso": RBSO, "rbs": RBS}
 
 
 def cmd_cohomology(args, rep):
-    sys_obj, system_doc = _load_system(args.system)
-    if not _system_guard(sys_obj, rep):
-        return FAIL
+    sys_obj, system_doc = _guarded_system(args, rep)
     mod = _bimodule_or_regular(args, sys_obj, system_doc)
     report = betti(_TAGS[args.what], sys_obj, mod, args.max_degree, args.cap)
     rep.set("complex", args.what)
@@ -205,9 +205,7 @@ def cmd_cohomology(args, rep):
 
 
 def cmd_les(args, rep):
-    sys_obj, system_doc = _load_system(args.system)
-    if not _system_guard(sys_obj, rep):
-        return FAIL
+    sys_obj, system_doc = _guarded_system(args, rep)
     mod = _bimodule_or_regular(args, sys_obj, system_doc)
     report = les_check(sys_obj, mod, args.max_degree, args.cap)
     rep.set("ok", report.ok)
@@ -247,129 +245,145 @@ def cmd_rba_embed(args, rep):
     return PASS if report.ok else FAIL
 
 
-def _load_deformation(args, sys_obj, system_doc):
+def _deformation_input(args, rep, full=True):
+    """(system, deformation) read against each other; full refuses an
+    operator-only document."""
+    sys_obj, system_doc = _guarded_system(args, rep)
     doc = docs.load(args.deformation)
     docs.check_system_reference(doc, system_doc, args.deformation, args.system)
-    return docs.parse_deformation(doc, sys_obj)
+    defn = docs.parse_deformation(doc, sys_obj)
+    if full and isinstance(defn, OperatorDeformation):
+        raise DocumentError(f"{args.deform_cmd} needs a full deformation document (with \"mus\")")
+    return sys_obj, defn
 
 
-def cmd_deform(args, rep):
-    sys_obj, system_doc = _load_system(args.system)
-    if not _system_guard(sys_obj, rep):
-        return FAIL
-    defn = _load_deformation(args, sys_obj, system_doc)
-    sub = args.deform_cmd
-    if sub == "op-verify":
-        if isinstance(defn, DeformationData):
-            if not all(m.is_zero() for m in defn.mus[1:]):
-                raise DocumentError("op-verify needs an operator deformation (omit \"mus\")")
-            defn = OperatorDeformation(defn.order, defn.Rs, defn.Ss)
-        report = DeformationReport(verify_operator_deformation(sys_obj, defn))
-        bad = report.failing_orders()
-        rep.set("ok", report.ok)
-        rep.set("failing_orders", bad)
-        rep.line(f"operator deformation: {'valid' if report.ok else f'fails at orders {bad}'}")
-        return PASS if report.ok else FAIL
-    if isinstance(defn, OperatorDeformation):
-        raise DocumentError(f"{sub} needs a full deformation document (with \"mus\")")
-    if sub == "verify":
-        report = verify_deformation(sys_obj, defn)
-        bad = report.failing_orders()
-        rep.set("ok", report.ok)
-        rep.set("failing_orders", bad)
-        rep.line(f"deformation: {'valid' if report.ok else f'fails at orders {bad}'}")
-        return PASS if report.ok else FAIL
-    if sub == "infinitesimal":
-        cochain, ok = infinitesimal(sys_obj, defn, args.cap)
-        rep.set("cocycle", ok)
-        rep.set("coordinates", _column_tokens(sys_obj.field, cochain.vector))
-        rep.line(f"infinitesimal packaged; cocycle: {ok}")
-        return PASS if ok else FAIL
-    if sub == "rigidify":
-        report = rigidify(sys_obj, defn, args.cap)
-        if report.success:
-            gauge_tokens = [docs._matrix_tokens(p) for p in report.gauge.psis]
-            rep.set("success", True)
-            rep.set("gauge", gauge_tokens)
-            rep.line("rigidified: composite gauge")
-            for k, mat in enumerate(gauge_tokens):
-                rep.line(f"  order {k}: {mat}")
-            return PASS
-        rep.set("success", False)
-        rep.set("stuck_order", report.stuck_order)
-        rep.set("stuck_class", _column_tokens(sys_obj.field, report.stuck_class.vector))
-        rep.line(f"stuck at order {report.stuck_order}; cohomology class coordinates:")
-        rep.line("  " + str(rep.payload["stuck_class"]))
-        return FAIL
-    raise DocumentError(f"unknown deform subcommand {sub!r}")
+def _report_orders(rep, report, label):
+    bad = report.failing_orders()
+    rep.set("ok", report.ok)
+    rep.set("failing_orders", bad)
+    rep.line(f"{label}: {'valid' if report.ok else f'fails at orders {bad}'}")
+    return PASS if report.ok else FAIL
 
 
-def cmd_extend(args, rep):
-    sub = args.extend_cmd
-    if sub == "check-iso":
-        ext1 = docs.parse_extension(docs.load(args.ext1))
-        ext2 = docs.parse_extension(docs.load(args.ext2))
-        iso = docs.parse_iso(docs.load(args.iso), ext1.hat.dim, ext1.hat.field)
-        diagram = check_iso(ext1, ext2, iso)
-        rep.set("diagram", _witness_dict(diagram))
-        rep.line(f"diagram checks: {diagram.describe()}")
-        if not diagram:
-            return FAIL
-        same = same_class_check(ext1, ext2, iso)
-        rep.set("same_class", _witness_dict(same))
-        rep.line(f"same cohomology class: {same.describe()}")
-        return PASS if same else FAIL
-    if sub == "extract":
-        ext = docs.parse_extension(docs.load(args.extension))
-        verdict = check_extension(ext)
-        if not verdict:
-            rep.set("extension", _witness_dict(verdict))
-            rep.line(f"not a valid extension: {verdict.describe()}")
-            return FAIL
-        _emit_document(rep, docs.serialize_cocycle(extract_cocycle(ext)), args.output, "cocycle")
+def cmd_deform_verify(args, rep):
+    report = verify_deformation(*_deformation_input(args, rep))
+    return _report_orders(rep, report, "deformation")
+
+
+def cmd_deform_op_verify(args, rep):
+    sys_obj, defn = _deformation_input(args, rep, full=False)
+    if isinstance(defn, DeformationData):
+        if not all(m.is_zero() for m in defn.mus[1:]):
+            raise DocumentError("op-verify needs an operator deformation (omit \"mus\")")
+        defn = OperatorDeformation(defn.order, defn.Rs, defn.Ss)
+    report = DeformationReport(verify_operator_deformation(sys_obj, defn))
+    return _report_orders(rep, report, "operator deformation")
+
+
+def cmd_deform_infinitesimal(args, rep):
+    sys_obj, defn = _deformation_input(args, rep)
+    cochain, ok = infinitesimal(sys_obj, defn, args.cap)
+    rep.set("cocycle", ok)
+    rep.set("coordinates", _column_tokens(sys_obj.field, cochain.vector))
+    rep.line(f"infinitesimal packaged; cocycle: {ok}")
+    return PASS if ok else FAIL
+
+
+def cmd_deform_rigidify(args, rep):
+    sys_obj, defn = _deformation_input(args, rep)
+    report = rigidify(sys_obj, defn, args.cap)
+    if report.success:
+        gauge_tokens = [docs._matrix_tokens(p) for p in report.gauge.psis]
+        rep.set("success", True)
+        rep.set("gauge", gauge_tokens)
+        rep.line("rigidified: composite gauge")
+        for k, mat in enumerate(gauge_tokens):
+            rep.line(f"  order {k}: {mat}")
         return PASS
+    rep.set("success", False)
+    rep.set("stuck_order", report.stuck_order)
+    rep.set("stuck_class", _column_tokens(sys_obj.field, report.stuck_class.vector))
+    rep.line(f"stuck at order {report.stuck_order}; cohomology class coordinates:")
+    rep.line("  " + str(rep.payload["stuck_class"]))
+    return FAIL
 
-    sys_obj, system_doc = _load_system(args.system)
-    if not _system_guard(sys_obj, rep):
+
+def cmd_extend_check_iso(args, rep):
+    ext1 = docs.parse_extension(docs.load(args.ext1))
+    ext2 = docs.parse_extension(docs.load(args.ext2))
+    iso = docs.parse_iso(docs.load(args.iso), ext1.hat.dim, ext1.hat.field)
+    diagram = check_iso(ext1, ext2, iso)
+    rep.set("diagram", _witness_dict(diagram))
+    rep.line(f"diagram checks: {diagram.describe()}")
+    if not diagram:
         return FAIL
-    if sub == "build":
-        mod = _bimodule_or_regular(args, sys_obj, system_doc)
-        cdoc = docs.load(args.cocycle)
-        docs.check_system_reference(cdoc, system_doc, args.cocycle, args.system)
-        c = docs.parse_cocycle(cdoc, sys_obj, mod)
-        try:
-            ext = build_extension(sys_obj, mod, c, args.cap)
-        except NotACocycle:
-            rep.line("payload is not a 2-cocycle; refusing to build")
-            rep.set("cocycle", False)
-            return FAIL
-        _emit_document(rep, docs.serialize_extension(ext), args.output, "extension")
-        return PASS
-    if sub == "census":
-        mod = _bimodule_or_regular(args, sys_obj, system_doc)
-        entries = h2_extension_census(sys_obj, mod, cap=args.census_cap, dim_cap=args.cap)
-        rep.set("h2_dim", len(entries) - 1)
-        rep.line(f"dim H^2 = {len(entries) - 1}")
-        written = []
-        for k, (c, ext) in enumerate(entries):
-            label = "trivial" if k == 0 else f"h2_{k - 1}"
-            if args.output:
-                path = f"{args.output.removesuffix('.json')}_{label}.json"
-                docs.dump(docs.serialize_extension(ext), path)
-                written.append(path)
-                rep.line(f"{label}: written to {path}")
-            else:
-                rep.line(f"{label}: extension of total dimension {ext.hat.dim}")
-        rep.set("written", written)
-        return PASS
-    raise DocumentError(f"unknown extend subcommand {sub!r}")
+    same = same_class_check(ext1, ext2, iso)
+    rep.set("same_class", _witness_dict(same))
+    rep.line(f"same cohomology class: {same.describe()}")
+    return PASS if same else FAIL
 
 
-def build_parser():
+def cmd_extend_extract(args, rep):
+    ext = docs.parse_extension(docs.load(args.extension))
+    verdict = check_extension(ext)
+    if not verdict:
+        rep.set("extension", _witness_dict(verdict))
+        rep.line(f"not a valid extension: {verdict.describe()}")
+        return FAIL
+    _emit_document(rep, docs.serialize_cocycle(extract_cocycle(ext)), args.output, "cocycle")
+    return PASS
+
+
+def cmd_extend_build(args, rep):
+    sys_obj, system_doc = _guarded_system(args, rep)
+    mod = _bimodule_or_regular(args, sys_obj, system_doc)
+    cdoc = docs.load(args.cocycle)
+    docs.check_system_reference(cdoc, system_doc, args.cocycle, args.system)
+    c = docs.parse_cocycle(cdoc, sys_obj, mod)
+    try:
+        ext = build_extension(sys_obj, mod, c, args.cap)
+    except NotACocycle:
+        rep.line("payload is not a 2-cocycle; refusing to build")
+        rep.set("cocycle", False)
+        return FAIL
+    _emit_document(rep, docs.serialize_extension(ext), args.output, "extension")
+    return PASS
+
+
+def cmd_extend_census(args, rep):
+    sys_obj, system_doc = _guarded_system(args, rep)
+    mod = _bimodule_or_regular(args, sys_obj, system_doc)
+    entries = h2_extension_census(sys_obj, mod, cap=args.census_cap, dim_cap=args.cap)
+    rep.set("h2_dim", len(entries) - 1)
+    rep.line(f"dim H^2 = {len(entries) - 1}")
+    written = []
+    for k, (c, ext) in enumerate(entries):
+        label = "trivial" if k == 0 else f"h2_{k - 1}"
+        if args.output:
+            path = f"{args.output.removesuffix('.json')}_{label}.json"
+            docs.dump(docs.serialize_extension(ext), path)
+            written.append(path)
+            rep.line(f"{label}: written to {path}")
+        else:
+            rep.line(f"{label}: extension of total dimension {ext.hat.dim}")
+    rep.set("written", written)
+    return PASS
+
+
+def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--max-degree", type=int, default=3, help="top cohomological degree")
     common.add_argument("--cap", type=int, default=None, help="cochain dimension guard")
+
+    def leaf(group, name, func, *positionals, help=None):
+        # the common options belong to leaves only: a group that also took
+        # them would have its values overwritten by the leaf's defaults
+        p = group.add_parser(name, parents=[common], help=help)
+        for dest in positionals:
+            p.add_argument(dest)
+        p.set_defaults(func=func)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="rbs",
@@ -377,84 +391,65 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("validate", parents=[common], help="axiom checks for documents")
-    p.add_argument("system")
+    p = leaf(subs, "validate", cmd_validate, "system", help="axiom checks for documents")
     p.add_argument("bimodule", nargs="?", default=None)
-    p.set_defaults(func=cmd_validate)
 
-    p = subs.add_parser("star", parents=[common], help="star algebra of a system")
-    p.add_argument("system")
+    p = leaf(subs, "star", cmd_star, "system", help="star algebra of a system")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_star)
 
-    p = subs.add_parser("semidirect", parents=[common], help="semidirect product system")
-    p.add_argument("system")
+    p = leaf(subs, "semidirect", cmd_semidirect, "system", help="semidirect product system")
     p.add_argument("bimodule", nargs="?", default=None)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_semidirect)
 
-    p = subs.add_parser("cohomology", parents=[common], help="dimension table of a complex")
-    p.add_argument("system")
+    p = leaf(subs, "cohomology", cmd_cohomology, "system", help="dimension table of a complex")
     p.add_argument("bimodule", nargs="?", default=None)
     p.add_argument("--what", choices=["alg", "rbso", "rbs"], default="rbs")
-    p.set_defaults(func=cmd_cohomology)
 
-    p = subs.add_parser("les", parents=[common], help="long exact sequence check")
-    p.add_argument("system")
+    p = leaf(subs, "les", cmd_les, "system", help="long exact sequence check")
     p.add_argument("bimodule", nargs="?", default=None)
-    p.set_defaults(func=cmd_les)
 
-    p = subs.add_parser("rba-embed", parents=[common], help="weight-lambda embedding check")
-    p.add_argument("system")
+    p = leaf(subs, "rba-embed", cmd_rba_embed, "system", help="weight-lambda embedding check")
     p.add_argument("--weight", required=True, help="weight lambda (exact scalar)")
-    p.set_defaults(func=cmd_rba_embed)
 
-    p = subs.add_parser("deform", parents=[common], help="deformation commands")
-    p.add_argument("deform_cmd", choices=["verify", "infinitesimal", "rigidify", "op-verify"])
-    p.add_argument("system")
-    p.add_argument("deformation")
-    p.set_defaults(func=cmd_deform)
+    group = subs.add_parser("deform", help="deformation commands")
+    deform = group.add_subparsers(dest="deform_cmd", required=True)
+    leaf(deform, "verify", cmd_deform_verify, "system", "deformation")
+    leaf(deform, "infinitesimal", cmd_deform_infinitesimal, "system", "deformation")
+    leaf(deform, "rigidify", cmd_deform_rigidify, "system", "deformation")
+    leaf(deform, "op-verify", cmd_deform_op_verify, "system", "deformation")
 
-    p = subs.add_parser("extend", parents=[common], help="extension commands")
-    ext_subs = p.add_subparsers(dest="extend_cmd", required=True)
+    group = subs.add_parser("extend", help="extension commands")
+    extend = group.add_subparsers(dest="extend_cmd", required=True)
 
-    b = ext_subs.add_parser("build", parents=[common])
-    b.add_argument("system")
-    b.add_argument("cocycle")
-    b.add_argument("--bimodule", default=None)
-    b.add_argument("-o", "--output", default=None)
-    b.set_defaults(func=cmd_extend)
+    p = leaf(extend, "build", cmd_extend_build, "system", "cocycle")
+    p.add_argument("--bimodule", default=None)
+    p.add_argument("-o", "--output", default=None)
 
-    e = ext_subs.add_parser("extract", parents=[common])
-    e.add_argument("extension")
-    e.add_argument("-o", "--output", default=None)
-    e.set_defaults(func=cmd_extend)
+    p = leaf(extend, "extract", cmd_extend_extract, "extension")
+    p.add_argument("-o", "--output", default=None)
 
-    c = ext_subs.add_parser("census", parents=[common])
-    c.add_argument("system")
-    c.add_argument("--bimodule", default=None)
-    c.add_argument("--census-cap", type=int, default=64)
-    c.add_argument("-o", "--output", default=None)
-    c.set_defaults(func=cmd_extend)
+    p = leaf(extend, "census", cmd_extend_census, "system")
+    p.add_argument("--bimodule", default=None)
+    p.add_argument("--census-cap", type=int, default=64)
+    p.add_argument("-o", "--output", default=None)
 
-    i = ext_subs.add_parser("check-iso", parents=[common])
-    i.add_argument("ext1")
-    i.add_argument("ext2")
-    i.add_argument("iso")
-    i.set_defaults(func=cmd_extend)
+    leaf(extend, "check-iso", cmd_extend_check_iso, "ext1", "ext2", "iso")
 
     return parser
 
 
+# built once, at import: main only parses
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.cap is None:
-        args.cap = resolve_cap(None)
+    args = _PARSER.parse_args(argv)
     rep = _Reporter(args.json)
     try:
         code = args.func(args, rep)
-    except (DocumentError, DimensionCapExceeded, ValueError) as exc:
+    except _SystemFails:
+        code = FAIL
+    except ValueError as exc:  # DocumentError and DimensionCapExceeded among them
         rep.set("error", str(exc))
         rep.line(f"error: {exc}")
         rep.flush()

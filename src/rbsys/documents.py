@@ -75,17 +75,22 @@ def _parse_matrix(field, data, rows, cols, what):
 
 
 def _parse_tensor3(field, data, shape, what):
-    arr = np.empty(shape, dtype=object)
+    # the nested lists are checked before the array is allocated: a "dim"
+    # alone can name any size
     if not isinstance(data, list) or len(data) != shape[0]:
         raise DocumentError(f"{what}: expected shape {shape}")
-    for i, plane in enumerate(data):
+    for plane in data:
         if not isinstance(plane, list) or len(plane) != shape[1]:
             raise DocumentError(f"{what}: expected shape {shape}")
-        for j, row in enumerate(plane):
+        for row in plane:
             if not isinstance(row, list) or len(row) != shape[2]:
                 raise DocumentError(f"{what}: expected shape {shape}")
-            for k, x in enumerate(row):
+            for x in row:
                 _check_entry(field, x, what)
+    arr = np.empty(shape, dtype=object)
+    for i, plane in enumerate(data):
+        for j, row in enumerate(plane):
+            for k, x in enumerate(row):
                 arr[i, j, k] = x
     return arr
 

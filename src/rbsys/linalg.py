@@ -183,13 +183,6 @@ class Field:
             return int(x) % self.p
         raise TypeError(f"cannot interpret {x!r} as an element of GF({self.p})")
 
-    def inv(self, x):
-        if self.p is None:
-            if x == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1, 1) / x
-        return pow(int(x), self.p - 2, self.p)
-
     def neg(self, x):
         if self.p is None:
             return -x

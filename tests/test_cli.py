@@ -472,3 +472,117 @@ def test_text_witnesses_print_the_json_tokens(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "lhs=[[1/18]] rhs=[[4/45]]" in text
     assert "Fraction" not in text
+
+
+def test_main_builds_no_parser(f2_zero_path, monkeypatch, capsys):
+    # the grammar is declared once, at import; a call only parses
+    import argparse
+
+    calls = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["validate", f2_zero_path]) == 0
+    assert main(["extend", "census", f2_zero_path, "--json"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "--json", "census", "{sys}"],
+        ["extend", "--cap", "7", "census", "{sys}"],
+        ["deform", "--json", "verify", "{sys}", "{defn}"],
+    ],
+)
+def test_common_options_before_the_leaf_are_refused(argv, tmp_path, capsys):
+    # the common options belong to the leaf subcommand; before it they are
+    # a usage error (the extend group used to take them, and its leaf's
+    # defaults overwrote them: the command ran as text with the default cap)
+    from rbsys import constant_deformation
+
+    sys, _ = f2_zero_instance()
+    paths = {"sys": str(tmp_path / "sys.json"), "defn": str(tmp_path / "defn.json")}
+    docs.dump(docs.serialize_system(sys), paths["sys"])
+    docs.dump(docs.serialize_deformation(constant_deformation(sys, 1), sys), paths["defn"])
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: rbs" in err
+
+
+def test_one_parser_serves_calls_with_differing_options(tmp_path, capsys):
+    # one process parses every call with the same parser: no option of one
+    # call may leak into the next, so each report equals the report of the
+    # same call run alone, in a process of its own
+    import os
+    import subprocess
+    import sys as _sys
+    from pathlib import Path
+
+    from rbsys import QQ, constant_deformation
+
+    system = triangular_system(QQ, 2, 0)
+    spath, dpath = str(tmp_path / "sys.json"), str(tmp_path / "defn.json")
+    docs.dump(docs.serialize_system(system), spath)
+    docs.dump(docs.serialize_deformation(constant_deformation(system, 2), system), dpath)
+    sequence = [
+        ["cohomology", spath, "--what", "alg", "--max-degree", "2"],
+        ["cohomology", spath],
+        ["les", spath, "--json", "--cap", "50000"],
+        ["les", spath],
+        ["deform", "op-verify", spath, dpath],
+        ["deform", "verify", spath, dpath],
+    ]
+    in_process = []
+    for argv in sequence:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("RBS_DIM_CAP", None)
+    alone = []
+    for argv in sequence:
+        result = subprocess.run(
+            [_sys.executable, "-m", "rbsys.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.stderr == ""
+        alone.append((result.returncode, result.stdout))
+    assert in_process == alone
+    assert in_process[0][1] != in_process[1][1] and in_process[2][1] != in_process[3][1]
+    assert "operator deformation: valid" in in_process[4][1] and "deformation: valid" in in_process[5][1]
+
+
+@pytest.mark.parametrize("kind, dim", [("system", 10**6), ("system", 200), ("bimodule", 10**8)])
+def test_document_shape_is_checked_before_allocating(kind, dim, f2_zero_path, tmp_path, capsys):
+    # a "dim" alone can name any size: the nested lists are checked against
+    # it before an array of that size is allocated, so an empty tensor under
+    # a huge "dim" is malformed input (exit 2), not a numpy MemoryError
+    import tracemalloc
+
+    _, mod = f2_zero_instance()
+    if kind == "system":
+        doc = docs.load(f2_zero_path)
+        doc["dim"], doc["mult"] = dim, []
+        docs.dump(doc, f2_zero_path)
+        argv = ["validate", f2_zero_path]
+    else:
+        doc = docs.serialize_bimodule(mod, system_doc=docs.load(f2_zero_path))
+        doc["dim"], doc["left"] = dim, []
+        bpath = str(tmp_path / "mod.json")
+        docs.dump(doc, bpath)
+        argv = ["validate", f2_zero_path, bpath]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert "expected shape" in out and err == ""
+    assert peak < 2**20
