@@ -73,7 +73,12 @@ def resolve_cap(cap=None):
     if cap is not None:
         return cap
     env = os.environ.get("RBS_DIM_CAP")
-    return int(env) if env else DEFAULT_DIM_CAP
+    if not env:
+        return DEFAULT_DIM_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"RBS_DIM_CAP must be an integer, got {env!r}") from None
 
 
 def _guard(dim, cap):

@@ -19,49 +19,116 @@ Gauges are truncated series Id + Psi_1 t + ... acting by conjugation; the
 order-t coefficient of any valid deformation is a 2-cocycle of the total
 complex, and gauge changes move it by a coboundary.
 
-Every product of series here (the residuals, gauge composition and gauge
-action) is one truncated Cauchy product, _series.
+A coefficient family c_0..c_N of r x k maps is stored as one stacked
+series [c_0 | c_1 | ... | c_N], an r x (N+1)k matrix.  Every product of
+series (the residuals, gauge composition and gauge action) is then one
+matrix product: the truncated Cauchy product [sum_{i+j=n} a_i b_j] is
+[a_0 | ... ] @ T(b), with T(b) block-Toeplitz, block (i, n) = b_(n-i) for
+n >= i and zero otherwise (linalg.block_toeplitz).  A Kronecker Cauchy
+product sum_{i+j=n} a_i (x) b_j is the Cauchy product of the series
+[a_i (x) Id] and [Id (x) b_j], since a_i (x) b_j = (a_i (x) Id)(Id (x)
+b_j); each factor is one kron of a whole series, the second with its
+columns regrouped by order.  Series are split into per-order matrices only
+at the interface: the mus, Rs, Ss and psis lists and the per-order
+residuals of a report.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .algebra import MultiMap, multimap_from_vector
 from .cohomology import ALG, Complexes, pack_rbs_cochain, pack_rbso_cochain
 from .cohomology import hochschild_slice, phi  # noqa: F401  (re-exported: read from here)
 from .bimodules import regular_bimodule
-from .linalg import Matrix
+from .linalg import Matrix, block_toeplitz, hstack, regroup_columns
+
+
+def _orders(series, count, lo, hi):
+    """Coefficients lo..hi - 1 of a series of count coefficients, stacked."""
+    width = series.cols // count
+    return series.take_cols(lo * width, hi * width)
+
+
+def _split(series, count):
+    """The count coefficients of a series, as a list."""
+    return [_orders(series, count, n, n + 1) for n in range(count)]
+
+
+def _by_order(families, count):
+    """[(x_n, y_n, ...) for n < count] of series x, y, ... of count coefficients."""
+    return list(zip(*(_split(x, count) for x in families)))
+
+
+def _stack(family):
+    if len({m.shape for m in family}) != 1:
+        raise ValueError("the coefficients of a family must share one shape")
+    return hstack(family)
+
+
+def _cauchy(a, b, count):
+    """The truncated Cauchy product [sum_{i+j=n} a_i b_j for n < count] of
+    series a and b, where b holds count coefficients and a at most as many
+    (its missing ones are zero)."""
+    return a @ block_toeplitz(b, count, a.cols // b.rows)
+
+
+def _kron_factors(x, count):
+    """The series [x_i (x) Id] and [Id (x) x_i] of a series x of count
+    coefficients with d rows, Id the d x d identity.  For d x d maps x_i and
+    maps y_j with d rows, sum_{i+j=n} x_i (x) y_j is _cauchy of the first
+    series of x and the second of y."""
+    idd = Matrix.identity(x.field, x.rows)
+    return x.kron(idd), regroup_columns(idd.kron(x), x.rows, count)
 
 
 class DeformationData:
-    """Coefficient families (mus, Rs, Ss) of a deformation truncated at order N."""
+    """Coefficient families (mus, Rs, Ss) of a deformation truncated at order N.
 
-    __slots__ = ("order", "mus", "Rs", "Ss")
+    They are stored as the series (mu, R, S) in ``series``; the lists are
+    split off the series on each read.
+    """
+
+    __slots__ = ("order", "series")
 
     def __init__(self, order, mus, Rs, Ss):
         if not (len(mus) == len(Rs) == len(Ss) == order + 1):
             raise ValueError(f"need {order + 1} coefficients per family")
         self.order = order
-        self.mus = list(mus)
-        self.Rs = list(Rs)
-        self.Ss = list(Ss)
+        self.series = (_stack(mus), _stack(Rs), _stack(Ss))
+
+    @classmethod
+    def from_series(cls, order, mu, R, S):
+        """The deformation of the series mu, R and S, taken as they are."""
+        defn = cls.__new__(cls)
+        defn.order, defn.series = order, (mu, R, S)
+        return defn
+
+    @property
+    def mus(self):
+        return _split(self.series[0], self.order + 1)
+
+    @property
+    def Rs(self):
+        return _split(self.series[1], self.order + 1)
+
+    @property
+    def Ss(self):
+        return _split(self.series[2], self.order + 1)
+
+    def coefficients(self, k):
+        """(mu_k, R_k, S_k)."""
+        return tuple(_orders(x, self.order + 1, k, k + 1) for x in self.series)
 
     def __eq__(self, other):
         return (
             isinstance(other, DeformationData)
             and self.order == other.order
-            and self.mus == other.mus
-            and self.Rs == other.Rs
-            and self.Ss == other.Ss
+            and self.series == other.series
         )
 
     def coefficients_vanish(self, lo, hi):
         """True when mus, Rs, Ss are all zero in orders lo..hi inclusive."""
-        return all(
-            self.mus[k].is_zero() and self.Rs[k].is_zero() and self.Ss[k].is_zero()
-            for k in range(lo, min(hi, self.order) + 1)
-        )
+        hi = min(hi, self.order) + 1
+        return lo >= hi or all(_orders(x, self.order + 1, lo, hi).is_zero() for x in self.series)
 
     def __repr__(self):
         return f"DeformationData(order={self.order})"
@@ -77,7 +144,8 @@ def constant_deformation(sys, order):
 
 
 def _check_normalised(sys, defn):
-    if defn.mus[0] != sys.alg.mult_matrix() or defn.Rs[0] != sys.R or defn.Ss[0] != sys.S:
+    mu, R, S = defn.coefficients(0)
+    if mu != sys.alg.mult_matrix() or R != sys.R or S != sys.S:
         raise ValueError("deformation is not normalised to the undeformed structure at order 0")
 
 
@@ -106,43 +174,28 @@ class DeformationReport:
         return f"DeformationReport(ok={self.ok})"
 
 
-def _series(a, b, op=operator.matmul):
-    """Truncated Cauchy product: [sum_{i+j=n} op(a_i, b_j) for n < len(b)].
-
-    a may be shorter than b; its missing coefficients are zero.
-    """
-    out = []
-    for n in range(len(b)):
-        terms = (op(a[i], b[n - i]) for i in range(1, min(n, len(a) - 1) + 1))
-        out.append(sum(terms, op(a[0], b[n])))
-    return out
-
-
-def _operator_residuals(mus, Rs, Ss):
-    """Per-order (resR_n, resS_n) of the two operator equations.
-
-    mus may be shorter than Rs and Ss; the missing mu coefficients are zero.
-    """
-    idd = Matrix.identity(Rs[0].field, Rs[0].rows)
-    inner = _series(mus, [R.kron(idd) + idd.kron(S) for R, S in zip(Rs, Ss)])
-
-    def residual(ops):
-        twice = _series(ops, ops, Matrix.kron)
-        return [x - y for x, y in zip(_series(mus, twice), _series(ops, inner))]
-
-    return list(zip(residual(Rs), residual(Ss)))
+def _operator_residuals(mu, R, S, count):
+    """The series resR and resS of the two operator equations, through
+    order count - 1.  mu may hold fewer coefficients; the missing are zero."""
+    r_id, id_r = _kron_factors(R, count)
+    s_id, id_s = _kron_factors(S, count)
+    inner = _cauchy(mu, r_id + id_s, count)
+    res_r = _cauchy(mu, _cauchy(r_id, id_r, count), count) - _cauchy(R, inner, count)
+    res_s = _cauchy(mu, _cauchy(s_id, id_s, count), count) - _cauchy(S, inner, count)
+    return res_r, res_s
 
 
-def _deformation_residuals(mus, Rs, Ss):
-    idd = Matrix.identity(Rs[0].field, Rs[0].rows)
-    assoc = _series(mus, [mu.kron(idd) - idd.kron(mu) for mu in mus])
-    return [(a, *res) for a, res in zip(assoc, _operator_residuals(mus, Rs, Ss))]
+def _deformation_residuals(mu, R, S, count):
+    """The series assoc, resR and resS, through order count - 1."""
+    mu_id, id_mu = _kron_factors(mu, count)
+    return (_cauchy(mu, mu_id - id_mu, count), *_operator_residuals(mu, R, S, count))
 
 
 def verify_deformation(sys, defn):
     """Expand the deformed equations and report the residual of each order."""
     _check_normalised(sys, defn)
-    return DeformationReport(_deformation_residuals(defn.mus, defn.Rs, defn.Ss))
+    count = defn.order + 1
+    return DeformationReport(_by_order(_deformation_residuals(*defn.series, count), count))
 
 
 def infinitesimal(sys, defn, cap=None):
@@ -163,17 +216,20 @@ def infinitesimal(sys, defn, cap=None):
 
 def _order_cochain(sys, defn, k):
     """The order-k coefficients (mu_k, (R_k, S_k)) as a degree-2 total cochain."""
+    mu, R, S = defn.coefficients(k)
     return pack_rbs_cochain(
-        MultiMap(sys.alg, 2, defn.mus[k]),
-        MultiMap(sys.alg, 1, defn.Rs[k]),
-        MultiMap(sys.alg, 1, defn.Ss[k]),
+        MultiMap(sys.alg, 2, mu), MultiMap(sys.alg, 1, R), MultiMap(sys.alg, 1, S)
     )
 
 
 class GaugeSeries:
-    """A truncated series Id + Psi_1 t + ... + Psi_N t^N of maps A -> A."""
+    """A truncated series Id + Psi_1 t + ... + Psi_N t^N of maps A -> A.
 
-    __slots__ = ("order", "psis")
+    It is stored as the series [Id | Psi_1 | ... | Psi_N] in ``series``;
+    the list psis is split off it on each read.
+    """
+
+    __slots__ = ("order", "series")
 
     def __init__(self, order, psis):
         if len(psis) != order + 1:
@@ -182,13 +238,24 @@ class GaugeSeries:
         if first != Matrix.identity(first.field, first.rows):
             raise ValueError("order-0 coefficient must be the identity")
         self.order = order
-        self.psis = list(psis)
+        self.series = _stack(psis)
+
+    @classmethod
+    def from_series(cls, order, series):
+        """The gauge of a series whose first coefficient is the identity."""
+        g = cls.__new__(cls)
+        g.order, g.series = order, series
+        return g
+
+    @property
+    def psis(self):
+        return _split(self.series, self.order + 1)
 
     def __eq__(self, other):
         return (
             isinstance(other, GaugeSeries)
             and self.order == other.order
-            and self.psis == other.psis
+            and self.series == other.series
         )
 
     def __repr__(self):
@@ -204,16 +271,21 @@ def compose_gauges(g, h):
     """The series of x -> g(h(x)), truncated at the common order."""
     if g.order != h.order:
         raise ValueError("order mismatch")
-    return GaugeSeries(g.order, _series(g.psis, h.psis))
+    return GaugeSeries.from_series(g.order, _cauchy(g.series, h.series, g.order + 1))
 
 
 def gauge_inverse(g):
-    """Series inverse: compose_gauges(gauge_inverse(g), g) is the identity."""
-    thetas = [Matrix.identity(g.psis[0].field, g.psis[0].rows)]
-    for n in range(1, g.order + 1):
-        terms = (thetas[n - j] @ g.psis[j] for j in range(2, n + 1))
-        thetas.append(-sum(terms, thetas[n - 1] @ g.psis[1]))
-    return GaugeSeries(g.order, thetas)
+    """Series inverse: compose_gauges(gauge_inverse(g), g) is the identity.
+
+    theta_n = -sum_{i<n} theta_i Psi_(n-i) is one product of [theta_0 | ...
+    | theta_(n-1)] with block column n of the block-Toeplitz matrix of g.
+    """
+    d, count = g.series.rows, g.order + 1
+    t = block_toeplitz(g.series, count, count)
+    inv = Matrix.identity(g.series.field, d)
+    for n in range(1, count):
+        inv = hstack([inv, -(inv @ t.take(0, n * d, n * d, (n + 1) * d))])
+    return GaugeSeries.from_series(g.order, inv)
 
 
 def apply_gauge(defn, g):
@@ -224,16 +296,19 @@ def apply_gauge(defn, g):
     """
     if g.order != defn.order:
         raise ValueError("order mismatch")
-    inv, psis = gauge_inverse(g).psis, g.psis
+    count = g.order + 1
+    inv, psi = gauge_inverse(g).series, g.series
+    psi_id, id_psi = _kron_factors(psi, count)
+    mu, R, S = defn.series
 
-    def conjugate(coeffs, right):
-        return _series(_series(inv, coeffs), right)
+    def conjugate(x, right):
+        return _cauchy(_cauchy(inv, x, count), right, count)
 
-    return DeformationData(
+    return DeformationData.from_series(
         defn.order,
-        conjugate(defn.mus, _series(psis, psis, Matrix.kron)),
-        conjugate(defn.Rs, psis),
-        conjugate(defn.Ss, psis),
+        conjugate(mu, _cauchy(psi_id, id_psi, count)),
+        conjugate(R, psi),
+        conjugate(S, psi),
     )
 
 
@@ -347,7 +422,9 @@ def verify_operator_deformation(sys, od):
     """Per-order residuals of the operator equations with mu fixed."""
     if od.Rs[0] != sys.R or od.Ss[0] != sys.S:
         raise ValueError("operator deformation is not normalised at order 0")
-    return _operator_residuals([sys.alg.mult_matrix()], od.Rs, od.Ss)
+    count = od.order + 1
+    residuals = _operator_residuals(sys.alg.mult_matrix(), _stack(od.Rs), _stack(od.Ss), count)
+    return _by_order(residuals, count)
 
 
 def operator_deformation_ok(residuals, through=None):

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .algebra import Algebra, BimoduleActions, MultiMap, matrix_tensor
+from .algebra import Algebra, BimoduleActions, MultiMap, _tensor3, matrix_tensor, tensor_matrix
 from .bimodules import RBSBimodule
 from .deformation import DeformationData, OperatorDeformation
 from .extensions import Cocycle2, ExtensionData, ExtensionIso
@@ -87,7 +87,9 @@ def _parse_tensor3(field, data, shape, what):
                 raise DocumentError(f"{what}: expected shape {shape}")
             for x in row:
                 _check_entry(field, x, what)
-    arr = np.empty(shape, dtype=object)
+    # checked prime-field entries are residues already: in the field's dtype
+    # (int64 for p < 2^31) the tensor needs no coercion entry by entry
+    arr = np.empty(shape, dtype=field.dtype)
     for i, plane in enumerate(data):
         for j, row in enumerate(plane):
             for k, x in enumerate(row):
@@ -256,7 +258,7 @@ def parse_deformation(doc, sys):
     for k, data in enumerate(mus_data):
         tensor = _parse_tensor3(field, data, (d, d, d), f"mus[{k}]")
         try:
-            mus.append(Algebra(field, d, tensor).mult_matrix())
+            mus.append(tensor_matrix(field, _tensor3(field, tensor, (d, d, d))))
         except (TypeError, ValueError) as exc:
             raise DocumentError(f"mus[{k}]: {exc}") from exc
     return DeformationData(order, mus, Rs, Ss)

@@ -902,6 +902,31 @@ def _stacked(field, a, den, mag):
     return _new(field, a, den, mag)
 
 
+def block_toeplitz(series, count, depth):
+    """The block-Toeplitz matrix T, with depth block rows, of a series
+    stacked as [c_0 | ... | c_(count-1)]: block (i, n) is c_(n-i) for n >= i
+    and zero otherwise, so [a_0 | ... | a_(depth-1)] @ T is the truncated
+    Cauchy product [sum_{i+j=n} a_i c_j for n < count].  Block row 0 is the
+    series itself, so its denominator and bound carry over."""
+    num = series.num
+    rows, cols = num.shape
+    width = cols // count
+    out = np.zeros((depth, rows, cols), dtype=num.dtype)
+    for i in range(min(depth, count)):
+        out[i, :, i * width :] = num[:, : cols - i * width]
+    return _new(series.field, out.reshape(depth * rows, cols), series.den, series._mag)
+
+
+def regroup_columns(m, outer, inner):
+    """m with its columns read as an outer x inner grid of equal blocks,
+    regrouped inner-major: block (i, j) moves to position j outer + i.  This
+    turns I_k (x) [c_0 | ... | c_(n-1)] into [I_k (x) c_0 | ... | I_k (x)
+    c_(n-1)] (outer k, inner n)."""
+    rows, cols = m.shape
+    num = m.num.reshape(rows, outer, inner, cols // (outer * inner)).transpose(0, 2, 1, 3)
+    return _new(m.field, num.reshape(rows, cols), m.den, m._mag)
+
+
 def kron_all(field, mats, empty_dim=1):
     """Kronecker product of a list of matrices; empty list gives identity."""
     if not mats:

@@ -7,11 +7,13 @@ by term on explicit basis tuples, so a slice and its oracle share no
 assembly code.  A tiny standalone GF(2) rank routine backs the frozen
 cohomology table, and sympy's DomainMatrix is a second elimination
 engine for the exact kernels of rbsys.linalg.  The long exact sequence is
-checked a second way by eliminating each column span afresh.
+checked a second way by eliminating each column span afresh, and the
+deformation series order by order, one product per pair of orders.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -267,3 +269,66 @@ def les_slots_by_column_spans(sys, mod, max_degree, cap=None, spans=None):
             incoming = hstack([phi_z, image(RBSO, p)])
             slots.append(slot(RBSO, p, incoming, kernel(RBSO, p), shifted(p), image(RBS, p + 1)))
     return slots
+
+
+# -- deformation series, order by order ----------------------------------------
+#
+# The library stores a coefficient family as one stacked matrix and takes
+# each truncated Cauchy product as one block-Toeplitz product.  These
+# evaluate the same series on per-order lists, one Matrix product per pair
+# of orders, as the formulas in the rbsys.deformation docstring read.
+
+
+def series(a, b, op=operator.matmul):
+    """Truncated Cauchy product: [sum_{i+j=n} op(a_i, b_j) for n < len(b)].
+
+    a may be shorter than b; its missing coefficients are zero.
+    """
+    out = []
+    for n in range(len(b)):
+        terms = (op(a[i], b[n - i]) for i in range(1, min(n, len(a) - 1) + 1))
+        out.append(sum(terms, op(a[0], b[n])))
+    return out
+
+
+def series_operator_residuals(mus, Rs, Ss):
+    """Per-order (resR_n, resS_n); mus may be shorter than Rs and Ss."""
+    idd = Matrix.identity(Rs[0].field, Rs[0].rows)
+    inner = series(mus, [R.kron(idd) + idd.kron(S) for R, S in zip(Rs, Ss)])
+
+    def residual(ops):
+        twice = series(ops, ops, Matrix.kron)
+        return [x - y for x, y in zip(series(mus, twice), series(ops, inner))]
+
+    return list(zip(residual(Rs), residual(Ss)))
+
+
+def series_residuals(mus, Rs, Ss):
+    """Per-order (assoc_n, resR_n, resS_n) of a deformation."""
+    idd = Matrix.identity(Rs[0].field, Rs[0].rows)
+    assoc = series(mus, [mu.kron(idd) - idd.kron(mu) for mu in mus])
+    return [(a, *res) for a, res in zip(assoc, series_operator_residuals(mus, Rs, Ss))]
+
+
+def series_gauge_inverse(psis):
+    """theta_0 = Id, theta_n = -sum_{j=1}^n theta_(n-j) psi_j."""
+    thetas = [Matrix.identity(psis[0].field, psis[0].rows)]
+    for n in range(1, len(psis)):
+        terms = (thetas[n - j] @ psis[j] for j in range(2, n + 1))
+        thetas.append(-sum(terms, thetas[n - 1] @ psis[1]))
+    return thetas
+
+
+def series_apply_gauge(mus, Rs, Ss, psis):
+    """(mus', Rs', Ss') with mu' = g^-1 mu (g (x) g) and R' = g^-1 R g, S'
+    likewise, truncated."""
+    inv = series_gauge_inverse(psis)
+
+    def conjugate(coeffs, right):
+        return series(series(inv, coeffs), right)
+
+    return (
+        conjugate(mus, series(psis, psis, Matrix.kron)),
+        conjugate(Rs, psis),
+        conjugate(Ss, psis),
+    )

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -143,3 +144,55 @@ def test_action_matrices_are_built_once():
     d = acts.adim
     for j, cj in enumerate(acts.right_slices()):
         assert cj.entries() == [[acts.right[u, j, v] for u in range(d)] for v in range(d)]
+
+
+def _coerced(field, data):
+    """The structure tensor coerced one entry at a time."""
+    return [[[field.coerce(x) for x in row] for row in plane] for plane in data]
+
+
+@pytest.mark.parametrize("p", [2, 5, 40009, 2**31 - 1])
+def test_int64_tensor_is_reduced_like_coerce(p):
+    # matrix_tensor returns int64 residues; any int64 array, with negative
+    # entries and entries past p, is reduced as coerce reduces each entry
+    rng = np.random.default_rng(p)
+    data = rng.integers(-(2**62), 2**62, size=(2, 2, 2), dtype=np.int64)
+    data[0, 0, :] = [-1, p]
+    alg = Algebra(GF(p), 2, data)
+    assert alg.mult.dtype == np.int64 and not alg.mult.flags.writeable
+    assert alg.mult.tolist() == _coerced(GF(p), data.tolist())
+
+
+@pytest.mark.parametrize(
+    "field, data",
+    [
+        (QQ, [[[1, "1/2"], [Fraction(-3, 4), 0]], [["7", -2], [2**70, "-5/3"]]]),
+        (QQ, np.arange(-4, 4, dtype=np.int64).reshape(2, 2, 2)),
+        (GF(5), [[[7, -1], ["3", Fraction(10, 1)]], [[0, 4], [5, 2**64]]]),
+        (GF(5), np.arange(-4, 4, dtype=np.int32).reshape(2, 2, 2)),
+        (GF(2147483659), np.arange(-4, 4, dtype=np.int64).reshape(2, 2, 2)),
+    ],
+    ids=["Q-lists", "Q-int64", "GF5-lists", "GF5-int32", "GF-large-int64"],
+)
+def test_other_tensors_are_coerced_entry_for_entry(field, data):
+    alg = Algebra(field, 2, data)
+    assert alg.mult.dtype == field.dtype
+    want = _coerced(field, np.asarray(data, dtype=object).tolist())
+    assert alg.mult.tolist() == want
+    assert [type(x) for x in alg.mult.ravel().tolist()] == [type(x) for x in np.ravel(want).tolist()]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2147483659)], ids=repr)
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.zeros((2, 2, 2)),
+        np.zeros((2, 2, 2), dtype=bool),
+        [[[0, 0], [0, 0]], [[0, 0], [0, 1.0]]],
+        [[[0, 0], [0, 0]], [[0, 0], [0, True]]],
+    ],
+    ids=["float-array", "bool-array", "float-entry", "bool-entry"],
+)
+def test_float_and_bool_tensors_are_refused(field, data):
+    with pytest.raises(TypeError):
+        Algebra(field, 2, data)

@@ -305,6 +305,13 @@ def test_env_cap_override(f2_zero_path, monkeypatch):
     assert main(["cohomology", f2_zero_path, "--max-degree", "3"]) == 0
 
 
+def test_env_cap_that_is_not_an_integer_is_named(f2_zero_path, monkeypatch, capsys):
+    monkeypatch.setenv("RBS_DIM_CAP", "abc")
+    assert main(["cohomology", f2_zero_path, "--max-degree", "3", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "RBS_DIM_CAP must be an integer, got 'abc'"
+
+
 def test_extend_build_builds_each_block_once(tmp_path, monkeypatch):
     # the cocycle test inside build reads rbs_2 = [[delta_2, 0], [-phi_2,
     # -partial_1]]: two Hochschild slices, one phi and the doubled module once

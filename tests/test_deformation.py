@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from rbsys import (
     constant_deformation,
     constant_operator_deformation,
     gauge_inverse,
+    hstack,
     identity_gauge,
     infinitesimal,
     multimap_vector,
@@ -40,6 +42,13 @@ from instances import (
     random_gauge,
     random_matrix,
     triangular_system,
+)
+from oracles import (
+    series,
+    series_apply_gauge,
+    series_gauge_inverse,
+    series_operator_residuals,
+    series_residuals,
 )
 
 
@@ -104,6 +113,17 @@ def test_normalisation_enforced():
                           [sys.R, Matrix.zeros(QQ, 1, 1)], [sys.S, Matrix.zeros(QQ, 1, 1)])
     with pytest.raises(ValueError):
         verify_deformation(sys, bad)
+
+
+def test_coefficients_of_a_family_share_one_shape():
+    # a family is stored as one stacked matrix, so a coefficient of another
+    # width would shift every later order
+    sys = line_system(QQ, 1, 0)
+    z = Matrix.zeros(QQ, 1, 1)
+    with pytest.raises(ValueError, match="share one shape"):
+        DeformationData(1, [sys.alg.mult_matrix(), z], [sys.R, Matrix.zeros(QQ, 1, 2)], [sys.S, z])
+    with pytest.raises(ValueError, match="share one shape"):
+        GaugeSeries(1, [Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 2)])
 
 
 def test_infinitesimal_examples():
@@ -361,3 +381,100 @@ def test_rigidify_checks_each_object_once(monkeypatch):
     assert report.success
     assert set(system_checks.values()) == {1}
     assert len(verified) == 3 and set(verified.values()) == {1}
+
+
+SERIES_FIELDS = [QQ, GF(2), GF(5), GF(40009), GF(2**31 - 1)]
+
+
+def _scalar(field, rng):
+    """Small rationals, with one entry in four a numerator past 2^62 (the
+    object path); residues near p over the large primes, where one product
+    of two is near 2^62 and a sum of two unreduced ones wraps int64."""
+    if field.p is None:
+        if rng.random() < 0.25:
+            return Fraction(rng.choice([-1, 1]) * (2**62 + rng.randrange(2**64)), rng.randrange(1, 7))
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+    if field.p > 1000 and rng.random() < 0.75:
+        return field.p - 1 - rng.randrange(3)
+    return rng.randrange(field.p)
+
+
+def _matrix(field, rows, cols, rng):
+    return Matrix.from_rows(field, [[_scalar(field, rng) for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", SERIES_FIELDS, ids=repr)
+def test_stacked_cauchy_products_match_the_per_order_series(field):
+    from rbsys.deformation import _cauchy, _kron_factors, _split
+
+    rng = random.Random(12)
+    d = 2
+    for count in range(1, 6):
+        for shorter in sorted({1, count}):
+            # r x k blocks times k x s blocks, a with only `shorter` coefficients
+            a = [_matrix(field, 2, 3, rng) for _ in range(shorter)]
+            b = [_matrix(field, 3, 4, rng) for _ in range(count)]
+            got = _cauchy(hstack(a), hstack(b), count)
+            assert _split(got, count) == series(a, b)
+            # Kronecker: square d x d blocks a_i, d x q blocks b_j
+            a = [_matrix(field, d, d, rng) for _ in range(shorter)]
+            b = [_matrix(field, d, 3, rng) for _ in range(count)]
+            a_id, _ = _kron_factors(hstack(a), shorter)
+            _, id_b = _kron_factors(hstack(b), count)
+            got = _cauchy(a_id, id_b, count)
+            assert _split(got, count) == series(a, b, Matrix.kron)
+
+
+@pytest.mark.parametrize("field", SERIES_FIELDS, ids=repr)
+def test_stacked_deformation_series_match_the_per_order_series(field):
+    from rbsys.algebra import matrix_tensor
+
+    rng = random.Random(13)
+    d = 2
+    for order in range(6):
+        alg = Algebra(field, d, matrix_tensor(_matrix(field, d, d * d, rng), d, d))
+        sys = RotaBaxterSystem(alg, _matrix(field, d, d, rng), _matrix(field, d, d, rng))
+        mus = [alg.mult_matrix()] + [_matrix(field, d, d * d, rng) for _ in range(order)]
+        Rs = [sys.R] + [_matrix(field, d, d, rng) for _ in range(order)]
+        Ss = [sys.S] + [_matrix(field, d, d, rng) for _ in range(order)]
+        g, h = (
+            GaugeSeries(order, [Matrix.identity(field, d)] + [_matrix(field, d, d, rng) for _ in range(order)])
+            for _ in range(2)
+        )
+        assert gauge_inverse(g).psis == series_gauge_inverse(g.psis)
+        assert compose_gauges(g, h).psis == series(g.psis, h.psis)
+        defn = DeformationData(order, mus, Rs, Ss)
+        gauged = apply_gauge(defn, g)
+        assert (gauged.mus, gauged.Rs, gauged.Ss) == series_apply_gauge(mus, Rs, Ss, g.psis)
+        for x in (defn, gauged):
+            assert verify_deformation(sys, x).residuals == series_residuals(x.mus, x.Rs, x.Ss)
+        od = OperatorDeformation(order, Rs, Ss)
+        assert verify_operator_deformation(sys, od) == series_operator_residuals(
+            [alg.mult_matrix()], Rs, Ss
+        )
+
+
+def test_verify_deformation_products_do_not_grow_with_the_order(monkeypatch):
+    # one product per Cauchy product of series, whatever the order: assoc,
+    # inner, R (x) R, S (x) S, and mu and R or S applied to each of the two
+    # operator residuals; two krons for each of mu, R and S
+    calls = []
+    matmul, kron = Matrix.__matmul__, Matrix.kron
+
+    def counted(op):
+        def wrapper(self, other):
+            calls.append(op.__name__)
+            return op(self, other)
+
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted(matmul))
+    monkeypatch.setattr(Matrix, "kron", counted(kron))
+    sys = triangular_system(GF(5), 1, 2)
+    made = {}
+    for order in (1, 2, 4):
+        defn = apply_gauge(constant_deformation(sys, order), random_gauge(sys, order, random.Random(order)))
+        calls.clear()
+        assert verify_deformation(sys, defn).ok
+        made[order] = (calls.count("__matmul__"), calls.count("kron"))
+    assert made == {1: (8, 6), 2: (8, 6), 4: (8, 6)}
