@@ -17,7 +17,9 @@ command (``deform verify``, not ``deform``) accepts --json for a
 machine-readable report with the same numbers, --max-degree and --cap; they
 follow the leaf's name, as in ``rbs extend census S --json``.
 --cap sets the slice-size guard; when it is not given, the environment
-variable RBS_DIM_CAP replaces the default of 20000.
+variable RBS_DIM_CAP replaces the default of 20000.  main reads it once,
+before any leaf runs, so a value that is not an integer is exit 2 for every
+leaf, even one that builds no complex.
 """
 
 from __future__ import annotations
@@ -36,15 +38,15 @@ from .cohomology import (
     betti,
     les_check,
     rba_embedding_check,
+    resolve_cap,
 )
 from .deformation import (
     DeformationData,
-    DeformationReport,
     OperatorDeformation,
     infinitesimal,
+    operator_deformation_report,
     rigidify,
     verify_deformation,
-    verify_operator_deformation,
 )
 from .extensions import (
     NotACocycle,
@@ -276,7 +278,7 @@ def cmd_deform_op_verify(args, rep):
         if not all(m.is_zero() for m in defn.mus[1:]):
             raise DocumentError("op-verify needs an operator deformation (omit \"mus\")")
         defn = OperatorDeformation(defn.order, defn.Rs, defn.Ss)
-    report = DeformationReport(verify_operator_deformation(sys_obj, defn))
+    report = operator_deformation_report(sys_obj, defn)
     return _report_orders(rep, report, "operator deformation")
 
 
@@ -446,6 +448,8 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     rep = _Reporter(args.json)
     try:
+        # RBS_DIM_CAP is read here, once, for every leaf
+        args.cap = resolve_cap(args.cap)
         code = args.func(args, rep)
     except _SystemFails:
         code = FAIL

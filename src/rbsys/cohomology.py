@@ -26,6 +26,17 @@ into one integer array through index arrays, one signed add per term; no
 Kronecker product by an identity is formed.  The rest of phi is one
 Kronecker product, [[R_M], [S_M]] (x) T^T, the base of that sum.
 
+betti ranks rbs_n = [[delta_n, 0], [-phi_n, -partial_(n-1)]] through its
+blocks and never assembles it: rank rbs_n = rank delta_n + rank [phi_n K |
+partial_(n-1)], where K is the canonical kernel basis of delta_n (for n = 0
+the right-hand matrix is phi_0 K alone).  The map (c, g) -> (K c, g) is a
+bijection from the kernel of [phi_n K | partial_(n-1)] onto the kernel of
+rbs_n, because K is injective, and signs do not change a rank.  Nothing in
+this uses that phi is a chain map or that d^2 = 0, so the ranks are those
+of the assembled slices for any blocks.  phi_n K is formed from the RREF of
+delta_n (linalg.on_kernel), which also gives rank delta_n.  The cap still
+guards the target space of rbs_n, as it does when rbs_n is assembled.
+
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
 embedding check: the Hochschild complex of the star algebra
@@ -55,7 +66,7 @@ from .algebra import (
     multimap_vector,
 )
 from .bimodules import _d_module_unchecked, regular_bimodule
-from .linalg import Matrix, hstack, kron_all, modulo_span, span_echelon, vstack
+from .linalg import Matrix, hstack, kron_all, modulo_span, on_kernel, span_echelon, vstack
 from .systems import from_rb_operator
 
 ALG = "alg"
@@ -286,6 +297,25 @@ class Complexes:
             return self.partial(n)
         return self.rbs(n)
 
+    def rank(self, tag, n):
+        """The rank of the degree-n differential of the complex named by tag.
+
+        rbs_n is ranked through its blocks and never assembled: rank rbs_n =
+        rank delta_n + rank [phi_n K | partial_(n-1)] (phi_0 K alone for n =
+        0), with K the canonical kernel basis of delta_n (see the module
+        docstring).  The cap guards rbs_n itself, as rbs does.
+        """
+        if tag != RBS:
+            return self.slice(tag, n).rank()
+        if n < 0:
+            raise ValueError("degree must be non-negative")
+        _guard(rbs_dim(n + 1, self.sys.dim, self.mod.dim), self.cap)
+        delta_n = self.delta(n)
+        restricted = on_kernel(self.phi(n), delta_n)
+        if n:
+            restricted = hstack([restricted, self.partial(n - 1)])
+        return delta_n.rank() + restricted.rank()
+
     def is_cocycle(self, cochain):
         self._check(cochain)
         return (self.slice(cochain.tag, cochain.degree) @ cochain.vector).is_zero()
@@ -356,13 +386,13 @@ def betti(tag, sys, mod, max_degree, cap=None):
     rows = []
     prev_rank = 0
     for n in range(max_degree + 1):
-        mat = cx.slice(tag, n)
-        rank = mat.rank()
-        kernel = mat.cols - rank
+        rank = cx.rank(tag, n)
+        dim = cx.dim(tag, n)
+        kernel = dim - rank
         rows.append(
             {
                 "n": n,
-                "dim": mat.cols,
+                "dim": dim,
                 "rank": rank,
                 "kernel": kernel,
                 "image_below": prev_rank,

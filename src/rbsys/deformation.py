@@ -44,6 +44,8 @@ from .linalg import Matrix, block_toeplitz, hstack, regroup_columns
 
 def _orders(series, count, lo, hi):
     """Coefficients lo..hi - 1 of a series of count coefficients, stacked."""
+    if (lo, hi) == (0, count):
+        return series
     width = series.cols // count
     return series.take_cols(lo * width, hi * width)
 
@@ -150,22 +152,36 @@ def _check_normalised(sys, defn):
 
 
 class DeformationReport:
-    """Per-order residual maps; empty residuals at every order means valid."""
+    """The residual series (assoc, resR, resS) of a deformation through
+    order count - 1 (only resR and resS for an operator deformation); the
+    deformation is valid when every residual is zero.  Verdicts read the
+    series by order ranges; ``residuals`` splits them into per-order
+    matrices only when it is read."""
 
-    __slots__ = ("residuals",)
+    __slots__ = ("series", "count")
 
-    def __init__(self, residuals):
-        self.residuals = residuals
+    def __init__(self, series, count):
+        self.series = series
+        self.count = count
+
+    @property
+    def residuals(self):
+        """The per-order residuals: for each n < count, the tuple of the
+        order-n coefficients of the series, (assoc_n, resR_n, resS_n)."""
+        return _by_order(self.series, self.count)
+
+    def _vanish(self, lo, hi):
+        return lo >= hi or all(_orders(x, self.count, lo, hi).is_zero() for x in self.series)
 
     def failing_orders(self):
-        return [n for n, res in enumerate(self.residuals) if not all(r.is_zero() for r in res)]
+        return [n for n in range(self.count) if not self._vanish(n, n + 1)]
 
     @property
     def ok(self):
-        return not self.failing_orders()
+        return self._vanish(0, self.count)
 
     def ok_through(self, order):
-        return all(n > order for n in self.failing_orders())
+        return self._vanish(0, min(order + 1, self.count))
 
     def first_failure(self):
         return next(iter(self.failing_orders()), None)
@@ -195,7 +211,7 @@ def verify_deformation(sys, defn):
     """Expand the deformed equations and report the residual of each order."""
     _check_normalised(sys, defn)
     count = defn.order + 1
-    return DeformationReport(_by_order(_deformation_residuals(*defn.series, count), count))
+    return DeformationReport(_deformation_residuals(*defn.series, count), count)
 
 
 def infinitesimal(sys, defn, cap=None):
@@ -418,13 +434,18 @@ def constant_operator_deformation(sys, order):
     return OperatorDeformation(order, [sys.R] + [zop] * order, [sys.S] + [zop] * order)
 
 
-def verify_operator_deformation(sys, od):
-    """Per-order residuals of the operator equations with mu fixed."""
+def operator_deformation_report(sys, od):
+    """The operator residual series (resR, resS) with mu fixed, as a report."""
     if od.Rs[0] != sys.R or od.Ss[0] != sys.S:
         raise ValueError("operator deformation is not normalised at order 0")
     count = od.order + 1
-    residuals = _operator_residuals(sys.alg.mult_matrix(), _stack(od.Rs), _stack(od.Ss), count)
-    return _by_order(residuals, count)
+    series = _operator_residuals(sys.alg.mult_matrix(), _stack(od.Rs), _stack(od.Ss), count)
+    return DeformationReport(series, count)
+
+
+def verify_operator_deformation(sys, od):
+    """Per-order residuals of the operator equations with mu fixed."""
+    return operator_deformation_report(sys, od).residuals
 
 
 def operator_deformation_ok(residuals, through=None):

@@ -68,6 +68,9 @@ def _parse_matrix(field, data, rows, cols, what):
             raise DocumentError(f"{what}: expected {cols} columns per row")
         for x in row:
             _check_entry(field, x, what)
+    if field.p is not None:
+        # checked entries are residues already: one array in the field's dtype
+        return Matrix(field, np.array(data, dtype=field.dtype).reshape(rows, cols))
     try:
         return Matrix.from_rows(field, data)
     except (TypeError, ValueError) as exc:

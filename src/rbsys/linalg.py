@@ -954,6 +954,24 @@ def modulo_span(m, echelon):
     r, piv = echelon
     if not (piv and m.rows):
         return m
-    cols = m.num[:, list(piv)]
-    picked = _new(m.field, cols) if m.field.p is not None else _of(m.field, cols, m.den, m._mag)
-    return m - picked @ r
+    return m - _columns(m, list(piv)) @ r
+
+
+def on_kernel(x, m):
+    """x @ K for K = m.kernel_basis(), without forming K: with R the RREF of
+    m, P its pivots and F the other columns, K is the identity on F and -R
+    on P, so x K = x[:, F] - x[:, P] R[:, F], one product of inner size
+    |P|."""
+    r, piv = m.rref()
+    free = np.ones(m.cols, dtype=bool)
+    free[list(piv)] = False
+    x_free = _columns(x, free)
+    if not piv:
+        return x_free
+    return x_free - _columns(x, list(piv)) @ _columns(r.take_rows(0, len(piv)), free)
+
+
+def _columns(m, index):
+    """The columns of m that index (a list or a boolean mask) selects."""
+    cols = m.num[:, index]
+    return _new(m.field, cols) if m.field.p is not None else _of(m.field, cols, m.den, m._mag)

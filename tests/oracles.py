@@ -6,7 +6,8 @@ coordinates.  These helpers instead evaluate the written-out formulas term
 by term on explicit basis tuples, so a slice and its oracle share no
 assembly code.  A tiny standalone GF(2) rank routine backs the frozen
 cohomology table, and sympy's DomainMatrix is a second elimination
-engine for the exact kernels of rbsys.linalg.  The long exact sequence is
+engine for the exact kernels of rbsys.linalg.  The ranks of the total
+complex are checked against its slices assembled whole.  The long exact sequence is
 checked a second way by eliminating each column span afresh, and the
 deformation series order by order, one product per pair of orders.
 """
@@ -188,6 +189,13 @@ def sympy_rref(mat):
 def sympy_rank(mat):
     """Rank of a Matrix by sympy."""
     return len(sympy_rref(mat)[1])
+
+
+def assembled_ranks(sys, mod, max_degree, cap=None):
+    """The rank of every total differential rbs_n, n <= max_degree, each
+    assembled whole from its blocks and eliminated as one matrix."""
+    cx = Complexes(sys, mod, cap)
+    return [cx.rbs(n).rank() for n in range(max_degree + 1)]
 
 
 def column_space_rank(mats):

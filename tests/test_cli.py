@@ -312,6 +312,38 @@ def test_env_cap_that_is_not_an_integer_is_named(f2_zero_path, monkeypatch, caps
     assert report["error"] == "RBS_DIM_CAP must be an integer, got 'abc'"
 
 
+def test_env_cap_is_read_once_for_every_leaf(f2_zero_path, monkeypatch, capsys):
+    # main resolves the cap before any leaf runs, so a leaf that builds no
+    # complex refuses a malformed RBS_DIM_CAP too; an explicit --cap wins
+    monkeypatch.setenv("RBS_DIM_CAP", "abc")
+    assert main(["validate", f2_zero_path, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "RBS_DIM_CAP must be an integer, got 'abc'"
+    assert main(["validate", f2_zero_path, "--cap", "5"]) == 0
+    assert main(["cohomology", f2_zero_path, "--cap", "50000"]) == 0
+
+
+def test_cohomology_cap_message_names_the_total_space(tmp_path, capsys):
+    # betti ranks rbs_n through blocks smaller than rbs_n, yet the cap still
+    # guards rbs_n: exit 2 names rbs_dim(n + 1) at the first degree n whose
+    # target space exceeds the cap, and every smaller space passes
+    from rbsys import rbs_dim
+
+    sys = triangular_system(GF5(), 1, 2)
+    spath, mpath = str(tmp_path / "tri.json"), str(tmp_path / "tri.bimodule.json")
+    sys_doc = docs.serialize_system(sys)
+    docs.dump(sys_doc, spath)
+    docs.dump(docs.serialize_bimodule(regular_bimodule(sys), sys_doc), mpath)
+    targets = [rbs_dim(n + 1, 3, 3) for n in range(4)]
+    for cap in range(1, targets[-1] + 2):
+        code = main(["cohomology", spath, mpath, "--what", "rbs", "--max-degree", "3", "--cap", str(cap)])
+        out = capsys.readouterr().out
+        over = [dim for dim in targets if dim > cap]
+        if over:
+            assert (code, out) == (2, f"error: cochain space of dimension {over[0]} exceeds cap {cap}\n")
+        else:
+            assert code == 0 and out.startswith("complex: rbs\n")
+
+
 def test_extend_build_builds_each_block_once(tmp_path, monkeypatch):
     # the cocycle test inside build reads rbs_2 = [[delta_2, 0], [-phi_2,
     # -partial_1]]: two Hochschild slices, one phi and the doubled module once

@@ -45,6 +45,7 @@ from instances import (
     unital_line,
 )
 from oracles import (
+    assembled_ranks,
     basis_tuples,
     column_space_rank,
     gf2_rank,
@@ -270,6 +271,104 @@ def test_betti_f2_zero_against_independent_rank():
     for n in range(4):
         got = rbs_d(n, sys, mod).matrix.entries()
         assert got == hand_slices[n]
+
+
+def _seed_family_pairs(field, rng):
+    """One scrambled pair of every seed family of tests/instances.py."""
+    from rbsys import from_rb_operator
+
+    from instances import (
+        diagonal_algebra,
+        idempotent_rb_operator,
+        random_scalar,
+        zero_action_bimodule,
+        zero_mult_system,
+    )
+
+    def nonzero():
+        while True:
+            x = random_scalar(field, rng)
+            if x:
+                return x
+
+    zero2, zero3 = zero_mult_system(field, 2, rng), zero_mult_system(field, 3, rng)
+    line_r, line_s = line_system(field, nonzero(), 0), line_system(field, 0, nonzero())
+    tri = triangular_system(field, nonzero(), nonzero())
+    lam = nonzero()
+    idem2 = from_rb_operator(diagonal_algebra(field, 2), idempotent_rb_operator(field, 2, [0], lam), lam)
+    idem3 = from_rb_operator(diagonal_algebra(field, 3), idempotent_rb_operator(field, 3, [0, 2], lam), lam)
+    pairs = [
+        (zero2, regular_bimodule(zero2)),
+        (zero2, zero_action_bimodule(zero2, 2, rng)),
+        (zero3, zero_action_bimodule(zero3, 1, rng)),
+        (line_r, regular_bimodule(line_r)),
+        (line_s, zero_action_bimodule(line_s, 2, rng)),
+        (tri, regular_bimodule(tri)),
+        (idem2[0], regular_bimodule(idem2[0])),
+        (idem2[1], zero_action_bimodule(idem2[1], 1, rng)),
+        (idem3[1], regular_bimodule(idem3[1])),
+    ]
+    for sys, mod in pairs:
+        p, q = random_invertible(field, sys.dim, rng), random_invertible(field, mod.dim, rng)
+        yield conjugate_system(sys, p), conjugate_bimodule(mod, p, q)
+
+
+def _random_phi(phi):
+    """phi plus a random matrix of its shape in every degree, the same one on
+    every call: a comparison map that is no chain map."""
+
+    def perturbed(n, sys, mod, cap=None):
+        out = phi(n, sys, mod, cap)
+        return out + random_matrix(sys.field, out.rows, out.cols, random.Random(n))
+
+    return perturbed
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(40009), GF(2**31 - 1), QQ], ids=repr)
+def test_betti_rbs_ranks_match_the_assembled_slices(field, monkeypatch):
+    # betti ranks rbs_n through its blocks; the oracle eliminates rbs_n
+    # assembled whole.  The rank formula assumes neither d^2 = 0 nor that
+    # phi is a chain map, so it must also hold with phi perturbed.
+    from rbsys import cohomology
+
+    rng = random.Random(1301)
+    phi = cohomology.phi
+    moved = 0
+    for sys, mod in _seed_family_pairs(field, rng):
+        top = 4 if sys.dim <= 2 else 3
+        rows = {}
+        for perturb in (False, True):
+            monkeypatch.setattr(cohomology, "phi", _random_phi(phi) if perturb else phi)
+            rows[perturb] = betti(RBS, sys, mod, top).rows
+            assert [row["rank"] for row in rows[perturb]] == assembled_ranks(sys, mod, top)
+            assert [row["dim"] for row in rows[perturb]] == [rbs_dim(n, sys.dim, mod.dim) for n in range(top + 1)]
+        moved += rows[False] != rows[True]
+    assert moved >= 3
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+def test_betti_rbs_never_assembles_the_total_slice(field, monkeypatch):
+    # d = 3, so no delta_n has as many rows as rbs_n: the two eliminations of
+    # each degree are delta_n and [phi_n K | partial_(n-1)]
+    from rbsys import Complexes, linalg
+
+    def refused(self, n):
+        raise AssertionError("betti assembled rbs_n")
+
+    shapes = []
+    rref = linalg._rref_array
+
+    def counted(a, f):
+        shapes.append(a.shape)
+        return rref(a, f)
+
+    monkeypatch.setattr(Complexes, "rbs", refused)
+    monkeypatch.setattr(linalg, "_rref_array", counted)
+    sys = triangular_system(field, 1, 2)
+    mod = regular_bimodule(sys)
+    betti(RBS, sys, mod, 3)
+    assert len(shapes) == 8
+    assert not {rows for rows, _ in shapes} & {rbs_dim(n + 1, 3, 3) for n in range(4)}
 
 
 def test_betti_rbso_equals_hochschild_of_star_with_doubled_module():

@@ -478,3 +478,39 @@ def test_verify_deformation_products_do_not_grow_with_the_order(monkeypatch):
         assert verify_deformation(sys, defn).ok
         made[order] = (calls.count("__matmul__"), calls.count("kron"))
     assert made == {1: (8, 6), 2: (8, 6), 4: (8, 6)}
+
+
+@pytest.mark.parametrize("field", SERIES_FIELDS, ids=repr)
+def test_failing_report_lists_the_per_order_failures(field):
+    # the report keeps the residual series and answers its verdicts by
+    # order ranges; they must agree with the per-order residuals of the
+    # oracle, and residuals must still split into per-order tuples
+    from rbsys.deformation import DeformationReport, operator_deformation_report
+
+    rng = random.Random(14)
+    sys = triangular_system(field, 1, 2)
+    seen = set()
+    for order in (1, 2, 3):
+        valid = apply_gauge(constant_deformation(sys, order), random_gauge(sys, order, rng))
+        for broken in range(order + 1):
+            # broken = 0 leaves the deformation valid
+            mus, Rs, Ss = valid.mus, valid.Rs, valid.Ss
+            if broken:
+                family = rng.choice([mus, Rs, Ss])
+                family[broken] = family[broken] + _matrix(field, *family[broken].shape, rng)
+            defn = DeformationData(order, mus, Rs, Ss)
+            od = OperatorDeformation(order, Rs, Ss)
+            for report, expected in (
+                (verify_deformation(sys, defn), series_residuals(mus, Rs, Ss)),
+                (operator_deformation_report(sys, od), series_operator_residuals(mus[:1], Rs, Ss)),
+            ):
+                assert isinstance(report, DeformationReport)
+                failing = [n for n, res in enumerate(expected) if not all(r.is_zero() for r in res)]
+                assert report.residuals == expected and isinstance(report.residuals[0], tuple)
+                assert report.failing_orders() == failing
+                assert report.ok is (not failing)
+                assert report.first_failure() == (failing[0] if failing else None)
+                for through in range(-1, order + 2):
+                    assert report.ok_through(through) is all(n > through for n in failing)
+                seen.add(tuple(failing))
+    assert {(), (1,), (2, 3)} <= seen

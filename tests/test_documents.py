@@ -132,3 +132,34 @@ def test_document_hash_stable():
     h1 = docs.document_hash(doc)
     doc2 = docs.serialize_system(triangular_system(GF(2), 1, 1))
     assert docs.document_hash(doc2) == h1
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1, 2147483659])
+def test_prime_field_matrices_are_read_without_coercion(p, monkeypatch):
+    # checked prime-field entries are residues already: the matrix is one
+    # array in the field's dtype, equal to the one Matrix.from_rows builds,
+    # and the messages of the checks are unchanged
+    from rbsys import Field
+
+    field = GF(p)
+    data = [[0, 1, p - 1], [p - 2, 0, 1]]
+    expected = Matrix.from_rows(field, data)
+
+    def refused(self, x):
+        raise AssertionError("a checked residue was coerced")
+
+    monkeypatch.setattr(Field, "coerce", refused)
+    got = docs._parse_matrix(field, data, 2, 3, "R")
+    assert got == expected and got.num.dtype == expected.num.dtype
+    assert docs._parse_matrix(field, [], 0, 3, "R") == Matrix.zeros(field, 0, 3)
+    assert docs._parse_matrix(field, [[], []], 2, 0, "R") == Matrix.zeros(field, 2, 0)
+    for bad, message in [
+        ([[0, 1, p]], f"R: entry {p} is not an integer in [0, {p})"),
+        ([[0, True, 1]], f"R: entry True is not an integer in [0, {p})"),
+        ([[0, "1", 1]], f"R: entry '1' is not an integer in [0, {p})"),
+        ([[0, 1]], "R: expected 3 columns per row"),
+        ([[0, 1, 1], [0, 1, 1]], "R: expected 1 rows"),
+    ]:
+        with pytest.raises(DocumentError) as exc:
+            docs._parse_matrix(field, bad, 1, 3, "R")
+        assert str(exc.value) == message

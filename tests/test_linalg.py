@@ -349,6 +349,26 @@ def test_zero_empty_and_zero_row_matrices(field):
     _assert_matches_oracle(m, Matrix.column(field, [0, 1, 0, 2]))
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_on_kernel_is_the_product_with_the_kernel_basis(field):
+    # x restricted to the kernel of m, from the RREF of m, equals x times
+    # the canonical kernel basis, storage included; also for a zero m (K =
+    # I), a full-rank m (K empty) and a zero or empty x
+    from rbsys.linalg import on_kernel
+
+    rng = random.Random(31)
+    cases = [(random_matrix(field, rows, 5, rng), random_matrix(field, 4, 5, rng)) for rows in (1, 2, 3, 7)]
+    cases += [
+        (Matrix.zeros(field, 3, 5), random_matrix(field, 4, 5, rng)),
+        (Matrix.identity(field, 5), random_matrix(field, 4, 5, rng)),
+        (random_matrix(field, 2, 5, rng), Matrix.zeros(field, 4, 5)),
+        (random_matrix(field, 2, 5, rng), Matrix.zeros(field, 0, 5)),
+    ]
+    for m, x in cases:
+        got, expected = on_kernel(x, m), x @ m.kernel_basis()
+        assert got == expected
+
+
 def test_rational_rref_is_all_fractions():
     r, pivots = Matrix.from_rows(QQ, [[2, 4, 1], [1, 2, 0]]).rref()
     assert pivots == (0, 2)
