@@ -22,7 +22,10 @@ from .linalg import QQ, Matrix, kron_all
 
 
 class Verdict:
-    """Outcome of an axiom check: truthiness plus a minimal witness."""
+    """Outcome of an axiom check: truthiness plus a minimal witness.
+
+    require is the one way the library turns a failed check into an error.
+    """
 
     __slots__ = ("ok", "tag", "witness", "lhs", "rhs")
 
@@ -48,6 +51,12 @@ class Verdict:
         if self.lhs is not None:
             msg += f": lhs={_text(self.lhs)} rhs={_text(self.rhs)}"
         return msg
+
+    def require(self, context, error=ValueError):
+        """self if the check passed, else raise error("context: describe()")."""
+        if not self.ok:
+            raise error(f"{context}: {self.describe()}")
+        return self
 
 
 def _text(x):

@@ -81,9 +81,7 @@ class RBSBimodule:
 
 def regular_bimodule(sys):
     """The system acting on itself: M = A, R_M = R, S_M = S."""
-    verdict = check_rbs(sys)
-    if not verdict:
-        raise ValueError(f"not a Rota-Baxter system: {verdict.describe()}")
+    check_rbs(sys).require("not a Rota-Baxter system")
     return RBSBimodule(sys, regular_actions(sys.alg), sys.R, sys.S)
 
 
@@ -96,9 +94,7 @@ def check_rbs_bimodule(mod):
 
 def _rbs_bimodule_verdict(mod):
     sys = mod.base
-    verdict = check_rbs(sys)
-    if not verdict:
-        raise ValueError(f"base is not a Rota-Baxter system: {verdict.describe()}")
+    check_rbs(sys).require("base is not a Rota-Baxter system")
     base_axioms = check_bimodule(sys.alg, mod.actions)
     if not base_axioms:
         return base_axioms
@@ -138,15 +134,11 @@ def semidirect_product(mod):
     Operators act componentwise; the result is verified, and the canonical
     inclusion and projection are morphisms by construction.
     """
-    verdict = check_rbs_bimodule(mod)
-    if not verdict:
-        raise ValueError(f"not a Rota-Baxter system bimodule: {verdict.describe()}")
+    check_rbs_bimodule(mod).require("not a Rota-Baxter system bimodule")
     field, d, m = mod.field, mod.base.dim, mod.dim
     zero = Matrix.zeros(field, m, d)
     out = _square_zero_system(mod, Matrix.zeros(field, m, d * d), zero, zero)
-    check = check_rbs(out)
-    if not check:
-        raise AssertionError(f"semidirect product failed the axioms: {check.describe()}")
+    check_rbs(out).require("semidirect product failed the axioms", AssertionError)
     return out
 
 
@@ -194,9 +186,7 @@ def semidirect_extract(sys, actions, Rp, Sp):
     RM = Rp.take_rows(d, d + m).take_cols(d, d + m)
     SM = Sp.take_rows(d, d + m).take_cols(d, d + m)
     mod = RBSBimodule(sys, actions, RM, SM)
-    verdict = check_rbs_bimodule(mod)
-    if not verdict:
-        raise ValueError(f"extracted operators fail the bimodule axioms: {verdict.describe()}")
+    check_rbs_bimodule(mod).require("extracted operators fail the bimodule axioms")
     return mod
 
 
@@ -215,13 +205,9 @@ class DModule:
 
 def d_module(mod):
     """Build the doubled bimodule over the star algebra and verify its axioms."""
-    verdict = check_rbs_bimodule(mod)
-    if not verdict:
-        raise ValueError(f"not a Rota-Baxter system bimodule: {verdict.describe()}")
+    check_rbs_bimodule(mod).require("not a Rota-Baxter system bimodule")
     dm = _d_module_unchecked(mod)
-    axioms = check_bimodule(dm.star, dm.actions)
-    if not axioms:
-        raise AssertionError(f"doubled module failed the axioms: {axioms.describe()}")
+    check_bimodule(dm.star, dm.actions).require("doubled module failed the axioms", AssertionError)
     return dm
 
 
@@ -265,11 +251,9 @@ def d_module_rbs(mod):
         block_diag([mod.RM, mod.RM]),
         block_diag([mod.SM, mod.SM]),
     )
-    verdict = check_rbs_bimodule(out)
-    if not verdict:
-        raise AssertionError(
-            f"doubled module over the star system failed the axioms: {verdict.describe()}"
-        )
+    check_rbs_bimodule(out).require(
+        "doubled module over the star system failed the axioms", AssertionError
+    )
     return out
 
 

@@ -12,10 +12,12 @@ Subcommands wire the library modules to JSON documents on disk:
   extend      build | extract | census | check-iso
 
 Exit codes: 0 all checks pass, 1 a mathematical check fails (first witness
-reported), 2 malformed input, shape mismatch, or cap exceeded.  Every leaf
-command (``deform verify``, not ``deform``) accepts --json for a
-machine-readable report with the same numbers, --max-degree and --cap; they
-follow the leaf's name, as in ``rbs extend census S --json``.
+reported), 2 malformed input, shape mismatch, or cap exceeded.  A system,
+bimodule or extension read by a leaf that fails its axioms is exit 1, with
+its witness.  Every leaf command (``deform verify``, not ``deform``)
+accepts --json for a machine-readable report with the same numbers,
+--max-degree and --cap; they follow the leaf's name, as in ``rbs extend
+census S --json``.
 --cap sets the slice-size guard; when it is not given, the environment
 variable RBS_DIM_CAP replaces the default of 20000.  main reads it once,
 before any leaf runs, so a value that is not an integer is exit 2 for every
@@ -122,30 +124,33 @@ def _load_bimodule(path, sys_obj, system_doc, system_path):
     return docs.parse_bimodule(doc, sys_obj)
 
 
-def _bimodule_or_regular(args, sys_obj, system_doc):
-    if getattr(args, "bimodule", None):
-        return _load_bimodule(args.bimodule, sys_obj, system_doc, args.system)
-    return regular_bimodule(sys_obj)
+class _CheckFails(Exception):
+    """An input fails a mathematical check; its witness is reported, exit 1."""
 
 
-class _SystemFails(Exception):
-    """The input system fails an axiom; the witness is reported, exit 1."""
+def _require(rep, key, verdict, label):
+    """Report a failing verdict and its witness under key, then fail with
+    exit 1: a mathematical failure, not malformed input."""
+    if not verdict:
+        rep.set(key, _witness_dict(verdict))
+        rep.line(f"{label}: {verdict.describe()}")
+        raise _CheckFails
+
+
+def _bimodule_or_regular(args, rep, sys_obj, system_doc):
+    """The bimodule document after its axiom checks, or the regular bimodule."""
+    if not getattr(args, "bimodule", None):
+        return regular_bimodule(sys_obj)
+    mod = _load_bimodule(args.bimodule, sys_obj, system_doc, args.system)
+    _require(rep, "bimodule", check_rbs_bimodule(mod), "bimodule fails the axioms")
+    return mod
 
 
 def _guarded_system(args, rep):
-    """The system and its document, after the axiom checks: a failing axiom is
-    a mathematical failure (exit 1), not malformed input (exit 2)."""
+    """The system and its document, after the axiom checks."""
     sys_obj, system_doc = _load_system(args.system)
-    assoc = check_associative(sys_obj.alg)
-    if not assoc:
-        rep.set("system", _witness_dict(assoc))
-        rep.line(f"input is not associative: {assoc.describe()}")
-        raise _SystemFails
-    axioms = check_rbs(sys_obj)
-    if not axioms:
-        rep.set("system", _witness_dict(axioms))
-        rep.line(f"input fails the operator equations: {axioms.describe()}")
-        raise _SystemFails
+    _require(rep, "system", check_associative(sys_obj.alg), "input is not associative")
+    _require(rep, "system", check_rbs(sys_obj), "input fails the operator equations")
     return sys_obj, system_doc
 
 
@@ -180,7 +185,7 @@ def cmd_star(args, rep):
 
 def cmd_semidirect(args, rep):
     sys_obj, system_doc = _guarded_system(args, rep)
-    mod = _bimodule_or_regular(args, sys_obj, system_doc)
+    mod = _bimodule_or_regular(args, rep, sys_obj, system_doc)
     doc = docs.serialize_system(semidirect_product(mod), name="semidirect")
     _emit_document(rep, doc, args.output, "semidirect product")
     return PASS
@@ -191,7 +196,7 @@ _TAGS = {"alg": ALG, "rbso": RBSO, "rbs": RBS}
 
 def cmd_cohomology(args, rep):
     sys_obj, system_doc = _guarded_system(args, rep)
-    mod = _bimodule_or_regular(args, sys_obj, system_doc)
+    mod = _bimodule_or_regular(args, rep, sys_obj, system_doc)
     report = betti(_TAGS[args.what], sys_obj, mod, args.max_degree, args.cap)
     rep.set("complex", args.what)
     rep.set("rows", report.rows)
@@ -208,7 +213,7 @@ def cmd_cohomology(args, rep):
 
 def cmd_les(args, rep):
     sys_obj, system_doc = _guarded_system(args, rep)
-    mod = _bimodule_or_regular(args, sys_obj, system_doc)
+    mod = _bimodule_or_regular(args, rep, sys_obj, system_doc)
     report = les_check(sys_obj, mod, args.max_degree, args.cap)
     rep.set("ok", report.ok)
     rep.set(
@@ -231,10 +236,7 @@ def cmd_rba_embed(args, rep):
     sys_obj, _ = _load_system(args.system)
     lam = sys_obj.field.coerce(args.weight)
     verdict = check_rb_operator(sys_obj.alg, sys_obj.R, lam)
-    if not verdict:
-        rep.set("rb_operator", _witness_dict(verdict))
-        rep.line(f"R is not a weight-{args.weight} operator: {verdict.describe()}")
-        return FAIL
+    _require(rep, "rb_operator", verdict, f"R is not a weight-{args.weight} operator")
     report = rba_embedding_check(sys_obj.alg, sys_obj.R, lam, args.max_degree, args.cap)
     rep.set("ok", report.ok)
     rep.set("degrees", report.details)
@@ -313,6 +315,8 @@ def cmd_deform_rigidify(args, rep):
 def cmd_extend_check_iso(args, rep):
     ext1 = docs.parse_extension(docs.load(args.ext1))
     ext2 = docs.parse_extension(docs.load(args.ext2))
+    _require(rep, "ext1", check_extension(ext1), "ext1 is not a valid extension")
+    _require(rep, "ext2", check_extension(ext2), "ext2 is not a valid extension")
     iso = docs.parse_iso(docs.load(args.iso), ext1.hat.dim, ext1.hat.field)
     diagram = check_iso(ext1, ext2, iso)
     rep.set("diagram", _witness_dict(diagram))
@@ -327,18 +331,14 @@ def cmd_extend_check_iso(args, rep):
 
 def cmd_extend_extract(args, rep):
     ext = docs.parse_extension(docs.load(args.extension))
-    verdict = check_extension(ext)
-    if not verdict:
-        rep.set("extension", _witness_dict(verdict))
-        rep.line(f"not a valid extension: {verdict.describe()}")
-        return FAIL
+    _require(rep, "extension", check_extension(ext), "not a valid extension")
     _emit_document(rep, docs.serialize_cocycle(extract_cocycle(ext)), args.output, "cocycle")
     return PASS
 
 
 def cmd_extend_build(args, rep):
     sys_obj, system_doc = _guarded_system(args, rep)
-    mod = _bimodule_or_regular(args, sys_obj, system_doc)
+    mod = _bimodule_or_regular(args, rep, sys_obj, system_doc)
     cdoc = docs.load(args.cocycle)
     docs.check_system_reference(cdoc, system_doc, args.cocycle, args.system)
     c = docs.parse_cocycle(cdoc, sys_obj, mod)
@@ -354,7 +354,7 @@ def cmd_extend_build(args, rep):
 
 def cmd_extend_census(args, rep):
     sys_obj, system_doc = _guarded_system(args, rep)
-    mod = _bimodule_or_regular(args, sys_obj, system_doc)
+    mod = _bimodule_or_regular(args, rep, sys_obj, system_doc)
     entries = h2_extension_census(sys_obj, mod, cap=args.census_cap, dim_cap=args.cap)
     rep.set("h2_dim", len(entries) - 1)
     rep.line(f"dim H^2 = {len(entries) - 1}")
@@ -451,7 +451,7 @@ def main(argv=None):
         # RBS_DIM_CAP is read here, once, for every leaf
         args.cap = resolve_cap(args.cap)
         code = args.func(args, rep)
-    except _SystemFails:
+    except _CheckFails:
         code = FAIL
     except ValueError as exc:  # DocumentError and DimensionCapExceeded among them
         rep.set("error", str(exc))

@@ -60,6 +60,11 @@ def _by_order(families, count):
     return list(zip(*(_split(x, count) for x in families)))
 
 
+def _vanish(families, count, lo, hi):
+    """True when the series families, of count coefficients, vanish in orders lo..hi - 1."""
+    return lo >= hi or all(_orders(x, count, lo, hi).is_zero() for x in families)
+
+
 def _stack(family):
     if len({m.shape for m in family}) != 1:
         raise ValueError("the coefficients of a family must share one shape")
@@ -129,8 +134,7 @@ class DeformationData:
 
     def coefficients_vanish(self, lo, hi):
         """True when mus, Rs, Ss are all zero in orders lo..hi inclusive."""
-        hi = min(hi, self.order) + 1
-        return lo >= hi or all(_orders(x, self.order + 1, lo, hi).is_zero() for x in self.series)
+        return _vanish(self.series, self.order + 1, lo, min(hi, self.order) + 1)
 
     def __repr__(self):
         return f"DeformationData(order={self.order})"
@@ -170,18 +174,15 @@ class DeformationReport:
         order-n coefficients of the series, (assoc_n, resR_n, resS_n)."""
         return _by_order(self.series, self.count)
 
-    def _vanish(self, lo, hi):
-        return lo >= hi or all(_orders(x, self.count, lo, hi).is_zero() for x in self.series)
-
     def failing_orders(self):
-        return [n for n in range(self.count) if not self._vanish(n, n + 1)]
+        return [n for n in range(self.count) if not _vanish(self.series, self.count, n, n + 1)]
 
     @property
     def ok(self):
-        return self._vanish(0, self.count)
+        return _vanish(self.series, self.count, 0, self.count)
 
     def ok_through(self, order):
-        return self._vanish(0, min(order + 1, self.count))
+        return _vanish(self.series, self.count, 0, min(order + 1, self.count))
 
     def first_failure(self):
         return next(iter(self.failing_orders()), None)
@@ -457,8 +458,7 @@ def operator_infinitesimal(sys, od):
     """Package (R_1, S_1) as a degree-1 operator cochain and check it."""
     if od.order < 1:
         raise ValueError("need at least order 1")
-    residuals = verify_operator_deformation(sys, od)
-    if not operator_deformation_ok(residuals, through=1):
+    if not operator_deformation_report(sys, od).ok_through(1):
         raise ValueError("order-1 operator deformation equations fail")
     cochain = pack_rbso_cochain(
         MultiMap(sys.alg, 1, od.Rs[1]), MultiMap(sys.alg, 1, od.Ss[1])

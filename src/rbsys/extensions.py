@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .bimodules import RBSBimodule, _square_zero_system, check_rbs_bimodule, semidirect_maps
 from .cohomology import ALG, RBS, Cochain, Complexes, pack_rbs_cochain, unpack_rbs_cochain
-from .linalg import Matrix, hstack, vstack
+from .linalg import Matrix, hstack, regroup_columns, vstack
 from .systems import RotaBaxterSystem, check_morphism, check_rbs
 
 
@@ -156,13 +156,9 @@ def _build(cx, c):
     """build_extension, reading slices from cx; the cocycle is tested first."""
     if not cx.is_cocycle(c.as_cochain()):
         raise NotACocycle("payload is not a 2-cocycle; the assembled structure would fail")
-    verdict = check_rbs_bimodule(cx.mod)
-    if not verdict:
-        raise ValueError(f"not a Rota-Baxter system bimodule: {verdict.describe()}")
+    check_rbs_bimodule(cx.mod).require("not a Rota-Baxter system bimodule")
     ext = assemble_extension(cx.sys, cx.mod, c)
-    ext_check = check_extension(ext)
-    if not ext_check:
-        raise AssertionError(f"extension invariants failed: {ext_check.describe()}")
+    check_extension(ext).require("extension invariants failed", AssertionError)
     return ext
 
 
@@ -192,33 +188,27 @@ def check_extension(ext):
             if ext.incl @ ext.retraction + ext.section @ ext.proj != Matrix.identity(field, n):
                 return Verdict(False, tag="splitting_not_identity")
 
-    # image of incl is an ideal with zero internal multiplication
-    for u in range(m):
-        iu = ext.incl.col(u)
-        for v in range(m):
-            prod = ext.hat.alg.multiply(iu, ext.incl.col(v))
-            if not prod.is_zero():
-                return Verdict(False, tag="kernel_multiplication_nonzero", witness=(u, v),
-                               lhs=prod.entries())
-    for u in range(m):
-        iu = ext.incl.col(u)
-        for j in range(n):
-            ej = Matrix.unit_column(field, n, j)
-            for prod_tag, prod in (
-                ("kernel_not_right_ideal", ext.hat.alg.multiply(iu, ej)),
-                ("kernel_not_left_ideal", ext.hat.alg.multiply(ej, iu)),
-            ):
-                if not (ext.proj @ prod).is_zero():
-                    return Verdict(False, tag=prod_tag, witness=(u, j), lhs=prod.entries())
+    # image of incl is an ideal with zero internal multiplication: column
+    # u m + v of inner is i_u i_v, column 2(u n + j) + side of sides is
+    # i_u e_j (side 0, the right ideal) or e_j i_u (side 1, the left ideal)
+    mu_hat, idn = ext.hat.alg.mult_matrix(), Matrix.identity(field, n)
+    inner = mu_hat @ ext.incl.kron(ext.incl)
+    col = inner.first_nonzero_col()
+    if col is not None:
+        return Verdict(False, tag="kernel_multiplication_nonzero", witness=divmod(col, m),
+                       lhs=inner.col(col).entries())
+    left = regroup_columns(mu_hat @ idn.kron(ext.incl), n, m)
+    sides = regroup_columns(hstack([mu_hat @ ext.incl.kron(idn), left]), 2, m * n)
+    col = (ext.proj @ sides).first_nonzero_col()
+    if col is not None:
+        tag = ("kernel_not_right_ideal", "kernel_not_left_ideal")[col % 2]
+        return Verdict(False, tag=tag, witness=divmod(col // 2, n), lhs=sides.col(col).entries())
 
     # operators preserve the kernel, so they descend and restrict
     for tag, op in (("R", ext.hat.R), ("S", ext.hat.S)):
         if induced_fiber_operator(ext, op) is None:
             return Verdict(False, tag=f"kernel_not_{tag}_invariant")
-    hat_check = check_rbs(ext.hat)
-    if not hat_check:
-        return hat_check
-    return Verdict(True)
+    return check_rbs(ext.hat)
 
 
 def induced_fiber_operator(ext, op):
@@ -268,9 +258,7 @@ def induced_bimodule(ext, section=None):
         raise ValueError("kernel is not an ideal")
     actions = BimoduleActions(field, d, m, matrix_tensor(lam, d, m), matrix_tensor(rho, m, d))
     mod = RBSBimodule(sys, actions, rm, sm)
-    verdict = check_rbs_bimodule(mod)
-    if not verdict:
-        raise AssertionError(f"induced bimodule failed the axioms: {verdict.describe()}")
+    check_rbs_bimodule(mod).require("induced bimodule failed the axioms", AssertionError)
     return mod
 
 
@@ -349,9 +337,7 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma):
     iso = ExtensionIso(zeta)
     ext1 = assemble_extension(sys, mod, c1)
     ext2 = assemble_extension(sys, mod, c2)
-    verdict = check_iso(ext1, ext2, iso)
-    if not verdict:
-        raise AssertionError(f"shear failed the isomorphism checks: {verdict.describe()}")
+    check_iso(ext1, ext2, iso).require("shear failed the isomorphism checks", AssertionError)
     return iso
 
 

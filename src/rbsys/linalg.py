@@ -475,6 +475,11 @@ class Matrix:
     def is_zero(self):
         return not np.any(self.num)
 
+    def first_nonzero_col(self):
+        """The index of the first nonzero column, or None."""
+        cols = np.flatnonzero(self.num.any(axis=0))
+        return int(cols[0]) if cols.size else None
+
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
@@ -921,9 +926,9 @@ def regroup_columns(m, outer, inner):
     """m with its columns read as an outer x inner grid of equal blocks,
     regrouped inner-major: block (i, j) moves to position j outer + i.  This
     turns I_k (x) [c_0 | ... | c_(n-1)] into [I_k (x) c_0 | ... | I_k (x)
-    c_(n-1)] (outer k, inner n)."""
+    c_(n-1)] (outer k, inner n).  An empty grid is returned as it is."""
     rows, cols = m.shape
-    num = m.num.reshape(rows, outer, inner, cols // (outer * inner)).transpose(0, 2, 1, 3)
+    num = m.num.reshape(rows, outer, inner, cols // max(outer * inner, 1)).transpose(0, 2, 1, 3)
     return _new(m.field, num.reshape(rows, cols), m.den, m._mag)
 
 

@@ -71,9 +71,7 @@ def check_rbs(sys):
 
     Raises on a non-associative algebra, on every call.
     """
-    assoc = check_associative(sys.alg)
-    if not assoc:
-        raise ValueError(f"underlying algebra is not associative: {assoc.describe()}")
+    check_associative(sys.alg).require("underlying algebra is not associative")
     if sys._verdict is None:
         d, mu, R, S = sys.dim, sys.alg.mult_matrix(), sys.R, sys.S
         idd = Matrix.identity(sys.field, d)
@@ -102,9 +100,7 @@ def from_rb_operator(alg, R, lam):
     Returns ((A, R, R + lam id), (A, R + lam id, R)); raises if R fails the
     weight-lam identity.
     """
-    verdict = check_rb_operator(alg, R, lam)
-    if not verdict:
-        raise ValueError(f"operator is not Rota-Baxter of weight {lam}: {verdict.describe()}")
+    check_rb_operator(alg, R, lam).require(f"operator is not Rota-Baxter of weight {lam}")
     shifted = R + Matrix.identity(alg.field, alg.dim).scale(lam)
     return RotaBaxterSystem(alg, R, shifted), RotaBaxterSystem(alg, shifted, R)
 
@@ -166,9 +162,7 @@ def star_algebra(sys):
     Associativity of the new product holds because (A, R, S) is a system;
     the input is checked.
     """
-    verdict = check_rbs(sys)
-    if not verdict:
-        raise ValueError(f"not a Rota-Baxter system: {verdict.describe()}")
+    check_rbs(sys).require("not a Rota-Baxter system")
     return _star_algebra_unchecked(sys)
 
 
@@ -189,11 +183,7 @@ def star_rbs_if_commuting(sys):
     if sys.R @ sys.S != sys.S @ sys.R:
         return None
     star_sys = RotaBaxterSystem(star_algebra(sys), sys.R, sys.S)
-    verdict = check_rbs(star_sys)
-    if not verdict:
-        raise AssertionError(
-            f"star system of a commuting pair failed the axioms: {verdict.describe()}"
-        )
+    check_rbs(star_sys).require("star system of a commuting pair failed the axioms", AssertionError)
     return star_sys
 
 

@@ -96,6 +96,30 @@ def triangular_system(field, a=1, b=1):
     return RotaBaxterSystem(alg, R, S)
 
 
+def eq2_failing_bimodule():
+    """The regular bimodule of the triangular GF(5) system with R_M[0][0]
+    raised by 1: it fails eq2 at (0, 0)."""
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    bump = Matrix.from_rows(sys.field, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    return RBSBimodule(sys, mod.actions, mod.RM + bump, mod.SM)
+
+
+def eqR_failing_extension_doc():
+    """The document of the semidirect extension of the triangular GF(5)
+    system by its regular bimodule, with R[n-1][n-1] of the embedded system
+    raised by 1: that system fails eqR."""
+    from rbsys import build_extension, zero_cocycle
+    from rbsys import documents as docs
+
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    doc = docs.serialize_extension(build_extension(sys, mod, zero_cocycle(sys, mod)))
+    R, n = doc["system"]["R"], doc["system"]["dim"]
+    R[n - 1][n - 1] = (R[n - 1][n - 1] + 1) % 5
+    return doc
+
+
 def diagonal_algebra(field, n):
     """K x ... x K with componentwise multiplication."""
     mult = [[[0] * n for _ in range(n)] for _ in range(n)]

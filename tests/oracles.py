@@ -8,8 +8,9 @@ assembly code.  A tiny standalone GF(2) rank routine backs the frozen
 cohomology table, and sympy's DomainMatrix is a second elimination
 engine for the exact kernels of rbsys.linalg.  The ranks of the total
 complex are checked against its slices assembled whole.  The long exact sequence is
-checked a second way by eliminating each column span afresh, and the
-deformation series order by order, one product per pair of orders.
+checked a second way by eliminating each column span afresh, the
+deformation series order by order, one product per pair of orders, and the
+kernel of an extension as an ideal one product per pair of basis columns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
-from rbsys import ALG, RBS, RBSO, Complexes, Matrix, hstack, vstack
+from rbsys import ALG, RBS, RBSO, Complexes, Matrix, Verdict, hstack, vstack
 
 
 def basis_tuples(d, n):
@@ -340,3 +341,31 @@ def series_apply_gauge(mus, Rs, Ss, psis):
         conjugate(Rs, psis),
         conjugate(Ss, psis),
     )
+
+
+# -- the kernel of an extension as an ideal ------------------------------------
+
+
+def kernel_ideal_by_columns(ext):
+    """The ideal checks of check_extension, one product per pair of columns:
+    i_u i_v = 0 for all (u, v), then p(i_u e_j) = 0 and p(e_j i_u) = 0 for
+    each (u, j) in turn, u-major."""
+    field, n, m = ext.hat.field, ext.hat.dim, ext.fiber_dim
+    for u in range(m):
+        iu = ext.incl.col(u)
+        for v in range(m):
+            prod = ext.hat.alg.multiply(iu, ext.incl.col(v))
+            if not prod.is_zero():
+                return Verdict(False, tag="kernel_multiplication_nonzero", witness=(u, v),
+                               lhs=prod.entries())
+    for u in range(m):
+        iu = ext.incl.col(u)
+        for j in range(n):
+            ej = Matrix.unit_column(field, n, j)
+            for prod_tag, prod in (
+                ("kernel_not_right_ideal", ext.hat.alg.multiply(iu, ej)),
+                ("kernel_not_left_ideal", ext.hat.alg.multiply(ej, iu)),
+            ):
+                if not (ext.proj @ prod).is_zero():
+                    return Verdict(False, tag=prod_tag, witness=(u, j), lhs=prod.entries())
+    return Verdict(True)

@@ -11,6 +11,7 @@ from rbsys import (
     Algebra,
     Matrix,
     MultiMap,
+    Verdict,
     check_associative,
     check_nondegenerate,
     decode_tuple,
@@ -25,6 +26,17 @@ from instances import (
     triangular_algebra,
     unital_line,
 )
+
+
+def test_require_returns_a_pass_and_raises_a_failure_with_its_context():
+    ok = Verdict(True)
+    assert ok.require("unused") is ok
+    bad = Verdict(False, tag="t", witness=(0, 1), lhs=[Fraction(1, 2)], rhs=[0])
+    for error in (ValueError, AssertionError):
+        with pytest.raises(error) as raised:
+            bad.require("context", *([] if error is ValueError else [error]))
+        assert type(raised.value) is error
+        assert str(raised.value) == "context: fail [t] at (0, 1): lhs=[1/2] rhs=[0]"
 
 
 def test_associativity_examples():

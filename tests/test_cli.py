@@ -625,3 +625,113 @@ def test_document_shape_is_checked_before_allocating(kind, dim, f2_zero_path, tm
     out, err = capsys.readouterr()
     assert "expected shape" in out and err == ""
     assert peak < 2**20
+
+
+# -- inputs that fail their axioms ---------------------------------------------
+
+_LEAVES = [
+    ["validate", "{S}", "{B}"],
+    ["star", "{S}"],
+    ["semidirect", "{S}", "{B}"],
+    ["cohomology", "{S}", "{B}", "--max-degree", "2"],
+    ["les", "{S}", "{B}", "--max-degree", "2"],
+    ["rba-embed", "{S}", "--weight", "0", "--max-degree", "2"],
+    ["deform", "verify", "{S}", "{D}"],
+    ["deform", "infinitesimal", "{S}", "{D}"],
+    ["deform", "rigidify", "{S}", "{D}"],
+    ["deform", "op-verify", "{S}", "{D}"],
+    ["extend", "build", "{S}", "{C}", "--bimodule", "{B}"],
+    ["extend", "extract", "{E}"],
+    ["extend", "census", "{S}", "--bimodule", "{B}"],
+    ["extend", "check-iso", "{E}", "{E}", "{I}"],
+]
+
+
+@pytest.fixture
+def documents(tmp_path):
+    """Paths of valid documents over the triangular GF(5) system (S, B, C, D,
+    E, I), and of a system failing eqR, a bimodule failing eq2 and an
+    extension whose system fails eqR (bad S, B, E)."""
+    from rbsys import Matrix, QQ, build_extension, constant_deformation
+    from rbsys.extensions import ExtensionIso
+
+    from instances import eq2_failing_bimodule, eqR_failing_extension_doc
+
+    sys = triangular_system(GF5(), 1, 2)
+    sdoc = docs.serialize_system(sys)
+    mod = regular_bimodule(sys)
+    c = zero_cocycle(sys, mod)
+    ext = build_extension(sys, mod, c)
+    valid = {
+        "S": sdoc,
+        "B": docs.serialize_bimodule(mod, sdoc),
+        "C": docs.serialize_cocycle(c, sdoc),
+        "D": docs.serialize_deformation(constant_deformation(sys, 2), sys, sdoc),
+        "E": docs.serialize_extension(ext),
+        "I": docs.serialize_iso(ExtensionIso(Matrix.identity(GF5(), ext.hat.dim))),
+    }
+    bad = {
+        "S": docs.serialize_system(line_system(QQ, 1, 1)),
+        "B": docs.serialize_bimodule(eq2_failing_bimodule(), sdoc),
+        "E": eqR_failing_extension_doc(),
+    }
+    paths = {}
+    for prefix, found in (("", valid), ("bad_", bad)):
+        for name, doc in found.items():
+            paths[prefix + name] = str(tmp_path / f"{prefix}{name}.json")
+            docs.dump(doc, paths[prefix + name])
+    return paths
+
+
+def test_no_leaf_raises(documents, capsys):
+    # every leaf, in process, on valid documents (exit 0) and on each
+    # document that fails its axioms in turn (exit 1 wherever it is read):
+    # main returns an exit code and never raises
+    valid = {name: path for name, path in documents.items() if not name.startswith("bad_")}
+    for argv in _LEAVES:
+        for bad in (None, "S", "B", "E"):
+            if bad is not None and "{" + bad + "}" not in argv:
+                continue
+            paths = dict(valid, **({bad: documents["bad_" + bad]} if bad else {}))
+            for flags in ([], ["--json"]):
+                code = main([arg.format(**paths) for arg in argv] + flags)
+                out = capsys.readouterr().out
+                assert code == (0 if bad is None else 1), (argv, bad, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "{S}", "{bad_B}"],
+        ["les", "{S}", "{bad_B}"],
+        ["semidirect", "{S}", "{bad_B}"],
+        ["extend", "build", "{S}", "{C}", "--bimodule", "{bad_B}"],
+        ["extend", "census", "{S}", "--bimodule", "{bad_B}"],
+    ],
+)
+def test_bimodule_failing_its_axioms_is_exit_1_with_its_witness(argv, documents, capsys):
+    argv = [arg.format(**documents) for arg in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "bimodule fails the axioms: fail [eq2] at (0, 0): lhs=[[0], [1], [0]] rhs=[[1], [1], [0]]\n"
+    )
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "bimodule": {
+            "ok": False, "tag": "eq2", "witness": [0, 0], "lhs": [[0], [1], [0]], "rhs": [[1], [1], [0]]
+        },
+        "exit_code": 1,
+    }
+
+
+def test_check_iso_refuses_an_invalid_extension(documents, capsys):
+    # check-iso checks both extensions before the diagram: an invalid one is
+    # exit 1 with its witness, not an AssertionError from the extraction
+    witness = "fail [eqR] at (0, 5): lhs=[[0], [0], [0], [0], [1], [0]] rhs=[[0], [0], [0], [0], [0], [0]]"
+    for first, second, key in (("bad_E", "bad_E", "ext1"), ("E", "bad_E", "ext2")):
+        argv = ["extend", "check-iso", documents[first], documents[second], documents["I"]]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == f"{key} is not a valid extension: {witness}\n"
+        assert main(argv + ["--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == [key, "exit_code"] and report[key]["tag"] == "eqR"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,12 +34,18 @@ from rbsys import (
 from rbsys.extensions import ExtensionData, ExtensionIso, cocycle_from_cochain
 
 from instances import (
+    eq2_failing_bimodule,
+    eqR_failing_extension_doc,
     f2_zero_instance,
     instance_set,
     line_system,
+    random_invertible,
     random_matrix,
+    random_system_bimodule,
     triangular_system,
+    unital_line,
 )
+from oracles import kernel_ideal_by_columns
 
 
 def _random_cocycle(sys, mod, rng):
@@ -136,6 +143,121 @@ def test_check_extension_failure_witnesses():
     verdict2 = check_extension(ExtensionData(hat2, incl, proj))
     assert not verdict2
     assert verdict2.tag == "kernel_multiplication_nonzero"
+
+
+def test_kernel_ideal_witnesses_match_the_column_loops():
+    # check_extension tests the kernel as an ideal with three matrix
+    # products; each failure must carry the witness, tag and lhs that the
+    # loops over basis pairs find first (u-major, the right ideal before the
+    # left).  The kernels are random images of the square-zero kernel of a
+    # semidirect extension (often not closed under multiplication) and
+    # random subspaces of it (ideals when they are sub-bimodules); scrambled
+    # triangular systems, whose actions differ on the two sides, give the
+    # one-sided failures.
+    from rbsys import conjugate_bimodule, conjugate_system
+
+    rng = random.Random(11)
+    ideal_tags = ("kernel_multiplication_nonzero", "kernel_not_right_ideal", "kernel_not_left_ideal")
+    seen = Counter()
+    for k in range(300):
+        if k % 3 == 2:
+            base = triangular_system(rng.choice((QQ, GF(2), GF(5))), 1, 1)
+            p, q = (random_invertible(base.field, 3, rng) for _ in range(2))
+            sys, mod = conjugate_system(base, p), conjugate_bimodule(regular_bimodule(base), p, q)
+        else:
+            sys, mod = random_system_bimodule(rng)
+        ext = build_extension(sys, mod, zero_cocycle(sys, mod))
+        field, n, m = ext.hat.field, ext.hat.dim, ext.fiber_dim
+        if k % 3 == 0:
+            incl = random_invertible(field, n, rng) @ ext.incl
+        else:
+            incl = ext.incl @ random_matrix(field, m, rng.randint(1, m), rng)
+        if incl.rank() != incl.cols:
+            continue
+        proj = incl.transpose().kernel_basis().transpose()
+        candidate = ExtensionData(ext.hat, incl, proj)
+        want, got = kernel_ideal_by_columns(candidate), check_extension(candidate)
+        if want:
+            assert got.tag not in ideal_tags
+        else:
+            assert (got.tag, got.witness, got.lhs) == (want.tag, want.witness, want.lhs)
+            assert got.describe() == want.describe()
+        seen[want.tag] += 1
+    assert all(seen[tag] for tag in ideal_tags + ("",))
+
+
+def test_check_extension_accepts_a_zero_fiber():
+    # a system is an extension of itself by the zero ideal, which documents
+    # can state: the ideal checks then multiply empty matrices
+    sys = triangular_system(GF(5), 1, 2)
+    ext = ExtensionData(sys, Matrix.zeros(GF(5), 3, 0), Matrix.identity(GF(5), 3))
+    assert check_extension(ext).describe() == "pass"
+
+
+def test_library_checks_raise_with_their_context():
+    # every reachable check that raises on invalid input, with the type and
+    # message it has always raised
+    from rbsys import (
+        RBSBimodule,
+        block_diag,
+        d_module,
+        from_rb_operator,
+        regular_actions,
+        semidirect_extract,
+        star_algebra,
+    )
+    from rbsys import documents as docs
+
+    line = line_system(QQ, 1, 1)  # fails eqR
+    one = Matrix.identity(QQ, 1)
+    bad_mod = eq2_failing_bimodule()
+    tri = bad_mod.base
+    twisted = Algebra(GF(5), 2, [[[0, 1], [0, 0]], [[1, 0], [0, 0]]])  # (e0 e0) e0 = e0, e0 (e0 e0) = 0
+    zero = Matrix.zeros(GF(5), 2, 2)
+    bad_ext = docs.parse_extension(eqR_failing_extension_doc())
+    eqR = "fail [eqR] at (0, 0): lhs=[[1]] rhs=[[2]]"
+    eq2 = "fail [eq2] at (0, 0): lhs=[[0], [1], [0]] rhs=[[1], [1], [0]]"
+    eq1 = "fail [eq1] at (0, 2): lhs=[[0], [1], [0]] rhs=[[0], [0], [0]]"
+    cases = [
+        (
+            lambda: check_rbs(RotaBaxterSystem(twisted, zero, zero)),
+            ValueError,
+            "underlying algebra is not associative: "
+            "fail [associativity] at (0, 0, 0): lhs=[[1], [0]] rhs=[[0], [0]]",
+        ),
+        (
+            lambda: from_rb_operator(unital_line(QQ), one, 1),
+            ValueError,
+            "operator is not Rota-Baxter of weight 1: fail [rb_weight] at (0, 0): lhs=[[1]] rhs=[[3]]",
+        ),
+        (lambda: star_algebra(line), ValueError, f"not a Rota-Baxter system: {eqR}"),
+        (lambda: regular_bimodule(line), ValueError, f"not a Rota-Baxter system: {eqR}"),
+        (
+            lambda: check_rbs_bimodule(RBSBimodule(line, regular_actions(line.alg), one, one)),
+            ValueError,
+            f"base is not a Rota-Baxter system: {eqR}",
+        ),
+        (lambda: semidirect_product(bad_mod), ValueError, f"not a Rota-Baxter system bimodule: {eq2}"),
+        (
+            lambda: semidirect_extract(
+                tri, bad_mod.actions, block_diag([tri.R, bad_mod.RM]), block_diag([tri.S, bad_mod.SM])
+            ),
+            ValueError,
+            f"extracted operators fail the bimodule axioms: {eq2}",
+        ),
+        (lambda: d_module(bad_mod), ValueError, f"not a Rota-Baxter system bimodule: {eq2}"),
+        (
+            lambda: build_extension(tri, bad_mod, zero_cocycle(tri, bad_mod)),
+            ValueError,
+            f"not a Rota-Baxter system bimodule: {eq2}",
+        ),
+        (lambda: induced_bimodule(bad_ext), AssertionError, f"induced bimodule failed the axioms: {eq1}"),
+        (lambda: extract_cocycle(bad_ext), AssertionError, f"induced bimodule failed the axioms: {eq1}"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as raised:
+            call()
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 def test_induced_bimodule_round_trip():
