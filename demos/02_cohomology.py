@@ -11,7 +11,7 @@ from rbsys import (
     RBS,
     RBSO,
     Algebra,
-    CochainComplex,
+    Complexes,
     Matrix,
     RotaBaxterSystem,
     betti,
@@ -40,8 +40,8 @@ for tag in (ALG, RBSO, RBS):
     show_table(tag, sys, mod, 3)
 
 # Every slice squares to zero; spot-check the total complex.
-cx = CochainComplex(RBS, sys, mod)
-print("d1 . d0 == 0:", (cx.slice(1).matrix @ cx.slice(0).matrix).is_zero())
+cx = Complexes(sys, mod)
+print("d1 . d0 == 0:", (cx.slice(RBS, 1) @ cx.slice(RBS, 0)).is_zero())
 
 # The induced long exact sequence relating the three cohomologies.
 report = les_check(sys, mod, 3)

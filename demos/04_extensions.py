@@ -9,7 +9,7 @@ import random
 from rbsys import (
     GF,
     Cochain,
-    CochainComplex,
+    Complexes,
     Matrix,
     MultiMap,
     RBS,
@@ -52,18 +52,18 @@ print("extract(build(c)) == c:", back == c)
 gamma = MultiMap(sys.alg, 1, Matrix.identity(field, 1))
 t2 = ext.section - ext.incl @ gamma.mat
 c_t2 = extract_cocycle(ext, t2)
-cx = CochainComplex(RBS, sys, mod)
+cx = Complexes(sys, mod)
 gvec = vstack([
     multimap_vector(gamma),
     Matrix.zeros(field, 1, 1),
     Matrix.zeros(field, 1, 1),
 ])
 diff = back.as_cochain().vector - c_t2.as_cochain().vector
-print("section change = coboundary of the difference map:", diff == cx.slice(1).matrix @ gvec)
+print("section change = coboundary of the difference map:", diff == cx.slice(RBS, 1) @ gvec)
 
 # Cohomologous payloads give isomorphic extensions through the shear
 # (a, m) -> (a, -gamma(a) + m).
-c2vec = c.as_cochain().vector + cx.slice(1).matrix @ gvec
+c2vec = c.as_cochain().vector + cx.slice(RBS, 1) @ gvec
 c2 = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, c2vec))
 iso = iso_from_cohomologous(sys, mod, c, c2, gamma)
 ext2 = build_extension(sys, mod, c2)

@@ -54,16 +54,13 @@ from .cohomology import (
     RBSO,
     BettiReport,
     Cochain,
-    CochainComplex,
     Complexes,
     ComplexSlice,
     DimensionCapExceeded,
     betti,
-    delta,
     les_check,
     pack_rbs_cochain,
     pack_rbso_cochain,
-    partial,
     phi,
     rba_embedding_check,
     rbs_d,

@@ -2,7 +2,7 @@
 
 Subcommands wire the library modules to JSON documents on disk:
 
-  validate    axiom checks for system / bimodule / extension documents
+  validate    axiom checks for system / bimodule documents
   star        write the star algebra of a system as a system document
   semidirect  write the semidirect product of a system and a bimodule
   cohomology  dimension table for one of the three complexes
@@ -46,18 +46,18 @@ from .deformation import (
     DeformationData,
     OperatorDeformation,
     infinitesimal,
-    operator_deformation_report,
     rigidify,
     verify_deformation,
+    verify_operator_deformation,
 )
 from .extensions import (
     NotACocycle,
+    _same_class,
     build_extension,
     check_extension,
     check_iso,
     extract_cocycle,
     h2_extension_census,
-    same_class_check,
 )
 from .systems import check_rbs, star_algebra, check_rb_operator, RotaBaxterSystem
 from .documents import DocumentError
@@ -279,8 +279,10 @@ def cmd_deform_op_verify(args, rep):
     if isinstance(defn, DeformationData):
         if not all(m.is_zero() for m in defn.mus[1:]):
             raise DocumentError("op-verify needs an operator deformation (omit \"mus\")")
+        if defn.mus[0] != sys_obj.alg.mult_matrix():
+            raise ValueError("deformation is not normalised to the undeformed structure at order 0")
         defn = OperatorDeformation(defn.order, defn.Rs, defn.Ss)
-    report = operator_deformation_report(sys_obj, defn)
+    report = verify_operator_deformation(sys_obj, defn)
     return _report_orders(rep, report, "operator deformation")
 
 
@@ -323,7 +325,7 @@ def cmd_extend_check_iso(args, rep):
     rep.line(f"diagram checks: {diagram.describe()}")
     if not diagram:
         return FAIL
-    same = same_class_check(ext1, ext2, iso)
+    same = _same_class(ext1, ext2, iso)
     rep.set("same_class", _witness_dict(same))
     rep.line(f"same cohomology class: {same.describe()}")
     return PASS if same else FAIL

@@ -15,7 +15,7 @@ One Complexes object owns the three maps delta_n, partial_n (with D(M)
 built once) and phi_n for a (system, bimodule) pair, builds each at most
 once, and assembles the rbs slices from those blocks.  Every analysis here
 and in the deformation and extension modules reads its slices from a single
-Complexes per call; CochainComplex is a per-tag view over one.
+Complexes per call.
 
 Slices are assembled by index scatter.  Every term of the Hochschild
 differential is I_p (x) X (x) I_q for a small X (the stacked left action,
@@ -160,16 +160,6 @@ def hochschild_slice(alg, actions, n, cap=None):
     return Matrix.identity_kron_sum(field, (m * d ** (n + 1), m * d**n), terms)
 
 
-def delta(n, alg, actions, cap=None):
-    """Hochschild differential of A with coefficients in M, as a slice."""
-    return ComplexSlice(ALG, n, hochschild_slice(alg, actions, n, cap))
-
-
-def partial(n, sys, mod, cap=None):
-    """Differential of the operator complex: Hochschild of (A_*, D(M))."""
-    return ComplexSlice(RBSO, n, Complexes(sys, mod, cap).partial(n))
-
-
 def phi(n, sys, mod, cap=None):
     """The comparison map from the algebra complex into the operator complex.
 
@@ -195,6 +185,11 @@ def phi(n, sys, mod, cap=None):
     ]
     dense = vstack([RM, SM]).kron(-t.transpose())
     return Matrix.identity_kron_sum(field, (2 * half, half), terms, base=dense)
+
+
+def _known(tag):
+    if tag not in (ALG, RBSO, RBS):
+        raise ValueError(f"unknown complex tag {tag!r}")
 
 
 def rbs_dim(n, d, m):
@@ -232,6 +227,7 @@ class Complexes:
         self._dm = None
 
     def dim(self, tag, n):
+        _known(tag)
         d, m = self.sys.dim, self.mod.dim
         if n < 0:
             return 0
@@ -291,6 +287,7 @@ class Complexes:
 
     def slice(self, tag, n):
         """The degree-n differential of the complex named by tag."""
+        _known(tag)
         if tag == ALG:
             return self.delta(n)
         if tag == RBSO:
@@ -320,43 +317,19 @@ class Complexes:
         self._check(cochain)
         return (self.slice(cochain.tag, cochain.degree) @ cochain.vector).is_zero()
 
-    def _check(self, cochain):
-        if cochain.vector.rows != self.dim(cochain.tag, cochain.degree):
-            raise ValueError("cochain coordinate length does not match its degree")
-
-
-class CochainComplex:
-    """One of the three complexes, as a view over a Complexes."""
-
-    def __init__(self, tag, sys, mod, cap=None):
-        if tag not in (ALG, RBSO, RBS):
-            raise ValueError(f"unknown complex tag {tag!r}")
-        self.tag = tag
-        self.complexes = Complexes(sys, mod, cap)
-
-    def dim(self, n):
-        return self.complexes.dim(self.tag, n)
-
-    def slice(self, n):
-        return ComplexSlice(self.tag, n, self.complexes.slice(self.tag, n))
-
-    def is_cocycle(self, cochain):
-        self._check(cochain)
-        return self.complexes.is_cocycle(cochain)
-
     def coboundary_preimage(self, cochain):
-        """Some x with d(x) = cochain, or None; degree 0 has no source."""
+        """Some x with d(x) = cochain in the cochain's complex, or None;
+        degree 0 has no source."""
         self._check(cochain)
         n = cochain.degree
         if n == 0:
             return None
-        x = self.complexes.slice(self.tag, n - 1).solve(cochain.vector)
-        return None if x is None else Cochain(self.tag, n - 1, x)
+        x = self.slice(cochain.tag, n - 1).solve(cochain.vector)
+        return None if x is None else Cochain(cochain.tag, n - 1, x)
 
     def _check(self, cochain):
-        if cochain.tag != self.tag:
-            raise ValueError(f"cochain tag {cochain.tag!r} does not match complex {self.tag!r}")
-        self.complexes._check(cochain)
+        if cochain.vector.rows != self.dim(cochain.tag, cochain.degree):
+            raise ValueError("cochain coordinate length does not match its degree")
 
 
 class BettiReport:
@@ -380,8 +353,6 @@ def betti(tag, sys, mod, max_degree, cap=None):
     """Exact cohomology dimensions of one complex up to max_degree."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    if tag not in (ALG, RBSO, RBS):
-        raise ValueError(f"unknown complex tag {tag!r}")
     cx = Complexes(sys, mod, cap)
     rows = []
     prev_rank = 0

@@ -435,7 +435,7 @@ def constant_operator_deformation(sys, order):
     return OperatorDeformation(order, [sys.R] + [zop] * order, [sys.S] + [zop] * order)
 
 
-def operator_deformation_report(sys, od):
+def verify_operator_deformation(sys, od):
     """The operator residual series (resR, resS) with mu fixed, as a report."""
     if od.Rs[0] != sys.R or od.Ss[0] != sys.S:
         raise ValueError("operator deformation is not normalised at order 0")
@@ -444,21 +444,11 @@ def operator_deformation_report(sys, od):
     return DeformationReport(series, count)
 
 
-def verify_operator_deformation(sys, od):
-    """Per-order residuals of the operator equations with mu fixed."""
-    return operator_deformation_report(sys, od).residuals
-
-
-def operator_deformation_ok(residuals, through=None):
-    take = residuals if through is None else residuals[: through + 1]
-    return all(r.is_zero() and s.is_zero() for r, s in take)
-
-
 def operator_infinitesimal(sys, od):
     """Package (R_1, S_1) as a degree-1 operator cochain and check it."""
     if od.order < 1:
         raise ValueError("need at least order 1")
-    if not operator_deformation_report(sys, od).ok_through(1):
+    if not verify_operator_deformation(sys, od).ok_through(1):
         raise ValueError("order-1 operator deformation equations fail")
     cochain = pack_rbso_cochain(
         MultiMap(sys.alg, 1, od.Rs[1]), MultiMap(sys.alg, 1, od.Ss[1])

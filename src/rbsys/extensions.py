@@ -90,10 +90,6 @@ def cocycle_from_cochain(sys, mod, cochain):
     return Cocycle2(f, x, y)
 
 
-def is_cocycle(sys, mod, c, cap=None):
-    return Complexes(sys, mod, cap).is_cocycle(c.as_cochain())
-
-
 class ExtensionData:
     """A presented extension: the big system plus its structure maps.
 
@@ -281,7 +277,7 @@ def extract_cocycle(ext, section=None):
         MultiMap(sys.alg, 1, chi_r_mat),
         MultiMap(sys.alg, 1, chi_s_mat),
     )
-    if not is_cocycle(sys, mod, c):
+    if not Complexes(sys, mod).is_cocycle(c.as_cochain()):
         raise AssertionError("extracted payload is not a cocycle")
     return c
 
@@ -349,8 +345,11 @@ def same_class_check(ext1, ext2, iso):
     payloads componentwise.
     """
     diagram = check_iso(ext1, ext2, iso)
-    if not diagram:
-        return diagram
+    return _same_class(ext1, ext2, iso) if diagram else diagram
+
+
+def _same_class(ext1, ext2, iso):
+    """same_class_check for an iso that has passed check_iso."""
     z = iso.zeta
     restricted = ext2.incl.solve(z @ ext1.incl)
     if restricted is None or restricted != Matrix.identity(ext1.hat.field, ext1.fiber_dim):

@@ -192,6 +192,26 @@ def test_deform_commands(tmp_path, capsys):
     assert main(["deform", "op-verify", str(spath), str(cpath)]) == 0
 
 
+def test_op_verify_refuses_a_full_document_with_another_multiplication(tmp_path, capsys):
+    # a full document read by op-verify must carry the system's own mu_0,
+    # as deform verify requires: exit 2 with the same message from both
+    from rbsys import DeformationData, Matrix, constant_deformation
+
+    sys = triangular_system(GF5(), 2, 1)
+    const = constant_deformation(sys, 2)
+    zero_mu = Matrix.zeros(sys.field, sys.dim, sys.dim * sys.dim)
+    defn = DeformationData(2, [zero_mu] + const.mus[1:], const.Rs, const.Ss)
+    spath, dpath = str(tmp_path / "sys.json"), str(tmp_path / "def.json")
+    docs.dump(docs.serialize_system(sys), spath)
+    docs.dump(docs.serialize_deformation(defn, sys), dpath)
+    for flags in ([], ["--json"]):
+        assert main(["deform", "verify", spath, dpath] + flags) == 2
+        expected = capsys.readouterr().out
+        assert main(["deform", "op-verify", spath, dpath] + flags) == 2
+        assert capsys.readouterr().out == expected
+    assert expected.count("deformation is not normalised to the undeformed structure at order 0") == 1
+
+
 def test_deform_rigidify_stuck(tmp_path, capsys):
     from rbsys import DeformationData, Matrix
 
@@ -247,7 +267,7 @@ def test_extend_build_extract_round_trip(tmp_path, capsys):
 def test_extend_build_rejects_non_cocycle(tmp_path, capsys):
     import random
 
-    from rbsys import CochainComplex, Matrix, RBS
+    from rbsys import Complexes, Matrix, RBS
     from rbsys.cohomology import Cochain
     from rbsys.extensions import cocycle_from_cochain
 
@@ -258,8 +278,8 @@ def test_extend_build_rejects_non_cocycle(tmp_path, capsys):
     sys = triangular_system(QQ, 1, 1)
     mod = regular_bimodule(sys)
     rng = random.Random(0)
-    cx = CochainComplex(RBS, sys, mod)
-    sl = cx.slice(2).matrix
+    cx = Complexes(sys, mod)
+    sl = cx.slice(RBS, 2)
     vec = random_matrix(QQ, sl.cols, 1, rng)
     while (sl @ vec).is_zero():
         vec = random_matrix(QQ, sl.cols, 1, rng)
@@ -296,6 +316,24 @@ def test_extend_check_iso(tmp_path, capsys):
     assert main(["extend", "check-iso", str(e1), str(e2), str(ipath)]) == 0
     out = capsys.readouterr().out
     assert "same cohomology class: pass" in out
+
+
+def test_check_iso_checks_the_diagram_once(documents, monkeypatch, capsys):
+    # the same-class comparison reuses the diagram verdict of the command
+    from rbsys import cli, extensions
+
+    calls, check_iso = [], extensions.check_iso
+
+    def counted(*args):
+        calls.append(args)
+        return check_iso(*args)
+
+    monkeypatch.setattr(cli, "check_iso", counted)
+    monkeypatch.setattr(extensions, "check_iso", counted)
+    argv = ["extend", "check-iso", documents["E"], documents["E"], documents["I"]]
+    assert main(argv) == 0
+    assert "same cohomology class: pass" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_env_cap_override(f2_zero_path, monkeypatch):

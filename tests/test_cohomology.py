@@ -10,18 +10,17 @@ from rbsys import (
     RBS,
     RBSO,
     Cochain,
-    CochainComplex,
+    Complexes,
     DimensionCapExceeded,
     Matrix,
     MultiMap,
+    RotaBaxterSystem,
     betti,
     conjugate_bimodule,
     conjugate_system,
-    delta,
     les_check,
     multimap_vector,
     pack_rbs_cochain,
-    partial,
     phi,
     rba_embedding_check,
     rbs_d,
@@ -60,20 +59,20 @@ from oracles import (
 def test_delta_zero_structure():
     sys, mod = f2_zero_instance()
     for n in range(4):
-        assert delta(n, sys.alg, mod.actions).matrix.is_zero()
+        assert Complexes(sys, mod).slice(ALG, n).is_zero()
 
 
 def test_delta_line_degree_one_is_multiplication():
     sys = line_system(QQ, 1, 0)
     mod = regular_bimodule(sys)
-    assert delta(1, sys.alg, mod.actions).matrix.entries() == [[1]]
+    assert Complexes(sys, mod).slice(ALG, 1).entries() == [[1]]
 
 
 def test_delta_degree_zero_formula():
     # delta0(f)(a) = -a f(1) + f(1) a
     sys = triangular_system(QQ, 1, 1)
     mod = regular_bimodule(sys)
-    sl = delta(0, sys.alg, mod.actions).matrix
+    sl = Complexes(sys, mod).slice(ALG, 0)
     for u in range(3):
         f1 = Matrix.unit_column(QQ, 3, u)
         out = sl @ f1
@@ -87,7 +86,7 @@ def test_delta_degree_zero_formula():
 def _check_delta(sys, mod, n, rng):
     """delta_n against the term-by-term Hochschild differential."""
     d, m, field = sys.dim, mod.dim, sys.field
-    sl = delta(n, sys.alg, mod.actions).matrix
+    sl = Complexes(sys, mod).slice(ALG, n)
     f = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
     image = sl @ multimap_vector(f)
     for col, tup in enumerate(basis_tuples(d, n + 1)):
@@ -98,7 +97,7 @@ def _check_delta(sys, mod, n, rng):
 def _check_partial(sys, mod, n, rng):
     """partial_n against the written-out operator-complex formulas."""
     d, m, field = sys.dim, mod.dim, sys.field
-    sl = partial(n, sys, mod).matrix
+    sl = Complexes(sys, mod).slice(RBSO, n)
     x = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
     y = MultiMap(sys.alg, n, random_matrix(field, m, d**n, rng))
     image = sl @ vstack([multimap_vector(x), multimap_vector(y)])
@@ -218,28 +217,27 @@ def test_rbs_d_block_shape_and_zero_structure():
 def test_d_squared_zero_random():
     for sys, mod in instance_set(10, seed=171):
         for tag in (ALG, RBSO, RBS):
-            cx = CochainComplex(tag, sys, mod)
+            cx = Complexes(sys, mod)
             for n in range(3):
-                assert (cx.slice(n + 1).matrix @ cx.slice(n).matrix).is_zero()
+                assert (cx.slice(tag, n + 1) @ cx.slice(tag, n)).is_zero()
 
 
 def test_chain_map_identity_random():
     for sys, mod in instance_set(10, seed=191):
+        cx = Complexes(sys, mod)
         for n in range(3):
-            lhs = partial(n, sys, mod).matrix @ phi(n, sys, mod)
-            rhs = phi(n + 1, sys, mod) @ delta(n, sys.alg, mod.actions).matrix
+            lhs = cx.slice(RBSO, n) @ phi(n, sys, mod)
+            rhs = phi(n + 1, sys, mod) @ cx.slice(ALG, n)
             assert lhs == rhs
 
 
 def test_dimension_bookkeeping():
     sys = triangular_system(GF(5), 1, 1)
     mod = regular_bimodule(sys)
-    c_alg = CochainComplex(ALG, sys, mod)
-    c_rbso = CochainComplex(RBSO, sys, mod)
-    c_rbs = CochainComplex(RBS, sys, mod)
+    cx = Complexes(sys, mod)
     for n in range(1, 4):
-        assert c_rbs.dim(n) == c_alg.dim(n) + c_rbso.dim(n - 1)
-    assert c_rbs.dim(0) == c_alg.dim(0)
+        assert cx.dim(RBS, n) == cx.dim(ALG, n) + cx.dim(RBSO, n - 1)
+    assert cx.dim(RBS, 0) == cx.dim(ALG, 0)
 
 
 def test_betti_f2_zero_frozen_table():
@@ -373,19 +371,20 @@ def test_betti_rbs_never_assembles_the_total_slice(field, monkeypatch):
 
 def test_betti_rbso_equals_hochschild_of_star_with_doubled_module():
     from rbsys.bimodules import _d_module_unchecked
+    from rbsys.cohomology import hochschild_slice
 
     sys = triangular_system(GF(2), 1, 1)
     mod = regular_bimodule(sys)
     dm = _d_module_unchecked(mod)
     for n in range(3):
-        a = partial(n, sys, mod).matrix
-        b = delta(n, dm.star, dm.actions).matrix
+        a = Complexes(sys, mod).slice(RBSO, n)
+        b = hochschild_slice(dm.star, dm.actions, n)
         assert a == b
 
 
 def test_is_cocycle_and_preimage():
     sys, mod = f2_zero_instance()
-    cx = CochainComplex(RBS, sys, mod)
+    cx = Complexes(sys, mod)
     zero2 = Cochain(RBS, 2, Matrix.zeros(GF(2), 3, 1))
     assert cx.is_cocycle(zero2)
     pre = cx.coboundary_preimage(zero2)
@@ -394,13 +393,13 @@ def test_is_cocycle_and_preimage():
     rng = random.Random(5)
     sys2 = triangular_system(QQ, 1, 2)
     mod2 = regular_bimodule(sys2)
-    cx2 = CochainComplex(RBS, sys2, mod2)
-    x = random_matrix(QQ, cx2.dim(1), 1, rng)
-    image = Cochain(RBS, 2, cx2.slice(1).matrix @ x)
+    cx2 = Complexes(sys2, mod2)
+    x = random_matrix(QQ, cx2.dim(RBS, 1), 1, rng)
+    image = Cochain(RBS, 2, cx2.slice(RBS, 1) @ x)
     assert cx2.is_cocycle(image)
     pre = cx2.coboundary_preimage(image)
     assert pre is not None
-    assert cx2.slice(1).matrix @ pre.vector == image.vector
+    assert cx2.slice(RBS, 1) @ pre.vector == image.vector
 
     # a class spanning H^1 in the zero instance has no preimage
     h1 = Cochain(RBS, 1, Matrix.column(GF(2), [0, 1, 0]))
@@ -410,11 +409,56 @@ def test_is_cocycle_and_preimage():
 
 def test_cocycle_shape_validation():
     sys, mod = f2_zero_instance()
-    cx = CochainComplex(RBS, sys, mod)
+    cx = Complexes(sys, mod)
     with pytest.raises(ValueError):
         cx.is_cocycle(Cochain(RBS, 2, Matrix.zeros(GF(2), 5, 1)))
     with pytest.raises(ValueError):
-        cx.is_cocycle(Cochain(ALG, 2, Matrix.zeros(GF(2), 1, 1)))
+        cx.is_cocycle(Cochain(ALG, 2, Matrix.zeros(GF(2), 2, 1)))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_coboundary_preimage_on_every_complex(field):
+    # the preimage is read in the complex named by the cochain's own tag
+    rng = random.Random(31)
+    sys = triangular_system(field, 1, 2)
+    cx = Complexes(sys, regular_bimodule(sys))
+    # in the 1-dim zero structure only rbs_0 = (0, -f, -f) is nonzero, so
+    # the last unit vector of each degree-1 space is a class, not a coboundary
+    z = Matrix.zeros(field, 1, 1)
+    zero_sys = RotaBaxterSystem(zero_algebra(field, 1), z, z)
+    zero_cx = Complexes(zero_sys, regular_bimodule(zero_sys))
+    for tag in (ALG, RBSO, RBS):
+        assert cx.coboundary_preimage(Cochain(tag, 0, Matrix.zeros(field, cx.dim(tag, 0), 1))) is None
+        for n in (1, 2):
+            x = random_matrix(field, cx.dim(tag, n - 1), 1, rng)
+            image = Cochain(tag, n, cx.slice(tag, n - 1) @ x)
+            pre = cx.coboundary_preimage(image)
+            assert pre is not None and (pre.tag, pre.degree) == (tag, n - 1)
+            assert cx.slice(tag, n - 1) @ pre.vector == image.vector
+        size = zero_cx.dim(tag, 1)
+        h1 = Cochain(tag, 1, Matrix.unit_column(field, size, size - 1))
+        assert zero_cx.is_cocycle(h1)
+        assert zero_cx.coboundary_preimage(h1) is None
+        with pytest.raises(ValueError, match="coordinate length"):
+            cx.coboundary_preimage(Cochain(tag, 2, Matrix.zeros(field, cx.dim(tag, 2) + 1, 1)))
+
+
+def test_complexes_refuse_an_unknown_tag(monkeypatch):
+    # every dispatch on a tag refuses an unknown one before it builds a block
+    sys, mod = f2_zero_instance()
+    cx = Complexes(sys, mod)
+    built = []
+    monkeypatch.setattr(Complexes, "_block", lambda self, *args: built.append(args))
+    calls = (
+        lambda: cx.slice("bogus", 1),
+        lambda: cx.dim("bogus", 1),
+        lambda: cx.rank("bogus", 1),
+        lambda: betti("bogus", sys, mod, 2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown complex tag 'bogus'"):
+            call()
+    assert built == []
 
 
 def test_pack_unpack_round_trip():
@@ -459,11 +503,10 @@ def test_les_alternating_sum_telescopes():
     h.update({("rbso", p): betti(RBSO, sys, mod, 3).h[p] for p in range(4)})
     h.update({("rbs", p): betti(RBS, sys, mod, 3).h[p] for p in range(4)})
     ranks = {}  # class-level rank of the outgoing map at each slot
-    cx = {ALG: CochainComplex(ALG, sys, mod), RBSO: CochainComplex(RBSO, sys, mod),
-          RBS: CochainComplex(RBS, sys, mod)}
+    cx = Complexes(sys, mod)
 
     def boundary_rank(tag, p):
-        return 0 if p == 0 else cx[tag].slice(p - 1).matrix.rank()
+        return 0 if p == 0 else cx.slice(tag, p - 1).rank()
 
     order = []
     for p in range(4):
@@ -493,7 +536,7 @@ def test_dim_cap_guard():
     sys = triangular_system(QQ, 1, 1)
     mod = regular_bimodule(sys)
     with pytest.raises(DimensionCapExceeded):
-        delta(2, sys.alg, mod.actions, cap=10)
+        Complexes(sys, mod, cap=10).slice(ALG, 2)
     with pytest.raises(ValueError):
         betti(RBS, sys, mod, 0)
 

@@ -8,7 +8,7 @@ from rbsys import (
     QQ,
     Algebra,
     Cochain,
-    CochainComplex,
+    Complexes,
     Matrix,
     MultiMap,
     RBS,
@@ -49,8 +49,8 @@ from oracles import kernel_ideal_by_columns
 
 
 def _random_cocycle(sys, mod, rng):
-    cx = CochainComplex(RBS, sys, mod)
-    kernel = cx.slice(2).matrix.kernel_basis()
+    cx = Complexes(sys, mod)
+    kernel = cx.slice(RBS, 2).kernel_basis()
     if kernel.cols == 0:
         return None
     vec = kernel @ random_matrix(sys.field, kernel.cols, 1, rng)
@@ -58,8 +58,8 @@ def _random_cocycle(sys, mod, rng):
 
 
 def _random_non_cocycle(sys, mod, rng):
-    cx = CochainComplex(RBS, sys, mod)
-    sl = cx.slice(2).matrix
+    cx = Complexes(sys, mod)
+    sl = cx.slice(RBS, 2)
     for _ in range(50):
         vec = random_matrix(sys.field, sl.cols, 1, rng)
         if not (sl @ vec).is_zero():
@@ -113,8 +113,8 @@ def test_non_cocycle_rejected_and_fails_axioms():
 def test_prop_69_iff_random():
     rng = random.Random(1)
     for sys, mod in instance_set(8, seed=501):
-        cx = CochainComplex(RBS, sys, mod)
-        sl = cx.slice(2).matrix
+        cx = Complexes(sys, mod)
+        sl = cx.slice(RBS, 2)
         for _ in range(3):
             vec = random_matrix(sys.field, sl.cols, 1, rng)
             c = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, vec))
@@ -316,7 +316,7 @@ def test_two_sections_differ_by_coboundary():
         if c is None:
             continue
         ext = build_extension(sys, mod, c)
-        cx = CochainComplex(RBS, sys, mod)
+        cx = Complexes(sys, mod)
         gamma = MultiMap(sys.alg, 1, random_matrix(sys.field, mod.dim, sys.dim, rng))
         t2 = ext.section - ext.incl @ gamma.mat  # gamma = (t1 - t2) pulled back
         c1 = extract_cocycle(ext, ext.section)
@@ -329,7 +329,7 @@ def test_two_sections_differ_by_coboundary():
             ]
         )
         diff = c1.as_cochain().vector - c2.as_cochain().vector
-        assert diff == cx.slice(1).matrix @ gvec
+        assert diff == cx.slice(RBS, 1) @ gvec
 
 
 def test_iso_from_cohomologous():
@@ -337,7 +337,7 @@ def test_iso_from_cohomologous():
     sys = triangular_system(QQ, 1, 1)
     mod = regular_bimodule(sys)
     c1 = _random_cocycle(sys, mod, rng)
-    cx = CochainComplex(RBS, sys, mod)
+    cx = Complexes(sys, mod)
 
     # gamma = 0: identity shear between equal payloads
     iso = iso_from_cohomologous(sys, mod, c1, c1, MultiMap.zero(sys.alg, 1, mod.dim))
@@ -347,7 +347,7 @@ def test_iso_from_cohomologous():
     gvec = vstack(
         [multimap_vector(gamma), Matrix.zeros(QQ, mod.dim, 1), Matrix.zeros(QQ, mod.dim, 1)]
     )
-    c2vec = c1.as_cochain().vector + cx.slice(1).matrix @ gvec
+    c2vec = c1.as_cochain().vector + cx.slice(RBS, 1) @ gvec
     c2 = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, c2vec))
     iso = iso_from_cohomologous(sys, mod, c1, c2, gamma)
     ext1 = build_extension(sys, mod, c1)
@@ -387,7 +387,7 @@ def test_census_trivial_only_when_h2_zero():
 
 def test_census_representatives_pairwise_noncohomologous():
     sys, mod = f2_zero_instance()
-    cx = CochainComplex(RBS, sys, mod)
+    cx = Complexes(sys, mod)
     entries = h2_extension_census(sys, mod)
     reps = [c for c, _ in entries[1:]]
     for i in range(len(reps)):
@@ -473,9 +473,9 @@ def test_census_selects_classes_with_one_elimination(monkeypatch):
     # the same classes as adding kernel columns one at a time, keeping
     # those that raise the rank over the coboundaries
     monkeypatch.undo()
-    cx = CochainComplex(RBS, sys, mod)
-    kernel = cx.slice(2).matrix.kernel_basis()
-    current, greedy = cx.slice(1).matrix, []
+    cx = Complexes(sys, mod)
+    kernel = cx.slice(RBS, 2).kernel_basis()
+    current, greedy = cx.slice(RBS, 1), []
     for k in range(kernel.cols):
         candidate = hstack([current, kernel.col(k)])
         if candidate.rank() > current.rank():
