@@ -79,6 +79,6 @@ print("\n== an obstructed deformation over GF(2) ==")
 print("verifies:", verify_deformation(zsys, stuck_def).ok)
 result = rigidify(zsys, stuck_def)
 print("success:", result.success, " stuck at order:", result.stuck_order)
-print("obstructing class coordinates:", [
+print("obstructing cocycle coordinates:", [
     result.stuck_class.vector[i, 0] for i in range(result.stuck_class.vector.rows)
 ])

@@ -58,12 +58,13 @@ gvec = vstack([
     Matrix.zeros(field, 1, 1),
     Matrix.zeros(field, 1, 1),
 ])
+dgamma = cx.d(Cochain(RBS, 1, gvec))
 diff = back.as_cochain().vector - c_t2.as_cochain().vector
-print("section change = coboundary of the difference map:", diff == cx.slice(RBS, 1) @ gvec)
+print("section change = coboundary of the difference map:", diff == dgamma)
 
 # Cohomologous payloads give isomorphic extensions through the shear
 # (a, m) -> (a, -gamma(a) + m).
-c2vec = c.as_cochain().vector + cx.slice(RBS, 1) @ gvec
+c2vec = c.as_cochain().vector + dgamma
 c2 = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, c2vec))
 iso = iso_from_cohomologous(sys, mod, c, c2, gamma)
 ext2 = build_extension(sys, mod, c2)

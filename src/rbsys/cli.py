@@ -309,7 +309,7 @@ def cmd_deform_rigidify(args, rep):
     rep.set("success", False)
     rep.set("stuck_order", report.stuck_order)
     rep.set("stuck_class", _column_tokens(sys_obj.field, report.stuck_class.vector))
-    rep.line(f"stuck at order {report.stuck_order}; cohomology class coordinates:")
+    rep.line(f"stuck at order {report.stuck_order}; cocycle coordinates:")
     rep.line("  " + str(rep.payload["stuck_class"]))
     return FAIL
 

@@ -12,8 +12,8 @@ Complexes (all over one field, m the coefficient dimension, d = dim A):
         d(f, (x, y)) = (delta f, -partial(x, y) - phi(f)).
 
 One Complexes object owns the three maps delta_n, partial_n (with D(M)
-built once) and phi_n for a (system, bimodule) pair, builds each at most
-once, and assembles the rbs slices from those blocks.  Every analysis here
+built once) and phi_n for a (system, bimodule) pair and builds each at most
+once; they are the only stored form of the rbs slices.  Every analysis here
 and in the deformation and extension modules reads its slices from a single
 Complexes per call.
 
@@ -26,16 +26,19 @@ into one integer array through index arrays, one signed add per term; no
 Kronecker product by an identity is formed.  The rest of phi is one
 Kronecker product, [[R_M], [S_M]] (x) T^T, the base of that sum.
 
-betti ranks rbs_n = [[delta_n, 0], [-phi_n, -partial_(n-1)]] through its
-blocks and never assembles it: rank rbs_n = rank delta_n + rank [phi_n K |
-partial_(n-1)], where K is the canonical kernel basis of delta_n (for n = 0
-the right-hand matrix is phi_0 K alone).  The map (c, g) -> (K c, g) is a
-bijection from the kernel of [phi_n K | partial_(n-1)] onto the kernel of
-rbs_n, because K is injective, and signs do not change a rank.  Nothing in
-this uses that phi is a chain map or that d^2 = 0, so the ranks are those
-of the assembled slices for any blocks.  phi_n K is formed from the RREF of
-delta_n (linalg.on_kernel), which also gives rank delta_n.  The cap still
-guards the target space of rbs_n, as it does when rbs_n is assembled.
+The rank and the kernel of rbs_n = [[delta_n, 0], [-phi_n, -partial_(n-1)]]
+are read through its blocks.  With K the canonical kernel basis of delta_n
+and N = [phi_n K | partial_(n-1)] (phi_0 K alone for n = 0), (c, g) -> (K c,
+g) maps ker N onto ker rbs_n, bijectively as K is injective; signs change no
+kernel.  So rank rbs_n = rank delta_n + rank N.  Every f-column comes before
+every g-column and K is the identity on the free columns of delta_n, so the
+free columns of rbs_n are those of N, in the same order, and the canonical
+kernel basis of rbs_n is [[K Q_top], [Q_bottom]] for Q that of N.  None of
+this uses that phi is a chain map or that d^2 = 0.  phi_n K comes from the
+RREF of delta_n (linalg.on_kernel).  The cap guards the target space of
+rbs_n either way.  rbs_n is assembled only for its image (the coboundary
+spans of les_check and the census), for a preimage and for the embedding
+check, which compares its entries.
 
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
@@ -200,23 +203,17 @@ def rbs_dim(n, d, m):
 
 
 def rbs_d(n, sys, mod, cap=None):
-    """Degree-n differential of the total complex.
-
-    Block form [[delta, 0], [-phi, -partial]]; degree 0 maps f to
-    (delta f, -phi f).
-    """
+    """Degree-n differential of the total complex, as Complexes.rbs assembles it."""
     return ComplexSlice(RBS, n, Complexes(sys, mod, cap).rbs(n))
 
 
 class Complexes:
     """The differentials of all three complexes of one (system, bimodule) pair.
 
-    delta_n, partial_n and phi_n are each built at most once, through the
-    module-level hochschild_slice and phi, and the rbs slices are assembled
-    from them.  A block is stored on its own until the rbs slice holding it
-    is assembled; after that it is cut back out of that slice when asked
-    for, so no block is stored twice.  Memoised for the life of the object
-    only: an analysis makes one per call.
+    delta_n, partial_n and phi_n, each built at most once through the
+    module-level hochschild_slice and phi, are the only stored form of the
+    total complex; rbs(n) assembles rbs_n afresh.  Memoised for the life of
+    the object only: an analysis makes one per call.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -238,52 +235,40 @@ class Complexes:
         return rbs_dim(n, d, m)
 
     def delta(self, n):
-        return self._block(
-            (ALG, n), n, lambda: hochschild_slice(self.sys.alg, self.mod.actions, n, self.cap)
-        )
+        return self._once((ALG, n), hochschild_slice, self.sys.alg, self.mod.actions, n)
 
     def phi(self, n):
-        return self._block(("phi", n), n, lambda: phi(n, self.sys, self.mod, self.cap))
+        return self._once(("phi", n), phi, n, self.sys, self.mod)
 
     def partial(self, n):
         if self._dm is None:
             self._dm = _d_module_unchecked(self.mod)
-        dm = self._dm
-        return self._block(
-            (RBSO, n), n + 1, lambda: hochschild_slice(dm.star, dm.actions, n, self.cap)
-        )
+        return self._once((RBSO, n), hochschild_slice, self._dm.star, self._dm.actions, n)
 
-    def _block(self, key, degree, build):
+    def _once(self, key, build, *args):
         if key not in self._built:
-            whole = self._built.get((RBS, degree))
-            self._built[key] = build() if whole is None else self._cut(whole, key[0], degree)
+            self._built[key] = build(*args, self.cap)
         return self._built[key]
 
-    def _cut(self, whole, kind, n):
-        # rbs_n = [[delta_n, 0], [-phi_n, -partial_(n-1)]]
-        top, left = self.dim(ALG, n + 1), self.dim(ALG, n)
-        if kind == ALG:
-            return whole.take(0, top, 0, left)
-        if kind == RBSO:
-            return -whole.take(top, None, left, None)
-        return -whole.take(top, None, 0, left)
+    def _guard_rbs(self, n):
+        # whichever part of rbs_n is read, the cap guards its target space
+        if n < 0:
+            raise ValueError("degree must be non-negative")
+        _guard(rbs_dim(n + 1, self.sys.dim, self.mod.dim), self.cap)
+
+    def alg_column(self, n):
+        """[delta_n; -phi_n], the first block column of rbs_n (all of rbs_0)."""
+        self._guard_rbs(n)
+        return vstack([self.delta(n), -self.phi(n)])
 
     def rbs(self, n):
-        if (RBS, n) not in self._built:
-            if n < 0:
-                raise ValueError("degree must be non-negative")
-            _guard(rbs_dim(n + 1, self.sys.dim, self.mod.dim), self.cap)
-            delta_n, phi_n = self.delta(n), self.phi(n)
-            if n == 0:
-                whole = vstack([delta_n, -phi_n])
-            else:
-                partial_prev = self.partial(n - 1)
-                zero = Matrix.zeros(self.sys.field, delta_n.rows, partial_prev.cols)
-                whole = vstack([hstack([delta_n, zero]), hstack([-phi_n, -partial_prev])])
-            for key in ((ALG, n), ("phi", n), (RBSO, n - 1)):
-                self._built.pop(key, None)
-            self._built[RBS, n] = whole
-        return self._built[RBS, n]
+        """rbs_n, assembled from its blocks afresh on every call."""
+        column = self.alg_column(n)
+        if n == 0:
+            return column
+        partial_prev = self.partial(n - 1)
+        zero = Matrix.zeros(self.sys.field, self.dim(ALG, n + 1), partial_prev.cols)
+        return hstack([column, vstack([zero, -partial_prev])])
 
     def slice(self, tag, n):
         """The degree-n differential of the complex named by tag."""
@@ -294,28 +279,46 @@ class Complexes:
             return self.partial(n)
         return self.rbs(n)
 
-    def rank(self, tag, n):
-        """The rank of the degree-n differential of the complex named by tag.
-
-        rbs_n is ranked through its blocks and never assembled: rank rbs_n =
-        rank delta_n + rank [phi_n K | partial_(n-1)] (phi_0 K alone for n =
-        0), with K the canonical kernel basis of delta_n (see the module
-        docstring).  The cap guards rbs_n itself, as rbs does.
-        """
-        if tag != RBS:
-            return self.slice(tag, n).rank()
-        if n < 0:
-            raise ValueError("degree must be non-negative")
-        _guard(rbs_dim(n + 1, self.sys.dim, self.mod.dim), self.cap)
+    def _restricted(self, n):
+        # N = [phi_n K | partial_(n-1)] (phi_0 K alone for n = 0), K the
+        # canonical kernel basis of delta_n; built per call, not stored
+        self._guard_rbs(n)
         delta_n = self.delta(n)
         restricted = on_kernel(self.phi(n), delta_n)
+        return hstack([restricted, self.partial(n - 1)]) if n else restricted
+
+    def rank(self, tag, n):
+        """The rank of the degree-n differential of the complex named by tag."""
+        if tag != RBS:
+            return self.slice(tag, n).rank()
+        restricted = self._restricted(n)
+        return self.delta(n).rank() + restricted.rank()
+
+    def kernel(self, tag, n):
+        """The canonical kernel basis of the degree-n differential of the
+        complex named by tag; for rbs_n, [[K Q_top], [Q_bottom]]."""
+        if tag != RBS:
+            return self.slice(tag, n).kernel_basis()
+        q = self._restricted(n).kernel_basis()
+        k = self.delta(n).kernel_basis()
+        return vstack([k @ q.take_rows(0, k.cols), q.take_rows(k.cols, None)])
+
+    def d(self, cochain):
+        """The differential of the cochain's complex applied to its vector;
+        on rbs block by block: (delta_n f, -phi_n f - partial_(n-1) x)."""
+        self._check(cochain)
+        tag, n, v = cochain.tag, cochain.degree, cochain.vector
+        if tag != RBS:
+            return self.slice(tag, n) @ v
+        self._guard_rbs(n)
+        f = v.take_rows(0, self.dim(ALG, n))
+        top, bottom = self.delta(n) @ f, -(self.phi(n) @ f)
         if n:
-            restricted = hstack([restricted, self.partial(n - 1)])
-        return delta_n.rank() + restricted.rank()
+            bottom = bottom - self.partial(n - 1) @ v.take_rows(f.rows, None)
+        return vstack([top, bottom])
 
     def is_cocycle(self, cochain):
-        self._check(cochain)
-        return (self.slice(cochain.tag, cochain.degree) @ cochain.vector).is_zero()
+        return self.d(cochain).is_zero()
 
     def coboundary_preimage(self, cochain):
         """Some x with d(x) = cochain in the cochain's complex, or None;
@@ -474,12 +477,7 @@ def les_check(sys, mod, max_degree, cap=None):
         raise ValueError("max_degree must be at least 1")
     field = sys.field
     cx = Complexes(sys, mod, cap)
-    kernels, spans, slots = {}, {}, []
-
-    def kernel(tag, p):
-        if (tag, p) not in kernels:
-            kernels[tag, p] = cx.slice(tag, p).kernel_basis()
-        return kernels[tag, p]
+    spans, slots = {}, []
 
     def span(tag, p):
         # the echelon of the coboundaries in degree p
@@ -487,11 +485,6 @@ def les_check(sys, mod, max_degree, cap=None):
             b = cx.slice(tag, p - 1) if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
             spans[tag, p] = span_echelon(b.transpose())
         return spans[tag, p]
-
-    def shifted(p):
-        # the shift inclusion C^p_rbso -> C^(p+1)_rbs applied to the cocycles
-        z = kernel(RBSO, p)
-        return vstack([Matrix.zeros(field, cx.dim(ALG, p + 1), z.cols), z])
 
     def slot(name, p, incoming, z, w, target):
         # incoming: the previous slot's W, its residuals modulo span(name, p)
@@ -516,14 +509,17 @@ def les_check(sys, mod, max_degree, cap=None):
     incoming = (start, start.transpose(), 0)
     for p in range(max_degree + 1):
         # H^p_rbs: image of the shift inclusion = kernel of the projection
-        z = kernel(RBS, p)
+        z = cx.kernel(RBS, p)
         incoming = slot(RBS, p, incoming, z, z.take_rows(0, cx.dim(ALG, p)), (ALG, p))
         # H^p_alg: image of the projection = kernel of -phi into H^p_rbso
-        z = kernel(ALG, p)
+        z = cx.kernel(ALG, p)
         incoming = slot(ALG, p, incoming, z, cx.phi(p) @ z, (RBSO, p))
-        # H^p_rbso: image of -phi = kernel of the shift inclusion
+        # H^p_rbso: image of -phi = kernel of the shift inclusion, which
+        # pads the cocycles with zero f-coordinates
         if p < max_degree:
-            incoming = slot(RBSO, p, incoming, kernel(RBSO, p), shifted(p), (RBS, p + 1))
+            z = cx.kernel(RBSO, p)
+            shift = vstack([Matrix.zeros(field, cx.dim(ALG, p + 1), z.cols), z])
+            incoming = slot(RBSO, p, incoming, z, shift, (RBS, p + 1))
     return LesReport(slots)
 
 

@@ -36,7 +36,7 @@ residuals of a report.
 from __future__ import annotations
 
 from .algebra import MultiMap, multimap_from_vector
-from .cohomology import ALG, Complexes, pack_rbs_cochain, pack_rbso_cochain
+from .cohomology import Complexes, pack_rbs_cochain, pack_rbso_cochain
 from .cohomology import hochschild_slice, phi  # noqa: F401  (re-exported: read from here)
 from .bimodules import regular_bimodule
 from .linalg import Matrix, block_toeplitz, hstack, regroup_columns
@@ -357,7 +357,7 @@ def _gauge_step(cx, defn, n):
         raise AssertionError("leading coefficient of a valid deformation is not a cocycle")
     field, d = sys.field, sys.dim
     # d(Psi, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
-    solution = cx.rbs(1).take_cols(0, cx.dim(ALG, 1)).solve(target.vector)
+    solution = cx.alg_column(1).solve(target.vector)
     if solution is None:
         return None
     psi = multimap_from_vector(sys.alg, 1, d, solution).mat

@@ -31,7 +31,7 @@ from .algebra import (
     multimap_vector,
 )
 from .bimodules import RBSBimodule, _square_zero_system, check_rbs_bimodule, semidirect_maps
-from .cohomology import ALG, RBS, Cochain, Complexes, pack_rbs_cochain, unpack_rbs_cochain
+from .cohomology import RBS, Cochain, Complexes, pack_rbs_cochain, unpack_rbs_cochain
 from .linalg import Matrix, hstack, regroup_columns, vstack
 from .systems import RotaBaxterSystem, check_morphism, check_rbs
 
@@ -322,7 +322,7 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma):
     diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
     cx = Complexes(sys, mod)
     # d(gamma, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
-    expected = cx.rbs(1).take_cols(0, cx.dim(ALG, 1)) @ multimap_vector(gamma)
+    expected = cx.alg_column(1) @ multimap_vector(gamma)
     if diff != expected:
         raise ValueError("payload difference is not the coboundary of the supplied map")
     field, d, m = sys.field, sys.dim, mod.dim
@@ -377,8 +377,8 @@ def h2_extension_census(sys, mod, cap=64, dim_cap=None):
     if not sys.field.is_prime_field:
         raise ValueError("census requires a finite prime field")
     cx = Complexes(sys, mod, dim_cap)
-    kernel = cx.rbs(2).kernel_basis()
-    boundaries = cx.rbs(1)
+    kernel = cx.kernel(RBS, 2)
+    boundaries = cx.slice(RBS, 1)
     # the kernel columns that are pivots past the coboundaries extend a
     # basis of the coboundary space, each chosen greedily in column order
     pivots = hstack([boundaries, kernel]).rref()[1]

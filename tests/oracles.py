@@ -199,6 +199,12 @@ def assembled_ranks(sys, mod, max_degree, cap=None):
     return [cx.rbs(n).rank() for n in range(max_degree + 1)]
 
 
+def assembled_kernel(cx, n):
+    """The canonical kernel basis of rbs_n, assembled whole from its blocks
+    and eliminated as one matrix."""
+    return cx.rbs(n).kernel_basis()
+
+
 def column_space_rank(mats):
     """Rank of the span of the columns of all given matrices together."""
     nonempty = [m for m in mats if m.cols > 0]

@@ -291,6 +291,46 @@ def test_extend_build_rejects_non_cocycle(tmp_path, capsys):
     assert main(["extend", "build", str(spath), str(cpath)]) == 1
 
 
+def test_rbs_is_assembled_only_for_its_image(tmp_path, monkeypatch, capsys):
+    # kernels, cocycle tests and gauge solves read the blocks of rbs_n; the
+    # whole slice is assembled only where its image is needed: the LES
+    # coboundary spans of rbs_0..rbs_2 and the census's B^2 = im rbs_1
+    import random
+
+    from rbsys import Complexes, apply_gauge, constant_deformation, h2_extension_census, les_check
+
+    from instances import random_gauge
+
+    assembled = []
+    rbs = Complexes.rbs
+
+    def counted(self, n):
+        assembled.append(n)
+        return rbs(self, n)
+
+    monkeypatch.setattr(Complexes, "rbs", counted)
+    sys = triangular_system(GF5(), 1, 2)
+    mod = regular_bimodule(sys)
+    assert les_check(sys, mod, 3).ok
+    assert assembled == [0, 1, 2]
+    assembled.clear()
+    census = h2_extension_census(sys, mod)
+    assert assembled == [1]
+
+    sdoc = docs.serialize_system(sys)
+    spath, cpath, dpath = (str(tmp_path / name) for name in ("S.json", "C.json", "D.json"))
+    docs.dump(sdoc, spath)
+    docs.dump(docs.serialize_cocycle(census[-1][0], sdoc), cpath)
+    defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, random.Random(5)))
+    docs.dump(docs.serialize_deformation(defn, sys, system_doc=sdoc), dpath)
+    assembled.clear()
+    assert main(["extend", "build", spath, cpath, "-o", str(tmp_path / "E.json")]) == 0
+    assert main(["deform", "rigidify", spath, dpath]) == 0
+    assert main(["deform", "infinitesimal", spath, dpath]) == 0
+    assert "composite gauge" in capsys.readouterr().out
+    assert assembled == []
+
+
 def test_extend_census(f2_zero_path, tmp_path, capsys):
     out = tmp_path / "census.json"
     assert main(["extend", "census", f2_zero_path, "-o", str(out)]) == 0

@@ -44,6 +44,7 @@ from instances import (
     unital_line,
 )
 from oracles import (
+    assembled_kernel,
     assembled_ranks,
     basis_tuples,
     column_space_rank,
@@ -344,6 +345,55 @@ def test_betti_rbs_ranks_match_the_assembled_slices(field, monkeypatch):
     assert moved >= 3
 
 
+def _typed(m):
+    """The entries of a matrix with the Python type of each."""
+    return [[(x, type(x)) for x in row] for row in m.entries()]
+
+
+def _blockwise_cases(monkeypatch):
+    """Complexes of forty seeded pairs and of the triangular system over
+    four fields, every fourth also with phi perturbed in one degree, so
+    that it is no chain map."""
+    from rbsys import cohomology
+
+    phi = cohomology.phi
+    pairs = instance_set(40, seed=1409)
+    tris = [triangular_system(field, 1, 2) for field in (QQ, GF(2), GF(5), GF(40009))]
+    pairs += [(tri, regular_bimodule(tri)) for tri in tris]
+    for k, (sys, mod) in enumerate(pairs):
+        for degree in (None, k // 4 % 4) if k % 4 == 0 else (None,):
+            monkeypatch.setattr(cohomology, "phi", phi if degree is None else perturbed_phi(phi, degree, k))
+            yield Complexes(sys, mod)
+
+
+def test_rbs_kernel_by_blocks_matches_the_assembled_kernel(monkeypatch):
+    # [[K Q_top], [Q_bottom]] is the canonical basis that eliminating rbs_n
+    # whole gives, entry for entry and type for type, for any blocks
+    cases = 0
+    for cx in _blockwise_cases(monkeypatch):
+        for n in range(4):
+            got, want = cx.kernel(RBS, n), assembled_kernel(cx, n)
+            assert got == want
+            assert _typed(got) == _typed(want)
+            cases += 1
+    assert cases == 4 * (44 + 11)
+
+
+def test_blockwise_differential_matches_the_slices(monkeypatch):
+    # Complexes.d applies rbs_n block by block; it must equal the assembled
+    # slice times the vector, and the single slice on alg and rbso
+    rng = random.Random(1423)
+    for cx in _blockwise_cases(monkeypatch):
+        field = cx.sys.field
+        for tag in (ALG, RBSO, RBS):
+            for n in range(3):
+                v = random_matrix(field, cx.dim(tag, n), 1, rng)
+                got, want = cx.d(Cochain(tag, n, v)), cx.slice(tag, n) @ v
+                assert got == want
+                assert _typed(got) == _typed(want)
+                assert cx.is_cocycle(Cochain(tag, n, v)) == want.is_zero()
+
+
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
 def test_betti_rbs_never_assembles_the_total_slice(field, monkeypatch):
     # d = 3, so no delta_n has as many rows as rbs_n: the two eliminations of
@@ -445,14 +495,19 @@ def test_coboundary_preimage_on_every_complex(field):
 
 def test_complexes_refuse_an_unknown_tag(monkeypatch):
     # every dispatch on a tag refuses an unknown one before it builds a block
+    from rbsys import cohomology
+
     sys, mod = f2_zero_instance()
     cx = Complexes(sys, mod)
     built = []
-    monkeypatch.setattr(Complexes, "_block", lambda self, *args: built.append(args))
+    for name in ("hochschild_slice", "phi", "_d_module_unchecked"):
+        monkeypatch.setattr(cohomology, name, lambda *args, name=name, **kwargs: built.append(name))
     calls = (
         lambda: cx.slice("bogus", 1),
         lambda: cx.dim("bogus", 1),
         lambda: cx.rank("bogus", 1),
+        lambda: cx.kernel("bogus", 1),
+        lambda: cx.d(Cochain("bogus", 1, Matrix.zeros(sys.field, 1, 1))),
         lambda: betti("bogus", sys, mod, 2),
     )
     for call in calls:
@@ -637,8 +692,9 @@ def test_dbar_display_slice_matches_naive_evaluation():
 def test_les_check_matrix_products(monkeypatch):
     # the projection and the shift inclusion are row slices and zero
     # padding, not products, and phi_p is applied to the algebra cocycles
-    # once per degree; the rest are the products that assemble the slices,
-    # the kernel members z c of each slot and the residuals modulo the
+    # once per degree; each kernel of rbs_p (p = 0..3) takes two, phi_p K
+    # and K Q_top; the rest are the products that assemble the slices, the
+    # kernel members z c of each slot and the residuals modulo the
     # coboundary echelons
     calls = []
     matmul = Matrix.__matmul__
@@ -650,7 +706,7 @@ def test_les_check_matrix_products(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
-    assert len(calls) == 54
+    assert len(calls) == 62
 
 
 def test_les_check_eliminations(monkeypatch):

@@ -452,8 +452,9 @@ def test_build_tests_the_cocycle_before_the_bimodule_axioms():
 
 
 def test_census_selects_classes_with_one_elimination(monkeypatch):
-    # one elimination for the kernel of rbs_2, one for the class selection,
-    # and four for each extension built (trivial class plus nine)
+    # two eliminations for the kernel of rbs_2 (delta_2 and [phi_2 K |
+    # partial_1]), one for the class selection, and four for each extension
+    # built (trivial class plus nine)
     from rbsys import linalg
 
     sys = triangular_system(GF(5), 1, 2)
@@ -468,7 +469,7 @@ def test_census_selects_classes_with_one_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_array", counted)
     entries = h2_extension_census(sys, mod)
     assert len(entries) == 10
-    assert len(calls) == 2 + 4 * 10
+    assert len(calls) == 3 + 4 * 10
 
     # the same classes as adding kernel columns one at a time, keeping
     # those that raise the rank over the coboundaries
