@@ -17,14 +17,15 @@ once; they are the only stored form of the rbs slices.  Every analysis here
 and in the deformation and extension modules reads its slices from a single
 Complexes per call.
 
-Slices are assembled by index scatter.  Every term of the Hochschild
+Slices are assembled through strided views.  Every term of the Hochschild
 differential is I_p (x) X (x) I_q for a small X (the stacked left action,
 mu^T, or one right-action slice, whose rows go to stride d and offset j),
 and so are the identity terms I_m (x) (R^(x)n)^T and I_m (x) (S^(x)n)^T
-of phi.  Matrix.identity_kron_sum adds the nonzero entries of each term
-into one integer array through index arrays, one signed add per term; no
+of phi.  Matrix.identity_kron_sum adds each term into one integer array
+through one strided view of it, one signed broadcast add per term; no
 Kronecker product by an identity is formed.  The rest of phi is one
-Kronecker product, [[R_M], [S_M]] (x) T^T, the base of that sum.
+Kronecker product, [[R_M], [S_M]] (x) T^T, the base of that sum; T itself
+is built by one Kronecker product and one such sum per degree.
 
 The rank and the kernel of rbs_n = [[delta_n, 0], [-phi_n, -partial_(n-1)]]
 are read through its blocks.  With K the canonical kernel basis of delta_n
@@ -69,7 +70,7 @@ from .algebra import (
     multimap_vector,
 )
 from .bimodules import _d_module_unchecked, regular_bimodule
-from .linalg import Matrix, hstack, kron_all, modulo_span, on_kernel, span_echelon, vstack
+from .linalg import Matrix, hstack, modulo_span, on_kernel, span_echelon, vstack
 from .systems import from_rb_operator
 
 ALG = "alg"
@@ -168,24 +169,25 @@ def phi(n, sys, mod, cap=None):
 
     phi(f) = (f o R^(x)n - R_M o T(f), f o S^(x)n - S_M o T(f)) where T(f)
     is the sum of f o (R^(x)(i-1) (x) Id (x) S^(x)(n-i)).  Degree 0 is the
-    diagonal embedding.
+    diagonal embedding.  T = T_n and the powers are built degree by degree:
+    T_k = T_(k-1) (x) S + R^(x)(k-1) (x) Id and R^(x)k = R^(x)(k-1) (x) R,
+    from T_1 = Id (T_0 = 0 and R^(x)0 = S^(x)0 = I_1).
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     field, d, m = sys.field, sys.dim, mod.dim
     _guard(2 * m * d**n, cap)
     R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
-    t = Matrix.zeros(field, d**n, d**n)
-    for i in range(1, n + 1):
-        t = t + kron_all(
-            field, [R] * (i - 1) + [Matrix.identity(field, d)] + [S] * (n - i)
-        )
+    if n:
+        t, r_pow, s_pow = Matrix.identity(field, d), R, S
+    else:
+        t, r_pow, s_pow = Matrix.zeros(field, 1, 1), Matrix.identity(field, 1), Matrix.identity(field, 1)
+    for k in range(2, n + 1):
+        t = Matrix.identity_kron_sum(field, (d**k, d**k), [(r_pow, 1, d, 1, 1, 0)], base=t.kron(S))
+        r_pow, s_pow = r_pow.kron(R), s_pow.kron(S)
     # [[I_m (x) (R^(x)n)^T], [I_m (x) (S^(x)n)^T]] - [[R_M], [S_M]] (x) T^T
     half = m * d**n
-    terms = [
-        (kron_all(field, [R] * n).transpose(), m, 1, 1, 1, 0),
-        (kron_all(field, [S] * n).transpose(), m, 1, 1, 1, half),
-    ]
+    terms = [(r_pow.transpose(), m, 1, 1, 1, 0), (s_pow.transpose(), m, 1, 1, 1, half)]
     dense = vstack([RM, SM]).kron(-t.transpose())
     return Matrix.identity_kron_sum(field, (2 * half, half), terms, base=dense)
 
@@ -526,9 +528,9 @@ def les_check(sys, mod, max_degree, cap=None):
 def _first_outside(cols, res, tag):
     """A failing Verdict holding the column of cols at the first nonzero row
     of the residuals res, or None when res is zero."""
-    if res.is_zero():
+    i = res.first_nonzero_row()
+    if i is None:
         return None
-    i = next(i for i in range(res.rows) if not res.take_rows(i, i + 1).is_zero())
     return Verdict(False, tag, [row[0] for row in cols.col(i).entries()])
 
 

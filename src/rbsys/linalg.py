@@ -48,7 +48,13 @@ paths:
   time.  A taller one is reduced block by block against the RREF of the
   rows before the block, with two products per block in place of one
   rank-one update per pivot and row (see ``_rref_mod``); the RREF of a row
-  space is unique, so both give the same array.
+  space is unique, so both give the same array.  Gauss-Jordan on more than
+  _WHOLE_UPDATE_SIZE entries delays its reductions too: a pivot step
+  subtracts without reducing mod p and moves an entry by at most (p -
+  1)^2, so only the pivot column and the pivot row are reduced, where
+  they are read, and the rest after every floor((2^62 - p) / (p - 1)^2)
+  steps and once at the end.  That is every step near 2^31, as for the
+  primes of the Q path, and more than 2^32 steps apart below 2^15.
 * Q: elimination modulo primes, then an exact certificate.  The numerator
   array B has the same RREF as the matrix.  B is reduced modulo primes below
   2^31, largest first; the primes of the highest rank r and, at that rank,
@@ -356,11 +362,14 @@ class Matrix:
         one matrix of the given shape.
 
         terms holds (x, p, q, sign, stride, offset): row r of the term's
-        Kronecker product lands on row r stride + offset.  Its nonzero
-        entries sit at row (i rows(x) + r) q + k and column (i cols(x) + c)
-        q + k, for each nonzero x[r, c], i < p and k < q; these positions are
-        distinct, so each term is one fancy-index add.  Over Q every term is
-        brought to one denominator and the sum is taken in integers.
+        Kronecker product lands on row r stride + offset.  Its entry x[r, c]
+        sits at row (i rows(x) + r) q + k and column (i cols(x) + c) q + k,
+        for i < p and k < q.  Each of i, r, c and k moves these positions by
+        a fixed number of bytes, so they are one strided view of the output
+        of shape (p, rows(x), cols(x), q), and the term is one broadcast add
+        of x into it.  The positions are distinct, so the view never
+        overlaps itself.  Over Q every term is brought to one denominator
+        and the sum is taken in integers.
         """
         den, bound, dtype = 1, None, field.dtype
         if field.p is None:
@@ -374,18 +383,22 @@ class Matrix:
             out = base.num.astype(dtype)
             if base.den != den:
                 out *= den // base.den
+        row_step, col_step = out.strides
         for x, p, q, sign, stride, offset in terms:
-            r, c = np.nonzero(x.num)
-            vals = x.num[r, c][:, None]
+            rows, cols = x.shape
+            if p * cols * q > shape[1] or (p * rows * q - 1) * stride + offset >= shape[0]:
+                raise ValueError(f"term I_{p} (x) {rows}x{cols} (x) I_{q} does not fit {shape}")
+            vals = x.num
             if x.den != den:
                 vals = vals.astype(dtype) * (den // x.den)
-            blocks, inner = np.arange(p)[:, None, None], np.arange(q)
-            rows = ((blocks * x.rows + r[:, None]) * q + inner) * stride + offset
-            cols = (blocks * x.cols + c[:, None]) * q + inner
-            if sign > 0:
-                out[rows, cols] += vals
-            else:
-                out[rows, cols] -= vals
+            r_step, c_step = q * stride * row_step, q * col_step
+            view = np.lib.stride_tricks.as_strided(
+                out[offset:],
+                shape=(p, rows, cols, q),
+                strides=(rows * r_step + cols * c_step, r_step, c_step, stride * row_step + col_step),
+                writeable=True,
+            )
+            (np.add if sign > 0 else np.subtract)(view, vals[None, :, :, None], out=view)
         return _of(field, out, den, bound)
 
     def _same_field(self, other):
@@ -475,10 +488,13 @@ class Matrix:
     def is_zero(self):
         return not np.any(self.num)
 
+    def first_nonzero_row(self):
+        """The index of the first nonzero row, or None."""
+        return _first_true(self.num.any(axis=1))
+
     def first_nonzero_col(self):
         """The index of the first nonzero column, or None."""
-        cols = np.flatnonzero(self.num.any(axis=0))
-        return int(cols[0]) if cols.size else None
+        return _first_true(self.num.any(axis=0))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
@@ -534,6 +550,11 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         return self.solve(Matrix.identity(self.field, self.rows))
+
+
+def _first_true(mask):
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def _dtype_for(bound):
@@ -717,22 +738,46 @@ def _rref_mod(a, p):
 
 
 def _gauss_jordan(a, p):
-    """RREF over GF(p) of a, and the pivot columns, by Gauss-Jordan
-    elimination one pivot at a time; a is used as scratch.
+    """RREF over GF(p) of a (entries in [0, p)), and the pivot columns, by
+    Gauss-Jordan elimination one pivot at a time; a is used as scratch.
 
-    On a matrix of more than _WHOLE_UPDATE_SIZE entries a pivot step
-    touches only the rows with a nonzero entry in the pivot column, and only
-    the columns from the pivot on (the pivot row is zero left of it); on a
-    smaller one it updates the whole array, which there costs less than
-    gathering and scattering rows.
+    On a matrix of at most _WHOLE_UPDATE_SIZE entries a pivot step updates
+    the whole array and reduces it mod p, which there costs less than
+    gathering and scattering rows.  On a larger one a pivot step touches
+    only the rows with a nonzero entry in the pivot column, and only the
+    columns from the pivot on (the pivot row is zero left of it), and it
+    reduces mod p only what is read (delayed reduction):
+
+    * the pivot column, before its nonzero rows are searched, and the pivot
+      row, before it is scaled by the inverse of its pivot (the scaled row
+      is reduced again);
+    * everything, once _unreduced_steps(p) steps have run since the last
+      such reduction, and the columns never read once every row holds a
+      pivot.
+
+    While every entry is still a residue (at the start, and after each
+    reduction of everything) nothing is reduced before it is read.  A step
+    subtracts f x from an entry, with f a residue or the pivot minus one and
+    x a residue, so it moves the entry by at most (p - 1)^2; from residues,
+    _unreduced_steps(p) steps keep every entry below 2^62 in absolute value.
+    A column once read is never updated again, and the step that reads it
+    leaves it reduced, so the result is the array of residues that reducing
+    every update gives.
     """
     nrows, ncols = a.shape
+    whole = a.size <= _WHOLE_UPDATE_SIZE
+    period = left = _unreduced_steps(p)
+    clean = True  # every entry of a is a residue
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
+            if not clean:
+                a[:, c:] %= p
             break
         col = a[:, c]
+        if not clean:
+            col %= p
         below = col[r:].nonzero()[0]
         if not len(below):
             continue
@@ -742,7 +787,7 @@ def _gauss_jordan(a, p):
         # one update scales the pivot row and clears column c in the other
         # rows: the pivot row's own factor is its pivot minus one
         inv = pow(int(col[r]), -1, p)
-        if a.size <= _WHOLE_UPDATE_SIZE:
+        if whole:
             fac = col.copy()
             fac[r] -= 1
             a = (a - np.multiply.outer(fac, a[r] * inv % p)) % p
@@ -752,11 +797,32 @@ def _gauss_jordan(a, p):
             k = len(rows) - len(below)
             fac = col[rows]
             fac[k] -= 1
-            row = a[r, c:] * inv % p
-            a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
+            pivot = a[r, c:]
+            if not clean:
+                pivot %= p
+            row = pivot * inv % p
+            left -= 1
+            if left:
+                a[rows, c:] -= fac[:, None] * row
+            else:
+                # the rows left out of this update are residues when the
+                # step began with residues only (every step near 2^31)
+                a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
+                if not clean:
+                    a[:, c + 1 :] %= p
+                left = period
+            clean = left == period
         pivots.append(c)
-        r += 1
     return a, pivots
+
+
+@functools.cache
+def _unreduced_steps(p):
+    """How many pivot steps of _gauss_jordan mod p may run between two
+    reductions: each moves an entry by at most (p - 1)^2, and from a residue
+    floor((2^62 - p) / (p - 1)^2) of them stay below 2^62.  At least one,
+    which above 2^31 (Python ints) reduces after every step."""
+    return max((2**62 - p) // (p - 1) ** 2, 1)
 
 
 @functools.cache

@@ -1,29 +1,34 @@
 """Independent formula-driven evaluators used as oracles.
 
-The library assembles differentials by scattering the nonzero entries of
-each Kronecker term I_p (x) X (x) I_q into one array, indexed by row-major
-coordinates.  These helpers instead evaluate the written-out formulas term
-by term on explicit basis tuples, so a slice and its oracle share no
-assembly code.  A tiny standalone GF(2) rank routine backs the frozen
-cohomology table, and sympy's DomainMatrix is a second elimination
-engine for the exact kernels of rbsys.linalg.  The ranks of the total
-complex are checked against its slices assembled whole.  The long exact sequence is
-checked a second way by eliminating each column span afresh, the
+The library assembles differentials by adding each Kronecker term I_p (x)
+X (x) I_q into one array through a strided view of it.  These helpers
+instead evaluate the written-out formulas term by term on explicit basis
+tuples, so a slice and its oracle share no assembly code.  An index-scatter
+assembly and a Gauss-Jordan step that reduces its whole update mod p are
+byte-for-byte references for the library's strided assembly and delayed
+reduction.  A tiny standalone GF(2) rank routine backs the frozen cohomology
+table, and sympy's DomainMatrix is a second elimination engine for the
+exact kernels of rbsys.linalg.  The ranks of the total complex are checked
+against its slices assembled whole.  The long exact sequence is checked a
+second way by eliminating each column span afresh, the
 deformation series order by order, one product per pair of orders, and the
 kernel of an extension as an ideal one product per pair of basis columns.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
 from rbsys import ALG, RBS, RBSO, Complexes, Matrix, Verdict, hstack, vstack
+from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of
 
 
 def basis_tuples(d, n):
@@ -375,3 +380,84 @@ def kernel_ideal_by_columns(ext):
                 if not (ext.proj @ prod).is_zero():
                     return Verdict(False, tag=prod_tag, witness=(u, j), lhs=prod.entries())
     return Verdict(True)
+
+
+# -- the eager kernels ---------------------------------------------------------
+#
+# rbsys.linalg reduces mod p only where a residue is read, and adds each
+# Kronecker term through a strided view.  These reduce every update and add
+# through index arrays; the results must be the same arrays, entry for entry
+# and in the same dtype.
+
+
+def eager_gauss_jordan(a, p):
+    """RREF over GF(p) of a and the pivot columns, one pivot at a time,
+    with every update reduced mod p; a is used as scratch."""
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        col = a[:, c]
+        below = col[r:].nonzero()[0]
+        if not len(below):
+            continue
+        i = r + below[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(col[r]), -1, p)
+        if a.size <= _WHOLE_UPDATE_SIZE:
+            fac = col.copy()
+            fac[r] -= 1
+            a = (a - np.multiply.outer(fac, a[r] * inv % p)) % p
+        else:
+            rows = col.nonzero()[0]
+            k = len(rows) - len(below)
+            fac = col[rows]
+            fac[k] -= 1
+            row = a[r, c:] * inv % p
+            a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def scatter_identity_kron_sum(field, shape, terms, base=None):
+    """Matrix.identity_kron_sum by index arrays: the nonzero entries of each
+    term, at row ((i rows(x) + r) q + k) stride + offset and column (i
+    cols(x) + c) q + k, added by one fancy-index add."""
+    den, bound, dtype = 1, None, field.dtype
+    if field.p is None:
+        mats = [x for x, *_ in terms] + ([] if base is None else [base])
+        den = math.lcm(*(x.den for x in mats))
+        bound = sum(max(x._mag, 1) * (den // x.den) for x in mats)
+        dtype = _dtype_for(bound)
+    if base is None:
+        out = np.zeros(shape, dtype=dtype)
+    else:
+        out = base.num.astype(dtype)
+        if base.den != den:
+            out *= den // base.den
+    for x, p, q, sign, stride, offset in terms:
+        r, c = np.nonzero(x.num)
+        vals = x.num[r, c][:, None]
+        if x.den != den:
+            vals = vals.astype(dtype) * (den // x.den)
+        blocks, inner = np.arange(p)[:, None, None], np.arange(q)
+        rows = ((blocks * x.rows + r[:, None]) * q + inner) * stride + offset
+        cols = (blocks * x.cols + c[:, None]) * q + inner
+        if sign > 0:
+            out[rows, cols] += vals
+        else:
+            out[rows, cols] -= vals
+    return _of(field, out, den, bound)
+
+
+def first_outside_by_rows(cols, res, tag):
+    """les_check's witness, searched one residual row at a time: the column
+    of cols at the first nonzero row of res, or None."""
+    if res.is_zero():
+        return None
+    i = next(i for i in range(res.rows) if not res.take_rows(i, i + 1).is_zero())
+    return Verdict(False, tag, [row[0] for row in cols.col(i).entries()])

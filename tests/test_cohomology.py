@@ -48,6 +48,7 @@ from oracles import (
     assembled_ranks,
     basis_tuples,
     column_space_rank,
+    first_outside_by_rows,
     gf2_rank,
     les_slots_by_column_spans,
     naive_dbar_apply,
@@ -783,6 +784,29 @@ def test_les_kernel_witness_is_outside_the_image(monkeypatch):
     (slot,) = [s for s in les_check(sys, mod, 3).slots if not s.ok]
     assert (slot.name, slot.degree, slot.witness.tag) == ("rbs", 2, "kernel_not_in_image")
     _assert_witness(field, slot, spans)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_les_witness_is_the_one_a_row_by_row_search_finds(field, monkeypatch):
+    # the witness is the column at the first nonzero residual row, found by
+    # one any(axis=1); searching the rows one at a time gives the same one
+    from rbsys import cohomology
+
+    rng = random.Random(402)
+    failing = 0
+    for seed in range(4):
+        sys, mod = random_system_bimodule(rng, field)
+        monkeypatch.setattr(cohomology, "phi", perturbed_phi(phi, 1, seed))
+        got = les_check(sys, mod, 3).slots
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "_first_outside", first_outside_by_rows)
+            want = les_check(sys, mod, 3).slots
+        for a, b in zip(got, want, strict=True):
+            assert (a.ok, a.witness is None) == (b.ok, b.witness is None)
+            if a.witness is not None:
+                assert (a.witness.tag, a.witness.witness) == (b.witness.tag, b.witness.witness)
+                failing += 1
+    assert failing >= 2
 
 
 def test_rba_embedding_check_matrix_products(monkeypatch):

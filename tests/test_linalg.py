@@ -13,7 +13,7 @@ from rbsys import GF, QQ, Matrix, rbs_d, regular_bimodule
 from rbsys.linalg import Field, block_diag, hstack, vstack
 
 from instances import random_matrix, triangular_system
-from oracles import sympy_rref
+from oracles import eager_gauss_jordan, scatter_identity_kron_sum, sympy_rref
 
 
 def test_rank_examples():
@@ -287,6 +287,150 @@ def test_blocked_elimination_matches_sympy(monkeypatch, field, case):
         assert m.rank() == linalg._BLOCK_ROWS + 7
     if case == "full_rank_early":
         assert m.rank() == m.cols
+
+
+# -- delayed reduction in Gauss-Jordan -------------------------------------------
+
+# 1518500213 ~ 2^30.5: (2^62 - p) / (p - 1)^2 = 2, so the periodic reduction
+# of _gauss_jordan runs every 2 steps; at 2^31 - 1 it runs every step
+P_HALF = 1518500213
+
+
+def _dense(field, rows, cols, rng):
+    """A dense matrix with every entry drawn from the whole field."""
+    p = field.p
+    return Matrix.from_rows(field, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("p, period", [(P_HALF, 2), (2**31 - 1, 1)])
+def test_delayed_reduction_near_the_int64_bound_matches_sympy(p, period):
+    # dense residues near the bound: a few unreduced steps wrap int64, and at
+    # 2^30.5 so does scaling a pivot row that is not reduced first
+    from rbsys import linalg
+
+    assert linalg._unreduced_steps(p) == period
+    field, rng = GF(p), random.Random(p)
+    m = _dense(field, 40, 60, rng)
+    assert m.rows * m.cols > linalg._WHOLE_UPDATE_SIZE and m.rows < 2 * linalg._BLOCK_ROWS
+    _assert_matches_oracle(m, _dense(field, 40, 2, rng))
+    assert m.rank() == 40
+
+
+@pytest.mark.parametrize("p", [2, 5, 40009])
+def test_delayed_reduction_over_many_pivot_steps_matches_sympy(monkeypatch, p):
+    # more than 100 pivot steps in one Gauss-Jordan call (the row blocks of
+    # _rref_mod are raised past the matrix), with no periodic reduction in
+    # between; the columns right of the last pivot are read only at the end
+    from rbsys import linalg
+
+    steps = []
+    gauss_jordan = linalg._gauss_jordan
+
+    def spy(a, p):
+        r, pivots = gauss_jordan(a, p)
+        steps.append(len(pivots))
+        return r, pivots
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    monkeypatch.setattr(linalg, "_BLOCK_ROWS", 64)
+    field, rng = GF(p), random.Random(p)
+    m = _dense(field, 110, 130, rng)
+    _assert_matches_oracle(m, _dense(field, 110, 2, rng))
+    assert min(steps) > 100 and linalg._unreduced_steps(p) > 10**9
+
+
+KERNEL_FIELDS = [GF(2), GF(5), GF(P_HALF), GF(2**31 - 1), GF(4294967311)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_gauss_jordan_matches_the_eager_kernel(field):
+    # the same residues, dtype and pivots as reducing every update mod p, on
+    # dense, sparse, low-rank, wide, tall and small inputs
+    from rbsys.linalg import _gauss_jordan
+
+    p, rng = field.p, random.Random(field.p)
+    sparse = [[rng.randrange(p) if rng.random() < 0.1 else 0 for _ in range(70)] for _ in range(45)]
+    cases = [
+        _dense(field, 40, 60, rng),
+        _dense(field, 60, 20, rng),
+        random_matrix(field, 30, 4, rng) @ random_matrix(field, 4, 50, rng),
+        Matrix.from_rows(field, sparse),
+        _dense(field, 6, 7, rng),
+    ]
+    for m in cases:
+        got, got_pivots = _gauss_jordan(m.num.copy(), p)
+        want, want_pivots = eager_gauss_jordan(m.num.copy(), p)
+        assert got_pivots == want_pivots
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_rational_rref_with_the_eager_kernel_is_unchanged(monkeypatch):
+    # the multimodular RREF over Q, whose primes near 2^31 reduce every step,
+    # on mixed denominators and numerators past int64
+    from rbsys import linalg
+
+    rng = random.Random(31)
+    scalars = [0, 1, -3, 2**62 + 7, -(2**61) + 3, Fraction(2**61 + 5, 3), Fraction(5, 2**35), Fraction(-7, 9)]
+    m = Matrix.from_rows(QQ, [[rng.choice(scalars) for _ in range(24)] for _ in range(14)])
+    m = vstack([m, m.take_rows(0, 4) + m.take_rows(4, 8)])
+    got, got_pivots = m.rref()
+    monkeypatch.setattr(linalg, "_gauss_jordan", eager_gauss_jordan)
+    want, want_pivots = Matrix(QQ, m.a).rref()
+    assert got_pivots == want_pivots and len(got_pivots) == 14
+    assert got.den == want.den and got.num.dtype == want.num.dtype and np.array_equal(got.num, want.num)
+
+
+# -- assembly of Kronecker sums through strided views --------------------------
+
+
+def _kron_terms(field, rng, scalars):
+    """Terms (x, p, q, sign, stride, offset) that fit a 48 x 24 output, with
+    strides and offsets, and a 48 x 24 base."""
+
+    def mat(rows, cols):
+        return Matrix.from_rows(field, [[rng.choice(scalars) for _ in range(cols)] for _ in range(rows)])
+
+    terms = [
+        (mat(12, 3), 1, 4, -1, 1, 0),  # as the stacked left action
+        (mat(4, 2), 3, 4, 1, 1, 0),  # as mu^T inside I_3 (x) . (x) I_4
+        (mat(2, 6), 2, 2, -1, 3, 2),  # p, q, stride and offset all past 1
+        (mat(6, 6), 1, 4, 1, 2, 1),  # as a right-action slice
+        (mat(0, 3), 1, 4, 1, 1, 0),
+    ]
+    return terms, mat(48, 24)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(2**31 - 1), GF(4294967311), QQ], ids=repr)
+def test_identity_kron_sum_matches_the_index_scatter(field):
+    # entries, denominator and dtype, without and with a base; over Q with
+    # mixed denominators and numerators past int64
+    rng = random.Random(repr(field))
+    if field.p is None:
+        cases = [[0, 1, -2, Fraction(3, 4)], [0, 1, 2**62 + 9, Fraction(2**61 + 5, 3), Fraction(-1, 2**35)]]
+    else:
+        cases = [[0, 1, field.p - 1, rng.randrange(field.p)]]
+    for scalars in cases:
+        terms, base = _kron_terms(field, rng, scalars)
+        # over GF(p) also a base stored column-major, whose copy keeps that order
+        other = base.scale(Fraction(1, 6)) if field.p is None else Matrix(field, np.asfortranarray(base.num))
+        for b in (None, base, other):
+            got = Matrix.identity_kron_sum(field, (48, 24), terms, base=b)
+            want = scatter_identity_kron_sum(field, (48, 24), terms, base=b)
+            assert got.den == want.den and got.num.dtype == want.num.dtype
+            assert np.array_equal(got.num, want.num) and got == want
+            assert not got.is_zero()
+    if field.p is None:
+        assert any(x.num.dtype == object for x, *_ in terms)
+
+
+def test_identity_kron_sum_refuses_a_term_that_does_not_fit():
+    x = Matrix.identity(GF(5), 2)
+    with pytest.raises(ValueError, match="does not fit"):
+        Matrix.identity_kron_sum(GF(5), (8, 4), [(x, 1, 2, 1, 2, 2)])  # reaches row 8
+    with pytest.raises(ValueError, match="does not fit"):
+        Matrix.identity_kron_sum(GF(5), (8, 4), [(x, 3, 1, 1, 1, 0)])  # 6 columns
+    fits = Matrix.identity_kron_sum(GF(5), (8, 4), [(x, 1, 2, 1, 2, 1)])  # the last row is 7
+    assert fits == scatter_identity_kron_sum(GF(5), (8, 4), [(x, 1, 2, 1, 2, 1)])
 
 
 def _primes_tried(monkeypatch):
