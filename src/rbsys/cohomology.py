@@ -59,6 +59,7 @@ then y.
 
 from __future__ import annotations
 
+import bisect
 import os
 
 from .algebra import (
@@ -70,7 +71,7 @@ from .algebra import (
     multimap_vector,
 )
 from .bimodules import _d_module_unchecked, regular_bimodule
-from .linalg import Matrix, hstack, modulo_span, on_kernel, span_echelon, vstack
+from .linalg import Matrix, hstack, modulo_span, on_kernel, pivot_columns, span_echelon, vstack
 from .systems import from_rb_operator
 
 ALG = "alg"
@@ -214,8 +215,10 @@ class Complexes:
 
     delta_n, partial_n and phi_n, each built at most once through the
     module-level hochschild_slice and phi, are the only stored form of the
-    total complex; rbs(n) assembles rbs_n afresh.  Memoised for the life of
-    the object only: an analysis makes one per call.
+    total complex; rbs(n) assembles rbs_n afresh.  The canonical kernel
+    basis of delta_n, read by kernel(ALG, n) and kernel(RBS, n) alike, is
+    built once too.  Memoised for the life of the object only: an analysis
+    makes one per call.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -237,19 +240,23 @@ class Complexes:
         return rbs_dim(n, d, m)
 
     def delta(self, n):
-        return self._once((ALG, n), hochschild_slice, self.sys.alg, self.mod.actions, n)
+        return self._once((ALG, n), hochschild_slice, self.sys.alg, self.mod.actions, n, self.cap)
 
     def phi(self, n):
-        return self._once(("phi", n), phi, n, self.sys, self.mod)
+        return self._once(("phi", n), phi, n, self.sys, self.mod, self.cap)
 
     def partial(self, n):
         if self._dm is None:
             self._dm = _d_module_unchecked(self.mod)
-        return self._once((RBSO, n), hochschild_slice, self._dm.star, self._dm.actions, n)
+        return self._once((RBSO, n), hochschild_slice, self._dm.star, self._dm.actions, n, self.cap)
+
+    def _delta_kernel(self, n):
+        # K, read by kernel(ALG, n) and by kernel(RBS, n)
+        return self._once(("kernel", n), self.delta(n).kernel_basis)
 
     def _once(self, key, build, *args):
         if key not in self._built:
-            self._built[key] = build(*args, self.cap)
+            self._built[key] = build(*args)
         return self._built[key]
 
     def _guard_rbs(self, n):
@@ -299,10 +306,13 @@ class Complexes:
     def kernel(self, tag, n):
         """The canonical kernel basis of the degree-n differential of the
         complex named by tag; for rbs_n, [[K Q_top], [Q_bottom]]."""
-        if tag != RBS:
-            return self.slice(tag, n).kernel_basis()
+        _known(tag)
+        if tag == ALG:
+            return self._delta_kernel(n)
+        if tag == RBSO:
+            return self.partial(n).kernel_basis()
         q = self._restricted(n).kernel_basis()
-        k = self.delta(n).kernel_basis()
+        k = self._delta_kernel(n)
         return vstack([k @ q.take_rows(0, k.cols), q.take_rows(k.cols, None)])
 
     def d(self, cochain):
@@ -467,13 +477,25 @@ def les_check(sys, mod, max_degree, cap=None):
     For any X, rank [X, B] = |P| + rank reduce(X), and X c lies in B exactly
     when c^T reduce(X) = 0.  Both hold for any B and X, so no step assumes
     that phi is a chain map or that d^2 = 0: on a broken map the dimensions
-    are those of the spans themselves.  The kernel at a slot is spanned by
-    the z c with c^T reduce(W) = 0, for W the outgoing map on the cocycles z
-    reduced against the target's B, and one elimination of K = reduce(z c)
-    gives its dimension.  The incoming image is the previous slot's W
-    against this slot's B: its residual and, by rank-nullity, its rank carry
-    over, and it lies in the kernel when its residual is zero modulo the
-    echelon of K.
+    are those of the spans themselves.  The pivot columns of a slice's RREF
+    span its columns, so B of alg and rbso is read from the slice one degree
+    lower restricted to the pivots of the RREF that its kernel already
+    computed; rbs_(p-1) has no stored RREF and is eliminated whole.
+
+    A slot takes one elimination.  Write W for the outgoing map on the
+    cocycles z and G = [reduce(W) | reduce(z)], one row per cocycle.  The
+    kernel at the slot is spanned by B and the z c with c^T reduce(W) = 0,
+    so its dimension is |P| + rank K, K the rows c^T reduce(z) over those
+    c: the z-parts of the rows of G's row space whose W-part is zero.  A
+    row of that space is the sum of the RREF(G) rows weighted by its
+    entries at their pivots, so those with a zero W-part are spanned by the
+    RREF rows whose pivot lies right of reduce(W).  Their z-part is
+    therefore the RREF of K (the RREF of a row space is unique), and the
+    pivots left of it count rank reduce(W).  The incoming image is the
+    previous slot's W against this slot's B: its residual and that rank
+    carry over, and it lies in the kernel when its residual is zero modulo
+    the echelon of K.  Only when the dimensions differ are the kernel
+    members z c formed, for the witness.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -484,7 +506,12 @@ def les_check(sys, mod, max_degree, cap=None):
     def span(tag, p):
         # the echelon of the coboundaries in degree p
         if (tag, p) not in spans:
-            b = cx.slice(tag, p - 1) if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
+            if p == 0:
+                b = Matrix.zeros(field, cx.dim(tag, 0), 0)
+            elif tag == RBS:
+                b = cx.rbs(p - 1)
+            else:
+                b = pivot_columns(cx.slice(tag, p - 1))
             spans[tag, p] = span_echelon(b.transpose())
         return spans[tag, p]
 
@@ -494,18 +521,21 @@ def les_check(sys, mod, max_degree, cap=None):
         # coboundaries target names; returns the same triple for the next slot
         v, v_res, v_rank = incoming
         w_res = modulo_span(w.transpose(), span(*target))
-        outgoing = Matrix.identity(field, w.cols) if w_res.is_zero() else w_res.transpose().kernel_basis()
-        members = z @ outgoing
-        k_res = modulo_span(members.transpose(), span(name, p))
-        k_span = span_echelon(k_res)
+        z_res = modulo_span(z.transpose(), span(name, p))
+        g, piv = span_echelon(hstack([w_res, z_res]))
+        w_rank = bisect.bisect_left(piv, w_res.cols)
+        k_span = g.take(w_rank, None, w_res.cols, None), tuple(c - w_res.cols for c in piv[w_rank:])
         base = len(span(name, p)[1])
         im_dim, ker_dim = base + v_rank, base + len(k_span[1])
         witness = _first_outside(v, modulo_span(v_res, k_span), "image_not_in_kernel")
         if witness is None and im_dim != ker_dim:
+            outgoing = Matrix.identity(field, w.cols) if w_res.is_zero() else w_res.transpose().kernel_basis()
+            members = z @ outgoing
+            k_res = modulo_span(members.transpose(), span(name, p))
             extra = modulo_span(k_res, span_echelon(v_res))
             witness = _first_outside(members, extra, "kernel_not_in_image")
         slots.append(LesSlot(name, p, im_dim, ker_dim, witness is None, witness))
-        return w, w_res, w.cols - outgoing.cols
+        return w, w_res, w_rank
 
     start = Matrix.zeros(field, cx.dim(RBS, 0), 0)
     incoming = (start, start.transpose(), 0)

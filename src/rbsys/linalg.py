@@ -68,14 +68,16 @@ paths:
   is the RREF.  A failed reconstruction or check adds a prime.  This ends:
   a prime whose rank or pivots differ from those over Q divides a nonzero
   minor of B, so there are finitely many such primes, and once the product
-  of the kept primes is large enough the reconstruction is the RREF.  A
-  zero matrix is its own RREF and is returned as given.
+  of the kept primes is large enough the reconstruction is the RREF.  The
+  Hadamard bound on the minors bounds both, so the primes tried are bounded
+  (``_prime_budget``), and a kernel that has not certified by then is at
+  fault and raises AssertionError.  A zero matrix is its own RREF and is
+  returned as given.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -366,10 +368,13 @@ class Matrix:
         sits at row (i rows(x) + r) q + k and column (i cols(x) + c) q + k,
         for i < p and k < q.  Each of i, r, c and k moves these positions by
         a fixed number of bytes, so they are one strided view of the output
-        of shape (p, rows(x), cols(x), q), and the term is one broadcast add
-        of x into it.  The positions are distinct, so the view never
-        overlaps itself.  Over Q every term is brought to one denominator
-        and the sum is taken in integers.
+        of shape (p, rows(x), cols(x), q), built as an ndarray on the
+        output's buffer at the byte offset of row offset (numpy checks that
+        it fits the buffer; this costs a quarter of as_strided and works on
+        object storage too), and the term is one broadcast add of x into it.
+        The positions are distinct, so the view never overlaps itself.  Over
+        Q every term is brought to one denominator and the sum is taken in
+        integers.
         """
         den, bound, dtype = 1, None, field.dtype
         if field.p is None:
@@ -392,11 +397,12 @@ class Matrix:
             if x.den != den:
                 vals = vals.astype(dtype) * (den // x.den)
             r_step, c_step = q * stride * row_step, q * col_step
-            view = np.lib.stride_tricks.as_strided(
-                out[offset:],
-                shape=(p, rows, cols, q),
+            view = np.ndarray(
+                (p, rows, cols, q),
+                out.dtype,
+                buffer=out,
+                offset=offset * row_step,
                 strides=(rows * r_step + cols * c_step, r_step, c_step, stride * row_step + col_step),
-                writeable=True,
             )
             (np.add if sign > 0 else np.subtract)(view, vals[None, :, :, None], out=view)
         return _of(field, out, den, bound)
@@ -486,7 +492,7 @@ class Matrix:
         return NotImplemented if eq is NotImplemented else not eq
 
     def is_zero(self):
-        return not np.any(self.num)
+        return not self.num.any()
 
     def first_nonzero_row(self):
         """The index of the first nonzero row, or None."""
@@ -522,10 +528,10 @@ class Matrix:
     def kernel_basis(self):
         """Columns form the canonical basis of the null space."""
         r, piv = self.rref()
-        pivots = set(piv)
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((self.cols, len(free)), dtype=r.num.dtype)
-        basis[free, range(len(free))] = r.den
+        free = np.ones(self.cols, dtype=bool)
+        free[list(piv)] = False
+        basis = np.zeros((self.cols, self.cols - len(piv)), dtype=r.num.dtype)
+        basis[free, np.arange(basis.shape[1])] = r.den
         basis[list(piv)] = -r.num[: len(piv), free]
         return _of(self.field, basis, r.den)
 
@@ -783,7 +789,9 @@ def _gauss_jordan(a, p):
             continue
         i = r + below[0]
         if i != r:
-            a[[r, i]] = a[[i, r]]
+            row = a[i].copy()
+            a[i] = a[r]
+            a[r] = row
         # one update scales the pivot row and clears column c in the other
         # rows: the pivot row's own factor is its pivot minus one
         inv = pow(int(col[r]), -1, p)
@@ -842,13 +850,15 @@ def _rref_rational(b):
     of the lexicographically first pivot list are kept; their RREFs are
     combined by CRT and the entries right of the pivots rationally
     reconstructed.  A candidate is returned only once it passes the exact
-    check of _certified; otherwise one more prime is tried.
+    check of _certified; otherwise one more prime is tried, up to
+    _prime_budget primes.  By then a correct kernel mod p has certified,
+    so running out is a kernel bug: AssertionError.
     """
     bmax = _mag(b)
     if bmax == 0:
         return b, 1, []
     best = None
-    for p in map(_prime, itertools.count()):
+    for p in map(_prime, range(_prime_budget(b.shape, bmax))):
         rp, pivots = _rref_mod((b % p).astype(np.int64, copy=False), p)
         key = (-len(pivots), pivots)
         if best is None or key < best:
@@ -872,10 +882,33 @@ def _rref_rational(b):
         block = np.array(num, dtype=_dtype_for(nmax)).reshape(len(pivots), free.size)
         if _certified(b, bmax * (den + len(pivots) * nmax), pivots, free, block, den):
             break
+    else:
+        raise AssertionError(f"no certified RREF of a {b.shape[0]}x{b.shape[1]} matrix from its prime budget")
     r = np.zeros(b.shape, dtype=_dtype_for(max(den, nmax)))
     r[range(len(pivots)), pivots] = den
     r[: len(pivots), free] = block
     return r, den, pivots
+
+
+def _prime_budget(shape, bmax):
+    """How many primes _rref_rational may try on an integer array of this
+    shape with max |entry| bmax before a correct kernel must have certified.
+
+    Let r be the rank over Q and P the pivots.  Every RREF entry is a ratio
+    of two r x r minors over one nonzero minor D = det B[I, P] (some rows
+    I), and each minor is at most H = (sqrt(r) bmax)^r (Hadamard), r at
+    most the smaller side.  A prime that does not divide D keeps P
+    independent, so it has rank r and pivots P (no prime raises a rank),
+    and its RREF is that over Q mod p: such a prime is kept from the first
+    on.  Every prime tried exceeds 2^30 (there are about 5 10^7 primes
+    between 2^30 and 2^31), so at most log_(2^30) H of them divide D; and
+    reconstruction (|n|, L <= H) succeeds once the kept primes multiply
+    past 2 H^2, that is after ceil(log2(2 H^2) / 30) of them.  bits bounds
+    log2 H^2 = r log2(r bmax^2).
+    """
+    r = min(shape)
+    bits = r * (r * bmax * bmax).bit_length()
+    return -(-bits // 60) + -(-(bits + 1) // 30)
 
 
 def _reconstruct(x, m):
@@ -1015,6 +1048,13 @@ def span_echelon(m):
         return m.take_rows(0, 0), ()
     r, piv = m.rref()
     return r.take_rows(0, len(piv)), piv
+
+
+def pivot_columns(m):
+    """The columns of m at the pivots of its RREF (memoised on m): a basis
+    of the span of its columns, since elimination keeps every linear
+    relation among the columns."""
+    return _columns(m, list(m.rref()[1]))
 
 
 def modulo_span(m, echelon):

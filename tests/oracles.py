@@ -10,7 +10,8 @@ reduction.  A tiny standalone GF(2) rank routine backs the frozen cohomology
 table, and sympy's DomainMatrix is a second elimination engine for the
 exact kernels of rbsys.linalg.  The ranks of the total complex are checked
 against its slices assembled whole.  The long exact sequence is checked a
-second way by eliminating each column span afresh, the
+second way by eliminating each column span afresh, and a third by the
+four eliminations per slot that the library folds into one; the
 deformation series order by order, one product per pair of orders, and the
 kernel of an extension as an ideal one product per pair of basis columns.
 """
@@ -28,7 +29,8 @@ from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
 from rbsys import ALG, RBS, RBSO, Complexes, Matrix, Verdict, hstack, vstack
-from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of
+from rbsys.cohomology import LesReport, LesSlot, _first_outside
+from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of, modulo_span, span_echelon
 
 
 def basis_tuples(d, n):
@@ -289,6 +291,51 @@ def les_slots_by_column_spans(sys, mod, max_degree, cap=None, spans=None):
             incoming = hstack([phi_z, image(RBSO, p)])
             slots.append(slot(RBSO, p, incoming, kernel(RBSO, p), shifted(p), image(RBS, p + 1)))
     return slots
+
+
+def les_check_by_slot_kernels(sys, mod, max_degree, cap=None):
+    """les_check with four eliminations and products per slot: every
+    coboundary span eliminated whole from its slice transposed, and at each
+    slot the kernel of the outgoing residuals, the kernel members z c, their
+    residuals and the echelon of those, each computed on its own."""
+    field = sys.field
+    cx = Complexes(sys, mod, cap)
+    spans, slots = {}, []
+
+    def span(tag, p):
+        if (tag, p) not in spans:
+            b = cx.slice(tag, p - 1) if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
+            spans[tag, p] = span_echelon(b.transpose())
+        return spans[tag, p]
+
+    def slot(name, p, incoming, z, w, target):
+        v, v_res, v_rank = incoming
+        w_res = modulo_span(w.transpose(), span(*target))
+        outgoing = Matrix.identity(field, w.cols) if w_res.is_zero() else w_res.transpose().kernel_basis()
+        members = z @ outgoing
+        k_res = modulo_span(members.transpose(), span(name, p))
+        k_span = span_echelon(k_res)
+        base = len(span(name, p)[1])
+        im_dim, ker_dim = base + v_rank, base + len(k_span[1])
+        witness = _first_outside(v, modulo_span(v_res, k_span), "image_not_in_kernel")
+        if witness is None and im_dim != ker_dim:
+            extra = modulo_span(k_res, span_echelon(v_res))
+            witness = _first_outside(members, extra, "kernel_not_in_image")
+        slots.append(LesSlot(name, p, im_dim, ker_dim, witness is None, witness))
+        return w, w_res, w.cols - outgoing.cols
+
+    start = Matrix.zeros(field, cx.dim(RBS, 0), 0)
+    incoming = (start, start.transpose(), 0)
+    for p in range(max_degree + 1):
+        z = cx.kernel(RBS, p)
+        incoming = slot(RBS, p, incoming, z, z.take_rows(0, cx.dim(ALG, p)), (ALG, p))
+        z = cx.kernel(ALG, p)
+        incoming = slot(ALG, p, incoming, z, cx.phi(p) @ z, (RBSO, p))
+        if p < max_degree:
+            z = cx.kernel(RBSO, p)
+            shift = vstack([Matrix.zeros(field, cx.dim(ALG, p + 1), z.cols), z])
+            incoming = slot(RBSO, p, incoming, z, shift, (RBS, p + 1))
+    return LesReport(slots)
 
 
 # -- deformation series, order by order ----------------------------------------

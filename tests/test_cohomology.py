@@ -50,6 +50,7 @@ from oracles import (
     column_space_rank,
     first_outside_by_rows,
     gf2_rank,
+    les_check_by_slot_kernels,
     les_slots_by_column_spans,
     naive_dbar_apply,
     naive_delta_apply,
@@ -693,10 +694,12 @@ def test_dbar_display_slice_matches_naive_evaluation():
 def test_les_check_matrix_products(monkeypatch):
     # the projection and the shift inclusion are row slices and zero
     # padding, not products, and phi_p is applied to the algebra cocycles
-    # once per degree; each kernel of rbs_p (p = 0..3) takes two, phi_p K
-    # and K Q_top; the rest are the products that assemble the slices, the
-    # kernel members z c of each slot and the residuals modulo the
-    # coboundary echelons
+    # once per degree (4); each kernel of rbs_p (p = 0..3) takes two, phi_p
+    # K and K Q_top (8); each slot reduces W and its cocycles z modulo the
+    # coboundary echelons and the incoming residuals modulo the kernel
+    # echelon, one product each unless the echelon or the rows are empty
+    # (21 of 33), and a passing slot forms no kernel members z c; the other
+    # 18 assemble and check the inputs: 51 = 4 + 8 + 21 + 18
     calls = []
     matmul = Matrix.__matmul__
 
@@ -707,14 +710,14 @@ def test_les_check_matrix_products(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
-    assert len(calls) == 62
+    assert len(calls) == 51
 
 
 def test_les_check_eliminations(monkeypatch):
     # one elimination per slice kernel (11) and per coboundary span (9), and
-    # per slot at most one for the kernel of the outgoing residuals and one
-    # for the echelon of the kernel members; a zero residual needs none (4
-    # and 4 here, of 11 slots)
+    # per slot at most one, of the stacked residuals [reduce(W) | reduce(z)],
+    # which yields both the rank of reduce(W) and the echelon of the kernel
+    # members; a zero stack needs none (4 of the 11 slots here): 27 = 11 + 9 + 7
     from rbsys import linalg
 
     calls = []
@@ -727,7 +730,7 @@ def test_les_check_eliminations(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_array", counted)
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
-    assert len(calls) == 28
+    assert len(calls) == 27
 
 
 def _assert_witness(field, slot, spans):
@@ -768,6 +771,44 @@ def test_les_check_matches_column_span_oracle(field, monkeypatch):
             failing += not report.ok
     assert failing >= 3
     assert {"image_not_in_kernel", "kernel_not_in_image"} <= tags
+
+
+def _slot_fields(report):
+    """Every field of every slot, witness entries with their Python types."""
+    out = []
+    for s in report.slots:
+        w = s.witness
+        witness = None if w is None else (w.ok, w.tag, [(type(x), x) for x in w.witness], w.lhs, w.rhs)
+        out.append((s.name, s.degree, s.image_dim, s.kernel_dim, s.ok, witness))
+    return out
+
+
+def test_les_check_matches_the_four_call_slot_oracle(monkeypatch):
+    # every slot field (dimensions, verdict, witness tag and entries) against
+    # the slot that takes the kernel of the outgoing residuals, the kernel
+    # members, their residuals and their echelon one call each, on spans
+    # eliminated from whole slices; phi intact and perturbed in one degree,
+    # on the instance_set pairs (Q, GF(2), GF(5)) and on GF(40009) pairs,
+    # among them cocycle spaces with zero columns in degree 1 and up
+    from rbsys import cohomology
+
+    intact = cohomology.phi
+    rng = random.Random(1812)
+    pairs = instance_set(24, seed=1811) + [random_system_bimodule(rng, GF(40009)) for _ in range(6)]
+    fields, tags, empty = set(), set(), 0
+    for k, (sys, mod) in enumerate(pairs):
+        fields.add(sys.field)
+        cx = Complexes(sys, mod)
+        empty += any(cx.kernel(tag, n).cols == 0 for n in (1, 2, 3) for tag in (ALG, RBSO, RBS))
+        for degree in (None, 0, 1, 2):
+            monkeypatch.setattr(cohomology, "phi", intact if degree is None else perturbed_phi(intact, degree, k))
+            got = les_check(sys, mod, 3)
+            assert _slot_fields(got) == _slot_fields(les_check_by_slot_kernels(sys, mod, 3))
+            assert got.ok or degree is not None
+            tags |= {s.witness.tag for s in got.slots if s.witness is not None}
+    assert fields == {QQ, GF(2), GF(5), GF(40009)}
+    assert empty >= 10
+    assert tags == {"image_not_in_kernel", "kernel_not_in_image"}
 
 
 def test_les_kernel_witness_is_outside_the_image(monkeypatch):

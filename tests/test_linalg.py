@@ -467,6 +467,30 @@ def test_unlucky_prime_that_shifts_a_pivot(monkeypatch):
     _assert_matches_oracle(m, Matrix.column(QQ, [1, 0]))
 
 
+def test_a_wrong_mod_p_kernel_fails_within_the_prime_budget(monkeypatch):
+    # a kernel whose RREF is off by one in an entry never certifies; the
+    # multimodular RREF gives up, as a kernel bug, after the primes that a
+    # correct kernel needs at most, instead of trying primes forever
+    from rbsys import linalg
+
+    seen = []
+    rref_mod = linalg._rref_mod
+
+    def wrong(a, p):
+        r, pivots = rref_mod(a, p)
+        r[0, -1] = (r[0, -1] + 1) % p
+        seen.append(p)
+        return r, pivots
+
+    monkeypatch.setattr(linalg, "_rref_mod", wrong)
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[P1, 1, 0, 7], [0, 2, 3, 1], [5, 0, 1, 2**40]]):
+        seen.clear()
+        m = Matrix.from_rows(QQ, rows)
+        with pytest.raises(AssertionError, match="prime budget"):
+            m.rref()
+        assert len(seen) == linalg._prime_budget(m.shape, linalg._mag(m.num)) <= 14
+
+
 def test_entries_that_need_several_primes(monkeypatch):
     seen = _primes_tried(monkeypatch)
     big = Fraction(10**40, 3**25)
