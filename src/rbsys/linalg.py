@@ -35,8 +35,12 @@ integer of at most k (p - 1)^2 and exact in float64.  No entry is ever a
 float; float64 holds only these exact integers inside a product.  Other
 int64 products reduce mod p after every floor((2^63 - 1) / (p - 1)^2)
 inner terms.  Both are the delayed reduction of Dumas, Giorgi and Pernet
-(FFLAS-FFPACK), and int64 is exact for every p < 2^31.  Every ``kron`` is
-one outer product of the two arrays.
+(FFLAS-FFPACK), and int64 is exact for every p < 2^31.  An int64 array of
+at least _FLOOR_DIVIDE_SIZE entries is reduced mod p by floor division, x -
+(x // p) p, which numpy runs without a hardware division per entry (see
+``_mod``): product results, slices assembled over GF(p), the periodic and
+final reductions of elimination, and the matrix reduced mod each prime
+over Q.  Every ``kron`` is one outer product of the two arrays.
 
 One kernel, ``_rref_array``, does every elimination (rref, rank,
 kernel_basis, solve, inverse) on the stored integer array, on one of two
@@ -53,26 +57,30 @@ paths:
   subtracts without reducing mod p and moves an entry by at most (p -
   1)^2, so only the pivot column and the pivot row are reduced, where
   they are read, and the rest after every floor((2^62 - p) / (p - 1)^2)
-  steps and once at the end.  That is every step near 2^31, as for the
-  primes of the Q path, and more than 2^32 steps apart below 2^15.
+  steps and once at the end.  That is every step near 2^31, every 64
+  steps at the primes of the Q path, and more than 2^32 steps apart below
+  2^15.
 * Q: elimination modulo primes, then an exact certificate.  The numerator
   array B has the same RREF as the matrix.  B is reduced modulo primes below
-  2^31, largest first; the primes of the highest rank r and, at that rank,
-  of the lexicographically first pivot list P are kept, combined by CRT,
-  and the entries rationally reconstructed (Wang, Guy and Davenport) into a
-  candidate R with a common denominator L.  R is returned only if B L =
-  B[:, P] (L R) holds exactly.  Proof sketch: that identity puts every row
-  of B in the row space of R, so rank_Q B <= r; a kept prime has rank_p B =
-  r, and no prime raises the rank, so rank_Q B = r and row(B) = row(R).  R
-  is in reduced echelon form, and the RREF of a row space is unique, so R
-  is the RREF.  A failed reconstruction or check adds a prime.  This ends:
-  a prime whose rank or pivots differ from those over Q divides a nonzero
-  minor of B, so there are finitely many such primes, and once the product
-  of the kept primes is large enough the reconstruction is the RREF.  The
-  Hadamard bound on the minors bounds both, so the primes tried are bounded
-  (``_prime_budget``), and a kernel that has not certified by then is at
-  fault and raises AssertionError.  A zero matrix is its own RREF and is
-  returned as given.
+  2^28, largest first.  There an int64 product of inner size k makes
+  ceil(k/128) numpy calls and Gauss-Jordan reduces every 64 pivot steps,
+  against k/2 calls and every step near 2^31, and one prime still
+  reconstructs every |n|, L <= sqrt(p/2), about 2^13.5.  The primes of the
+  highest rank r and, at that rank, of the lexicographically first pivot
+  list P are kept, combined by CRT, and the entries rationally reconstructed
+  (Wang, Guy and Davenport) into a candidate R with a common denominator L.
+  R is returned only if B L = B[:, P] (L R) holds exactly.  Proof sketch:
+  that identity puts every row of B in the row space of R, so rank_Q B <= r;
+  a kept prime has rank_p B = r, and no prime raises the rank, so rank_Q B =
+  r and row(B) = row(R).  R is in reduced echelon form, and the RREF of a
+  row space is unique, so R is the RREF.  A failed reconstruction or check
+  adds a prime.  This ends: a prime whose rank or pivots differ from those
+  over Q divides a nonzero minor of B, so there are finitely many such
+  primes, and once the product of the kept primes is large enough the
+  reconstruction is the RREF.  The Hadamard bound on the minors bounds both,
+  so the primes tried are bounded (``_prime_budget``), and a kernel that has
+  not certified by then is at fault and raises AssertionError.  A zero
+  matrix is its own RREF and is returned as given.
 """
 
 from __future__ import annotations
@@ -83,10 +91,12 @@ from fractions import Fraction
 
 import numpy as np
 
-# The one int64 limit: below it a field stores int64 residues, products of
-# two residues stay below 2^62, and the multimodular RREF over Q takes its
-# primes from below it.
+# The one int64 limit: below it a field stores int64 residues, and products
+# of two residues stay below 2^62.
 _INT64_PRIME_LIMIT = 1 << 31
+# The multimodular RREF over Q takes its primes from below this limit, where
+# delayed reduction pays (see _prime).
+_Q_PRIME_LIMIT = 1 << 28
 # Integer arrays over Q are int64 while every |entry| is below this bound,
 # so that a sum of two of them cannot wrap.
 _INT64_BOUND = 1 << 62
@@ -110,6 +120,14 @@ _BLOCK_ROWS = 48
 # x 3 takes 2.0 us in int64 and 3.7 us in float64, 405 x 135 x 135 8.0 ms
 # and 0.9 ms.
 _FLOAT_RATIO = 4
+# An int64 array of at least this many entries is reduced mod p by floor
+# division (see _mod), a smaller one by %.  Timed on every int64 array that
+# one document set of each benchmark workload reduces (35,000 arrays; the
+# same machine): below 64 entries % takes 1.2 us and floor division 3.1 us,
+# at 512-767 entries they tie (4.2 us), at 2048-4095 floor division is 1.8x
+# faster and above 16384 2.7x; the workloads' total is within 1 % of its
+# least for any cut-over from 384 to 1024 entries.
+_FLOOR_DIVIDE_SIZE = 512
 
 
 # Miller-Rabin on the primes up to 41 is deterministic below this bound
@@ -581,8 +599,9 @@ def _of(field, num, den=1, bound=None):
     """The matrix num / den of an integer array num and a positive den
     over Q, brought to canonical form; bound, if given, bounds max |num|.
     Over GF(p), the matrix of the residues of num."""
-    if field.p is not None:
-        return _new(field, num % field.p)
+    p = field.p
+    if p is not None:
+        return _new(field, num % p if num.size < _FLOOR_DIVIDE_SIZE else _mod(num, p))
     if den != 1:
         # g is at most max |n| unless num is zero, where it is den, which
         # may not fit the int64 of num; a zero matrix is zero over 1
@@ -654,18 +673,37 @@ def _dot_mod(x, y, p):
         return _dot_float(x, y, p)
     step = _chunk(p)
     if k <= step:
-        return x.dot(y) % p
-    out = x[:, :step].dot(y[:step]) % p
+        out = x.dot(y)
+        return out % p if out.size < _FLOOR_DIVIDE_SIZE else _mod(out, p)
+    out = _mod(x[:, :step].dot(y[:step]), p)
     for s in range(step, k, step):
-        out += x[:, s : s + step].dot(y[s : s + step]) % p
-    return out % p
+        out += _mod(x[:, s : s + step].dot(y[s : s + step]), p)
+    return _mod(out, p)
 
 
 def _dot_float(x, y, p):
     """x @ y mod p through float64 for k (p - 1)^2 < 2^53: the residues are
     non-negative, so every partial sum of every order of summation is an
     integer of at most k (p - 1)^2, which float64 holds exactly."""
-    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
+    out = (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    return out % p if out.size < _FLOOR_DIVIDE_SIZE else _mod(out, p)
+
+
+def _mod(x, p):
+    """x mod p of an integer array, every entry above p - 2^63.
+
+    An int64 array of at least _FLOOR_DIVIDE_SIZE entries is reduced by
+    floor division, x - (x // p) p: numpy divides an int64 array by a
+    scalar through multiplications (libdivide), where % takes one hardware
+    division per entry.  (x // p) p lies in (x - p, x], so it cannot wrap,
+    and the result equals x % p, dtype included.  Smaller arrays, where the
+    two extra numpy calls cost more, and Python ints take %.
+    """
+    if x.dtype == object or x.size < _FLOOR_DIVIDE_SIZE:
+        return x % p
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=q)
 
 
 @functools.cache
@@ -720,8 +758,7 @@ def _rref_mod(a, p):
         r, x = len(pivots), a[s : s + _BLOCK_ROWS]
         y = x[:, free]
         if r:
-            y -= _dot_mod(x[:, pivots], a[:r, free], p)
-            y %= p
+            y = _mod(y - _dot_mod(x[:, pivots], a[:r, free], p), p)
         # Y's zero rows add nothing, and its zero columns stay zero
         rows, used = y.any(axis=1), y.any(axis=0)
         if not used.any():
@@ -730,7 +767,7 @@ def _rref_mod(a, p):
         cols = free.nonzero()[0][used]
         k, found = len(new), cols[new]
         if r:
-            a[:r, cols] = (a[:r, cols] - _dot_mod(a[:r, found], y[:k], p)) % p
+            a[:r, cols] = _mod(a[:r, cols] - _dot_mod(a[:r, found], y[:k], p), p)
         a[r : r + k] = 0
         a[r : r + k, cols] = y[:k]
         pivots += found.tolist()
@@ -779,7 +816,7 @@ def _gauss_jordan(a, p):
         r = len(pivots)
         if r == nrows:
             if not clean:
-                a[:, c:] %= p
+                a[:, c:] = _mod(a[:, c:], p)
             break
         col = a[:, c]
         if not clean:
@@ -815,9 +852,9 @@ def _gauss_jordan(a, p):
             else:
                 # the rows left out of this update are residues when the
                 # step began with residues only (every step near 2^31)
-                a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
+                a[rows, c:] = _mod(a[rows, c:] - fac[:, None] * row, p)
                 if not clean:
-                    a[:, c + 1 :] %= p
+                    a[:, c + 1 :] = _mod(a[:, c + 1 :], p)
                 left = period
             clean = left == period
         pivots.append(c)
@@ -835,8 +872,17 @@ def _unreduced_steps(p):
 
 @functools.cache
 def _prime(i):
-    """The i-th prime below _INT64_PRIME_LIMIT, counting down from the largest."""
-    q = _INT64_PRIME_LIMIT - 1 if i == 0 else _prime(i - 1) - 2
+    """The i-th prime below _Q_PRIME_LIMIT = 2^28, counting down from the
+    largest, 2^28 - 57; about 7 10^6 primes lie between 2^27 and 2^28.
+
+    Over Q these primes take the place of those just below 2^31, where an
+    int64 product mod p reduces after every 2 inner terms and Gauss-Jordan
+    after every pivot step.  Below 2^28 a product of inner size k makes
+    ceil(k / 128) numpy calls (_chunk) and Gauss-Jordan reduces every 64
+    steps (_unreduced_steps), the delayed reduction of the prime-field path;
+    one prime still reconstructs every |n|, L <= sqrt(p / 2), about 2^13.5.
+    """
+    q = _Q_PRIME_LIMIT - 1 if i == 0 else _prime(i - 1) - 2
     while not _is_prime(q):
         q -= 2
     return q
@@ -859,12 +905,12 @@ def _rref_rational(b):
         return b, 1, []
     best = None
     for p in map(_prime, range(_prime_budget(b.shape, bmax))):
-        rp, pivots = _rref_mod((b % p).astype(np.int64, copy=False), p)
+        rp, pivots = _rref_mod(_mod(b, p).astype(np.int64, copy=False), p)
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, modulus = key, p
-            taken = set(pivots)
-            free = np.array([c for c in range(b.shape[1]) if c not in taken], dtype=np.int64)
+            free = np.ones(b.shape[1], dtype=bool)
+            free[pivots] = False
             x = rp[: len(pivots), free].ravel().tolist()
         elif key == best:
             # CRT: the residue mod modulus * p that is x mod modulus and rp mod p
@@ -879,7 +925,7 @@ def _rref_rational(b):
             continue
         num, den = candidate
         nmax = max(map(abs, num), default=0)
-        block = np.array(num, dtype=_dtype_for(nmax)).reshape(len(pivots), free.size)
+        block = np.array(num, dtype=_dtype_for(nmax)).reshape(len(pivots), b.shape[1] - len(pivots))
         if _certified(b, bmax * (den + len(pivots) * nmax), pivots, free, block, den):
             break
     else:
@@ -900,15 +946,15 @@ def _prime_budget(shape, bmax):
     most the smaller side.  A prime that does not divide D keeps P
     independent, so it has rank r and pivots P (no prime raises a rank),
     and its RREF is that over Q mod p: such a prime is kept from the first
-    on.  Every prime tried exceeds 2^30 (there are about 5 10^7 primes
-    between 2^30 and 2^31), so at most log_(2^30) H of them divide D; and
+    on.  Every prime tried exceeds 2^27 (_prime: about 7 10^6 primes lie
+    between 2^27 and 2^28), so at most log_(2^27) H of them divide D; and
     reconstruction (|n|, L <= H) succeeds once the kept primes multiply
-    past 2 H^2, that is after ceil(log2(2 H^2) / 30) of them.  bits bounds
+    past 2 H^2, that is after ceil(log2(2 H^2) / 27) of them.  bits bounds
     log2 H^2 = r log2(r bmax^2).
     """
     r = min(shape)
     bits = r * (r * bmax * bmax).bit_length()
-    return -(-bits // 60) + -(-(bits + 1) // 30)
+    return -(-bits // 54) + -(-(bits + 1) // 27)
 
 
 def _reconstruct(x, m):
@@ -949,11 +995,15 @@ def _wang_denominator(u, m, bound):
 def _certified(b, h, pivots, free, num, den):
     """Whether b[:, free] den == b[:, pivots] num holds over the integers.
 
-    num is den times the candidate RREF on the free columns, and h bounds
-    both sides in absolute value: the identity is tested in int64 when
-    h < 2^62, and over Python ints otherwise.
+    num is den times the candidate RREF on the free columns (free is a
+    boolean mask), and h bounds both sides in absolute value, every partial
+    sum of the product included.  The identity is tested in float64 BLAS
+    when h < 2^53, where every one of these integers is exact in whatever
+    order BLAS adds; in int64 when h < 2^62; and over Python ints otherwise.
     """
-    if h >= _INT64_BOUND:
+    if h < 2**53:
+        b, num, den = b.astype(np.float64), num.astype(np.float64), float(den)
+    elif h >= _INT64_BOUND:
         b, num = b.astype(object), num.astype(object)
     return bool((b[:, free] * den == b[:, pivots] @ num).all())
 

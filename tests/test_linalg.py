@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsys import GF, QQ, Matrix, rbs_d, regular_bimodule
-from rbsys.linalg import Field, block_diag, hstack, vstack
+from rbsys.linalg import Field, _prime, block_diag, hstack, vstack
 
 from instances import random_matrix, triangular_system
 from oracles import eager_gauss_jordan, scatter_identity_kron_sum, sympy_rref
@@ -147,8 +147,9 @@ def test_is_prime_matches_trial_division():
 
 # -- the elimination kernel against an independent oracle ---------------------
 
-P1 = 2**31 - 1  # the first prime the multimodular RREF over Q tries
-ORACLE_FIELDS = [QQ, GF(2), GF(5), GF(40009), GF(P1), GF(2147483659)]
+P1 = _prime(0)  # the first prime the multimodular RREF over Q tries
+# 2^31 - 1 is the largest prime stored in int64
+ORACLE_FIELDS = [QQ, GF(2), GF(5), GF(40009), GF(2**31 - 1), GF(2147483659)]
 
 
 def _kernel_from_rref(rref, pivots, p, cols):
@@ -339,18 +340,20 @@ def test_delayed_reduction_over_many_pivot_steps_matches_sympy(monkeypatch, p):
     assert min(steps) > 100 and linalg._unreduced_steps(p) > 10**9
 
 
-KERNEL_FIELDS = [GF(2), GF(5), GF(P_HALF), GF(2**31 - 1), GF(4294967311)]
+KERNEL_FIELDS = [GF(2), GF(5), GF(P1), GF(P_HALF), GF(2**31 - 1), GF(4294967311)]
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_gauss_jordan_matches_the_eager_kernel(field):
     # the same residues, dtype and pivots as reducing every update mod p, on
-    # dense, sparse, low-rank, wide, tall and small inputs
+    # dense, sparse, low-rank, wide, tall and small inputs; at P1 the 90
+    # pivot steps of the first cross a periodic reduction (every 64 steps)
     from rbsys.linalg import _gauss_jordan
 
     p, rng = field.p, random.Random(field.p)
     sparse = [[rng.randrange(p) if rng.random() < 0.1 else 0 for _ in range(70)] for _ in range(45)]
     cases = [
+        _dense(field, 90, 100, rng),
         _dense(field, 40, 60, rng),
         _dense(field, 60, 20, rng),
         random_matrix(field, 30, 4, rng) @ random_matrix(field, 4, 50, rng),
@@ -365,8 +368,8 @@ def test_gauss_jordan_matches_the_eager_kernel(field):
 
 
 def test_rational_rref_with_the_eager_kernel_is_unchanged(monkeypatch):
-    # the multimodular RREF over Q, whose primes near 2^31 reduce every step,
-    # on mixed denominators and numerators past int64
+    # the multimodular RREF over Q, whose primes below 2^28 reduce every 64
+    # steps, on mixed denominators and numerators past int64
     from rbsys import linalg
 
     rng = random.Random(31)
@@ -470,7 +473,9 @@ def test_unlucky_prime_that_shifts_a_pivot(monkeypatch):
 def test_a_wrong_mod_p_kernel_fails_within_the_prime_budget(monkeypatch):
     # a kernel whose RREF is off by one in an entry never certifies; the
     # multimodular RREF gives up, as a kernel bug, after the primes that a
-    # correct kernel needs at most, instead of trying primes forever
+    # correct kernel needs at most, instead of trying primes forever.  The
+    # larger matrix has r = 3 and bmax = 2^40, so bits = 3 * bitlen(3 * 2^80)
+    # = 246 and the budget is ceil(246 / 54) + ceil(247 / 27) = 5 + 10 = 15
     from rbsys import linalg
 
     seen = []
@@ -488,7 +493,7 @@ def test_a_wrong_mod_p_kernel_fails_within_the_prime_budget(monkeypatch):
         m = Matrix.from_rows(QQ, rows)
         with pytest.raises(AssertionError, match="prime budget"):
             m.rref()
-        assert len(seen) == linalg._prime_budget(m.shape, linalg._mag(m.num)) <= 14
+        assert len(seen) == linalg._prime_budget(m.shape, linalg._mag(m.num)) <= 15
 
 
 def test_entries_that_need_several_primes(monkeypatch):
@@ -501,6 +506,18 @@ def test_entries_that_need_several_primes(monkeypatch):
     )
     assert len({p for p, _ in seen}) > 3
     _assert_matches_oracle(m, Matrix.column(QQ, [big, -1]))
+
+
+def test_a_denominator_between_the_reach_of_one_small_and_one_large_prime(monkeypatch):
+    # the RREF has L = 14999 and |n| <= 448: one prime below 2^31 reconstructs
+    # it (|n|, L <= sqrt((2^31 - 1) / 2) = 32767), but one below 2^28 does not
+    # (sqrt(P1 / 2) = 11585), so at least two primes are kept
+    seen = _primes_tried(monkeypatch)
+    m = Matrix.from_rows(QQ, [[150, 1, 2], [1, 100, 3]])
+    r, pivots = m.rref()
+    assert r.den == 14999 and math.isqrt(P1 // 2) < r.den < 2**15
+    assert len([p for p, piv in seen if piv == pivots]) >= 2
+    _assert_matches_oracle(m, Matrix.column(QQ, [1, Fraction(1, 3)]))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -556,18 +573,21 @@ def test_rank_ladder_rational_slice_matches_sympy():
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows, low, high",
     [
-        [[1, 2, 3, 4], [Fraction(1, 2), 1, 7, Fraction(2, 3)], [0, 5, 1, 1]],
-        [[Fraction(10**40, 3**25), 1, 2], [1, Fraction(3, 7), 5]],
+        ([[1, 2, 3, 4], [Fraction(1, 2), 1, 7, Fraction(2, 3)], [0, 5, 1, 1]], 0, 2**53),
+        ([[2**19 + 1, 3, 2**18 + 7], [5, 2**19 - 3, 11]], 2**53, 2**62),
+        ([[Fraction(10**40, 3**25), 1, 2], [1, Fraction(3, 7), 5]], 2**62, math.inf),
     ],
-    ids=["int64-check", "python-int-check"],
+    ids=["float64-check", "int64-check", "python-int-check"],
 )
-def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows):
+def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows, low, high):
+    # the bound h of the wrong candidate's check picks its path: float64
+    # below 2^53, int64 below 2^62, Python ints above
     from rbsys import linalg
 
-    reconstruct = linalg._reconstruct
-    candidates = []
+    reconstruct, certified = linalg._reconstruct, linalg._certified
+    candidates, checks = [], []
 
     def wrong_once(x, m):
         out = reconstruct(x, m)
@@ -578,10 +598,16 @@ def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows):
                 return [num[0] + 1] + num[1:], den
         return out
 
+    def spy(b, h, *args):
+        checks.append((h, certified(b, h, *args)))
+        return checks[-1][1]
+
     monkeypatch.setattr(linalg, "_reconstruct", wrong_once)
+    monkeypatch.setattr(linalg, "_certified", spy)
     m = Matrix.from_rows(QQ, rows)
     assert m.rref() == (Matrix.from_rows(QQ, sympy_rref(m)[0]), sympy_rref(m)[1])
     assert len(candidates) >= 2
+    assert checks[0][1] is False and low <= checks[0][0] < high
 
 
 
@@ -795,17 +821,17 @@ def test_int64_numerators_over_a_denominator_past_int64():
     assert (a - a).den == 1 and (a - a).num.dtype == np.int64
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 4294967311])
+@pytest.mark.parametrize("p", [P1, 2**31 - 1, 4294967311])
 def test_prime_field_products_match_python_ints(p):
-    # int64 below 2^31 reduces every _chunk(p) inner terms (2 for 2^31 - 1);
-    # 4294967311 stores Python ints
+    # int64 below 2^31 reduces every _chunk(p) inner terms (128 for P1, 2 for
+    # 2^31 - 1); 4294967311 stores Python ints
     from rbsys.linalg import _chunk
 
     field = GF(p)
     rng = random.Random(p)
     if p < 2**31:
-        assert _chunk(p) == 2
-    for inner in (1, 2, 3, 5, 64):
+        assert _chunk(p) == (128 if p == P1 else 2)
+    for inner in (1, 2, 3, 5, 64, 128, 129, 300):
         # entries near p - 1, the worst case for a sum of products
         a = [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(inner)] for _ in range(3)]
         b = [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(4)] for _ in range(inner)]
@@ -868,6 +894,46 @@ def test_no_float_products_past_the_square_root_of_2_53(monkeypatch, p):
         got, want = _full_product(p, inner)
         assert got == want
     assert taken == []
+
+
+@st.composite
+def _int64_arrays(draw):
+    """int64 arrays with entries in (-2^62, 2^62), of sizes either side of
+    _FLOOR_DIVIDE_SIZE, and now and then a strided column slice."""
+    from rbsys.linalg import _FLOOR_DIVIDE_SIZE
+
+    size = draw(st.sampled_from([0, 1, 7, _FLOOR_DIVIDE_SIZE - 1, _FLOOR_DIVIDE_SIZE, 3 * _FLOOR_DIVIDE_SIZE + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-(2**62) + 1, 2**62, size=size, dtype=np.int64)
+    # extremes and small values, where a wrong rounding would show
+    if size:
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=8)):
+            x[i] = draw(st.sampled_from([-(2**62) + 1, 2**62 - 1, -1, 0, 1]))
+    if size > 1 and draw(st.booleans()):
+        return x.reshape(size, 1)[::2, :]  # a strided view, as a[:, c:]
+    return x.reshape(1, size)
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(x=_int64_arrays(), p=st.sampled_from([2, 5, 40009, P1, 2**31 - 1]))
+def test_floor_division_reduction_equals_the_remainder(x, p):
+    from rbsys.linalg import _mod
+
+    got, want = _mod(x, p), x % p
+    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_python_int_arrays_are_reduced_by_the_remainder():
+    # object arrays (GF(4294967311), or numerators past int64) take % even
+    # when large, and stay Python ints
+    from rbsys import linalg
+
+    p = 4294967311
+    rng = random.Random(p)
+    x = np.array([rng.randrange(-(2**70), 2**70) for _ in range(3 * linalg._FLOOR_DIVIDE_SIZE)], dtype=object)
+    got = linalg._mod(x, p)
+    assert got.dtype == object and got.tolist() == [v % p for v in x.tolist()]
 
 
 def test_fraction_view_types():
