@@ -601,7 +601,7 @@ def _of(field, num, den=1, bound=None):
     Over GF(p), the matrix of the residues of num."""
     p = field.p
     if p is not None:
-        return _new(field, num % p if num.size < _FLOOR_DIVIDE_SIZE else _mod(num, p))
+        return _new(field, _mod(num, p))
     if den != 1:
         # g is at most max |n| unless num is zero, where it is den, which
         # may not fit the int64 of num; a zero matrix is zero over 1
@@ -668,42 +668,44 @@ def _dot_mod(x, y, p):
     m, k = x.shape
     n = y.shape[1]
     if x.dtype == object:
-        return x.dot(y) % p
+        return _mod(x.dot(y), p)
     if 0 < k <= _float_inner(p) and m * k * n >= _FLOAT_RATIO * (m * k + k * n + m * n):
         return _dot_float(x, y, p)
     step = _chunk(p)
     if k <= step:
-        out = x.dot(y)
-        return out % p if out.size < _FLOOR_DIVIDE_SIZE else _mod(out, p)
+        return _mod(x.dot(y), p)
     out = _mod(x[:, :step].dot(y[:step]), p)
     for s in range(step, k, step):
         out += _mod(x[:, s : s + step].dot(y[s : s + step]), p)
-    return _mod(out, p)
+    return _mod(out, p, out=out)
 
 
 def _dot_float(x, y, p):
     """x @ y mod p through float64 for k (p - 1)^2 < 2^53: the residues are
     non-negative, so every partial sum of every order of summation is an
     integer of at most k (p - 1)^2, which float64 holds exactly."""
-    out = (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
-    return out % p if out.size < _FLOOR_DIVIDE_SIZE else _mod(out, p)
+    return _mod((x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64), p)
 
 
-def _mod(x, p):
-    """x mod p of an integer array, every entry above p - 2^63.
+def _mod(x, p, out=None):
+    """x mod p of an integer array, every entry above p - 2^63; written into
+    out, which may be x itself, when it is given.
 
     An int64 array of at least _FLOOR_DIVIDE_SIZE entries is reduced by
     floor division, x - (x // p) p: numpy divides an int64 array by a
     scalar through multiplications (libdivide), where % takes one hardware
     division per entry.  (x // p) p lies in (x - p, x], so it cannot wrap,
     and the result equals x % p, dtype included.  Smaller arrays, where the
-    two extra numpy calls cost more, and Python ints take %.
+    two extra numpy calls cost more, and Python ints take %.  The products,
+    eliminations and GF(p) matrices of this module reduce here; only a
+    Gauss-Jordan step reduces its pivot column and row, and a whole array
+    of at most _WHOLE_UPDATE_SIZE entries, by % directly.
     """
     if x.dtype == object or x.size < _FLOOR_DIVIDE_SIZE:
-        return x % p
+        return np.remainder(x, p, out=out)
     q = x // p
     q *= p
-    return np.subtract(x, q, out=q)
+    return np.subtract(x, q, out=q if out is None else out)
 
 
 @functools.cache
@@ -758,7 +760,8 @@ def _rref_mod(a, p):
         r, x = len(pivots), a[s : s + _BLOCK_ROWS]
         y = x[:, free]
         if r:
-            y = _mod(y - _dot_mod(x[:, pivots], a[:r, free], p), p)
+            y -= _dot_mod(x[:, pivots], a[:r, free], p)
+            _mod(y, p, out=y)
         # Y's zero rows add nothing, and its zero columns stay zero
         rows, used = y.any(axis=1), y.any(axis=0)
         if not used.any():
@@ -816,7 +819,7 @@ def _gauss_jordan(a, p):
         r = len(pivots)
         if r == nrows:
             if not clean:
-                a[:, c:] = _mod(a[:, c:], p)
+                _mod(a[:, c:], p, out=a[:, c:])
             break
         col = a[:, c]
         if not clean:
@@ -854,7 +857,7 @@ def _gauss_jordan(a, p):
                 # step began with residues only (every step near 2^31)
                 a[rows, c:] = _mod(a[rows, c:] - fac[:, None] * row, p)
                 if not clean:
-                    a[:, c + 1 :] = _mod(a[:, c + 1 :], p)
+                    _mod(a[:, c + 1 :], p, out=a[:, c + 1 :])
                 left = period
             clean = left == period
         pivots.append(c)
@@ -996,14 +999,10 @@ def _certified(b, h, pivots, free, num, den):
     """Whether b[:, free] den == b[:, pivots] num holds over the integers.
 
     num is den times the candidate RREF on the free columns (free is a
-    boolean mask), and h bounds both sides in absolute value, every partial
-    sum of the product included.  The identity is tested in float64 BLAS
-    when h < 2^53, where every one of these integers is exact in whatever
-    order BLAS adds; in int64 when h < 2^62; and over Python ints otherwise.
+    boolean mask), and h bounds both sides in absolute value: the identity
+    is tested in int64 when h < 2^62, and over Python ints otherwise.
     """
-    if h < 2**53:
-        b, num, den = b.astype(np.float64), num.astype(np.float64), float(den)
-    elif h >= _INT64_BOUND:
+    if h >= _INT64_BOUND:
         b, num = b.astype(object), num.astype(object)
     return bool((b[:, free] * den == b[:, pivots] @ num).all())
 
