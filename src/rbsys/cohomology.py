@@ -71,7 +71,7 @@ from .algebra import (
     multimap_vector,
 )
 from .bimodules import _d_module_unchecked, regular_bimodule
-from .linalg import Matrix, hstack, modulo_span, on_kernel, pivot_columns, span_echelon, vstack
+from .linalg import Matrix, hstack, modulo_span, on_kernel, pivot_columns, vstack
 from .systems import from_rb_operator
 
 ALG = "alg"
@@ -512,7 +512,7 @@ def les_check(sys, mod, max_degree, cap=None):
                 b = cx.rbs(p - 1)
             else:
                 b = pivot_columns(cx.slice(tag, p - 1))
-            spans[tag, p] = span_echelon(b.transpose())
+            spans[tag, p] = b.transpose().rref()
         return spans[tag, p]
 
     def slot(name, p, incoming, z, w, target):
@@ -522,7 +522,7 @@ def les_check(sys, mod, max_degree, cap=None):
         v, v_res, v_rank = incoming
         w_res = modulo_span(w.transpose(), span(*target))
         z_res = modulo_span(z.transpose(), span(name, p))
-        g, piv = span_echelon(hstack([w_res, z_res]))
+        g, piv = hstack([w_res, z_res]).rref()
         w_rank = bisect.bisect_left(piv, w_res.cols)
         k_span = g.take(w_rank, None, w_res.cols, None), tuple(c - w_res.cols for c in piv[w_rank:])
         base = len(span(name, p)[1])
@@ -532,7 +532,7 @@ def les_check(sys, mod, max_degree, cap=None):
             outgoing = Matrix.identity(field, w.cols) if w_res.is_zero() else w_res.transpose().kernel_basis()
             members = z @ outgoing
             k_res = modulo_span(members.transpose(), span(name, p))
-            extra = modulo_span(k_res, span_echelon(v_res))
+            extra = modulo_span(k_res, v_res.rref())
             witness = _first_outside(members, extra, "kernel_not_in_image")
         slots.append(LesSlot(name, p, im_dim, ker_dim, witness is None, witness))
         return w, w_res, w_rank
@@ -612,6 +612,8 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     they are applied as row copies, column sums and row differences of the
     total differential, never as matrix products.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be at least 0")
     sys = from_rb_operator(alg, R, lam)[0]
     mod = regular_bimodule(sys)
     cx = Complexes(sys, mod, cap)

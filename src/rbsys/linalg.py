@@ -26,25 +26,26 @@ sum brings both numerator arrays to the lcm of the denominators, and a
 product (``@``, ``kron``) multiplies numerators and denominators; the
 result is brought back to canonical form.  Each runs in int64 when a bound
 on every result is below 2^62, and over Python ints otherwise; for ``@``
-with inner dimension k the bound is max|x| max|y| k over the stored
-numerators, each of the three factors taken as at least 1.  Over GF(p) a
-product of inner dimension k runs in float64 BLAS when k (p - 1)^2 < 2^53
-and the product is large enough to pay for the conversions: the residues
-are non-negative, so every partial sum, in whatever order BLAS adds, is an
-integer of at most k (p - 1)^2 and exact in float64.  No entry is ever a
-float; float64 holds only these exact integers inside a product.  Other
-int64 products reduce mod p after every floor((2^63 - 1) / (p - 1)^2)
-inner terms.  Both are the delayed reduction of Dumas, Giorgi and Pernet
-(FFLAS-FFPACK), and int64 is exact for every p < 2^31.  An int64 array of
-at least _FLOOR_DIVIDE_SIZE entries is reduced mod p by floor division, x -
-(x // p) p, which numpy runs without a hardware division per entry (see
-``_mod``): product results, slices assembled over GF(p), the periodic and
-final reductions of elimination, and the matrix reduced mod each prime
-over Q.  Every ``kron`` is one outer product of the two arrays.
+with inner dimension k the bound is max|x| max|y| k over the numerators,
+each of the three factors taken as at least 1, from the bounds that the
+matrices carry or, where those reach 2^62, from the measured maxima.
+Over GF(p) a product of inner dimension k runs in float64 BLAS when k (p -
+1)^2 < 2^53 and the product is large enough to pay for the conversions:
+the residues are non-negative, so every partial sum, in whatever order
+BLAS adds, is an integer of at most k (p - 1)^2 and exact in float64.  No
+entry is ever a float; float64 holds only these exact integers inside a
+product.  Other int64 products reduce mod p after every floor((2^63 - 1) /
+(p - 1)^2) inner terms.  Both are the delayed reduction of Dumas, Giorgi
+and Pernet (FFLAS-FFPACK), and int64 is exact for every p < 2^31.  An int64
+array of at least _FLOOR_DIVIDE_SIZE entries is reduced mod p by floor
+division, x - (x // p) p, which numpy runs without a hardware division per
+entry (see ``_mod``): product results, slices assembled over GF(p), the
+periodic and final reductions of elimination, and the matrix reduced mod
+each prime over Q.  Every ``kron`` is one outer product of the two arrays.
 
 One kernel, ``_rref_array``, does every elimination (rref, rank,
-kernel_basis, solve, inverse) on the stored integer array, on one of two
-paths:
+kernel_basis, solve, inverse) on the stored integer array and keeps only
+the nonzero rows of the RREF, one per pivot, on one of two paths:
 
 * GF(p): elimination mod p, in int64 for p < 2^31 (a product of two
   residues stays below 2^62) and on Python ints above.  A matrix of fewer
@@ -79,8 +80,7 @@ paths:
   primes, and once the product of the kept primes is large enough the
   reconstruction is the RREF.  The Hadamard bound on the minors bounds both,
   so the primes tried are bounded (``_prime_budget``), and a kernel that has
-  not certified by then is at fault and raises AssertionError.  A zero
-  matrix is its own RREF and is returned as given.
+  not certified by then is at fault and raises AssertionError.
 """
 
 from __future__ import annotations
@@ -475,8 +475,11 @@ class Matrix:
             return _new(self.field, _dot_mod(self.num, other.num, self.field.p))
         # max|x| max|y| k bounds every sum of k entry products; each factor
         # is taken as at least 1, so a zero factor or k = 0 cannot let an
-        # unbounded other factor into int64
+        # unbounded other factor into int64.  The stored bounds may be loose
+        # (a sum adds them), so past int64 the factors are measured.
         bound = max(self._mag, 1) * max(other._mag, 1) * max(self.cols, 1)
+        if bound >= _INT64_BOUND:
+            bound = max(_mag(self.num), 1) * max(_mag(other.num), 1) * max(self.cols, 1)
         dtype = _dtype_for(bound)
         c = self.num.astype(dtype, copy=False).dot(other.num.astype(dtype, copy=False))
         return _of(self.field, c, self.den * other.den, bound)
@@ -526,17 +529,15 @@ class Matrix:
     # -- elimination ---------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form and the tuple of pivot columns."""
+        """The nonzero rows of the reduced row echelon form, one per pivot,
+        and the tuple of pivot columns; a zero matrix is not eliminated."""
         if self._rref is None:
-            r, den, piv = _rref_array(self.num, self.field)
-            if piv and self.field.p is not None:
-                r = _new(self.field, r)
-            elif piv:
-                r = _of(self.field, r, den)
-                _SET_VIEW(r, Fraction)
-            else:  # a zero matrix, returned as given
-                r = _new(self.field, self.num, 1, self._mag)
-                _SET_VIEW(r, self._view)
+            if self.is_zero():
+                r, piv = Matrix.zeros(self.field, 0, self.cols), []
+            else:
+                num, den, piv = _rref_array(self.num, self.field)
+                r = _new(self.field, num) if self.field.p is not None else _of(self.field, num, den)
+                _SET_VIEW(r, Fraction)  # over Q every entry of its view is a Fraction
             object.__setattr__(self, "_rref", (r, tuple(piv)))
         return self._rref
 
@@ -550,7 +551,7 @@ class Matrix:
         free[list(piv)] = False
         basis = np.zeros((self.cols, self.cols - len(piv)), dtype=r.num.dtype)
         basis[free, np.arange(basis.shape[1])] = r.den
-        basis[list(piv)] = -r.num[: len(piv), free]
+        basis[list(piv)] = -r.num[:, free]
         return _of(self.field, basis, r.den)
 
     def solve(self, b):
@@ -566,7 +567,7 @@ class Matrix:
         if any(pc >= self.cols for pc in piv):
             return None
         x = np.zeros((self.cols, b.cols), dtype=r.dtype)
-        x[piv] = r[: len(piv), self.cols :]
+        x[piv] = r[:, self.cols :]
         return _of(self.field, x, den)
 
     def inverse(self):
@@ -725,8 +726,8 @@ def _float_inner(p):
 def _rref_array(a, field):
     """RREF of the integer array a over field: (r, den, pivot columns).
 
-    The RREF is r / den; den is 1 over GF(p), where r holds residues.  A
-    zero array has no pivots and is returned as given.
+    The RREF is r / den, one row per pivot; den is 1 over GF(p), where r
+    holds residues.  r shares no storage with a.
     """
     p = field.p
     if p is None:
@@ -739,7 +740,7 @@ def _rref_mod(a, p):
     """RREF over GF(p) of a (entries in [0, p)), and the pivot columns.
 
     a is int64 for p < 2^31 and holds Python ints otherwise; it is used as
-    scratch, and the result is written into it.  A matrix of fewer than two
+    scratch, and the RREF is a new array.  A matrix of fewer than two
     blocks of _BLOCK_ROWS rows goes to _gauss_jordan whole.  A taller one is
     reduced one block of rows at a time.  The top rows of a hold the RREF R
     of the rows before the block, with pivot columns P (R has no more rows
@@ -747,9 +748,9 @@ def _rref_mod(a, p):
     X - X[:, P] R, which is zero on P; _gauss_jordan reduces Y on the other
     columns to rows R_Y with pivots P_Y; one more product, R - R[:, P_Y]
     R_Y, clears R on P_Y, and R_Y joins R.  R is then the RREF of the rows
-    seen up to the order of its rows, which are sorted by pivot at the end.
-    The RREF of a row space is unique, so the result is the array and the
-    pivots that _gauss_jordan gives on the whole matrix.
+    seen up to the order of its rows, which are gathered by pivot at the
+    end.  The RREF of a row space is unique, so the result is the array and
+    the pivots that _gauss_jordan gives on the whole matrix.
     """
     nrows, ncols = a.shape
     if nrows < 2 * _BLOCK_ROWS:
@@ -770,17 +771,14 @@ def _rref_mod(a, p):
         cols = free.nonzero()[0][used]
         k, found = len(new), cols[new]
         if r:
-            a[:r, cols] = _mod(a[:r, cols] - _dot_mod(a[:r, found], y[:k], p), p)
+            a[:r, cols] = _mod(a[:r, cols] - _dot_mod(a[:r, found], y, p), p)
         a[r : r + k] = 0
-        a[r : r + k, cols] = y[:k]
+        a[r : r + k, cols] = y
         pivots += found.tolist()
         free[found] = False
         if r + k == ncols:
             break
-    r = len(pivots)
-    a[:r] = a[np.argsort(pivots)]
-    a[r:] = 0
-    return a, sorted(pivots)
+    return a[np.argsort(pivots)], sorted(pivots)
 
 
 def _gauss_jordan(a, p):
@@ -861,7 +859,8 @@ def _gauss_jordan(a, p):
                 left = period
             clean = left == period
         pivots.append(c)
-    return a, pivots
+    rank = len(pivots)  # the rows below are zero
+    return a[:rank].copy(), pivots
 
 
 @functools.cache
@@ -905,7 +904,7 @@ def _rref_rational(b):
     """
     bmax = _mag(b)
     if bmax == 0:
-        return b, 1, []
+        return b[:0].copy(), 1, []
     best = None
     for p in map(_prime, range(_prime_budget(b.shape, bmax))):
         rp, pivots = _rref_mod(_mod(b, p).astype(np.int64, copy=False), p)
@@ -914,11 +913,11 @@ def _rref_rational(b):
             best, modulus = key, p
             free = np.ones(b.shape[1], dtype=bool)
             free[pivots] = False
-            x = rp[: len(pivots), free].ravel().tolist()
+            x = rp[:, free].ravel().tolist()
         elif key == best:
             # CRT: the residue mod modulus * p that is x mod modulus and rp mod p
             inv = pow(modulus, -1, p)
-            y = rp[: len(pivots), free].ravel().tolist()
+            y = rp[:, free].ravel().tolist()
             x = [u + modulus * ((v - u) * inv % p) for u, v in zip(x, y)]
             modulus *= p
         else:
@@ -933,9 +932,9 @@ def _rref_rational(b):
             break
     else:
         raise AssertionError(f"no certified RREF of a {b.shape[0]}x{b.shape[1]} matrix from its prime budget")
-    r = np.zeros(b.shape, dtype=_dtype_for(max(den, nmax)))
+    r = np.zeros((len(pivots), b.shape[1]), dtype=_dtype_for(max(den, nmax)))
     r[range(len(pivots)), pivots] = den
-    r[: len(pivots), free] = block
+    r[:, free] = block
     return r, den, pivots
 
 
@@ -1090,15 +1089,6 @@ def kron_all(field, mats, empty_dim=1):
     return out
 
 
-def span_echelon(m):
-    """(R, P) for the span of the rows of m: the nonzero rows of its RREF
-    and their pivot columns.  A zero matrix spans zero, with no elimination."""
-    if m.is_zero():
-        return m.take_rows(0, 0), ()
-    r, piv = m.rref()
-    return r.take_rows(0, len(piv)), piv
-
-
 def pivot_columns(m):
     """The columns of m at the pivots of its RREF (memoised on m): a basis
     of the span of its columns, since elimination keeps every linear
@@ -1107,10 +1097,11 @@ def pivot_columns(m):
 
 
 def modulo_span(m, echelon):
-    """The rows of m modulo the span of an echelon (R, P) of span_echelon:
-    m - m[:, P] R, one product.  R[:, P] is the identity, so a row of the
-    result is zero exactly when that row of m lies in the span, and m
-    stacked on R has rank |P| + the rank of the result."""
+    """The rows of m modulo the span of the rows of an RREF (R, P), as
+    ``rref`` gives it: m - m[:, P] R, one product.  R[:, P] is the
+    identity, so a row of the result is zero exactly when that row of m
+    lies in the span, and m stacked on R has rank |P| + the rank of the
+    result."""
     r, piv = echelon
     if not (piv and m.rows):
         return m
@@ -1128,7 +1119,7 @@ def on_kernel(x, m):
     x_free = _columns(x, free)
     if not piv:
         return x_free
-    return x_free - _columns(x, list(piv)) @ _columns(r.take_rows(0, len(piv)), free)
+    return x_free - _columns(x, list(piv)) @ _columns(r, free)
 
 
 def _columns(m, index):

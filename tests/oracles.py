@@ -30,7 +30,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from rbsys import ALG, RBS, RBSO, Complexes, Matrix, Verdict, hstack, vstack
 from rbsys.cohomology import LesReport, LesSlot, _first_outside
-from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of, modulo_span, span_echelon
+from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of, modulo_span
 
 
 def basis_tuples(d, n):
@@ -178,7 +178,8 @@ def gf2_rank(rows):
 
 
 def sympy_rref(mat):
-    """RREF (nested lists of Fractions or residues) and pivots, by sympy."""
+    """The nonzero rows of the RREF (nested lists of Fractions or residues)
+    and the pivots, by sympy."""
     p = mat.field.p
     if p is None:
         domain = SympyQQ
@@ -191,7 +192,7 @@ def sympy_rref(mat):
         out = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in r.to_list()]
     else:
         out = [[int(x) % p for x in row] for row in r.to_list()]
-    return out, tuple(pivots)
+    return out[: len(pivots)], tuple(pivots)
 
 
 def sympy_rank(mat):
@@ -305,7 +306,7 @@ def les_check_by_slot_kernels(sys, mod, max_degree, cap=None):
     def span(tag, p):
         if (tag, p) not in spans:
             b = cx.slice(tag, p - 1) if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
-            spans[tag, p] = span_echelon(b.transpose())
+            spans[tag, p] = b.transpose().rref()
         return spans[tag, p]
 
     def slot(name, p, incoming, z, w, target):
@@ -314,12 +315,12 @@ def les_check_by_slot_kernels(sys, mod, max_degree, cap=None):
         outgoing = Matrix.identity(field, w.cols) if w_res.is_zero() else w_res.transpose().kernel_basis()
         members = z @ outgoing
         k_res = modulo_span(members.transpose(), span(name, p))
-        k_span = span_echelon(k_res)
+        k_span = k_res.rref()
         base = len(span(name, p)[1])
         im_dim, ker_dim = base + v_rank, base + len(k_span[1])
         witness = _first_outside(v, modulo_span(v_res, k_span), "image_not_in_kernel")
         if witness is None and im_dim != ker_dim:
-            extra = modulo_span(k_res, span_echelon(v_res))
+            extra = modulo_span(k_res, v_res.rref())
             witness = _first_outside(members, extra, "kernel_not_in_image")
         slots.append(LesSlot(name, p, im_dim, ker_dim, witness is None, witness))
         return w, w_res, w.cols - outgoing.cols
@@ -438,8 +439,9 @@ def kernel_ideal_by_columns(ext):
 
 
 def eager_gauss_jordan(a, p):
-    """RREF over GF(p) of a and the pivot columns, one pivot at a time,
-    with every update reduced mod p; a is used as scratch."""
+    """The nonzero rows of the RREF over GF(p) of a and the pivot columns,
+    one pivot at a time, with every update reduced mod p; a is used as
+    scratch."""
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -467,7 +469,7 @@ def eager_gauss_jordan(a, p):
             a[rows, c:] = (a[rows, c:] - fac[:, None] * row) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a[:r].copy(), pivots
 
 
 def scatter_identity_kron_sum(field, shape, terms, base=None):

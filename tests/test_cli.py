@@ -466,6 +466,7 @@ def _set(doc, path, value):
         ("Q", ("defn", "order"), True, [], '"order" must be a non-negative integer'),
         ("Q", ("defn", "mus", 1, 0, 0, 0), True, [], "boolean"),
         ("Q", None, None, ["rba-embed", "{sys}", "--weight", "1/0"], "zero denominator"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "0", "--max-degree", "-1"], "max_degree must be at least 0"),
         (5, ("sys", "S", 1, 2), True, [], "not an integer in [0, 5)"),
         (5, ("sys", "mult", 2, 2, 2), 7, [], "not an integer in [0, 5)"),
         (5, ("sys", "R", 0, 0), -1, [], "not an integer in [0, 5)"),

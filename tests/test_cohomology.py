@@ -881,3 +881,17 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
     ] * 4
     assert len(products) == 28
     assert eliminations == []
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+def test_memoised_rrefs_of_a_complex_hold_their_rank_rows(field):
+    # betti's rank calls leave an RREF on each stored slice (delta_3 is 243
+    # x 81 here, past the blocked cut-over); each keeps one row per pivot
+    sys = triangular_system(field, 1, 2)
+    cx = Complexes(sys, regular_bimodule(sys))
+    for n in range(4):
+        cx.rank(RBS, n)
+    rrefs = [m._rref for m in cx._built.values() if m._rref is not None]
+    assert len(rrefs) >= 4
+    for r, pivots in rrefs:
+        assert r.rows == len(pivots)

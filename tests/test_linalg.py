@@ -464,7 +464,7 @@ def test_unlucky_prime_that_drops_the_rank(monkeypatch):
 def test_unlucky_prime_that_shifts_a_pivot(monkeypatch):
     seen = _primes_tried(monkeypatch)
     m = Matrix.from_rows(QQ, [[P1, 1], [0, 0]])
-    assert m.rref()[0].entries() == [[1, Fraction(1, P1)], [0, 0]]
+    assert m.rref()[0].entries() == [[1, Fraction(1, P1)]]
     assert m.rref()[1] == (0,)
     assert seen[0] == (P1, (1,))
     _assert_matches_oracle(m, Matrix.column(QQ, [1, 0]))
@@ -525,13 +525,37 @@ def test_zero_empty_and_zero_row_matrices(field):
     for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
         zero = Matrix.zeros(field, rows, cols)
         r, pivots = zero.rref()
-        assert r == zero and pivots == ()
+        assert r == Matrix.zeros(field, 0, cols) and pivots == ()
         assert zero.kernel_basis() == Matrix.identity(field, cols)
-    # a zero matrix is returned as given, Fraction zeros included
-    given = Matrix.from_rows(QQ, [[Fraction(0), 0]])
-    assert [type(x) for x in given.rref()[0].entries()[0]] == [Fraction, int]
     m = Matrix.from_rows(field, [[0, 0, 0], [0, 1, 2], [0, 0, 0], [0, 2, 4]])
     _assert_matches_oracle(m, Matrix.column(field, [0, 1, 0, 2]))
+
+
+def owns_its_storage(a):
+    """Whether the array a is no view of a larger buffer."""
+    root = a
+    while root.base is not None:
+        root = root.base
+    return root.nbytes == a.nbytes
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(2**31 - 1), QQ], ids=repr)
+def test_an_rref_holds_its_rank_rows_in_storage_of_its_own(field):
+    # a tall matrix (the blocked path), a short one (Gauss-Jordan) and a
+    # zero one: R has one row per pivot, and R's array is no view of the
+    # elimination's scratch array, which has a row per row of the matrix
+    from rbsys import linalg
+
+    rng = random.Random(repr(field))
+    tall, short = 2 * linalg._BLOCK_ROWS + 5, 10
+    for m in (
+        random_matrix(field, tall, 6, rng) @ random_matrix(field, 6, 30, rng),
+        random_matrix(field, short, 4, rng) @ random_matrix(field, 4, 12, rng),
+        Matrix.zeros(field, short, 12),
+    ):
+        r, pivots = m.rref()
+        assert r.rows == len(pivots) == m.rank() < m.rows and r.cols == m.cols
+        assert owns_its_storage(r.num)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -669,6 +693,27 @@ def test_rational_product_of_a_zero_factor_and_huge_entries():
     empty = Matrix.zeros(QQ, 0, 2) @ huge
     assert empty.shape == (0, 2)
     assert (huge @ Matrix.zeros(QQ, 2, 0)).shape == (2, 0)
+
+
+def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
+    # c a - c a + a carries the bound 2 c max|a| + max|a| however small its
+    # entries; the product measures the factors before it leaves int64
+    from rbsys import linalg
+
+    rng = random.Random(7)
+    a, y = random_matrix(QQ, 6, 300, rng), random_matrix(QQ, 300, 5, rng)
+    loose = a.scale(2**58) - a.scale(2**58) + a
+    assert loose == a and loose._mag * 300 >= 2**62
+    chosen = []
+    dtype_for = linalg._dtype_for
+
+    def spy(bound):
+        chosen.append(dtype_for(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(linalg, "_dtype_for", spy)
+    product = loose @ y
+    assert chosen == [np.int64] and product == a @ y
 
 
 @pytest.mark.parametrize(
