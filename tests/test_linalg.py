@@ -695,15 +695,10 @@ def test_rational_product_of_a_zero_factor_and_huge_entries():
     assert (huge @ Matrix.zeros(QQ, 2, 0)).shape == (2, 0)
 
 
-def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
-    # c a - c a + a carries the bound 2 c max|a| + max|a| however small its
-    # entries; the product measures the factors before it leaves int64
+def _dtypes_chosen(monkeypatch):
+    """Record the dtype of every integer array arithmetic over Q picks."""
     from rbsys import linalg
 
-    rng = random.Random(7)
-    a, y = random_matrix(QQ, 6, 300, rng), random_matrix(QQ, 300, 5, rng)
-    loose = a.scale(2**58) - a.scale(2**58) + a
-    assert loose == a and loose._mag * 300 >= 2**62
     chosen = []
     dtype_for = linalg._dtype_for
 
@@ -712,6 +707,17 @@ def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
         return chosen[-1]
 
     monkeypatch.setattr(linalg, "_dtype_for", spy)
+    return chosen
+
+
+def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
+    # c a - c a + a carries the bound 2 c max|a| + max|a| however small its
+    # entries; the product measures the factors before it leaves int64
+    rng = random.Random(7)
+    a, y = random_matrix(QQ, 6, 300, rng), random_matrix(QQ, 300, 5, rng)
+    loose = a.scale(2**58) - a.scale(2**58) + a
+    assert loose == a and loose._mag * 300 >= 2**62
+    chosen = _dtypes_chosen(monkeypatch)
     product = loose @ y
     assert chosen == [np.int64] and product == a @ y
 
@@ -731,16 +737,7 @@ def test_rational_product_either_side_of_the_int64_bound(monkeypatch, entry, inn
     # max|x| max|y| k against 2^62, taken on the stored numerators: over the
     # denominator 2 an entry n is stored as 2n, so (2^30 - 1, 1) is the last
     # product in int64; a sum of (2^31)^2 + (2^31)^2 = 2^63 would wrap
-    from rbsys import linalg
-
-    chosen = []
-    dtype_for = linalg._dtype_for
-
-    def spy(bound):
-        chosen.append(dtype_for(bound))
-        return chosen[-1]
-
-    monkeypatch.setattr(linalg, "_dtype_for", spy)
+    chosen = _dtypes_chosen(monkeypatch)
     half = Fraction(1, 2)  # keeps both factors off the all-int path
     a = Matrix.from_rows(QQ, [[entry] * inner, [half] * inner])
     b = Matrix.from_rows(QQ, [[entry, half]] * inner)
