@@ -466,13 +466,13 @@ def _set(doc, path, value):
         ("Q", ("defn", "order"), True, [], '"order" must be a non-negative integer'),
         ("Q", ("defn", "mus", 1, 0, 0, 0), True, [], "boolean"),
         ("Q", None, None, ["rba-embed", "{sys}", "--weight", "1/0"], "zero denominator"),
-        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "0", "--max-degree", "-1"], "max_degree must be at least 0"),
         (5, ("sys", "S", 1, 2), True, [], "not an integer in [0, 5)"),
         (5, ("sys", "mult", 2, 2, 2), 7, [], "not an integer in [0, 5)"),
         (5, ("sys", "R", 0, 0), -1, [], "not an integer in [0, 5)"),
         (5, ("defn", "Rs", 1, 0, 1), 5, [], "not an integer in [0, 5)"),
         (5, ("defn", "mus", 1, 0, 0, 0), "3", [], "not an integer in [0, 5)"),
         (5, ("sys", "field", "Fp"), 5.0, [], '"Fp" must be an integer'),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "0", "--max-degree", "-1"], "max_degree must be at least 0"),
     ],
 )
 def test_malformed_scalars_and_counts_exit_2(field, path, value, extra, message, tmp_path, capsys):
