@@ -263,7 +263,16 @@ class Complexes:
         # whichever part of rbs_n is read, the cap guards its target space
         if n < 0:
             raise ValueError("degree must be non-negative")
-        _guard(rbs_dim(n + 1, self.sys.dim, self.mod.dim), self.cap)
+        self.guard([(RBS, n)])
+
+    def guard(self, slices):
+        """Check the cap on the target space of each differential (tag, n)
+        in turn, before any is built.  An analysis lists the differentials
+        it reads, in the order it first reads them, and so fails at once
+        with the error that reading them would raise: each target space
+        bounds every matrix assembled for its differential."""
+        for tag, n in slices:
+            _guard(self.dim(tag, n + 1), self.cap)
 
     def alg_column(self, n):
         """[delta_n; -phi_n], the first block column of rbs_n (all of rbs_0)."""
@@ -369,6 +378,7 @@ def betti(tag, sys, mod, max_degree, cap=None):
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     cx = Complexes(sys, mod, cap)
+    cx.guard((tag, n) for n in range(max_degree + 1))
     rows = []
     prev_rank = 0
     for n in range(max_degree + 1):
@@ -501,6 +511,8 @@ def les_check(sys, mod, max_degree, cap=None):
         raise ValueError("max_degree must be at least 1")
     field = sys.field
     cx = Complexes(sys, mod, cap)
+    # the slots of degree p read rbs_p and, below max_degree, partial_p
+    cx.guard((tag, p) for p in range(max_degree + 1) for tag in (RBS, RBSO) if tag == RBS or p < max_degree)
     spans, slots = {}, []
 
     def span(tag, p):
@@ -617,6 +629,7 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     sys = from_rb_operator(alg, R, lam)[0]
     mod = regular_bimodule(sys)
     cx = Complexes(sys, mod, cap)
+    cx.guard((RBS, n) for n in range(max_degree + 1))
     field, d = sys.field, sys.dim
     m = d
     details = []

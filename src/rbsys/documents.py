@@ -138,9 +138,12 @@ def load(path):
 
 
 def dump(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
 
 
 # -- system ------------------------------------------------------------------

@@ -814,3 +814,28 @@ def test_check_iso_refuses_an_invalid_extension(documents, capsys):
         assert main(argv + ["--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert list(report) == [key, "exit_code"] and report[key]["tag"] == "eqR"
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["star", "{S}"], "{out}"),
+        (["semidirect", "{S}", "{B}"], "{out}"),
+        (["extend", "build", "{S}", "{C}", "--bimodule", "{B}"], "{out}"),
+        (["extend", "extract", "{E}"], "{out}"),
+        (["extend", "census", "{S}", "--bimodule", "{B}"], "{stem}_trivial.json"),
+    ],
+    ids=["star", "semidirect", "extend-build", "extend-extract", "extend-census"],
+)
+def test_a_failed_write_is_exit_2(argv, written, documents, tmp_path, capsys):
+    # every -o into a directory that does not exist: exit 2 naming the file,
+    # in text and in JSON, and no traceback (exit 1 is for a failed check)
+    stem = str(tmp_path / "no" / "such" / "x")
+    paths = dict(documents, out=stem + ".json", stem=stem)
+    argv = [arg.format(**paths) for arg in argv] + ["-o", paths["out"]]
+    message = f"{written.format(**paths)}: [Errno 2] No such file or directory"
+    assert main(argv) == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"error: {message}")
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(message)
+    assert not (tmp_path / "no").exists()

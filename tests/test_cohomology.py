@@ -598,6 +598,49 @@ def test_dim_cap_guard():
         betti(RBS, sys, mod, 0)
 
 
+@pytest.mark.parametrize(
+    "analysis, max_degree, dim",
+    [
+        ("betti-alg", 8, 59049),  # m d^9
+        ("betti-rbso", 7, 39366),  # 2 m d^8
+        ("betti-rbs", 7, 32805),  # rbs_dim(8)
+        ("les", 7, 32805),
+        ("rba-embed", 7, 32805),
+    ],
+)
+def test_a_degree_past_the_cap_is_refused_before_any_work(monkeypatch, analysis, max_degree, dim):
+    # d = m = 3 over GF(5): only the top degree breaks the default cap of
+    # 20000, and the error names the same space as when that degree is
+    # reached, yet no slice is assembled and nothing is eliminated first
+    from rbsys import cohomology, linalg
+
+    from instances import diagonal_algebra, idempotent_rb_operator
+
+    monkeypatch.delenv("RBS_DIM_CAP", raising=False)
+    calls = []
+    for module, name in ((linalg, "_rref_array"), (cohomology, "hochschild_slice"), (cohomology, "phi")):
+
+        def spy(*args, _name=name, _kernel=getattr(module, name)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    run = {
+        "betti-alg": lambda: betti(ALG, sys, mod, max_degree),
+        "betti-rbso": lambda: betti(RBSO, sys, mod, max_degree),
+        "betti-rbs": lambda: betti(RBS, sys, mod, max_degree),
+        "les": lambda: les_check(sys, mod, max_degree),
+        "rba-embed": lambda: rba_embedding_check(
+            diagonal_algebra(GF(5), 3), idempotent_rb_operator(GF(5), 3, [0], 1), 1, max_degree
+        ),
+    }[analysis]
+    with pytest.raises(DimensionCapExceeded, match=f"^cochain space of dimension {dim} exceeds cap 20000$"):
+        run()
+    assert calls == []
+
+
 def test_rba_embedding_named_instances():
     line = unital_line(QQ)
     z1 = Matrix.zeros(QQ, 1, 1)

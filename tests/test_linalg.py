@@ -261,26 +261,42 @@ def _tall_cases(field, block):
     return {name: (m, random_matrix(field, m.rows, 2, rng)) for name, m in cases.items()}
 
 
+def _kernel_calls(monkeypatch, name):
+    """(rows of the input, number of pivots) of every call of the mod-p
+    kernel linalg.<name>, recorded from now on."""
+    from rbsys import linalg
+
+    calls = []
+    kernel = getattr(linalg, name)
+
+    def spy(a, *args):
+        rows = a.shape[0]
+        r, pivots = kernel(a, *args)
+        calls.append((rows, len(pivots)))
+        return r, pivots
+
+    monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["ragged", "late_pivot", "zero_block", "full_rank_early"])
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_blocked_elimination_matches_sympy(monkeypatch, field, case):
     # a matrix of two or more blocks of _BLOCK_ROWS rows is reduced block by
     # block, and no Gauss-Jordan step sees more than one block; over Q each
-    # prime of the multimodular RREF takes the blocked path
+    # prime of the multimodular RREF takes the blocked path; over GF(2) the
+    # bit kernel takes the whole matrix, and Gauss-Jordan never runs
     from rbsys import linalg
 
-    seen = []
-    gauss_jordan = linalg._gauss_jordan
-
-    def spy(a, p):
-        seen.append(a.shape[0])
-        return gauss_jordan(a, p)
-
-    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    steps = _kernel_calls(monkeypatch, "_gauss_jordan")
+    packed = _kernel_calls(monkeypatch, "_rref_gf2")
     m, b = _tall_cases(field, linalg._BLOCK_ROWS)[case]
     assert m.rows >= 2 * linalg._BLOCK_ROWS and m.rows % linalg._BLOCK_ROWS
     _assert_matches_oracle(m, b)
-    assert seen and max(seen) <= linalg._BLOCK_ROWS
+    if field == GF(2):
+        assert packed and not steps and all(rows == m.rows for rows, _ in packed)
+    else:
+        assert steps and max(rows for rows, _ in steps) <= linalg._BLOCK_ROWS and not packed
     if case == "late_pivot":
         assert m.take_rows(0, 3 * linalg._BLOCK_ROWS).rref()[1] == (1, 2, 3)
         assert m.rref()[1][:5] == (0, 1, 2, 3, 4)
@@ -321,38 +337,29 @@ def test_delayed_reduction_near_the_int64_bound_matches_sympy(p, period):
 def test_delayed_reduction_over_many_pivot_steps_matches_sympy(monkeypatch, p):
     # more than 100 pivot steps in one Gauss-Jordan call (the row blocks of
     # _rref_mod are raised past the matrix), with no periodic reduction in
-    # between; the columns right of the last pivot are read only at the end
+    # between; the columns right of the last pivot are read only at the end.
+    # Over GF(2) the bit kernel finds as many pivots in one call instead
     from rbsys import linalg
 
-    steps = []
-    gauss_jordan = linalg._gauss_jordan
-
-    def spy(a, p):
-        r, pivots = gauss_jordan(a, p)
-        steps.append(len(pivots))
-        return r, pivots
-
-    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    steps = _kernel_calls(monkeypatch, "_gauss_jordan")
+    packed = _kernel_calls(monkeypatch, "_rref_gf2")
     monkeypatch.setattr(linalg, "_BLOCK_ROWS", 64)
     field, rng = GF(p), random.Random(p)
     m = _dense(field, 110, 130, rng)
     _assert_matches_oracle(m, _dense(field, 110, 2, rng))
-    assert min(steps) > 100 and linalg._unreduced_steps(p) > 10**9
+    ran, idle = (packed, steps) if p == 2 else (steps, packed)
+    assert ran and not idle and min(found for _, found in ran) > 100
+    assert linalg._unreduced_steps(p) > 10**9
 
 
 KERNEL_FIELDS = [GF(2), GF(5), GF(P1), GF(P_HALF), GF(2**31 - 1), GF(4294967311)]
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
-def test_gauss_jordan_matches_the_eager_kernel(field):
-    # the same residues, dtype and pivots as reducing every update mod p, on
-    # dense, sparse, low-rank, wide, tall and small inputs; at P1 the 90
-    # pivot steps of the first cross a periodic reduction (every 64 steps)
-    from rbsys.linalg import _gauss_jordan
-
+def _eager_kernel_cases(field):
+    """Dense, sparse, low-rank, wide, tall and small inputs over field."""
     p, rng = field.p, random.Random(field.p)
     sparse = [[rng.randrange(p) if rng.random() < 0.1 else 0 for _ in range(70)] for _ in range(45)]
-    cases = [
+    return [
         _dense(field, 90, 100, rng),
         _dense(field, 40, 60, rng),
         _dense(field, 60, 20, rng),
@@ -360,11 +367,72 @@ def test_gauss_jordan_matches_the_eager_kernel(field):
         Matrix.from_rows(field, sparse),
         _dense(field, 6, 7, rng),
     ]
-    for m in cases:
-        got, got_pivots = _gauss_jordan(m.num.copy(), p)
-        want, want_pivots = eager_gauss_jordan(m.num.copy(), p)
-        assert got_pivots == want_pivots
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _assert_matches_the_eager_kernel(kernel, a, p):
+    """kernel(a) against eager_gauss_jordan: residues, dtype and pivots."""
+    got, got_pivots = kernel(a)
+    want, want_pivots = eager_gauss_jordan(a.copy(), p)
+    assert got_pivots == want_pivots
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_gauss_jordan_matches_the_eager_kernel(field):
+    # the same residues, dtype and pivots as reducing every update mod p; at
+    # P1 the 90 pivot steps of the first case cross a periodic reduction
+    # (every 64 steps)
+    from rbsys.linalg import _gauss_jordan
+
+    p = field.p
+    for m in _eager_kernel_cases(field):
+        _assert_matches_the_eager_kernel(lambda a: _gauss_jordan(a.copy(), p), m.num, p)
+
+
+def test_bit_kernel_matches_the_eager_kernel():
+    # the cases of Gauss-Jordan above, a wide and a tall sparse matrix, zero
+    # rows and columns, empty shapes and one input small enough for the
+    # whole-array update of the eager kernel; the bit kernel only reads its
+    # input, which is read-only here
+    from rbsys.linalg import _WHOLE_UPDATE_SIZE, _rref_gf2
+
+    field, rng = GF(2), random.Random(600)
+    holes = _dense(field, 30, 20, rng).num.copy()
+    holes[[0, 7, 29]] = 0
+    holes[:, [0, 5, 19]] = 0
+    small = _dense(field, 12, 20, rng)
+    assert small.rows * small.cols <= _WHOLE_UPDATE_SIZE
+    arrays = [m.num for m in _eager_kernel_cases(field)] + [
+        _dense(field, 40, 600, rng).num,
+        Matrix.from_rows(field, [[int(rng.random() < 0.05) for _ in range(40)] for _ in range(600)]).num,
+        holes,
+        np.zeros((0, 7), dtype=np.int64),
+        np.zeros((5, 0), dtype=np.int64),
+        np.zeros((4, 9), dtype=np.int64),
+        small.num,
+    ]
+    for a in arrays:
+        a.setflags(write=False)
+        _assert_matches_the_eager_kernel(_rref_gf2, a, 2)
+
+
+def test_bit_kernel_matches_the_eager_kernel_on_every_gf2_slice():
+    # every slice of degree 0 to 3 (delta, partial, phi, rbs) of the GF(2)
+    # instances of the acceptance set and of the zero instance, as it is
+    # and transposed, as the LES eliminates its spans
+    from rbsys import Complexes
+    from rbsys.linalg import _rref_gf2
+
+    from instances import f2_zero_instance, instance_set
+
+    pairs = [pair for pair in instance_set(52) if pair[0].field == GF(2)] + [f2_zero_instance()]
+    assert len(pairs) > 10
+    for sys, mod in pairs:
+        cx = Complexes(sys, mod)
+        for n in range(4):
+            for m in (cx.delta(n), cx.partial(n), cx.phi(n), cx.rbs(n)):
+                for a in (m.num, m.num.T):
+                    _assert_matches_the_eager_kernel(_rref_gf2, a, 2)
 
 
 def test_rational_rref_with_the_eager_kernel_is_unchanged(monkeypatch):
