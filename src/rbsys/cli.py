@@ -12,12 +12,12 @@ Subcommands wire the library modules to JSON documents on disk:
   extend      build | extract | census | check-iso
 
 Exit codes: 0 all checks pass, 1 a mathematical check fails (first witness
-reported), 2 malformed input, shape mismatch, or cap exceeded.  A system,
-bimodule or extension read by a leaf that fails its axioms is exit 1, with
-its witness.  Every leaf command (``deform verify``, not ``deform``)
-accepts --json for a machine-readable report with the same numbers,
---max-degree and --cap; they follow the leaf's name, as in ``rbs extend
-census S --json``.
+reported), 2 malformed input, shape mismatch, cap exceeded, or an output
+file that cannot be written.  A system, bimodule or extension read by a
+leaf that fails its axioms is exit 1, with its witness.  Every leaf
+command (``deform verify``, not ``deform``) accepts --json for a
+machine-readable report with the same numbers, --max-degree and --cap;
+they follow the leaf's name, as in ``rbs extend census S --json``.
 --cap sets the slice-size guard; when it is not given, the environment
 variable RBS_DIM_CAP replaces the default of 20000.  main reads it once,
 before any leaf runs, so a value that is not an integer is exit 2 for every
