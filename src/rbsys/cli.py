@@ -100,13 +100,14 @@ def _witness_dict(verdict):
 
 
 def _emit_document(rep, doc, output, label):
-    """Report doc; write it to output when given, else print it."""
-    rep.set("document", doc)
+    """Report doc; write it to output when given, else print it.  A write
+    that fails raises before doc joins the report."""
     if output:
         docs.dump(doc, output)
         rep.line(f"{label} written to {output}")
     else:
         rep.line(json.dumps(doc, indent=2))
+    rep.set("document", doc)
 
 
 def _column_tokens(field, col):

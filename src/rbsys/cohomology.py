@@ -36,7 +36,8 @@ every g-column and K is the identity on the free columns of delta_n, so the
 free columns of rbs_n are those of N, in the same order, and the canonical
 kernel basis of rbs_n is [[K Q_top], [Q_bottom]] for Q that of N.  None of
 this uses that phi is a chain map or that d^2 = 0.  phi_n K comes from the
-RREF of delta_n (linalg.on_kernel).  The cap guards the target space of
+RREF of delta_n (linalg.on_kernel), or from K where delta_n is too tall to
+be held (see Complexes).  The cap guards the target space of
 rbs_n either way.  rbs_n is assembled only for its image (the coboundary
 spans of les_check and the census), for a preimage and for the embedding
 check, which compares its entries.
@@ -71,7 +72,17 @@ from .algebra import (
     multimap_vector,
 )
 from .bimodules import _d_module_unchecked, regular_bimodule
-from .linalg import Matrix, hstack, modulo_span, on_kernel, pivot_columns, vstack
+from .linalg import (
+    Matrix,
+    echelon_kernel,
+    hstack,
+    modulo_span,
+    on_kernel,
+    pivot_columns,
+    row_blocks,
+    rref_rows,
+    vstack,
+)
 from .systems import from_rb_operator
 
 ALG = "alg"
@@ -145,8 +156,9 @@ class Cochain:
         return f"Cochain({self.tag}, n={self.degree}, len={self.vector.rows})"
 
 
-def hochschild_slice(alg, actions, n, cap=None):
-    """Degree-n differential of the Hochschild complex of (alg, actions)."""
+def hochschild_slice(alg, actions, n, cap=None, rows=None):
+    """Degree-n differential of the Hochschild complex of (alg, actions), or,
+    with rows = (start, stop), only those of its rows."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     field, d, m = alg.field, alg.dim, actions.dim
@@ -162,7 +174,7 @@ def hochschild_slice(alg, actions, n, cap=None):
     # C_j (x) I_(d^n) at stride d from row j, sign +1
     for j, cj in enumerate(actions.right_slices()):
         terms.append((cj, 1, d**n, 1, d, j))
-    return Matrix.identity_kron_sum(field, (m * d ** (n + 1), m * d**n), terms)
+    return Matrix.identity_kron_sum(field, (m * d ** (n + 1), m * d**n), terms, rows=rows)
 
 
 def phi(n, sys, mod, cap=None):
@@ -170,9 +182,18 @@ def phi(n, sys, mod, cap=None):
 
     phi(f) = (f o R^(x)n - R_M o T(f), f o S^(x)n - S_M o T(f)) where T(f)
     is the sum of f o (R^(x)(i-1) (x) Id (x) S^(x)(n-i)).  Degree 0 is the
-    diagonal embedding.  T = T_n and the powers are built degree by degree:
-    T_k = T_(k-1) (x) S + R^(x)(k-1) (x) Id and R^(x)k = R^(x)(k-1) (x) R,
-    from T_1 = Id (T_0 = 0 and R^(x)0 = S^(x)0 = I_1).
+    diagonal embedding.
+    """
+    return next(phi_rows(n, sys, mod, None, cap))
+
+
+def phi_rows(n, sys, mod, ranges, cap=None):
+    """phi_n by rows: one matrix per range (start, stop) of its rows in
+    ranges, in turn, or all of phi_n once when ranges is None.
+
+    T = T_n and the powers are built once, degree by degree: T_k =
+    T_(k-1) (x) S + R^(x)(k-1) (x) Id and R^(x)k = R^(x)(k-1) (x) R, from T_1
+    = Id (T_0 = 0 and R^(x)0 = S^(x)0 = I_1).
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -189,8 +210,10 @@ def phi(n, sys, mod, cap=None):
     # [[I_m (x) (R^(x)n)^T], [I_m (x) (S^(x)n)^T]] - [[R_M], [S_M]] (x) T^T
     half = m * d**n
     terms = [(r_pow.transpose(), m, 1, 1, 1, 0), (s_pow.transpose(), m, 1, 1, 1, half)]
-    dense = vstack([RM, SM]).kron(-t.transpose())
-    return Matrix.identity_kron_sum(field, (2 * half, half), terms, base=dense)
+    operators, t = vstack([RM, SM]), -t.transpose()
+    for rows in ranges or [None]:
+        dense = operators.kron(t, rows)
+        yield Matrix.identity_kron_sum(field, (2 * half, half), terms, base=dense, rows=rows)
 
 
 def _known(tag):
@@ -213,12 +236,16 @@ def rbs_d(n, sys, mod, cap=None):
 class Complexes:
     """The differentials of all three complexes of one (system, bimodule) pair.
 
-    delta_n, partial_n and phi_n, each built at most once through the
-    module-level hochschild_slice and phi, are the only stored form of the
-    total complex; rbs(n) assembles rbs_n afresh.  The canonical kernel
-    basis of delta_n, read by kernel(ALG, n) and kernel(RBS, n) alike, is
-    built once too.  Memoised for the life of the object only: an analysis
-    makes one per call.
+    It holds, for its own life (an analysis makes one per call), delta_n,
+    partial_n and phi_n once one is read whole, each built once through
+    the module-level hochschild_slice and phi and keeping the RREF that its
+    rank or kernel memoises, and the canonical kernel basis K of delta_n
+    and of partial_n once read.  rbs(n) assembles rbs_n afresh, and N =
+    [phi_n K | partial_(n-1)] is built per call; neither is stored.  A
+    slice that elimination takes in row blocks (linalg.row_blocks: over a
+    prime field, at least 2^18 entries) is never held whole by rank and
+    kernel: they build it, and N from rows of phi_n and partial_(n-1), block
+    by block as elimination reads it (linalg.rref_rows), and keep only K.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -240,24 +267,44 @@ class Complexes:
         return rbs_dim(n, d, m)
 
     def delta(self, n):
-        return self._once((ALG, n), hochschild_slice, self.sys.alg, self.mod.actions, n, self.cap)
+        return self._once((ALG, n), hochschild_slice, *self._operands(ALG), n, self.cap)
 
     def phi(self, n):
         return self._once(("phi", n), phi, n, self.sys, self.mod, self.cap)
 
     def partial(self, n):
+        return self._once((RBSO, n), hochschild_slice, *self._operands(RBSO), n, self.cap)
+
+    def _operands(self, tag):
+        # the algebra and actions whose Hochschild differential is delta
+        # (alg) or partial (rbso)
+        if tag == ALG:
+            return self.sys.alg, self.mod.actions
         if self._dm is None:
             self._dm = _d_module_unchecked(self.mod)
-        return self._once((RBSO, n), hochschild_slice, self._dm.star, self._dm.actions, n, self.cap)
-
-    def _delta_kernel(self, n):
-        # K, read by kernel(ALG, n) and by kernel(RBS, n)
-        return self._once(("kernel", n), self.delta(n).kernel_basis)
+        return self._dm.star, self._dm.actions
 
     def _once(self, key, build, *args):
         if key not in self._built:
             self._built[key] = build(*args)
         return self._built[key]
+
+    def _blocks(self, tag, n):
+        # the row blocks in which delta_n (alg) or partial_n (rbso) is fed
+        # to elimination, or None when it is eliminated whole
+        return row_blocks(self.sys.field, (self.dim(tag, n + 1), self.dim(tag, n)))
+
+    def _kernel(self, tag, n):
+        # K of delta_n (alg) or partial_n (rbso), built once
+        def build():
+            blocks = self._blocks(tag, n)
+            if blocks is None:
+                return self.slice(tag, n).kernel_basis()
+            shape = (self.dim(tag, n + 1), self.dim(tag, n))
+            rows = (hochschild_slice(*self._operands(tag), n, self.cap, r) for r in blocks)
+            return echelon_kernel(rref_rows(self.sys.field, shape, rows))
+
+        return self._once(("kernel", tag, n), build)
 
     def _guard_rbs(self, n):
         # whichever part of rbs_n is read, the cap guards its target space
@@ -298,30 +345,40 @@ class Complexes:
         return self.rbs(n)
 
     def _restricted(self, n):
-        # N = [phi_n K | partial_(n-1)] (phi_0 K alone for n = 0), K the
-        # canonical kernel basis of delta_n; built per call, not stored
+        # the RREF of N = [phi_n K | partial_(n-1)] (phi_0 K alone for n =
+        # 0), K the canonical kernel basis of delta_n
         self._guard_rbs(n)
-        delta_n = self.delta(n)
-        restricted = on_kernel(self.phi(n), delta_n)
-        return hstack([restricted, self.partial(n - 1)]) if n else restricted
+        field = self.sys.field
+        # phi_n K from the RREF of delta_n, or from K when delta_n is not held
+        kernel = None if self._blocks(ALG, n) is None else self._kernel(ALG, n)
+
+        def rows(phi_n, partial_prev):
+            restricted = on_kernel(phi_n, self.delta(n)) if kernel is None else phi_n @ kernel
+            return hstack([restricted, partial_prev]) if n else restricted
+
+        shape = (self.dim(RBSO, n), self.dim(ALG, n) - self.rank(ALG, n) + self.dim(RBSO, n - 1))
+        blocks = row_blocks(field, shape)
+        if blocks is None:
+            return rows(self.phi(n), self.partial(n - 1) if n else None).rref()
+        partials = (hochschild_slice(*self._operands(RBSO), n - 1, self.cap, r) if n else None for r in blocks)
+        return rref_rows(field, shape, map(rows, phi_rows(n, self.sys, self.mod, blocks, self.cap), partials))
 
     def rank(self, tag, n):
         """The rank of the degree-n differential of the complex named by tag."""
-        if tag != RBS:
+        if tag == RBS:
+            return len(self._restricted(n)[1]) + self.rank(ALG, n)
+        if self._blocks(tag, n) is None:
             return self.slice(tag, n).rank()
-        restricted = self._restricted(n)
-        return self.delta(n).rank() + restricted.rank()
+        return self.dim(tag, n) - self._kernel(tag, n).cols
 
     def kernel(self, tag, n):
         """The canonical kernel basis of the degree-n differential of the
         complex named by tag; for rbs_n, [[K Q_top], [Q_bottom]]."""
         _known(tag)
-        if tag == ALG:
-            return self._delta_kernel(n)
-        if tag == RBSO:
-            return self.partial(n).kernel_basis()
-        q = self._restricted(n).kernel_basis()
-        k = self._delta_kernel(n)
+        if tag != RBS:
+            return self._kernel(tag, n)
+        q = echelon_kernel(self._restricted(n))
+        k = self._kernel(ALG, n)
         return vstack([k @ q.take_rows(0, k.cols), q.take_rows(k.cols, None)])
 
     def d(self, cochain):

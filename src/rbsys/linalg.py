@@ -44,24 +44,28 @@ periodic and final reductions of elimination, and the matrix reduced mod
 each prime over Q.  Every ``kron`` is one outer product of the two arrays.
 
 One kernel, ``_rref_array``, does every elimination (rref, rank,
-kernel_basis, solve, inverse) on the stored integer array and keeps only
-the nonzero rows of the RREF, one per pivot, on one of three paths:
+kernel_basis, solve, inverse).  It only reads the stored integer array and
+keeps only the nonzero rows of the RREF, one per pivot, in an array of
+their own.  Over GF(p) it also takes a matrix as a stream of row blocks
+(``rref_rows``), so that a tall slice need never be held whole: elimination
+holds one block and its echelon form.  It runs on one of three paths:
 
-* GF(2): each row is packed into one Python int, bit j for column j, so
-  that one XOR adds two rows, and the rows are inserted one at a time into
-  a reduced echelon form (see ``_rref_gf2``).  No numpy call is made per
-  pivot.  Against the next path on a 2-vCPU Xeon: 3-4x faster over the
-  GF(2) eliminations of one document set of each benchmark workload that
-  has them, 0.24 s -> 0.05 s on a 4096 x 1024 slice of rank 816, 3.0 s ->
-  0.17 s on a dense random 1024 x 4096, and 1.6x on a dense random 2048 x
-  1024.
+* GF(2): each row is packed into one Python int, bit j for column j, one
+  block of rows at a time, so that one XOR adds two rows, and the rows are
+  inserted one at a time into a reduced echelon form (see ``_rref_gf2``).
+  No numpy call is made per pivot.  Against the next path on a 2-vCPU
+  Xeon: 3-4x faster over the GF(2) eliminations of one document set of
+  each benchmark workload that has them, 0.24 s -> 0.05 s on a 4096 x 1024
+  slice of rank 816, 3.0 s -> 0.17 s on a dense random 1024 x 4096, and
+  1.6x on a dense random 2048 x 1024.
 * GF(p), p odd: elimination mod p, in int64 for p < 2^31 (a product of two
   residues stays below 2^62) and on Python ints above.  A matrix of fewer
   than two blocks of rows runs Gauss-Jordan elimination one pivot at a
   time.  A taller one is reduced block by block against the RREF of the
   rows before the block, with two products per block in place of one
   rank-one update per pivot and row (see ``_rref_mod``); the RREF of a row
-  space is unique, so both give the same array.  Gauss-Jordan on more than
+  space is unique, so both give the same array.  The block height grows
+  with the number of columns (``_block_rows``).  Gauss-Jordan on more than
   _WHOLE_UPDATE_SIZE entries delays its reductions too: a pivot step
   subtracts without reducing mod p and moves an entry by at most (p -
   1)^2, so only the pivot column and the pivot row are reduced, where
@@ -112,15 +116,13 @@ _INT64_BOUND = 1 << 62
 # mod p, and updating the whole array beats updating only the rows that
 # change; timed crossover (int64, GF(5)): between 256 and 900 entries.
 _WHOLE_UPDATE_SIZE = 256
-# A matrix of at least two blocks of this many rows is reduced mod p block
-# by block (see _rref_mod).  Timed against one pivot at a time on every
-# elimination input of the benchmark workloads (GF(5), GF(40009) and the
-# primes near 2^31; a 2-vCPU Xeon, one BLAS thread): blocks of 32,
-# 48 or 64 rows are within 5 % of each other in total; a 1536 x 384 GF(5)
-# slice takes 37 ms against 700 ms, 243-405 rows take 2-3x less, 100-200
-# rows about the same, and 81 rows 5-15 % more, so the cut-over is two
-# blocks.
-_BLOCK_ROWS = 48
+# Elimination mod p takes the rows in blocks of _block_rows(cols) rows (see
+# _rref_mod and the rule there).  A matrix over GF(p) of at least this many
+# entries (2 MiB of int64) is fed to it in such blocks as it is assembled
+# (row_blocks), so it is never held whole; a smaller one is built and
+# eliminated whole, where assembling it block by block would cost more calls
+# than it saves memory.
+_STREAM_SIZE = 1 << 18
 # A product mod p runs in float64 BLAS when m k n >= _FLOAT_RATIO (m k + k n
 # + m n): the multiply-adds outnumber the entries converted to and from
 # float64 by that factor.  Timed on the same machine (GF(5), GF(40009)):
@@ -385,9 +387,10 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------
 
     @classmethod
-    def identity_kron_sum(cls, field, shape, terms, base=None):
+    def identity_kron_sum(cls, field, shape, terms, base=None, rows=None):
         """base (zero if None) plus the terms sign (I_p (x) x (x) I_q), as
-        one matrix of the given shape.
+        one matrix of the given shape, or, with rows = (start, stop), only
+        its rows start to stop - 1 (base then has that many rows).
 
         terms holds (x, p, q, sign, stride, offset): row r of the term's
         Kronecker product lands on row r stride + offset.  Its entry x[r, c]
@@ -398,10 +401,13 @@ class Matrix:
         output's buffer at the byte offset of row offset (numpy checks that
         it fits the buffer; this costs a quarter of as_strided and works on
         object storage too), and the term is one broadcast add of x into it.
-        The positions are distinct, so the view never overlaps itself.  Over
-        Q every term is brought to one denominator and the sum is taken in
-        integers.
+        The positions are distinct, so the view never overlaps itself.  A
+        range of rows takes a run of the (i, r, k) grid, which splits into
+        at most five such views (_boxes).  Over Q every term is brought to
+        one denominator and the sum is taken in integers; over GF(p) the sum
+        is reduced mod p in place.
         """
+        start, stop = (0, shape[0]) if rows is None else rows
         den, bound, dtype = 1, None, field.dtype
         if field.p is None:
             mats = [x for x, *_ in terms] + ([] if base is None else [base])
@@ -409,28 +415,43 @@ class Matrix:
             bound = sum(max(x._mag, 1) * (den // x.den) for x in mats)
             dtype = _dtype_for(bound)
         if base is None:
-            out = np.zeros(shape, dtype=dtype)
+            out = np.zeros((stop - start, shape[1]), dtype=dtype)
         else:
             out = base.num.astype(dtype)
             if base.den != den:
                 out *= den // base.den
         row_step, col_step = out.strides
         for x, p, q, sign, stride, offset in terms:
-            rows, cols = x.shape
-            if p * cols * q > shape[1] or (p * rows * q - 1) * stride + offset >= shape[0]:
-                raise ValueError(f"term I_{p} (x) {rows}x{cols} (x) I_{q} does not fit {shape}")
+            height, width = x.shape
+            if p * width * q > shape[1] or (p * height * q - 1) * stride + offset >= shape[0]:
+                raise ValueError(f"term I_{p} (x) {height}x{width} (x) I_{q} does not fit {shape}")
             vals = x.num
             if x.den != den:
                 vals = vals.astype(dtype) * (den // x.den)
             r_step, c_step = q * stride * row_step, q * col_step
-            view = np.ndarray(
-                (p, rows, cols, q),
-                out.dtype,
-                buffer=out,
-                offset=offset * row_step,
-                strides=(rows * r_step + cols * c_step, r_step, c_step, stride * row_step + col_step),
-            )
-            (np.add if sign > 0 else np.subtract)(view, vals[None, :, :, None], out=view)
+            strides = (height * r_step + width * c_step, r_step, c_step, stride * row_step + col_step)
+            op = np.add if sign > 0 else np.subtract
+            if rows is None:  # one view, without the cost of splitting a range
+                view = np.ndarray(
+                    (p, height, width, q), out.dtype, buffer=out, offset=offset * row_step, strides=strides
+                )
+                op(view, vals[None, :, :, None], out=view)
+                continue
+            # the term's rows t with start <= t stride + offset < stop
+            first = max(-((offset - start) // stride), 0)
+            last = min(-((offset - stop) // stride), p * height * q)
+            for (i0, i1), (r0, r1), (k0, k1) in _boxes(first, last, (p, height, q)):
+                row = ((i0 * height + r0) * q + k0) * stride + offset - start
+                view = np.ndarray(
+                    (i1 - i0, r1 - r0, width, k1 - k0),
+                    out.dtype,
+                    buffer=out,
+                    offset=row * row_step + (i0 * width * q + k0) * col_step,
+                    strides=strides,
+                )
+                op(view, vals[None, r0:r1, :, None], out=view)
+        if field.p is not None:
+            return _new(field, _mod(out, field.p, out=out))
         return _of(field, out, den, bound)
 
     def _same_field(self, other):
@@ -492,15 +513,24 @@ class Matrix:
         c = self.num.astype(dtype, copy=False).dot(other.num.astype(dtype, copy=False))
         return _of(self.field, c, self.den * other.den, bound)
 
-    def kron(self, other):
+    def kron(self, other, rows=None):
+        """self (x) other, or, with rows = (start, stop), only its rows
+        start to stop - 1: row i rows(other) + j is self[i] (x) other[j]."""
         self._same_field(other)
         x, y, bound = self.num, other.num, None
         if self.field.p is None:
             bound = max(self._mag, 1) * max(other._mag, 1)
             dtype = _dtype_for(bound)
             x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
-        c = np.multiply.outer(x, y).transpose(0, 2, 1, 3)
-        c = c.reshape(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
+        cols = x.shape[1] * y.shape[1]
+        if rows is None:
+            c = np.multiply.outer(x, y).transpose(0, 2, 1, 3).reshape(x.shape[0] * y.shape[0], cols)
+        else:
+            parts = [
+                np.multiply.outer(x[i0:i1], y[j0:j1]).transpose(0, 2, 1, 3).reshape((i1 - i0) * (j1 - j0), cols)
+                for (i0, i1), (j0, j1) in _boxes(*rows, (x.shape[0], y.shape[0]))
+            ]
+            c = np.concatenate(parts)
         return _of(self.field, c, self.den * other.den, bound)
 
     def transpose(self):
@@ -554,13 +584,7 @@ class Matrix:
 
     def kernel_basis(self):
         """Columns form the canonical basis of the null space."""
-        r, piv = self.rref()
-        free = np.ones(self.cols, dtype=bool)
-        free[list(piv)] = False
-        basis = np.zeros((self.cols, self.cols - len(piv)), dtype=r.num.dtype)
-        basis[free, np.arange(basis.shape[1])] = r.den
-        basis[list(piv)] = -r.num[:, free]
-        return _of(self.field, basis, r.den)
+        return echelon_kernel(self.rref())
 
     def solve(self, b):
         """Particular solution x of self @ x = b, or None if inconsistent.
@@ -588,6 +612,28 @@ class Matrix:
 def _first_true(mask):
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
+
+
+def _boxes(start, stop, dims):
+    """The positions start to stop - 1 of the row-major grid of shape dims
+    as boxes, in order: each box is a tuple of one range (first, stop) per
+    axis and covers a run of consecutive positions.  Recursion on the first
+    axis splits a run into a part of one row, a box of whole rows and a
+    part of one row, so at most 2 len(dims) - 1 boxes are needed."""
+    whole = math.prod(dims)
+    if start == 0 and stop == whole:
+        return [tuple((0, n) for n in dims)]
+    if start >= stop:
+        return []
+    inner = whole // dims[0]
+    first, last = -(-start // inner), stop // inner  # the whole rows
+    if first > last:  # inside row last
+        start, stop = start - last * inner, stop - last * inner
+        return [((last, last + 1),) + box for box in _boxes(start, stop, dims[1:])]
+    head = [((first - 1, first),) + box for box in _boxes(start - (first - 1) * inner, inner, dims[1:])]
+    body = [((first, last),) + tuple((0, n) for n in dims[1:])] if first < last else []
+    tail = [((last, last + 1),) + box for box in _boxes(0, stop - last * inner, dims[1:])]
+    return head + body + tail
 
 
 def _dtype_for(bound):
@@ -731,72 +777,117 @@ def _float_inner(p):
     return (2**53 - 1) // max(p - 1, 1) ** 2
 
 
+@functools.cache
+def _block_rows(cols):
+    """How many rows _rref_mod reduces per block of a matrix of cols
+    columns: 3 sqrt(cols), and at least 48.
+
+    With R of r rows, a block of h rows costs two products of about h r cols
+    multiply-adds in all, which BLAS runs at one rate whatever h is; the
+    gathers and updates of R's columns, about r cols entries per block;
+    and Gauss-Jordan on the block, one numpy step per pivot over h rows.
+    Over the whole matrix the second falls as 1/h and the third grows as h,
+    so h grows as sqrt(cols).  Every blocked elimination input of one
+    document set of each benchmark workload has at most 270 columns and
+    gets 48 rows, the height timed best for them (32-64 were within 5 %).
+    Seconds, best of two, on the GF(5) idem d = 4 slices of degrees 4 and 5
+    (a 2-vCPU Xeon, one BLAS thread; N = [phi_5 K | partial_4]; the rule
+    gives 96, 192 and 159 rows; runs repeat within about 15 %):
+
+        rows per block          48    96   128   192   256   384   rule
+        delta_4  4096 x 1024  0.26  0.23  0.25  0.30  0.38  0.42   0.28
+        delta_5 16384 x 4096 10.35  6.89  6.13  6.56  6.87  7.20   6.51
+        N        8192 x 2864  5.23  3.88  3.91  4.01  3.86  4.44   4.28
+    """
+    return max(48, 3 * math.isqrt(cols))
+
+
 def _rref_array(a, field):
     """RREF of the integer array a over field: (r, den, pivot columns).
 
     The RREF is r / den, one row per pivot; den is 1 over GF(p), where r
-    holds residues.  r shares no storage with a.
+    holds residues.  Over GF(p) a may also be a _Rows stream of the
+    matrix's row blocks.  a is only read, and r shares no storage with it.
     """
     p = field.p
     if p is None:
         return _rref_rational(a)
-    r, pivots = _rref_mod(a.copy(), p)
+    r, pivots = _rref_mod(a, p)
     return r, 1, pivots
 
 
-def _rref_mod(a, p):
-    """RREF over GF(p) of a (entries in [0, p)), and the pivot columns.
+class _Rows:
+    """A matrix given as its row blocks (arrays), top to bottom, read once."""
 
-    a is int64 for p < 2^31 and holds Python ints otherwise; it is used as
-    scratch, and the RREF is a new array.  Over GF(2) every matrix goes to
-    _rref_gf2, which packs its rows into Python ints.  Otherwise a matrix
-    of fewer than two blocks of _BLOCK_ROWS rows goes to _gauss_jordan
-    whole, and a taller one is reduced one block of rows at a time.  The
-    top rows of a hold the RREF R of the rows before the block, with pivot
-    columns P (R has no more rows than it has seen).  A block X is reduced
-    against R by one product, Y = X - X[:, P] R, which is zero on P;
-    _gauss_jordan reduces Y on the other columns to rows R_Y with pivots
-    P_Y; one more product, R - R[:, P_Y] R_Y, clears R on P_Y, and R_Y
-    joins R.  R is then the RREF of the rows seen up to the order of its
-    rows, which are gathered by pivot at the end.  The RREF of a row space
-    is unique, so the result is the array and the pivots that _gauss_jordan
-    gives on the whole matrix.
+    __slots__ = ("shape", "blocks")
+
+    def __init__(self, shape, blocks):
+        self.shape = shape
+        self.blocks = blocks
+
+
+def _rref_mod(a, p):
+    """RREF over GF(p), and the pivot columns, of a: an array of residues
+    (int64 for p < 2^31, Python ints above) or a _Rows stream of such
+    blocks.  a is only read; the RREF is a new array.
+
+    Over GF(2) every matrix goes to _rref_gf2, which packs its rows into
+    Python ints.  Otherwise an array of fewer than two blocks of
+    _block_rows(cols) rows goes to _gauss_jordan whole.  A taller one is
+    reduced in such blocks, and a stream in its own blocks: each block X
+    against the RREF R of the rows before it, with pivot columns P, kept
+    transposed in an array of its own of min(rows, cols) columns, R's rows
+    in the order found (a column of R is then a row of the array, so
+    gathering and updating columns of R moves whole rows).  One product,
+    Y = X - X[:, P] R, is zero on P; _gauss_jordan reduces Y on the other
+    columns to rows R_Y with pivots P_Y; one more product, R - R[:, P_Y]
+    R_Y, clears R on P_Y, and R_Y joins R.  R is then the RREF of the rows
+    seen up to the order of its rows, which are gathered by pivot at the
+    end; once R has a pivot in every column no more blocks are read.  The
+    RREF of a row space is unique, so the result is the array and the
+    pivots that _gauss_jordan gives on the whole matrix, however the rows
+    are blocked.
     """
     if p == 2:
         return _rref_gf2(a)
     nrows, ncols = a.shape
-    if nrows < 2 * _BLOCK_ROWS:
-        return _gauss_jordan(a, p)
-    pivots = []  # the pivot column of each row of R = a[:len(pivots)]
-    free = np.ones(ncols, dtype=bool)
-    for s in range(0, nrows, _BLOCK_ROWS):
-        r, x = len(pivots), a[s : s + _BLOCK_ROWS]
-        y = x[:, free]
-        if r:
-            y -= _dot_mod(x[:, pivots], a[:r, free], p)
+    height = _block_rows(ncols)
+    if isinstance(a, np.ndarray):
+        if nrows < 2 * height:
+            return _gauss_jordan(a.copy(), p)
+        a = _Rows(a.shape, [a[s : s + height] for s in range(0, nrows, height)])
+    rt = np.zeros((ncols, min(nrows, ncols)), dtype=GF(p).dtype)  # R^T
+    pivots, free = [], np.ones(ncols, dtype=bool)
+    for x in a.blocks:
+        k0, columns = len(pivots), free.nonzero()[0]
+        y = x.take(columns, axis=1)
+        if k0:
+            y -= _dot_mod(x.take(pivots, axis=1), rt[columns, :k0].T, p)
             _mod(y, p, out=y)
         # Y's zero rows add nothing, and its zero columns stay zero
         rows, used = y.any(axis=1), y.any(axis=0)
         if not used.any():
             continue
         y, new = _gauss_jordan(y[np.ix_(rows, used)], p)
-        cols = free.nonzero()[0][used]
+        cols = columns[used]
         k, found = len(new), cols[new]
-        if r:
-            a[:r, cols] = _mod(a[:r, cols] - _dot_mod(a[:r, found], y, p), p)
-        a[r : r + k] = 0
-        a[r : r + k, cols] = y
+        if k0:
+            update = _dot_mod(y.T, rt[found, :k0], p)
+            np.subtract(rt[cols, :k0], update, out=update)
+            rt[cols, :k0] = _mod(update, p, out=update)
+        rt[cols, k0 : k0 + k] = y.T
         pivots += found.tolist()
         free[found] = False
-        if r + k == ncols:
+        if k0 + k == ncols:
             break
-    return a[np.argsort(pivots)], sorted(pivots)
+    return rt.T[np.argsort(pivots)], sorted(pivots)
 
 
 def _rref_gf2(a):
-    """RREF over GF(2) of a (entries 0 and 1), and the pivot columns, on rows
-    packed into Python ints: bit j of a row is column j, and XOR adds two
-    rows in one step (the idea of M4RI: Albrecht, Bard and Hart, 2010).
+    """RREF over GF(2) of a (entries 0 and 1; an array or a _Rows stream),
+    and the pivot columns, on rows packed into Python ints: bit j of a row
+    is column j, and XOR adds two rows in one step (the idea of M4RI:
+    Albrecht, Bard and Hart, 2010).
 
     The rows enter one at a time a reduced echelon {pivot column: row},
     each row of which is zero on the other pivot columns.  A row x is
@@ -807,28 +898,29 @@ def _rref_gf2(a):
     echelon rows that have it before the row joins.  The rank cannot pass
     min(m, n), so the rows after it are not read.  The RREF of a row space
     is unique, so this is the array and the pivots that _gauss_jordan gives;
-    a is only read.
+    a is only read, one block packed at a time.
     """
     nrows, ncols = a.shape
     width = (ncols + 7) // 8
-    packed = np.packbits(a, axis=1, bitorder="little").tobytes()
     echelon, mask, full = {}, 0, min(nrows, ncols)
-    for i in range(nrows):
-        if len(echelon) == full:
-            break
-        x = int.from_bytes(packed[i * width : (i + 1) * width], "little")
-        y = x & mask
-        while y:
-            low = y & -y
-            x ^= echelon[low.bit_length() - 1]
-            y ^= low
-        if x:
-            low = x & -x
-            for c, row in echelon.items():
-                if row & low:
-                    echelon[c] = row ^ x
-            echelon[low.bit_length() - 1] = x
-            mask |= low
+    for block in (a,) if isinstance(a, np.ndarray) else a.blocks:
+        packed = np.packbits(block, axis=1, bitorder="little").tobytes()
+        for i in range(len(block)):
+            if len(echelon) == full:
+                break
+            x = int.from_bytes(packed[i * width : (i + 1) * width], "little")
+            y = x & mask
+            while y:
+                low = y & -y
+                x ^= echelon[low.bit_length() - 1]
+                y ^= low
+            if x:
+                low = x & -x
+                for c, row in echelon.items():
+                    if row & low:
+                        echelon[c] = row ^ x
+                echelon[low.bit_length() - 1] = x
+                mask |= low
     pivots = sorted(echelon)
     rows = b"".join(echelon[c].to_bytes(width, "little") for c in pivots)
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(pivots), width)
@@ -1141,6 +1233,41 @@ def kron_all(field, mats, empty_dim=1):
     for m in mats[1:]:
         out = out.kron(m)
     return out
+
+
+def echelon_kernel(echelon):
+    """The canonical kernel basis, as columns, of the matrices whose RREF is
+    echelon = (R, P), as ``rref`` gives it: the identity on the free
+    columns F and -R[:, F] on P."""
+    r, piv = echelon
+    free = np.ones(r.cols, dtype=bool)
+    free[list(piv)] = False
+    basis = np.zeros((r.cols, r.cols - len(piv)), dtype=r.num.dtype)
+    basis[free, np.arange(basis.shape[1])] = r.den
+    basis[list(piv)] = -r.num[:, free]
+    return _of(r.field, basis, r.den)
+
+
+def row_blocks(field, shape):
+    """The row ranges (start, stop) in which a matrix of this shape is fed
+    to elimination as it is assembled (rref_rows), or None when it is built
+    and eliminated whole: over Q, whose certificate reads the matrix whole,
+    and below _STREAM_SIZE entries.  The ranges are the blocks of
+    _block_rows(cols) rows that _rref_mod reduces."""
+    rows, cols = shape
+    if field.p is None or rows * cols < _STREAM_SIZE:
+        return None
+    height = _block_rows(cols)
+    return [(s, min(s + height, rows)) for s in range(0, rows, height)]
+
+
+def rref_rows(field, shape, blocks):
+    """The RREF (R, P) over GF(p), as ``rref`` gives it, of the matrix of
+    this shape whose rows arrive as the matrices blocks, top to bottom.
+    Elimination holds one block at a time besides R, and reads no block
+    after R has a pivot in every column."""
+    num, _, piv = _rref_array(_Rows(shape, (b.num for b in blocks)), field)
+    return _new(field, num), tuple(piv)
 
 
 def pivot_columns(m):

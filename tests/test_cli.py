@@ -829,7 +829,8 @@ def test_check_iso_refuses_an_invalid_extension(documents, capsys):
 )
 def test_a_failed_write_is_exit_2(argv, written, documents, tmp_path, capsys):
     # every -o into a directory that does not exist: exit 2 naming the file,
-    # in text and in JSON, and no traceback (exit 1 is for a failed check)
+    # in text and in JSON, and no traceback (exit 1 is for a failed check);
+    # the JSON report holds no document, since none was written
     stem = str(tmp_path / "no" / "such" / "x")
     paths = dict(documents, out=stem + ".json", stem=stem)
     argv = [arg.format(**paths) for arg in argv] + ["-o", paths["out"]]
@@ -837,5 +838,42 @@ def test_a_failed_write_is_exit_2(argv, written, documents, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out.splitlines()[-1].startswith(f"error: {message}")
     assert main(argv + ["--json"]) == 2
-    assert json.loads(capsys.readouterr().out)["error"].startswith(message)
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"].startswith(message) and "document" not in report
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.slow
+def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
+    # GF(5) idem d = 4 with the regular bimodule (a seed-7 scramble) to
+    # degree 5: delta_5 is 16384 x 4096, 512 MiB as int64.  Tall slices are
+    # fed to elimination in row blocks, so the child process stays under
+    # 400 MB of max RSS.  Opt in with pytest -m slow.
+    import os
+    import random
+    import subprocess
+    import sys as _sys
+    from pathlib import Path
+
+    from rbsys import GF, conjugate_bimodule, conjugate_system, from_rb_operator
+
+    from instances import diagonal_algebra, idempotent_rb_operator, random_invertible
+
+    field = GF(5)
+    system = from_rb_operator(diagonal_algebra(field, 4), idempotent_rb_operator(field, 4, [0, 2], 1), 1)[0]
+    p = random_invertible(field, 4, random.Random(7))
+    system, mod = conjugate_system(system, p), conjugate_bimodule(regular_bimodule(system), p, p)
+    spath, mpath = tmp_path / "sys.json", tmp_path / "mod.json"
+    system_doc = docs.serialize_system(system)
+    docs.dump(system_doc, spath)
+    docs.dump(docs.serialize_bimodule(mod, system_doc), mpath)
+    argv = ["cohomology", str(spath), str(mpath), "--what", "rbs", "--max-degree", "5", "--cap", "30000", "--json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([_sys.executable, "-m", "rbsys", *argv], env=env, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert json.loads(out)["h"] == [0] * 6
+    assert usage.ru_maxrss <= 400 * 1024  # KiB

@@ -396,6 +396,56 @@ def test_blockwise_differential_matches_the_slices(monkeypatch):
                 assert cx.is_cocycle(Cochain(tag, n, v)) == want.is_zero()
 
 
+@pytest.mark.parametrize("height", [1, 7, 48])
+def test_slices_fed_in_row_blocks_give_the_ranks_and_kernels_of_whole_slices(monkeypatch, height):
+    # with every prime-field slice and every N = [phi_n K | partial_(n-1)]
+    # fed to elimination in blocks of height rows as it is assembled, rank
+    # and kernel of each complex are those of the whole slices, type for
+    # type, and the only things kept are kernel bases of delta_n and
+    # partial_n: no slice is stored
+    from rbsys import linalg
+
+    pairs = [pair for pair in instance_set(24, seed=1409) if pair[0].field.p is not None]
+    tris = [triangular_system(field, 1, 2) for field in (GF(2), GF(5), GF(4294967311))]
+    pairs += [(tri, regular_bimodule(tri)) for tri in tris]
+    whole = []
+    for sys, mod in pairs:
+        cx = Complexes(sys, mod)
+        whole.append({(tag, n): (cx.rank(tag, n), _typed(cx.kernel(tag, n))) for tag in (ALG, RBSO, RBS) for n in range(4)})
+    monkeypatch.setattr(linalg, "_STREAM_SIZE", 0)
+    monkeypatch.setattr(linalg, "_block_rows", lambda cols: height)
+    for (sys, mod), want in zip(pairs, whole):
+        cx = Complexes(sys, mod)
+        assert {key: (cx.rank(*key), _typed(cx.kernel(*key))) for key in want} == want
+        assert {key[0] for key in cx._built} == {"kernel"}
+    assert len(pairs) > 15
+
+
+def test_betti_peaks_below_the_size_of_its_tallest_slice():
+    # GF(5) idem d = 4 with the regular bimodule to degree 4: delta_4 is
+    # 4096 x 1024, 32 MiB as int64.  It and N = [phi_4 K | partial_3] are
+    # fed to elimination in row blocks, which holds only its own echelon
+    # form, so the traced peak stays below the size of delta_4
+    import tracemalloc
+
+    from rbsys import from_rb_operator
+
+    from instances import diagonal_algebra, idempotent_rb_operator
+
+    field = GF(5)
+    sys = from_rb_operator(diagonal_algebra(field, 4), idempotent_rb_operator(field, 4, [0, 2], 1), 1)[0]
+    p = random_invertible(field, 4, random.Random(7))
+    sys, mod = conjugate_system(sys, p), conjugate_bimodule(regular_bimodule(sys), p, p)
+    tracemalloc.start()
+    try:
+        report = betti(RBS, sys, mod, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row["rank"] for row in report.rows] == [4, 20, 76, 308, 1228] and report.h == [0] * 5
+    assert peak < 4096 * 1024 * 8
+
+
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
 def test_betti_rbs_never_assembles_the_total_slice(field, monkeypatch):
     # d = 3, so no delta_n has as many rows as rbs_n: the two eliminations of
@@ -611,14 +661,16 @@ def test_dim_cap_guard():
 def test_a_degree_past_the_cap_is_refused_before_any_work(monkeypatch, analysis, max_degree, dim):
     # d = m = 3 over GF(5): only the top degree breaks the default cap of
     # 20000, and the error names the same space as when that degree is
-    # reached, yet no slice is assembled and nothing is eliminated first
+    # reached, yet no slice is assembled, whole or by rows, and nothing is
+    # eliminated first
     from rbsys import cohomology, linalg
 
     from instances import diagonal_algebra, idempotent_rb_operator
 
     monkeypatch.delenv("RBS_DIM_CAP", raising=False)
     calls = []
-    for module, name in ((linalg, "_rref_array"), (cohomology, "hochschild_slice"), (cohomology, "phi")):
+    spied = ((linalg, "_rref_array"), (cohomology, "hochschild_slice"), (cohomology, "phi"), (cohomology, "phi_rows"))
+    for module, name in spied:
 
         def spy(*args, _name=name, _kernel=getattr(module, name)):
             calls.append(_name)

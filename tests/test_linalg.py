@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -282,26 +283,28 @@ def _kernel_calls(monkeypatch, name):
 @pytest.mark.parametrize("case", ["ragged", "late_pivot", "zero_block", "full_rank_early"])
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_blocked_elimination_matches_sympy(monkeypatch, field, case):
-    # a matrix of two or more blocks of _BLOCK_ROWS rows is reduced block by
-    # block, and no Gauss-Jordan step sees more than one block; over Q each
-    # prime of the multimodular RREF takes the blocked path; over GF(2) the
-    # bit kernel takes the whole matrix, and Gauss-Jordan never runs
+    # a matrix of two or more blocks of _block_rows(cols) rows is reduced
+    # block by block, and no Gauss-Jordan step sees more than one block; over
+    # Q each prime of the multimodular RREF takes the blocked path; over GF(2)
+    # the bit kernel takes the whole matrix, and Gauss-Jordan never runs
     from rbsys import linalg
 
     steps = _kernel_calls(monkeypatch, "_gauss_jordan")
     packed = _kernel_calls(monkeypatch, "_rref_gf2")
-    m, b = _tall_cases(field, linalg._BLOCK_ROWS)[case]
-    assert m.rows >= 2 * linalg._BLOCK_ROWS and m.rows % linalg._BLOCK_ROWS
+    block = linalg._block_rows(64)  # no case has more columns
+    m, b = _tall_cases(field, block)[case]
+    assert linalg._block_rows(m.cols) == block
+    assert m.rows >= 2 * block and m.rows % block
     _assert_matches_oracle(m, b)
     if field == GF(2):
         assert packed and not steps and all(rows == m.rows for rows, _ in packed)
     else:
-        assert steps and max(rows for rows, _ in steps) <= linalg._BLOCK_ROWS and not packed
+        assert steps and max(rows for rows, _ in steps) <= block and not packed
     if case == "late_pivot":
-        assert m.take_rows(0, 3 * linalg._BLOCK_ROWS).rref()[1] == (1, 2, 3)
+        assert m.take_rows(0, 3 * block).rref()[1] == (1, 2, 3)
         assert m.rref()[1][:5] == (0, 1, 2, 3, 4)
     if case == "ragged":
-        assert m.rank() == linalg._BLOCK_ROWS + 7
+        assert m.rank() == block + 7
     if case == "full_rank_early":
         assert m.rank() == m.cols
 
@@ -328,7 +331,7 @@ def test_delayed_reduction_near_the_int64_bound_matches_sympy(p, period):
     assert linalg._unreduced_steps(p) == period
     field, rng = GF(p), random.Random(p)
     m = _dense(field, 40, 60, rng)
-    assert m.rows * m.cols > linalg._WHOLE_UPDATE_SIZE and m.rows < 2 * linalg._BLOCK_ROWS
+    assert m.rows * m.cols > linalg._WHOLE_UPDATE_SIZE and m.rows < 2 * linalg._block_rows(m.cols)
     _assert_matches_oracle(m, _dense(field, 40, 2, rng))
     assert m.rank() == 40
 
@@ -343,7 +346,7 @@ def test_delayed_reduction_over_many_pivot_steps_matches_sympy(monkeypatch, p):
 
     steps = _kernel_calls(monkeypatch, "_gauss_jordan")
     packed = _kernel_calls(monkeypatch, "_rref_gf2")
-    monkeypatch.setattr(linalg, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(linalg, "_block_rows", lambda cols: 64)
     field, rng = GF(p), random.Random(p)
     m = _dense(field, 110, 130, rng)
     _assert_matches_oracle(m, _dense(field, 110, 2, rng))
@@ -387,6 +390,61 @@ def test_gauss_jordan_matches_the_eager_kernel(field):
     p = field.p
     for m in _eager_kernel_cases(field):
         _assert_matches_the_eager_kernel(lambda a: _gauss_jordan(a.copy(), p), m.num, p)
+
+
+def _streamed(a, heights):
+    """a as a stream of row blocks whose heights cycle through heights."""
+    from rbsys.linalg import _Rows
+
+    blocks, start, i = [], 0, 0
+    while start < a.shape[0]:
+        blocks.append(a[start : start + heights[i % len(heights)]])
+        start, i = start + len(blocks[-1]), i + 1
+    return _Rows(a.shape, iter(blocks))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_every_mod_p_path_reads_its_rows_only_in_any_blocks(field):
+    # the bit kernel (GF(2)), Gauss-Jordan (under two blocks), the blocked
+    # path (taller) and the object path (above 2^31) take a read-only array
+    # and leave it unchanged, and give the eager kernel's residues, dtype
+    # and pivots whether the rows come whole or in blocks of any heights
+    from rbsys.linalg import _block_rows, _rref_mod
+
+    p, rng = field.p, random.Random(field.p)
+    tall = [
+        random_matrix(field, 260, 30, rng) @ random_matrix(field, 30, 70, rng),
+        vstack([random_matrix(field, 100, 20, rng), Matrix.zeros(field, 50, 20), _dense(field, 110, 20, rng)]),
+    ]
+    arrays = [m.num for m in _eager_kernel_cases(field) + tall]
+    assert any(len(a) < 2 * _block_rows(a.shape[1]) for a in arrays)
+    assert any(len(a) >= 2 * _block_rows(a.shape[1]) for a in arrays)
+    for a in arrays:
+        before = a.copy()
+        assert not a.flags.writeable
+        want, want_pivots = eager_gauss_jordan(a.copy(), p)
+        for rows in [a] + [_streamed(a, heights) for heights in ([1], [47], [48], [49], [200], [1, 47, 48, 49, 200])]:
+            got, got_pivots = _rref_mod(rows, p)
+            assert got_pivots == want_pivots
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(a, before)
+
+
+def test_the_q_prime_loop_reads_its_input_only():
+    # each prime reduces its own residues of the numerators, which stay as
+    # they were, int64 or past it
+    from rbsys import linalg
+
+    rng = random.Random(37)
+    for scalars in ([0, 1, -3, 7], [0, 1, 2**62 + 7, -(2**61) + 3]):
+        m = Matrix.from_rows(QQ, [[rng.choice(scalars) for _ in range(12)] for _ in range(110)])
+        before = m.num.copy()
+        assert not m.num.flags.writeable
+        r, den, pivots = linalg._rref_array(m.num, QQ)
+        assert np.array_equal(m.num, before) and m.num.dtype == before.dtype
+        want, want_pivots = sympy_rref(m)
+        assert pivots == list(want_pivots)
+        assert [[Fraction(int(x), den) for x in row] for row in r.tolist()] == want
 
 
 def test_bit_kernel_matches_the_eager_kernel():
@@ -490,6 +548,11 @@ def test_identity_kron_sum_matches_the_index_scatter(field):
             assert got.den == want.den and got.num.dtype == want.num.dtype
             assert np.array_equal(got.num, want.num) and got == want
             assert not got.is_zero()
+            # a range of rows, with the base's rows in it: those rows
+            for start, stop in [(0, 1), (5, 6), (3, 29), (17, 48), (1, 47), (0, 48)]:
+                part = None if b is None else b.take_rows(start, stop)
+                got = Matrix.identity_kron_sum(field, (48, 24), terms, base=part, rows=(start, stop))
+                assert got == want.take_rows(start, stop)
     if field.p is None:
         assert any(x.num.dtype == object for x, *_ in terms)
 
@@ -615,7 +678,7 @@ def test_an_rref_holds_its_rank_rows_in_storage_of_its_own(field):
     from rbsys import linalg
 
     rng = random.Random(repr(field))
-    tall, short = 2 * linalg._BLOCK_ROWS + 5, 10
+    tall, short = 2 * linalg._block_rows(30) + 5, 10
     for m in (
         random_matrix(field, tall, 6, rng) @ random_matrix(field, 6, 30, rng),
         random_matrix(field, short, 4, rng) @ random_matrix(field, 4, 12, rng),
@@ -815,16 +878,20 @@ def test_rational_product_either_side_of_the_int64_bound(monkeypatch, entry, inn
 
 @pytest.mark.parametrize("p", [2, 5, 40009, 2**31 - 1, 4294967311])
 def test_prime_field_kron_matches_numpy(p):
-    # one outer product, as np.kron, on the int64 and the object dtypes
+    # one outer product, as np.kron, on the int64 and the object dtypes;
+    # also every range of its rows
     field = GF(p)
     rng = random.Random(p)
-    for (r, c), (s, t) in [((2, 3), (3, 2)), ((1, 4), (4, 1)), ((0, 2), (2, 3)), ((2, 0), (3, 3))]:
+    for (r, c), (s, t) in [((2, 3), (3, 2)), ((1, 4), (4, 1)), ((0, 2), (2, 3)), ((2, 0), (3, 3)), ((3, 2), (4, 3))]:
         a, b = random_matrix(field, r, c, rng), random_matrix(field, s, t, rng)
         want = np.kron(a.a, b.a) % p
         got = a.kron(b)
         assert got.shape == want.shape
         assert got.entries() == want.tolist()
         assert got.a.dtype == field.dtype
+        for start, stop in itertools.combinations(range(r * s + 1), 2):
+            part = a.kron(b, (start, stop))
+            assert part.entries() == want[start:stop].tolist() and part.a.dtype == field.dtype
 
 
 # -- integer storage: numerators over one denominator, int64 residues ---------
