@@ -35,12 +35,12 @@ kernel.  So rank rbs_n = rank delta_n + rank N.  Every f-column comes before
 every g-column and K is the identity on the free columns of delta_n, so the
 free columns of rbs_n are those of N, in the same order, and the canonical
 kernel basis of rbs_n is [[K Q_top], [Q_bottom]] for Q that of N.  None of
-this uses that phi is a chain map or that d^2 = 0.  phi_n K comes from the
-RREF of delta_n (linalg.on_kernel), or from K where delta_n is too tall to
-be held (see Complexes).  The cap guards the target space of
-rbs_n either way.  rbs_n is assembled only for its image (the coboundary
-spans of les_check and the census), for a preimage and for the embedding
-check, which compares its entries.
+this uses that phi is a chain map or that d^2 = 0.  N is fed to
+elimination by rows like every differential (see Complexes): each row
+block of phi_n times K, next to the same rows of partial_(n-1).  The cap
+guards the target space of rbs_n.  rbs_n is assembled only for its image
+(the coboundary spans of les_check and the census), for a preimage and for
+the embedding check, which compares its entries.
 
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
@@ -77,8 +77,6 @@ from .linalg import (
     echelon_kernel,
     hstack,
     modulo_span,
-    on_kernel,
-    pivot_columns,
     row_blocks,
     rref_rows,
     vstack,
@@ -237,15 +235,15 @@ class Complexes:
     """The differentials of all three complexes of one (system, bimodule) pair.
 
     It holds, for its own life (an analysis makes one per call), delta_n,
-    partial_n and phi_n once one is read whole, each built once through
-    the module-level hochschild_slice and phi and keeping the RREF that its
-    rank or kernel memoises, and the canonical kernel basis K of delta_n
-    and of partial_n once read.  rbs(n) assembles rbs_n afresh, and N =
-    [phi_n K | partial_(n-1)] is built per call; neither is stored.  A
-    slice that elimination takes in row blocks (linalg.row_blocks: over a
-    prime field, at least 2^18 entries) is never held whole by rank and
-    kernel: they build it, and N from rows of phi_n and partial_(n-1), block
-    by block as elimination reads it (linalg.rref_rows), and keep only K.
+    partial_n and phi_n once read whole, each built once through
+    hochschild_slice and phi, and per delta_n and partial_n one memo of its
+    one elimination: its canonical kernel basis K and RREF pivots P.  rbs_n
+    and N = [phi_n K | partial_(n-1)] are built per call, never stored.
+    Each differential and N reach elimination (linalg.rref_rows) by the row
+    ranges of linalg.row_blocks: a slice that one range covers (over Q, and
+    below 2^18 entries) is read whole and stored with its memoised RREF; a
+    taller one is built range by range as elimination reads it, and rank
+    and kernel never hold it whole.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -289,22 +287,25 @@ class Complexes:
             self._built[key] = build(*args)
         return self._built[key]
 
-    def _blocks(self, tag, n):
-        # the row blocks in which delta_n (alg) or partial_n (rbso) is fed
-        # to elimination, or None when it is eliminated whole
-        return row_blocks(self.sys.field, (self.dim(tag, n + 1), self.dim(tag, n)))
+    def _rows(self, key, n, blocks):
+        # delta_n (alg), partial_n (rbso) or phi_n ("phi") by the row ranges
+        # blocks: the stored slice when one range covers it, else each range
+        # built as it is read
+        if len(blocks) == 1:
+            return [self.phi(n) if key == "phi" else self.slice(key, n)]
+        if key == "phi":
+            return phi_rows(n, self.sys, self.mod, blocks, self.cap)
+        return (hochschild_slice(*self._operands(key), n, self.cap, r) for r in blocks)
 
-    def _kernel(self, tag, n):
-        # K of delta_n (alg) or partial_n (rbso), built once
+    def _echelon(self, tag, n):
+        # (K, P) of delta_n (alg) or partial_n (rbso): its canonical kernel
+        # basis and the pivots of its RREF, from one elimination
         def build():
-            blocks = self._blocks(tag, n)
-            if blocks is None:
-                return self.slice(tag, n).kernel_basis()
             shape = (self.dim(tag, n + 1), self.dim(tag, n))
-            rows = (hochschild_slice(*self._operands(tag), n, self.cap, r) for r in blocks)
-            return echelon_kernel(rref_rows(self.sys.field, shape, rows))
+            echelon = rref_rows(self.sys.field, shape, self._rows(tag, n, row_blocks(self.sys.field, shape)))
+            return echelon_kernel(echelon), echelon[1]
 
-        return self._once(("kernel", tag, n), build)
+        return self._once(("echelon", tag, n), build)
 
     def _guard_rbs(self, n):
         # whichever part of rbs_n is read, the cap guards its target space
@@ -346,39 +347,32 @@ class Complexes:
 
     def _restricted(self, n):
         # the RREF of N = [phi_n K | partial_(n-1)] (phi_0 K alone for n =
-        # 0), K the canonical kernel basis of delta_n
+        # 0), K the canonical kernel basis of delta_n, fed by rows
         self._guard_rbs(n)
-        field = self.sys.field
-        # phi_n K from the RREF of delta_n, or from K when delta_n is not held
-        kernel = None if self._blocks(ALG, n) is None else self._kernel(ALG, n)
-
-        def rows(phi_n, partial_prev):
-            restricted = on_kernel(phi_n, self.delta(n)) if kernel is None else phi_n @ kernel
-            return hstack([restricted, partial_prev]) if n else restricted
-
-        shape = (self.dim(RBSO, n), self.dim(ALG, n) - self.rank(ALG, n) + self.dim(RBSO, n - 1))
+        field, kernel = self.sys.field, self.kernel(ALG, n)
+        shape = (self.dim(RBSO, n), kernel.cols + self.dim(RBSO, n - 1))
         blocks = row_blocks(field, shape)
-        if blocks is None:
-            return rows(self.phi(n), self.partial(n - 1) if n else None).rref()
-        partials = (hochschild_slice(*self._operands(RBSO), n - 1, self.cap, r) if n else None for r in blocks)
-        return rref_rows(field, shape, map(rows, phi_rows(n, self.sys, self.mod, blocks, self.cap), partials))
+
+        def rows(phi_n, partial_prev=None):
+            return hstack([phi_n @ kernel, partial_prev]) if n else phi_n @ kernel
+
+        sources = [self._rows("phi", n, blocks)] + ([self._rows(RBSO, n - 1, blocks)] if n else [])
+        return rref_rows(field, shape, map(rows, *sources))
 
     def rank(self, tag, n):
         """The rank of the degree-n differential of the complex named by tag."""
         if tag == RBS:
             return len(self._restricted(n)[1]) + self.rank(ALG, n)
-        if self._blocks(tag, n) is None:
-            return self.slice(tag, n).rank()
-        return self.dim(tag, n) - self._kernel(tag, n).cols
+        return len(self._echelon(tag, n)[1])
 
     def kernel(self, tag, n):
         """The canonical kernel basis of the degree-n differential of the
         complex named by tag; for rbs_n, [[K Q_top], [Q_bottom]]."""
         _known(tag)
         if tag != RBS:
-            return self._kernel(tag, n)
+            return self._echelon(tag, n)[0]
         q = echelon_kernel(self._restricted(n))
-        k = self._kernel(ALG, n)
+        k = self.kernel(ALG, n)
         return vstack([k @ q.take_rows(0, k.cols), q.take_rows(k.cols, None)])
 
     def d(self, cochain):
@@ -545,9 +539,9 @@ def les_check(sys, mod, max_degree, cap=None):
     when c^T reduce(X) = 0.  Both hold for any B and X, so no step assumes
     that phi is a chain map or that d^2 = 0: on a broken map the dimensions
     are those of the spans themselves.  The pivot columns of a slice's RREF
-    span its columns, so B of alg and rbso is read from the slice one degree
-    lower restricted to the pivots of the RREF that its kernel already
-    computed; rbs_(p-1) has no stored RREF and is eliminated whole.
+    span its columns, so B of alg and rbso is the slice one degree lower at
+    the pivots that the elimination for its kernel found, and no slice is
+    eliminated twice; rbs_(p-1) has no memo and is eliminated whole.
 
     A slot takes one elimination.  Write W for the outgoing map on the
     cocycles z and G = [reduce(W) | reduce(z)], one row per cocycle.  The
@@ -580,7 +574,7 @@ def les_check(sys, mod, max_degree, cap=None):
             elif tag == RBS:
                 b = cx.rbs(p - 1)
             else:
-                b = pivot_columns(cx.slice(tag, p - 1))
+                b = cx.slice(tag, p - 1).columns(list(cx._echelon(tag, p - 1)[1]))
             spans[tag, p] = b.transpose().rref()
         return spans[tag, p]
 

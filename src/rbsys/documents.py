@@ -133,7 +133,8 @@ def load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer past the digit limit, deep nesting
         raise DocumentError(f"{path}: {exc}") from exc
 
 

@@ -46,9 +46,10 @@ each prime over Q.  Every ``kron`` is one outer product of the two arrays.
 One kernel, ``_rref_array``, does every elimination (rref, rank,
 kernel_basis, solve, inverse).  It only reads the stored integer array and
 keeps only the nonzero rows of the RREF, one per pivot, in an array of
-their own.  Over GF(p) it also takes a matrix as a stream of row blocks
-(``rref_rows``), so that a tall slice need never be held whole: elimination
-holds one block and its echelon form.  It runs on one of three paths:
+their own.  ``rref_rows`` feeds it a matrix by the ranges of ``row_blocks``:
+whole over Q and below _STREAM_SIZE entries, else as a stream of row blocks,
+of which elimination holds one at a time with its echelon form, so that a
+tall slice is never held whole.  It runs on one of three paths:
 
 * GF(2): each row is packed into one Python int, bit j for column j, one
   block of rows at a time, so that one XOR adds two rows, and the rows are
@@ -98,6 +99,7 @@ holds one block and its echelon form.  It runs on one of three paths:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -119,8 +121,8 @@ _WHOLE_UPDATE_SIZE = 256
 # Elimination mod p takes the rows in blocks of _block_rows(cols) rows (see
 # _rref_mod and the rule there).  A matrix over GF(p) of at least this many
 # entries (2 MiB of int64) is fed to it in such blocks as it is assembled
-# (row_blocks), so it is never held whole; a smaller one is built and
-# eliminated whole, where assembling it block by block would cost more calls
+# (row_blocks), so it is never held whole; below it row_blocks gives one
+# range, the whole matrix, as assembling it by blocks would cost more calls
 # than it saves memory.
 _STREAM_SIZE = 1 << 18
 # A product mod p runs in float64 BLAS when m k n >= _FLOAT_RATIO (m k + k n
@@ -379,6 +381,11 @@ class Matrix:
 
     def take_cols(self, start, stop):
         return self.take(None, None, start, stop)
+
+    def columns(self, index):
+        """The columns at the indices in the list index, copied."""
+        num = self.num[:, index]
+        return _new(self.field, num) if self.field.p is not None else _of(self.field, num, self.den, self._mag)
 
     def reshape(self, rows, cols):
         """The same entries, row-major, as a rows x cols matrix."""
@@ -1250,31 +1257,30 @@ def echelon_kernel(echelon):
 
 def row_blocks(field, shape):
     """The row ranges (start, stop) in which a matrix of this shape is fed
-    to elimination as it is assembled (rref_rows), or None when it is built
-    and eliminated whole: over Q, whose certificate reads the matrix whole,
-    and below _STREAM_SIZE entries.  The ranges are the blocks of
-    _block_rows(cols) rows that _rref_mod reduces."""
+    to elimination as it is assembled (rref_rows): the whole matrix over Q,
+    whose certificate reads it whole, and below _STREAM_SIZE entries, else
+    the blocks of _block_rows(cols) rows that _rref_mod reduces."""
     rows, cols = shape
     if field.p is None or rows * cols < _STREAM_SIZE:
-        return None
+        return [(0, rows)]
     height = _block_rows(cols)
     return [(s, min(s + height, rows)) for s in range(0, rows, height)]
 
 
 def rref_rows(field, shape, blocks):
-    """The RREF (R, P) over GF(p), as ``rref`` gives it, of the matrix of
-    this shape whose rows arrive as the matrices blocks, top to bottom.
-    Elimination holds one block at a time besides R, and reads no block
+    """The RREF (R, P), as ``rref`` gives it, of the matrix of this shape
+    whose rows arrive as the matrices blocks, top to bottom: the memoised
+    ``rref`` of a block that covers the matrix, else an elimination over
+    GF(p) that holds one block at a time besides R, and reads no block
     after R has a pivot in every column."""
-    num, _, piv = _rref_array(_Rows(shape, (b.num for b in blocks)), field)
+    blocks = iter(blocks)
+    first = next(blocks)
+    if first.rows == shape[0]:
+        return first.rref()
+    nums = itertools.chain([first.num], (b.num for b in blocks))
+    del first  # no block is held past its turn
+    num, _, piv = _rref_array(_Rows(shape, nums), field)
     return _new(field, num), tuple(piv)
-
-
-def pivot_columns(m):
-    """The columns of m at the pivots of its RREF (memoised on m): a basis
-    of the span of its columns, since elimination keeps every linear
-    relation among the columns."""
-    return _columns(m, list(m.rref()[1]))
 
 
 def modulo_span(m, echelon):
@@ -1286,24 +1292,4 @@ def modulo_span(m, echelon):
     r, piv = echelon
     if not (piv and m.rows):
         return m
-    return m - _columns(m, list(piv)) @ r
-
-
-def on_kernel(x, m):
-    """x @ K for K = m.kernel_basis(), without forming K: with R the RREF of
-    m, P its pivots and F the other columns, K is the identity on F and -R
-    on P, so x K = x[:, F] - x[:, P] R[:, F], one product of inner size
-    |P|."""
-    r, piv = m.rref()
-    free = np.ones(m.cols, dtype=bool)
-    free[list(piv)] = False
-    x_free = _columns(x, free)
-    if not piv:
-        return x_free
-    return x_free - _columns(x, list(piv)) @ _columns(r, free)
-
-
-def _columns(m, index):
-    """The columns of m that index (a list or a boolean mask) selects."""
-    cols = m.num[:, index]
-    return _new(m.field, cols) if m.field.p is not None else _of(m.field, cols, m.den, m._mag)
+    return m - m.columns(list(piv)) @ r

@@ -64,6 +64,18 @@ def test_validate_parse_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 1100 + b"]" * 1100, b'{"schema": "rbs/v1", "kind": "\xff"}', b'{"dim": ' + b"9" * 5000 + b"}"],
+    ids=["nested-1100-deep", "not-utf-8", "5000-digit-integer"],
+)
+def test_validate_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().out
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/x.json"]) == 2
 

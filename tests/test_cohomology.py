@@ -401,8 +401,10 @@ def test_slices_fed_in_row_blocks_give_the_ranks_and_kernels_of_whole_slices(mon
     # with every prime-field slice and every N = [phi_n K | partial_(n-1)]
     # fed to elimination in blocks of height rows as it is assembled, rank
     # and kernel of each complex are those of the whole slices, type for
-    # type, and the only things kept are kernel bases of delta_n and
-    # partial_n: no slice is stored
+    # type, and the slices stored are exactly those that one block covers:
+    # delta_n, partial_n and phi_n of at most height rows
+    from collections import Counter
+
     from rbsys import linalg
 
     pairs = [pair for pair in instance_set(24, seed=1409) if pair[0].field.p is not None]
@@ -414,11 +416,15 @@ def test_slices_fed_in_row_blocks_give_the_ranks_and_kernels_of_whole_slices(mon
         whole.append({(tag, n): (cx.rank(tag, n), _typed(cx.kernel(tag, n))) for tag in (ALG, RBSO, RBS) for n in range(4)})
     monkeypatch.setattr(linalg, "_STREAM_SIZE", 0)
     monkeypatch.setattr(linalg, "_block_rows", lambda cols: height)
+    slices, stored = ((ALG, ALG), (RBSO, RBSO), ("phi", RBSO)), Counter()
     for (sys, mod), want in zip(pairs, whole):
         cx = Complexes(sys, mod)
         assert {key: (cx.rank(*key), _typed(cx.kernel(*key))) for key in want} == want
-        assert {key[0] for key in cx._built} == {"kernel"}
+        heights = {(key, n): cx.dim(tag, n + (key != "phi")) for n in range(4) for key, tag in slices}
+        assert {key for key in cx._built if key[0] != "echelon"} == {key for key, rows in heights.items() if rows <= height}
+        stored.update(rows <= height for rows in heights.values())
     assert len(pairs) > 15
+    assert stored[True] and stored[False]
 
 
 def test_betti_peaks_below_the_size_of_its_tallest_slice():
@@ -828,6 +834,34 @@ def test_les_check_eliminations(monkeypatch):
     assert len(calls) == 27
 
 
+def test_les_check_eliminates_streamed_slices_once(monkeypatch):
+    # with every prime-field slice taller than one block fed to elimination
+    # in row blocks, les_check makes the same 27 eliminations, of the same
+    # shapes: the coboundary spans of delta_n and partial_n read the pivots
+    # that their kernels found, and eliminate no slice again
+    from rbsys import linalg
+
+    rref = linalg._rref_array
+    sys = triangular_system(GF(5), 1, 2)
+
+    def eliminations(stream_size):
+        calls = []
+
+        def counted(a, field):
+            calls.append((a.shape, isinstance(a, linalg._Rows)))
+            return rref(a, field)
+
+        monkeypatch.setattr(linalg, "_rref_array", counted)
+        monkeypatch.setattr(linalg, "_STREAM_SIZE", stream_size)
+        assert les_check(sys, regular_bimodule(sys), 3).ok
+        return calls
+
+    whole, streamed = eliminations(linalg._STREAM_SIZE), eliminations(0)
+    assert len(whole) == len(streamed) == 27
+    assert [shape for shape, _ in whole] == [shape for shape, _ in streamed]
+    assert not any(fed for _, fed in whole) and any(fed for _, fed in streamed)
+
+
 def _assert_witness(field, slot, spans):
     """A failing slot's witness lies in one of its two spans and not in the
     other: the image for image_not_in_kernel, the kernel otherwise."""
@@ -980,13 +1014,15 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
 
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
 def test_memoised_rrefs_of_a_complex_hold_their_rank_rows(field):
-    # betti's rank calls leave an RREF on each stored slice (delta_3 is 243
-    # x 81 here, past the blocked cut-over); each keeps one row per pivot
+    # the rank calls leave an RREF on each stored delta_n (delta_3 is 243 x
+    # 81 here, past the blocked cut-over), and the stored slices are the
+    # only matrices of a complex that keep one; each keeps one row per pivot
     sys = triangular_system(field, 1, 2)
     cx = Complexes(sys, regular_bimodule(sys))
     for n in range(4):
         cx.rank(RBS, n)
-    rrefs = [m._rref for m in cx._built.values() if m._rref is not None]
+    slices = [m for key, m in cx._built.items() if key[0] != "echelon"]
+    rrefs = [m._rref for m in slices if m._rref is not None]
     assert len(rrefs) >= 4
     for r, pivots in rrefs:
         assert r.rows == len(pivots)

@@ -689,24 +689,40 @@ def test_an_rref_holds_its_rank_rows_in_storage_of_its_own(field):
         assert owns_its_storage(r.num)
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
-def test_on_kernel_is_the_product_with_the_kernel_basis(field):
-    # x restricted to the kernel of m, from the RREF of m, equals x times
-    # the canonical kernel basis, storage included; also for a zero m (K =
-    # I), a full-rank m (K empty) and a zero or empty x
-    from rbsys.linalg import on_kernel
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(4294967311), QQ], ids=repr)
+def test_row_blocks_tile_the_rows(field):
+    # the ranges tile [0, rows) in order; over Q and below 2^18 entries
+    # they are one range, the whole matrix, and otherwise each is at most
+    # the block height of elimination.  Only ranges are computed
+    from rbsys.linalg import _block_rows, row_blocks
 
-    rng = random.Random(31)
-    cases = [(random_matrix(field, rows, 5, rng), random_matrix(field, 4, 5, rng)) for rows in (1, 2, 3, 7)]
-    cases += [
-        (Matrix.zeros(field, 3, 5), random_matrix(field, 4, 5, rng)),
-        (Matrix.identity(field, 5), random_matrix(field, 4, 5, rng)),
-        (random_matrix(field, 2, 5, rng), Matrix.zeros(field, 4, 5)),
-        (random_matrix(field, 2, 5, rng), Matrix.zeros(field, 0, 5)),
-    ]
-    for m, x in cases:
-        got, expected = on_kernel(x, m), x @ m.kernel_basis()
-        assert got == expected
+    shapes = [(0, 4096), (1, 4096), (1, 2**18 - 1), (2**18 - 1, 1), (1, 2**18), (512, 512), (2**18, 1), (16384, 4096)]
+    for rows, cols in shapes:
+        ranges = row_blocks(field, (rows, cols))
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == rows
+        if field == QQ or rows * cols < 2**18:
+            assert ranges == [(0, rows)]
+        else:
+            height = _block_rows(cols)
+            assert all(0 < stop - start <= height for start, stop in ranges)
+            assert len(ranges) == -(-rows // height)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_rows_takes_one_block_as_the_matrix(field):
+    # a block that covers the matrix gives the RREF memoised on it, the
+    # same object; over GF(p), rows in several blocks give an equal RREF
+    from rbsys.linalg import rref_rows
+
+    rng = random.Random(43)
+    m = random_matrix(field, 9, 6, rng) @ random_matrix(field, 6, 7, rng)
+    echelon = rref_rows(field, m.shape, iter([m]))
+    assert echelon is m.rref()
+    if field != QQ:
+        blocks = (m.take_rows(s, s + 4) for s in range(0, m.rows, 4))
+        r, pivots = rref_rows(field, m.shape, blocks)
+        assert pivots == echelon[1] and r == echelon[0]
 
 
 def test_rational_rref_is_all_fractions():
