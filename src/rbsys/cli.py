@@ -20,8 +20,9 @@ machine-readable report with the same numbers, --max-degree and --cap;
 they follow the leaf's name, as in ``rbs extend census S --json``.
 --cap sets the slice-size guard; when it is not given, the environment
 variable RBS_DIM_CAP replaces the default of 20000.  main reads it once,
-before any leaf runs, so a value that is not an integer is exit 2 for every
-leaf, even one that builds no complex.
+before any leaf runs, so a value that is not a positive integer is exit 2
+for every leaf, even one that builds no complex; so is --cap below 1, and
+--census-cap below 0 for the census.
 """
 
 from __future__ import annotations
@@ -356,6 +357,8 @@ def cmd_extend_build(args, rep):
 
 
 def cmd_extend_census(args, rep):
+    if args.census_cap < 0:
+        raise ValueError(f"--census-cap must be a non-negative integer, got {args.census_cap}")
     sys_obj, system_doc = _guarded_system(args, rep)
     mod = _bimodule_or_regular(args, rep, sys_obj, system_doc)
     entries = h2_extension_census(sys_obj, mod, cap=args.census_cap, dim_cap=args.cap)
@@ -452,6 +455,8 @@ def main(argv=None):
     rep = _Reporter(args.json)
     try:
         # RBS_DIM_CAP is read here, once, for every leaf
+        if args.cap is not None and args.cap <= 0:
+            raise ValueError(f"--cap must be a positive integer, got {args.cap}")
         args.cap = resolve_cap(args.cap)
         code = args.func(args, rep)
     except _CheckFails:

@@ -37,10 +37,14 @@ free columns of rbs_n are those of N, in the same order, and the canonical
 kernel basis of rbs_n is [[K Q_top], [Q_bottom]] for Q that of N.  None of
 this uses that phi is a chain map or that d^2 = 0.  N is fed to
 elimination by rows like every differential (see Complexes): each row
-block of phi_n times K, next to the same rows of partial_(n-1).  The cap
-guards the target space of rbs_n.  rbs_n is assembled only for its image
-(the coboundary spans of les_check and the census), for a preimage and for
-the embedding check, which compares its entries.
+block of phi_n times K, next to the same rows of partial_(n-1), the
+blocks of phi_n and partial_(n-1) cut from the stored slices or built for
+N alone.  Every block is multiplied by one factor of K (Matrix.factor),
+so K is converted to float64 once per N, not once per block.  N is never
+stored, and its elimination yields Q directly.  The cap guards the target
+space of rbs_n.  rbs_n is assembled only for its image (the coboundary
+spans of les_check and the census), for a preimage and for the embedding
+check, which compares its entries.
 
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
@@ -74,7 +78,6 @@ from .algebra import (
 from .bimodules import _d_module_unchecked, regular_bimodule
 from .linalg import (
     Matrix,
-    echelon_kernel,
     hstack,
     modulo_span,
     row_blocks,
@@ -101,9 +104,12 @@ def resolve_cap(cap=None):
     if not env:
         return DEFAULT_DIM_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise ValueError(f"RBS_DIM_CAP must be an integer, got {env!r}") from None
+    if cap <= 0:
+        raise ValueError(f"RBS_DIM_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 def _guard(dim, cap):
@@ -234,16 +240,19 @@ def rbs_d(n, sys, mod, cap=None):
 class Complexes:
     """The differentials of all three complexes of one (system, bimodule) pair.
 
-    It holds, for its own life (an analysis makes one per call), delta_n,
-    partial_n and phi_n once read whole, each built once through
-    hochschild_slice and phi, and per delta_n and partial_n one memo of its
-    one elimination: its canonical kernel basis K and RREF pivots P.  rbs_n
-    and N = [phi_n K | partial_(n-1)] are built per call, never stored.
-    Each differential and N reach elimination (linalg.rref_rows) by the row
-    ranges of linalg.row_blocks: a slice that one range covers (over Q, and
-    below 2^18 entries) is read whole and stored with its memoised RREF; a
-    taller one is built range by range as elimination reads it, and rank
-    and kernel never hold it whole.
+    It holds, for its own life (an analysis makes one per call), per
+    delta_n and partial_n one memo of its one elimination, its canonical
+    kernel basis K and RREF pivots P, and the slices delta_n, partial_n and
+    phi_n that a reader applies or cuts (delta, phi, partial and slice,
+    called from d, alg_column and rbs), each built once through
+    hochschild_slice and phi.  rbs_n and N = [phi_n K | partial_(n-1)] are
+    built per call, never stored.  Each differential and N reach
+    elimination (linalg.rref_rows) by the row ranges of linalg.row_blocks
+    (one range over Q and below 2^18 entries): a slice already stored is
+    cut there by ranges; any other is built range by range as elimination
+    reads it and stored nowhere, and no RREF is kept.  So rank and kernel
+    hold one elimination at a time besides the memos, and an analysis that
+    also applies a slice reads it before eliminating it to build it once.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -265,13 +274,19 @@ class Complexes:
         return rbs_dim(n, d, m)
 
     def delta(self, n):
-        return self._once((ALG, n), hochschild_slice, *self._operands(ALG), n, self.cap)
+        return self._once((ALG, n), self._whole, ALG, n)
 
     def phi(self, n):
-        return self._once(("phi", n), phi, n, self.sys, self.mod, self.cap)
+        return self._once(("phi", n), self._whole, "phi", n)
 
     def partial(self, n):
-        return self._once((RBSO, n), hochschild_slice, *self._operands(RBSO), n, self.cap)
+        return self._once((RBSO, n), self._whole, RBSO, n)
+
+    def _whole(self, key, n):
+        # delta_n (alg), partial_n (rbso) or phi_n ("phi"), built whole
+        if key == "phi":
+            return phi(n, self.sys, self.mod, self.cap)
+        return hochschild_slice(*self._operands(key), n, self.cap)
 
     def _operands(self, tag):
         # the algebra and actions whose Hochschild differential is delta
@@ -289,10 +304,13 @@ class Complexes:
 
     def _rows(self, key, n, blocks):
         # delta_n (alg), partial_n (rbso) or phi_n ("phi") by the row ranges
-        # blocks: the stored slice when one range covers it, else each range
-        # built as it is read
+        # blocks: cut from the slice if it is stored, else each built as it
+        # is read and stored nowhere (one range is the whole slice)
+        stored = self._built.get((key, n))
+        if stored is not None:
+            return (stored.take_rows(*r) for r in blocks)
         if len(blocks) == 1:
-            return [self.phi(n) if key == "phi" else self.slice(key, n)]
+            return [self._whole(key, n)]
         if key == "phi":
             return phi_rows(n, self.sys, self.mod, blocks, self.cap)
         return (hochschild_slice(*self._operands(key), n, self.cap, r) for r in blocks)
@@ -302,8 +320,7 @@ class Complexes:
         # basis and the pivots of its RREF, from one elimination
         def build():
             shape = (self.dim(tag, n + 1), self.dim(tag, n))
-            echelon = rref_rows(self.sys.field, shape, self._rows(tag, n, row_blocks(self.sys.field, shape)))
-            return echelon_kernel(echelon), echelon[1]
+            return rref_rows(self.sys.field, shape, self._rows(tag, n, row_blocks(self.sys.field, shape)))
 
         return self._once(("echelon", tag, n), build)
 
@@ -346,10 +363,12 @@ class Complexes:
         return self.rbs(n)
 
     def _restricted(self, n):
-        # the RREF of N = [phi_n K | partial_(n-1)] (phi_0 K alone for n =
-        # 0), K the canonical kernel basis of delta_n, fed by rows
+        # the kernel basis and pivots of N = [phi_n K | partial_(n-1)]
+        # (phi_0 K alone for n = 0), K the canonical kernel basis of
+        # delta_n, fed by rows; every row block of phi_n is multiplied by
+        # one factor of K, which is converted for BLAS once
         self._guard_rbs(n)
-        field, kernel = self.sys.field, self.kernel(ALG, n)
+        field, kernel = self.sys.field, self.kernel(ALG, n).factor()
         shape = (self.dim(RBSO, n), kernel.cols + self.dim(RBSO, n - 1))
         blocks = row_blocks(field, shape)
 
@@ -371,7 +390,7 @@ class Complexes:
         _known(tag)
         if tag != RBS:
             return self._echelon(tag, n)[0]
-        q = echelon_kernel(self._restricted(n))
+        q = self._restricted(n)[0]
         k = self.kernel(ALG, n)
         return vstack([k @ q.take_rows(0, k.cols), q.take_rows(k.cols, None)])
 
@@ -603,6 +622,13 @@ def les_check(sys, mod, max_degree, cap=None):
     start = Matrix.zeros(field, cx.dim(RBS, 0), 0)
     incoming = (start, start.transpose(), 0)
     for p in range(max_degree + 1):
+        # the slots apply phi_p, and below max_degree the coboundary spans
+        # one degree up apply delta_p and partial_p: read before their
+        # kernels are eliminated, each is built once
+        cx.phi(p)
+        if p < max_degree:
+            cx.delta(p)
+            cx.partial(p)
         # H^p_rbs: image of the shift inclusion = kernel of the projection
         z = cx.kernel(RBS, p)
         incoming = slot(RBS, p, incoming, z, z.take_rows(0, cx.dim(ALG, p)), (ALG, p))

@@ -377,6 +377,12 @@ def h2_extension_census(sys, mod, cap=64, dim_cap=None):
     if not sys.field.is_prime_field:
         raise ValueError("census requires a finite prime field")
     cx = Complexes(sys, mod, dim_cap)
+    # every class is tested as a cocycle by applying the blocks of rbs_2:
+    # read before the kernel of rbs_2 is eliminated, each is built once
+    cx.guard([(RBS, 2)])
+    cx.delta(2)
+    cx.phi(2)
+    cx.partial(1)
     kernel = cx.kernel(RBS, 2)
     boundaries = cx.slice(RBS, 1)
     # the kernel columns that are pivots past the coboundaries extend a

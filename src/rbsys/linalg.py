@@ -46,10 +46,13 @@ each prime over Q.  Every ``kron`` is one outer product of the two arrays.
 One kernel, ``_rref_array``, does every elimination (rref, rank,
 kernel_basis, solve, inverse).  It only reads the stored integer array and
 keeps only the nonzero rows of the RREF, one per pivot, in an array of
-their own.  ``rref_rows`` feeds it a matrix by the ranges of ``row_blocks``:
-whole over Q and below _STREAM_SIZE entries, else as a stream of row blocks,
-of which elimination holds one at a time with its echelon form, so that a
-tall slice is never held whole.  It runs on one of three paths:
+their own.  ``rref_rows`` feeds it a matrix by the ranges of ``row_blocks``
+for its canonical kernel basis and pivots: whole over Q and below
+_STREAM_SIZE entries, else as a stream of row blocks, of which elimination
+holds one at a time with its echelon form, kept transposed, so that a tall
+slice is never held whole.  The kernel basis of a stream is read off that
+transposed form; its RREF is never gathered.  It runs on one of three
+paths:
 
 * GF(2): each row is packed into one Python int, bit j for column j, one
   block of rows at a time, so that one XOR adds two rows, and the rows are
@@ -64,8 +67,8 @@ tall slice is never held whole.  It runs on one of three paths:
   than two blocks of rows runs Gauss-Jordan elimination one pivot at a
   time.  A taller one is reduced block by block against the RREF of the
   rows before the block, with two products per block in place of one
-  rank-one update per pivot and row (see ``_rref_mod``); the RREF of a row
-  space is unique, so both give the same array.  The block height grows
+  rank-one update per pivot and row (see ``_reduce_blocks``); the RREF of
+  a row space is unique, so both give the same array.  The block height grows
   with the number of columns (``_block_rows``).  Gauss-Jordan on more than
   _WHOLE_UPDATE_SIZE entries delays its reductions too: a pivot step
   subtracts without reducing mod p and moves an entry by at most (p -
@@ -275,8 +278,10 @@ class Matrix:
     """
 
     # _view: the Python scalars of ``a`` once built; before that None, or
-    # Fraction for an RREF, every entry of whose view is a Fraction
-    __slots__ = ("field", "num", "den", "_mag", "_view", "_rref")
+    # Fraction for an RREF, every entry of whose view is a Fraction.
+    # _float: None, or for a factor (see ``factor``) a list that keeps the
+    # entries as float64 once a product has made them
+    __slots__ = ("field", "num", "den", "_mag", "_view", "_rref", "_float")
 
     def __new__(cls, field, array):
         """The matrix of an array of scalars of field: Python ints and
@@ -508,7 +513,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         if self.field.p is not None:
-            return _new(self.field, _dot_mod(self.num, other.num, self.field.p))
+            return _new(self.field, _dot_mod(self.num, other.num, self.field.p, other._float))
         # max|x| max|y| k bounds every sum of k entry products; each factor
         # is taken as at least 1, so a zero factor or k = 0 cannot let an
         # unbounded other factor into int64.  The stored bounds may be loose
@@ -519,6 +524,16 @@ class Matrix:
         dtype = _dtype_for(bound)
         c = self.num.astype(dtype, copy=False).dot(other.num.astype(dtype, copy=False))
         return _of(self.field, c, self.den * other.den, bound)
+
+    def factor(self):
+        """This matrix as the right factor of many products: a matrix of the
+        same entries, sharing them, that over GF(p) keeps its entries as
+        float64 from the first product by it that runs in float64 (see
+        _dot_mod) for its own life, where any other matrix converts them
+        again in each such product.  Every product equals the one by self."""
+        m = _new(self.field, self.num, self.den, self._mag)
+        _SET_FLOAT(m, [])
+        return m
 
     def kron(self, other, rows=None):
         """self (x) other, or, with rows = (start, stop), only its rows
@@ -575,15 +590,10 @@ class Matrix:
 
     def rref(self):
         """The nonzero rows of the reduced row echelon form, one per pivot,
-        and the tuple of pivot columns; a zero matrix is not eliminated."""
+        and the tuple of pivot columns; a zero matrix is not eliminated.
+        The result is memoised on the matrix."""
         if self._rref is None:
-            if self.is_zero():
-                r, piv = Matrix.zeros(self.field, 0, self.cols), []
-            else:
-                num, den, piv = _rref_array(self.num, self.field)
-                r = _new(self.field, num) if self.field.p is not None else _of(self.field, num, den)
-                _SET_VIEW(r, Fraction)  # over Q every entry of its view is a Fraction
-            object.__setattr__(self, "_rref", (r, tuple(piv)))
+            object.__setattr__(self, "_rref", _echelon(self))
         return self._rref
 
     def rank(self):
@@ -614,6 +624,16 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         return self.solve(Matrix.identity(self.field, self.rows))
+
+
+def _echelon(m):
+    """The RREF (R, P) of the matrix m, as ``rref`` gives it, kept nowhere."""
+    if m.is_zero():
+        return Matrix.zeros(m.field, 0, m.cols), ()
+    num, den, piv = _rref_array(m.num, m.field)
+    r = _new(m.field, num) if m.field.p is not None else _of(m.field, num, den)
+    _SET_VIEW(r, Fraction)  # over Q every entry of its view is a Fraction
+    return r, tuple(piv)
 
 
 def _first_true(mask):
@@ -689,10 +709,11 @@ def _new(field, num, den=1, mag=None):
     _SET_MAG(m, mag)
     _SET_VIEW(m, None)
     _SET_RREF(m, None)
+    _SET_FLOAT(m, None)
     return m
 
 
-_SET_FIELD, _SET_NUM, _SET_DEN, _SET_MAG, _SET_VIEW, _SET_RREF = (
+_SET_FIELD, _SET_NUM, _SET_DEN, _SET_MAG, _SET_VIEW, _SET_RREF, _SET_FLOAT = (
     vars(Matrix)[name].__set__ for name in Matrix.__slots__
 )
 
@@ -719,12 +740,14 @@ def _rationals(num, den, fractions):
     return np.array(vals, dtype=object).reshape(num.shape)
 
 
-def _dot_mod(x, y, p):
+def _dot_mod(x, y, p, floats=None):
     """x @ y mod p of two residue arrays.
 
     With inner size k, the product runs in float64 (_dot_float) when k (p -
-    1)^2 < 2^53 and it is large enough for BLAS to pay off.  Otherwise an
-    int64 product is reduced mod p after every _chunk(p) inner terms, so no
+    1)^2 < 2^53 and it is large enough for BLAS to pay off; there y is
+    converted to float64, or, when floats is a list (a factor's, see
+    ``Matrix.factor``), taken from it, once put there.  Otherwise an int64
+    product is reduced mod p after every _chunk(p) inner terms, so no
     partial sum wraps.
     """
     m, k = x.shape
@@ -732,6 +755,10 @@ def _dot_mod(x, y, p):
     if x.dtype == object:
         return _mod(x.dot(y), p)
     if 0 < k <= _float_inner(p) and m * k * n >= _FLOAT_RATIO * (m * k + k * n + m * n):
+        if floats is not None:
+            if not floats:
+                floats.append(y.astype(np.float64))
+            y = floats[0]
         return _dot_float(x, y, p)
     step = _chunk(p)
     if k <= step:
@@ -745,8 +772,9 @@ def _dot_mod(x, y, p):
 def _dot_float(x, y, p):
     """x @ y mod p through float64 for k (p - 1)^2 < 2^53: the residues are
     non-negative, so every partial sum of every order of summation is an
-    integer of at most k (p - 1)^2, which float64 holds exactly."""
-    return _mod((x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64), p)
+    integer of at most k (p - 1)^2, which float64 holds exactly.  y may be
+    given as float64 already."""
+    return _mod((x.astype(np.float64) @ y.astype(np.float64, copy=False)).astype(np.int64), p)
 
 
 def _mod(x, p, out=None):
@@ -810,16 +838,18 @@ def _block_rows(cols):
 
 
 def _rref_array(a, field):
-    """RREF of the integer array a over field: (r, den, pivot columns).
-
-    The RREF is r / den, one row per pivot; den is 1 over GF(p), where r
-    holds residues.  Over GF(p) a may also be a _Rows stream of the
-    matrix's row blocks.  a is only read, and r shares no storage with it.
+    """Elimination of the integer array a over field: (r, den, pivot
+    columns), where r / den is the RREF, one row per pivot; den is 1 over
+    GF(p), where r holds residues.  Over GF(p) a may also be a _Rows stream
+    of the matrix's row blocks, which is eliminated for its kernel alone:
+    r is then the canonical kernel basis, read off the echelon form that
+    the stream leaves, which is never gathered into the RREF
+    (_stream_kernel).  a is only read, and r shares no storage with it.
     """
     p = field.p
     if p is None:
         return _rref_rational(a)
-    r, pivots = _rref_mod(a, p)
+    r, pivots = _stream_kernel(a, p) if isinstance(a, _Rows) else _rref_mod(a, p)
     return r, 1, pivots
 
 
@@ -841,28 +871,39 @@ def _rref_mod(a, p):
     Over GF(2) every matrix goes to _rref_gf2, which packs its rows into
     Python ints.  Otherwise an array of fewer than two blocks of
     _block_rows(cols) rows goes to _gauss_jordan whole.  A taller one is
-    reduced in such blocks, and a stream in its own blocks: each block X
-    against the RREF R of the rows before it, with pivot columns P, kept
-    transposed in an array of its own of min(rows, cols) columns, R's rows
-    in the order found (a column of R is then a row of the array, so
-    gathering and updating columns of R moves whole rows).  One product,
-    Y = X - X[:, P] R, is zero on P; _gauss_jordan reduces Y on the other
-    columns to rows R_Y with pivots P_Y; one more product, R - R[:, P_Y]
-    R_Y, clears R on P_Y, and R_Y joins R.  R is then the RREF of the rows
-    seen up to the order of its rows, which are gathered by pivot at the
-    end; once R has a pivot in every column no more blocks are read.  The
-    RREF of a row space is unique, so the result is the array and the
-    pivots that _gauss_jordan gives on the whole matrix, however the rows
-    are blocked.
+    reduced in such blocks, and a stream in its own blocks, by
+    _reduce_blocks; the rows of the transposed RREF it leaves are gathered
+    by pivot.  The RREF of a row space is unique, so the result is the
+    array and the pivots that _gauss_jordan gives on the whole matrix,
+    however the rows are blocked.
     """
     if p == 2:
         return _rref_gf2(a)
-    nrows, ncols = a.shape
-    height = _block_rows(ncols)
     if isinstance(a, np.ndarray):
-        if nrows < 2 * height:
+        height = _block_rows(a.shape[1])
+        if len(a) < 2 * height:
             return _gauss_jordan(a.copy(), p)
-        a = _Rows(a.shape, [a[s : s + height] for s in range(0, nrows, height)])
+        a = _Rows(a.shape, [a[s : s + height] for s in range(0, len(a), height)])
+    rt, pivots = _reduce_blocks(a, p)
+    return rt.T[np.argsort(pivots)], sorted(pivots)
+
+
+def _reduce_blocks(a, p):
+    """The RREF R over GF(p), p odd, of the _Rows stream a, transposed:
+    (rt, pivots), where column i of rt is the row of R whose pivot is
+    pivots[i], in the order the pivots were found, and the columns of rt
+    past the rank are zero.
+
+    rt is one array of min(rows, cols) columns (a column of R is a row of
+    rt, so gathering and updating columns of R moves whole rows).  Each
+    block X is reduced against R of the rows before it, with pivot columns
+    P: one product, Y = X - X[:, P] R, is zero on P; _gauss_jordan reduces
+    Y on the other columns to rows R_Y with pivots P_Y; one more product, R
+    - R[:, P_Y] R_Y, clears R on P_Y, and R_Y joins R.  R is then the RREF
+    of the rows seen, up to the order of its rows; once R has a pivot in
+    every column no more blocks are read.
+    """
+    nrows, ncols = a.shape
     rt = np.zeros((ncols, min(nrows, ncols)), dtype=GF(p).dtype)  # R^T
     pivots, free = [], np.ones(ncols, dtype=bool)
     for x in a.blocks:
@@ -882,12 +923,39 @@ def _rref_mod(a, p):
             update = _dot_mod(y.T, rt[found, :k0], p)
             np.subtract(rt[cols, :k0], update, out=update)
             rt[cols, :k0] = _mod(update, p, out=update)
+            del update  # up to a quarter of rt: not held into the next block
         rt[cols, k0 : k0 + k] = y.T
         pivots += found.tolist()
         free[found] = False
         if k0 + k == ncols:
             break
-    return rt.T[np.argsort(pivots)], sorted(pivots)
+    return rt, pivots
+
+
+def _stream_kernel(a, p):
+    """The canonical kernel basis, as columns, and the pivot columns of the
+    matrix over GF(p) whose row blocks are the _Rows stream a: the identity
+    on the free columns F and -R[:, F] on the pivots, R its RREF, as
+    echelon_kernel gives it.  R[:, F] is read off the transposed RREF rt
+    that elimination leaves (_reduce_blocks; over GF(2) the transpose of
+    _rref_gf2's RREF) as rt[F], whose column i belongs to pivots[i], so R
+    is never gathered by pivot; rt is released before the basis is built.
+    """
+    if p == 2:
+        rt, pivots = _rref_gf2(a)
+        rt = rt.T
+    else:
+        rt, pivots = _reduce_blocks(a, p)
+    ncols = a.shape[1]
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    part = rt[free, : len(pivots)]
+    del rt
+    np.negative(part, out=part)
+    basis = np.zeros((ncols, ncols - len(pivots)), dtype=part.dtype)
+    basis[free, np.arange(basis.shape[1])] = 1
+    basis[pivots] = _mod(part, p, out=part).T
+    return basis, sorted(pivots)
 
 
 def _rref_gf2(a):
@@ -1268,15 +1336,18 @@ def row_blocks(field, shape):
 
 
 def rref_rows(field, shape, blocks):
-    """The RREF (R, P), as ``rref`` gives it, of the matrix of this shape
-    whose rows arrive as the matrices blocks, top to bottom: the memoised
-    ``rref`` of a block that covers the matrix, else an elimination over
-    GF(p) that holds one block at a time besides R, and reads no block
-    after R has a pivot in every column."""
+    """The canonical kernel basis K and the RREF pivots P (a tuple) of the
+    matrix of this shape whose rows arrive as the matrices blocks, top to
+    bottom.  A block that covers the matrix is eliminated whole, and no
+    RREF is left on it.  Rows in several blocks are eliminated over GF(p)
+    as a stream that holds one block at a time besides the transposed
+    echelon form, reads no block after that has a pivot in every column,
+    and yields K read off that form, never the RREF (_stream_kernel)."""
     blocks = iter(blocks)
     first = next(blocks)
     if first.rows == shape[0]:
-        return first.rref()
+        echelon = _echelon(first)
+        return echelon_kernel(echelon), echelon[1]
     nums = itertools.chain([first.num], (b.num for b in blocks))
     del first  # no block is held past its turn
     num, _, piv = _rref_array(_Rows(shape, nums), field)

@@ -402,6 +402,14 @@ def test_env_cap_that_is_not_an_integer_is_named(f2_zero_path, monkeypatch, caps
     assert report["error"] == "RBS_DIM_CAP must be an integer, got 'abc'"
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_env_cap_that_is_not_positive_is_named(f2_zero_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("RBS_DIM_CAP", value)
+    assert main(["cohomology", f2_zero_path, "--max-degree", "3", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == f"RBS_DIM_CAP must be a positive integer, got {value!r}"
+
+
 def test_env_cap_is_read_once_for_every_leaf(f2_zero_path, monkeypatch, capsys):
     # main resolves the cap before any leaf runs, so a leaf that builds no
     # complex refuses a malformed RBS_DIM_CAP too; an explicit --cap wins
@@ -485,6 +493,10 @@ def _set(doc, path, value):
         (5, ("defn", "mus", 1, 0, 0, 0), "3", [], "not an integer in [0, 5)"),
         (5, ("sys", "field", "Fp"), 5.0, [], '"Fp" must be an integer'),
         ("Q", None, None, ["rba-embed", "{sys}", "--weight", "0", "--max-degree", "-1"], "max_degree must be at least 0"),
+        ("Q", None, None, ["cohomology", "{sys}", "--cap", "-1"], "--cap must be a positive integer, got -1"),
+        ("Q", None, None, ["cohomology", "{sys}", "--cap", "0"], "--cap must be a positive integer, got 0"),
+        ("Q", None, None, ["validate", "{sys}", "--cap", "-1"], "--cap must be a positive integer, got -1"),
+        (5, None, None, ["extend", "census", "{sys}", "--census-cap", "-1"], "--census-cap must be a non-negative"),
     ],
 )
 def test_malformed_scalars_and_counts_exit_2(field, path, value, extra, message, tmp_path, capsys):
@@ -860,7 +872,12 @@ def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     # GF(5) idem d = 4 with the regular bimodule (a seed-7 scramble) to
     # degree 5: delta_5 is 16384 x 4096, 512 MiB as int64.  Tall slices are
     # fed to elimination in row blocks, so the child process stays under
-    # 400 MB of max RSS.  Opt in with pytest -m slow.
+    # 400 MB of max RSS.  Max RSS also counts heap layout, so the child
+    # reports its tracemalloc peak too, the data it held: 226 MiB when
+    # measured (the 128 MiB echelon buffer of delta_5, the products of one
+    # block and the kernel memos), against 256 MiB while a slice's RREF was
+    # gathered whole and each block's update product was kept into the
+    # next block.  Both are printed (pytest -s).  Opt in with pytest -m slow.
     import os
     import random
     import subprocess
@@ -881,11 +898,22 @@ def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     docs.dump(docs.serialize_bimodule(mod, system_doc), mpath)
     argv = ["cohomology", str(spath), str(mpath), "--what", "rbs", "--max-degree", "5", "--cap", "30000", "--json"]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.Popen([_sys.executable, "-m", "rbsys", *argv], env=env, stdout=subprocess.PIPE)
-    out = proc.stdout.read()
+    # rbs with tracemalloc on, its peak written to stderr
+    traced = (
+        "import sys, tracemalloc; tracemalloc.start(); from rbsys.cli import main; code = main(sys.argv[1:]); "
+        "print(tracemalloc.get_traced_memory()[1], file=sys.stderr); sys.exit(code)"
+    )
+    proc = subprocess.Popen(
+        [_sys.executable, "-c", traced, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    out, err = proc.stdout.read(), proc.stderr.read()
     proc.stdout.close()
+    proc.stderr.close()
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
     assert json.loads(out)["h"] == [0] * 6
+    peak = int(err)
+    print(f"corner: max RSS {usage.ru_maxrss / 1024:.1f} MiB, tracemalloc peak {peak / 2**20:.1f} MiB")
     assert usage.ru_maxrss <= 400 * 1024  # KiB
+    assert peak <= 240 * 2**20

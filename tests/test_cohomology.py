@@ -399,10 +399,11 @@ def test_blockwise_differential_matches_the_slices(monkeypatch):
 @pytest.mark.parametrize("height", [1, 7, 48])
 def test_slices_fed_in_row_blocks_give_the_ranks_and_kernels_of_whole_slices(monkeypatch, height):
     # with every prime-field slice and every N = [phi_n K | partial_(n-1)]
-    # fed to elimination in blocks of height rows as it is assembled, rank
-    # and kernel of each complex are those of the whole slices, type for
-    # type, and the slices stored are exactly those that one block covers:
-    # delta_n, partial_n and phi_n of at most height rows
+    # fed to elimination in blocks of height rows, rank and kernel of each
+    # complex are those of the whole slices, type for type, whether the
+    # blocks are built for the elimination alone (nothing is stored) or cut
+    # from delta_n, partial_n and phi_n read beforehand (exactly those are
+    # stored); both slices of one block and taller ones occur
     from collections import Counter
 
     from rbsys import linalg
@@ -416,15 +417,59 @@ def test_slices_fed_in_row_blocks_give_the_ranks_and_kernels_of_whole_slices(mon
         whole.append({(tag, n): (cx.rank(tag, n), _typed(cx.kernel(tag, n))) for tag in (ALG, RBSO, RBS) for n in range(4)})
     monkeypatch.setattr(linalg, "_STREAM_SIZE", 0)
     monkeypatch.setattr(linalg, "_block_rows", lambda cols: height)
-    slices, stored = ((ALG, ALG), (RBSO, RBSO), ("phi", RBSO)), Counter()
+    slices, one_block = ((ALG, ALG), (RBSO, RBSO), ("phi", RBSO)), Counter()
     for (sys, mod), want in zip(pairs, whole):
-        cx = Complexes(sys, mod)
-        assert {key: (cx.rank(*key), _typed(cx.kernel(*key))) for key in want} == want
-        heights = {(key, n): cx.dim(tag, n + (key != "phi")) for n in range(4) for key, tag in slices}
-        assert {key for key in cx._built if key[0] != "echelon"} == {key for key, rows in heights.items() if rows <= height}
-        stored.update(rows <= height for rows in heights.values())
+        heights = {(key, n): Complexes(sys, mod).dim(tag, n + (key != "phi")) for n in range(4) for key, tag in slices}
+        for read_first in (False, True):
+            cx = Complexes(sys, mod)
+            if read_first:
+                for n in range(4):
+                    cx.delta(n), cx.partial(n), cx.phi(n)
+            assert {key: (cx.rank(*key), _typed(cx.kernel(*key))) for key in want} == want
+            assert {key for key in cx._built if key[0] != "echelon"} == (set(heights) if read_first else set())
+        one_block.update(rows <= height for rows in heights.values())
     assert len(pairs) > 15
-    assert stored[True] and stored[False]
+    assert one_block[True] and one_block[False]
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["whole", "streamed"])
+def test_rank_and_kernel_store_no_slice(monkeypatch, stream):
+    # ranks and kernels of every complex up to degree 3 leave only the
+    # (K, P) memos of delta_n and partial_n: no slice, and so no RREF of
+    # one, whether the slices are fed whole or in row blocks
+    from rbsys import linalg
+
+    if stream:
+        monkeypatch.setattr(linalg, "_STREAM_SIZE", 0)
+    pairs = instance_set(12, seed=1409)
+    pairs += [(tri, regular_bimodule(tri)) for tri in (triangular_system(f, 1, 2) for f in (QQ, GF(2), GF(5)))]
+    for sys, mod in pairs:
+        cx = Complexes(sys, mod)
+        for tag in (ALG, RBSO, RBS):
+            for n in range(4):
+                cx.rank(tag, n), cx.kernel(tag, n)
+        assert {key[0] for key in cx._built} == {"echelon"}
+        assert {key[1:] for key in cx._built} == {(tag, n) for tag in (ALG, RBSO) for n in range(4)}
+
+
+def test_betti_holds_one_stage_at_a_time():
+    # triangular GF(5) with the regular bimodule to degree 4: every slice
+    # is below 2^18 entries and fed whole (delta_4 is 729 x 243, 1.4 MB as
+    # int64).  betti stores none of them and no RREF, so its traced peak is
+    # one stage, about 3.5 MB; storing every slice with its RREF peaks at
+    # 5.6 MB.  The bound sits between the two.
+    import tracemalloc
+
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    tracemalloc.start()
+    try:
+        report = betti(RBS, sys, mod, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row["rank"] for row in report.rows] == [3, 8, 28, 93, 292] and report.h == [0, 4, 9, 14, 20]
+    assert peak < 4_400_000
 
 
 def test_betti_peaks_below_the_size_of_its_tallest_slice():
@@ -1013,16 +1058,22 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
-def test_memoised_rrefs_of_a_complex_hold_their_rank_rows(field):
-    # the rank calls leave an RREF on each stored delta_n (delta_3 is 243 x
-    # 81 here, past the blocked cut-over), and the stored slices are the
-    # only matrices of a complex that keep one; each keeps one row per pivot
+def test_a_complex_keeps_kernels_not_rrefs(field):
+    # with every slice of rbs_n stored (d applies them) before the rank
+    # calls eliminate them (delta_3 is 243 x 81 here, past the blocked
+    # cut-over), no stored slice keeps an RREF; what a complex keeps of
+    # each elimination is the canonical kernel basis and the pivots
     sys = triangular_system(field, 1, 2)
     cx = Complexes(sys, regular_bimodule(sys))
     for n in range(4):
+        cx.d(Cochain(RBS, n, Matrix.zeros(field, cx.dim(RBS, n), 1)))
         cx.rank(RBS, n)
     slices = [m for key, m in cx._built.items() if key[0] != "echelon"]
-    rrefs = [m._rref for m in slices if m._rref is not None]
-    assert len(rrefs) >= 4
-    for r, pivots in rrefs:
-        assert r.rows == len(pivots)
+    assert len(slices) == 11
+    assert all(m._rref is None for m in slices)
+    for n in range(4):
+        kernel, pivots = cx._built["echelon", ALG, n]
+        free = [c for c in range(kernel.rows) if c not in pivots]
+        assert kernel.cols == cx.dim(ALG, n) - len(pivots)
+        assert Matrix(field, kernel.a[free]) == Matrix.identity(field, len(free))
+        assert (cx.delta(n) @ kernel).is_zero()

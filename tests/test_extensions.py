@@ -451,6 +451,34 @@ def test_build_tests_the_cocycle_before_the_bimodule_axioms():
         build_extension(sys, bad, zero_cocycle(sys, bad))
 
 
+def test_census_builds_each_slice_once(monkeypatch):
+    # the census eliminates the blocks of rbs_2 and applies them to every
+    # class, and assembles rbs_1: each Hochschild slice, each phi_n and the
+    # doubled module are built once, as in les_check
+    from rbsys import cohomology
+
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    built = []
+
+    def counted(name, key):
+        original = getattr(cohomology, name)
+
+        def wrapper(*args, **kwargs):
+            built.append(key(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cohomology, name, wrapper)
+
+    counted("hochschild_slice", lambda alg, actions, n, *rest: ("alg" if alg is sys.alg else "rbso", n))
+    counted("phi_rows", lambda n, *rest: ("phi", n))  # phi builds through phi_rows
+    counted("_d_module_unchecked", lambda mod: ("D(M)",))
+    assert len(h2_extension_census(sys, mod)) == 10
+    assert Counter(built) == Counter(
+        [("alg", 1), ("alg", 2), ("rbso", 0), ("rbso", 1), ("phi", 1), ("phi", 2), ("D(M)",)]
+    )
+
+
 def test_census_selects_classes_with_one_elimination(monkeypatch):
     # two eliminations for the kernel of rbs_2 (delta_2 and [phi_2 K |
     # partial_1]), one for the class selection, and four for each extension

@@ -711,18 +711,22 @@ def test_row_blocks_tile_the_rows(field):
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_rref_rows_takes_one_block_as_the_matrix(field):
-    # a block that covers the matrix gives the RREF memoised on it, the
-    # same object; over GF(p), rows in several blocks give an equal RREF
+    # a block that covers the matrix gives its canonical kernel basis and
+    # pivots and leaves no RREF on it; over GF(p), rows in several blocks
+    # give the same basis, dtype included, read off the streamed echelon
     from rbsys.linalg import rref_rows
 
     rng = random.Random(43)
-    m = random_matrix(field, 9, 6, rng) @ random_matrix(field, 6, 7, rng)
-    echelon = rref_rows(field, m.shape, iter([m]))
-    assert echelon is m.rref()
-    if field != QQ:
-        blocks = (m.take_rows(s, s + 4) for s in range(0, m.rows, 4))
-        r, pivots = rref_rows(field, m.shape, blocks)
-        assert pivots == echelon[1] and r == echelon[0]
+    for rows, inner in ((9, 6), (9, 1), (3, 7), (12, 7)):
+        m = random_matrix(field, rows, inner, rng) @ random_matrix(field, inner, 7, rng)
+        kernel, pivots = rref_rows(field, m.shape, iter([m]))
+        assert m._rref is None
+        assert kernel == m.kernel_basis() and pivots == m.rref()[1]
+        if field != QQ:
+            blocks = (m.take_rows(s, s + 4) for s in range(0, m.rows, 4))
+            streamed, streamed_pivots = rref_rows(field, m.shape, blocks)
+            assert streamed_pivots == pivots and streamed == kernel
+            assert streamed.num.dtype == kernel.num.dtype
 
 
 def test_rational_rref_is_all_fractions():
@@ -1060,6 +1064,28 @@ def _full_product(p, inner):
     row = Matrix(field, np.broadcast_to(np.int64(p - 1), (1, inner)))
     col = Matrix(field, np.broadcast_to(np.int64(p - 1), (inner, 1)))
     return (row @ col)[0, 0], inner * (p - 1) ** 2 % p
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_a_factor_multiplies_like_its_matrix_and_converts_once(field):
+    # products by a factor equal those by the matrix, dtype included;
+    # over GF(p) the float64 products share one conversion, kept on the
+    # factor, and the int64 and object products make none
+    rng = random.Random(53)
+    k = random_matrix(field, 40, 7, rng)
+    f = k.factor()
+    assert f == k
+    floats = 0
+    for rows in (1, 30, 90, 60):  # 30 rows and more run in float64 where k (p - 1)^2 < 2^53
+        x = random_matrix(field, rows, 40, rng)
+        got, want = x @ f, x @ k
+        assert got == want and got.num.dtype == want.num.dtype
+        floats += rows >= 30 and field.p is not None and 40 * (field.p - 1) ** 2 < 2**53
+    if field.p is None:
+        assert f._float == []
+    else:
+        assert len(f._float) == min(floats, 1)
+        assert all(a.dtype == np.float64 and np.array_equal(a, k.num) for a in f._float)
 
 
 # 94906249 < sqrt(2^53) < 94906297, the primes either side
