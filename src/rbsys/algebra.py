@@ -129,15 +129,18 @@ def matrix_tensor(mat, a, b):
 def _tensor3(field, data, shape):
     """data as a read-only array of canonical scalars of field.  An int64
     array over a field stored in int64 is reduced mod p in one pass, which
-    is what coerce does entry by entry; anything else goes through coerce
-    as one flat list, so floats and booleans are refused."""
+    is what coerce does entry by entry; over Q, ints and Fractions are
+    canonical already; anything else goes through coerce as one flat list,
+    so floats and booleans are refused."""
     if list(np.shape(data)) != list(shape):
         raise ValueError(f"tensor has shape {np.shape(data)}, expected {shape}")
     if isinstance(data, np.ndarray) and data.dtype == np.int64 and field.dtype == np.int64:
         a = data % field.p
     else:
         flat = np.asarray(data, dtype=object).ravel().tolist()
-        a = np.array([field.coerce(x) for x in flat], dtype=field.dtype).reshape(shape)
+        if field.p is not None or not set(map(type, flat)) <= {int, Fraction}:
+            flat = [field.coerce(x) for x in flat]
+        a = np.array(flat, dtype=field.dtype).reshape(shape)
     a.setflags(write=False)
     return a
 

@@ -2,7 +2,9 @@
 
 Every document is a single self-describing JSON object with
 "schema": "rbs/v1" and a "kind".  Rationals are encoded as integers or
-"p/q" strings (never floats); prime-field entries as integers in [0, p).
+ASCII "[-]a/b" strings with b > 0 (never floats, exponents, underscores or
+other digits), a and b each within the digit limit that load puts on JSON
+integers; prime-field entries as integers in [0, p).
 Documents other than systems may carry "system_sha256", the hash of the
 canonical serialisation of the system they belong to; it is checked when
 both files are supplied together.
@@ -12,6 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,10 +59,48 @@ def _count(doc, key, least, words):
     return value
 
 
-def _check_entry(field, x, what):
-    """Prime-field entries must be integers in [0, p); Q entries go to coerce."""
-    if field.p is not None and not (type(x) is int and 0 <= x < field.p):
-        raise DocumentError(f"{what}: entry {x!r} is not an integer in [0, {field.p})")
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _entry(field, x, what):
+    """A checked entry: over GF(p) an integer in [0, p); over Q the pair
+    (numerator, positive denominator) of an integer or "[-]a/b" token."""
+    if field.p is not None:
+        if not (type(x) is int and 0 <= x < field.p):
+            raise DocumentError(f"{what}: entry {x!r} is not an integer in [0, {field.p})")
+        return x
+    if type(x) is int:
+        return x, 1
+    match = _RATIONAL.fullmatch(x) if type(x) is str else None
+    if match is None:
+        if isinstance(x, bool):
+            raise DocumentError(f"{what}: boolean {x!r} is not a scalar")
+        raise DocumentError(f'{what}: entry {_shown(x)} is not an integer or a "[-]a/b" string')
+    try:
+        num, den = int(match[1]), int(match[2])
+    except ValueError as exc:  # past the digit limit of int, as of load
+        raise DocumentError(f"{what}: entry {_shown(x)}: {exc}") from None
+    if not den:
+        raise DocumentError(f"{what}: entry {_shown(x)} has a zero denominator")
+    return num, den
+
+
+def _shown(x):
+    """A token as an error message names it: its repr, cut after 40
+    characters."""
+    text = repr(x)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def _shaped(data, shape, what):
+    """The entries of nested lists of the given shape, row-major; the lists
+    are checked before anything is allocated, as a "dim" alone can name any
+    size."""
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise DocumentError(f"{what}: expected shape {shape}")
+    if len(shape) == 1:
+        return data
+    return [x for part in data for x in _shaped(part, shape[1:], what)]
 
 
 def _parse_matrix(field, data, rows, cols, what):
@@ -66,38 +109,22 @@ def _parse_matrix(field, data, rows, cols, what):
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"{what}: expected {cols} columns per row")
-        for x in row:
-            _check_entry(field, x, what)
+    entries = [_entry(field, x, what) for row in data for x in row]
     if field.p is not None:
         # checked entries are residues already: one array in the field's dtype
-        return Matrix(field, np.array(data, dtype=field.dtype).reshape(rows, cols))
-    try:
-        return Matrix.from_rows(field, data)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{what}: {exc}") from exc
+        return Matrix(field, np.array(entries, dtype=field.dtype).reshape(rows, cols))
+    # numerators over one denominator, with no Fraction per entry
+    den = math.lcm(*(d for _, d in entries))
+    return Matrix.rational([n * (den // d) for n, d in entries], den, (rows, cols))
 
 
 def _parse_tensor3(field, data, shape, what):
-    # the nested lists are checked before the array is allocated: a "dim"
-    # alone can name any size
-    if not isinstance(data, list) or len(data) != shape[0]:
-        raise DocumentError(f"{what}: expected shape {shape}")
-    for plane in data:
-        if not isinstance(plane, list) or len(plane) != shape[1]:
-            raise DocumentError(f"{what}: expected shape {shape}")
-        for row in plane:
-            if not isinstance(row, list) or len(row) != shape[2]:
-                raise DocumentError(f"{what}: expected shape {shape}")
-            for x in row:
-                _check_entry(field, x, what)
-    # checked prime-field entries are residues already: in the field's dtype
-    # (int64 for p < 2^31) the tensor needs no coercion entry by entry
-    arr = np.empty(shape, dtype=field.dtype)
-    for i, plane in enumerate(data):
-        for j, row in enumerate(plane):
-            for k, x in enumerate(row):
-                arr[i, j, k] = x
-    return arr
+    """The tensor as an array of the field's scalars: residues over GF(p),
+    over Q an int per integral entry and a Fraction per other one."""
+    entries = [_entry(field, x, what) for x in _shaped(data, shape, what)]
+    if field.p is None:
+        entries = [n if d == 1 else Fraction(n, d) for n, d in entries]
+    return np.array(entries, dtype=field.dtype).reshape(shape)
 
 
 def _matrix_tokens(mat):

@@ -28,7 +28,12 @@ result is brought back to canonical form.  Each runs in int64 when a bound
 on every result is below 2^62, and over Python ints otherwise; for ``@``
 with inner dimension k the bound is max|x| max|y| k over the numerators,
 each of the three factors taken as at least 1, from the bounds that the
-matrices carry or, where those reach 2^62, from the measured maxima.
+matrices carry or, where those reach 2^62, from the measured maxima.  A
+product whose bound is below 2^53 and that is large enough to pay for the
+conversions (as below) runs in float64 BLAS: every partial sum, in
+whatever order, is an integer of magnitude at most the bound, exact in
+float64 (numpy's int64 product is no BLAS call, and 40x slower at 2187 x
+729 x 378).
 Over GF(p) a product of inner dimension k runs in float64 BLAS when k (p -
 1)^2 < 2^53 and the product is large enough to pay for the conversions:
 the residues are non-negative, so every partial sum, in whatever order
@@ -135,6 +140,8 @@ _STREAM_SIZE = 1 << 18
 # x 3 takes 2.0 us in int64 and 3.7 us in float64, 405 x 135 x 135 8.0 ms
 # and 0.9 ms.
 _FLOAT_RATIO = 4
+# Every integer of magnitude below this bound is exact in float64.
+_FLOAT_EXACT = 1 << 53
 # An int64 array of at least this many entries is reduced mod p by floor
 # division (see _mod), a smaller one by %.  Timed on every int64 array that
 # one document set of each benchmark workload reduces (35,000 arrays; the
@@ -324,6 +331,13 @@ class Matrix:
         return cls(field, a)
 
     @classmethod
+    def rational(cls, nums, den, shape):
+        """The matrix over Q of the integers nums, row-major in the given
+        shape, over the positive denominator den; no Fraction is built."""
+        mag = max(max(nums), -min(nums)) if nums else 0
+        return _of(QQ, np.array(nums, dtype=_dtype_for(mag)).reshape(shape), den, mag)
+
+    @classmethod
     def column(cls, field, entries):
         values = [field.coerce(x) for x in entries]
         a = np.empty((len(values), 1), dtype=field.dtype)
@@ -391,6 +405,10 @@ class Matrix:
         """The columns at the indices in the list index, copied."""
         num = self.num[:, index]
         return _new(self.field, num) if self.field.p is not None else _of(self.field, num, self.den, self._mag)
+
+    def rows_at(self, index):
+        """The rows at the indices in the list index, copied."""
+        return self.transpose().columns(index).transpose()
 
     def reshape(self, rows, cols):
         """The same entries, row-major, as a rows x cols matrix."""
@@ -518,11 +536,15 @@ class Matrix:
         # is taken as at least 1, so a zero factor or k = 0 cannot let an
         # unbounded other factor into int64.  The stored bounds may be loose
         # (a sum adds them), so past int64 the factors are measured.
-        bound = max(self._mag, 1) * max(other._mag, 1) * max(self.cols, 1)
+        m, k, n = self.rows, self.cols, other.cols
+        bound = max(self._mag, 1) * max(other._mag, 1) * max(k, 1)
         if bound >= _INT64_BOUND:
-            bound = max(_mag(self.num), 1) * max(_mag(other.num), 1) * max(self.cols, 1)
-        dtype = _dtype_for(bound)
-        c = self.num.astype(dtype, copy=False).dot(other.num.astype(dtype, copy=False))
+            bound = max(_mag(self.num), 1) * max(_mag(other.num), 1) * max(k, 1)
+        if bound < _FLOAT_EXACT and _float_pays(m, k, n):
+            c = (self.num.astype(np.float64) @ other.num.astype(np.float64)).astype(np.int64)
+        else:
+            dtype = _dtype_for(bound)
+            c = self.num.astype(dtype, copy=False).dot(other.num.astype(dtype, copy=False))
         return _of(self.field, c, self.den * other.den, bound)
 
     def factor(self):
@@ -582,6 +604,16 @@ class Matrix:
     def first_nonzero_col(self):
         """The index of the first nonzero column, or None."""
         return _first_true(self.num.any(axis=0))
+
+    def last_nonzero_rows(self):
+        """The index of the last nonzero row of each column, -1 for a zero
+        column."""
+        hits = self.num[::-1] != 0
+        return np.where(hits.any(axis=0), self.rows - 1 - hits.argmax(axis=0), -1).tolist()
+
+    def nonzero_cols(self):
+        """The indices of the nonzero columns."""
+        return np.flatnonzero(self.num.any(axis=0)).tolist()
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
@@ -754,7 +786,7 @@ def _dot_mod(x, y, p, floats=None):
     n = y.shape[1]
     if x.dtype == object:
         return _mod(x.dot(y), p)
-    if 0 < k <= _float_inner(p) and m * k * n >= _FLOAT_RATIO * (m * k + k * n + m * n):
+    if 0 < k <= _float_inner(p) and _float_pays(m, k, n):
         if floats is not None:
             if not floats:
                 floats.append(y.astype(np.float64))
@@ -767,6 +799,12 @@ def _dot_mod(x, y, p, floats=None):
     for s in range(step, k, step):
         out += _mod(x[:, s : s + step].dot(y[s : s + step]), p)
     return _mod(out, p, out=out)
+
+
+def _float_pays(m, k, n):
+    """Whether an m x k by k x n product pays for converting its operands
+    to float64 and its result back (_FLOAT_RATIO)."""
+    return m * k * n >= _FLOAT_RATIO * (m * k + k * n + m * n)
 
 
 def _dot_float(x, y, p):
@@ -866,7 +904,10 @@ class _Rows:
 def _rref_mod(a, p):
     """RREF over GF(p), and the pivot columns, of a: an array of residues
     (int64 for p < 2^31, Python ints above) or a _Rows stream of such
-    blocks.  a is only read; the RREF is a new array.
+    blocks.  A read-only array (a matrix's storage) is only read; a
+    writeable one was made for this elimination alone (the residues of
+    _rref_rational) and may serve as its scratch.  The RREF is a new
+    array.
 
     Over GF(2) every matrix goes to _rref_gf2, which packs its rows into
     Python ints.  Otherwise an array of fewer than two blocks of
@@ -882,7 +923,7 @@ def _rref_mod(a, p):
     if isinstance(a, np.ndarray):
         height = _block_rows(a.shape[1])
         if len(a) < 2 * height:
-            return _gauss_jordan(a.copy(), p)
+            return _gauss_jordan(a if a.flags.writeable else a.copy(), p)
         a = _Rows(a.shape, [a[s : s + height] for s in range(0, len(a), height)])
     rt, pivots = _reduce_blocks(a, p)
     return rt.T[np.argsort(pivots)], sorted(pivots)
@@ -1128,6 +1169,7 @@ def _rref_rational(b):
         return b[:0].copy(), 1, []
     best = None
     for p in map(_prime, range(_prime_budget(b.shape, bmax))):
+        # the residues are a new, writeable array: _rref_mod's scratch
         rp, pivots = _rref_mod(_mod(b, p).astype(np.int64, copy=False), p)
         key = (-len(pivots), pivots)
         if best is None or key < best:
@@ -1213,6 +1255,55 @@ def _wang_denominator(u, m, bound):
     if abs(t1) > bound or math.gcd(r1, t1) != 1:
         return None
     return abs(t1)
+
+
+def modulo_prime(mats):
+    """The matrices over Q modulo one prime, as matrices over GF(p): each
+    entry n / L becomes n L^-1 mod p.  p is the first prime of the Q path
+    (_prime(0) = 2^28 - 57, then counting down) that divides none of
+    their denominators.  A product, sum or Kronecker product of such
+    matrices has no denominator that p divides, and its reduction mod p is
+    the same operation on the reductions."""
+    i = 0
+    while any(m.den % _prime(i) == 0 for m in mats):
+        i += 1
+    p = _prime(i)
+    field = GF(p)
+    out = []
+    for m in mats:
+        residues = _mod(m.num, p).astype(np.int64, copy=False)
+        out.append(_of(field, residues * pow(m.den, -1, p)))
+    return out
+
+
+def lift_columns(m):
+    """Each column of the matrix m over GF(p), p < 2^31, lifted to Q by
+    rational reconstruction: the integer column n with n = L c mod p for
+    the column c and one denominator L of its own, |n|, L <= sqrt(p/2), L
+    grown as in _reconstruct.  Returns the matrix over Q of these integer
+    columns, with a zero column for each column that has no such lift, and
+    the list of those columns."""
+    p = m.field.p
+    x, half, bound = m.num, p // 2, math.isqrt(p // 2)
+    num, cols, dens, failed = np.empty_like(x), np.arange(x.shape[1]), np.ones(x.shape[1], dtype=np.int64), []
+    while cols.size:
+        # x < 2^31 and L <= sqrt(p/2) < 2^15, so x L fits int64; L = 0
+        # marks a column without a lift
+        part = x[:, cols] * dens[cols] % p
+        part[part > half] -= p
+        num[:, cols] = part
+        over = np.abs(part) > bound
+        redo = over.any(axis=0).nonzero()[0]
+        for i in redo.tolist():
+            j = cols[i]
+            grown = _wang_denominator(int(x[over[:, i].argmax(), j]), p, bound)
+            grown = grown and math.lcm(int(dens[j]), grown)
+            if grown is None or grown == dens[j] or grown > bound:
+                failed.append(int(j))
+                grown = 0
+            dens[j] = grown
+        cols = cols[redo]
+    return _of(QQ, num), failed
 
 
 def _certified(b, h, pivots, free, num, den):

@@ -917,3 +917,22 @@ def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     print(f"corner: max RSS {usage.ru_maxrss / 1024:.1f} MiB, tracemalloc peak {peak / 2**20:.1f} MiB")
     assert usage.ru_maxrss <= 400 * 1024  # KiB
     assert peak <= 240 * 2**20
+
+
+@pytest.mark.parametrize("token", ["1e4000", "1.5", "1_000", "٣", "+1", " 1/2", "1/-2", "2" * 5000 + "/3"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_rational_tokens_outside_the_grammar_exit_2(token, as_json, tmp_path, capsys):
+    # Q entries are integers or ASCII "[-]a/b" strings, a and b within the
+    # digit limit of JSON integers; anything else is malformed input that
+    # the error names, never a rational nor a traceback
+    from rbsys import QQ
+
+    doc = docs.serialize_system(triangular_system(QQ, 1, 1))
+    doc["R"][0][0] = token
+    path = tmp_path / "sys.json"
+    docs.dump(doc, path)
+    assert main(["validate", str(path)] + (["--json"] if as_json else [])) == 2
+    out = capsys.readouterr().out
+    error = json.loads(out)["error"] if as_json else out
+    assert error.startswith("R: entry ") if as_json else out.startswith("error: R: entry ")
+    assert repr(token)[:40] in error

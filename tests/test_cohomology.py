@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rbsys import (
@@ -18,6 +19,7 @@ from rbsys import (
     betti,
     conjugate_bimodule,
     conjugate_system,
+    hstack,
     les_check,
     multimap_vector,
     pack_rbs_cochain,
@@ -1077,3 +1079,169 @@ def test_a_complex_keeps_kernels_not_rrefs(field):
         assert kernel.cols == cx.dim(ALG, n) - len(pivots)
         assert Matrix(field, kernel.a[free]) == Matrix.identity(field, len(free))
         assert (cx.delta(n) @ kernel).is_zero()
+
+
+# -- rank-only betti over Q ----------------------------------------------------
+
+
+def _rational_pairs():
+    """Every seed family of tests/instances.py over Q, scrambled, and the four
+    scrambled dim-3 Q pairs of the acceptance tests."""
+    from instances import random_system_bimodule
+
+    pairs = list(_seed_family_pairs(QQ, random.Random(2606)))
+    rng = random.Random(303)
+    dim3 = []
+    while len(dim3) < 4:
+        sys, mod = random_system_bimodule(rng, QQ, big=True)
+        if sys.dim == 3:
+            dim3.append((sys, mod))
+    return pairs + dim3
+
+
+def test_rational_betti_matches_the_certified_ranks():
+    # the ranks proven from one prime against the multimodular certified
+    # elimination of every differential over Q, for all three complexes to
+    # degree 4.  One rank falls back: rbs_4 of a dim-3 pair, where 12 of the
+    # 196 kernel columns mod p have no lift within sqrt(p/2) and the others
+    # with the coboundaries span less than the kernel
+    proofs = []
+    for sys, mod in _rational_pairs():
+        cx = Complexes(sys, mod)
+        for tag in (ALG, RBSO, RBS):
+            report = betti(tag, sys, mod, 4)
+            assert [row["rank"] for row in report.rows] == [cx.rank(tag, n) for n in range(5)]
+            proofs += report.proofs
+    assert set(proofs) == {"bounds", "witnesses", "certified"} and proofs.count("certified") == 1
+
+
+def test_a_prime_field_betti_proves_by_elimination():
+    sys = triangular_system(GF(5), 1, 2)
+    assert betti(RBS, sys, regular_bimodule(sys), 2).proofs == ["elimination"] * 3
+
+
+def test_a_prime_that_divides_a_minor_falls_back_to_the_certified_ranks():
+    # R = (p) on the line vanishes mod p = 2^28 - 57, the prime betti reduces
+    # by, so the ranks mod p drop below those over Q: no witness can hold,
+    # and the certified elimination gives the table
+    from rbsys.linalg import _prime
+
+    for sys in (line_system(QQ, _prime(0), 0), line_system(QQ, 0, _prime(0))):
+        mod = regular_bimodule(sys)
+        cx = Complexes(sys, mod)
+        for tag in (RBS, RBSO):
+            report = betti(tag, sys, mod, 4)
+            assert [row["rank"] for row in report.rows] == [cx.rank(tag, n) for n in range(5)]
+            assert "certified" in report.proofs
+
+
+def test_a_denominator_that_p_divides_moves_the_prime():
+    # an entry 1/p leaves p for the next prime of the Q path
+    from rbsys.linalg import _prime, modulo_prime
+
+    sys = line_system(QQ, Fraction(1, _prime(0)), 0)
+    assert modulo_prime([sys.R])[0].field == GF(_prime(1))
+    mod = regular_bimodule(sys)
+    cx = Complexes(sys, mod)
+    report = betti(RBS, sys, mod, 3)
+    assert [row["rank"] for row in report.rows] == [cx.rank(RBS, n) for n in range(4)]
+
+
+def test_a_mod_p_kernel_that_drops_a_pivot_falls_back(monkeypatch):
+    # the elimination of rbs_2 mod p is made to lose a pivot, as a prime
+    # that divides a minor would: the rank drops by one and the kernel gains
+    # the unit column of that pivot, which is no cocycle.  Its check fails,
+    # the other columns and the coboundaries span one dimension too few, and
+    # rbs_2 falls back to the certified rank; rbs_3 is still witnessed
+    sys = triangular_system(QQ, 1, 2)
+    mod = regular_bimodule(sys)
+    ranked = Complexes.ranked
+
+    def patched(self, tag, n):
+        rank, kernel = ranked(self, tag, n)
+        if self.sys.field == QQ or n != 2:
+            return rank, kernel
+
+        def dropped():
+            k = kernel()
+            free = {max(np.flatnonzero(k.num[:, j])) for j in range(k.cols)}
+            pivot = min(set(range(k.rows)) - free)
+            return hstack([k, Matrix.unit_column(k.field, k.rows, pivot)])
+
+        return rank - 1, dropped
+
+    cx = Complexes(sys, mod)
+    want = [cx.rank(RBS, n) for n in range(4)]
+    monkeypatch.setattr(Complexes, "ranked", patched)
+    report = betti(RBS, sys, mod, 3)
+    assert [row["rank"] for row in report.rows] == want
+    assert report.proofs == ["bounds", "witnesses", "certified", "witnesses"]
+
+
+def test_a_rank_proven_by_bounds_builds_no_rational_slice(monkeypatch):
+    # idem d = 2 has h = 0 in every degree, so every rank is proven by the
+    # bounds and nothing over Q is assembled; on the triangular system only
+    # the witness degrees build slices over Q, to apply them
+    from rbsys import cohomology, from_rb_operator
+
+    from instances import diagonal_algebra, idempotent_rb_operator
+
+    built = []
+    hochschild, phi_n = cohomology.hochschild_slice, cohomology.phi
+
+    def spy_hochschild(alg, actions, n, *rest):
+        built.append(("hochschild", alg.field, n))
+        return hochschild(alg, actions, n, *rest)
+
+    def spy_phi(n, sys, mod, *rest):
+        built.append(("phi", sys.field, n))
+        return phi_n(n, sys, mod, *rest)
+
+    monkeypatch.setattr(cohomology, "hochschild_slice", spy_hochschild)
+    monkeypatch.setattr(cohomology, "phi", spy_phi)
+    idem2 = from_rb_operator(diagonal_algebra(QQ, 2), idempotent_rb_operator(QQ, 2, [0], 3), 3)[0]
+    report = betti(RBS, idem2, regular_bimodule(idem2), 4)
+    assert report.h == [0] * 5 and set(report.proofs) == {"bounds"}
+    assert built and QQ not in {field for _, field, _ in built}
+    built.clear()
+    tri = triangular_system(QQ, 1, 2)
+    report = betti(RBS, tri, regular_bimodule(tri), 3)
+    assert report.proofs == ["bounds", "witnesses", "witnesses", "witnesses"]
+    # over Q: delta_1..3 and partial_0..2 (Hochschild), phi_1..3; degree 0,
+    # proven by the bounds, builds nothing
+    assert {(what, n) for what, field, n in built if field == QQ} == {
+        ("hochschild", n) for n in range(4)
+    } | {("phi", n) for n in (1, 2, 3)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name, top, ranks, seconds",
+    [
+        ("q_idem3_scramble7", 5, [3, 12, 33, 102, 303, 912], 2),
+        ("q_idem4_scramble7", 4, [4, 20, 76, 308, 1228], 5),
+    ],
+)
+def test_rational_betti_of_an_idem_scramble_in_seconds(name, top, ranks, seconds):
+    # Q idem d = 3 and d = 4 with the regular bimodule, scrambled: the
+    # documents under tests/data were written from the benchmark's seed
+    # families (scrambled_pair with run_rng(7, 0, slot), slots
+    # rl_q_idem3_deg5 and rl_gf5_idem4_deg3).  h = 0 in every degree, so
+    # every rank is proven by the bounds of one prime.  The ranks are those
+    # of the certified elimination over Q, which took 44 s and 114 s on a
+    # 2-vCPU Xeon.  Opt in with pytest -m slow.
+    import time
+    from pathlib import Path
+
+    from rbsys import documents as docs
+
+    data = Path(__file__).resolve().parent / "data"
+    sys = docs.parse_system(docs.load(data / f"{name}.system.json"))
+    mod = docs.parse_bimodule(docs.load(data / f"{name}.bimodule.json"), sys)
+    start = time.perf_counter()
+    report = betti(RBS, sys, mod, top)
+    elapsed = time.perf_counter() - start
+    print(f"{name}: betti to degree {top} in {elapsed:.2f} s")
+    assert [row["rank"] for row in report.rows] == ranks and report.h == [0] * (top + 1)
+    assert set(report.proofs) == {"bounds"}
+    assert elapsed <= seconds
