@@ -61,7 +61,7 @@ from .extensions import (
     h2_extension_census,
 )
 from .systems import check_rbs, star_algebra, check_rb_operator, RotaBaxterSystem
-from .documents import DocumentError
+from .documents import DocumentError, parse_scalar
 from .linalg import QQ
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
@@ -236,7 +236,7 @@ def cmd_les(args, rep):
 
 def cmd_rba_embed(args, rep):
     sys_obj, _ = _load_system(args.system)
-    lam = sys_obj.field.coerce(args.weight)
+    lam = parse_scalar(sys_obj.field, args.weight, "--weight")
     verdict = check_rb_operator(sys_obj.alg, sys_obj.R, lam)
     _require(rep, "rb_operator", verdict, f"R is not a weight-{args.weight} operator")
     report = rba_embedding_check(sys_obj.alg, sys_obj.R, lam, args.max_degree, args.cap)

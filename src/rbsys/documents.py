@@ -85,6 +85,26 @@ def _entry(field, x, what):
     return num, den
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_scalar(field, token, what):
+    """A scalar given as a string, such as a command-line flag, in the
+    grammar of document entries: an ASCII "[-]digits" integer, reduced mod
+    p over GF(p), or over Q also "[-]a/b" with b > 0 (a Fraction over Q).
+    Anything else is a DocumentError naming what and the token."""
+    if _INTEGER.fullmatch(token):
+        try:
+            n = int(token)
+        except ValueError as exc:  # past the digit limit of int
+            raise DocumentError(f"{what}: {_shown(token)}: {exc}") from None
+        return Fraction(n) if field.p is None else n % field.p
+    if field.p is None and _RATIONAL.fullmatch(token):
+        return Fraction(*_entry(field, token, what))
+    grammar = "an integer" if field.p is not None else 'an integer or "[-]a/b"'
+    raise DocumentError(f"{what}: {_shown(token)} is not {grammar}")
+
+
 def _shown(x):
     """A token as an error message names it: its repr, cut after 40
     characters."""

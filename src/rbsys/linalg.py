@@ -82,12 +82,21 @@ paths:
   steps and once at the end.  That is every step near 2^31, every 64
   steps at the primes of the Q path, and more than 2^32 steps apart below
   2^15.
-* Q: elimination modulo primes, then an exact certificate.  The numerator
-  array B has the same RREF as the matrix.  B is reduced modulo primes below
-  2^28, largest first.  There an int64 product of inner size k makes
-  ceil(k/128) numpy calls and Gauss-Jordan reduces every 64 pivot steps,
-  against k/2 calls and every step near 2^31, and one prime still
-  reconstructs every |n|, L <= sqrt(p/2), about 2^13.5.  The primes of the
+* Q: two routes, chosen by the size of the numerator array B, which has
+  the same RREF as the matrix.  B of at most _FRACTION_FREE_SIZE entries
+  is eliminated by fraction-free Gauss-Jordan on Python ints (Bareiss),
+  exact by construction and with no prime (see ``_fraction_free``): after
+  k pivot steps every pivot is the k x k minor D of B on the pivot rows
+  and columns, every other entry of a pivot row is D with one column
+  exchanged (Cramer), and every entry of another row is a (k + 1) x (k + 1)
+  minor of B; so each division by the previous pivot is exact, and the
+  RREF is the pivot rows over the last pivot.  A larger B runs the
+  multimodular route: elimination modulo primes, then an exact
+  certificate.  B is reduced modulo primes below 2^28, largest first.
+  There an int64 product of inner size k makes ceil(k/128) numpy calls
+  and Gauss-Jordan reduces every 64 pivot steps, against k/2 calls and
+  every step near 2^31, and one prime still reconstructs every |n|, L <=
+  sqrt(p/2), about 2^13.5.  The primes of the
   highest rank r and, at that rank, of the lexicographically first pivot
   list P are kept, combined by CRT, and the entries rationally reconstructed
   (Wang, Guy and Davenport) into a candidate R with a common denominator L.
@@ -122,6 +131,19 @@ _Q_PRIME_LIMIT = 1 << 28
 # Integer arrays over Q are int64 while every |entry| is below this bound,
 # so that a sum of two of them cannot wrap.
 _INT64_BOUND = 1 << 62
+# An integer array over Q of at most this many entries is eliminated by
+# fraction-free Gauss-Jordan on Python ints, a larger one modulo primes; the
+# timings that set it are in _fraction_free.
+_FRACTION_FREE_SIZE = 128
+# The rational reconstruction of the free entries of one prime's RREF runs
+# on an int64 array when there are more than this many, else on a Python
+# list, as for several primes.  Timed on the Q inputs above
+# _FRACTION_FREE_SIZE of one document set of les_sweep and deform_extend and
+# of the acceptance tests' Q pairs (reconstruction with its conversions,
+# mean us per input): up to 16 free entries list 13.7, array 22.1; 17-32
+# 11.7 and 16.0; 33-64 21.7 and 20.4; 65-128 46.7 and 27.5; 513-1024 265
+# and 53.
+_LIST_RECONSTRUCT_SIZE = 32
 # Up to this many entries, per-call numpy overhead dominates elimination
 # mod p, and updating the whole array beats updating only the rows that
 # change; timed crossover (int64, GF(5)): between 256 and 900 entries.
@@ -1153,10 +1175,16 @@ def _prime(i):
 
 
 def _rref_rational(b):
-    """RREF over Q of the integer array b by elimination modulo primes,
-    certified exactly: (numerators, denominator, pivot columns).
+    """RREF over Q of the integer array b: (numerators, denominator, pivot
+    columns), the numerators with den at every pivot, their gcd with den 1
+    and den > 0.  Two routes give it, chosen by the size of b: at most
+    _FRACTION_FREE_SIZE entries, fraction-free Gauss-Jordan on Python ints
+    (_fraction_free), exact by construction; above, elimination modulo
+    primes, certified exactly.  The RREF is unique, so both return the same
+    arrays.
 
-    Among the primes tried, those of the highest rank and, at that rank,
+    On the multimodular route, among the primes tried, those of the highest
+    rank and, at that rank,
     of the lexicographically first pivot list are kept; their RREFs are
     combined by CRT and the entries right of the pivots rationally
     reconstructed.  A candidate is returned only once it passes the exact
@@ -1164,6 +1192,8 @@ def _rref_rational(b):
     _prime_budget primes.  By then a correct kernel mod p has certified,
     so running out is a kernel bug: AssertionError.
     """
+    if b.size <= _FRACTION_FREE_SIZE:
+        return _fraction_free(b)
     bmax = _mag(b)
     if bmax == 0:
         return b[:0].copy(), 1, []
@@ -1176,9 +1206,14 @@ def _rref_rational(b):
             best, modulus = key, p
             free = np.ones(b.shape[1], dtype=bool)
             free[pivots] = False
-            x = rp[:, free].ravel().tolist()
+            x = rp[:, free].ravel()
+            if x.size <= _LIST_RECONSTRUCT_SIZE:
+                x = x.tolist()
         elif key == best:
-            # CRT: the residue mod modulus * p that is x mod modulus and rp mod p
+            # CRT on Python ints: the residue mod modulus * p that is x mod
+            # modulus and rp mod p
+            if type(x) is not list:
+                x = x.tolist()
             inv = pow(modulus, -1, p)
             y = rp[:, free].ravel().tolist()
             x = [u + modulus * ((v - u) * inv % p) for u, v in zip(x, y)]
@@ -1189,8 +1224,12 @@ def _rref_rational(b):
         if candidate is None:
             continue
         num, den = candidate
-        nmax = max(map(abs, num), default=0)
-        block = np.array(num, dtype=_dtype_for(nmax)).reshape(len(pivots), b.shape[1] - len(pivots))
+        if type(num) is list:
+            nmax = max(map(abs, num), default=0)
+            num = np.array(num, dtype=_dtype_for(nmax))
+        else:
+            nmax = _mag(num)
+        block = num.reshape(len(pivots), b.shape[1] - len(pivots))
         if _certified(b, bmax * (den + len(pivots) * nmax), pivots, free, block, den):
             break
     else:
@@ -1199,6 +1238,74 @@ def _rref_rational(b):
     r[range(len(pivots)), pivots] = den
     r[:, free] = block
     return r, den, pivots
+
+
+def _fraction_free(b):
+    """RREF over Q of the integer array b as _rref_rational gives it, by
+    fraction-free Gauss-Jordan on Python ints (Bareiss, Math. Comp. 22,
+    1968): no prime, no reconstruction and no certificate.
+
+    A pivot step on the pivot q in column c, with d the previous pivot (1 at
+    first), replaces every other row by (q row - f pivot_row) / d, f its
+    entry in column c.  After k steps, let D be the k x k minor of b on the
+    pivot rows and columns so far.  Every pivot entry is D; every other
+    entry of a pivot row is, by Cramer's rule, D with one column exchanged
+    for another column of b; every entry of another row is, up to sign, the
+    (k + 1) x (k + 1) minor of b that adds that row and that column to D's.
+    All are integers, so each division is exact, and the pivot rows over
+    the last pivot are the RREF.  They are brought to den > 0 and gcd 1.
+
+    Replayed on the Q elimination inputs of document set 0 of the les_sweep
+    and deform_extend benchmark workloads: ms for all inputs of a size, min
+    of 25 alternating rounds (a 2-vCPU Xeon; three runs, the middle one;
+    the ratios repeat within about 15 %, none of the inputs has 193-256
+    entries):
+
+        entries          1-16  17-64  65-96  97-128  129-192  257-512  513-1024
+        inputs            215     56     23      12        4       17         2
+        modulo primes    16.6    6.3    2.7     1.9     0.68      5.4      0.71
+        fraction-free     2.0    1.6    1.7     1.7     0.72     13.7      1.69
+
+    So _FRACTION_FREE_SIZE is 128: up to there the per-call numpy cost,
+    reconstruction and certificate outweigh Python's row arithmetic, which
+    grows as rows x cols x rank; past it the rows lose to numpy's.
+    """
+    rows = b.tolist()
+    m, n = b.shape
+    pivots, d = [], 1
+    for c in range(n):
+        r = len(pivots)
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i], rows[r] = rows[r], prow
+        q = prow[c]
+        for k, row in enumerate(rows):
+            f = row[c]
+            if k == r:
+                continue
+            if f:
+                rows[k] = [(q * x - f * y) // d for x, y in zip(row, prow)]
+            elif q != d and (k < r or any(row)):
+                # f = 0 only scales the row, and a zero row below stays zero
+                rows[k] = [q * x // d for x in row]
+        pivots.append(c)
+        d = q
+        if r + 1 == m:
+            break
+    if not pivots:
+        return b[:0].copy(), 1, []
+    flat = [x for row in rows[: len(pivots)] for x in row]
+    if d < 0:
+        flat, d = [-x for x in flat], -d
+    g = math.gcd(d, *flat)
+    if g > 1:
+        flat, d = [x // g for x in flat], d // g
+    big = max(max(flat), -min(flat))
+    return np.array(flat, dtype=_dtype_for(big)).reshape(len(pivots), n), d, pivots
 
 
 def _prime_budget(shape, bmax):
@@ -1224,6 +1331,9 @@ def _prime_budget(shape, bmax):
 
 def _reconstruct(x, m):
     """Integers n and L with n/L = x mod m, |n|, L <= sqrt(m/2); or None.
+    x is a list of Python ints, and n then a list too, or an int64 array of
+    residues mod one prime m (below 2^28, so x L < 2^42 stays int64), and
+    n then an int64 array.
 
     L is a common denominator, grown from the first entry that needs more.
     Rationals this small are unique when they exist (Wang, Guy and
@@ -1232,12 +1342,20 @@ def _reconstruct(x, m):
     bound, half = math.isqrt(m // 2), m // 2
     den = 1
     while True:
-        num = [v * den % m for v in x] if den > 1 else x
-        num = [v - m if v > half else v for v in num]
-        over = next((i for i, v in enumerate(num) if abs(v) > bound), None)
-        if over is None:
-            return num, den
-        grown = _wang_denominator(x[over], m, bound)
+        if type(x) is list:
+            num = [v * den % m for v in x] if den > 1 else x
+            num = [v - m if v > half else v for v in num]
+            over = next((i for i, v in enumerate(num) if abs(v) > bound), None)
+            if over is None:
+                return num, den
+        else:
+            # m is odd: (v + half) % m - half is v, less m above half
+            num = (x * den + half) % m - half
+            size = np.abs(num)
+            if size.max(initial=0) <= bound:
+                return num, den
+            over = int((size > bound).argmax())
+        grown = _wang_denominator(int(x[over]), m, bound)
         if grown is None:
             return None
         grown = math.lcm(den, grown)

@@ -497,6 +497,17 @@ def _set(doc, path, value):
         ("Q", None, None, ["cohomology", "{sys}", "--cap", "0"], "--cap must be a positive integer, got 0"),
         ("Q", None, None, ["validate", "{sys}", "--cap", "-1"], "--cap must be a positive integer, got -1"),
         (5, None, None, ["extend", "census", "{sys}", "--census-cap", "-1"], "--census-cap must be a non-negative"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "1.5"], """--weight: '1.5' is not an integer or "[-]a/b\""""),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "1e3"], "--weight: '1e3' is not an integer or"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "\u0663"], "--weight: '\u0663' is not an integer or"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "1_000"], "--weight: '1_000' is not an integer or"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "1/-2"], "--weight: '1/-2' is not an integer or"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight=-1/0"], "--weight: entry '-1/0' has a zero denominator"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "7" * 60 + ".5"], "--weight: '" + "7" * 39 + "... (64 characters) is not"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "9" * 5000], "--weight: '" + "9" * 39 + "... (5002 characters): Exceeds"),
+        (5, None, None, ["rba-embed", "{sys}", "--weight", "abc"], "--weight: 'abc' is not an integer"),
+        (5, None, None, ["rba-embed", "{sys}", "--weight", "1/2"], "--weight: '1/2' is not an integer"),
+        (5, None, None, ["rba-embed", "{sys}", "--weight", "\u0663"], "--weight: '\u0663' is not an integer"),
     ],
 )
 def test_malformed_scalars_and_counts_exit_2(field, path, value, extra, message, tmp_path, capsys):

@@ -41,6 +41,19 @@ def test_rational_tokens():
     assert docs.parse_system(doc) == sys2
 
 
+def test_scalar_tokens_of_flags_follow_the_entry_grammar():
+    # integers and "[-]a/b" over Q, as Fractions; integers mod p over GF(p)
+    from fractions import Fraction
+
+    for token, want in (("3", Fraction(3)), ("-3", Fraction(-3)), ("-6/4", Fraction(-3, 2)), ("0/7", Fraction(0))):
+        got = docs.parse_scalar(QQ, token, "--weight")
+        assert got == want and type(got) is Fraction
+    assert [docs.parse_scalar(GF(5), t, "--weight") for t in ("12", "-1", "0")] == [2, 4, 0]
+    for field, token in ((QQ, " 1"), (QQ, "+1"), (QQ, "1/+2"), (GF(5), "1/1"), (GF(5), "")):
+        with pytest.raises(DocumentError, match="--weight: "):
+            docs.parse_scalar(field, token, "--weight")
+
+
 def test_bimodule_round_trip():
     rng = random.Random(0)
     sys = triangular_system(GF(2), 1, 1)

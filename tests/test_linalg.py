@@ -502,6 +502,7 @@ def test_rational_rref_with_the_eager_kernel_is_unchanged(monkeypatch):
     scalars = [0, 1, -3, 2**62 + 7, -(2**61) + 3, Fraction(2**61 + 5, 3), Fraction(5, 2**35), Fraction(-7, 9)]
     m = Matrix.from_rows(QQ, [[rng.choice(scalars) for _ in range(24)] for _ in range(14)])
     m = vstack([m, m.take_rows(0, 4) + m.take_rows(4, 8)])
+    _multimodular(monkeypatch)
     got, got_pivots = m.rref()
     monkeypatch.setattr(linalg, "_gauss_jordan", eager_gauss_jordan)
     want, want_pivots = Matrix(QQ, m.a).rref()
@@ -567,10 +568,20 @@ def test_identity_kron_sum_refuses_a_term_that_does_not_fit():
     assert fits == scatter_identity_kron_sum(GF(5), (8, 4), [(x, 1, 2, 1, 2, 1)])
 
 
-def _primes_tried(monkeypatch):
-    """Record (prime, pivots) of every mod-p elimination."""
+def _multimodular(monkeypatch):
+    """Send every Q elimination to the multimodular route, small ones too."""
     from rbsys import linalg
 
+    monkeypatch.setattr(linalg, "_FRACTION_FREE_SIZE", 0)
+
+
+def _primes_tried(monkeypatch, multimodular=True):
+    """Record (prime, pivots) of every mod-p elimination; if multimodular,
+    every Q input takes the multimodular route."""
+    from rbsys import linalg
+
+    if multimodular:
+        _multimodular(monkeypatch)
     seen = []
     rref_mod = linalg._rref_mod
 
@@ -609,6 +620,7 @@ def test_a_wrong_mod_p_kernel_fails_within_the_prime_budget(monkeypatch):
     # = 246 and the budget is ceil(246 / 54) + ceil(247 / 27) = 5 + 10 = 15
     from rbsys import linalg
 
+    _multimodular(monkeypatch)
     seen = []
     rref_mod = linalg._rref_mod
 
@@ -649,6 +661,119 @@ def test_a_denominator_between_the_reach_of_one_small_and_one_large_prime(monkey
     assert r.den == 14999 and math.isqrt(P1 // 2) < r.den < 2**15
     assert len([p for p, piv in seen if piv == pivots]) >= 2
     _assert_matches_oracle(m, Matrix.column(QQ, [1, Fraction(1, 3)]))
+
+
+def test_reconstruction_on_int64_arrays_equals_it_on_python_ints():
+    # one prime's residues give the same numerators and denominator, or
+    # None, as an int64 array as they do as a list: integers, denominators
+    # that grow the common one, one past sqrt(P1 / 2), an integer that the
+    # grown denominator pushes past the bound, residues of no small rational
+    from rbsys import linalg
+
+    rng = random.Random(41)
+
+    def residues(values):
+        return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, P1) % P1 for v in values]
+
+    cases = [
+        residues(Fraction(rng.randint(-50, 50), rng.choice(dens)) for _ in range(40))
+        for dens in ([1], [1, 2, 3], [7, 11, 13], [1, 11587])
+    ]
+    cases += [residues([Fraction(1, 2), 10000]), [rng.randrange(P1) for _ in range(40)], []]
+    for x in cases:
+        want = linalg._reconstruct(x, P1)
+        got = linalg._reconstruct(np.array(x, dtype=np.int64), P1)
+        if want is None:
+            assert got is None
+        else:
+            assert got[1] == want[1] and got[0].dtype == np.int64 and got[0].tolist() == want[0]
+    assert [linalg._reconstruct(x, P1) is None for x in cases] == [False, False, False, True, True, True, False]
+
+
+# -- the fraction-free route over Q -------------------------------------------
+
+
+def _fraction_free_cases():
+    """Q matrices of at most _FRACTION_FREE_SIZE entries: 1 x n and n x 1 up
+    to the cut-over, zero rows and columns, rank-deficient products, entries
+    past 2^62 and denominators past 2^31."""
+    from rbsys.linalg import _FRACTION_FREE_SIZE
+
+    rng = random.Random(127)
+    small = [0, 0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-7, 3)]
+    huge = small + [2**62 + 7, -(2**63) + 1, Fraction(2**70 + 1, 3), Fraction(5, 2**31 + 11), Fraction(-1, 2**40)]
+
+    def mat(rows, cols, scalars):
+        return Matrix.from_rows(QQ, [[rng.choice(scalars) for _ in range(cols)] for _ in range(rows)])
+
+    cases = []
+    for scalars in (small, huge):
+        for rows, cols in ((1, _FRACTION_FREE_SIZE), (_FRACTION_FREE_SIZE, 1), (1, 1), (1, 7), (7, 1), (8, 16), (16, 8)):
+            cases.append(mat(rows, cols, scalars))
+        for rows, inner, cols in ((6, 2, 9), (9, 3, 6), (11, 1, 11), (4, 4, 4), (3, 5, 8)):
+            cases.append(mat(rows, inner, scalars) @ mat(inner, cols, scalars))
+        holes = mat(10, 12, scalars).num.copy()
+        holes[[0, 4, 9]] = 0
+        holes[:, [0, 5, 11]] = 0
+        cases.append(Matrix.rational(holes.ravel().tolist(), 1, holes.shape))
+    cases += [Matrix.zeros(QQ, 4, 6), Matrix.zeros(QQ, 0, 5), Matrix.zeros(QQ, 5, 0)]
+    assert all(m.rows * m.cols <= _FRACTION_FREE_SIZE for m in cases)
+    assert any(m.num.dtype == object for m in cases) and any(m.den > 2**31 for m in cases)
+    return cases
+
+
+def test_fraction_free_route_matches_sympy(monkeypatch):
+    # no prime is tried for the RREF up to the cut-over, and the RREF,
+    # pivots, kernel and solve are sympy's (solve eliminates [m | b], which
+    # may lie past the cut-over)
+    seen = _primes_tried(monkeypatch, multimodular=False)
+    rng = random.Random(128)
+    for m in _fraction_free_cases():
+        m.rref()
+        assert seen == []
+        b = Matrix.column(QQ, [rng.choice([0, 1, -2, Fraction(3, 5)]) for _ in range(m.rows)])
+        _assert_matches_oracle(m, b)
+        seen.clear()
+
+
+def test_fraction_free_route_is_byte_equal_to_the_multimodular_route(monkeypatch):
+    from rbsys import linalg
+
+    cases = _fraction_free_cases()
+    got = [linalg._rref_array(m.num, QQ) for m in cases]
+    _multimodular(monkeypatch)
+    for m, (r, den, pivots) in zip(cases, got):
+        want, want_den, want_pivots = linalg._rref_array(m.num, QQ)
+        assert (den, pivots) == (want_den, want_pivots) and type(den) is int
+        assert r.dtype == want.dtype and r.shape == want.shape and np.array_equal(r, want)
+        assert [type(x) for x in r.ravel().tolist()] == [type(x) for x in want.ravel().tolist()]
+
+
+def test_the_cut_over_sends_the_next_size_to_the_primes(monkeypatch):
+    # at the cut-over no prime is tried; one entry more and one prime
+    # reconstructs and certifies
+    from rbsys.linalg import _FRACTION_FREE_SIZE
+
+    seen = _primes_tried(monkeypatch, multimodular=False)
+    rng = random.Random(129)
+    for cols, primes in ((_FRACTION_FREE_SIZE, []), (_FRACTION_FREE_SIZE + 1, [P1])):
+        seen.clear()
+        m = Matrix.from_rows(QQ, [[rng.choice([0, 1, -2, 3]) for _ in range(cols)]])
+        assert m.rref()[0].entries() == sympy_rref(m)[0]
+        assert [p for p, _ in seen] == primes
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(data=st.data())
+def test_multimodular_route_matches_sympy_on_small_matrices(data):
+    # the oracle cases of test_elimination_matches_sympy over Q, which the
+    # fraction-free route takes, on the multimodular route
+    from rbsys import linalg
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_FRACTION_FREE_SIZE", 0)
+        _assert_matches_oracle(*data.draw(_matrix_pair(QQ)))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -769,13 +894,16 @@ def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows, low, high):
             candidates.append(out)
             if len(candidates) == 1:
                 num, den = out
-                return [num[0] + 1] + num[1:], den
+                num = num.copy()
+                num[0] += 1
+                return num, den
         return out
 
     def spy(b, h, *args):
         checks.append((h, certified(b, h, *args)))
         return checks[-1][1]
 
+    _multimodular(monkeypatch)
     monkeypatch.setattr(linalg, "_reconstruct", wrong_once)
     monkeypatch.setattr(linalg, "_certified", spy)
     m = Matrix.from_rows(QQ, rows)
