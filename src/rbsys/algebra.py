@@ -1,13 +1,14 @@
 """Finite-dimensional associative algebras, bimodules, and multilinear maps.
 
-An algebra is a structure-constant tensor c[i][j][k] (e_i e_j = sum_k
-c[i][j][k] e_k); a bimodule is a pair of action tensors.  Multilinear maps
-A^(x)n -> M are stored as m x d^n matrices against a single project-wide
-column convention: the tuple (i_1, ..., i_n) of 0-based basis indices sits
-in column sum_k i_k * d^(n-k), i.e. big-endian lexicographic.  All Kronecker
-assembly elsewhere relies on this one convention.  The pair tensor_matrix /
-matrix_tensor is the one place it is coded for tensors: an (a, b, k) tensor
-t is the k x ab matrix whose column i b + j holds t[i][j][:].
+An algebra is stored as the d x d^2 matrix of its multiplication and a
+bimodule as the matrices of its actions; multilinear maps A^(x)n -> M as m
+x d^n matrices.  One column convention holds project-wide: the tuple (i_1,
+..., i_n) of 0-based basis indices sits in column sum_k i_k * d^(n-k),
+i.e. big-endian lexicographic.  Structure-constant tensors c[i][j][k] (e_i
+e_j = sum_k c[i][j][k] e_k) and action tensors are views for documents and
+tests: an (a, b, k) tensor t is the k x ab matrix whose column i b + j
+holds t[i][j][:], as coded in tensor_matrix / matrix_tensor and, for
+documents, in documents._parse_tensor3.
 
 Algebras need not be unital; nothing here assumes a unit.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import QQ, Matrix, kron_all
+from .linalg import QQ, Matrix, kron_all, regroup_columns
 
 
 class Verdict:
@@ -115,69 +116,69 @@ def decode_tuple(d, n, col):
     return tuple(reversed(out))
 
 
-def tensor_matrix(field, t):
-    """The (a, b, k) tensor t as a k x ab matrix: column i b + j holds t[i, j, :]."""
-    a, b, k = t.shape
-    return Matrix(field, t.transpose(2, 0, 1).reshape(k, a * b).copy())
-
-
-def matrix_tensor(mat, a, b):
-    """Inverse of tensor_matrix: the (a, b, k) tensor of a k x ab matrix."""
-    return mat.a.reshape(mat.rows, a, b).transpose(1, 2, 0)
-
-
-def _tensor3(field, data, shape):
-    """data as a read-only array of canonical scalars of field.  An int64
-    array over a field stored in int64 is reduced mod p in one pass, which
-    is what coerce does entry by entry; over Q, ints and Fractions are
-    canonical already; anything else goes through coerce as one flat list,
-    so floats and booleans are refused."""
+def tensor_matrix(field, data, shape):
+    """The (a, b, k) tensor data as a k x ab matrix over field: column i b +
+    j holds data[i][j][:].  The entries become canonical scalars of field:
+    an int64 array over a field stored in int64 is reduced mod p in one
+    pass, which is what coerce does entry by entry; over Q, ints and
+    Fractions are canonical already; anything else goes through coerce as
+    one flat list, so floats and booleans are refused."""
     if list(np.shape(data)) != list(shape):
         raise ValueError(f"tensor has shape {np.shape(data)}, expected {shape}")
     if isinstance(data, np.ndarray) and data.dtype == np.int64 and field.dtype == np.int64:
-        a = data % field.p
+        t = data % field.p
     else:
         flat = np.asarray(data, dtype=object).ravel().tolist()
         if field.p is not None or not set(map(type, flat)) <= {int, Fraction}:
             flat = [field.coerce(x) for x in flat]
-        a = np.array(flat, dtype=field.dtype).reshape(shape)
-    a.setflags(write=False)
-    return a
+        t = np.array(flat, dtype=field.dtype).reshape(shape)
+    a, b, k = shape
+    return Matrix(field, t.transpose(2, 0, 1).reshape(k, a * b).copy())
+
+
+def matrix_tensor(mat, a, b):
+    """Inverse of tensor_matrix: the (a, b, k) tensor of a k x ab matrix, a
+    read-only view of its entries (``Matrix.a``)."""
+    return mat.a.reshape(mat.rows, a, b).transpose(1, 2, 0)
 
 
 class Algebra:
-    """Associative algebra given by structure constants over an exact field."""
+    """Associative algebra over an exact field, stored as the d x d^2 matrix
+    of its multiplication, read from a structure-constant tensor or given
+    (from_matrix)."""
 
-    __slots__ = ("field", "dim", "mult", "_mult_matrix", "_assoc")
+    __slots__ = ("field", "dim", "_mult_matrix", "_assoc")
 
     def __init__(self, field, dim, mult):
-        self.field = field
-        self.dim = dim
-        self.mult = _tensor3(field, mult, (dim, dim, dim))
-        self._mult_matrix = None
+        self.field, self.dim = field, dim
+        self._mult_matrix = tensor_matrix(field, mult, (dim, dim, dim))
         self._assoc = None  # verdict of check_associative, once computed
+
+    @classmethod
+    def from_matrix(cls, mult):
+        """The algebra whose multiplication is the d x d^2 matrix mult."""
+        alg = cls.__new__(cls)
+        alg.field, alg.dim, alg._mult_matrix, alg._assoc = mult.field, mult.rows, mult, None
+        return alg
+
+    @property
+    def mult(self):
+        """The structure constants as a read-only (d, d, d) tensor view."""
+        return matrix_tensor(self._mult_matrix, self.dim, self.dim)
 
     def mult_matrix(self):
         """The multiplication as a d x d^2 matrix on tuple columns."""
-        if self._mult_matrix is None:
-            self._mult_matrix = tensor_matrix(self.field, self.mult)
         return self._mult_matrix
 
     def multiply(self, x, y):
         """Product of two coordinate columns."""
-        return self.mult_matrix() @ x.kron(y)
+        return self._mult_matrix @ x.kron(y)
 
     def constant(self, i, j, k):
-        x = self.mult[i, j, k]
-        return int(x) if isinstance(x, np.integer) else x
+        return self._mult_matrix[k, i * self.dim + j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Algebra)
-            and self.field == other.field
-            and self.dim == other.dim
-            and bool(np.array_equal(self.mult, other.mult))
-        )
+        return isinstance(other, Algebra) and self._mult_matrix == other._mult_matrix
 
     def __repr__(self):
         return f"Algebra({self.field}, dim={self.dim})"
@@ -185,7 +186,7 @@ class Algebra:
 
 def zero_algebra(field, dim):
     """The dim-dimensional algebra with identically zero multiplication."""
-    return Algebra(field, dim, np.zeros((dim, dim, dim), dtype=field.dtype))
+    return Algebra.from_matrix(Matrix.zeros(field, dim, dim * dim))
 
 
 def check_associative(alg):
@@ -202,74 +203,84 @@ def check_associative(alg):
 
 def check_nondegenerate(alg):
     """Fail when some nonzero b has bA = 0 or Ab = 0."""
-    d, c = alg.dim, alg.mult
-    # b -> (b e_i)_i and b -> (e_i b)_i as (i, k) x b matrices
-    right_stack = c.reshape(d, d * d).T
-    left_stack = c.transpose(0, 2, 1).reshape(d * d, d)
-    for tag, stack in (("right_annihilator", right_stack), ("left_annihilator", left_stack)):
-        ker = Matrix(alg.field, stack.copy()).kernel_basis()
+    mu, d = alg.mult_matrix(), alg.dim
+    # b -> (b e_i)_i and b -> (e_i b)_i as (i, k) x b matrices: mu has
+    # (e_b e_i)_k at column b d + i, and mu regrouped has (e_i e_b)_k there
+    for tag, mult in (("right_annihilator", mu), ("left_annihilator", regroup_columns(mu, d, d))):
+        ker = mult.transpose().reshape(d, d * d).transpose().kernel_basis()
         if ker.cols > 0:
             return Verdict(False, tag=tag, witness=ker.col(0).entries())
     return Verdict(True)
 
 
 class BimoduleActions:
-    """Left/right action tensors of an algebra on an m-dimensional space.
+    """Left and right actions of a d-dimensional algebra on an m-dimensional
+    space, stored as the m x dm matrix of a (x) f -> a.f and the m x md
+    matrix of f (x) a -> f.a, read from the action tensors or given
+    (from_matrices).  The tensors are read-only views:
 
     left[i][u][v]: coefficient of f_v in e_i . f_u
     right[u][i][v]: coefficient of f_v in f_u . e_i
     """
 
-    __slots__ = (
-        "field", "adim", "dim", "left", "right", "_left_matrix", "_right_matrix", "_right_slices"
-    )
+    __slots__ = ("field", "adim", "dim", "_left_matrix", "_right_matrix", "_right_slices")
 
     def __init__(self, field, adim, dim, left, right):
-        self.field = field
-        self.adim = adim
-        self.dim = dim
-        self.left = _tensor3(field, left, (adim, dim, dim))
-        self.right = _tensor3(field, right, (dim, adim, dim))
-        self._left_matrix = self._right_matrix = self._right_slices = None
+        self.field, self.adim, self.dim, self._right_slices = field, adim, dim, None
+        self._left_matrix = tensor_matrix(field, left, (adim, dim, dim))
+        self._right_matrix = tensor_matrix(field, right, (dim, adim, dim))
+
+    @classmethod
+    def from_matrices(cls, adim, left, right):
+        """The actions of an adim-dimensional algebra whose matrices are
+        left (m x adim m) and right (m x m adim)."""
+        acts = cls.__new__(cls)
+        acts.field, acts.adim, acts.dim, acts._right_slices = left.field, adim, left.rows, None
+        acts._left_matrix, acts._right_matrix = left, right
+        return acts
+
+    @property
+    def left(self):
+        """The left action as a read-only (d, m, m) tensor view."""
+        return matrix_tensor(self._left_matrix, self.adim, self.dim)
+
+    @property
+    def right(self):
+        """The right action as a read-only (m, d, m) tensor view."""
+        return matrix_tensor(self._right_matrix, self.dim, self.adim)
 
     def left_matrix(self):
         """Action A (x) M -> M as an m x (d m) matrix."""
-        if self._left_matrix is None:
-            self._left_matrix = tensor_matrix(self.field, self.left)
         return self._left_matrix
 
     def right_matrix(self):
         """Action M (x) A -> M as an m x (m d) matrix."""
-        if self._right_matrix is None:
-            self._right_matrix = tensor_matrix(self.field, self.right)
         return self._right_matrix
 
     def stacked_left(self):
         """(m d) x m matrix with block row (v, i) built from left[i][u][v]."""
-        m, d = self.dim, self.adim
-        return self.left_matrix().reshape(m * d, m)
+        return self._left_matrix.reshape(self.dim * self.adim, self.dim)
 
     def right_slices(self):
-        """For each basis index j of A, the m x m matrix of . e_j."""
+        """For each basis index j of A, the m x m matrix of . e_j: the
+        columns j, j + d, ... of the right matrix."""
         if self._right_slices is None:
-            self._right_slices = tuple(
-                Matrix(self.field, self.right[:, j, :].T.copy()) for j in range(self.adim)
-            )
+            rho, d = self._right_matrix, self.adim
+            self._right_slices = tuple(rho.columns(list(range(j, rho.cols, d))) for j in range(d))
         return self._right_slices
 
     def act_left(self, a_col, m_col):
-        return self.left_matrix() @ a_col.kron(m_col)
+        return self._left_matrix @ a_col.kron(m_col)
 
     def act_right(self, m_col, a_col):
-        return self.right_matrix() @ m_col.kron(a_col)
+        return self._right_matrix @ m_col.kron(a_col)
 
     def __eq__(self, other):
         return (
             isinstance(other, BimoduleActions)
-            and self.field == other.field
-            and (self.adim, self.dim) == (other.adim, other.dim)
-            and bool(np.array_equal(self.left, other.left))
-            and bool(np.array_equal(self.right, other.right))
+            and self.adim == other.adim
+            and self._left_matrix == other._left_matrix
+            and self._right_matrix == other._right_matrix
         )
 
     def __repr__(self):
@@ -277,14 +288,14 @@ class BimoduleActions:
 
 
 def zero_actions(field, adim, dim):
-    z = np.zeros((adim, dim, dim), dtype=field.dtype)
-    zr = np.zeros((dim, adim, dim), dtype=field.dtype)
-    return BimoduleActions(field, adim, dim, z, zr)
+    zero = Matrix.zeros(field, dim, adim * dim)
+    return BimoduleActions.from_matrices(adim, zero, zero)
 
 
 def regular_actions(alg):
     """The algebra acting on itself by multiplication."""
-    return BimoduleActions(alg.field, alg.dim, alg.dim, alg.mult, alg.mult)
+    mu = alg.mult_matrix()
+    return BimoduleActions.from_matrices(alg.dim, mu, mu)
 
 
 def check_bimodule(alg, actions):

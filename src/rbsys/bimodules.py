@@ -8,7 +8,7 @@ twisted actions
     a |> (m1, m2) = (R(a)m1 - R_M(a m2), S(a)m2 - S_M(a m2))
     (m1, m2) <| a = (m1 R(a) - R_M(m1 a), m2 S(a) - S_M(m1 a))
 
-D(M) is materialised as explicit action tensors on a 2m-dimensional space
+D(M) is materialised as explicit action matrices on a 2m-dimensional space
 so the generic Hochschild machinery can consume it unchanged.
 """
 
@@ -21,10 +21,9 @@ from .algebra import (
     BimoduleActions,
     check_bimodule,
     first_failure,
-    matrix_tensor,
     regular_actions,
 )
-from .linalg import Matrix, block_diag, hstack, vstack
+from .linalg import Matrix, assemble, block_diag, hstack, vstack
 from .systems import (
     RotaBaxterSystem,
     _star_algebra_unchecked,
@@ -117,15 +116,8 @@ def _rbs_bimodule_verdict(mod):
 
 def semidirect_maps(field, d, m):
     """Canonical inclusion A -> A (+) M and projection A (+) M -> A."""
-    iota = Matrix(field, np.vstack([
-        np.eye(d, dtype=field.dtype),
-        np.zeros((m, d), dtype=field.dtype),
-    ]))
-    pi = Matrix(field, np.hstack([
-        np.eye(d, dtype=field.dtype),
-        np.zeros((d, m), dtype=field.dtype),
-    ]))
-    return iota, pi
+    iota = vstack([Matrix.identity(field, d), Matrix.zeros(field, m, d)])
+    return iota, iota.transpose()
 
 
 def semidirect_product(mod):
@@ -152,17 +144,19 @@ def _square_zero_system(mod, psi, chi_r, chi_s):
     sys = mod.base
     field, d, m = mod.field, sys.dim, mod.dim
     n = d + m
-    mult = np.zeros((n, n, n), dtype=field.dtype)
-    mult[:d, :d, :d] = sys.alg.mult
-    mult[:d, :d, d:] = matrix_tensor(psi, d, d)
-    mult[:d, d:, d:] = mod.actions.left
-    mult[d:, :d, d:] = mod.actions.right
+    # e_i e_j has coefficient [k, i, j] at e_k; indices below d are in A
+    mult = assemble((n, n, n), [
+        (sys.alg.mult_matrix(), np.s_[:d, :d, :d]),
+        (psi, np.s_[d:, :d, :d]),
+        (mod.actions.left_matrix(), np.s_[d:, :d, d:]),
+        (mod.actions.right_matrix(), np.s_[d:, d:, :d]),
+    ])
 
     def lower(op, chi, op_m):
         return vstack([hstack([op, Matrix.zeros(field, d, m)]), hstack([chi, op_m])])
 
     return RotaBaxterSystem(
-        Algebra(field, n, mult), lower(sys.R, chi_r, mod.RM), lower(sys.S, chi_s, mod.SM)
+        Algebra.from_matrix(mult), lower(sys.R, chi_r, mod.RM), lower(sys.S, chi_s, mod.SM)
     )
 
 
@@ -217,20 +211,22 @@ def _d_module_unchecked(mod):
     lam, rho = mod.actions.left_matrix(), mod.actions.right_matrix()
     idm = Matrix.identity(field, m)
     R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
-    left = np.zeros((d, 2 * m, 2 * m), dtype=field.dtype)
-    right = np.zeros((2 * m, d, 2 * m), dtype=field.dtype)
-    # e_i |> (f_u, 0) = (R(e_i) f_u, 0)
-    left[:, :m, :m] = matrix_tensor(lam @ R.kron(idm), d, m)
-    # e_i |> (0, f_u) = (-R_M(e_i f_u), S(e_i) f_u - S_M(e_i f_u))
-    left[:, m:, :m] = matrix_tensor(-(RM @ lam), d, m)
-    left[:, m:, m:] = matrix_tensor(lam @ S.kron(idm) - SM @ lam, d, m)
-    # (f_u, 0) <| e_i = (f_u R(e_i) - R_M(f_u e_i), -S_M(f_u e_i))
-    right[:m, :, :m] = matrix_tensor(rho @ idm.kron(R) - RM @ rho, m, d)
-    right[:m, :, m:] = matrix_tensor(-(SM @ rho), m, d)
-    # (0, f_u) <| e_i = (0, f_u S(e_i))
-    right[m:, :, m:] = matrix_tensor(rho @ idm.kron(S), m, d)
-    star = _star_algebra_unchecked(sys)
-    return DModule(star, BimoduleActions(field, d, 2 * m, left, right))
+    # e_i |> f_u and f_u <| e_i have coefficients [v, i, u] and [v, u, i] at f_v
+    left = assemble((2 * m, d, 2 * m), [
+        # e_i |> (f_u, 0) = (R(e_i) f_u, 0)
+        (lam @ R.kron(idm), np.s_[:m, :, :m]),
+        # e_i |> (0, f_u) = (-R_M(e_i f_u), S(e_i) f_u - S_M(e_i f_u))
+        (-(RM @ lam), np.s_[:m, :, m:]),
+        (lam @ S.kron(idm) - SM @ lam, np.s_[m:, :, m:]),
+    ])
+    right = assemble((2 * m, 2 * m, d), [
+        # (f_u, 0) <| e_i = (f_u R(e_i) - R_M(f_u e_i), -S_M(f_u e_i))
+        (rho @ idm.kron(R) - RM @ rho, np.s_[:m, :m, :]),
+        (-(SM @ rho), np.s_[m:, :m, :]),
+        # (0, f_u) <| e_i = (0, f_u S(e_i))
+        (rho @ idm.kron(S), np.s_[m:, m:, :]),
+    ])
+    return DModule(_star_algebra_unchecked(sys), BimoduleActions.from_matrices(d, left, right))
 
 
 def d_module_rbs(mod):
@@ -263,8 +259,7 @@ def conjugate_bimodule(mod, P, Q):
     if Pinv is None or Qinv is None:
         raise ValueError("base change matrix is singular")
     sys2 = conjugate_system(mod.base, P)
-    field, d, m = mod.field, mod.base.dim, mod.dim
     lam = Qinv @ mod.actions.left_matrix() @ P.kron(Q)
     rho = Qinv @ mod.actions.right_matrix() @ Q.kron(P)
-    actions = BimoduleActions(field, d, m, matrix_tensor(lam, d, m), matrix_tensor(rho, m, d))
+    actions = BimoduleActions.from_matrices(mod.base.dim, lam, rho)
     return RBSBimodule(sys2, actions, Qinv @ mod.RM @ Q, Qinv @ mod.SM @ Q)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys as _sys
 
 from . import documents as docs
@@ -418,6 +419,8 @@ def _build_parser():
 
     p = leaf(subs, "rba-embed", cmd_rba_embed, "system", help="weight-lambda embedding check")
     p.add_argument("--weight", required=True, help="weight lambda (exact scalar)")
+    # argparse takes "-..." for an option unless this matches it; add -a/b
+    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     group = subs.add_parser("deform", help="deformation commands")
     deform = group.add_subparsers(dest="deform_cmd", required=True)

@@ -71,7 +71,6 @@ from .algebra import (
     Algebra,
     BimoduleActions,
     Verdict,
-    matrix_tensor,
     multimap_from_vector,
     multimap_vector,
 )
@@ -586,14 +585,11 @@ def _witnessed(cx, cp, tag, n, kernel):
 def _modulo_prime_pair(sys, mod):
     """The pair reduced modulo the prime that linalg.modulo_prime picks for
     its structure constants and operators; no axiom is checked again."""
-    d, m = sys.dim, mod.dim
     acts = mod.actions
     mats = [sys.alg.mult_matrix(), sys.R, sys.S, acts.left_matrix(), acts.right_matrix(), mod.RM, mod.SM]
     mult, R, S, left, right, RM, SM = modulo_prime(mats)
-    field = mult.field
-    base = RotaBaxterSystem(Algebra(field, d, matrix_tensor(mult, d, d)), R, S)
-    actions = BimoduleActions(field, d, m, matrix_tensor(left, d, m), matrix_tensor(right, m, d))
-    return base, RBSBimodule(base, actions, RM, SM)
+    base = RotaBaxterSystem(Algebra.from_matrix(mult), R, S)
+    return base, RBSBimodule(base, BimoduleActions.from_matrices(sys.dim, left, right), RM, SM)
 
 
 # -- cochain packing -------------------------------------------------------
@@ -794,13 +790,16 @@ def _dbar_display_slice(sys, lam, n, cap=None):
     (A, R(a)b + a(R+lam)(b)) with coefficients in A under the twisted
     actions a.h = R(a)h and h.b = h(R+lam)(b).
     """
-    field, d = sys.field, sys.dim
-    mu, idd = sys.alg.mult_matrix(), Matrix.identity(field, d)
+    return -hochschild_slice(*_twisted_star(sys, lam), n - 1, cap)
+
+
+def _twisted_star(sys, lam):
+    """The star algebra (A, R(a)b + a(R+lam)(b)) and its twisted actions
+    a.h = R(a)h and h.b = h(R+lam)(b) on A."""
+    mu, idd = sys.alg.mult_matrix(), Matrix.identity(sys.field, sys.dim)
     left = mu @ sys.R.kron(idd)
     right = mu @ idd.kron(sys.R + idd.scale(lam))
-    star = Algebra(field, d, matrix_tensor(left + right, d, d))
-    twisted = BimoduleActions(field, d, d, matrix_tensor(left, d, d), matrix_tensor(right, d, d))
-    return -hochschild_slice(star, twisted, n - 1, cap)
+    return Algebra.from_matrix(left + right), BimoduleActions.from_matrices(sys.dim, left, right)
 
 
 class EmbeddingReport:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Algebra, BimoduleActions, MultiMap, _tensor3, matrix_tensor, tensor_matrix
+from .algebra import Algebra, BimoduleActions, MultiMap, matrix_tensor
 from .bimodules import RBSBimodule
 from .deformation import DeformationData, OperatorDeformation
 from .extensions import Cocycle2, ExtensionData, ExtensionIso
@@ -116,11 +116,12 @@ def _shaped(data, shape, what):
     """The entries of nested lists of the given shape, row-major; the lists
     are checked before anything is allocated, as a "dim" alone can name any
     size."""
-    if not isinstance(data, list) or len(data) != shape[0]:
-        raise DocumentError(f"{what}: expected shape {shape}")
-    if len(shape) == 1:
-        return data
-    return [x for part in data for x in _shaped(part, shape[1:], what)]
+    level = [data]
+    for n in shape:
+        if not all(isinstance(part, list) and len(part) == n for part in level):
+            raise DocumentError(f"{what}: expected shape {shape}")
+        level = [x for part in level for x in part]
+    return level
 
 
 def _parse_matrix(field, data, rows, cols, what):
@@ -129,34 +130,37 @@ def _parse_matrix(field, data, rows, cols, what):
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"{what}: expected {cols} columns per row")
-    entries = [_entry(field, x, what) for row in data for x in row]
+    return _entries_matrix(field, [x for row in data for x in row], rows, cols, what)
+
+
+def _entries_matrix(field, flat, rows, cols, what):
+    """The rows x cols matrix of the entries flat, row-major, each checked
+    by _entry; a list of ints is checked in one pass."""
     if field.p is not None:
+        if not all(type(x) is int and 0 <= x < field.p for x in flat):
+            for x in flat:
+                _entry(field, x, what)
         # checked entries are residues already: one array in the field's dtype
-        return Matrix(field, np.array(entries, dtype=field.dtype).reshape(rows, cols))
+        return Matrix(field, np.array(flat, dtype=field.dtype).reshape(rows, cols))
     # numerators over one denominator, with no Fraction per entry
+    entries = [(x, 1) if type(x) is int else _entry(field, x, what) for x in flat]
     den = math.lcm(*(d for _, d in entries))
     return Matrix.rational([n * (den // d) for n, d in entries], den, (rows, cols))
 
 
 def _parse_tensor3(field, data, shape, what):
-    """The tensor as an array of the field's scalars: residues over GF(p),
-    over Q an int per integral entry and a Fraction per other one."""
-    entries = [_entry(field, x, what) for x in _shaped(data, shape, what)]
-    if field.p is None:
-        entries = [n if d == 1 else Fraction(n, d) for n, d in entries]
-    return np.array(entries, dtype=field.dtype).reshape(shape)
+    """The (a, b, k) tensor as its k x ab matrix, the transpose of the ab x k
+    matrix of its entries, row-major (see algebra.tensor_matrix)."""
+    a, b, k = shape
+    return _entries_matrix(field, _shaped(data, shape, what), a * b, k, what).transpose()
 
 
 def _matrix_tokens(mat):
-    f = mat.field
-    return [[f.scalar_token(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]
+    return [[mat.field.scalar_token(x) for x in row] for row in mat.entries()]
 
 
 def _tensor_tokens(field, tensor):
-    out = []
-    for plane in tensor:
-        out.append([[field.scalar_token(x if not isinstance(x, np.integer) else int(x)) for x in row] for row in plane])
-    return out
+    return [[[field.scalar_token(x) for x in row] for row in plane] for plane in tensor.tolist()]
 
 
 def _require(doc, kind):
@@ -201,11 +205,7 @@ def parse_system(doc):
     _require(doc, "system")
     field = _parse_field(doc.get("field"))
     dim = _count(doc, "dim", 1, "positive")
-    tensor = _parse_tensor3(field, doc.get("mult"), (dim, dim, dim), "mult")
-    try:
-        alg = Algebra(field, dim, tensor)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"mult: {exc}") from exc
+    alg = Algebra.from_matrix(_parse_tensor3(field, doc.get("mult"), (dim, dim, dim), "mult"))
     R = _parse_matrix(field, doc.get("R"), dim, dim, "R")
     S = _parse_matrix(field, doc.get("S"), dim, dim, "S")
     return RotaBaxterSystem(alg, R, S)
@@ -235,10 +235,7 @@ def parse_bimodule(doc, sys):
     d, field = sys.dim, sys.field
     left = _parse_tensor3(field, doc.get("left"), (d, m, m), "left")
     right = _parse_tensor3(field, doc.get("right"), (m, d, m), "right")
-    try:
-        actions = BimoduleActions(field, d, m, left, right)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"actions: {exc}") from exc
+    actions = BimoduleActions.from_matrices(d, left, right)
     RM = _parse_matrix(field, doc.get("R_M"), m, m, "R_M")
     SM = _parse_matrix(field, doc.get("S_M"), m, m, "S_M")
     return RBSBimodule(sys, actions, RM, SM)
@@ -308,13 +305,7 @@ def parse_deformation(doc, sys):
     mus_data = doc["mus"]
     if not isinstance(mus_data, list) or len(mus_data) != order + 1:
         raise DocumentError(f'"mus" must list {order + 1} tensors')
-    mus = []
-    for k, data in enumerate(mus_data):
-        tensor = _parse_tensor3(field, data, (d, d, d), f"mus[{k}]")
-        try:
-            mus.append(tensor_matrix(field, _tensor3(field, tensor, (d, d, d))))
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"mus[{k}]: {exc}") from exc
+    mus = [_parse_tensor3(field, data, (d, d, d), f"mus[{k}]") for k, data in enumerate(mus_data)]
     return DeformationData(order, mus, Rs, Ss)
 
 

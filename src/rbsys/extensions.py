@@ -27,7 +27,6 @@ from .algebra import (
     MultiMap,
     Verdict,
     check_associative,
-    matrix_tensor,
     multimap_vector,
 )
 from .bimodules import RBSBimodule, _square_zero_system, check_rbs_bimodule, semidirect_maps
@@ -225,9 +224,7 @@ def canonical_section(ext):
 def induced_base_system(ext, section=None):
     """The quotient system carried by the projection (independent of section)."""
     t = canonical_section(ext) if section is None else section
-    d = ext.base_dim
-    mu = ext.proj @ ext.hat.alg.mult_matrix() @ t.kron(t)
-    alg = Algebra(ext.hat.field, d, matrix_tensor(mu, d, d))
+    alg = Algebra.from_matrix(ext.proj @ ext.hat.alg.mult_matrix() @ t.kron(t))
     return RotaBaxterSystem(alg, ext.proj @ ext.hat.R @ t, ext.proj @ ext.hat.S @ t)
 
 
@@ -239,7 +236,7 @@ def induced_bimodule(ext, section=None):
     result does not depend on the section and is verified.
     """
     t = canonical_section(ext) if section is None else section
-    field, d, m = ext.hat.field, ext.base_dim, ext.fiber_dim
+    field, d = ext.hat.field, ext.base_dim
     if ext.proj @ t != Matrix.identity(field, d):
         raise ValueError("not a section of the projection")
     sys = induced_base_system(ext, t)
@@ -252,8 +249,7 @@ def induced_bimodule(ext, section=None):
     rho = ext.incl.solve(mu_hat @ ext.incl.kron(t))
     if lam is None or rho is None:
         raise ValueError("kernel is not an ideal")
-    actions = BimoduleActions(field, d, m, matrix_tensor(lam, d, m), matrix_tensor(rho, m, d))
-    mod = RBSBimodule(sys, actions, rm, sm)
+    mod = RBSBimodule(sys, BimoduleActions.from_matrices(d, lam, rho), rm, sm)
     check_rbs_bimodule(mod).require("induced bimodule failed the axioms", AssertionError)
     return mod
 

@@ -16,10 +16,10 @@ above.  Over Q it stores one integer numerator array and one positive
 denominator in canonical form: the gcd of the denominator and all the
 numerators is 1, so equal matrices store equal arrays.  The numerators are
 int64 while every |n| < 2^62 and Python ints otherwise.  Over Q,
-``Matrix.a`` is a view of the entries as Python ints and Fractions for the
-readers outside this module, built on first use and kept; a matrix built
-from Python scalars keeps them as that view, and every entry of an RREF's
-view is a Fraction.
+``Matrix.a`` is a view of the entries for the readers outside this module,
+built on first use and kept: an int for each integral entry and a Fraction
+for each other one.  A matrix built from Python scalars keeps them as that
+view, and every entry of an RREF's view is a Fraction.
 
 Arithmetic is integer array arithmetic and builds no Fraction.  Over Q a
 sum brings both numerator arrays to the lcm of the denominators, and a
@@ -786,11 +786,12 @@ def _store(num, bound):
 
 def _rationals(num, den, fractions):
     """The Q array num / den as Python scalars: every entry a Fraction if
-    fractions, else ints when den is 1 and Fractions for the nonzero entries
-    otherwise."""
+    fractions, else an int for each integral entry and a Fraction for each
+    other one."""
     if den == 1 and not fractions:
         return num.astype(object)
-    vals = [Fraction(n, den) if n or fractions else 0 for n in num.ravel().tolist()]
+    vals = (Fraction(n, den) for n in num.ravel().tolist())
+    vals = [x.numerator if x.denominator == 1 and not fractions else x for x in vals]
     return np.array(vals, dtype=object).reshape(num.shape)
 
 
@@ -1466,14 +1467,23 @@ def vstack(mats):
 
 
 def block_diag(mats):
-    field, den, mag, nums = _common(mats, "block_diag")
-    a = np.zeros((sum(m.rows for m in mats), sum(m.cols for m in mats)), dtype=nums[0].dtype)
-    r = c = 0
-    for x in nums:
-        a[r : r + x.shape[0], c : c + x.shape[1]] = x
-        r += x.shape[0]
-        c += x.shape[1]
-    return _stacked(field, a, den, mag)
+    blocks, r, c = [], 0, 0
+    for m in mats:
+        blocks.append((m, np.s_[r : r + m.rows, c : c + m.cols]))
+        r, c = r + m.rows, c + m.cols
+    return assemble((r, c), blocks)
+
+
+def assemble(shape, blocks):
+    """The matrix whose entries, as an array of the given shape, are zero but
+    at the disjoint indices key of (x, key) in blocks, which hold the matrix
+    x row-major; over Q at the blocks' common denominator."""
+    field, den, mag, nums = _common([x for x, _ in blocks], "assemble")
+    a = np.zeros(shape, dtype=nums[0].dtype)
+    for x, (_, key) in zip(nums, blocks):
+        part = a[key]
+        part[...] = x.reshape(part.shape)
+    return _stacked(field, a.reshape(shape[0], math.prod(shape[1:])), den, mag)
 
 
 def _stacked(field, a, den, mag):

@@ -18,7 +18,6 @@ from .algebra import (
     check_nondegenerate,
     first_failure,
     first_mismatch,
-    matrix_tensor,
 )
 from .linalg import Matrix
 
@@ -167,11 +166,8 @@ def star_algebra(sys):
 
 
 def _star_algebra_unchecked(sys):
-    field, d = sys.field, sys.dim
-    mu = sys.alg.mult_matrix()
-    idd = Matrix.identity(field, d)
-    star_mult = mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S)  # d x d^2
-    return Algebra(field, d, matrix_tensor(star_mult, d, d))
+    mu, idd = sys.alg.mult_matrix(), Matrix.identity(sys.field, sys.dim)
+    return Algebra.from_matrix(mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S))
 
 
 def star_rbs_if_commuting(sys):
@@ -212,6 +208,5 @@ def conjugate_system(sys, P):
     Pinv = P.inverse()
     if Pinv is None:
         raise ValueError("base change matrix is singular")
-    d = sys.dim
-    alg = Algebra(sys.field, d, matrix_tensor(Pinv @ sys.alg.mult_matrix() @ P.kron(P), d, d))
+    alg = Algebra.from_matrix(Pinv @ sys.alg.mult_matrix() @ P.kron(P))
     return RotaBaxterSystem(alg, Pinv @ sys.R @ P, Pinv @ sys.S @ P)

@@ -18,6 +18,7 @@ Everything is seeded; identical seeds give identical instances.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from rbsys import (
     GF,
@@ -51,6 +52,20 @@ def random_matrix(field, rows, cols, rng):
 def random_invertible(field, n, rng):
     while True:
         m = random_matrix(field, n, n, rng)
+        if m.inverse() is not None:
+            return m
+
+
+def rational_base_change(n, rng):
+    """An invertible matrix over Q with entries over 1, 2, 3 and 7, some
+    of them multiples of 2^41: a pair transported along it has structure
+    matrices with mixed denominators and numerators past 2^62."""
+    while True:
+        rows = [
+            [Fraction(rng.randint(-3, 3) * rng.choice([1, 2**41]), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+            for _ in range(n)
+        ]
+        m = Matrix.from_rows(QQ, rows)
         if m.inverse() is not None:
             return m
 

@@ -14,6 +14,9 @@ second way by eliminating each column span afresh, and a third by the
 four eliminations per slot that the library folds into one; the
 deformation series order by order, one product per pair of orders, and the
 kernel of an extension as an ideal one product per pair of basis columns.
+The structures that the library builds as integer matrices (D(M), star
+algebras, square-zero extensions, base changes, induced and reduced pairs)
+are built again as tensors of Python scalars, block by block.
 """
 
 from __future__ import annotations
@@ -28,9 +31,22 @@ from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
-from rbsys import ALG, RBS, RBSO, Complexes, Matrix, Verdict, hstack, vstack
+from rbsys import (
+    ALG,
+    RBS,
+    RBSO,
+    Algebra,
+    BimoduleActions,
+    Complexes,
+    Matrix,
+    RBSBimodule,
+    RotaBaxterSystem,
+    Verdict,
+    hstack,
+    vstack,
+)
 from rbsys.cohomology import LesReport, LesSlot, _first_outside
-from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of, modulo_span
+from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of, modulo_prime, modulo_span
 
 
 def basis_tuples(d, n):
@@ -510,3 +526,120 @@ def first_outside_by_rows(cols, res, tag):
         return None
     i = next(i for i in range(res.rows) if not res.take_rows(i, i + 1).is_zero())
     return Verdict(False, tag, [row[0] for row in cols.col(i).entries()])
+
+
+# -- structure constants by the tensor route -----------------------------------
+#
+# rbsys keeps an algebra and a bimodule as integer matrices and places the
+# blocks of a built structure into one integer array.  These build the same
+# structures as arrays of Python scalars, a tensor block at a time, and
+# convert them once through the tensor constructors, as the library did
+# before it stored matrices.
+
+
+def _tensor(mat, a, b):
+    return mat.a.reshape(mat.rows, a, b).transpose(1, 2, 0)
+
+
+def _blank(field, shape):
+    return np.zeros(shape, dtype=field.dtype)
+
+
+def star_algebra_by_tensors(sys):
+    field, d = sys.field, sys.dim
+    mu, idd = sys.alg.mult_matrix(), Matrix.identity(field, d)
+    return Algebra(field, d, _tensor(mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S), d, d))
+
+
+def d_module_by_tensors(mod):
+    """The star algebra and the doubled actions on M (+) M."""
+    sys = mod.base
+    field, d, m = mod.field, sys.dim, mod.dim
+    lam, rho = mod.actions.left_matrix(), mod.actions.right_matrix()
+    idm = Matrix.identity(field, m)
+    R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
+    left, right = _blank(field, (d, 2 * m, 2 * m)), _blank(field, (2 * m, d, 2 * m))
+    left[:, :m, :m] = _tensor(lam @ R.kron(idm), d, m)
+    left[:, m:, :m] = _tensor(-(RM @ lam), d, m)
+    left[:, m:, m:] = _tensor(lam @ S.kron(idm) - SM @ lam, d, m)
+    right[:m, :, :m] = _tensor(rho @ idm.kron(R) - RM @ rho, m, d)
+    right[:m, :, m:] = _tensor(-(SM @ rho), m, d)
+    right[m:, :, m:] = _tensor(rho @ idm.kron(S), m, d)
+    return star_algebra_by_tensors(sys), BimoduleActions(field, d, 2 * m, left, right)
+
+
+def square_zero_by_tensors(mod, psi, chi_r, chi_s):
+    """The system on A (+) M with payload (psi, chi_r, chi_s)."""
+    sys = mod.base
+    field, d, m = mod.field, sys.dim, mod.dim
+    n = d + m
+    mult = _blank(field, (n, n, n))
+    mult[:d, :d, :d] = sys.alg.mult
+    mult[:d, :d, d:] = _tensor(psi, d, d)
+    mult[:d, d:, d:] = mod.actions.left
+    mult[d:, :d, d:] = mod.actions.right
+
+    def lower(op, chi, op_m):
+        return vstack([hstack([op, Matrix.zeros(field, d, m)]), hstack([chi, op_m])])
+
+    return RotaBaxterSystem(
+        Algebra(field, n, mult), lower(sys.R, chi_r, mod.RM), lower(sys.S, chi_s, mod.SM)
+    )
+
+
+def _pair_by_tensors(field, mult, R, S, left, right, RM, SM):
+    """The pair whose structure matrices are given, through the tensors."""
+    d, m = R.rows, RM.rows
+    base = RotaBaxterSystem(Algebra(field, d, _tensor(mult, d, d)), R, S)
+    actions = BimoduleActions(field, d, m, _tensor(left, d, m), _tensor(right, m, d))
+    return base, RBSBimodule(base, actions, RM, SM)
+
+
+def conjugate_pair_by_tensors(mod, P, Q):
+    """The pair transported along base changes P (on A) and Q (on M)."""
+    sys = mod.base
+    Pinv, Qinv = P.inverse(), Q.inverse()
+    return _pair_by_tensors(
+        sys.field,
+        Pinv @ sys.alg.mult_matrix() @ P.kron(P),
+        Pinv @ sys.R @ P,
+        Pinv @ sys.S @ P,
+        Qinv @ mod.actions.left_matrix() @ P.kron(Q),
+        Qinv @ mod.actions.right_matrix() @ Q.kron(P),
+        Qinv @ mod.RM @ Q,
+        Qinv @ mod.SM @ Q,
+    )
+
+
+def induced_pair_by_tensors(ext, t):
+    """The quotient system and the kernel bimodule of ext, through the
+    section t."""
+    hat, incl, proj = ext.hat, ext.incl, ext.proj
+    mu_hat = hat.alg.mult_matrix()
+    return _pair_by_tensors(
+        hat.field,
+        proj @ mu_hat @ t.kron(t),
+        proj @ hat.R @ t,
+        proj @ hat.S @ t,
+        incl.solve(mu_hat @ t.kron(incl)),
+        incl.solve(mu_hat @ incl.kron(t)),
+        incl.solve(hat.R @ incl),
+        incl.solve(hat.S @ incl),
+    )
+
+
+def modulo_prime_pair_by_tensors(sys, mod):
+    acts = mod.actions
+    mats = [sys.alg.mult_matrix(), sys.R, sys.S, acts.left_matrix(), acts.right_matrix(), mod.RM, mod.SM]
+    reduced = modulo_prime(mats)
+    return _pair_by_tensors(reduced[0].field, *reduced)
+
+
+def twisted_star_by_tensors(sys, lam):
+    """The star algebra of (A, R, R + lam) and its twisted actions on A."""
+    field, d = sys.field, sys.dim
+    mu, idd = sys.alg.mult_matrix(), Matrix.identity(field, d)
+    left = mu @ sys.R.kron(idd)
+    right = mu @ idd.kron(sys.R + idd.scale(lam))
+    star = Algebra(field, d, _tensor(left + right, d, d))
+    return star, BimoduleActions(field, d, d, _tensor(left, d, d), _tensor(right, d, d))

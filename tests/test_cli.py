@@ -508,6 +508,7 @@ def _set(doc, path, value):
         (5, None, None, ["rba-embed", "{sys}", "--weight", "abc"], "--weight: 'abc' is not an integer"),
         (5, None, None, ["rba-embed", "{sys}", "--weight", "1/2"], "--weight: '1/2' is not an integer"),
         (5, None, None, ["rba-embed", "{sys}", "--weight", "\u0663"], "--weight: '\u0663' is not an integer"),
+        ("Q", None, None, ["rba-embed", "{sys}", "--weight", "-1/0"], "--weight: entry '-1/0' has a zero denominator"),
     ],
 )
 def test_malformed_scalars_and_counts_exit_2(field, path, value, extra, message, tmp_path, capsys):
@@ -588,6 +589,9 @@ def test_json_reports_rational_witnesses(tmp_path, capsys):
     assert report["exit_code"] == 1
 
     assert main(["rba-embed", str(path), "--weight", "1"]) == 1
+    # and it is a weight -1/2 operator: R(1)R(1) = 1/4 = R(1/2 + 1/2 - 1/2);
+    # the value may follow --weight as its own token
+    assert main(["rba-embed", str(path), "--weight", "-1/2"]) == 0
 
 
 def test_json_check_iso_rational_witness(tmp_path, capsys):
@@ -947,3 +951,62 @@ def test_rational_tokens_outside_the_grammar_exit_2(token, as_json, tmp_path, ca
     error = json.loads(out)["error"] if as_json else out
     assert error.startswith("R: entry ") if as_json else out.startswith("error: R: entry ")
     assert repr(token)[:40] in error
+
+
+def test_only_serializers_read_structure_tensors(tmp_path, monkeypatch, capsys):
+    # structure constants are stored as matrices: through a whole Q pipeline
+    # a tensor is built or read only where a document is written
+    import inspect
+    import random
+    import sys as _sys
+
+    from rbsys import QQ, algebra, apply_gauge, conjugate_bimodule, conjugate_system, constant_deformation
+
+    from instances import random_gauge, rational_base_change
+
+    rng = random.Random(5)
+    sys = triangular_system(QQ, 1, 2)
+    mod = regular_bimodule(sys)
+    P, Q = rational_base_change(3, rng), rational_base_change(3, rng)
+    sys, mod = conjugate_system(sys, P), conjugate_bimodule(mod, P, Q)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("sys", "mod", "defn", "cocycle", "ext")}
+    sdoc = docs.serialize_system(sys)
+    docs.dump(sdoc, paths["sys"])
+    docs.dump(docs.serialize_bimodule(mod, sdoc), paths["mod"])
+    defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, rng))
+    docs.dump(docs.serialize_deformation(defn, sys, sdoc), paths["defn"])
+    docs.dump(docs.serialize_cocycle(zero_cocycle(sys, mod), sdoc), paths["cocycle"])
+
+    callers = []
+
+    def spied(original):
+        def wrapper(*args, **kwargs):
+            frames = inspect.stack(0)[1:]
+            callers.append(next(
+                (f.function for f in frames if f.function.startswith("serialize_")
+                 and f.frame.f_globals.get("__name__") == "rbsys.documents"),
+                frames[0].function,
+            ))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("matrix_tensor", "tensor_matrix"):
+        original = getattr(algebra, name)
+        for module in list(_sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("rbsys") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spied(original))
+    flags = ["--max-degree", "2", "--json"]
+    for argv in (
+        ["validate", "{sys}", "{mod}"],
+        ["deform", "verify", "{sys}", "{defn}"],
+        ["deform", "infinitesimal", "{sys}", "{defn}"],
+        ["deform", "rigidify", "{sys}", "{defn}"],
+        ["extend", "build", "{sys}", "{cocycle}", "-o", "{ext}"],
+        ["extend", "extract", "{ext}"],
+        ["les", "{sys}", "{mod}"],
+        ["cohomology", "{sys}", "{mod}"],
+    ):
+        assert main([arg.format(**paths) for arg in argv] + flags) == 0, argv
+    capsys.readouterr()
+    assert callers and set(callers) <= {"serialize_system", "serialize_bimodule", "serialize_deformation"}

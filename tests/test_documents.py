@@ -1,4 +1,6 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,9 @@ from rbsys.documents import DocumentError
 from instances import (
     f2_zero_instance,
     random_gauge,
+    random_matrix,
+    random_system_bimodule,
+    rational_base_change,
     triangular_system,
     zero_action_bimodule,
 )
@@ -105,6 +110,67 @@ def test_extension_round_trip():
     assert back.proj == ext.proj
     assert back.section == ext.section
     assert back.retraction == ext.retraction
+
+
+def _documents(field, rng):
+    """A system, bimodule, deformation and extension document of one seeded
+    pair; over Q the pair is transported along a base change with mixed
+    denominators and entries past 2^62."""
+    from rbsys import (
+        Cocycle2,
+        MultiMap,
+        apply_gauge,
+        assemble_extension,
+        conjugate_bimodule,
+        conjugate_system,
+        constant_deformation,
+    )
+
+    sys, mod = random_system_bimodule(rng, field, big=True)
+    if field.p is None:
+        P, Q = rational_base_change(sys.dim, rng), rational_base_change(mod.dim, rng)
+        sys, mod = conjugate_system(sys, P), conjugate_bimodule(mod, P, Q)
+    d, m = sys.dim, mod.dim
+    sdoc = docs.serialize_system(sys, name="pair")
+    defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, rng))
+    payload = Cocycle2(*(MultiMap(sys.alg, k, random_matrix(field, m, d**k, rng)) for k in (2, 1, 1)))
+    return {
+        "system": sdoc,
+        "bimodule": docs.serialize_bimodule(mod, sdoc),
+        "deformation": docs.serialize_deformation(defn, sys, sdoc),
+        "extension": docs.serialize_extension(assemble_extension(sys, mod, payload)),
+    }
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(2147483659), QQ], ids=repr)
+def test_documents_serialize_back_byte_for_byte(field):
+    # serialize(parse(doc)) is doc, and the tensor views of what was read
+    # hold the field's scalars: over Q an int for each integral entry and a
+    # Fraction for each other one
+    rng = random.Random(f"round-trip-{field}")
+    types = set()
+    for _ in range(4):
+        found = _documents(field, rng)
+        sys = docs.parse_system(found["system"])
+        mod = docs.parse_bimodule(found["bimodule"], sys)
+        back = {
+            "system": docs.serialize_system(sys, name="pair"),
+            "bimodule": docs.serialize_bimodule(mod, found["system"]),
+            "deformation": docs.serialize_deformation(
+                docs.parse_deformation(found["deformation"], sys), sys, found["system"]
+            ),
+            "extension": docs.serialize_extension(docs.parse_extension(found["extension"])),
+        }
+        for kind, doc in found.items():
+            assert json.dumps(back[kind], indent=2) == json.dumps(doc, indent=2), kind
+        for view in (sys.alg.mult, mod.actions.left, mod.actions.right):
+            assert view.dtype == field.dtype and not view.flags.writeable
+            if field.p is None:
+                assert all(type(x) is (int if Fraction(x).denominator == 1 else Fraction) for x in view.ravel())
+                types.update(map(type, view.ravel()))
+            else:
+                assert all(0 <= x < field.p for x in view.ravel().tolist())
+    assert field.p is not None or types == {int, Fraction}
 
 
 def test_iso_round_trip():
