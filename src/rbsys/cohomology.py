@@ -41,10 +41,20 @@ block of phi_n times K, next to the same rows of partial_(n-1), the
 blocks of phi_n and partial_(n-1) cut from the stored slices or built for
 N alone.  Every block is multiplied by one factor of K (Matrix.factor),
 so K is converted to float64 once per N, not once per block.  N is never
-stored, and its elimination yields Q directly.  The cap guards the target
-space of rbs_n.  rbs_n is assembled only for its image (the coboundary
-spans of les_check and the census), for a preimage and for the embedding
-check, which compares its entries.
+stored, and its elimination yields Q directly, kept in a memo like K.  The
+cap guards the target space of rbs_n.  rbs_n is assembled only for its
+image (the census, and the coboundary spans of les_check where it compares
+slots at chain level), for a preimage and for the embedding check, which
+compares its entries.
+
+les_check reads the long exact sequence off the ranks once it has
+verified rbs_p rbs_(p-1) = 0 exactly from the same memos: the pivot
+columns of rbs_(p-1) must lie in ker rbs_p, which K and Q give.  With rbs
+squaring to zero, the sequence of complexes 0 -> C_rbso[-1] -> C_rbs ->
+C_alg -> 0 is short exact, and its cohomology sequence is exact by the
+snake lemma.  Only where the verification fails does it compare the
+slots as chain-level spans, which assumes neither that phi is a chain map
+nor that d^2 = 0.
 
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
@@ -242,10 +252,10 @@ class Complexes:
     """The differentials of all three complexes of one (system, bimodule) pair.
 
     It holds, for its own life (an analysis makes one per call), per
-    delta_n and partial_n one memo of its one elimination, its canonical
-    kernel basis K and RREF pivots P, and the slices delta_n, partial_n and
-    phi_n that a reader applies or cuts (delta, phi, partial and slice,
-    called from d, alg_column and rbs), each built once through
+    delta_n, partial_n and N_n one memo of its one elimination, its
+    canonical kernel basis and RREF pivots, and the slices delta_n,
+    partial_n and phi_n that a reader applies or cuts (delta, phi, partial
+    and slice, called from d, alg_column and rbs), each built once through
     hochschild_slice and phi.  rbs_n and N = [phi_n K | partial_(n-1)] are
     built per call, never stored.  Each differential and N reach
     elimination (linalg.rref_rows) by the row ranges of linalg.row_blocks
@@ -319,9 +329,12 @@ class Complexes:
         return (hochschild_slice(*self._operands(key), n, self.cap, r) for r in blocks)
 
     def _echelon(self, tag, n):
-        # (K, P) of delta_n (alg) or partial_n (rbso): its canonical kernel
-        # basis and the pivots of its RREF, from one elimination
+        # (K, P) of delta_n (alg), partial_n (rbso) or N_n (rbs): its
+        # canonical kernel basis and the pivots of its RREF, from one
+        # elimination
         def build():
+            if tag == RBS:
+                return self._restricted(n)
             shape = (self.dim(tag, n + 1), self.dim(tag, n))
             return rref_rows(self.sys.field, shape, self._rows(tag, n, row_blocks(self.sys.field, shape)))
 
@@ -394,16 +407,16 @@ class Complexes:
     def ranked(self, tag, n):
         """The rank of the degree-n differential of the complex named by tag
         and a function that returns its canonical kernel basis, both from
-        one elimination: for rbs_n the kernel basis Q of N is held, and
-        [[K Q_top], [Q_bottom]] is formed only when the function is called."""
+        one elimination: for rbs_n the memo holds the kernel basis Q of N,
+        and [[K Q_top], [Q_bottom]] is formed only when the function is
+        called."""
+        basis, pivots = self._echelon(tag, n)
         if tag != RBS:
-            kernel, pivots = self._echelon(tag, n)
-            return len(pivots), lambda: kernel
-        q, pivots = self._restricted(n)
+            return len(pivots), lambda: basis
 
         def kernel():
             k = self.kernel(ALG, n)
-            return vstack([k @ q.take_rows(0, k.cols), q.take_rows(k.cols, None)])
+            return vstack([k @ basis.take_rows(0, k.cols), basis.take_rows(k.cols, None)])
 
         return len(pivots) + self.rank(ALG, n), kernel
 
@@ -671,9 +684,107 @@ def les_check(sys, mod, max_degree, cap=None):
 
     The sequence runs  ... -> H^p_rbs -> H^p_alg -> H^p_rbso -> H^(p+1)_rbs
     -> ...  with the projection, the map induced by -phi, and the shift
-    inclusion (x, y) -> (0, (x, y)).  At each slot the image of the incoming
-    map and the kernel of the outgoing one are compared as chain-level
-    spans, each taken together with the coboundaries B of the slot.
+    inclusion (x, y) -> (0, (x, y)).  Each slot reports the dimension of the
+    image of the incoming map and of the kernel of the outgoing one, each
+    taken at chain level together with the coboundaries B of the slot.
+
+    First rbs_p rbs_(p-1) = 0 is verified exactly for p = 1..max_degree
+    (_squares_to_zero).  Its blocks are delta_p delta_(p-1), partial_(p-1)
+    partial_(p-2) and partial_(p-1) phi_(p-1) - phi_p delta_(p-1), so the
+    three complexes are complexes, and the shift inclusion and the
+    projection are chain maps by the block form of rbs, whatever phi is.
+    Then 0 -> C_rbso[-1] -> C_rbs -> C_alg -> 0 is a short exact sequence
+    of complexes, -phi is its connecting map, and its cohomology sequence
+    is exact (the snake lemma; Weibel, An Introduction to Homological
+    Algebra, Thm 1.3.1); up to H^max_degree_alg it reads degrees <=
+    max_degree only.  So every slot is ok, with no witness, and both of its
+    dimensions are b + r: b = rank d_(p-1) in the slot's complex (0 at p =
+    0), and r the rank of the incoming map on cohomology, 0 at H^0_rbs.
+    The next slot's r is h - r, h = dim C^p - rank d_p - rank d_(p-1) the
+    dimension of this slot's cohomology.  The ranks are those of Complexes:
+    one elimination each of delta_p, partial_p (p < max_degree) and N_p.
+
+    Where the verification fails, the slots are compared at chain level
+    (_les_by_spans), which assumes neither that phi is a chain map nor that
+    d^2 = 0, and a failing slot carries a witness.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
+    cx = Complexes(sys, mod, cap)
+    # the slots of degree p read rbs_p and, below max_degree, partial_p
+    cx.guard((tag, p) for p in range(max_degree + 1) for tag in (RBS, RBSO) if tag == RBS or p < max_degree)
+    if not _squares_to_zero(cx, max_degree):
+        return _les_by_spans(cx, max_degree)
+    slots, r = [], 0
+    for p in range(max_degree + 1):
+        for tag in (RBS, ALG, RBSO) if p < max_degree else (RBS, ALG):
+            b = cx.rank(tag, p - 1) if p else 0
+            slots.append(LesSlot(tag, p, b + r, b + r, True, None))
+            r = cx.dim(tag, p) - cx.rank(tag, p) - b - r
+    return LesReport(slots)
+
+
+def _squares_to_zero(cx, top):
+    """Whether rbs_p rbs_(p-1) = 0 for p = 1..top, that is whether im
+    rbs_(p-1) lies in ker rbs_p, decided exactly from the elimination memos
+    of cx; it stops at the first degree where it does not.
+
+    The pivot columns of rbs_(p-1) span its image.  The free columns of
+    rbs_(p-1) are those of N_(p-1) (see Complexes), so its pivot columns
+    are the pivots of delta_(p-1) and, for each pivot j of N_(p-1), the
+    f-column F[j] (j < |F|) or the g-column j - |F|, F the free columns of
+    delta_(p-1); they are cut from delta_(p-1), phi_(p-1) and
+    partial_(p-2).  A canonical kernel basis is the identity on its free
+    rows, so a vector v lies in its span exactly when it is the basis times
+    v at those rows.  A column (f, g) lies in ker rbs_p exactly when f does
+    in ker delta_p, f = K c with c = f at the free columns of delta_p, and
+    (c, g) in ker N_p; both are such products by a basis in the memo.  So
+    no slice of degree p is read again, none is applied, and no rbs_n is
+    assembled.
+
+    The slices of degree below top are stored first: the check reads their
+    columns and their eliminations read them too, so each is built once.
+    delta_top and phi_top reach elimination only, by row blocks when tall.
+    """
+    for p in range(top + 1):
+        if p < top:
+            cx.delta(p), cx.phi(p), cx.partial(p)
+        if p and not _image_in_kernel(cx, p):
+            return False
+    return True
+
+
+def _image_in_kernel(cx, p):
+    """Whether the pivot columns of rbs_(p-1) lie in ker rbs_p (see
+    _squares_to_zero)."""
+    # P of delta_(p-1) and of N_(p-1), and the pivot columns of rbs_(p-1)
+    _, piv = cx._echelon(ALG, p - 1)
+    _, n_piv = cx._echelon(RBS, p - 1)
+    free = _free(piv, cx.dim(ALG, p - 1))
+    f_cols = list(piv) + [free[j] for j in n_piv if j < len(free)]
+    g_cols = [j - len(free) for j in n_piv if j >= len(free)]
+    f, g = cx.delta(p - 1).columns(f_cols), -cx.phi(p - 1).columns(f_cols)
+    if g_cols:
+        f = hstack([f, Matrix.zeros(cx.sys.field, f.rows, len(g_cols))])
+        g = hstack([g, -cx.partial(p - 2).columns(g_cols)])
+    # (f, g) against the kernel bases of delta_p and N_p
+    k, piv = cx._echelon(ALG, p)
+    c = f.rows_at(_free(piv, f.rows))
+    if k @ c != f:
+        return False
+    q, n_piv = cx._echelon(RBS, p)
+    x = vstack([c, g])
+    return q @ x.rows_at(_free(n_piv, x.rows)) == x
+
+
+def _free(pivots, n):
+    """The columns 0..n-1 that are not pivots, in order."""
+    pivots = set(pivots)
+    return [j for j in range(n) if j not in pivots]
+
+
+def _les_by_spans(cx, max_degree):
+    """The slots of les_check compared as chain-level spans, on any blocks.
 
     Each B is eliminated once, to the echelon (R, P) of its columns, and
     every other span is reduced modulo it: reduce(X) = X^T - X^T[:, P] R.
@@ -700,12 +811,7 @@ def les_check(sys, mod, max_degree, cap=None):
     the echelon of K.  Only when the dimensions differ are the kernel
     members z c formed, for the witness.
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
-    field = sys.field
-    cx = Complexes(sys, mod, cap)
-    # the slots of degree p read rbs_p and, below max_degree, partial_p
-    cx.guard((tag, p) for p in range(max_degree + 1) for tag in (RBS, RBSO) if tag == RBS or p < max_degree)
+    field = cx.sys.field
     spans, slots = {}, []
 
     def span(tag, p):

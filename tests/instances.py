@@ -266,6 +266,24 @@ def perturbed_phi(phi, degree, seed, scale=1):
     return perturbed
 
 
+def perturbed_slice(hochschild_slice, alg, degree, seed):
+    """hochschild_slice with a rank-one term u v^T added to the degree-n
+    differential of the Hochschild complex of alg (delta for the system's
+    algebra), the same term on every call, also when only a range of rows
+    is built: a differential whose square is no longer zero."""
+
+    def perturbed(a, actions, n, cap=None, rows=None):
+        out = hochschild_slice(a, actions, n, cap, rows)
+        if a is not alg or n != degree:
+            return out
+        rng = random.Random(seed)
+        u = random_matrix(a.field, actions.dim * a.dim ** (n + 1), 1, rng)
+        term = u @ random_matrix(a.field, 1, out.cols, rng)
+        return out + (term if rows is None else term.take_rows(*rows))
+
+    return perturbed
+
+
 def random_gauge(sys, order, rng):
     from rbsys import GaugeSeries
 

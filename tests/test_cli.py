@@ -305,11 +305,13 @@ def test_extend_build_rejects_non_cocycle(tmp_path, capsys):
 
 def test_rbs_is_assembled_only_for_its_image(tmp_path, monkeypatch, capsys):
     # kernels, cocycle tests and gauge solves read the blocks of rbs_n; the
-    # whole slice is assembled only where its image is needed: the LES
-    # coboundary spans of rbs_0..rbs_2 and the census's B^2 = im rbs_1
+    # whole slice is assembled only where its image is needed: the census's
+    # B^2 = im rbs_1, and the coboundary spans of rbs_0..rbs_2 where the LES
+    # is compared at chain level, as with phi_0 perturbed; on a valid pair
+    # the LES is read off the ranks and assembles none
     import random
 
-    from rbsys import Complexes, apply_gauge, constant_deformation, h2_extension_census, les_check
+    from rbsys import Complexes, apply_gauge, cohomology, constant_deformation, h2_extension_census, les_check
 
     from instances import random_gauge
 
@@ -324,6 +326,10 @@ def test_rbs_is_assembled_only_for_its_image(tmp_path, monkeypatch, capsys):
     sys = triangular_system(GF5(), 1, 2)
     mod = regular_bimodule(sys)
     assert les_check(sys, mod, 3).ok
+    assert assembled == []
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "phi", perturbed_phi(cohomology.phi, 0, 1))
+        assert not les_check(sys, mod, 3).ok
     assert assembled == [0, 1, 2]
     assembled.clear()
     census = h2_extension_census(sys, mod)

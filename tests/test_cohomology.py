@@ -38,6 +38,7 @@ from instances import (
     instance_set,
     line_system,
     perturbed_phi,
+    perturbed_slice,
     random_invertible,
     random_matrix,
     random_system_bimodule,
@@ -437,8 +438,9 @@ def test_slices_fed_in_row_blocks_give_the_ranks_and_kernels_of_whole_slices(mon
 @pytest.mark.parametrize("stream", [False, True], ids=["whole", "streamed"])
 def test_rank_and_kernel_store_no_slice(monkeypatch, stream):
     # ranks and kernels of every complex up to degree 3 leave only the
-    # (K, P) memos of delta_n and partial_n: no slice, and so no RREF of
-    # one, whether the slices are fed whole or in row blocks
+    # (K, P) memos of delta_n, partial_n and N_n = [phi_n K | partial_(n-1)]:
+    # no slice, and so no RREF of one, whether the slices are fed whole or
+    # in row blocks
     from rbsys import linalg
 
     if stream:
@@ -451,7 +453,7 @@ def test_rank_and_kernel_store_no_slice(monkeypatch, stream):
             for n in range(4):
                 cx.rank(tag, n), cx.kernel(tag, n)
         assert {key[0] for key in cx._built} == {"echelon"}
-        assert {key[1:] for key in cx._built} == {(tag, n) for tag in (ALG, RBSO) for n in range(4)}
+        assert {key[1:] for key in cx._built} == {(tag, n) for tag in (ALG, RBSO, RBS) for n in range(4)}
 
 
 def test_betti_holds_one_stage_at_a_time():
@@ -840,73 +842,86 @@ def test_dbar_display_slice_matches_naive_evaluation():
 
 
 def test_les_check_matrix_products(monkeypatch):
-    # the projection and the shift inclusion are row slices and zero
-    # padding, not products, and phi_p is applied to the algebra cocycles
-    # once per degree (4); each kernel of rbs_p (p = 0..3) takes two, phi_p
-    # K and K Q_top (8); each slot reduces W and its cocycles z modulo the
-    # coboundary echelons and the incoming residuals modulo the kernel
-    # echelon, one product each unless the echelon or the rows are empty
-    # (21 of 33), and a passing slot forms no kernel members z c; the other
-    # 18 assemble and check the inputs: 51 = 4 + 8 + 21 + 18
-    calls = []
-    matmul = Matrix.__matmul__
+    # 18 products assemble and check the inputs.  On a valid pair the slots
+    # are read off the ranks: each N_p takes phi_p K (4), and the check that
+    # im rbs_(p-1) lies in ker rbs_p takes two per degree p = 1..3 (6), one
+    # by the kernel basis of delta_p and one by that of N_p: 28 = 18 + 4 +
+    # 6.  With phi_0 perturbed the check fails at p = 1 after its two
+    # products, and the chain-level slots make the 51 products they made
+    # before the check existed: 53.
+    from rbsys import cohomology
 
-    def counted(self, other):
-        calls.append((self.shape, other.shape))
-        return matmul(self, other)
+    def products(phi):
+        calls = []
+        matmul = Matrix.__matmul__
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
-    sys = triangular_system(GF(5), 1, 2)
-    assert les_check(sys, regular_bimodule(sys), 3).ok
-    assert len(calls) == 51
+        def counted(self, other):
+            calls.append((self.shape, other.shape))
+            return matmul(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "__matmul__", counted)
+            patch.setattr(cohomology, "phi", phi)
+            sys = triangular_system(GF(5), 1, 2)
+            report = les_check(sys, regular_bimodule(sys), 3)
+        return report.ok, len(calls)
+
+    assert products(phi) == (True, 28)
+    assert products(perturbed_phi(phi, 0, 1)) == (False, 53)
 
 
-def test_les_check_eliminations(monkeypatch):
-    # one elimination per slice kernel (11) and per coboundary span (9), and
-    # per slot at most one, of the stacked residuals [reduce(W) | reduce(z)],
-    # which yields both the rank of reduce(W) and the echelon of the kernel
-    # members; a zero stack needs none (4 of the 11 slots here): 27 = 11 + 9 + 7
-    from rbsys import linalg
+def _les_eliminations(monkeypatch, phi, stream_size=None):
+    """The shapes of the eliminations of les_check on the triangular GF(5)
+    pair to degree 3, each with whether it was fed in row blocks, and the
+    report."""
+    from rbsys import cohomology, linalg
 
     calls = []
     rref = linalg._rref_array
 
     def counted(a, field):
-        calls.append(a.shape)
+        calls.append((a.shape, isinstance(a, linalg._Rows)))
         return rref(a, field)
 
-    monkeypatch.setattr(linalg, "_rref_array", counted)
-    sys = triangular_system(GF(5), 1, 2)
-    assert les_check(sys, regular_bimodule(sys), 3).ok
-    assert len(calls) == 27
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_rref_array", counted)
+        patch.setattr(cohomology, "phi", phi)
+        if stream_size is not None:
+            patch.setattr(linalg, "_STREAM_SIZE", stream_size)
+        sys = triangular_system(GF(5), 1, 2)
+        report = les_check(sys, regular_bimodule(sys), 3)
+    return calls, report
+
+
+def test_les_check_eliminations(monkeypatch):
+    # on a valid pair one elimination per kernel memo, of delta_0..3,
+    # partial_0..2 and N_0..3 (11), and none else.  With phi_0 perturbed the
+    # chain-level slots run after the check fails and make the 27
+    # eliminations they made before it existed, reusing its memos: one per
+    # memo (11), per coboundary span (9), and per slot at most one, of the
+    # stacked residuals [reduce(W) | reduce(z)], which yields both the rank
+    # of reduce(W) and the echelon of the kernel members; a zero stack needs
+    # none (4 of the 11 slots here): 27 = 11 + 9 + 7
+    calls, report = _les_eliminations(monkeypatch, phi)
+    assert report.ok and len(calls) == 11
+    calls, report = _les_eliminations(monkeypatch, perturbed_phi(phi, 0, 1))
+    assert not report.ok and len(calls) == 27
 
 
 def test_les_check_eliminates_streamed_slices_once(monkeypatch):
     # with every prime-field slice taller than one block fed to elimination
-    # in row blocks, les_check makes the same 27 eliminations, of the same
-    # shapes: the coboundary spans of delta_n and partial_n read the pivots
-    # that their kernels found, and eliminate no slice again
+    # in row blocks, les_check makes the same eliminations, of the same
+    # shapes: 11 on a valid pair, and 27 on the chain-level path with phi_0
+    # perturbed, where the coboundary spans of delta_n and partial_n read
+    # the pivots that their kernels found, and eliminate no slice again
     from rbsys import linalg
 
-    rref = linalg._rref_array
-    sys = triangular_system(GF(5), 1, 2)
-
-    def eliminations(stream_size):
-        calls = []
-
-        def counted(a, field):
-            calls.append((a.shape, isinstance(a, linalg._Rows)))
-            return rref(a, field)
-
-        monkeypatch.setattr(linalg, "_rref_array", counted)
-        monkeypatch.setattr(linalg, "_STREAM_SIZE", stream_size)
-        assert les_check(sys, regular_bimodule(sys), 3).ok
-        return calls
-
-    whole, streamed = eliminations(linalg._STREAM_SIZE), eliminations(0)
-    assert len(whole) == len(streamed) == 27
-    assert [shape for shape, _ in whole] == [shape for shape, _ in streamed]
-    assert not any(fed for _, fed in whole) and any(fed for _, fed in streamed)
+    for perturbed, count in ((phi, 11), (perturbed_phi(phi, 0, 1), 27)):
+        whole, _ = _les_eliminations(monkeypatch, perturbed, linalg._STREAM_SIZE)
+        streamed, _ = _les_eliminations(monkeypatch, perturbed, 0)
+        assert len(whole) == len(streamed) == count
+        assert [shape for shape, _ in whole] == [shape for shape, _ in streamed]
+        assert not any(fed for _, fed in whole) and any(fed for _, fed in streamed)
 
 
 def _assert_witness(field, slot, spans):
@@ -922,28 +937,43 @@ def _assert_witness(field, slot, spans):
     assert column_space_rank([outside, v]) == column_space_rank([outside]) + 1
 
 
+def _perturbations(sys, seed):
+    """The functions of rbsys.cohomology to patch, as (name, function):
+    phi intact; phi with a rank-one term added in one degree, each of 0..3,
+    so that it is no longer a chain map; and delta_1 with a rank-one term,
+    so that delta^2 != 0."""
+    from rbsys import cohomology
+
+    hochschild = cohomology.hochschild_slice
+    return (
+        [("phi", phi)]
+        + [("phi", perturbed_phi(phi, degree, seed)) for degree in range(4)]
+        + [("hochschild_slice", perturbed_slice(hochschild, sys.alg, 1, seed))]
+    )
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(40009)], ids=repr)
 def test_les_check_matches_column_span_oracle(field, monkeypatch):
     # slot for slot against eliminating every span afresh, with phi intact
-    # and with phi perturbed in one degree by a rank-one term, so that it is
-    # no longer a chain map and slots fail; failing slots carry a witness
+    # and with phi or delta_1 perturbed (see _perturbations), so that slots
+    # fail; failing slots carry a witness
     from rbsys import cohomology
 
     rng = random.Random(401)
-    phi = cohomology.phi
     failing, tags = 0, set()
     for seed in range(8):
         sys, mod = random_system_bimodule(rng, field)
-        for degree in (None, 0, 1, 2):
-            monkeypatch.setattr(cohomology, "phi", phi if degree is None else perturbed_phi(phi, degree, seed))
-            report = les_check(sys, mod, 3)
-            spans = {}
-            expected = les_slots_by_column_spans(sys, mod, 3, spans=spans)
+        for name, patched in _perturbations(sys, seed):
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology, name, patched)
+                report = les_check(sys, mod, 3)
+                spans = {}
+                expected = les_slots_by_column_spans(sys, mod, 3, spans=spans)
             assert [(s.name, s.degree, s.image_dim, s.kernel_dim, s.ok) for s in report.slots] == expected
             for s in report.slots:
                 _assert_witness(field, s, spans)
                 tags.add(s.witness.tag if s.witness is not None else None)
-            assert report.ok or degree is not None
+            assert report.ok or patched is not phi
             failing += not report.ok
     assert failing >= 3
     assert {"image_not_in_kernel", "kernel_not_in_image"} <= tags
@@ -963,12 +993,12 @@ def test_les_check_matches_the_four_call_slot_oracle(monkeypatch):
     # every slot field (dimensions, verdict, witness tag and entries) against
     # the slot that takes the kernel of the outgoing residuals, the kernel
     # members, their residuals and their echelon one call each, on spans
-    # eliminated from whole slices; phi intact and perturbed in one degree,
-    # on the instance_set pairs (Q, GF(2), GF(5)) and on GF(40009) pairs,
-    # among them cocycle spaces with zero columns in degree 1 and up
+    # eliminated from whole slices; phi intact, and phi or delta_1 perturbed
+    # (see _perturbations), on the instance_set pairs (Q, GF(2), GF(5)) and
+    # on GF(40009) pairs, among them cocycle spaces with zero columns in
+    # degree 1 and up
     from rbsys import cohomology
 
-    intact = cohomology.phi
     rng = random.Random(1812)
     pairs = instance_set(24, seed=1811) + [random_system_bimodule(rng, GF(40009)) for _ in range(6)]
     fields, tags, empty = set(), set(), 0
@@ -976,15 +1006,120 @@ def test_les_check_matches_the_four_call_slot_oracle(monkeypatch):
         fields.add(sys.field)
         cx = Complexes(sys, mod)
         empty += any(cx.kernel(tag, n).cols == 0 for n in (1, 2, 3) for tag in (ALG, RBSO, RBS))
-        for degree in (None, 0, 1, 2):
-            monkeypatch.setattr(cohomology, "phi", intact if degree is None else perturbed_phi(intact, degree, k))
-            got = les_check(sys, mod, 3)
-            assert _slot_fields(got) == _slot_fields(les_check_by_slot_kernels(sys, mod, 3))
-            assert got.ok or degree is not None
+        for name, patched in _perturbations(sys, k):
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology, name, patched)
+                got = les_check(sys, mod, 3)
+                assert _slot_fields(got) == _slot_fields(les_check_by_slot_kernels(sys, mod, 3))
+            assert got.ok or patched is not phi
             tags |= {s.witness.tag for s in got.slots if s.witness is not None}
     assert fields == {QQ, GF(2), GF(5), GF(40009)}
     assert empty >= 10
     assert tags == {"image_not_in_kernel", "kernel_not_in_image"}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(40009)], ids=repr)
+def test_les_check_reads_valid_pairs_off_their_ranks(field, monkeypatch):
+    # on valid pairs of the seed families (zero multiplication, line,
+    # triangular, idempotent operators on K^n) to degrees 1-3 the slots are
+    # read off the ranks: no rbs_n is assembled, no coboundary span or slot
+    # is eliminated and the chain-level slots never run; the eliminations
+    # are those of delta_p and N_p (p <= top) and partial_p (p < top), once
+    # each
+    from rbsys import cohomology
+
+    rng = random.Random(77)
+    pairs = [random_system_bimodule(rng, field) for _ in range(8)]
+
+    def refused(*args):
+        raise AssertionError("les_check left the ranks")
+
+    shapes = []
+    rref_rows = cohomology.rref_rows
+
+    def counted(over, shape, blocks):
+        shapes.append(shape)
+        return rref_rows(over, shape, blocks)
+
+    for sys, mod in pairs:
+        for top in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                for owner, name in ((Complexes, "rbs"), (Matrix, "rref"), (cohomology, "_les_by_spans")):
+                    patch.setattr(owner, name, refused)
+                patch.setattr(cohomology, "rref_rows", counted)
+                shapes.clear()
+                report = les_check(sys, mod, top)
+            assert report.ok and all(s.witness is None for s in report.slots)
+            cx = Complexes(sys, mod)
+            want = [(cx.dim(ALG, p + 1), cx.dim(ALG, p)) for p in range(top + 1)]
+            want += [(cx.dim(RBSO, p + 1), cx.dim(RBSO, p)) for p in range(top)]
+            want += [
+                (cx.dim(RBSO, p), cx.dim(ALG, p) - cx.rank(ALG, p) + cx.dim(RBSO, p - 1)) for p in range(top + 1)
+            ]
+            assert sorted(shapes) == sorted(want)
+
+
+def test_les_check_falls_back_to_chain_level_slots(monkeypatch):
+    # with phi_0 perturbed, rbs_1 rbs_0 != 0: the check fails, and the slots
+    # are compared at chain level, so that the failing slot has a witness
+    from rbsys import cohomology
+
+    runs = []
+    by_spans = cohomology._les_by_spans
+
+    def counted(cx, top):
+        runs.append(top)
+        return by_spans(cx, top)
+
+    monkeypatch.setattr(cohomology, "_les_by_spans", counted)
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    assert les_check(sys, mod, 3).ok and runs == []
+    monkeypatch.setattr(cohomology, "phi", perturbed_phi(phi, 0, 1))
+    report = les_check(sys, mod, 3)
+    assert runs == [3] and not report.ok
+    assert _slot_fields(report) == _slot_fields(les_check_by_slot_kernels(sys, mod, 3))
+
+
+def test_the_square_check_agrees_with_the_assembled_product(monkeypatch):
+    # the check that im rbs_(p-1) lies in ker rbs_p, read off the kernel
+    # memos, against the product rbs_p rbs_(p-1) of the assembled slices, on
+    # valid pairs and with phi or delta_1 perturbed (see _perturbations)
+    from rbsys import cohomology
+    from rbsys.cohomology import _squares_to_zero
+
+    rng = random.Random(2718)
+    pairs = instance_set(12, seed=2719) + [random_system_bimodule(rng, GF(40009)) for _ in range(3)]
+    verdicts = set()
+    for k, (sys, mod) in enumerate(pairs):
+        for name, patched in _perturbations(sys, k):
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology, name, patched)
+                cx = Complexes(sys, mod)
+                want = all((cx.rbs(p) @ cx.rbs(p - 1)).is_zero() for p in (1, 2, 3))
+                assert _squares_to_zero(Complexes(sys, mod), 3) == want
+            assert want or patched is not phi
+            verdicts.add((name, want))
+    assert verdicts == {("phi", True), ("phi", False), ("hochschild_slice", False), ("hochschild_slice", True)}
+
+
+def test_les_check_at_the_corner_matches_the_chain_level_slots():
+    # GF(5) idem d = 4 with the regular bimodule (a seed-7 scramble) to
+    # degree 4, where delta_4 (4096 x 1024) and phi_4 (2048 x 1024) are
+    # fed to elimination in row blocks: the slots read off the ranks are
+    # those compared at chain level
+    from rbsys import from_rb_operator
+    from rbsys.cohomology import _les_by_spans
+
+    from instances import diagonal_algebra, idempotent_rb_operator
+
+    field = GF(5)
+    sys = from_rb_operator(diagonal_algebra(field, 4), idempotent_rb_operator(field, 4, [0, 2], 1), 1)[0]
+    p = random_invertible(field, 4, random.Random(7))
+    sys, mod = conjugate_system(sys, p), conjugate_bimodule(regular_bimodule(sys), p, p)
+    report = les_check(sys, mod, 4, cap=30000)
+    assert report.ok
+    assert _slot_fields(report) == _slot_fields(_les_by_spans(Complexes(sys, mod, 30000), 4))
 
 
 def test_les_kernel_witness_is_outside_the_image(monkeypatch):
