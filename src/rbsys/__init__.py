@@ -3,8 +3,9 @@
 The package represents systems and their bimodules by structure-constant
 tensors over an exact field, assembles three cochain complexes as explicit
 matrices, computes cohomology dimensions, verifies and trivialises
-truncated formal deformations, and converts between degree-2 cocycles and
-abelian extensions in both directions.
+truncated formal deformations (an operator-only one is a DeformationData
+whose multiplication series is constant), and converts between degree-2
+cocycles and abelian extensions in both directions.
 """
 
 from .linalg import GF, QQ, Field, Matrix, hstack, vstack, block_diag, kron_all
@@ -60,7 +61,6 @@ from .cohomology import (
     betti,
     les_check,
     pack_rbs_cochain,
-    pack_rbso_cochain,
     phi,
     rba_embedding_check,
     rbs_d,
@@ -70,19 +70,14 @@ from .cohomology import (
 from .deformation import (
     DeformationData,
     GaugeSeries,
-    OperatorDeformation,
     apply_gauge,
     compose_gauges,
     constant_deformation,
-    constant_operator_deformation,
     gauge_inverse,
     identity_gauge,
     infinitesimal,
-    operator_infinitesimal,
     rigidify,
-    trivialize_step,
     verify_deformation,
-    verify_operator_deformation,
 )
 from .extensions import (
     Cocycle2,
@@ -96,7 +91,7 @@ from .extensions import (
     h2_extension_census,
     induced_bimodule,
     iso_from_cohomologous,
-    same_class_check,
+    same_class,
     zero_cocycle,
 )
 

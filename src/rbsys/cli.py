@@ -44,22 +44,15 @@ from .cohomology import (
     rba_embedding_check,
     resolve_cap,
 )
-from .deformation import (
-    DeformationData,
-    OperatorDeformation,
-    infinitesimal,
-    rigidify,
-    verify_deformation,
-    verify_operator_deformation,
-)
+from .deformation import infinitesimal, rigidify, verify_deformation
 from .extensions import (
     NotACocycle,
-    _same_class,
     build_extension,
     check_extension,
     check_iso,
     extract_cocycle,
     h2_extension_census,
+    same_class,
 )
 from .systems import check_rbs, star_algebra, check_rb_operator, RotaBaxterSystem
 from .documents import DocumentError, parse_scalar
@@ -254,12 +247,12 @@ def cmd_rba_embed(args, rep):
 
 def _deformation_input(args, rep, full=True):
     """(system, deformation) read against each other; full refuses an
-    operator-only document."""
+    operator-only document, one without "mus"."""
     sys_obj, system_doc = _guarded_system(args, rep)
     doc = docs.load(args.deformation)
     docs.check_system_reference(doc, system_doc, args.deformation, args.system)
     defn = docs.parse_deformation(doc, sys_obj)
-    if full and isinstance(defn, OperatorDeformation):
+    if full and "mus" not in doc:
         raise DocumentError(f"{args.deform_cmd} needs a full deformation document (with \"mus\")")
     return sys_obj, defn
 
@@ -278,15 +271,11 @@ def cmd_deform_verify(args, rep):
 
 
 def cmd_deform_op_verify(args, rep):
+    # mu held fixed: the system's checks make the assoc residuals zero
     sys_obj, defn = _deformation_input(args, rep, full=False)
-    if isinstance(defn, DeformationData):
-        if not all(m.is_zero() for m in defn.mus[1:]):
-            raise DocumentError("op-verify needs an operator deformation (omit \"mus\")")
-        if defn.mus[0] != sys_obj.alg.mult_matrix():
-            raise ValueError("deformation is not normalised to the undeformed structure at order 0")
-        defn = OperatorDeformation(defn.order, defn.Rs, defn.Ss)
-    report = verify_operator_deformation(sys_obj, defn)
-    return _report_orders(rep, report, "operator deformation")
+    if not all(m.is_zero() for m in defn.mus[1:]):
+        raise DocumentError("op-verify needs an operator deformation (omit \"mus\")")
+    return _report_orders(rep, verify_deformation(sys_obj, defn), "operator deformation")
 
 
 def cmd_deform_infinitesimal(args, rep):
@@ -328,7 +317,7 @@ def cmd_extend_check_iso(args, rep):
     rep.line(f"diagram checks: {diagram.describe()}")
     if not diagram:
         return FAIL
-    same = _same_class(ext1, ext2, iso)
+    same = same_class(ext1, ext2, iso)
     rep.set("same_class", _witness_dict(same))
     rep.line(f"same cohomology class: {same.describe()}")
     return PASS if same else FAIL

@@ -635,13 +635,6 @@ def unpack_rbs_cochain(cochain, sys, mod):
     return f, x, y
 
 
-def pack_rbso_cochain(x, y):
-    """Degree-n operator-complex cochain from the pair (x, y) of arity n."""
-    if x.arity != y.arity:
-        raise ValueError("component arities must agree")
-    return Cochain(RBSO, x.arity, vstack([multimap_vector(x), multimap_vector(y)]))
-
-
 # -- long exact sequence ---------------------------------------------------
 
 

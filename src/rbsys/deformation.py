@@ -19,6 +19,11 @@ Gauges are truncated series Id + Psi_1 t + ... acting by conjugation; the
 order-t coefficient of any valid deformation is a 2-cocycle of the total
 complex, and gauge changes move it by a coboundary.
 
+An operator-only deformation, with the multiplication held fixed, is the
+deformation whose mu series is [mu | 0 | ... | 0].  Its order-t cochain is
+(0, (R_1, S_1)), and since d(0, (x, y)) = (0, -partial(x, y)) that is a
+2-cocycle exactly when (R_1, S_1) is a 1-cocycle of the operator complex.
+
 A coefficient family c_0..c_N of r x k maps is stored as one stacked
 series [c_0 | c_1 | ... | c_N], an r x (N+1)k matrix.  Every product of
 series (the residuals, gauge composition and gauge action) is then one
@@ -36,7 +41,7 @@ residuals of a report.
 from __future__ import annotations
 
 from .algebra import MultiMap, multimap_from_vector
-from .cohomology import Complexes, pack_rbs_cochain, pack_rbso_cochain
+from .cohomology import Complexes, pack_rbs_cochain
 from .cohomology import hochschild_slice, phi  # noqa: F401  (re-exported: read from here)
 from .bimodules import regular_bimodule
 from .linalg import Matrix, block_toeplitz, hstack, regroup_columns
@@ -149,18 +154,11 @@ def constant_deformation(sys, order):
     return DeformationData(order, mus, [sys.R] + [zop] * order, [sys.S] + [zop] * order)
 
 
-def _check_normalised(sys, defn):
-    mu, R, S = defn.coefficients(0)
-    if mu != sys.alg.mult_matrix() or R != sys.R or S != sys.S:
-        raise ValueError("deformation is not normalised to the undeformed structure at order 0")
-
-
 class DeformationReport:
     """The residual series (assoc, resR, resS) of a deformation through
-    order count - 1 (only resR and resS for an operator deformation); the
-    deformation is valid when every residual is zero.  Verdicts read the
-    series by order ranges; ``residuals`` splits them into per-order
-    matrices only when it is read."""
+    order count - 1; the deformation is valid when every residual is zero.
+    Verdicts read the series by order ranges; ``residuals`` splits them
+    into per-order matrices only when it is read."""
 
     __slots__ = ("series", "count")
 
@@ -191,26 +189,22 @@ class DeformationReport:
         return f"DeformationReport(ok={self.ok})"
 
 
-def _operator_residuals(mu, R, S, count):
-    """The series resR and resS of the two operator equations, through
-    order count - 1.  mu may hold fewer coefficients; the missing are zero."""
+def _deformation_residuals(mu, R, S, count):
+    """The series assoc, resR and resS, through order count - 1."""
+    mu_id, id_mu = _kron_factors(mu, count)
     r_id, id_r = _kron_factors(R, count)
     s_id, id_s = _kron_factors(S, count)
     inner = _cauchy(mu, r_id + id_s, count)
     res_r = _cauchy(mu, _cauchy(r_id, id_r, count), count) - _cauchy(R, inner, count)
     res_s = _cauchy(mu, _cauchy(s_id, id_s, count), count) - _cauchy(S, inner, count)
-    return res_r, res_s
-
-
-def _deformation_residuals(mu, R, S, count):
-    """The series assoc, resR and resS, through order count - 1."""
-    mu_id, id_mu = _kron_factors(mu, count)
-    return (_cauchy(mu, mu_id - id_mu, count), *_operator_residuals(mu, R, S, count))
+    return _cauchy(mu, mu_id - id_mu, count), res_r, res_s
 
 
 def verify_deformation(sys, defn):
     """Expand the deformed equations and report the residual of each order."""
-    _check_normalised(sys, defn)
+    mu, R, S = defn.coefficients(0)
+    if mu != sys.alg.mult_matrix() or R != sys.R or S != sys.S:
+        raise ValueError("deformation is not normalised to the undeformed structure at order 0")
     count = defn.order + 1
     return DeformationReport(_deformation_residuals(*defn.series, count), count)
 
@@ -221,10 +215,9 @@ def infinitesimal(sys, defn, cap=None):
     Requires the deformation to hold through order 1; returns the cochain
     together with its cocycle verdict (always true for valid input).
     """
-    _check_normalised(sys, defn)
+    report = verify_deformation(sys, defn)
     if defn.order < 1:
         raise ValueError("need at least order 1")
-    report = verify_deformation(sys, defn)
     if not report.ok_through(1):
         raise ValueError("order-1 deformation equations fail")
     cochain = _order_cochain(sys, defn, 1)
@@ -329,28 +322,15 @@ def apply_gauge(defn, g):
     )
 
 
-def trivialize_step(sys, defn, n):
-    """Kill the order n + 1 coefficient with a gauge Id - Psi t^(n+1).
-
-    Requires the deformation to verify and its coefficients to vanish in
-    orders 1..n.  Packages the next coefficient as a degree-2 cochain
-    (asserting it is a cocycle) and solves the gauge-shaped coboundary
-    system d(Psi, (0, 0)) = cocycle; returns None when that restricted
-    system is inconsistent.
-    """
-    _check_normalised(sys, defn)
-    if n + 1 > defn.order:
-        raise ValueError("nothing to trivialise beyond the truncation order")
-    if not defn.coefficients_vanish(1, n):
-        raise ValueError(f"coefficients in orders 1..{n} must vanish first")
-    report = verify_deformation(sys, defn)
-    if not report.ok:
-        raise ValueError("deformation equations fail")
-    return _gauge_step(Complexes(sys, regular_bimodule(sys)), defn, n)
-
-
 def _gauge_step(cx, defn, n):
-    """trivialize_step on a verified deformation, reading slices from cx."""
+    """Kill the order n + 1 coefficient of a verified deformation, whose
+    coefficients vanish in orders 1..n, with a gauge Id - Psi t^(n+1).
+
+    Packages the next coefficient as a degree-2 cochain (asserting it is a
+    cocycle) and solves the gauge-shaped coboundary system d(Psi, (0, 0)) =
+    cocycle, reading slices from cx; returns (gauge, transformed), or None
+    when that restricted system is inconsistent.
+    """
     sys = cx.sys
     target = _order_cochain(sys, defn, n + 1)
     if not cx.is_cocycle(target):
@@ -391,9 +371,8 @@ def rigidify(sys, defn, cap=None):
     """Trivialise order by order; report the composite gauge or where it sticks.
 
     The input is verified once; each deformation a gauge step produces is
-    verified before the next step runs on it, as trivialize_step would.
+    verified before the next step (_gauge_step) runs on it.
     """
-    _check_normalised(sys, defn)
     report = verify_deformation(sys, defn)
     if not report.ok:
         raise ValueError("deformation equations fail")
@@ -412,45 +391,3 @@ def rigidify(sys, defn, cap=None):
         gauge, current = step
         composite = compose_gauges(composite, gauge)
     return RigidifyReport(True, composite, current)
-
-
-class OperatorDeformation:
-    """Operator coefficient families with the multiplication held fixed."""
-
-    __slots__ = ("order", "Rs", "Ss")
-
-    def __init__(self, order, Rs, Ss):
-        if not (len(Rs) == len(Ss) == order + 1):
-            raise ValueError(f"need {order + 1} coefficients per family")
-        self.order = order
-        self.Rs = list(Rs)
-        self.Ss = list(Ss)
-
-    def __repr__(self):
-        return f"OperatorDeformation(order={self.order})"
-
-
-def constant_operator_deformation(sys, order):
-    zop = Matrix.zeros(sys.field, sys.dim, sys.dim)
-    return OperatorDeformation(order, [sys.R] + [zop] * order, [sys.S] + [zop] * order)
-
-
-def verify_operator_deformation(sys, od):
-    """The operator residual series (resR, resS) with mu fixed, as a report."""
-    if od.Rs[0] != sys.R or od.Ss[0] != sys.S:
-        raise ValueError("operator deformation is not normalised at order 0")
-    count = od.order + 1
-    series = _operator_residuals(sys.alg.mult_matrix(), _stack(od.Rs), _stack(od.Ss), count)
-    return DeformationReport(series, count)
-
-
-def operator_infinitesimal(sys, od):
-    """Package (R_1, S_1) as a degree-1 operator cochain and check it."""
-    if od.order < 1:
-        raise ValueError("need at least order 1")
-    if not verify_operator_deformation(sys, od).ok_through(1):
-        raise ValueError("order-1 operator deformation equations fail")
-    cochain = pack_rbso_cochain(
-        MultiMap(sys.alg, 1, od.Rs[1]), MultiMap(sys.alg, 1, od.Ss[1])
-    )
-    return cochain, Complexes(sys, regular_bimodule(sys)).is_cocycle(cochain)

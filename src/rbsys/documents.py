@@ -22,9 +22,9 @@ import numpy as np
 
 from .algebra import Algebra, BimoduleActions, MultiMap, matrix_tensor
 from .bimodules import RBSBimodule
-from .deformation import DeformationData, OperatorDeformation
+from .deformation import DeformationData
 from .extensions import Cocycle2, ExtensionData, ExtensionIso
-from .linalg import GF, QQ, Matrix
+from .linalg import GF, QQ, Matrix, hstack, regroup_columns
 from .systems import RotaBaxterSystem
 
 SCHEMA = "rbs/v1"
@@ -124,35 +124,61 @@ def _shaped(data, shape, what):
     return level
 
 
-def _parse_matrix(field, data, rows, cols, what):
+def _matrix_entries(data, rows, cols, what):
+    """The entries of a rows x cols matrix given as a list of rows, row-major."""
     if not isinstance(data, list) or len(data) != rows:
         raise DocumentError(f"{what}: expected {rows} rows")
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"{what}: expected {cols} columns per row")
-    return _entries_matrix(field, [x for row in data for x in row], rows, cols, what)
+    return [x for row in data for x in row]
 
 
-def _entries_matrix(field, flat, rows, cols, what):
-    """The rows x cols matrix of the entries flat, row-major, each checked
-    by _entry; a list of ints is checked in one pass."""
-    if field.p is not None:
-        if not all(type(x) is int and 0 <= x < field.p for x in flat):
-            for x in flat:
-                _entry(field, x, what)
-        # checked entries are residues already: one array in the field's dtype
-        return Matrix(field, np.array(flat, dtype=field.dtype).reshape(rows, cols))
-    # numerators over one denominator, with no Fraction per entry
-    entries = [(x, 1) if type(x) is int else _entry(field, x, what) for x in flat]
-    den = math.lcm(*(d for _, d in entries))
-    return Matrix.rational([n * (den // d) for n, d in entries], den, (rows, cols))
+def _parse_matrix(field, data, rows, cols, what):
+    return _matrix_of(field, _checked(field, _matrix_entries(data, rows, cols, what), what), rows, cols)
 
 
 def _parse_tensor3(field, data, shape, what):
     """The (a, b, k) tensor as its k x ab matrix, the transpose of the ab x k
     matrix of its entries, row-major (see algebra.tensor_matrix)."""
-    a, b, k = shape
-    return _entries_matrix(field, _shaped(data, shape, what), a * b, k, what).transpose()
+    return _parse_stacked(field, [(data, what)], shape)
+
+
+def _parse_stacked(field, items, shape):
+    """The series [c_0 | ... | c_N] of the matrices (shape (rows, cols)) or
+    tensors (shape (a, b, k), each as its k x ab matrix) given as (data,
+    what) in items, each checked and named by its what, built as one matrix."""
+    entries = []
+    for data, what in items:
+        flat = _shaped(data, shape, what) if len(shape) == 3 else _matrix_entries(data, *shape, what)
+        entries += _checked(field, flat, what)
+    if len(shape) == 3:
+        return _matrix_of(field, entries, len(entries) // shape[2], shape[2]).transpose()
+    # the entries run over (c, i, j); row i of the series runs over (c, j)
+    series = regroup_columns(_matrix_of(field, entries, 1, len(entries)), len(items), shape[0])
+    return series.reshape(shape[0], len(entries) // shape[0])
+
+
+def _checked(field, flat, what):
+    """The entries flat, each checked by _entry: over GF(p) the list itself
+    (a list of ints is checked in one pass), over Q their pairs (numerator,
+    denominator)."""
+    if field.p is not None:
+        if not all(type(x) is int and 0 <= x < field.p for x in flat):
+            for x in flat:
+                _entry(field, x, what)
+        return flat
+    return [(x, 1) if type(x) is int else _entry(field, x, what) for x in flat]
+
+
+def _matrix_of(field, entries, rows, cols):
+    """The rows x cols matrix of entries returned by _checked, row-major."""
+    if field.p is not None:
+        # checked entries are residues already: one array in the field's dtype
+        return Matrix(field, np.array(entries, dtype=field.dtype).reshape(rows, cols))
+    # numerators over one denominator, with no Fraction per entry
+    den = math.lcm(*(d for _, d in entries))
+    return Matrix.rational([n * (den // d) for n, d in entries], den, (rows, cols))
 
 
 def _matrix_tokens(mat):
@@ -288,7 +314,9 @@ def serialize_cocycle(c, system_doc=None):
 
 
 def parse_deformation(doc, sys):
-    """Full deformation when "mus" is present, operator-only otherwise."""
+    """The deformation of a document, each family read straight into its
+    series.  Without "mus" the document is operator-only: mu is held fixed,
+    and the mu series is [mu | 0 | ... | 0]."""
     _require(doc, "deformation")
     order = _count(doc, "order", 0, "non-negative")
     d, field = sys.dim, sys.field
@@ -298,22 +326,21 @@ def parse_deformation(doc, sys):
         raise DocumentError(f'"Rs" must list {order + 1} matrices')
     if not isinstance(ss_data, list) or len(ss_data) != order + 1:
         raise DocumentError(f'"Ss" must list {order + 1} matrices')
-    Rs = [_parse_matrix(field, x, d, d, f"Rs[{k}]") for k, x in enumerate(rs_data)]
-    Ss = [_parse_matrix(field, x, d, d, f"Ss[{k}]") for k, x in enumerate(ss_data)]
+    R = _parse_stacked(field, [(x, f"Rs[{k}]") for k, x in enumerate(rs_data)], (d, d))
+    S = _parse_stacked(field, [(x, f"Ss[{k}]") for k, x in enumerate(ss_data)], (d, d))
     if "mus" not in doc:
-        return OperatorDeformation(order, Rs, Ss)
-    mus_data = doc["mus"]
-    if not isinstance(mus_data, list) or len(mus_data) != order + 1:
+        mu = hstack([sys.alg.mult_matrix(), Matrix.zeros(field, d, order * d * d)])
+    elif not isinstance(doc["mus"], list) or len(doc["mus"]) != order + 1:
         raise DocumentError(f'"mus" must list {order + 1} tensors')
-    mus = [_parse_tensor3(field, data, (d, d, d), f"mus[{k}]") for k, data in enumerate(mus_data)]
-    return DeformationData(order, mus, Rs, Ss)
+    else:
+        mu = _parse_stacked(field, [(x, f"mus[{k}]") for k, x in enumerate(doc["mus"])], (d, d, d))
+    return DeformationData.from_series(order, mu, R, S)
 
 
 def serialize_deformation(defn, sys, system_doc=None):
     field, d = sys.field, sys.dim
     doc = {"schema": SCHEMA, "kind": "deformation", "order": defn.order}
-    if isinstance(defn, DeformationData):
-        doc["mus"] = [_tensor_tokens(field, matrix_tensor(mu, d, d)) for mu in defn.mus]
+    doc["mus"] = [_tensor_tokens(field, matrix_tensor(mu, d, d)) for mu in defn.mus]
     doc["Rs"] = [_matrix_tokens(r) for r in defn.Rs]
     doc["Ss"] = [_matrix_tokens(s) for s in defn.Ss]
     if system_doc is not None:

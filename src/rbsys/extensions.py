@@ -333,19 +333,13 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma):
     return iso
 
 
-def same_class_check(ext1, ext2, iso):
+def same_class(ext1, ext2, iso):
     """Isomorphic extensions expose identical payloads through matched sections.
 
-    Requires the iso to commute with both legs and to restrict to the
-    identity on the kernel; extracts through t and iso o t and compares the
-    payloads componentwise.
+    Takes an iso that has passed check_iso, so that it commutes with both
+    legs; checks that it restricts to the identity on the kernel, extracts
+    through t and iso o t and compares the payloads componentwise.
     """
-    diagram = check_iso(ext1, ext2, iso)
-    return _same_class(ext1, ext2, iso) if diagram else diagram
-
-
-def _same_class(ext1, ext2, iso):
-    """same_class_check for an iso that has passed check_iso."""
     z = iso.zeta
     restricted = ext2.incl.solve(z @ ext1.incl)
     if restricted is None or restricted != Matrix.identity(ext1.hat.field, ext1.fiber_dim):

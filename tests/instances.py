@@ -251,17 +251,24 @@ def instance_set(count, seed=2024):
     return out
 
 
-def perturbed_phi(phi, degree, seed, scale=1):
-    """phi with a rank-one term scale u v^T added in one degree, the same
-    term on every call: a comparison map that is no longer a chain map."""
+def perturbed_phi(phi_rows, degree, seed, scale=1):
+    """phi_rows with a rank-one term scale u v^T added to phi_n in one
+    degree, the same term on every call, also when only a range of rows is
+    built: a comparison map that is no longer a chain map.  cohomology.phi
+    builds through phi_rows, so patching cohomology.phi_rows with it
+    perturbs phi_n whole and by rows alike; the term is one product per
+    call, made once the first part of phi_n is built."""
 
-    def perturbed(n, sys, mod, cap=None):
-        out = phi(n, sys, mod, cap)
-        if n != degree:
-            return out
-        rng = random.Random(seed)
-        u = random_matrix(sys.field, out.rows, 1, rng).scale(scale)
-        return out + u @ random_matrix(sys.field, 1, out.cols, rng)
+    def perturbed(n, sys, mod, ranges, cap=None):
+        term = None
+        for part, rows in zip(phi_rows(n, sys, mod, ranges, cap), ranges or [None]):
+            if n == degree:
+                if term is None:  # phi_n has twice as many rows as columns
+                    rng = random.Random(seed)
+                    u = random_matrix(sys.field, 2 * part.cols, 1, rng).scale(scale)
+                    term = u @ random_matrix(sys.field, 1, part.cols, rng)
+                part = part + (term if rows is None else term.take_rows(*rows))
+            yield part
 
     return perturbed
 
@@ -282,6 +289,15 @@ def perturbed_slice(hochschild_slice, alg, degree, seed):
         return out + (term if rows is None else term.take_rows(*rows))
 
     return perturbed
+
+
+def operator_deformation(sys, Rs, Ss):
+    """The deformation of the operator families Rs and Ss with the
+    multiplication held fixed: its mu series is [mu | 0 | ... | 0]."""
+    from rbsys import DeformationData
+
+    zero = Matrix.zeros(sys.field, sys.dim, sys.dim**2)
+    return DeformationData(len(Rs) - 1, [sys.alg.mult_matrix()] + [zero] * (len(Rs) - 1), Rs, Ss)
 
 
 def random_gauge(sys, order, rng):

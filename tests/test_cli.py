@@ -123,7 +123,7 @@ def test_les_failure_exit_code_and_witness(tmp_path, monkeypatch, capsys):
 
     path = str(tmp_path / "line.json")
     docs.dump(docs.serialize_system(line_system(QQ, 2, 0)), path)
-    monkeypatch.setattr(cohomology, "phi", perturbed_phi(cohomology.phi, 0, 1, Fraction(1, 3)))
+    monkeypatch.setattr(cohomology, "phi_rows", perturbed_phi(cohomology.phi_rows, 0, 1, Fraction(1, 3)))
     assert main(["les", path, "--max-degree", "2"]) == 1
     out = capsys.readouterr().out
     assert "slot rbso^0: image 1, kernel 0, FAIL\n  fail [image_not_in_kernel] at [5/3, -1/3]\n" in out
@@ -222,6 +222,54 @@ def test_op_verify_refuses_a_full_document_with_another_multiplication(tmp_path,
         assert main(["deform", "op-verify", spath, dpath] + flags) == 2
         assert capsys.readouterr().out == expected
     assert expected.count("deformation is not normalised to the undeformed structure at order 0") == 1
+
+
+def _deformation_docs(tmp_path):
+    """The triangular GF(5) system's path, and the paths of three order-2
+    deformation documents of it: operator-only (no "mus"), full with
+    mu_1 != 0, and operator-only with R_0 != R."""
+    from rbsys import Matrix, constant_deformation
+
+    sys = triangular_system(GF5(), 2, 1)
+    spath = str(tmp_path / "sys.json")
+    docs.dump(docs.serialize_system(sys), spath)
+    full = docs.serialize_deformation(constant_deformation(sys, 2), sys)
+    operator = {k: v for k, v in full.items() if k != "mus"}
+    deformed_mu = dict(full, mus=[full["mus"][0], full["mus"][0], full["mus"][2]])
+    moved_r = dict(operator, Rs=[docs._matrix_tokens(sys.R + Matrix.identity(sys.field, sys.dim))] + operator["Rs"][1:])
+    paths = {}
+    for name, doc in (("operator", operator), ("deformed_mu", deformed_mu), ("moved_r", moved_r)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        docs.dump(doc, paths[name])
+    return spath, paths
+
+
+def _refusal(message, as_json):
+    """The whole stdout of a leaf that exits 2 on message."""
+    return json.dumps({"error": message}, indent=2) + "\n" if as_json else f"error: {message}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_deform_document_kind_refusals(tmp_path, capsys, as_json):
+    # verify, infinitesimal and rigidify refuse an operator-only document;
+    # op-verify refuses a full one with a nonzero higher mu, and an
+    # operator-only one whose R_0 is not the system's R, with the message
+    # of deform verify
+    spath, paths = _deformation_docs(tmp_path)
+    flags = ["--json"] if as_json else []
+    for sub in ("verify", "infinitesimal", "rigidify"):
+        assert main(["deform", sub, spath, paths["operator"]] + flags) == 2
+        message = f'{sub} needs a full deformation document (with "mus")'
+        assert capsys.readouterr().out == _refusal(message, as_json)
+    assert main(["deform", "op-verify", spath, paths["deformed_mu"]] + flags) == 2
+    message = 'op-verify needs an operator deformation (omit "mus")'
+    assert capsys.readouterr().out == _refusal(message, as_json)
+    assert main(["deform", "op-verify", spath, paths["moved_r"]] + flags) == 2
+    message = "deformation is not normalised to the undeformed structure at order 0"
+    assert capsys.readouterr().out == _refusal(message, as_json)
+    assert main(["deform", "op-verify", spath, paths["operator"]] + flags) == 0
+    out = capsys.readouterr().out
+    assert (json.loads(out)["failing_orders"] == [] if as_json else out == "operator deformation: valid\n")
 
 
 def test_deform_rigidify_stuck(tmp_path, capsys):
@@ -328,7 +376,7 @@ def test_rbs_is_assembled_only_for_its_image(tmp_path, monkeypatch, capsys):
     assert les_check(sys, mod, 3).ok
     assert assembled == []
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "phi", perturbed_phi(cohomology.phi, 0, 1))
+        patch.setattr(cohomology, "phi_rows", perturbed_phi(cohomology.phi_rows, 0, 1))
         assert not les_check(sys, mod, 3).ok
     assert assembled == [0, 1, 2]
     assembled.clear()

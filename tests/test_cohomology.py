@@ -33,6 +33,8 @@ from rbsys import (
     zero_algebra,
 )
 
+from rbsys.cohomology import phi_rows
+
 from instances import (
     f2_zero_instance,
     instance_set,
@@ -361,13 +363,14 @@ def _blockwise_cases(monkeypatch):
     that it is no chain map."""
     from rbsys import cohomology
 
-    phi = cohomology.phi
+    phi_rows = cohomology.phi_rows
     pairs = instance_set(40, seed=1409)
     tris = [triangular_system(field, 1, 2) for field in (QQ, GF(2), GF(5), GF(40009))]
     pairs += [(tri, regular_bimodule(tri)) for tri in tris]
     for k, (sys, mod) in enumerate(pairs):
         for degree in (None, k // 4 % 4) if k % 4 == 0 else (None,):
-            monkeypatch.setattr(cohomology, "phi", phi if degree is None else perturbed_phi(phi, degree, k))
+            perturbed = phi_rows if degree is None else perturbed_phi(phi_rows, degree, k)
+            monkeypatch.setattr(cohomology, "phi_rows", perturbed)
             yield Complexes(sys, mod)
 
 
@@ -851,7 +854,7 @@ def test_les_check_matrix_products(monkeypatch):
     # before the check existed: 53.
     from rbsys import cohomology
 
-    def products(phi):
+    def products(phi_rows):
         calls = []
         matmul = Matrix.__matmul__
 
@@ -861,16 +864,16 @@ def test_les_check_matrix_products(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "__matmul__", counted)
-            patch.setattr(cohomology, "phi", phi)
+            patch.setattr(cohomology, "phi_rows", phi_rows)
             sys = triangular_system(GF(5), 1, 2)
             report = les_check(sys, regular_bimodule(sys), 3)
         return report.ok, len(calls)
 
-    assert products(phi) == (True, 28)
-    assert products(perturbed_phi(phi, 0, 1)) == (False, 53)
+    assert products(phi_rows) == (True, 28)
+    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 53)
 
 
-def _les_eliminations(monkeypatch, phi, stream_size=None):
+def _les_eliminations(monkeypatch, phi_rows, stream_size=None):
     """The shapes of the eliminations of les_check on the triangular GF(5)
     pair to degree 3, each with whether it was fed in row blocks, and the
     report."""
@@ -885,7 +888,7 @@ def _les_eliminations(monkeypatch, phi, stream_size=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_rref_array", counted)
-        patch.setattr(cohomology, "phi", phi)
+        patch.setattr(cohomology, "phi_rows", phi_rows)
         if stream_size is not None:
             patch.setattr(linalg, "_STREAM_SIZE", stream_size)
         sys = triangular_system(GF(5), 1, 2)
@@ -902,9 +905,9 @@ def test_les_check_eliminations(monkeypatch):
     # stacked residuals [reduce(W) | reduce(z)], which yields both the rank
     # of reduce(W) and the echelon of the kernel members; a zero stack needs
     # none (4 of the 11 slots here): 27 = 11 + 9 + 7
-    calls, report = _les_eliminations(monkeypatch, phi)
+    calls, report = _les_eliminations(monkeypatch, phi_rows)
     assert report.ok and len(calls) == 11
-    calls, report = _les_eliminations(monkeypatch, perturbed_phi(phi, 0, 1))
+    calls, report = _les_eliminations(monkeypatch, perturbed_phi(phi_rows, 0, 1))
     assert not report.ok and len(calls) == 27
 
 
@@ -916,7 +919,7 @@ def test_les_check_eliminates_streamed_slices_once(monkeypatch):
     # the pivots that their kernels found, and eliminate no slice again
     from rbsys import linalg
 
-    for perturbed, count in ((phi, 11), (perturbed_phi(phi, 0, 1), 27)):
+    for perturbed, count in ((phi_rows, 11), (perturbed_phi(phi_rows, 0, 1), 27)):
         whole, _ = _les_eliminations(monkeypatch, perturbed, linalg._STREAM_SIZE)
         streamed, _ = _les_eliminations(monkeypatch, perturbed, 0)
         assert len(whole) == len(streamed) == count
@@ -941,13 +944,14 @@ def _perturbations(sys, seed):
     """The functions of rbsys.cohomology to patch, as (name, function):
     phi intact; phi with a rank-one term added in one degree, each of 0..3,
     so that it is no longer a chain map; and delta_1 with a rank-one term,
-    so that delta^2 != 0."""
+    so that delta^2 != 0.  phi is patched through phi_rows, which builds it
+    whole and by rows."""
     from rbsys import cohomology
 
     hochschild = cohomology.hochschild_slice
     return (
-        [("phi", phi)]
-        + [("phi", perturbed_phi(phi, degree, seed)) for degree in range(4)]
+        [("phi_rows", phi_rows)]
+        + [("phi_rows", perturbed_phi(phi_rows, degree, seed)) for degree in range(4)]
         + [("hochschild_slice", perturbed_slice(hochschild, sys.alg, 1, seed))]
     )
 
@@ -956,25 +960,47 @@ def _perturbations(sys, seed):
 def test_les_check_matches_column_span_oracle(field, monkeypatch):
     # slot for slot against eliminating every span afresh, with phi intact
     # and with phi or delta_1 perturbed (see _perturbations), so that slots
-    # fail; failing slots carry a witness
-    from rbsys import cohomology
+    # fail; failing slots carry a witness, and the slots are compared at
+    # chain level exactly where the assembled rbs does not square to zero.
+    # Over GF(5) also the triangular pair with phi_3 perturbed and every
+    # slice fed to elimination in row blocks, where N_3 reads phi_3 by rows
+    from rbsys import cohomology, linalg
+
+    runs = []
+    by_spans = cohomology._les_by_spans
+
+    def counted(cx, top):
+        runs.append(top)
+        return by_spans(cx, top)
 
     rng = random.Random(401)
-    failing, tags = 0, set()
+    cases = []
     for seed in range(8):
         sys, mod = random_system_bimodule(rng, field)
-        for name, patched in _perturbations(sys, seed):
-            with monkeypatch.context() as patch:
-                patch.setattr(cohomology, name, patched)
-                report = les_check(sys, mod, 3)
-                spans = {}
-                expected = les_slots_by_column_spans(sys, mod, 3, spans=spans)
-            assert [(s.name, s.degree, s.image_dim, s.kernel_dim, s.ok) for s in report.slots] == expected
-            for s in report.slots:
-                _assert_witness(field, s, spans)
-                tags.add(s.witness.tag if s.witness is not None else None)
-            assert report.ok or patched is not phi
-            failing += not report.ok
+        cases += [(sys, mod, name, patched, None) for name, patched in _perturbations(sys, seed)]
+    if field == GF(5):
+        tri = triangular_system(field, 1, 2)
+        cases.append((tri, regular_bimodule(tri), "phi_rows", perturbed_phi(phi_rows, 3, 1), 0))
+    failing, tags = 0, set()
+    for sys, mod, name, patched, stream_size in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, name, patched)
+            patch.setattr(cohomology, "_les_by_spans", counted)
+            if stream_size is not None:
+                patch.setattr(linalg, "_STREAM_SIZE", stream_size)
+            runs.clear()
+            report = les_check(sys, mod, 3)
+            spans = {}
+            expected = les_slots_by_column_spans(sys, mod, 3, spans=spans)
+            cx = Complexes(sys, mod)
+            squares = all((cx.rbs(p) @ cx.rbs(p - 1)).is_zero() for p in (1, 2, 3))
+        assert [(s.name, s.degree, s.image_dim, s.kernel_dim, s.ok) for s in report.slots] == expected
+        assert runs == ([] if squares else [3])
+        for s in report.slots:
+            _assert_witness(field, s, spans)
+            tags.add(s.witness.tag if s.witness is not None else None)
+        assert report.ok or patched is not phi_rows
+        failing += not report.ok
     assert failing >= 3
     assert {"image_not_in_kernel", "kernel_not_in_image"} <= tags
 
@@ -1011,7 +1037,7 @@ def test_les_check_matches_the_four_call_slot_oracle(monkeypatch):
                 patch.setattr(cohomology, name, patched)
                 got = les_check(sys, mod, 3)
                 assert _slot_fields(got) == _slot_fields(les_check_by_slot_kernels(sys, mod, 3))
-            assert got.ok or patched is not phi
+            assert got.ok or patched is not phi_rows
             tags |= {s.witness.tag for s in got.slots if s.witness is not None}
     assert fields == {QQ, GF(2), GF(5), GF(40009)}
     assert empty >= 10
@@ -1075,7 +1101,7 @@ def test_les_check_falls_back_to_chain_level_slots(monkeypatch):
     sys = triangular_system(GF(5), 1, 2)
     mod = regular_bimodule(sys)
     assert les_check(sys, mod, 3).ok and runs == []
-    monkeypatch.setattr(cohomology, "phi", perturbed_phi(phi, 0, 1))
+    monkeypatch.setattr(cohomology, "phi_rows", perturbed_phi(phi_rows, 0, 1))
     report = les_check(sys, mod, 3)
     assert runs == [3] and not report.ok
     assert _slot_fields(report) == _slot_fields(les_check_by_slot_kernels(sys, mod, 3))
@@ -1098,9 +1124,9 @@ def test_the_square_check_agrees_with_the_assembled_product(monkeypatch):
                 cx = Complexes(sys, mod)
                 want = all((cx.rbs(p) @ cx.rbs(p - 1)).is_zero() for p in (1, 2, 3))
                 assert _squares_to_zero(Complexes(sys, mod), 3) == want
-            assert want or patched is not phi
+            assert want or patched is not phi_rows
             verdicts.add((name, want))
-    assert verdicts == {("phi", True), ("phi", False), ("hochschild_slice", False), ("hochschild_slice", True)}
+    assert verdicts == {("phi_rows", True), ("phi_rows", False), ("hochschild_slice", False), ("hochschild_slice", True)}
 
 
 def test_les_check_at_the_corner_matches_the_chain_level_slots():
@@ -1130,7 +1156,7 @@ def test_les_kernel_witness_is_outside_the_image(monkeypatch):
     field = GF(2)
     sys = triangular_system(field, 1, 2)
     mod = regular_bimodule(sys)
-    monkeypatch.setattr(cohomology, "phi", perturbed_phi(cohomology.phi, 1, 1))
+    monkeypatch.setattr(cohomology, "phi_rows", perturbed_phi(cohomology.phi_rows, 1, 1))
     spans = {}
     les_slots_by_column_spans(sys, mod, 3, spans=spans)
     (slot,) = [s for s in les_check(sys, mod, 3).slots if not s.ok]
@@ -1148,7 +1174,7 @@ def test_les_witness_is_the_one_a_row_by_row_search_finds(field, monkeypatch):
     failing = 0
     for seed in range(4):
         sys, mod = random_system_bimodule(rng, field)
-        monkeypatch.setattr(cohomology, "phi", perturbed_phi(phi, 1, seed))
+        monkeypatch.setattr(cohomology, "phi_rows", perturbed_phi(phi_rows, 1, seed))
         got = les_check(sys, mod, 3).slots
         with monkeypatch.context() as patch:
             patch.setattr(cohomology, "_first_outside", first_outside_by_rows)

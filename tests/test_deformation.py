@@ -12,25 +12,20 @@ from rbsys import (
     GaugeSeries,
     Matrix,
     MultiMap,
-    OperatorDeformation,
     RBS,
     RBSO,
     RotaBaxterSystem,
     apply_gauge,
     compose_gauges,
     constant_deformation,
-    constant_operator_deformation,
     gauge_inverse,
     hstack,
     identity_gauge,
     infinitesimal,
     multimap_vector,
-    operator_infinitesimal,
     regular_bimodule,
     rigidify,
-    trivialize_step,
     verify_deformation,
-    verify_operator_deformation,
     vstack,
     zero_algebra,
 )
@@ -39,6 +34,7 @@ from instances import (
     f2_zero_instance,
     instance_set,
     line_system,
+    operator_deformation,
     random_gauge,
     random_matrix,
     triangular_system,
@@ -220,9 +216,13 @@ def test_gauged_deformation_verifies_and_infinitesimals_cohomologous():
 
 
 def test_trivialize_step_examples():
+    # one gauge step of rigidify (_gauge_step) on verified deformations
+    from rbsys.deformation import _gauge_step
+
     sys = triangular_system(QQ, 2, 1)
+    cx = Complexes(sys, regular_bimodule(sys))
     const = constant_deformation(sys, 2)
-    step = trivialize_step(sys, const, 0)
+    step = _gauge_step(cx, const, 0)
     assert step is not None
     gauge, out = step
     assert gauge == identity_gauge(QQ, 3, 2)
@@ -245,13 +245,19 @@ def test_trivialize_step_examples():
     r1 = Matrix(QQ, vec.take_rows(fa, fa + d * d).a.reshape(d, d).copy())
     s1 = Matrix(QQ, vec.take_rows(fa + d * d, fa + 2 * d * d).a.reshape(d, d).copy())
     defn = DeformationData(1, [sys.alg.mult_matrix(), mu1], [sys.R, r1], [sys.S, s1])
-    step = trivialize_step(sys, defn, 0)
+    assert verify_deformation(sys, defn).ok
+    step = _gauge_step(cx, defn, 0)
     assert step is not None
-    _, out = step
+    gauge, out = step
     assert out.coefficients_vanish(1, 1)
+    # rigidify, the checked entry point, takes the same single step
+    report = rigidify(sys, defn)
+    assert report.success and report.gauge == gauge and report.result == out
 
 
 def test_trivialize_step_stuck_on_zero_structure():
+    from rbsys.deformation import _gauge_step
+
     sys, _ = f2_zero_instance()
     field = sys.field
     one = Matrix.identity(field, 1)
@@ -260,7 +266,9 @@ def test_trivialize_step_stuck_on_zero_structure():
         [sys.S, Matrix.zeros(field, 1, 1)],
     )
     assert verify_deformation(sys, defn).ok
-    assert trivialize_step(sys, defn, 0) is None
+    assert _gauge_step(Complexes(sys, regular_bimodule(sys)), defn, 0) is None
+    report = rigidify(sys, defn)
+    assert not report.success and report.stuck_order == 1
 
 
 def test_rigidify_round_trip_random():
@@ -288,29 +296,44 @@ def test_rigidify_stuck_report():
 
 
 def test_operator_deformation_examples():
+    # an operator deformation is a deformation whose mu series is constant
     sys = triangular_system(QQ, 1, 1)
-    od = constant_operator_deformation(sys, 2)
-    assert verify_operator_deformation(sys, od).ok
+    od = operator_deformation(sys, [sys.R] + [Matrix.zeros(QQ, 3, 3)] * 2, [sys.S] + [Matrix.zeros(QQ, 3, 3)] * 2)
+    assert od == constant_deformation(sys, 2)
+    assert verify_deformation(sys, od).ok
 
     rng = random.Random(10)
     field = GF(5)
     zsys = RotaBaxterSystem(
         zero_algebra(field, 2), random_matrix(field, 2, 2, rng), random_matrix(field, 2, 2, rng)
     )
-    od = OperatorDeformation(
-        2,
+    od = operator_deformation(
+        zsys,
         [zsys.R] + [random_matrix(field, 2, 2, rng) for _ in range(2)],
         [zsys.S] + [random_matrix(field, 2, 2, rng) for _ in range(2)],
     )
-    assert verify_operator_deformation(zsys, od).ok
+    assert verify_deformation(zsys, od).ok
 
     # order-0 residual of the verifier agrees with the axiom residual
     bad_sys = line_system(QQ, 1, 1)
-    od0 = OperatorDeformation(0, [bad_sys.R], [bad_sys.S])
-    assert not verify_operator_deformation(bad_sys, od0).ok
+    od0 = operator_deformation(bad_sys, [bad_sys.R], [bad_sys.S])
+    assert not verify_deformation(bad_sys, od0).ok
+
+
+def _operator_cocycle(sys, vec):
+    """The order-1 operator deformation (R + t R_1, S + t S_1) of a vector
+    (R_1, S_1) of the degree-1 operator complex."""
+    d = sys.dim
+    r1 = Matrix(sys.field, vec.take_rows(0, d * d).a.reshape(d, d).copy())
+    s1 = Matrix(sys.field, vec.take_rows(d * d, 2 * d * d).a.reshape(d, d).copy())
+    return operator_deformation(sys, [sys.R, r1], [sys.S, s1])
 
 
 def test_operator_infinitesimal_random():
+    # (R_1, S_1) in ker partial_1 gives a valid order-1 deformation whose
+    # infinitesimal is the total 2-cocycle (0, (R_1, S_1))
+    from rbsys.cohomology import Cochain
+
     rng = random.Random(11)
     checked = 0
     for sys, _ in instance_set(10, seed=451):
@@ -319,13 +342,12 @@ def test_operator_infinitesimal_random():
         if kernel.cols == 0:
             continue
         vec = kernel @ random_matrix(sys.field, kernel.cols, 1, rng)
-        d = sys.dim
-        r1 = Matrix(sys.field, vec.take_rows(0, d * d).a.reshape(d, d).copy())
-        s1 = Matrix(sys.field, vec.take_rows(d * d, 2 * d * d).a.reshape(d, d).copy())
-        od = OperatorDeformation(1, [sys.R, r1], [sys.S, s1])
-        assert verify_operator_deformation(sys, od).ok_through(1)
-        _, ok = operator_infinitesimal(sys, od)
+        od = _operator_cocycle(sys, vec)
+        assert verify_deformation(sys, od).ok_through(1)
+        cochain, ok = infinitesimal(sys, od)
         assert ok
+        assert cochain.vector == vstack([Matrix.zeros(sys.field, sys.dim**3, 1), vec])
+        assert Complexes(sys, mod).is_cocycle(Cochain(RBSO, 1, vec))
         checked += 1
     assert checked >= 5
 
@@ -333,10 +355,10 @@ def test_operator_infinitesimal_random():
 def test_operator_infinitesimal_guard():
     sys = triangular_system(QQ, 1, 1)
     one = Matrix.identity(QQ, 3)
-    od = OperatorDeformation(1, [sys.R, one], [sys.S, one])
-    if not verify_operator_deformation(sys, od).ok_through(1):
+    od = operator_deformation(sys, [sys.R, one], [sys.S, one])
+    if not verify_deformation(sys, od).ok_through(1):
         with pytest.raises(ValueError):
-            operator_infinitesimal(sys, od)
+            infinitesimal(sys, od)
 
 
 def test_order0_residuals_match_axioms():
@@ -443,10 +465,11 @@ def test_stacked_deformation_series_match_the_per_order_series(field):
         assert (gauged.mus, gauged.Rs, gauged.Ss) == series_apply_gauge(mus, Rs, Ss, g.psis)
         for x in (defn, gauged):
             assert verify_deformation(sys, x).residuals == series_residuals(x.mus, x.Rs, x.Ss)
-        od = OperatorDeformation(order, Rs, Ss)
-        assert verify_operator_deformation(sys, od).residuals == series_operator_residuals(
-            [alg.mult_matrix()], Rs, Ss
-        )
+        # mu held fixed: the operator residuals are those of the operator
+        # families under mu alone
+        residuals = verify_deformation(sys, operator_deformation(sys, Rs, Ss)).residuals
+        assert [res[1:] for res in residuals] == series_operator_residuals([alg.mult_matrix()], Rs, Ss)
+        assert residuals == series_residuals(operator_deformation(sys, Rs, Ss).mus, Rs, Ss)
 
 
 def test_verify_deformation_products_do_not_grow_with_the_order(monkeypatch):
@@ -494,10 +517,13 @@ def test_failing_report_lists_the_per_order_failures(field):
                 family = rng.choice([mus, Rs, Ss])
                 family[broken] = family[broken] + _matrix(field, *family[broken].shape, rng)
             defn = DeformationData(order, mus, Rs, Ss)
-            od = OperatorDeformation(order, Rs, Ss)
+            od = operator_deformation(sys, Rs, Ss)
+            assert [res[1:] for res in verify_deformation(sys, od).residuals] == series_operator_residuals(
+                mus[:1], Rs, Ss
+            )
             for report, expected in (
                 (verify_deformation(sys, defn), series_residuals(mus, Rs, Ss)),
-                (verify_operator_deformation(sys, od), series_operator_residuals(mus[:1], Rs, Ss)),
+                (verify_deformation(sys, od), series_residuals(od.mus, Rs, Ss)),
             ):
                 assert isinstance(report, DeformationReport)
                 failing = [n for n, res in enumerate(expected) if not all(r.is_zero() for r in res)]

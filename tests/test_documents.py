@@ -81,7 +81,7 @@ def test_cocycle_round_trip():
 
 
 def test_deformation_round_trip():
-    from rbsys import DeformationData, OperatorDeformation, apply_gauge, constant_deformation
+    from rbsys import DeformationData, apply_gauge, constant_deformation
 
     rng = random.Random(1)
     sys = triangular_system(QQ, 2, 1)
@@ -91,11 +91,17 @@ def test_deformation_round_trip():
     assert isinstance(back, DeformationData)
     assert back == defn
 
+    # an operator-only document (no "mus") holds mu fixed: it reads as the
+    # deformation whose mu series is constant, which writes that series
     od_doc = {k: v for k, v in doc.items() if k != "mus"}
     back_od = docs.parse_deformation(od_doc, sys)
-    assert isinstance(back_od, OperatorDeformation)
+    assert isinstance(back_od, DeformationData)
+    assert back_od.mus == [sys.alg.mult_matrix()] + [Matrix.zeros(QQ, 3, 9)] * 2
     assert back_od.Rs == defn.Rs
     assert back_od.Ss == defn.Ss
+    written = docs.serialize_deformation(back_od, sys)
+    assert {k: v for k, v in written.items() if k != "mus"} == od_doc
+    assert docs.parse_deformation(written, sys) == back_od
 
 
 def test_extension_round_trip():
