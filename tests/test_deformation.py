@@ -298,7 +298,8 @@ def test_rigidify_stuck_report():
 def test_operator_deformation_examples():
     # an operator deformation is a deformation whose mu series is constant
     sys = triangular_system(QQ, 1, 1)
-    od = operator_deformation(sys, [sys.R] + [Matrix.zeros(QQ, 3, 3)] * 2, [sys.S] + [Matrix.zeros(QQ, 3, 3)] * 2)
+    zero = Matrix.zeros(QQ, 3, 3)
+    od = operator_deformation(sys, [sys.R, zero, zero], [sys.S, zero, zero])
     assert od == constant_deformation(sys, 2)
     assert verify_deformation(sys, od).ok
 
@@ -320,15 +321,6 @@ def test_operator_deformation_examples():
     assert not verify_deformation(bad_sys, od0).ok
 
 
-def _operator_cocycle(sys, vec):
-    """The order-1 operator deformation (R + t R_1, S + t S_1) of a vector
-    (R_1, S_1) of the degree-1 operator complex."""
-    d = sys.dim
-    r1 = Matrix(sys.field, vec.take_rows(0, d * d).a.reshape(d, d).copy())
-    s1 = Matrix(sys.field, vec.take_rows(d * d, 2 * d * d).a.reshape(d, d).copy())
-    return operator_deformation(sys, [sys.R, r1], [sys.S, s1])
-
-
 def test_operator_infinitesimal_random():
     # (R_1, S_1) in ker partial_1 gives a valid order-1 deformation whose
     # infinitesimal is the total 2-cocycle (0, (R_1, S_1))
@@ -342,11 +334,14 @@ def test_operator_infinitesimal_random():
         if kernel.cols == 0:
             continue
         vec = kernel @ random_matrix(sys.field, kernel.cols, 1, rng)
-        od = _operator_cocycle(sys, vec)
+        d = sys.dim
+        r1 = Matrix(sys.field, vec.take_rows(0, d * d).a.reshape(d, d).copy())
+        s1 = Matrix(sys.field, vec.take_rows(d * d, 2 * d * d).a.reshape(d, d).copy())
+        od = operator_deformation(sys, [sys.R, r1], [sys.S, s1])
         assert verify_deformation(sys, od).ok_through(1)
         cochain, ok = infinitesimal(sys, od)
         assert ok
-        assert cochain.vector == vstack([Matrix.zeros(sys.field, sys.dim**3, 1), vec])
+        assert cochain.vector == vstack([Matrix.zeros(sys.field, d**3, 1), vec])
         assert Complexes(sys, mod).is_cocycle(Cochain(RBSO, 1, vec))
         checked += 1
     assert checked >= 5
