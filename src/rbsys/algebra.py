@@ -371,38 +371,6 @@ class MultiMap:
         arg = kron_all(self.alg.field, cols, empty_dim=1)
         return self.mat @ arg
 
-    def compose_with_mult(self, slot):
-        """Feed the product of arguments slot, slot+1 into argument slot.
-
-        Returns the arity n+1 map (a_1, ..., a_{n+1}) |->
-        f(a_1, ..., a_slot a_{slot+1}, ..., a_{n+1}); slot is 1-based.
-        """
-        n = self.arity
-        if not 1 <= slot <= n:
-            raise ValueError(f"slot {slot} out of range 1..{n}")
-        d = self.alg.dim
-        field = self.alg.field
-        k = kron_all(
-            field,
-            [
-                Matrix.identity(field, d ** (slot - 1)),
-                self.alg.mult_matrix(),
-                Matrix.identity(field, d ** (n - slot)),
-            ],
-        )
-        return MultiMap(self.alg, n + 1, self.mat @ k)
-
-    def precompose_operators(self, ops):
-        """f composed with op_1 (x) ... (x) op_n on the arguments."""
-        if len(ops) != self.arity:
-            raise ValueError(f"need {self.arity} operators, got {len(ops)}")
-        d = self.alg.dim
-        for op in ops:
-            if op.shape != (d, d):
-                raise ValueError(f"operator shape {op.shape}, expected ({d}, {d})")
-        k = kron_all(self.alg.field, list(ops), empty_dim=1)
-        return MultiMap(self.alg, self.arity, self.mat @ k)
-
     def __repr__(self):
         return f"MultiMap(arity={self.arity}, {self.mat.rows}x{self.mat.cols})"
 

@@ -317,7 +317,7 @@ def cmd_extend_check_iso(args, rep):
     rep.line(f"diagram checks: {diagram.describe()}")
     if not diagram:
         return FAIL
-    same = same_class(ext1, ext2, iso)
+    same = same_class(ext1, ext2, iso, args.cap)
     rep.set("same_class", _witness_dict(same))
     rep.line(f"same cohomology class: {same.describe()}")
     return PASS if same else FAIL
@@ -326,7 +326,7 @@ def cmd_extend_check_iso(args, rep):
 def cmd_extend_extract(args, rep):
     ext = docs.parse_extension(docs.load(args.extension))
     _require(rep, "extension", check_extension(ext), "not a valid extension")
-    _emit_document(rep, docs.serialize_cocycle(extract_cocycle(ext)), args.output, "cocycle")
+    _emit_document(rep, docs.serialize_cocycle(extract_cocycle(ext, cap=args.cap)), args.output, "cocycle")
     return PASS
 
 

@@ -254,8 +254,9 @@ def induced_bimodule(ext, section=None):
     return mod
 
 
-def extract_cocycle(ext, section=None):
-    """Read off (Psi, chi_R, chi_S) through a section; asserts the cocycle law."""
+def extract_cocycle(ext, section=None, cap=None):
+    """Read off (Psi, chi_R, chi_S) through a section; asserts the cocycle
+    law.  cap is the cochain-space guard of the complex it checks in."""
     t = canonical_section(ext) if section is None else section
     if ext.proj @ t != Matrix.identity(ext.hat.field, ext.base_dim):
         raise ValueError("not a section of the projection")
@@ -273,7 +274,7 @@ def extract_cocycle(ext, section=None):
         MultiMap(sys.alg, 1, chi_r_mat),
         MultiMap(sys.alg, 1, chi_s_mat),
     )
-    if not Complexes(sys, mod).is_cocycle(c.as_cochain()):
+    if not Complexes(sys, mod, cap).is_cocycle(c.as_cochain()):
         raise AssertionError("extracted payload is not a cocycle")
     return c
 
@@ -306,17 +307,17 @@ def check_iso(ext1, ext2, iso):
     return Verdict(True)
 
 
-def iso_from_cohomologous(sys, mod, c1, c2, gamma):
+def iso_from_cohomologous(sys, mod, c1, c2, gamma, cap=None):
     """The shear (a, m) -> (a, -gamma(a) + m) between cohomologous payloads.
 
     Requires c2 - c1 to be the coboundary of (gamma, (0, 0)); the returned
     map is then an isomorphism from the c1-extension to the c2-extension,
-    which is verified before returning.
+    which is verified before returning.  cap is the cochain-space guard.
     """
     if gamma.arity != 1 or gamma.target_dim != mod.dim:
         raise ValueError("gamma must be a linear map from the base into the kernel")
     diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
-    cx = Complexes(sys, mod)
+    cx = Complexes(sys, mod, cap)
     # d(gamma, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
     expected = cx.alg_column(1) @ multimap_vector(gamma)
     if diff != expected:
@@ -333,20 +334,21 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma):
     return iso
 
 
-def same_class(ext1, ext2, iso):
+def same_class(ext1, ext2, iso, cap=None):
     """Isomorphic extensions expose identical payloads through matched sections.
 
     Takes an iso that has passed check_iso, so that it commutes with both
     legs; checks that it restricts to the identity on the kernel, extracts
-    through t and iso o t and compares the payloads componentwise.
+    through t and iso o t and compares the payloads componentwise.  cap is
+    the cochain-space guard of the cocycle checks.
     """
     z = iso.zeta
     restricted = ext2.incl.solve(z @ ext1.incl)
     if restricted is None or restricted != Matrix.identity(ext1.hat.field, ext1.fiber_dim):
         return Verdict(False, tag="kernel_restriction_not_identity")
     t1 = canonical_section(ext1)
-    c1 = extract_cocycle(ext1, t1)
-    c2 = extract_cocycle(ext2, z @ t1)
+    c1 = extract_cocycle(ext1, t1, cap)
+    c2 = extract_cocycle(ext2, z @ t1, cap)
     if c1.psi.mat != c2.psi.mat:
         return Verdict(False, tag="psi_differs")
     if c1.chi_r.mat != c2.chi_r.mat:

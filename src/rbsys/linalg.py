@@ -24,29 +24,37 @@ view, and every entry of an RREF's view is a Fraction.
 Arithmetic is integer array arithmetic and builds no Fraction.  Over Q a
 sum brings both numerator arrays to the lcm of the denominators, and a
 product (``@``, ``kron``) multiplies numerators and denominators; the
-result is brought back to canonical form.  Each runs in int64 when a bound
-on every result is below 2^62, and over Python ints otherwise; for ``@``
-with inner dimension k the bound is max|x| max|y| k over the numerators,
-each of the three factors taken as at least 1, from the bounds that the
-matrices carry or, where those reach 2^62, from the measured maxima.  A
-product whose bound is below 2^53 and that is large enough to pay for the
-conversions (as below) runs in float64 BLAS: every partial sum, in
-whatever order, is an integer of magnitude at most the bound, exact in
-float64 (numpy's int64 product is no BLAS call, and 40x slower at 2187 x
-729 x 378).
-Over GF(p) a product of inner dimension k runs in float64 BLAS when k (p -
-1)^2 < 2^53 and the product is large enough to pay for the conversions:
-the residues are non-negative, so every partial sum, in whatever order
-BLAS adds, is an integer of at most k (p - 1)^2 and exact in float64.  No
-entry is ever a float; float64 holds only these exact integers inside a
-product.  Other int64 products reduce mod p after every floor((2^63 - 1) /
-(p - 1)^2) inner terms.  Both are the delayed reduction of Dumas, Giorgi
-and Pernet (FFLAS-FFPACK), and int64 is exact for every p < 2^31.  An int64
-array of at least _FLOOR_DIVIDE_SIZE entries is reduced mod p by floor
-division, x - (x // p) p, which numpy runs without a hardware division per
-entry (see ``_mod``): product results, slices assembled over GF(p), the
-periodic and final reductions of elimination, and the matrix reduced mod
-each prime over Q.  Every ``kron`` is one outer product of the two arrays.
+result is brought back to canonical form.  Sums and ``kron`` run in int64
+when a bound on every result is below 2^62, and over Python ints
+otherwise.  Every ``kron`` is one outer product of the two arrays.
+
+Every exact integer product, over Q, mod p and in the certificate below,
+is one ``_dot`` of a bound on every partial sum, and one rule picks its
+arithmetic: float64 BLAS when the bound is below 2^53, where every partial
+sum, in whatever order BLAS adds, is an integer exact in float64, and the
+product is large enough to pay for the conversions (_FLOAT_RATIO); else
+int64 when the bound is below 2^63, and Python ints above.  No entry is
+ever a float; float64 holds only these exact integers inside a product
+(numpy's int64 product is no BLAS call, and 40x slower at 2187 x 729 x
+378).  For ``@`` over Q with inner dimension k the bound is max|x| max|y|
+k over the numerators, each of the three factors taken as at least 1, from
+the bounds that the matrices carry or, where those reach 2^62, from the
+measured maxima.  Over GF(p) it is k (p - 1)^2, as residues are
+non-negative: one ``_dot`` when that is below 2^63, else one per run of
+floor((2^63 - 1) / (p - 1)^2) inner terms, each reduced mod p; this is the
+delayed reduction of Dumas, Giorgi and Pernet (FFLAS-FFPACK), exact for
+every p < 2^31, and residues past 2^31 take one product on Python ints.
+An int64 array of at least _FLOOR_DIVIDE_SIZE entries is reduced mod p by
+floor division, x - (x // p) p, which numpy runs without a hardware
+division per entry (see ``_mod``): product results, slices assembled over
+GF(p), the periodic and final reductions of elimination, and the matrix
+reduced mod each prime over Q.
+
+Every rational reconstruction is one ``_lift`` (Wang, Guy and Davenport):
+each column of a residue array mod m lifts with a denominator of its own,
+in int64 for m < 2^31 and on Python ints for a product of primes.
+``lift_columns`` lifts the columns of a matrix over GF(p), and the
+multimodular RREF below lifts its free entries as one column.
 
 One kernel, ``_rref_array``, does every elimination (rref, rank,
 kernel_basis, solve, inverse).  It only reads the stored integer array and
@@ -98,9 +106,9 @@ paths:
   every step near 2^31, and one prime still reconstructs every |n|, L <=
   sqrt(p/2), about 2^13.5.  The primes of the
   highest rank r and, at that rank, of the lexicographically first pivot
-  list P are kept, combined by CRT, and the entries rationally reconstructed
-  (Wang, Guy and Davenport) into a candidate R with a common denominator L.
-  R is returned only if B L = B[:, P] (L R) holds exactly.  Proof sketch:
+  list P are kept, combined by CRT, and the entries lifted as one column
+  into a candidate R with a common denominator L.  R is returned only if B
+  L = B[:, P] (L R) holds exactly, checked by one ``_dot``.  Proof sketch:
   that identity puts every row of B in the row space of R, so rank_Q B <= r;
   a kept prime has rank_p B = r, and no prime raises the rank, so rank_Q B =
   r and row(B) = row(R).  R is in reduced echelon form, and the RREF of a
@@ -135,15 +143,6 @@ _INT64_BOUND = 1 << 62
 # fraction-free Gauss-Jordan on Python ints, a larger one modulo primes; the
 # timings that set it are in _fraction_free.
 _FRACTION_FREE_SIZE = 128
-# The rational reconstruction of the free entries of one prime's RREF runs
-# on an int64 array when there are more than this many, else on a Python
-# list, as for several primes.  Timed on the Q inputs above
-# _FRACTION_FREE_SIZE of one document set of les_sweep and deform_extend and
-# of the acceptance tests' Q pairs (reconstruction with its conversions,
-# mean us per input): up to 16 free entries list 13.7, array 22.1; 17-32
-# 11.7 and 16.0; 33-64 21.7 and 20.4; 65-128 46.7 and 27.5; 513-1024 265
-# and 53.
-_LIST_RECONSTRUCT_SIZE = 32
 # Up to this many entries, per-call numpy overhead dominates elimination
 # mod p, and updating the whole array beats updating only the rows that
 # change; timed crossover (int64, GF(5)): between 256 and 900 entries.
@@ -155,12 +154,12 @@ _WHOLE_UPDATE_SIZE = 256
 # range, the whole matrix, as assembling it by blocks would cost more calls
 # than it saves memory.
 _STREAM_SIZE = 1 << 18
-# A product mod p runs in float64 BLAS when m k n >= _FLOAT_RATIO (m k + k n
-# + m n): the multiply-adds outnumber the entries converted to and from
-# float64 by that factor.  Timed on the same machine (GF(5), GF(40009)):
-# above 3.5 float64 is 1.5-15x faster, below 1 it is about 2x slower; 3 x 3
-# x 3 takes 2.0 us in int64 and 3.7 us in float64, 405 x 135 x 135 8.0 ms
-# and 0.9 ms.
+# An exact product (_dot) whose bound allows it runs in float64 BLAS when m
+# k n >= _FLOAT_RATIO (m k + k n + m n): the multiply-adds outnumber the
+# entries converted to and from float64 by that factor.  Timed on the same
+# machine (GF(5), GF(40009)): above 3.5 float64 is 1.5-15x faster, below 1
+# it is about 2x slower; 3 x 3 x 3 takes 2.0 us in int64 and 3.7 us in
+# float64, 405 x 135 x 135 8.0 ms and 0.9 ms.
 _FLOAT_RATIO = 4
 # Every integer of magnitude below this bound is exact in float64.
 _FLOAT_EXACT = 1 << 53
@@ -558,16 +557,11 @@ class Matrix:
         # is taken as at least 1, so a zero factor or k = 0 cannot let an
         # unbounded other factor into int64.  The stored bounds may be loose
         # (a sum adds them), so past int64 the factors are measured.
-        m, k, n = self.rows, self.cols, other.cols
-        bound = max(self._mag, 1) * max(other._mag, 1) * max(k, 1)
+        k = max(self.cols, 1)
+        bound = max(self._mag, 1) * max(other._mag, 1) * k
         if bound >= _INT64_BOUND:
-            bound = max(_mag(self.num), 1) * max(_mag(other.num), 1) * max(k, 1)
-        if bound < _FLOAT_EXACT and _float_pays(m, k, n):
-            c = (self.num.astype(np.float64) @ other.num.astype(np.float64)).astype(np.int64)
-        else:
-            dtype = _dtype_for(bound)
-            c = self.num.astype(dtype, copy=False).dot(other.num.astype(dtype, copy=False))
-        return _of(self.field, c, self.den * other.den, bound)
+            bound = max(_mag(self.num), 1) * max(_mag(other.num), 1) * k
+        return _of(self.field, _dot(self.num, other.num, bound), self.den * other.den, bound)
 
     def factor(self):
         """This matrix as the right factor of many products: a matrix of the
@@ -795,47 +789,49 @@ def _rationals(num, den, fractions):
     return np.array(vals, dtype=object).reshape(num.shape)
 
 
-def _dot_mod(x, y, p, floats=None):
-    """x @ y mod p of two residue arrays.
+def _dot(x, y, bound, floats=None):
+    """x @ y of two integer arrays, where bound bounds |every partial sum|
+    of every entry, in whatever order it is summed.
 
-    With inner size k, the product runs in float64 (_dot_float) when k (p -
-    1)^2 < 2^53 and it is large enough for BLAS to pay off; there y is
-    converted to float64, or, when floats is a list (a factor's, see
-    ``Matrix.factor``), taken from it, once put there.  Otherwise an int64
-    product is reduced mod p after every _chunk(p) inner terms, so no
-    partial sum wraps.
+    The one rule for an exact integer product: float64 BLAS when bound <
+    2^53, where every partial sum is exact in float64, and the product is
+    large enough to pay for converting its operands and its result
+    (_FLOAT_RATIO); there y is converted to float64, or, when floats is a
+    list (a factor's, see ``Matrix.factor``), taken from it, once put there.
+    Otherwise int64 when bound < 2^63, so no partial sum wraps, and Python
+    ints above: the result is int64, or an object array when the bound or an
+    operand (a Q numerator array past 2^62) is.
     """
     m, k = x.shape
     n = y.shape[1]
-    if x.dtype == object:
-        return _mod(x.dot(y), p)
-    if 0 < k <= _float_inner(p) and _float_pays(m, k, n):
+    if bound < _FLOAT_EXACT and m * k * n >= _FLOAT_RATIO * (m * k + k * n + m * n):
         if floats is not None:
             if not floats:
                 floats.append(y.astype(np.float64))
             y = floats[0]
-        return _dot_float(x, y, p)
-    step = _chunk(p)
-    if k <= step:
+        return (x.astype(np.float64) @ y.astype(np.float64, copy=False)).astype(np.int64)
+    if bound >= 2**63:
+        x, y = x.astype(object, copy=False), y.astype(object, copy=False)
+    return x.dot(y)
+
+
+def _dot_mod(x, y, p, floats=None):
+    """x @ y mod p of two residue arrays, through _dot: one product when k
+    (p - 1)^2 < 2^63 for the inner size k, else one per run of floor((2^63
+    - 1) / (p - 1)^2) inner terms, each reduced mod p (the delayed
+    reduction of Dumas, Giorgi and Pernet).  Residues past 2^31 are Python
+    ints and take one product.
+    """
+    if x.dtype == object:
         return _mod(x.dot(y), p)
-    out = _mod(x[:, :step].dot(y[:step]), p)
+    k, square = x.shape[1], (p - 1) ** 2
+    if k * square < 2**63:
+        return _mod(_dot(x, y, k * square, floats), p)
+    step = (2**63 - 1) // square
+    out = _mod(_dot(x[:, :step], y[:step], step * square), p)
     for s in range(step, k, step):
-        out += _mod(x[:, s : s + step].dot(y[s : s + step]), p)
+        out += _mod(_dot(x[:, s : s + step], y[s : s + step], step * square), p)
     return _mod(out, p, out=out)
-
-
-def _float_pays(m, k, n):
-    """Whether an m x k by k x n product pays for converting its operands
-    to float64 and its result back (_FLOAT_RATIO)."""
-    return m * k * n >= _FLOAT_RATIO * (m * k + k * n + m * n)
-
-
-def _dot_float(x, y, p):
-    """x @ y mod p through float64 for k (p - 1)^2 < 2^53: the residues are
-    non-negative, so every partial sum of every order of summation is an
-    integer of at most k (p - 1)^2, which float64 holds exactly.  y may be
-    given as float64 already."""
-    return _mod((x.astype(np.float64) @ y.astype(np.float64, copy=False)).astype(np.int64), p)
 
 
 def _mod(x, p, out=None):
@@ -857,20 +853,6 @@ def _mod(x, p, out=None):
     q = x // p
     q *= p
     return np.subtract(x, q, out=q if out is None else out)
-
-
-@functools.cache
-def _chunk(p):
-    """How many inner terms of an int64 product mod p cannot wrap: each is
-    at most (p - 1)^2."""
-    return (2**63 - 1) // max(p - 1, 1) ** 2
-
-
-@functools.cache
-def _float_inner(p):
-    """The largest inner size k of a product mod p that float64 holds
-    exactly, k (p - 1)^2 < 2^53; 0 when one product (p - 1)^2 reaches 2^53."""
-    return (2**53 - 1) // max(p - 1, 1) ** 2
 
 
 @functools.cache
@@ -1165,7 +1147,7 @@ def _prime(i):
     Over Q these primes take the place of those just below 2^31, where an
     int64 product mod p reduces after every 2 inner terms and Gauss-Jordan
     after every pivot step.  Below 2^28 a product of inner size k makes
-    ceil(k / 128) numpy calls (_chunk) and Gauss-Jordan reduces every 64
+    ceil(k / 128) numpy calls (_dot_mod) and Gauss-Jordan reduces every 64
     steps (_unreduced_steps), the delayed reduction of the prime-field path;
     one prime still reconstructs every |n|, L <= sqrt(p / 2), about 2^13.5.
     """
@@ -1188,9 +1170,9 @@ def _rref_rational(b):
     rank and, at that rank,
     of the lexicographically first pivot list are kept; their RREFs are
     combined by CRT and the entries right of the pivots rationally
-    reconstructed.  A candidate is returned only once it passes the exact
-    check of _certified; otherwise one more prime is tried, up to
-    _prime_budget primes.  By then a correct kernel mod p has certified,
+    reconstructed as one column (_lift).  A candidate is returned only once
+    it passes the exact check of _certified; otherwise one more prime is
+    tried, up to _prime_budget primes.  By then a correct kernel mod p has certified,
     so running out is a kernel bug: AssertionError.
     """
     if b.size <= _FRACTION_FREE_SIZE:
@@ -1208,29 +1190,19 @@ def _rref_rational(b):
             free = np.ones(b.shape[1], dtype=bool)
             free[pivots] = False
             x = rp[:, free].ravel()
-            if x.size <= _LIST_RECONSTRUCT_SIZE:
-                x = x.tolist()
         elif key == best:
-            # CRT on Python ints: the residue mod modulus * p that is x mod
-            # modulus and rp mod p
-            if type(x) is not list:
-                x = x.tolist()
-            inv = pow(modulus, -1, p)
-            y = rp[:, free].ravel().tolist()
-            x = [u + modulus * ((v - u) * inv % p) for u, v in zip(x, y)]
+            # CRT: the residue mod modulus * p that is x mod modulus and rp
+            # mod p, on Python ints
+            x = x.astype(object)
+            x += modulus * ((rp[:, free].ravel() - x) * pow(modulus, -1, p) % p)
             modulus *= p
         else:
             continue
-        candidate = _reconstruct(x, modulus)
-        if candidate is None:
+        num, dens, failed = _lift(x[:, None], modulus)
+        if failed:
             continue
-        num, den = candidate
-        if type(num) is list:
-            nmax = max(map(abs, num), default=0)
-            num = np.array(num, dtype=_dtype_for(nmax))
-        else:
-            nmax = _mag(num)
-        block = num.reshape(len(pivots), b.shape[1] - len(pivots))
+        den, nmax = int(dens[0]), _mag(num)
+        block = num.astype(_dtype_for(nmax), copy=False).reshape(len(pivots), b.shape[1] - len(pivots))
         if _certified(b, bmax * (den + len(pivots) * nmax), pivots, free, block, den):
             break
     else:
@@ -1330,39 +1302,39 @@ def _prime_budget(shape, bmax):
     return -(-bits // 54) + -(-(bits + 1) // 27)
 
 
-def _reconstruct(x, m):
-    """Integers n and L with n/L = x mod m, |n|, L <= sqrt(m/2); or None.
-    x is a list of Python ints, and n then a list too, or an int64 array of
-    residues mod one prime m (below 2^28, so x L < 2^42 stays int64), and
-    n then an int64 array.
+def _lift(x, m):
+    """Each column of the residue array x mod m lifted to Q by rational
+    reconstruction with a denominator of its own: (num, dens, failed), where
+    n = L c mod m and |n|, L <= sqrt(m/2) for the column c, its numerators n
+    (column j of num) and L = dens[j]; a column with no such lift is listed
+    in failed, with zero numerators and L = 0.
 
-    L is a common denominator, grown from the first entry that needs more.
+    L starts at 1 and grows to its lcm with the denominator of the first
+    entry past the bound (_wang_denominator) until no entry is past it; a
+    denominator that does not grow or passes the bound fails the column.
     Rationals this small are unique when they exist (Wang, Guy and
-    Davenport), so the candidate is the RREF once m is large enough.
+    Davenport).  The arithmetic is int64 for m < 2^31 (x L < 2^46) and
+    Python ints above, where m is a product of primes (CRT).
     """
-    bound, half = math.isqrt(m // 2), m // 2
-    den = 1
-    while True:
-        if type(x) is list:
-            num = [v * den % m for v in x] if den > 1 else x
-            num = [v - m if v > half else v for v in num]
-            over = next((i for i, v in enumerate(num) if abs(v) > bound), None)
-            if over is None:
-                return num, den
-        else:
-            # m is odd: (v + half) % m - half is v, less m above half
-            num = (x * den + half) % m - half
-            size = np.abs(num)
-            if size.max(initial=0) <= bound:
-                return num, den
-            over = int((size > bound).argmax())
-        grown = _wang_denominator(int(x[over]), m, bound)
-        if grown is None:
-            return None
-        grown = math.lcm(den, grown)
-        if grown == den or grown > bound:
-            return None
-        den = grown
+    x = x.astype(np.int64 if m < _INT64_PRIME_LIMIT else object, copy=False)
+    half, bound = m // 2, math.isqrt(m // 2)
+    num, cols, dens, failed = np.empty_like(x), np.arange(x.shape[1]), np.ones(x.shape[1], dtype=x.dtype), []
+    while cols.size:
+        part = x[:, cols] * dens[cols] % m
+        part[part > half] -= m
+        num[:, cols] = part
+        over = np.abs(part) > bound
+        redo = over.any(axis=0).nonzero()[0]
+        for i in redo.tolist():
+            j = cols[i]
+            grown = _wang_denominator(int(x[over[:, i].argmax(), j]), m, bound)
+            grown = grown and math.lcm(int(dens[j]), grown)
+            if grown is None or grown == dens[j] or grown > bound:
+                failed.append(int(j))
+                grown = 0  # the column's numerators are zero on the next pass
+            dens[j] = grown
+        cols = cols[redo]
+    return num, dens, failed
 
 
 def _wang_denominator(u, m, bound):
@@ -1397,31 +1369,11 @@ def modulo_prime(mats):
 
 def lift_columns(m):
     """Each column of the matrix m over GF(p), p < 2^31, lifted to Q by
-    rational reconstruction: the integer column n with n = L c mod p for
-    the column c and one denominator L of its own, |n|, L <= sqrt(p/2), L
-    grown as in _reconstruct.  Returns the matrix over Q of these integer
-    columns, with a zero column for each column that has no such lift, and
-    the list of those columns."""
-    p = m.field.p
-    x, half, bound = m.num, p // 2, math.isqrt(p // 2)
-    num, cols, dens, failed = np.empty_like(x), np.arange(x.shape[1]), np.ones(x.shape[1], dtype=np.int64), []
-    while cols.size:
-        # x < 2^31 and L <= sqrt(p/2) < 2^15, so x L fits int64; L = 0
-        # marks a column without a lift
-        part = x[:, cols] * dens[cols] % p
-        part[part > half] -= p
-        num[:, cols] = part
-        over = np.abs(part) > bound
-        redo = over.any(axis=0).nonzero()[0]
-        for i in redo.tolist():
-            j = cols[i]
-            grown = _wang_denominator(int(x[over[:, i].argmax(), j]), p, bound)
-            grown = grown and math.lcm(int(dens[j]), grown)
-            if grown is None or grown == dens[j] or grown > bound:
-                failed.append(int(j))
-                grown = 0
-            dens[j] = grown
-        cols = cols[redo]
+    rational reconstruction with one denominator of its own (_lift).
+    Returns the matrix over Q of the integer columns n with n = L c mod p,
+    with a zero column for each column that has no such lift, and the list
+    of those columns."""
+    num, _, failed = _lift(m.num, m.field.p)
     return _of(QQ, num), failed
 
 
@@ -1429,12 +1381,12 @@ def _certified(b, h, pivots, free, num, den):
     """Whether b[:, free] den == b[:, pivots] num holds over the integers.
 
     num is den times the candidate RREF on the free columns (free is a
-    boolean mask), and h bounds both sides in absolute value: the identity
-    is tested in int64 when h < 2^62, and over Python ints otherwise.
+    boolean mask), and h bounds both sides in absolute value: the product is
+    one _dot of bound h, and b[:, free] den is taken in int64 when h < 2^62
+    and over Python ints otherwise.
     """
-    if h >= _INT64_BOUND:
-        b, num = b.astype(object), num.astype(object)
-    return bool((b[:, free] * den == b[:, pivots] @ num).all())
+    left = b[:, free].astype(_dtype_for(h), copy=False) * den
+    return bool((left == _dot(b[:, pivots], num, h)).all())
 
 
 def _common(mats, what):

@@ -16,7 +16,8 @@ deformation series order by order, one product per pair of orders, and the
 kernel of an extension as an ideal one product per pair of basis columns.
 The structures that the library builds as integer matrices (D(M), star
 algebras, square-zero extensions, base changes, induced and reduced pairs)
-are built again as tensors of Python scalars, block by block.
+are built again as tensors of Python scalars, block by block.  Rational
+reconstruction runs as a list loop on Python ints, one list at a time.
 """
 
 from __future__ import annotations
@@ -643,3 +644,31 @@ def twisted_star_by_tensors(sys, lam):
     right = mu @ idd.kron(sys.R + idd.scale(lam))
     star = Algebra(field, d, _tensor(left + right, d, d))
     return star, BimoduleActions(field, d, d, _tensor(left, d, d), _tensor(right, d, d))
+
+
+def reconstruct_list(x, m):
+    """Integers n and L with n/L = x mod m and |n|, L <= sqrt(m/2), for the
+    list x of residues and one denominator L; None when there is none.  L
+    starts at 1 and grows to its lcm with the denominator of the first entry
+    past the bound (extended Euclid on m and that entry, stopped at the
+    bound: Wang, Guy and Davenport); a denominator that does not grow or
+    passes the bound fails.  A list loop on Python ints, the reference for
+    the array lift of rbsys.linalg, which lifts each column this way."""
+    bound, half = math.isqrt(m // 2), m // 2
+    den = 1
+    while True:
+        num = [v * den % m for v in x]
+        num = [v - m if v > half else v for v in num]
+        over = next((i for i, v in enumerate(num) if abs(v) > bound), None)
+        if over is None:
+            return num, den
+        r0, r1, t0, t1 = m, x[over], 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound or math.gcd(r1, t1) != 1:
+            return None
+        grown = math.lcm(den, abs(t1))
+        if grown == den or grown > bound:
+            return None
+        den = grown

@@ -71,49 +71,6 @@ def test_tuple_encoding_bijection():
             assert len(seen) == count
 
 
-def test_compose_with_mult_examples():
-    line = unital_line(QQ)
-    f = MultiMap(line, 1, Matrix.identity(QQ, 1))
-    g = f.compose_with_mult(1)
-    assert g.arity == 2
-    assert g.mat.entries() == [[1]]
-
-    z = MultiMap.zero(line, 2, 1).compose_with_mult(2)
-    assert z.mat.is_zero()
-
-    za = zero_algebra(QQ, 2)
-    f = MultiMap(za, 1, Matrix.from_rows(QQ, [[1, 2], [3, 4]]))
-    assert f.compose_with_mult(1).mat.is_zero()
-
-    with pytest.raises(ValueError):
-        f.compose_with_mult(2)
-
-
-def test_precompose_examples():
-    tri = triangular_algebra(QQ)
-    rng = random.Random(0)
-    f = MultiMap(tri, 2, random_matrix(QQ, 3, 9, rng))
-    idd = Matrix.identity(QQ, 3)
-    assert f.precompose_operators([idd, idd]) == f
-    zero = Matrix.zeros(QQ, 3, 3)
-    assert f.precompose_operators([zero, idd]).mat.is_zero()
-    r = random_matrix(QQ, 3, 3, rng)
-    g = MultiMap(tri, 1, random_matrix(QQ, 2, 3, rng))
-    assert g.precompose_operators([r]).mat == g.mat @ r
-
-
-def test_precompose_tensor_functoriality():
-    # (f o R^(x)n) o S^(x)n = f o (RS)^(x)n
-    rng = random.Random(1)
-    tri = triangular_algebra(GF(5))
-    f = MultiMap(tri, 2, random_matrix(GF(5), 3, 9, rng))
-    r = random_matrix(GF(5), 3, 3, rng)
-    s = random_matrix(GF(5), 3, 3, rng)
-    lhs = f.precompose_operators([r, r]).precompose_operators([s, s])
-    rhs = f.precompose_operators([r @ s, r @ s])
-    assert lhs == rhs
-
-
 def test_associativity_stable_under_base_change():
     from rbsys import RotaBaxterSystem, conjugate_system
 

@@ -610,6 +610,28 @@ def test_cap_applies_to_deform_and_extend(argv, tmp_path, capsys):
     assert "exceeds cap 5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, before",
+    [(["extend", "extract", "{E}"], ""), (["extend", "check-iso", "{E}", "{E}", "{I}"], "diagram checks: pass\n")],
+    ids=["extract", "check-iso"],
+)
+def test_cap_applies_to_extract_and_check_iso(argv, before, as_json, documents, monkeypatch, capsys):
+    # the cocycle check of extract, and of both extractions in check-iso
+    # once the diagram passes, builds the complex under --cap, as
+    # RBS_DIM_CAP does: on the triangular GF(5) system (d = 3) with its
+    # regular bimodule the cocycle check guards the target of rbs_2, of
+    # dimension 3 d^3 + 2 (3 d^2) = 135
+    argv = [arg.format(**documents) for arg in argv] + (["--json"] if as_json else [])
+    message = "cochain space of dimension 135 exceeds cap 1"
+    assert main(argv + ["--cap", "1"]) == 2
+    out = capsys.readouterr().out
+    assert (json.loads(out)["error"] if as_json else out) == (message if as_json else f"{before}error: {message}\n")
+    monkeypatch.setenv("RBS_DIM_CAP", "1")
+    assert main(argv) == 2
+    assert capsys.readouterr().out == out
+
+
 def test_large_prime_field_documents(tmp_path, capsys):
     import time
 

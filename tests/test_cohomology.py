@@ -1022,12 +1022,14 @@ def test_les_check_matches_the_four_call_slot_oracle(monkeypatch):
     # eliminated from whole slices; phi intact, and phi or delta_1 perturbed
     # (see _perturbations), on the instance_set pairs (Q, GF(2), GF(5)) and
     # on GF(40009) pairs, among them cocycle spaces with zero columns in
-    # degree 1 and up
+    # degree 1 and up.  At top degree 3 no slot reads phi_3, so on the pairs
+    # with d m <= 2 phi_3 is perturbed once more under top degree 4, where
+    # the rbso^3 slot reads it and fails
     from rbsys import cohomology
 
     rng = random.Random(1812)
     pairs = instance_set(24, seed=1811) + [random_system_bimodule(rng, GF(40009)) for _ in range(6)]
-    fields, tags, empty = set(), set(), 0
+    fields, tags, empty, top4 = set(), set(), 0, set()
     for k, (sys, mod) in enumerate(pairs):
         fields.add(sys.field)
         cx = Complexes(sys, mod)
@@ -1039,9 +1041,16 @@ def test_les_check_matches_the_four_call_slot_oracle(monkeypatch):
                 assert _slot_fields(got) == _slot_fields(les_check_by_slot_kernels(sys, mod, 3))
             assert got.ok or patched is not phi_rows
             tags |= {s.witness.tag for s in got.slots if s.witness is not None}
+        if sys.dim * mod.dim <= 2:
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology, "phi_rows", perturbed_phi(phi_rows, 3, k))
+                got = les_check(sys, mod, 4)
+                assert _slot_fields(got) == _slot_fields(les_check_by_slot_kernels(sys, mod, 4))
+            top4 |= {(s.name, s.degree) for s in got.slots if not s.ok}
     assert fields == {QQ, GF(2), GF(5), GF(40009)}
     assert empty >= 10
     assert tags == {"image_not_in_kernel", "kernel_not_in_image"}
+    assert ("rbso", 3) in top4
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(40009)], ids=repr)

@@ -360,6 +360,18 @@ def test_iso_from_cohomologous():
     with pytest.raises(ValueError):
         iso_from_cohomologous(sys, mod, c1, c2, wrong)
 
+    # the complexes that the shear, the extraction and the class check build
+    # are guarded by the cap they are given
+    from rbsys import DimensionCapExceeded
+
+    for call in (
+        lambda: iso_from_cohomologous(sys, mod, c1, c2, gamma, cap=1),
+        lambda: extract_cocycle(ext1, cap=1),
+        lambda: same_class(ext1, ext2, iso, cap=1),
+    ):
+        with pytest.raises(DimensionCapExceeded, match="exceeds cap 1"):
+            call()
+
 
 def test_same_class_check_guards():
     sys, mod = f2_zero_instance()

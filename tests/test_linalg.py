@@ -14,7 +14,7 @@ from rbsys import GF, QQ, Matrix, rbs_d, regular_bimodule
 from rbsys.linalg import Field, _prime, block_diag, hstack, vstack
 
 from instances import random_matrix, triangular_system
-from oracles import eager_gauss_jordan, scatter_identity_kron_sum, sympy_rref
+from oracles import eager_gauss_jordan, reconstruct_list, scatter_identity_kron_sum, sympy_rref
 
 
 def test_rank_examples():
@@ -664,10 +664,11 @@ def test_a_denominator_between_the_reach_of_one_small_and_one_large_prime(monkey
 
 
 def test_reconstruction_on_int64_arrays_equals_it_on_python_ints():
-    # one prime's residues give the same numerators and denominator, or
-    # None, as an int64 array as they do as a list: integers, denominators
-    # that grow the common one, one past sqrt(P1 / 2), an integer that the
-    # grown denominator pushes past the bound, residues of no small rational
+    # one prime's residues, lifted as one column, give the numerators and
+    # denominator of the list reconstruction, or fail where it finds none,
+    # as an int64 array and as Python ints: integers, denominators that grow
+    # the common one, one past sqrt(P1 / 2), an integer that the grown
+    # denominator pushes past the bound, residues of no small rational
     from rbsys import linalg
 
     rng = random.Random(41)
@@ -681,13 +682,58 @@ def test_reconstruction_on_int64_arrays_equals_it_on_python_ints():
     ]
     cases += [residues([Fraction(1, 2), 10000]), [rng.randrange(P1) for _ in range(40)], []]
     for x in cases:
-        want = linalg._reconstruct(x, P1)
-        got = linalg._reconstruct(np.array(x, dtype=np.int64), P1)
-        if want is None:
-            assert got is None
-        else:
-            assert got[1] == want[1] and got[0].dtype == np.int64 and got[0].tolist() == want[0]
-    assert [linalg._reconstruct(x, P1) is None for x in cases] == [False, False, False, True, True, True, False]
+        want = reconstruct_list(x, P1)
+        for dtype in (np.int64, object):
+            num, dens, failed = linalg._lift(np.array(x, dtype=dtype).reshape(len(x), 1), P1)
+            assert num.dtype == np.int64 and num.shape == (len(x), 1)
+            if want is None:
+                assert failed == [0] and dens.tolist() == [0] and not num.any()
+            else:
+                assert failed == [] and dens.tolist() == [want[1]] and num[:, 0].tolist() == want[0]
+    assert [reconstruct_list(x, P1) is None for x in cases] == [False, False, False, True, True, True, False]
+
+
+@pytest.mark.parametrize("primes", [1, 2])
+def test_lift_matches_the_list_reconstruction_column_by_column(primes):
+    # columns of residues mod one prime (int64 arithmetic) and mod the
+    # product of two (Python ints), given as int64 and as Python ints: each
+    # column lifts with its own denominator exactly as the list
+    # reconstruction lifts it alone, and the columns it cannot lift fail
+    from rbsys import linalg
+
+    m = math.prod(_prime(i) for i in range(primes))
+    rng = random.Random(primes)
+    bound = math.isqrt(m // 2)
+
+    def column(values):
+        return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, m) % m for v in values]
+
+    def draw(dens, top):
+        return column(Fraction(rng.randint(-top, top), rng.choice(dens)) for _ in range(12))
+
+    # integers; denominators whose lcm, 21 or 495, stays within the bound;
+    # 1/q and 1/(q + 1), whose lcm passes it; residues of no small rational;
+    # halves; zeros
+    q = bound // 2
+    cols = [draw([1], bound), draw([1, 3, 7], bound // 21), draw([5, 9, 11], bound // 495)]
+    cols += [column([Fraction(1, q), Fraction(1, q + 1)] + [0] * 10), [rng.randrange(m) for _ in range(12)]]
+    cols += [draw([2], bound // 2), [0] * 12]
+    # 1/2 and 1/r with bound < 2 r <= 2 bound: the lcm passes the bound by
+    # less than a factor of 2
+    r = (q + 1) | 1
+    cols.append(column([Fraction(1, 2), Fraction(1, r)] + [0] * 10))
+    wants = [reconstruct_list(c, m) for c in cols]
+    assert [w is None for w in wants] == [False, False, False, True, True, False, False, True]
+    for dtype in (np.int64, object):
+        x = np.array(cols, dtype=dtype).T
+        num, dens, failed = linalg._lift(x, m)
+        assert num.dtype == (np.int64 if primes == 1 else object)
+        assert sorted(failed) == [j for j, w in enumerate(wants) if w is None]
+        for j, want in enumerate(wants):
+            if want is None:
+                assert dens[j] == 0 and not num[:, j].any()
+            else:
+                assert (num[:, j].tolist(), dens[j]) == want
 
 
 # -- the fraction-free route over Q -------------------------------------------
@@ -873,44 +919,62 @@ def test_rank_ladder_rational_slice_matches_sympy():
 
 
 @pytest.mark.parametrize(
-    "rows, low, high",
+    "rows, low, high, dtype",
     [
-        ([[1, 2, 3, 4], [Fraction(1, 2), 1, 7, Fraction(2, 3)], [0, 5, 1, 1]], 0, 2**62),
-        ([[Fraction(10**40, 3**25), 1, 2], [1, Fraction(3, 7), 5]], 2**62, math.inf),
+        ([[1, 2, 3, 4], [Fraction(1, 2), 1, 7, Fraction(2, 3)], [0, 5, 1, 1]], 0, 2**63, np.int64),
+        ([[Fraction(10**40, 3**25), 1, 2], [1, Fraction(3, 7), 5]], 2**63, math.inf, object),
     ],
     ids=["int64-check", "python-int-check"],
 )
-def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows, low, high):
-    # the bound h of the wrong candidate's check picks its path: int64 below
-    # 2^62, Python ints above
+def test_certificate_rejects_a_wrong_candidate(monkeypatch, rows, low, high, dtype):
+    # the bound h of the wrong candidate's check picks the path of its one
+    # product: int64 below 2^63, Python ints above
     from rbsys import linalg
 
-    reconstruct, certified = linalg._reconstruct, linalg._certified
+    lift, certified = linalg._lift, linalg._certified
     candidates, checks = [], []
 
     def wrong_once(x, m):
-        out = reconstruct(x, m)
-        if out is not None:
-            candidates.append(out)
+        num, dens, failed = lift(x, m)
+        if not failed:
+            candidates.append((num, dens))
             if len(candidates) == 1:
-                num, den = out
                 num = num.copy()
-                num[0] += 1
-                return num, den
-        return out
+                num[0, 0] += 1
+        return num, dens, failed
 
     def spy(b, h, *args):
-        checks.append((h, certified(b, h, *args)))
-        return checks[-1][1]
+        start = len(products)
+        ok = certified(b, h, *args)
+        checks.append((h, ok, [dtype for _, _, dtype in products[start:]]))
+        return ok
 
     _multimodular(monkeypatch)
-    monkeypatch.setattr(linalg, "_reconstruct", wrong_once)
+    products = _products(monkeypatch)
+    monkeypatch.setattr(linalg, "_lift", wrong_once)
     monkeypatch.setattr(linalg, "_certified", spy)
     m = Matrix.from_rows(QQ, rows)
     assert m.rref() == (Matrix.from_rows(QQ, sympy_rref(m)[0]), sympy_rref(m)[1])
     assert len(candidates) >= 2
-    assert checks[0][1] is False and low <= checks[0][0] < high
+    assert checks[0][1] is False and low <= checks[0][0] < high and checks[0][2] == [dtype]
 
+
+def test_certificate_of_int64_entries_past_2_63():
+    # int64 entries of about 2^30 whose RREF has the denominator L of a 2 x 2
+    # minor, about 2^56: both sides of b[:, F] L = b[:, P] (L R) pass 2^63,
+    # so neither may be taken in int64
+    from rbsys import linalg
+
+    m = Matrix.from_rows(QQ, [[2**30 + 3, 2**30 - 5, 2**30 + 7], [2**29 + 11, 2**30 + 13, 2**30 + 1]])
+    entries, pivots = sympy_rref(m)
+    den = math.lcm(*(Fraction(row[2]).denominator for row in entries))
+    num = np.array([[int(Fraction(row[2]) * den)] for row in entries], dtype=object)
+    free = np.array([False, False, True])
+    h = 2**31 * (den + 2 * max(abs(x) for x in num.ravel().tolist()))
+    assert m.num.dtype == np.int64 and 2**56 < den < 2**62 and 2**63 <= h
+    assert linalg._certified(m.num, h, list(pivots), free, num, den)
+    num[0, 0] += 1
+    assert not linalg._certified(m.num, h, list(pivots), free, num, den)
 
 
 # -- integer products over Q -----------------------------------------------
@@ -974,19 +1038,20 @@ def test_rational_product_of_a_zero_factor_and_huge_entries():
     assert (huge @ Matrix.zeros(QQ, 2, 0)).shape == (2, 0)
 
 
-def _dtypes_chosen(monkeypatch):
-    """Record the dtype of every integer array arithmetic over Q picks."""
+def _products(monkeypatch):
+    """Record every exact integer product (linalg._dot) as (inner size,
+    bound, dtype of the result)."""
     from rbsys import linalg
 
-    chosen = []
-    dtype_for = linalg._dtype_for
+    seen, dot = [], linalg._dot
 
-    def spy(bound):
-        chosen.append(dtype_for(bound))
-        return chosen[-1]
+    def spy(x, y, bound, floats=None):
+        out = dot(x, y, bound, floats)
+        seen.append((x.shape[1], bound, out.dtype))
+        return out
 
-    monkeypatch.setattr(linalg, "_dtype_for", spy)
-    return chosen
+    monkeypatch.setattr(linalg, "_dot", spy)
+    return seen
 
 
 def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
@@ -995,10 +1060,11 @@ def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
     rng = random.Random(7)
     a, y = random_matrix(QQ, 6, 300, rng), random_matrix(QQ, 300, 5, rng)
     loose = a.scale(2**58) - a.scale(2**58) + a
-    assert loose == a and loose._mag * 300 >= 2**62
-    chosen = _dtypes_chosen(monkeypatch)
+    assert loose == a and loose._mag * max(y._mag, 1) * 300 >= 2**63
+    products = _products(monkeypatch)
     product = loose @ y
-    assert chosen == [np.int64] and product == a @ y
+    assert len(products) == 1 and products[0][1] < 2**62 and products[0][2] == np.int64
+    assert product == a @ y
 
 
 @pytest.mark.parametrize(
@@ -1006,6 +1072,7 @@ def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
     [
         (2**30 - 1, 1, np.int64),
         (2**30, 1, object),
+        (2**30, 2, object),
         (2**30, 3, object),
         (2**30, 4, object),
         (2**31 - 1, 1, object),
@@ -1013,15 +1080,20 @@ def test_rational_product_measures_factors_whose_bound_is_loose(monkeypatch):
     ],
 )
 def test_rational_product_either_side_of_the_int64_bound(monkeypatch, entry, inner, dtype):
-    # max|x| max|y| k against 2^62, taken on the stored numerators: over the
-    # denominator 2 an entry n is stored as 2n, so (2^30 - 1, 1) is the last
-    # product in int64; a sum of (2^31)^2 + (2^31)^2 = 2^63 would wrap
-    chosen = _dtypes_chosen(monkeypatch)
+    # over the denominator 2 an entry n is stored as 2n, so the product's
+    # bound is max|x| max|y| k = (2 entry)^2 inner: the product runs in int64
+    # below 2^63 and on Python ints from there, where a sum of (2^31)^2 +
+    # (2^31)^2 = 2^63 would wrap; the result is stored as int64 below 2^62
+    # and as Python ints from there, so (2^30 - 1, 1) is the last product
+    # stored as int64 and (2^30, 1) runs in int64 but is stored as Python ints
+    products = _products(monkeypatch)
     half = Fraction(1, 2)  # keeps both factors off the all-int path
     a = Matrix.from_rows(QQ, [[entry] * inner, [half] * inner])
     b = Matrix.from_rows(QQ, [[entry, half]] * inner)
-    _assert_exact(a @ b, np.dot(_fractions(a), _fractions(b)))
-    assert chosen[-1] is dtype
+    c = a @ b
+    _assert_exact(c, np.dot(_fractions(a), _fractions(b)))
+    assert c.num.dtype == dtype
+    assert products == [(inner, (2 * entry) ** 2 * inner, np.int64 if (2 * entry) ** 2 * inner < 2**63 else object)]
 
 
 @pytest.mark.parametrize("p", [2, 5, 40009, 2**31 - 1, 4294967311])
@@ -1146,16 +1218,16 @@ def test_int64_numerators_over_a_denominator_past_int64():
 
 
 @pytest.mark.parametrize("p", [P1, 2**31 - 1, 4294967311])
-def test_prime_field_products_match_python_ints(p):
-    # int64 below 2^31 reduces every _chunk(p) inner terms (128 for P1, 2 for
-    # 2^31 - 1); 4294967311 stores Python ints
-    from rbsys.linalg import _chunk
-
+def test_prime_field_products_match_python_ints(monkeypatch, p):
+    # int64 below 2^31 takes one product per run of inner terms whose sum
+    # stays below 2^63 (128 for P1, 2 for 2^31 - 1), each reduced mod p;
+    # 4294967311 stores Python ints and takes one product on them
     field = GF(p)
     rng = random.Random(p)
-    if p < 2**31:
-        assert _chunk(p) == (128 if p == P1 else 2)
+    step = {P1: 128, 2**31 - 1: 2}.get(p)
+    products = _products(monkeypatch)
     for inner in (1, 2, 3, 5, 64, 128, 129, 300):
+        products.clear()
         # entries near p - 1, the worst case for a sum of products
         a = [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(inner)] for _ in range(3)]
         b = [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(4)] for _ in range(inner)]
@@ -1163,35 +1235,27 @@ def test_prime_field_products_match_python_ints(p):
         want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
         assert got.entries() == want
         assert got.num.dtype == field.dtype
+        if step is None:
+            assert products == []
+        else:
+            # one product of bound inner (p - 1)^2, or runs of bound step (p - 1)^2
+            runs = [min(step, inner - s) for s in range(0, inner, step)]
+            assert products == [(k, min(inner, step) * (p - 1) ** 2, np.int64) for k in runs]
+            assert step * (p - 1) ** 2 < 2**63 <= (step + 1) * (p - 1) ** 2
         kron = Matrix.from_rows(field, a).kron(Matrix.from_rows(field, b))
         assert kron.entries() == [[x * y % p for x in ra for y in rb] for ra in a for rb in b]
 
 
-def _float_products(monkeypatch):
-    """Record the inner size of every float64 product mod p, with the size
-    crossover off, so that only the exactness bound decides."""
-    from rbsys import linalg
-
-    taken = []
-    dot_float = linalg._dot_float
-
-    def spy(x, y, p):
-        taken.append(x.shape[1])
-        return dot_float(x, y, p)
-
-    monkeypatch.setattr(linalg, "_dot_float", spy)
-    monkeypatch.setattr(linalg, "_FLOAT_RATIO", 0)
-    return taken
-
-
 def _full_product(p, inner):
     """The 1 x 1 product over GF(p) of a row and a column of inner entries
-    p - 1, and its Python-int sum; the factors are broadcast views, so only
-    a float64 product allocates."""
+    p - 1, whether it ran in float64, and its Python-int sum.  The column is
+    a factor, which keeps a float64 copy exactly when a product by it runs
+    in float64; the factors are broadcast views, so only that copy
+    allocates."""
     field = GF(p)
     row = Matrix(field, np.broadcast_to(np.int64(p - 1), (1, inner)))
-    col = Matrix(field, np.broadcast_to(np.int64(p - 1), (inner, 1)))
-    return (row @ col)[0, 0], inner * (p - 1) ** 2 % p
+    col = Matrix(field, np.broadcast_to(np.int64(p - 1), (inner, 1))).factor()
+    return (row @ col)[0, 0], bool(col._float), inner * (p - 1) ** 2 % p
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -1222,24 +1286,29 @@ def test_float_products_are_exact_up_to_the_bound(monkeypatch, p):
     # entries all p - 1 make every partial sum as large as it can be; the
     # largest inner size k with k (p - 1)^2 < 2^53 (5,627,208 for 40009)
     # runs in float64, k + 1 in int64, and both agree with Python ints
-    taken = _float_products(monkeypatch)
+    from rbsys import linalg
+
+    monkeypatch.setattr(linalg, "_FLOAT_RATIO", 0)  # only the exactness bound decides
     k = (2**53 - 1) // (p - 1) ** 2
     assert k * (p - 1) ** 2 < 2**53 <= (k + 1) * (p - 1) ** 2
+    taken = []
     for inner in (k, k + 1):
-        got, want = _full_product(p, inner)
+        got, floated, want = _full_product(p, inner)
         assert got == want
+        taken += [inner] * floated
     assert taken == [k]
 
 
 @pytest.mark.parametrize("p", [94906297, 2**31 - 1])
 def test_no_float_products_past_the_square_root_of_2_53(monkeypatch, p):
     # one product (p - 1)^2 already reaches 2^53
-    taken = _float_products(monkeypatch)
+    from rbsys import linalg
+
+    monkeypatch.setattr(linalg, "_FLOAT_RATIO", 0)  # only the exactness bound decides
     assert (p - 1) ** 2 >= 2**53
     for inner in (1, 2, 3, 64):
-        got, want = _full_product(p, inner)
-        assert got == want
-    assert taken == []
+        got, floated, want = _full_product(p, inner)
+        assert got == want and not floated
 
 
 @st.composite
