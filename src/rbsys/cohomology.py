@@ -42,10 +42,11 @@ blocks of phi_n and partial_(n-1) cut from the stored slices or built for
 N alone.  Every block is multiplied by one factor of K (Matrix.factor),
 so K is converted to float64 once per N, not once per block.  N is never
 stored, and its elimination yields Q directly, kept in a memo like K.  The
-cap guards the target space of rbs_n.  rbs_n is assembled only for its
-image (the census, and the coboundary spans of les_check where it compares
-slots at chain level), for a preimage and for the embedding check, which
-compares its entries.
+cap guards the target space of rbs_n.  Every analysis reads an image as
+the columns at the pivots of the RREF (Complexes.image), for rbs_n cut from
+its blocks at the pivots that the memos of delta_n and N hold; none
+assembles rbs_n.  Only rbs_d and the embedding check, which compares its
+entries, do.
 
 les_check reads the long exact sequence off the ranks once it has
 verified rbs_p rbs_(p-1) = 0 exactly from the same memos: the pivot
@@ -87,6 +88,7 @@ from .algebra import (
 from .bimodules import RBSBimodule, _d_module_unchecked, regular_bimodule
 from .linalg import (
     Matrix,
+    assemble,
     hstack,
     lift_columns,
     modulo_prime,
@@ -244,8 +246,19 @@ def rbs_dim(n, d, m):
 
 
 def rbs_d(n, sys, mod, cap=None):
-    """Degree-n differential of the total complex, as Complexes.rbs assembles it."""
-    return ComplexSlice(RBS, n, Complexes(sys, mod, cap).rbs(n))
+    """Degree-n differential of the total complex, assembled from its blocks."""
+    return ComplexSlice(RBS, n, _assembled(Complexes(sys, mod, cap), n))
+
+
+def _assembled(cx, n):
+    """rbs_n assembled from the blocks that cx holds, afresh on every call,
+    for rbs_d and the embedding check, which compares its entries."""
+    column = cx.alg_column(n)
+    if n == 0:
+        return column
+    partial_prev = cx.partial(n - 1)
+    zero = Matrix.zeros(cx.sys.field, cx.dim(ALG, n + 1), partial_prev.cols)
+    return hstack([column, vstack([zero, -partial_prev])])
 
 
 class Complexes:
@@ -254,18 +267,18 @@ class Complexes:
     It holds, for its own life (an analysis makes one per call), per
     delta_n, partial_n and N_n one memo of its one elimination, its
     canonical kernel basis and RREF pivots, and the slices delta_n,
-    partial_n and phi_n that a reader applies or cuts (delta, phi, partial
-    and slice, called from d, alg_column and rbs), each built once through
-    hochschild_slice and phi.  rbs_n and N = [phi_n K | partial_(n-1)] are
-    built per call, never stored.  Each differential and N reach
-    elimination (linalg.rref_rows) by the row ranges of linalg.row_blocks
-    (one range over Q and below 2^18 entries): a slice already stored is
-    cut there by ranges; any other is built range by range as elimination
-    reads it and stored nowhere, and no RREF is kept.  So rank and kernel
-    hold one elimination at a time besides the memos, and an analysis that
-    also applies a slice reads it before eliminating it to build it once.
-    ranked gives a rank and, only when asked, the kernel basis from the
-    same elimination; rank and kernel call it.
+    partial_n and phi_n that a reader applies or cuts (delta, phi and
+    partial, called from d, alg_column and image), each built once through
+    hochschild_slice and phi.  N = [phi_n K | partial_(n-1)] is fed to
+    elimination and never stored, and rbs_n is never built.  Each
+    differential and N reach elimination (linalg.rref_rows) by the row
+    ranges of linalg.row_blocks (one range over Q and below 2^18 entries):
+    a slice already stored is cut there by ranges; any other is built range
+    by range as elimination reads it and stored nowhere, and no RREF is
+    kept.  So rank and kernel hold one elimination at a time besides the
+    memos, and an analysis that also applies a slice reads it before
+    eliminating it to build it once.  rank, kernel and image all read the
+    same memo.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -360,24 +373,6 @@ class Complexes:
         self._guard_rbs(n)
         return vstack([self.delta(n), -self.phi(n)])
 
-    def rbs(self, n):
-        """rbs_n, assembled from its blocks afresh on every call."""
-        column = self.alg_column(n)
-        if n == 0:
-            return column
-        partial_prev = self.partial(n - 1)
-        zero = Matrix.zeros(self.sys.field, self.dim(ALG, n + 1), partial_prev.cols)
-        return hstack([column, vstack([zero, -partial_prev])])
-
-    def slice(self, tag, n):
-        """The degree-n differential of the complex named by tag."""
-        _known(tag)
-        if tag == ALG:
-            return self.delta(n)
-        if tag == RBSO:
-            return self.partial(n)
-        return self.rbs(n)
-
     def _restricted(self, n):
         # the kernel basis and pivots of N = [phi_n K | partial_(n-1)]
         # (phi_0 K alone for n = 0), K the canonical kernel basis of
@@ -395,30 +390,46 @@ class Complexes:
         return rref_rows(field, shape, map(rows, *sources))
 
     def rank(self, tag, n):
-        """The rank of the degree-n differential of the complex named by tag."""
-        return self.ranked(tag, n)[0]
+        """The rank of the degree-n differential of the complex named by tag;
+        for rbs_n, rank delta_n + rank N."""
+        pivots = self._echelon(tag, n)[1]
+        return len(pivots) + (self.rank(ALG, n) if tag == RBS else 0)
 
     def kernel(self, tag, n):
         """The canonical kernel basis of the degree-n differential of the
-        complex named by tag; for rbs_n, [[K Q_top], [Q_bottom]]."""
-        _known(tag)
-        return self.ranked(tag, n)[1]()
-
-    def ranked(self, tag, n):
-        """The rank of the degree-n differential of the complex named by tag
-        and a function that returns its canonical kernel basis, both from
-        one elimination: for rbs_n the memo holds the kernel basis Q of N,
-        and [[K Q_top], [Q_bottom]] is formed only when the function is
-        called."""
-        basis, pivots = self._echelon(tag, n)
+        complex named by tag; for rbs_n, [[K Q_top], [Q_bottom]], formed from
+        the memo of N on every call."""
+        basis = self._echelon(tag, n)[0]
         if tag != RBS:
-            return len(pivots), lambda: basis
+            return basis
+        k = self.kernel(ALG, n)
+        return vstack([k @ basis.take_rows(0, k.cols), basis.take_rows(k.cols, None)])
 
-        def kernel():
-            k = self.kernel(ALG, n)
-            return vstack([k @ basis.take_rows(0, k.cols), basis.take_rows(k.cols, None)])
-
-        return len(pivots) + self.rank(ALG, n), kernel
+    def image(self, tag, n):
+        """The columns of the degree-n differential of the complex named by
+        tag at the pivots of its RREF, a basis of its image, and their
+        indices.  For rbs_n (whose free columns are those of N_n) these are
+        the pivots of delta_n and, for each pivot j of N_n, the f-column F[j]
+        (j < |F|) or the g-column j - |F|, F the free columns of delta_n;
+        they are cut from delta_n, phi_n and partial_(n-1), each stored
+        before its elimination reads it, so each is built once."""
+        _known(tag)
+        if tag != RBS:
+            sl = self.delta(n) if tag == ALG else self.partial(n)
+            pivots = list(self._echelon(tag, n)[1])
+            return sl.columns(pivots), pivots
+        self._guard_rbs(n)
+        delta_n, phi_n = self.delta(n), self.phi(n)
+        partial_prev = self.partial(n - 1) if n else None
+        piv, n_piv = self._echelon(ALG, n)[1], self._echelon(RBS, n)[1]
+        free = _free(piv, delta_n.cols)
+        f_cols = sorted(list(piv) + [free[j] for j in n_piv if j < len(free)])
+        g_cols = [j - len(free) for j in n_piv if j >= len(free)]
+        basis = vstack([delta_n.columns(f_cols), -phi_n.columns(f_cols)])
+        if g_cols:
+            zero = Matrix.zeros(self.sys.field, delta_n.rows, len(g_cols))
+            basis = hstack([basis, vstack([zero, -partial_prev.columns(g_cols)])])
+        return basis, f_cols + [delta_n.cols + j for j in g_cols]
 
     def d(self, cochain):
         """The differential of the cochain's complex applied to its vector."""
@@ -430,7 +441,8 @@ class Complexes:
         the columns of v; on rbs block by block: (delta_n f, -phi_n f -
         partial_(n-1) x)."""
         if tag != RBS:
-            return self.slice(tag, n) @ v
+            _known(tag)
+            return (self.delta(n) if tag == ALG else self.partial(n)) @ v
         self._guard_rbs(n)
         f = v.take_rows(0, self.dim(ALG, n))
         top, bottom = self.delta(n) @ f, -(self.phi(n) @ f)
@@ -442,14 +454,19 @@ class Complexes:
         return self.d(cochain).is_zero()
 
     def coboundary_preimage(self, cochain):
-        """Some x with d(x) = cochain in the cochain's complex, or None;
-        degree 0 has no source."""
+        """The echelon solution x of d(x) = cochain in the cochain's complex
+        (zero at the free columns of d), or None; degree 0 has no source.
+        It is solved on the basis of the image and placed at its indices."""
         self._check(cochain)
         n = cochain.degree
         if n == 0:
             return None
-        x = self.slice(cochain.tag, n - 1).solve(cochain.vector)
-        return None if x is None else Cochain(cochain.tag, n - 1, x)
+        basis, pivots = self.image(cochain.tag, n - 1)
+        y = basis.solve(cochain.vector)
+        if y is None:
+            return None
+        x = assemble((self.dim(cochain.tag, n - 1), y.cols), [(y, (pivots, slice(None)))])
+        return Cochain(cochain.tag, n - 1, x)
 
     def _check(self, cochain):
         if cochain.vector.rows != self.dim(cochain.tag, cochain.degree):
@@ -550,21 +567,18 @@ def _rational_ranks(cx, tag, top):
     """The ranks over Q of d_0 .. d_top of the complex named by tag, from
     cx, and the proof of each (see betti)."""
     cp = Complexes(*_modulo_prime_pair(cx.sys, cx.mod), cx.cap)
-    low, kernels, h, proofs = [], [], [], []
+    low, h, proofs = [], [], []
 
     def settle(n):
         # the proof of rank d_n, once h^p_(n+1) is known or n is the top
         if h[n] == 0 or (n < top and h[n + 1] == 0):
             proofs.append("bounds")
         else:
-            proofs.append("witnesses" if _witnessed(cx, cp, tag, n, kernels[n]()) else "certified")
-        kernels[n] = None
+            proofs.append("witnesses" if _witnessed(cx, cp, tag, n, cp.kernel(tag, n)) else "certified")
 
     for n in range(top + 1):
-        rank, kernel = cp.ranked(tag, n)
-        low.append(rank)
-        kernels.append(kernel)
-        h.append(cx.dim(tag, n) - rank - (low[n - 1] if n else 0))
+        low.append(cp.rank(tag, n))
+        h.append(cx.dim(tag, n) - low[n] - (low[n - 1] if n else 0))
         if h[n] < 0:
             return [cx.rank(tag, k) for k in range(top + 1)], ["certified"] * (top + 1)
         if n:
@@ -592,7 +606,7 @@ def _witnessed(cx, cp, tag, n, kernel):
     good, rows = [j for j in range(kernel.cols) if j not in bad], [free[j] for j in bad]
     if not lifted.columns(good).rows_at(rows).is_zero():
         return False
-    return cp.slice(tag, n - 1).rows_at(rows).rank() == len(bad)
+    return cp.image(tag, n - 1)[0].rows_at(rows).rank() == len(bad)
 
 
 def _modulo_prime_pair(sys, mod):
@@ -722,12 +736,9 @@ def _squares_to_zero(cx, top):
     rbs_(p-1) lies in ker rbs_p, decided exactly from the elimination memos
     of cx; it stops at the first degree where it does not.
 
-    The pivot columns of rbs_(p-1) span its image.  The free columns of
-    rbs_(p-1) are those of N_(p-1) (see Complexes), so its pivot columns
-    are the pivots of delta_(p-1) and, for each pivot j of N_(p-1), the
-    f-column F[j] (j < |F|) or the g-column j - |F|, F the free columns of
-    delta_(p-1); they are cut from delta_(p-1), phi_(p-1) and
-    partial_(p-2).  A canonical kernel basis is the identity on its free
+    The pivot columns of rbs_(p-1) span its image; Complexes.image cuts
+    them from delta_(p-1), phi_(p-1) and partial_(p-2) at the pivots that
+    the memos hold.  A canonical kernel basis is the identity on its free
     rows, so a vector v lies in its span exactly when it is the basis times
     v at those rows.  A column (f, g) lies in ker rbs_p exactly when f does
     in ker delta_p, f = K c with c = f at the free columns of delta_p, and
@@ -742,32 +753,21 @@ def _squares_to_zero(cx, top):
     for p in range(top + 1):
         if p < top:
             cx.delta(p), cx.phi(p), cx.partial(p)
-        if p and not _image_in_kernel(cx, p):
+        if not p:
+            continue
+        # the pivot columns (f, g) of rbs_(p-1) against the kernel bases of
+        # delta_p and N_p
+        basis, rows = cx.image(RBS, p - 1)[0], cx.dim(ALG, p)
+        f, g = basis.take_rows(0, rows), basis.take_rows(rows, None)
+        k, piv = cx._echelon(ALG, p)
+        c = f.rows_at(_free(piv, rows))
+        if k @ c != f:
+            return False
+        q, n_piv = cx._echelon(RBS, p)
+        x = vstack([c, g])
+        if q @ x.rows_at(_free(n_piv, x.rows)) != x:
             return False
     return True
-
-
-def _image_in_kernel(cx, p):
-    """Whether the pivot columns of rbs_(p-1) lie in ker rbs_p (see
-    _squares_to_zero)."""
-    # P of delta_(p-1) and of N_(p-1), and the pivot columns of rbs_(p-1)
-    _, piv = cx._echelon(ALG, p - 1)
-    _, n_piv = cx._echelon(RBS, p - 1)
-    free = _free(piv, cx.dim(ALG, p - 1))
-    f_cols = list(piv) + [free[j] for j in n_piv if j < len(free)]
-    g_cols = [j - len(free) for j in n_piv if j >= len(free)]
-    f, g = cx.delta(p - 1).columns(f_cols), -cx.phi(p - 1).columns(f_cols)
-    if g_cols:
-        f = hstack([f, Matrix.zeros(cx.sys.field, f.rows, len(g_cols))])
-        g = hstack([g, -cx.partial(p - 2).columns(g_cols)])
-    # (f, g) against the kernel bases of delta_p and N_p
-    k, piv = cx._echelon(ALG, p)
-    c = f.rows_at(_free(piv, f.rows))
-    if k @ c != f:
-        return False
-    q, n_piv = cx._echelon(RBS, p)
-    x = vstack([c, g])
-    return q @ x.rows_at(_free(n_piv, x.rows)) == x
 
 
 def _free(pivots, n):
@@ -785,9 +785,9 @@ def _les_by_spans(cx, max_degree):
     when c^T reduce(X) = 0.  Both hold for any B and X, so no step assumes
     that phi is a chain map or that d^2 = 0: on a broken map the dimensions
     are those of the spans themselves.  The pivot columns of a slice's RREF
-    span its columns, so B of alg and rbso is the slice one degree lower at
-    the pivots that the elimination for its kernel found, and no slice is
-    eliminated twice; rbs_(p-1) has no memo and is eliminated whole.
+    span its columns, so B is the image basis of the differential one degree
+    lower (Complexes.image), at the pivots that the eliminations for its
+    kernel found, and no slice is eliminated twice.
 
     A slot takes one elimination.  Write W for the outgoing map on the
     cocycles z and G = [reduce(W) | reduce(z)], one row per cocycle.  The
@@ -810,12 +810,7 @@ def _les_by_spans(cx, max_degree):
     def span(tag, p):
         # the echelon of the coboundaries in degree p
         if (tag, p) not in spans:
-            if p == 0:
-                b = Matrix.zeros(field, cx.dim(tag, 0), 0)
-            elif tag == RBS:
-                b = cx.rbs(p - 1)
-            else:
-                b = cx.slice(tag, p - 1).columns(list(cx._echelon(tag, p - 1)[1]))
+            b = cx.image(tag, p - 1)[0] if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
             spans[tag, p] = b.transpose().rref()
         return spans[tag, p]
 
@@ -845,7 +840,7 @@ def _les_by_spans(cx, max_degree):
     incoming = (start, start.transpose(), 0)
     for p in range(max_degree + 1):
         # the slots apply phi_p, and below max_degree the coboundary spans
-        # one degree up apply delta_p and partial_p: read before their
+        # one degree up cut delta_p, phi_p and partial_p: read before their
         # kernels are eliminated, each is built once
         cx.phi(p)
         if p < max_degree:
@@ -937,7 +932,7 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     details = []
     ok = True
     for n in range(max_degree + 1):
-        d_n = cx.rbs(n)
+        d_n = _assembled(cx, n)
         # C^n_rbs = (f, x, y): f has fa coordinates, x and y have ga each
         fa, ga = m * d**n, (m * d ** (n - 1) if n else 0)
         fb, gb = m * d ** (n + 1), m * d**n

@@ -376,9 +376,9 @@ def h2_extension_census(sys, mod, cap=64, dim_cap=None):
     cx.phi(2)
     cx.partial(1)
     kernel = cx.kernel(RBS, 2)
-    boundaries = cx.slice(RBS, 1)
-    # the kernel columns that are pivots past the coboundaries extend a
-    # basis of the coboundary space, each chosen greedily in column order
+    boundaries = cx.image(RBS, 1)[0]
+    # the kernel columns that are pivots past a basis of the coboundaries
+    # extend it, each chosen greedily in column order
     pivots = hstack([boundaries, kernel]).rref()[1]
     reps = [kernel.col(c - boundaries.cols) for c in pivots if c >= boundaries.cols]
     h2_dim = len(reps)

@@ -1428,13 +1428,13 @@ def block_diag(mats):
 
 def assemble(shape, blocks):
     """The matrix whose entries, as an array of the given shape, are zero but
-    at the disjoint indices key of (x, key) in blocks, which hold the matrix
-    x row-major; over Q at the blocks' common denominator."""
+    at the disjoint indices key (slices or index lists) of (x, key) in
+    blocks, which hold the matrix x row-major; over Q at the blocks' common
+    denominator."""
     field, den, mag, nums = _common([x for x, _ in blocks], "assemble")
     a = np.zeros(shape, dtype=nums[0].dtype)
     for x, (_, key) in zip(nums, blocks):
-        part = a[key]
-        part[...] = x.reshape(part.shape)
+        a[key] = x.reshape(a[key].shape)
     return _stacked(field, a.reshape(shape[0], math.prod(shape[1:])), den, mag)
 
 

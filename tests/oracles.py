@@ -217,17 +217,34 @@ def sympy_rank(mat):
     return len(sympy_rref(mat)[1])
 
 
+def slice_of(cx, tag, n):
+    """The degree-n differential of the complex named by tag from the slices
+    that cx holds: delta_n, partial_n, or rbs_n assembled whole from its
+    blocks [[delta_n, 0], [-phi_n, -partial_(n-1)]] by placing each block."""
+    if tag == ALG:
+        return cx.delta(n)
+    if tag == RBSO:
+        return cx.partial(n)
+    field, fa, fb = cx.sys.field, cx.dim(ALG, n), cx.dim(ALG, n + 1)
+    out = np.zeros((cx.dim(RBS, n + 1), cx.dim(RBS, n)), dtype=object if field.p is None else np.int64)
+    out[:fb, :fa] = cx.delta(n).a
+    out[fb:, :fa] = (-cx.phi(n)).a
+    if n:
+        out[fb:, fa:] = (-cx.partial(n - 1)).a
+    return Matrix(field, out)
+
+
 def assembled_ranks(sys, mod, max_degree, cap=None):
     """The rank of every total differential rbs_n, n <= max_degree, each
     assembled whole from its blocks and eliminated as one matrix."""
     cx = Complexes(sys, mod, cap)
-    return [cx.rbs(n).rank() for n in range(max_degree + 1)]
+    return [slice_of(cx, RBS, n).rank() for n in range(max_degree + 1)]
 
 
 def assembled_kernel(cx, n):
     """The canonical kernel basis of rbs_n, assembled whole from its blocks
     and eliminated as one matrix."""
-    return cx.rbs(n).kernel_basis()
+    return slice_of(cx, RBS, n).kernel_basis()
 
 
 def column_space_rank(mats):
@@ -261,13 +278,13 @@ def les_slots_by_column_spans(sys, mod, max_degree, cap=None, spans=None):
 
     def kernel(tag, p):
         if (tag, p) not in kernels:
-            kernels[tag, p] = cx.slice(tag, p).kernel_basis()
+            kernels[tag, p] = slice_of(cx, tag, p).kernel_basis()
         return kernels[tag, p]
 
     def image(tag, p):
         if p == 0:
             return Matrix.zeros(field, cx.dim(tag, 0), 0)
-        return cx.slice(tag, p - 1)  # columns span the coboundaries
+        return slice_of(cx, tag, p - 1)  # columns span the coboundaries
 
     def shifted(p):
         # the shift inclusion C^p_rbso -> C^(p+1)_rbs applied to the cocycles
@@ -322,7 +339,7 @@ def les_check_by_slot_kernels(sys, mod, max_degree, cap=None):
 
     def span(tag, p):
         if (tag, p) not in spans:
-            b = cx.slice(tag, p - 1) if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
+            b = slice_of(cx, tag, p - 1) if p else Matrix.zeros(field, cx.dim(tag, 0), 0)
             spans[tag, p] = b.transpose().rref()
         return spans[tag, p]
 

@@ -65,7 +65,7 @@ from instances import (
     triangular_system,
     unital_line,
 )
-from oracles import gf2_rank, sympy_rank
+from oracles import gf2_rank, slice_of, sympy_rank
 
 INSTANCES = instance_set(52, seed=2024)
 
@@ -81,7 +81,7 @@ def _unpack_order1(sys, vec):
 
 def _random_order1(sys, rng):
     cx = Complexes(sys, regular_bimodule(sys))
-    kernel = cx.slice(RBS, 2).kernel_basis()
+    kernel = slice_of(cx, RBS, 2).kernel_basis()
     if kernel.cols == 0:
         return None
     return _unpack_order1(sys, kernel @ random_matrix(sys.field, kernel.cols, 1, rng))
@@ -95,7 +95,7 @@ def test_criterion_1_complex_property():
         for tag in (ALG, RBSO, RBS):
             cx = Complexes(sys, mod)
             for n in range(4):
-                assert (cx.slice(tag, n + 1) @ cx.slice(tag, n)).is_zero(), (
+                assert (slice_of(cx, tag, n + 1) @ slice_of(cx, tag, n)).is_zero(), (
                     tag,
                     n,
                     sys,
@@ -113,8 +113,8 @@ def test_criterion_2_chain_map():
     for sys, mod in INSTANCES:
         cx = Complexes(sys, mod)
         for n in range(4):
-            lhs = cx.slice(RBSO, n) @ phi(n, sys, mod)
-            rhs = phi(n + 1, sys, mod) @ cx.slice(ALG, n)
+            lhs = slice_of(cx, RBSO, n) @ phi(n, sys, mod)
+            rhs = phi(n + 1, sys, mod) @ slice_of(cx, ALG, n)
             assert lhs == rhs, (n, sys)
     print(
         f"\n[acceptance] criterion 2 PASS: comparison map commutes with the "
@@ -217,7 +217,7 @@ def test_criterion_5_infinitesimals_and_gauges():
         diff = c1 - c2
         pre = cx.coboundary_preimage(diff)
         assert pre is not None
-        assert cx.slice(RBS, 1) @ pre.vector == diff.vector
+        assert slice_of(cx, RBS, 1) @ pre.vector == diff.vector
         gauge_count += 1
     assert gauge_count >= 25
     print(
@@ -252,7 +252,7 @@ def test_criterion_7_operator_infinitesimals():
     for sys, mod in INSTANCES:
         if count >= 25:
             break
-        kernel = Complexes(sys, regular_bimodule(sys)).slice(RBSO, 1).kernel_basis()
+        kernel = slice_of(Complexes(sys, regular_bimodule(sys)), RBSO, 1).kernel_basis()
         if kernel.cols == 0:
             continue
         vec = kernel @ random_matrix(sys.field, kernel.cols, 1, rng)
@@ -281,7 +281,7 @@ def test_criterion_8_extension_dictionary():
         if round_trips >= 25:
             break
         cx = Complexes(sys, mod)
-        kernel = cx.slice(RBS, 2).kernel_basis()
+        kernel = slice_of(cx, RBS, 2).kernel_basis()
         if kernel.cols == 0:
             continue
         vec = kernel @ random_matrix(sys.field, kernel.cols, 1, rng)
@@ -295,7 +295,7 @@ def test_criterion_8_extension_dictionary():
     iff_checked = 0
     for sys, mod in INSTANCES[:16]:
         cx = Complexes(sys, mod)
-        sl = cx.slice(RBS, 2)
+        sl = slice_of(cx, RBS, 2)
         vec = random_matrix(sys.field, sl.cols, 1, rng)
         c = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, vec))
         hat = assemble_extension(sys, mod, c).hat
@@ -310,7 +310,7 @@ def test_criterion_8_extension_dictionary():
         if section_checked >= 10:
             break
         cx = Complexes(sys, mod)
-        kernel = cx.slice(RBS, 2).kernel_basis()
+        kernel = slice_of(cx, RBS, 2).kernel_basis()
         if kernel.cols == 0:
             continue
         c = cocycle_from_cochain(
@@ -328,7 +328,7 @@ def test_criterion_8_extension_dictionary():
                 Matrix.zeros(sys.field, mod.dim, 1),
             ]
         )
-        assert c1.as_cochain().vector - c2.as_cochain().vector == cx.slice(RBS, 1) @ gvec
+        assert c1.as_cochain().vector - c2.as_cochain().vector == slice_of(cx, RBS, 1) @ gvec
         section_checked += 1
     assert section_checked >= 10
 
@@ -338,7 +338,7 @@ def test_criterion_8_extension_dictionary():
         if shear_checked >= 10:
             break
         cx = Complexes(sys, mod)
-        kernel = cx.slice(RBS, 2).kernel_basis()
+        kernel = slice_of(cx, RBS, 2).kernel_basis()
         if kernel.cols == 0:
             continue
         c1 = cocycle_from_cochain(
@@ -353,7 +353,7 @@ def test_criterion_8_extension_dictionary():
             ]
         )
         c2 = cocycle_from_cochain(
-            sys, mod, Cochain(RBS, 2, c1.as_cochain().vector + cx.slice(RBS, 1) @ gvec)
+            sys, mod, Cochain(RBS, 2, c1.as_cochain().vector + slice_of(cx, RBS, 1) @ gvec)
         )
         iso = iso_from_cohomologous(sys, mod, c1, c2, gamma)
         ext1 = build_extension(sys, mod, c1)
@@ -393,7 +393,7 @@ def test_rational_dim3_les_and_betti():
         report = les_check(sys, mod, 3)
         assert report.ok, [s for s in report.slots if not s.ok]
         cx = Complexes(sys, mod)
-        slices = [cx.slice(RBS, n) for n in range(4)]
+        slices = [slice_of(cx, RBS, n) for n in range(4)]
         ranks = [sympy_rank(s) for s in slices]
         expected = [slices[n].cols - ranks[n] - (ranks[n - 1] if n else 0) for n in range(4)]
         assert betti(RBS, sys, mod, 3).h == expected
@@ -406,7 +406,7 @@ def test_rational_dim3_les_and_betti():
 def _rbs_ranks_match_sympy(sys, mod, top):
     """The rbs slice ranks through degree top are sympy's, and H_rbs follows."""
     cx = Complexes(sys, mod)
-    slices = [cx.slice(RBS, n) for n in range(top + 1)]
+    slices = [slice_of(cx, RBS, n) for n in range(top + 1)]
     ranks = [sympy_rank(s) for s in slices]
     assert [s.rank() for s in slices] == ranks
     expected = [slices[n].cols - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]

@@ -332,6 +332,7 @@ def test_extend_build_rejects_non_cocycle(tmp_path, capsys):
     from rbsys.extensions import cocycle_from_cochain
 
     from instances import random_matrix
+    from oracles import slice_of
 
     from rbsys import QQ
 
@@ -339,7 +340,7 @@ def test_extend_build_rejects_non_cocycle(tmp_path, capsys):
     mod = regular_bimodule(sys)
     rng = random.Random(0)
     cx = Complexes(sys, mod)
-    sl = cx.slice(RBS, 2)
+    sl = slice_of(cx, RBS, 2)
     vec = random_matrix(QQ, sl.cols, 1, rng)
     while (sl @ vec).is_zero():
         vec = random_matrix(QQ, sl.cols, 1, rng)
@@ -351,37 +352,34 @@ def test_extend_build_rejects_non_cocycle(tmp_path, capsys):
     assert main(["extend", "build", str(spath), str(cpath)]) == 1
 
 
-def test_rbs_is_assembled_only_for_its_image(tmp_path, monkeypatch, capsys):
-    # kernels, cocycle tests and gauge solves read the blocks of rbs_n; the
-    # whole slice is assembled only where its image is needed: the census's
-    # B^2 = im rbs_1, and the coboundary spans of rbs_0..rbs_2 where the LES
-    # is compared at chain level, as with phi_0 perturbed; on a valid pair
-    # the LES is read off the ranks and assembles none
+def test_no_analysis_assembles_rbs(tmp_path, monkeypatch, capsys):
+    # kernels, images, cocycle tests and gauge solves read the blocks of
+    # rbs_n: no analysis assembles it, neither the LES (read off the ranks
+    # on a valid pair, compared at chain level with phi_0 perturbed) nor the
+    # census, the extension build or the deformation commands; only the
+    # embedding check, which compares its entries, assembles one per degree
     import random
 
-    from rbsys import Complexes, apply_gauge, cohomology, constant_deformation, h2_extension_census, les_check
+    from rbsys import apply_gauge, cohomology, constant_deformation, h2_extension_census, les_check
 
     from instances import random_gauge
 
     assembled = []
-    rbs = Complexes.rbs
+    whole = cohomology._assembled
 
-    def counted(self, n):
+    def counted(cx, n):
         assembled.append(n)
-        return rbs(self, n)
+        return whole(cx, n)
 
-    monkeypatch.setattr(Complexes, "rbs", counted)
+    monkeypatch.setattr(cohomology, "_assembled", counted)
     sys = triangular_system(GF5(), 1, 2)
     mod = regular_bimodule(sys)
     assert les_check(sys, mod, 3).ok
-    assert assembled == []
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "phi_rows", perturbed_phi(cohomology.phi_rows, 0, 1))
         assert not les_check(sys, mod, 3).ok
-    assert assembled == [0, 1, 2]
-    assembled.clear()
     census = h2_extension_census(sys, mod)
-    assert assembled == [1]
+    assert assembled == []
 
     sdoc = docs.serialize_system(sys)
     spath, cpath, dpath = (str(tmp_path / name) for name in ("S.json", "C.json", "D.json"))
@@ -389,12 +387,15 @@ def test_rbs_is_assembled_only_for_its_image(tmp_path, monkeypatch, capsys):
     docs.dump(docs.serialize_cocycle(census[-1][0], sdoc), cpath)
     defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, random.Random(5)))
     docs.dump(docs.serialize_deformation(defn, sys, system_doc=sdoc), dpath)
-    assembled.clear()
     assert main(["extend", "build", spath, cpath, "-o", str(tmp_path / "E.json")]) == 0
     assert main(["deform", "rigidify", spath, dpath]) == 0
     assert main(["deform", "infinitesimal", spath, dpath]) == 0
     assert "composite gauge" in capsys.readouterr().out
     assert assembled == []
+    # R is right multiplication by e1, a weight-0 operator
+    assert main(["rba-embed", spath, "--weight", "0", "--max-degree", "3"]) == 0
+    assert "embedding check: ok" in capsys.readouterr().out
+    assert assembled == [0, 1, 2, 3]
 
 
 def test_extend_census(f2_zero_path, tmp_path, capsys):

@@ -45,13 +45,14 @@ from oracles import (
     series_gauge_inverse,
     series_operator_residuals,
     series_residuals,
+    slice_of,
 )
 
 
 def _random_order1_kernel_deformation(sys, rng):
     """Sample the order-t coefficient from the degree-2 cocycle space."""
     mod = regular_bimodule(sys)
-    kernel = Complexes(sys, mod).slice(RBS, 2).kernel_basis()
+    kernel = slice_of(Complexes(sys, mod), RBS, 2).kernel_basis()
     if kernel.cols == 0:
         return None
     coeffs = random_matrix(sys.field, kernel.cols, 1, rng)
@@ -212,7 +213,7 @@ def test_gauged_deformation_verifies_and_infinitesimals_cohomologous():
         diff = c1 - c2
         pre = cx.coboundary_preimage(diff)
         assert pre is not None
-        assert cx.slice(RBS, 1) @ pre.vector == diff.vector
+        assert slice_of(cx, RBS, 1) @ pre.vector == diff.vector
 
 
 def test_trivialize_step_examples():
@@ -232,7 +233,7 @@ def test_trivialize_step_examples():
     rng = random.Random(8)
     mod = regular_bimodule(sys)
     psi = random_matrix(QQ, 3, 3, rng)
-    vec = Complexes(sys, mod).slice(RBS, 1) @ vstack(
+    vec = slice_of(Complexes(sys, mod), RBS, 1) @ vstack(
         [
             multimap_vector(MultiMap(sys.alg, 1, psi)),
             Matrix.zeros(QQ, 3, 1),
@@ -330,7 +331,7 @@ def test_operator_infinitesimal_random():
     checked = 0
     for sys, _ in instance_set(10, seed=451):
         mod = regular_bimodule(sys)
-        kernel = Complexes(sys, mod).slice(RBSO, 1).kernel_basis()
+        kernel = slice_of(Complexes(sys, mod), RBSO, 1).kernel_basis()
         if kernel.cols == 0:
             continue
         vec = kernel @ random_matrix(sys.field, kernel.cols, 1, rng)

@@ -478,17 +478,18 @@ def test_bit_kernel_matches_the_eager_kernel_on_every_gf2_slice():
     # every slice of degree 0 to 3 (delta, partial, phi, rbs) of the GF(2)
     # instances of the acceptance set and of the zero instance, as it is
     # and transposed, as the LES eliminates its spans
-    from rbsys import Complexes
+    from rbsys import RBS, Complexes
     from rbsys.linalg import _rref_gf2
 
     from instances import f2_zero_instance, instance_set
+    from oracles import slice_of
 
     pairs = [pair for pair in instance_set(52) if pair[0].field == GF(2)] + [f2_zero_instance()]
     assert len(pairs) > 10
     for sys, mod in pairs:
         cx = Complexes(sys, mod)
         for n in range(4):
-            for m in (cx.delta(n), cx.partial(n), cx.phi(n), cx.rbs(n)):
+            for m in (cx.delta(n), cx.partial(n), cx.phi(n), slice_of(cx, RBS, n)):
                 for a in (m.num, m.num.T):
                     _assert_matches_the_eager_kernel(_rref_gf2, a, 2)
 
