@@ -959,6 +959,32 @@ def test_a_failed_write_is_exit_2(argv, written, documents, tmp_path, capsys):
     assert not (tmp_path / "no").exists()
 
 
+def _child(argv, env):
+    """Run rbs with argv in a child process with tracemalloc on; its exit
+    code, stdout, tracemalloc peak (bytes), max RSS (KiB) and wall time."""
+    import os
+    import subprocess
+    import sys as _sys
+    import time
+
+    # rbs with tracemalloc on, its peak written to stderr
+    traced = (
+        "import sys, tracemalloc; tracemalloc.start(); from rbsys.cli import main; code = main(sys.argv[1:]); "
+        "print(tracemalloc.get_traced_memory()[1], file=sys.stderr); sys.exit(code)"
+    )
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [_sys.executable, "-c", traced, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    out, err = proc.stdout.read(), proc.stderr.read()
+    proc.stdout.close()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out, int(err), usage.ru_maxrss, wall
+
+
 @pytest.mark.slow
 def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     # GF(5) idem d = 4 with the regular bimodule (a seed-7 scramble) to
@@ -969,11 +995,12 @@ def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     # measured (the 128 MiB echelon buffer of delta_5, the products of one
     # block and the kernel memos), against 256 MiB while a slice's RREF was
     # gathered whole and each block's update product was kept into the
-    # next block.  Both are printed (pytest -s).  Opt in with pytest -m slow.
+    # next block.  rbs les to degree 4 on the same pair, whose check of
+    # rbs^2 = 0 reads delta_4 and phi_4 by row blocks, runs in a child too.
+    # Max RSS and wall time of both are printed (pytest -s).  Opt in with
+    # pytest -m slow.
     import os
     import random
-    import subprocess
-    import sys as _sys
     from pathlib import Path
 
     from rbsys import GF, conjugate_bimodule, conjugate_system, from_rb_operator
@@ -988,27 +1015,18 @@ def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     system_doc = docs.serialize_system(system)
     docs.dump(system_doc, spath)
     docs.dump(docs.serialize_bimodule(mod, system_doc), mpath)
-    argv = ["cohomology", str(spath), str(mpath), "--what", "rbs", "--max-degree", "5", "--cap", "30000", "--json"]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    # rbs with tracemalloc on, its peak written to stderr
-    traced = (
-        "import sys, tracemalloc; tracemalloc.start(); from rbsys.cli import main; code = main(sys.argv[1:]); "
-        "print(tracemalloc.get_traced_memory()[1], file=sys.stderr); sys.exit(code)"
-    )
-    proc = subprocess.Popen(
-        [_sys.executable, "-c", traced, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    out, err = proc.stdout.read(), proc.stderr.read()
-    proc.stdout.close()
-    proc.stderr.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
+    flags = ["--cap", "30000", "--json"]
+    argv = ["cohomology", str(spath), str(mpath), "--what", "rbs", "--max-degree", "5"] + flags
+    code, out, peak, rss, wall = _child(argv, env)
+    assert code == 0
     assert json.loads(out)["h"] == [0] * 6
-    peak = int(err)
-    print(f"corner: max RSS {usage.ru_maxrss / 1024:.1f} MiB, tracemalloc peak {peak / 2**20:.1f} MiB")
-    assert usage.ru_maxrss <= 400 * 1024  # KiB
+    print(f"corner: max RSS {rss / 1024:.1f} MiB, tracemalloc peak {peak / 2**20:.1f} MiB, {wall:.1f} s")
+    assert rss <= 400 * 1024  # KiB
     assert peak <= 240 * 2**20
+    code, out, peak, rss, wall = _child(["les", str(spath), str(mpath), "--max-degree", "4"] + flags, env)
+    assert code == 0 and json.loads(out)["ok"]
+    print(f"corner les: max RSS {rss / 1024:.1f} MiB, tracemalloc peak {peak / 2**20:.1f} MiB, {wall:.1f} s")
 
 
 @pytest.mark.parametrize("token", ["1e4000", "1.5", "1_000", "٣", "+1", " 1/2", "1/-2", "2" * 5000 + "/3"])

@@ -719,6 +719,31 @@ def test_dim_cap_guard():
         betti(RBS, sys, mod, 0)
 
 
+def test_a_complex_reads_the_cap_from_the_environment_once(monkeypatch):
+    # Complexes resolves the cap once and passes the number on to every
+    # guard and slice builder, so les_check with no cap reads RBS_DIM_CAP
+    # once, where each guard read it before; a malformed value is refused
+    # with the same error
+    import os
+
+    reads = []
+    get = os.environ.get
+
+    def counted(key, *default):
+        reads.append(key)
+        return get(key, *default)
+
+    monkeypatch.setenv("RBS_DIM_CAP", "20000")
+    monkeypatch.setattr(os.environ, "get", counted)
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    assert les_check(sys, mod, 3).ok
+    assert reads.count("RBS_DIM_CAP") == 1
+    monkeypatch.setenv("RBS_DIM_CAP", "abc")
+    with pytest.raises(ValueError, match="^RBS_DIM_CAP must be an integer, got 'abc'$"):
+        les_check(sys, mod, 3)
+
+
 @pytest.mark.parametrize(
     "analysis, max_degree, dim",
     [
@@ -813,6 +838,24 @@ def test_les_check_builds_each_block_once(monkeypatch):
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
     assert calls == {"hochschild_slice": 7, "phi": 4, "_d_module_unchecked": 1}
+    # with phi_3 perturbed the check fails at the top degree, fed in one
+    # block, and the chain-level slots read the phi_3 that the check
+    # stored: phi_rows runs once per degree
+    degrees, runs = Counter(), []
+    perturbed, by_spans = perturbed_phi(phi_rows, 3, 1), cohomology._les_by_spans
+
+    def counted_rows(n, *args):
+        degrees[n] += 1
+        return perturbed(n, *args)
+
+    def counted_spans(cx, top):
+        runs.append(top)
+        return by_spans(cx, top)
+
+    monkeypatch.setattr(cohomology, "phi_rows", counted_rows)
+    monkeypatch.setattr(cohomology, "_les_by_spans", counted_spans)
+    les_check(sys, regular_bimodule(sys), 3)
+    assert runs == [3] and degrees == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def _weight_lam_systems(field, lam, rng):
@@ -860,11 +903,12 @@ def test_dbar_display_slice_matches_naive_evaluation():
 def test_les_check_matrix_products(monkeypatch):
     # 18 products assemble and check the inputs.  On a valid pair the slots
     # are read off the ranks: each N_p takes phi_p K (4), and the check that
-    # im rbs_(p-1) lies in ker rbs_p takes two per degree p = 1..3 (6), one
-    # by the kernel basis of delta_p and one by that of N_p: 28 = 18 + 4 +
-    # 6.  With phi_0 perturbed the check fails at p = 1 after its two
+    # rbs_p rbs_(p-1) = 0 multiplies its blocks, delta_p delta_(p-1) (3),
+    # partial_(p-1) partial_(p-2) for p >= 2 (2) and both sides of
+    # partial_(p-1) phi_(p-1) = phi_p delta_(p-1) (6): 33 = 18 + 4 + 11.
+    # With phi_0 perturbed the check fails at p = 1 after its three
     # products, and the chain-level slots make the 51 products they made
-    # before the check existed: 53.
+    # before the check existed: 54.
     from rbsys import cohomology
 
     def products(phi_rows):
@@ -882,8 +926,8 @@ def test_les_check_matrix_products(monkeypatch):
             report = les_check(sys, regular_bimodule(sys), 3)
         return report.ok, len(calls)
 
-    assert products(phi_rows) == (True, 28)
-    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 53)
+    assert products(phi_rows) == (True, 33)
+    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 54)
 
 
 def _les_eliminations(monkeypatch, phi_rows, stream_size=None):
@@ -1130,9 +1174,9 @@ def test_les_check_falls_back_to_chain_level_slots(monkeypatch):
 
 
 def test_the_square_check_agrees_with_the_assembled_product(monkeypatch):
-    # the check that im rbs_(p-1) lies in ker rbs_p, read off the kernel
-    # memos, against the product rbs_p rbs_(p-1) of the assembled slices, on
-    # valid pairs and with phi or delta_1 perturbed (see _perturbations)
+    # the check that rbs_p rbs_(p-1) = 0, made by products of its blocks,
+    # against the product of the assembled slices, on valid pairs and with
+    # phi or delta_1 perturbed (see _perturbations)
     from rbsys import cohomology
     from rbsys.cohomology import _squares_to_zero
 
@@ -1151,20 +1195,123 @@ def test_the_square_check_agrees_with_the_assembled_product(monkeypatch):
     assert verdicts == {("phi_rows", True), ("phi_rows", False), ("hochschild_slice", False), ("hochschild_slice", True)}
 
 
-def test_les_check_at_the_corner_matches_the_chain_level_slots():
-    # GF(5) idem d = 4 with the regular bimodule (a seed-7 scramble) to
-    # degree 4, where delta_4 (4096 x 1024) and phi_4 (2048 x 1024) are
-    # fed to elimination in row blocks: the slots read off the ranks are
-    # those compared at chain level
+def _perturbed_partial(hochschild_slice, sys, mod, degree, seed):
+    """hochschild_slice with a rank-one term u v^T added to partial_degree,
+    v chosen so that v^T phi_degree = 0 and v^T partial_(degree-1) != 0:
+    then only the blocks partial partial of rbs^2 change, not the chain-map
+    block, or None when no such v exists."""
+    cx = Complexes(sys, mod)
+    below, left = cx.partial(degree - 1), cx.phi(degree).transpose().kernel_basis()
+    hits = [j for j in range(left.cols) if not (left.col(j).transpose() @ below).is_zero()]
+    if not hits:
+        return None
+    u = random_matrix(sys.field, cx.dim(RBSO, degree + 1), 1, random.Random(seed))
+    if u.is_zero():
+        return None
+    term = u @ left.col(hits[0]).transpose()
+
+    def perturbed(a, actions, n, cap=None, rows=None):
+        out = hochschild_slice(a, actions, n, cap, rows)
+        if a is sys.alg or n != degree:
+            return out
+        return out + (term if rows is None else term.take_rows(*rows))
+
+    return perturbed
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(40009)], ids=repr)
+def test_les_check_takes_the_rank_route_exactly_when_rbs_squares_to_zero(field, monkeypatch):
+    # les_check to degree 3 reads the slots off the ranks exactly when
+    # rbs_q rbs_(q-1), assembled whole, is zero for every q <= 3, and
+    # compares them at chain level otherwise.  The valid triangular, line
+    # and idempotent pairs, each with phi_p perturbed at p = 0..3 (two
+    # seeds), and with partial_1 or partial_2 perturbed so that only the
+    # partial partial blocks are nonzero; each whole, and with every
+    # prime-field slice fed in row blocks, where the top degree is checked
+    # block by block.  Among the cases, some fail at the top degree only and
+    # some in the partial partial blocks only
+    from rbsys import cohomology, from_rb_operator, linalg
+
+    from instances import diagonal_algebra, idempotent_rb_operator
+
+    runs = []
+    by_spans = cohomology._les_by_spans
+
+    def counted(cx, top):
+        runs.append(top)
+        return by_spans(cx, top)
+
+    idem = from_rb_operator(diagonal_algebra(field, 2), idempotent_rb_operator(field, 2, [0], 1), 1)[0]
+    hochschild = cohomology.hochschild_slice
+    cases = []
+    for sys in (triangular_system(field, 1, 1), line_system(field, 1, 0), idem):
+        mod = regular_bimodule(sys)
+        cases.append((sys, mod, "phi_rows", phi_rows, "valid"))
+        for degree in range(4):
+            cases += [(sys, mod, "phi_rows", perturbed_phi(phi_rows, degree, seed), degree) for seed in (0, 1)]
+        for degree in (1, 2):
+            patched = _perturbed_partial(hochschild, sys, mod, degree, degree)
+            if patched is not None:
+                cases.append((sys, mod, "hochschild_slice", patched, "partial"))
+    outcomes = []
+    for sys, mod, name, patched, kind in cases:
+        for stream_size in (None, 0):
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology, name, patched)
+                patch.setattr(cohomology, "_les_by_spans", counted)
+                if stream_size is not None:
+                    patch.setattr(linalg, "_STREAM_SIZE", stream_size)
+                runs.clear()
+                report = les_check(sys, mod, 3)
+                cx = Complexes(sys, mod)
+                products = [(slice_of(cx, RBS, q) @ slice_of(cx, RBS, q - 1)).is_zero() for q in (1, 2, 3)]
+                tall = len(linalg.row_blocks(field, (cx.dim(RBSO, 3), cx.dim(ALG, 3)))) > 1
+            assert runs == ([] if all(products) else [3]), (sys, kind, stream_size)
+            assert report.ok or not all(products)
+            outcomes.append((kind, tuple(products), tall))
+    assert ("valid", (True, True, True), False) in outcomes
+    assert (3, (True, True, False), False) in outcomes
+    assert field.p is None or (3, (True, True, False), True) in outcomes
+    assert any(kind == "partial" and not all(products) for kind, products, _ in outcomes)
+
+
+def _corner_pair():
+    """GF(5) idem d = 4 with the regular bimodule, a seed-7 scramble."""
     from rbsys import from_rb_operator
-    from rbsys.cohomology import _les_by_spans
 
     from instances import diagonal_algebra, idempotent_rb_operator
 
     field = GF(5)
     sys = from_rb_operator(diagonal_algebra(field, 4), idempotent_rb_operator(field, 4, [0, 2], 1), 1)[0]
     p = random_invertible(field, 4, random.Random(7))
-    sys, mod = conjugate_system(sys, p), conjugate_bimodule(regular_bimodule(sys), p, p)
+    return conjugate_system(sys, p), conjugate_bimodule(regular_bimodule(sys), p, p)
+
+
+def test_les_check_at_the_corner_builds_no_top_slice_whole(monkeypatch):
+    # at the corner to degree 4, delta_4 (4096 x 1024) and phi_4 (2048 x
+    # 1024) are checked against the stored slices of degree 3 and
+    # eliminated block by block, and never built whole; the slices below
+    # the top are built whole once each
+    whole = []
+    build = Complexes._whole
+
+    def spied(self, key, n):
+        whole.append((key, n))
+        return build(self, key, n)
+
+    monkeypatch.setattr(Complexes, "_whole", spied)
+    sys, mod = _corner_pair()
+    assert les_check(sys, mod, 4, cap=30000).ok
+    assert sorted(whole) == sorted((key, p) for key in (ALG, RBSO, "phi") for p in range(4))
+
+
+def test_les_check_at_the_corner_matches_the_chain_level_slots():
+    # the corner to degree 4, where delta_4 and phi_4 are fed to
+    # elimination in row blocks: the slots read off the ranks are those
+    # compared at chain level
+    from rbsys.cohomology import _les_by_spans
+
+    sys, mod = _corner_pair()
     report = les_check(sys, mod, 4, cap=30000)
     assert report.ok
     assert _slot_fields(report) == _slot_fields(_les_by_spans(Complexes(sys, mod, 30000), 4))
