@@ -41,21 +41,22 @@ block of phi_n times K, next to the same rows of partial_(n-1), the
 blocks of phi_n and partial_(n-1) cut from the stored slices or built for
 N alone.  Every block is multiplied by one factor of K (Matrix.factor),
 so K is converted to float64 once per N, not once per block.  N is never
-stored, and its elimination yields Q directly, kept in a memo like K.  The
-cap guards the target space of rbs_n.  Every analysis reads an image as
-the columns at the pivots of the RREF (Complexes.image), for rbs_n cut from
-its blocks at the pivots that the memos of delta_n and N hold; none
-assembles rbs_n.  Only rbs_d and the embedding check, which compares its
-entries, do.
+stored; a memo keeps its elimination like that of delta_n, and Q is formed
+on the first read of the kernel.  The cap guards the target space of
+rbs_n.  Every analysis reads an image as the columns at the pivots of the
+RREF (Complexes.image), for rbs_n cut from its blocks at the pivots that
+the memos of delta_n and N hold; none assembles rbs_n.  Only rbs_d and the
+embedding check, which compares its entries, do.
 
 les_check reads the long exact sequence off the ranks once it has
 verified rbs_p rbs_(p-1) = 0 exactly, by products of its blocks delta
 delta, partial partial and partial_(p-1) phi_(p-1) - phi_p delta_(p-1).
 With rbs squaring to zero, the sequence of complexes 0 -> C_rbso[-1] ->
 C_rbs -> C_alg -> 0 is short exact, and its cohomology sequence is exact
-by the snake lemma.  Only where the verification fails does it compare the
-slots as chain-level spans, which assumes neither that phi is a chain map
-nor that d^2 = 0.
+by the snake lemma, and the ranks come from one elimination each of
+delta_p and M_p = [partial_(p-1) | phi_p K] (_les_ranks).  Only where the
+verification fails does it compare the slots as chain-level spans, which
+assumes neither that phi is a chain map nor that d^2 = 0.
 
 hochschild_slice is the one Hochschild assembler.  Besides delta and
 partial it builds the displayed cokernel differential of the weight-lambda
@@ -265,8 +266,10 @@ class Complexes:
     """The differentials of all three complexes of one (system, bimodule) pair.
 
     It holds, for its own life (an analysis makes one per call), per
-    delta_n, partial_n and N_n one memo of its one elimination, its
-    canonical kernel basis and RREF pivots, and the slices delta_n,
+    delta_n, partial_n and N_n one memo of its one elimination: its RREF
+    pivots, and its canonical kernel basis, formed on the first read of
+    kernel from the RREF that a whole elimination keeps until then (a
+    stream yields the basis as it ends), and the slices delta_n,
     partial_n and phi_n that a reader applies or cuts (delta, phi and
     partial, called from d, alg_column and image), each built once through
     hochschild_slice and phi.  N = [phi_n K | partial_(n-1)] is fed to
@@ -275,10 +278,11 @@ class Complexes:
     ranges of linalg.row_blocks (one range over Q and below 2^18 entries):
     a slice already stored is cut there by ranges; any other is built range
     by range as elimination reads it and stored nowhere, and no RREF is
-    kept.  So rank and kernel hold one elimination at a time besides the
-    memos, and an analysis that also applies a slice reads it before
-    eliminating it to build it once.  rank, kernel and image all read the
-    same memo.
+    kept past the first kernel read.  So rank and kernel hold one
+    elimination at a time besides the memos, and an analysis that also
+    applies a slice reads it before eliminating it to build it once.  rank,
+    kernel and image all read the same memo; rank and image read its pivots
+    alone, and form no kernel basis.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -343,9 +347,8 @@ class Complexes:
         return (hochschild_slice(*self._operands(key), n, self.cap, r) for r in blocks)
 
     def _echelon(self, tag, n):
-        # (K, P) of delta_n (alg), partial_n (rbso) or N_n (rbs): its
-        # canonical kernel basis and the pivots of its RREF, from one
-        # elimination
+        # the elimination of delta_n (alg), partial_n (rbso) or N_n (rbs):
+        # its RREF pivots, and its canonical kernel basis formed on first read
         def build():
             if tag == RBS:
                 return self._restricted(n)
@@ -374,33 +377,36 @@ class Complexes:
         self._guard_rbs(n)
         return vstack([self.delta(n), -self.phi(n)])
 
-    def _restricted(self, n):
-        # the kernel basis and pivots of N = [phi_n K | partial_(n-1)]
-        # (phi_0 K alone for n = 0), K the canonical kernel basis of
-        # delta_n, fed by rows; every row block of phi_n is multiplied by
-        # one factor of K, which is converted for BLAS once
+    def _restricted(self, n, folded=False):
+        # the elimination of N = [phi_n K | partial_(n-1)], or with folded
+        # of M = [partial_(n-1) | phi_n K] (phi_0 K alone for n = 0 either
+        # way), K the canonical kernel basis of delta_n, fed by rows; every
+        # row block of phi_n is multiplied by one factor of K, which is
+        # converted for BLAS once
         self._guard_rbs(n)
         field, kernel = self.sys.field, self.kernel(ALG, n).factor()
         shape = (self.dim(RBSO, n), kernel.cols + self.dim(RBSO, n - 1))
         blocks = row_blocks(field, shape)
 
         def rows(phi_n, partial_prev=None):
-            return hstack([phi_n @ kernel, partial_prev]) if n else phi_n @ kernel
+            if not n:
+                return phi_n @ kernel
+            return hstack([partial_prev, phi_n @ kernel] if folded else [phi_n @ kernel, partial_prev])
 
         sources = [self._rows("phi", n, blocks)] + ([self._rows(RBSO, n - 1, blocks)] if n else [])
         return rref_rows(field, shape, map(rows, *sources))
 
     def rank(self, tag, n):
         """The rank of the degree-n differential of the complex named by tag;
-        for rbs_n, rank delta_n + rank N."""
-        pivots = self._echelon(tag, n)[1]
+        for rbs_n, rank delta_n + rank N.  It reads pivots only."""
+        pivots = self._echelon(tag, n).pivots
         return len(pivots) + (self.rank(ALG, n) if tag == RBS else 0)
 
     def kernel(self, tag, n):
         """The canonical kernel basis of the degree-n differential of the
         complex named by tag; for rbs_n, [[K Q_top], [Q_bottom]], formed from
         the memo of N on every call."""
-        basis = self._echelon(tag, n)[0]
+        basis = self._echelon(tag, n).kernel()
         if tag != RBS:
             return basis
         k = self.kernel(ALG, n)
@@ -417,12 +423,12 @@ class Complexes:
         _known(tag)
         if tag != RBS:
             sl = self.delta(n) if tag == ALG else self.partial(n)
-            pivots = list(self._echelon(tag, n)[1])
+            pivots = list(self._echelon(tag, n).pivots)
             return sl.columns(pivots), pivots
         self._guard_rbs(n)
         delta_n, phi_n = self.delta(n), self.phi(n)
         partial_prev = self.partial(n - 1) if n else None
-        piv, n_piv = self._echelon(ALG, n)[1], self._echelon(RBS, n)[1]
+        piv, n_piv = self._echelon(ALG, n).pivots, self._echelon(RBS, n).pivots
         free = _free(piv, delta_n.cols)
         f_cols = sorted(list(piv) + [free[j] for j in n_piv if j < len(free)])
         g_cols = [j - len(free) for j in n_piv if j >= len(free)]
@@ -715,8 +721,9 @@ def les_check(sys, mod, max_degree, cap=None):
     dimensions are b + r: b = rank d_(p-1) in the slot's complex (0 at p =
     0), and r the rank of the incoming map on cohomology, 0 at H^0_rbs.
     The next slot's r is h - r, h = dim C^p - rank d_p - rank d_(p-1) the
-    dimension of this slot's cohomology.  The ranks are those of Complexes:
-    one elimination each of delta_p, partial_p (p < max_degree) and N_p.
+    dimension of this slot's cohomology.  The ranks are read off one
+    elimination each of delta_p and M_p = [partial_(p-1) | phi_p K]
+    (_les_ranks).
 
     Where the verification fails, the slots are compared at chain level
     (_les_by_spans), which assumes neither that phi is a chain map nor that
@@ -729,13 +736,31 @@ def les_check(sys, mod, max_degree, cap=None):
     cx.guard((tag, p) for p in range(max_degree + 1) for tag in (RBS, RBSO) if tag == RBS or p < max_degree)
     if not _squares_to_zero(cx, max_degree):
         return _les_by_spans(cx, max_degree)
-    slots, r = [], 0
+    ranks, slots, r = _les_ranks(cx, max_degree), [], 0
     for p in range(max_degree + 1):
         for tag in (RBS, ALG, RBSO) if p < max_degree else (RBS, ALG):
-            b = cx.rank(tag, p - 1) if p else 0
+            b = ranks[tag, p - 1] if p else 0
             slots.append(LesSlot(tag, p, b + r, b + r, True, None))
-            r = cx.dim(tag, p) - cx.rank(tag, p) - b - r
+            r = cx.dim(tag, p) - ranks[tag, p] - b - r
     return LesReport(slots)
+
+
+def _les_ranks(cx, top):
+    """The ranks that les_check reads on a valid pair, keyed (tag, n): of
+    delta_p and rbs_p for p <= top and of partial_p for p < top, from one
+    elimination each of delta_p and M_p = [partial_(p-1) | phi_p K] (phi_0
+    K at p = 0).  M_p is N_p with its blocks swapped, so its pivots count
+    rank N_p; row operations act on its leading columns as on
+    partial_(p-1) alone, so the pivots among them count rank partial_(p-1).
+    The only kernel bases formed are the K of delta_p."""
+    ranks = {}
+    for p in range(top + 1):
+        ranks[ALG, p] = cx.rank(ALG, p)
+        pivots = cx._restricted(p, folded=True).pivots
+        ranks[RBS, p] = ranks[ALG, p] + len(pivots)
+        if p:
+            ranks[RBSO, p - 1] = bisect.bisect_left(pivots, cx.dim(RBSO, p - 1))
+    return ranks
 
 
 def _squares_to_zero(cx, top):

@@ -60,12 +60,13 @@ One kernel, ``_rref_array``, does every elimination (rref, rank,
 kernel_basis, solve, inverse).  It only reads the stored integer array and
 keeps only the nonzero rows of the RREF, one per pivot, in an array of
 their own.  ``rref_rows`` feeds it a matrix by the ranges of ``row_blocks``
-for its canonical kernel basis and pivots: whole over Q and below
+for its pivots and canonical kernel basis: whole over Q and below
 _STREAM_SIZE entries, else as a stream of row blocks, of which elimination
 holds one at a time with its echelon form, kept transposed, so that a tall
-slice is never held whole.  The kernel basis of a stream is read off that
-transposed form; its RREF is never gathered.  It runs on one of three
-paths:
+slice is never held whole.  A whole matrix keeps its RREF until the kernel
+basis is first read, and forms none for a reader of its pivots alone; the
+kernel basis of a stream is read off the transposed form as it ends, and
+its RREF is never gathered.  It runs on one of three paths:
 
 * GF(2): each row is packed into one Python int, bit j for column j, one
   block of rows at a time, so that one XOR adds two rows, and the rows are
@@ -1506,23 +1507,41 @@ def row_blocks(field, shape):
     return [(s, min(s + height, rows)) for s in range(0, rows, height)]
 
 
+class _Eliminated:
+    """The RREF pivots P (a tuple) of one elimination, and its canonical
+    kernel basis K through kernel(): formed on the first read from the RREF
+    kept until then, which is then dropped, or given as a stream ends."""
+
+    __slots__ = ("pivots", "_rref", "_kernel")
+
+    def __init__(self, pivots, rref=None, kernel=None):
+        self.pivots, self._rref, self._kernel = pivots, rref, kernel
+
+    def kernel(self):
+        if self._kernel is None:
+            self._kernel, self._rref = echelon_kernel((self._rref, self.pivots)), None
+        return self._kernel
+
+
 def rref_rows(field, shape, blocks):
-    """The canonical kernel basis K and the RREF pivots P (a tuple) of the
-    matrix of this shape whose rows arrive as the matrices blocks, top to
-    bottom.  A block that covers the matrix is eliminated whole, and no
-    RREF is left on it.  Rows in several blocks are eliminated over GF(p)
-    as a stream that holds one block at a time besides the transposed
-    echelon form, reads no block after that has a pivot in every column,
-    and yields K read off that form, never the RREF (_stream_kernel)."""
+    """The elimination of the matrix of this shape whose rows arrive as the
+    matrices blocks, top to bottom: its RREF pivots P and canonical kernel
+    basis K (_Eliminated).  A block that covers the matrix is eliminated
+    whole, and no RREF is left on it; the elimination keeps the RREF until
+    K is read, so a reader of P alone forms no K.  Rows in several blocks
+    are eliminated over GF(p) as a stream that holds one block at a time
+    besides the transposed echelon form, reads no block after that has a
+    pivot in every column, and yields K read off that form, never the RREF
+    (_stream_kernel)."""
     blocks = iter(blocks)
     first = next(blocks)
     if first.rows == shape[0]:
-        echelon = _echelon(first)
-        return echelon_kernel(echelon), echelon[1]
+        r, pivots = _echelon(first)
+        return _Eliminated(pivots, rref=r)
     nums = itertools.chain([first.num], (b.num for b in blocks))
     del first  # no block is held past its turn
     num, _, piv = _rref_array(_Rows(shape, nums), field)
-    return _new(field, num), tuple(piv)
+    return _Eliminated(tuple(piv), kernel=_new(field, num))
 
 
 def modulo_span(m, echelon):

@@ -25,10 +25,11 @@ from .linalg import Matrix
 class RotaBaxterSystem:
     """An algebra together with its operator pair (R, S).
 
-    Immutable, so the verdict of check_rbs is computed once and kept.
+    Immutable, so the verdict of check_rbs and the star product
+    (_star_product) are computed once and kept.
     """
 
-    __slots__ = ("alg", "R", "S", "_verdict")
+    __slots__ = ("alg", "R", "S", "_verdict", "_star")
 
     def __init__(self, alg, R, S):
         d = alg.dim
@@ -41,6 +42,7 @@ class RotaBaxterSystem:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "_verdict", None)
+        object.__setattr__(self, "_star", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RotaBaxterSystem is immutable")
@@ -72,11 +74,9 @@ def check_rbs(sys):
     """
     check_associative(sys.alg).require("underlying algebra is not associative")
     if sys._verdict is None:
-        d, mu, R, S = sys.dim, sys.alg.mult_matrix(), sys.R, sys.S
-        idd = Matrix.identity(sys.field, d)
-        inner = mu @ R.kron(idd) + mu @ idd.kron(S)  # (a, b) -> R(a)b + aS(b)
+        d, mu, inner = sys.dim, sys.alg.mult_matrix(), _star_product(sys)
         verdict = first_failure(
-            (tag, mu @ op.kron(op), op @ inner, (d, d)) for tag, op in (("eqR", R), ("eqS", S))
+            (tag, mu @ op.kron(op), op @ inner, (d, d)) for tag, op in (("eqR", sys.R), ("eqS", sys.S))
         )
         object.__setattr__(sys, "_verdict", verdict)
     return sys._verdict
@@ -166,8 +166,16 @@ def star_algebra(sys):
 
 
 def _star_algebra_unchecked(sys):
-    mu, idd = sys.alg.mult_matrix(), Matrix.identity(sys.field, sys.dim)
-    return Algebra.from_matrix(mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S))
+    return Algebra.from_matrix(_star_product(sys))
+
+
+def _star_product(sys):
+    """mu (R (x) Id + Id (x) S), the matrix of (a, b) -> R(a)b + aS(b), kept
+    on the system once computed."""
+    if sys._star is None:
+        mu, idd = sys.alg.mult_matrix(), Matrix.identity(sys.field, sys.dim)
+        object.__setattr__(sys, "_star", mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S))
+    return sys._star
 
 
 def star_rbs_if_commuting(sys):

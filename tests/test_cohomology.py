@@ -901,14 +901,16 @@ def test_dbar_display_slice_matches_naive_evaluation():
 
 
 def test_les_check_matrix_products(monkeypatch):
-    # 18 products assemble and check the inputs.  On a valid pair the slots
-    # are read off the ranks: each N_p takes phi_p K (4), and the check that
-    # rbs_p rbs_(p-1) = 0 multiplies its blocks, delta_p delta_(p-1) (3),
+    # 16 products assemble and check the inputs, the star product
+    # mu (R (x) Id + Id (x) S) among them, made once for the check of the
+    # system and the star algebra.  On a valid pair the slots are read off
+    # the ranks: each M_p takes phi_p K (4), and the check that rbs_p
+    # rbs_(p-1) = 0 multiplies its blocks, delta_p delta_(p-1) (3),
     # partial_(p-1) partial_(p-2) for p >= 2 (2) and both sides of
-    # partial_(p-1) phi_(p-1) = phi_p delta_(p-1) (6): 33 = 18 + 4 + 11.
+    # partial_(p-1) phi_(p-1) = phi_p delta_(p-1) (6): 31 = 16 + 4 + 11.
     # With phi_0 perturbed the check fails at p = 1 after its three
-    # products, and the chain-level slots make the 51 products they made
-    # before the check existed: 54.
+    # products, and the chain-level slots make the products they made
+    # before the check existed, 49 with the inputs: 52.
     from rbsys import cohomology
 
     def products(phi_rows):
@@ -926,8 +928,8 @@ def test_les_check_matrix_products(monkeypatch):
             report = les_check(sys, regular_bimodule(sys), 3)
         return report.ok, len(calls)
 
-    assert products(phi_rows) == (True, 33)
-    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 54)
+    assert products(phi_rows) == (True, 31)
+    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 52)
 
 
 def _les_eliminations(monkeypatch, phi_rows, stream_size=None):
@@ -954,16 +956,17 @@ def _les_eliminations(monkeypatch, phi_rows, stream_size=None):
 
 
 def test_les_check_eliminations(monkeypatch):
-    # on a valid pair one elimination per kernel memo, of delta_0..3,
-    # partial_0..2 and N_0..3 (11), and none else.  With phi_0 perturbed the
-    # chain-level slots run after the check fails and make the 27
-    # eliminations they made before it existed, reusing its memos: one per
-    # memo (11), per coboundary span (9), and per slot at most one, of the
-    # stacked residuals [reduce(W) | reduce(z)], which yields both the rank
-    # of reduce(W) and the echelon of the kernel members; a zero stack needs
-    # none (4 of the 11 slots here): 27 = 11 + 9 + 7
+    # on a valid pair one elimination each of delta_0..3 and M_0..3 (8),
+    # M_p = [partial_(p-1) | phi_p K] yielding the ranks of both partial_(p-1)
+    # and N_p, and none else.  With phi_0 perturbed the chain-level slots run
+    # after the check fails and make the 27 eliminations they made before it
+    # existed, reusing its memos: one per memo of delta_0..3, partial_0..2
+    # and N_0..3 (11), per coboundary span (9), and per slot at most one, of
+    # the stacked residuals [reduce(W) | reduce(z)], which yields both the
+    # rank of reduce(W) and the echelon of the kernel members; a zero stack
+    # needs none (4 of the 11 slots here): 27 = 11 + 9 + 7
     calls, report = _les_eliminations(monkeypatch, phi_rows)
-    assert report.ok and len(calls) == 11
+    assert report.ok and len(calls) == 8
     calls, report = _les_eliminations(monkeypatch, perturbed_phi(phi_rows, 0, 1))
     assert not report.ok and len(calls) == 27
 
@@ -971,12 +974,12 @@ def test_les_check_eliminations(monkeypatch):
 def test_les_check_eliminates_streamed_slices_once(monkeypatch):
     # with every prime-field slice taller than one block fed to elimination
     # in row blocks, les_check makes the same eliminations, of the same
-    # shapes: 11 on a valid pair, and 27 on the chain-level path with phi_0
+    # shapes: 8 on a valid pair, and 27 on the chain-level path with phi_0
     # perturbed, where the coboundary spans of delta_n and partial_n read
     # the pivots that their kernels found, and eliminate no slice again
     from rbsys import linalg
 
-    for perturbed, count in ((phi_rows, 11), (perturbed_phi(phi_rows, 0, 1), 27)):
+    for perturbed, count in ((phi_rows, 8), (perturbed_phi(phi_rows, 0, 1), 27)):
         whole, _ = _les_eliminations(monkeypatch, perturbed, linalg._STREAM_SIZE)
         streamed, _ = _les_eliminations(monkeypatch, perturbed, 0)
         assert len(whole) == len(streamed) == count
@@ -1116,8 +1119,8 @@ def test_les_check_reads_valid_pairs_off_their_ranks(field, monkeypatch):
     # triangular, idempotent operators on K^n) to degrees 1-3 the slots are
     # read off the ranks: no rbs_n is assembled, no coboundary span or slot
     # is eliminated and the chain-level slots never run; the eliminations
-    # are those of delta_p and N_p (p <= top) and partial_p (p < top), once
-    # each
+    # are those of delta_p and M_p = [partial_(p-1) | phi_p K] (p <= top),
+    # once each, M_p of the shape of N_p: no partial_p is eliminated alone
     from rbsys import cohomology
 
     rng = random.Random(77)
@@ -1144,11 +1147,95 @@ def test_les_check_reads_valid_pairs_off_their_ranks(field, monkeypatch):
             assert report.ok and all(s.witness is None for s in report.slots)
             cx = Complexes(sys, mod)
             want = [(cx.dim(ALG, p + 1), cx.dim(ALG, p)) for p in range(top + 1)]
-            want += [(cx.dim(RBSO, p + 1), cx.dim(RBSO, p)) for p in range(top)]
             want += [
                 (cx.dim(RBSO, p), cx.dim(ALG, p) - cx.rank(ALG, p) + cx.dim(RBSO, p - 1)) for p in range(top + 1)
             ]
             assert sorted(shapes) == sorted(want)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(40009)], ids=repr)
+def test_les_ranks_read_partial_and_rbs_off_one_elimination(field, monkeypatch):
+    # the ranks that the valid route of les_check reads, delta_p and M_p =
+    # [partial_(p-1) | phi_p K] eliminated once each, against the slices
+    # assembled whole and eliminated one by one: delta_p, partial_(p-1) and
+    # rbs_p, on the seed families and random pairs, tops 1-3, whole and
+    # with every prime-field slice fed in row blocks
+    from rbsys import cohomology, linalg
+
+    rng = random.Random(3401)
+    pairs = list(_seed_family_pairs(field, rng)) + [random_system_bimodule(rng, field) for _ in range(6)]
+    moved = 0
+    for stream_size in (linalg._STREAM_SIZE, 0) if field != QQ else (linalg._STREAM_SIZE,):
+        for sys, mod in pairs:
+            want = Complexes(sys, mod)
+            for top in (1, 2, 3):
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "_STREAM_SIZE", stream_size)
+                    ranks = cohomology._les_ranks(Complexes(sys, mod), top)
+                expected = {(ALG, p): slice_of(want, ALG, p).rank() for p in range(top + 1)}
+                expected.update({(RBS, p): r for p, r in enumerate(assembled_ranks(sys, mod, top))})
+                expected.update({(RBSO, p): slice_of(want, RBSO, p).rank() for p in range(top)})
+                assert ranks == expected, (sys, mod, top)
+                # some pivot of M_p among the phi_p K columns, which the
+                # count of rank partial_(p-1) must leave out
+                moved += any(ranks[RBS, p] - ranks[ALG, p] > ranks[RBSO, p - 1] for p in range(1, top + 1))
+    assert moved
+
+
+def _kernel_bases_formed(monkeypatch, run):
+    """How many kernel bases run() forms, by echelon_kernel or read off a
+    stream (_stream_kernel)."""
+    from rbsys import linalg
+
+    formed = []
+
+    def spy(original):
+        def counted(*args):
+            formed.append(original.__name__)
+            return original(*args)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in ("echelon_kernel", "_stream_kernel"):
+            patch.setattr(linalg, name, spy(getattr(linalg, name)))
+        run()
+    return len(formed)
+
+
+def test_kernel_bases_are_formed_only_where_read(monkeypatch):
+    # the valid route of les_check reads ranks and forms only the kernel
+    # bases K of delta_0..3 that M_p reads; betti(rbs) forms the same four
+    # for N_p, and betti(alg) none
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    assert _kernel_bases_formed(monkeypatch, lambda: les_check(sys, mod, 3)) == 4
+    assert _kernel_bases_formed(monkeypatch, lambda: betti(RBS, sys, mod, 3)) == 4
+    assert _kernel_bases_formed(monkeypatch, lambda: betti(ALG, sys, mod, 3)) == 0
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
+def test_a_kernel_read_after_rank_or_image_is_the_eager_one(field, monkeypatch):
+    # a kernel basis formed on its first read, after rank or image read the
+    # pivots of the elimination, is byte-equal (entries, dtype, denominator)
+    # to the one read first thing, on alg, rbso and rbs, whole and with
+    # every prime-field slice fed in row blocks
+    from rbsys import linalg
+
+    sys = triangular_system(field, 1, 2)
+    mod = regular_bimodule(sys)
+    for stream_size in (linalg._STREAM_SIZE, 0) if field != QQ else (linalg._STREAM_SIZE,):
+        monkeypatch.setattr(linalg, "_STREAM_SIZE", stream_size)
+        for tag in (ALG, RBSO, RBS):
+            for n in range(4):
+                eager = Complexes(sys, mod).kernel(tag, n)
+                for first in ("rank", "image"):
+                    cx = Complexes(sys, mod)
+                    getattr(cx, first)(tag, n)
+                    lazy = cx.kernel(tag, n)
+                    assert lazy.num.dtype == eager.num.dtype and lazy.den == eager.den
+                    assert np.array_equal(lazy.num, eager.num), (tag, n, first)
+                assert eager == slice_of(cx, tag, n).kernel_basis()
 
 
 def test_les_check_falls_back_to_chain_level_slots(monkeypatch):
@@ -1361,7 +1448,8 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
     # copies, column sums and row differences of rbs_n, and the induced
     # differential is read off rows: no products with 0/1 matrices and no
     # elimination.  What is left are the products that assemble the slices
-    # and the displayed differential.
+    # and the displayed differential, and that check the system, whose star
+    # product mu (R (x) Id + Id (x) S) the doubled module reads again.
     from rbsys import linalg
 
     products, eliminations = [], []
@@ -1385,7 +1473,7 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
     assert [sorted(row) for row in report.details] == [
         ["chain_map", "image_closed", "injective", "n", "quotient_matches_display"]
     ] * 4
-    assert len(products) == 28
+    assert len(products) == 26
     assert eliminations == []
 
 
@@ -1394,7 +1482,8 @@ def test_a_complex_keeps_kernels_not_rrefs(field):
     # with every slice of rbs_n stored (d applies them) before the rank
     # calls eliminate them (delta_3 is 243 x 81 here, past the blocked
     # cut-over), no stored slice keeps an RREF; what a complex keeps of
-    # each elimination is the canonical kernel basis and the pivots
+    # each elimination is its pivots, and its RREF only until its canonical
+    # kernel basis is read: N_n keeps it, delta_n (whose K N_n reads) not
     sys = triangular_system(field, 1, 2)
     cx = Complexes(sys, regular_bimodule(sys))
     for n in range(4):
@@ -1404,7 +1493,11 @@ def test_a_complex_keeps_kernels_not_rrefs(field):
     assert len(slices) == 11
     assert all(m._rref is None for m in slices)
     for n in range(4):
-        kernel, pivots = cx._built["echelon", ALG, n]
+        restricted = cx._built["echelon", RBS, n]
+        assert restricted._kernel is None and restricted._rref is not None
+        elimination = cx._built["echelon", ALG, n]
+        assert elimination._rref is None
+        kernel, pivots = elimination.kernel(), elimination.pivots
         free = [c for c in range(kernel.rows) if c not in pivots]
         assert kernel.cols == cx.dim(ALG, n) - len(pivots)
         assert Matrix(field, kernel.a[free]) == Matrix.identity(field, len(free))
