@@ -356,8 +356,8 @@ def test_no_analysis_assembles_rbs(tmp_path, monkeypatch, capsys):
     # kernels, images, cocycle tests and gauge solves read the blocks of
     # rbs_n: no analysis assembles it, neither the LES (read off the ranks
     # on a valid pair, compared at chain level with phi_0 perturbed) nor the
-    # census, the extension build or the deformation commands; only the
-    # embedding check, which compares its entries, assembles one per degree
+    # census, the extension build or the deformation commands, nor the
+    # embedding check, which compares blocks of phi_n and partial_(n-1)
     import random
 
     from rbsys import apply_gauge, cohomology, constant_deformation, h2_extension_census, les_check
@@ -365,13 +365,13 @@ def test_no_analysis_assembles_rbs(tmp_path, monkeypatch, capsys):
     from instances import random_gauge
 
     assembled = []
-    whole = cohomology._assembled
+    whole = cohomology.rbs_d
 
-    def counted(cx, n):
+    def counted(n, *args, **kwargs):
         assembled.append(n)
-        return whole(cx, n)
+        return whole(n, *args, **kwargs)
 
-    monkeypatch.setattr(cohomology, "_assembled", counted)
+    monkeypatch.setattr(cohomology, "rbs_d", counted)
     sys = triangular_system(GF5(), 1, 2)
     mod = regular_bimodule(sys)
     assert les_check(sys, mod, 3).ok
@@ -395,7 +395,67 @@ def test_no_analysis_assembles_rbs(tmp_path, monkeypatch, capsys):
     # R is right multiplication by e1, a weight-0 operator
     assert main(["rba-embed", spath, "--weight", "0", "--max-degree", "3"]) == 0
     assert "embedding check: ok" in capsys.readouterr().out
-    assert assembled == [0, 1, 2, 3]
+    assert assembled == []
+
+
+# edits of the extension of the zero cocycle on the triangular GF(5) system
+# (d = m = 3, n = 6: i = [0; I], p = [I | 0], t = [I; 0], s = [0 | I]), one
+# per refusal of check_extension: each keeps every shape valid and breaks
+# the check of its tag alone, the checks before it still passing
+_DOCTORED = {
+    "dimension_count": [
+        (("i",), [[0] * 4] * 3 + [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        (("s",), [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1], [0] * 6]),
+    ],
+    "associativity": [(("system", "mult", 0, 0, 0), 2)],  # e0 e0 = 2 e0
+    "composite_nonzero": [(("p", 0, 3), 1)],
+    "inclusion_not_injective": [(("i", 5, 2), 0)],
+    "projection_not_surjective": [(("p", 2, 2), 0)],
+    "section_invalid": [(("t", 0, 0), 0)],
+    "retraction_invalid": [(("s", 0, 3), 0)],
+    "splitting_not_complementary": [(("s", 0, 0), 1)],
+}
+
+
+@pytest.mark.parametrize("tag", list(_DOCTORED))
+def test_extract_refuses_a_doctored_extension(tag, documents, tmp_path, capsys):
+    doc, path = docs.load(documents["E"]), str(tmp_path / "doctored.json")
+    for where, value in _DOCTORED[tag]:
+        _set(doc, where, value)
+    docs.dump(doc, path)
+    assert main(["extend", "extract", path, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["extension", "exit_code"]
+    assert report["extension"]["ok"] is False and report["extension"]["tag"] == tag
+    if tag == "dimension_count":
+        assert report["extension"]["witness"] == [3, 4, 6]
+
+
+def test_an_extension_without_section_or_retraction(tmp_path, capsys):
+    # without "t" and "s" the section is the echelon solution of p t = I:
+    # extract reads the same cocycle as with them, and check-iso passes
+    from rbsys import Matrix, h2_extension_census
+    from rbsys.extensions import ExtensionIso
+
+    sys = triangular_system(GF5(), 1, 2)
+    mod = regular_bimodule(sys)
+    sdoc = docs.serialize_system(sys)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("S", "C", "E", "bare", "I")}
+    cdoc = docs.serialize_cocycle(h2_extension_census(sys, mod)[-1][0])
+    docs.dump(sdoc, paths["S"])
+    docs.dump(cdoc, paths["C"])
+    docs.dump(docs.serialize_iso(ExtensionIso(Matrix.identity(GF5(), 6))), paths["I"])
+    assert main(["extend", "build", paths["S"], paths["C"], "-o", paths["E"]]) == 0
+    bare = docs.load(paths["E"])
+    del bare["t"], bare["s"]
+    docs.dump(bare, paths["bare"])
+    capsys.readouterr()
+    for name in ("E", "bare"):
+        assert main(["extend", "extract", paths[name], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["document"] == cdoc
+    for first, second in (("bare", "bare"), ("bare", "E"), ("E", "bare")):
+        assert main(["extend", "check-iso", paths[first], paths[second], paths["I"]]) == 0
+        assert capsys.readouterr().out == "diagram checks: pass\nsame cohomology class: pass\n"
 
 
 def test_extend_census(f2_zero_path, tmp_path, capsys):
@@ -564,15 +624,25 @@ def _set(doc, path, value):
         (5, None, None, ["rba-embed", "{sys}", "--weight", "1/2"], "--weight: '1/2' is not an integer"),
         (5, None, None, ["rba-embed", "{sys}", "--weight", "\u0663"], "--weight: '\u0663' is not an integer"),
         ("Q", None, None, ["rba-embed", "{sys}", "--weight", "-1/0"], "--weight: entry '-1/0' has a zero denominator"),
+        (5, ("defn", "Rs"), [[[0] * 3] * 3], [], '"Rs" must list 2 matrices'),
+        (5, ("defn", "Ss"), {}, [], '"Ss" must list 2 matrices'),
+        ("Q", ("defn", "mus"), [], [], '"mus" must list 2 tensors'),
+        (5, ("ext", "system"), [], ["extend", "extract", "{ext}"], '"system" must embed the total system document'),
+        (5, ("ext", "i"), [], ["extend", "extract", "{ext}"], '"i" must be a non-empty matrix'),
+        ("Q", ("ext", "p"), "1", ["extend", "extract", "{ext}"], '"p" must be a non-empty matrix'),
+        ("Q", ("sys",), [], [], "document must be a JSON object"),
+        (5, ("sys", "field"), {"Fp": 5, "Q": 1}, [], """field must be "Q" or {"Fp": p}, got {'Fp': 5, 'Q': 1}"""),
     ],
 )
 def test_malformed_scalars_and_counts_exit_2(field, path, value, extra, message, tmp_path, capsys):
-    from rbsys import GF, QQ, constant_deformation
+    from rbsys import GF, QQ, build_extension, constant_deformation
 
     sys = triangular_system(QQ if field == "Q" else GF(field), 1, 1)
+    mod = regular_bimodule(sys)
     found = {
         "sys": docs.serialize_system(sys),
         "defn": docs.serialize_deformation(constant_deformation(sys, 1), sys),
+        "ext": docs.serialize_extension(build_extension(sys, mod, zero_cocycle(sys, mod))),
     }
     if path is not None:
         _set(found, path, value)

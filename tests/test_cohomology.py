@@ -511,7 +511,7 @@ def test_betti_rbs_never_assembles_the_total_slice(field, monkeypatch):
     # each degree are delta_n and [phi_n K | partial_(n-1)]
     from rbsys import cohomology, linalg
 
-    def refused(cx, n):
+    def refused(*args, **kwargs):
         raise AssertionError("betti assembled rbs_n")
 
     shapes = []
@@ -521,7 +521,7 @@ def test_betti_rbs_never_assembles_the_total_slice(field, monkeypatch):
         shapes.append(a.shape)
         return rref(a, f)
 
-    monkeypatch.setattr(cohomology, "_assembled", refused)
+    monkeypatch.setattr(cohomology, "rbs_d", refused)
     monkeypatch.setattr(linalg, "_rref_array", counted)
     sys = triangular_system(field, 1, 2)
     mod = regular_bimodule(sys)
@@ -813,6 +813,54 @@ def test_rba_embedding_dbar_line_example():
     z1 = Matrix.zeros(QQ, 1, 1)
     sys = from_rb_operator(line, z1, 1)[0]
     assert _dbar_display_slice(sys, QQ.coerce(1), 1).entries() == [[-1]]
+
+
+def _embedding_fails_at(degree, capsys, tmp_path):
+    # the embedding check of R = -(e0 .), lam = 1 on the triangular algebra
+    # over GF(5), to degree 3, in the library and through rba-embed: it
+    # fails at degree alone, where the image is not closed
+    from rbsys import documents as docs
+    from rbsys.cli import main
+
+    field = GF(5)
+    alg, R = triangular_algebra(field), Matrix.from_rows(field, [[-1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    report = rba_embedding_check(alg, R, 1, 3)
+    assert not report.ok
+    for row in report.details:
+        bad = row["n"] == degree
+        assert row["injective"] and row["chain_map"] == row["image_closed"] == (not bad)
+        assert row["quotient_matches_display"] == (not bad or degree == 0)
+    path = tmp_path / "tri.json"
+    docs.dump(docs.serialize_system(RotaBaxterSystem(alg, R, R)), path)
+    assert main(["rba-embed", str(path), "--weight", "1"]) == 1
+    out = capsys.readouterr().out
+    assert f"degree {degree}: injective=True closed=False chain=False" in out
+    assert out.endswith("embedding check: FAIL\n")
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rba_embedding_check_fails_where_phi_is_perturbed(degree, seed, monkeypatch, capsys, tmp_path):
+    # a rank-one term added to phi_n: degree n alone reads phi_n
+    from rbsys import cohomology
+
+    monkeypatch.setattr(cohomology, "phi_rows", perturbed_phi(cohomology.phi_rows, degree, seed))
+    _embedding_fails_at(degree, capsys, tmp_path)
+
+
+def test_rba_embedding_check_fails_where_partial_is_perturbed(monkeypatch, capsys, tmp_path):
+    # one entry added to partial_1 of D(M): degree 2 alone reads it
+    whole = Complexes.partial
+
+    def partial(self, n):
+        out = whole(self, n)
+        if n != 1:
+            return out
+        unit = [[int(i == j == 0) for j in range(out.cols)] for i in range(out.rows)]
+        return out + Matrix.from_rows(out.field, unit)
+
+    monkeypatch.setattr(Complexes, "partial", partial)
+    _embedding_fails_at(2, capsys, tmp_path)
 
 
 def test_les_check_builds_each_block_once(monkeypatch):
@@ -1139,7 +1187,7 @@ def test_les_check_reads_valid_pairs_off_their_ranks(field, monkeypatch):
     for sys, mod in pairs:
         for top in (1, 2, 3):
             with monkeypatch.context() as patch:
-                for owner, name in ((cohomology, "_assembled"), (Matrix, "rref"), (cohomology, "_les_by_spans")):
+                for owner, name in ((cohomology, "rbs_d"), (Matrix, "rref"), (cohomology, "_les_by_spans")):
                     patch.setattr(owner, name, refused)
                 patch.setattr(cohomology, "rref_rows", counted)
                 shapes.clear()
@@ -1444,12 +1492,12 @@ def test_les_witness_is_the_one_a_row_by_row_search_finds(field, monkeypatch):
 
 
 def test_rba_embedding_check_matrix_products(monkeypatch):
-    # the embedding, the quotient and its section are applied as row
-    # copies, column sums and row differences of rbs_n, and the induced
-    # differential is read off rows: no products with 0/1 matrices and no
-    # elimination.  What is left are the products that assemble the slices
-    # and the displayed differential, and that check the system, whose star
-    # product mu (R (x) Id + Id (x) S) the doubled module reads again.
+    # every flag compares row blocks of phi_n and sums and differences of
+    # the quadrants of partial_(n-1): no products with 0/1 matrices, no
+    # elimination, and neither delta_n nor rbs_n is built.  What is left are
+    # the products that build phi_n, partial_(n-1) and the displayed
+    # differential, and that check the system, whose star product
+    # mu (R (x) Id + Id (x) S) the doubled module reads again.
     from rbsys import linalg
 
     products, eliminations = [], []

@@ -218,6 +218,9 @@ def test_library_checks_raise_with_their_context():
     eqR = "fail [eqR] at (0, 0): lhs=[[1]] rhs=[[2]]"
     eq2 = "fail [eq2] at (0, 0): lhs=[[0], [1], [0]] rhs=[[1], [1], [0]]"
     eq1 = "fail [eq1] at (0, 2): lhs=[[0], [1], [0]] rhs=[[0], [0], [0]]"
+    sys, mod = f2_zero_instance()
+    ext = build_extension(sys, mod, zero_cocycle(sys, mod))
+    not_t = Matrix.zeros(sys.field, ext.hat.dim, ext.base_dim)
     cases = [
         (
             lambda: check_rbs(RotaBaxterSystem(twisted, zero, zero)),
@@ -253,6 +256,8 @@ def test_library_checks_raise_with_their_context():
         ),
         (lambda: induced_bimodule(bad_ext), AssertionError, f"induced bimodule failed the axioms: {eq1}"),
         (lambda: extract_cocycle(bad_ext), AssertionError, f"induced bimodule failed the axioms: {eq1}"),
+        (lambda: induced_bimodule(ext, not_t), ValueError, "not a section of the projection"),
+        (lambda: extract_cocycle(ext, not_t), ValueError, "not a section of the projection"),
     ]
     for call, error, message in cases:
         with pytest.raises(error) as raised:
