@@ -1,18 +1,17 @@
 """Document set 0 of each benchmark workload passes the benchmark's own
 correctness check: every job is made, run and checked by ``bench/rbsbench``
 (``make_jobs``, ``run_job``, ``check_job``) against its recorded
-``expected.json``, so a change that breaks a benchmark job fails here."""
+``expected.json``, so a change that breaks a benchmark job fails here.
 
-import sys
-from pathlib import Path
+The same runs replay the golden outputs of ``tests/golden.py``: every job's
+exit code and stdout, as the benchmark runs it (``--json``) and as text,
+must be byte-equal to ``tests/data/golden.json.gz``, the work directory
+masked."""
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-if str(BENCH) not in sys.path:
-    sys.path.insert(0, str(BENCH))
-
-from rbsbench import harness, workloads  # noqa: E402
+import golden
+from golden import harness, workloads
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -20,12 +19,13 @@ def test_benchmark_jobs_pass_their_recorded_checks(workload, tmp_path, monkeypat
     # the benchmark removes RBS_DIM_CAP and passes --cap to every job
     monkeypatch.delenv("RBS_DIM_CAP", raising=False)
     expected = harness.load_expected()["workloads"][workload]
-    jobs = workloads.make_jobs(workload, 0, 0, str(tmp_path))
-    failures = []
-    for job in jobs:
-        code, out, _start, _end = harness.run_job(job)
+    failures, outputs = [], {}
+    for job, code, out, both in golden.runs(workload, str(tmp_path)):
         reason = harness.check_job(job, code, out, expected)
         if reason is not None:
             failures.append(reason)
-    assert jobs
+        outputs[job.key] = both
+    assert outputs
     assert failures == []
+    difference = golden.first_difference(outputs, golden.load()[workload])
+    assert difference is None, difference
