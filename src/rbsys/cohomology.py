@@ -263,21 +263,21 @@ class Complexes:
     It holds, for its own life (an analysis makes one per call), per
     delta_n, partial_n and N_n one memo of its one elimination: its RREF
     pivots, and its canonical kernel basis, formed on the first read of
-    kernel from the RREF that a whole elimination keeps until then (a
-    stream yields the basis as it ends), and the slices delta_n,
-    partial_n and phi_n that a reader applies or cuts (delta, phi and
-    partial, called from d, alg_column and image), each built once through
-    hochschild_slice and phi.  N = [phi_n K | partial_(n-1)] is fed to
-    elimination and never stored, and rbs_n is never built.  Each
-    differential and N reach elimination (linalg.rref_rows) by the row
-    ranges of linalg.row_blocks (one range over Q and below 2^18 entries):
-    a slice already stored is cut there by ranges; any other is built range
-    by range as elimination reads it and stored nowhere, and no RREF is
-    kept past the first kernel read.  So rank and kernel hold one
-    elimination at a time besides the memos, and an analysis that also
-    applies a slice reads it before eliminating it to build it once.  rank,
-    kernel and image all read the same memo; rank and image read its pivots
-    alone, and form no kernel basis.
+    kernel from the RREF's free block that the elimination keeps until
+    then, whole or streamed; and the slices delta_n, partial_n and phi_n
+    that a reader applies or cuts (delta, phi and partial, called from d,
+    alg_column and image), each built once through hochschild_slice and
+    phi.  N = [phi_n K | partial_(n-1)] is fed to elimination and never
+    stored, and rbs_n is never built.  Each differential and N reach
+    elimination (linalg.rref_rows) by the row ranges of linalg.row_blocks
+    (one range over Q and below 2^18 entries): a slice already stored is
+    cut there by ranges; any other is built range by range as elimination
+    reads it and stored nowhere, and no block is kept past the first
+    kernel read.  So rank and kernel hold one elimination at a time besides
+    the memos, and an analysis that also applies a slice reads it before
+    eliminating it to build it once.  rank, kernel and image all read the
+    same memo; rank and image read its pivots alone, and form no kernel
+    basis.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -966,12 +966,13 @@ def rba_embedding_check(alg, R, lam, max_degree, cap=None):
     details = []
     ok = True
     for n in range(max_degree + 1):
-        # the x-rows of phi_n and partial_(n-1) come first, then the y-rows
-        half, phi_n = cx.dim(ALG, n), cx.phi(n)
+        # the x-rows of phi_n and partial_(n-1) come first, then the y-rows;
+        # each slice is read at one degree only, so none is stored
+        half, phi_n = cx.dim(ALG, n), cx._whole("phi", n)
         closed = phi_n.take_rows(0, half) == phi_n.take_rows(half, None)
         quotient_ok = True
         if n:
-            partial_prev, ga = cx.partial(n - 1), cx.dim(ALG, n - 1)
+            partial_prev, ga = cx._whole(RBSO, n - 1), cx.dim(ALG, n - 1)
             xx, xy = partial_prev.take(0, half, 0, ga), partial_prev.take(0, half, ga, None)
             yx, yy = partial_prev.take(half, None, 0, ga), partial_prev.take(half, None, ga, None)
             closed = closed and xx + xy == yx + yy

@@ -57,16 +57,20 @@ in int64 for m < 2^31 and on Python ints for a product of primes.
 multimodular RREF below lifts its free entries as one column.
 
 One kernel, ``_rref_array``, does every elimination (rref, rank,
-kernel_basis, solve, inverse).  It only reads the stored integer array and
-keeps only the nonzero rows of the RREF, one per pivot, in an array of
-their own.  ``rref_rows`` feeds it a matrix by the ranges of ``row_blocks``
-for its pivots and canonical kernel basis: whole over Q and below
-_STREAM_SIZE entries, else as a stream of row blocks, of which elimination
-holds one at a time with its echelon form, kept transposed, so that a tall
-slice is never held whole.  A whole matrix keeps its RREF until the kernel
-basis is first read, and forms none for a reader of its pivots alone; the
-kernel basis of a stream is read off the transposed form as it ends, and
-its RREF is never gathered.  It runs on one of three paths:
+kernel_basis, solve, inverse), and gives one result on every path: the
+pivot columns P and the RREF's free block, the RREF on the free columns F
+(one row per pivot, over one denominator over Q), in an array of its own;
+the RREF is the identity on P.  It only reads the stored integer array.
+``rref`` rebuilds the RREF from the block, ``solve`` reads its solution off
+the block's last columns, and ``_kernel``, the one builder of a canonical
+kernel basis, puts the identity on F and minus the block on P.
+``rref_rows`` feeds the kernel a matrix by the ranges of ``row_blocks``:
+whole over Q and below _STREAM_SIZE entries, else as a stream of row
+blocks, of which elimination holds one at a time with its echelon form,
+kept transposed, so that a tall slice is never held whole, and whose block
+is read off that form without gathering the RREF.  Either way it keeps the
+block until the kernel basis is first read, and forms none for a reader of
+the pivots alone.  It runs on one of three paths:
 
 * GF(2): each row is packed into one Python int, bit j for column j, one
   block of rows at a time, so that one XOR adds two rows, and the rows are
@@ -105,14 +109,14 @@ its RREF is never gathered.  It runs on one of three paths:
   There an int64 product of inner size k makes ceil(k/128) numpy calls
   and Gauss-Jordan reduces every 64 pivot steps, against k/2 calls and
   every step near 2^31, and one prime still reconstructs every |n|, L <=
-  sqrt(p/2), about 2^13.5.  The primes of the
-  highest rank r and, at that rank, of the lexicographically first pivot
-  list P are kept, combined by CRT, and the entries lifted as one column
-  into a candidate R with a common denominator L.  R is returned only if B
-  L = B[:, P] (L R) holds exactly, checked by one ``_dot``.  Proof sketch:
-  that identity puts every row of B in the row space of R, so rank_Q B <= r;
-  a kept prime has rank_p B = r, and no prime raises the rank, so rank_Q B =
-  r and row(B) = row(R).  R is in reduced echelon form, and the RREF of a
+  sqrt(p/2), about 2^13.5.  The primes of the highest rank r and, at that
+  rank, of the lexicographically first pivot list P are kept, combined by
+  CRT, and the entries lifted as one column into a candidate R with a
+  common denominator L.  Its block is returned only if B L = B[:, P] (L R)
+  holds exactly, checked by one ``_dot``.  Proof sketch: that identity
+  puts every row of B in the row space of R, so rank_Q B <= r; a kept
+  prime has rank_p B = r, and no prime raises the rank, so rank_Q B = r
+  and row(B) = row(R).  R is in reduced echelon form, and the RREF of a
   row space is unique, so R is the RREF.  A failed reconstruction or check
   adds a prime.  This ends: a prime whose rank or pivots differ from those
   over Q divides a nonzero minor of B, so there are finitely many such
@@ -642,7 +646,13 @@ class Matrix:
         and the tuple of pivot columns; a zero matrix is not eliminated.
         The result is memoised on the matrix."""
         if self._rref is None:
-            object.__setattr__(self, "_rref", _echelon(self))
+            block, den, pivots = _eliminate(self)
+            r = np.zeros((len(pivots), self.cols), dtype=_holding(block, den))
+            r[range(len(pivots)), pivots] = den
+            r[:, _free_mask(self.cols, pivots)] = block
+            r = _new(self.field, r) if self.field.p is not None else _of(self.field, r, den)
+            _SET_VIEW(r, Fraction)  # over Q every entry of its view is a Fraction
+            object.__setattr__(self, "_rref", (r, tuple(pivots)))
         return self._rref
 
     def rank(self):
@@ -650,7 +660,8 @@ class Matrix:
 
     def kernel_basis(self):
         """Columns form the canonical basis of the null space."""
-        return echelon_kernel(self.rref())
+        r, pivots = self.rref()
+        return _kernel(self.field, pivots, r.num[:, _free_mask(r.cols, pivots)], r.den)
 
     def solve(self, b):
         """Particular solution x of self @ x = b, or None if inconsistent.
@@ -661,11 +672,12 @@ class Matrix:
         self._same_field(b)
         if b.rows != self.rows:
             raise ValueError(f"rhs has {b.rows} rows, expected {self.rows}")
-        r, den, piv = _rref_array(_concat([self, b], 1).num, self.field)
+        block, den, piv = _rref_array(_concat([self, b], 1).num, self.field)
         if any(pc >= self.cols for pc in piv):
             return None
-        x = np.zeros((self.cols, b.cols), dtype=r.dtype)
-        x[piv] = r[:, self.cols :]
+        # every column of b is free: the last b.cols columns of the block
+        x = np.zeros((self.cols, b.cols), dtype=block.dtype)
+        x[piv] = block[:, block.shape[1] - b.cols :]
         return _of(self.field, x, den)
 
     def inverse(self):
@@ -675,14 +687,11 @@ class Matrix:
         return self.solve(Matrix.identity(self.field, self.rows))
 
 
-def _echelon(m):
-    """The RREF (R, P) of the matrix m, as ``rref`` gives it, kept nowhere."""
+def _eliminate(m):
+    """_rref_array of the matrix m; a zero matrix is not eliminated."""
     if m.is_zero():
-        return Matrix.zeros(m.field, 0, m.cols), ()
-    num, den, piv = _rref_array(m.num, m.field)
-    r = _new(m.field, num) if m.field.p is not None else _of(m.field, num, den)
-    _SET_VIEW(r, Fraction)  # over Q every entry of its view is a Fraction
-    return r, tuple(piv)
+        return np.zeros((0, m.cols), dtype=_int_dtype(m.field)), 1, []
+    return _rref_array(m.num, m.field)
 
 
 def _first_true(mask):
@@ -882,19 +891,18 @@ def _block_rows(cols):
 
 
 def _rref_array(a, field):
-    """Elimination of the integer array a over field: (r, den, pivot
-    columns), where r / den is the RREF, one row per pivot; den is 1 over
-    GF(p), where r holds residues.  Over GF(p) a may also be a _Rows stream
-    of the matrix's row blocks, which is eliminated for its kernel alone:
-    r is then the canonical kernel basis, read off the echelon form that
-    the stream leaves, which is never gathered into the RREF
-    (_stream_kernel).  a is only read, and r shares no storage with it.
+    """Elimination of the integer array a over field, or over GF(p) of a
+    _Rows stream of its row blocks: (block, den, pivots), where the RREF is
+    the identity on the pivot columns P and block / den on the free columns
+    F, one row per pivot and one column per free column, in order; den is 1
+    over GF(p), where block holds residues.  a is only read, and block
+    shares no storage with it.
     """
     p = field.p
     if p is None:
         return _rref_rational(a)
-    r, pivots = _stream_kernel(a, p) if isinstance(a, _Rows) else _rref_mod(a, p)
-    return r, 1, pivots
+    block, pivots = _rref_mod(a, p)
+    return block, 1, pivots
 
 
 class _Rows:
@@ -908,31 +916,39 @@ class _Rows:
 
 
 def _rref_mod(a, p):
-    """RREF over GF(p), and the pivot columns, of a: an array of residues
-    (int64 for p < 2^31, Python ints above) or a _Rows stream of such
-    blocks.  A read-only array (a matrix's storage) is only read; a
-    writeable one was made for this elimination alone (the residues of
-    _rref_rational) and may serve as its scratch.  The RREF is a new
-    array.
+    """The RREF over GF(p) of a, as _rref_array gives it: (block, pivots),
+    a an array of residues (int64 for p < 2^31, Python ints above) or a
+    _Rows stream of such blocks.  A read-only array (a matrix's storage) is
+    only read; a writeable one was made for this elimination alone (the
+    residues of _rref_rational) and may serve as its scratch.
 
     Over GF(2) every matrix goes to _rref_gf2, which packs its rows into
     Python ints.  Otherwise an array of fewer than two blocks of
-    _block_rows(cols) rows goes to _gauss_jordan whole.  A taller one is
-    reduced in such blocks, and a stream in its own blocks, by
-    _reduce_blocks; the rows of the transposed RREF it leaves are gathered
-    by pivot.  The RREF of a row space is unique, so the result is the
-    array and the pivots that _gauss_jordan gives on the whole matrix,
-    however the rows are blocked.
+    _block_rows(cols) rows goes to _gauss_jordan whole; the block is the
+    free columns of the RREF they give.  A taller one is reduced in such
+    blocks, and a stream in its own blocks, by _reduce_blocks; the block is
+    the rows of the transposed RREF it leaves at the free columns, its
+    columns put in pivot order, and the RREF is never gathered.  The RREF
+    of a row space is unique, so the result is that of _gauss_jordan on the
+    whole matrix, however the rows are blocked.
     """
-    if p == 2:
-        return _rref_gf2(a)
+    ncols = a.shape[1]
+    if p == 2 or isinstance(a, np.ndarray) and len(a) < 2 * _block_rows(ncols):
+        r, pivots = _rref_gf2(a) if p == 2 else _gauss_jordan(a if a.flags.writeable else a.copy(), p)
+        return r[:, _free_mask(ncols, pivots)], pivots
     if isinstance(a, np.ndarray):
-        height = _block_rows(a.shape[1])
-        if len(a) < 2 * height:
-            return _gauss_jordan(a if a.flags.writeable else a.copy(), p)
+        height = _block_rows(ncols)
         a = _Rows(a.shape, [a[s : s + height] for s in range(0, len(a), height)])
     rt, pivots = _reduce_blocks(a, p)
-    return rt.T[np.argsort(pivots)], sorted(pivots)
+    return rt[np.ix_(_free_mask(ncols, pivots), np.argsort(pivots))].T, sorted(pivots)
+
+
+def _free_mask(ncols, pivots):
+    """The free columns of an RREF of ncols columns with these pivots, as a
+    boolean mask."""
+    free = np.ones(ncols, dtype=bool)
+    free[list(pivots)] = False
+    return free
 
 
 def _reduce_blocks(a, p):
@@ -977,32 +993,6 @@ def _reduce_blocks(a, p):
         if k0 + k == ncols:
             break
     return rt, pivots
-
-
-def _stream_kernel(a, p):
-    """The canonical kernel basis, as columns, and the pivot columns of the
-    matrix over GF(p) whose row blocks are the _Rows stream a: the identity
-    on the free columns F and -R[:, F] on the pivots, R its RREF, as
-    echelon_kernel gives it.  R[:, F] is read off the transposed RREF rt
-    that elimination leaves (_reduce_blocks; over GF(2) the transpose of
-    _rref_gf2's RREF) as rt[F], whose column i belongs to pivots[i], so R
-    is never gathered by pivot; rt is released before the basis is built.
-    """
-    if p == 2:
-        rt, pivots = _rref_gf2(a)
-        rt = rt.T
-    else:
-        rt, pivots = _reduce_blocks(a, p)
-    ncols = a.shape[1]
-    free = np.ones(ncols, dtype=bool)
-    free[pivots] = False
-    part = rt[free, : len(pivots)]
-    del rt
-    np.negative(part, out=part)
-    basis = np.zeros((ncols, ncols - len(pivots)), dtype=part.dtype)
-    basis[free, np.arange(basis.shape[1])] = 1
-    basis[pivots] = _mod(part, p, out=part).T
-    return basis, sorted(pivots)
 
 
 def _rref_gf2(a):
@@ -1159,22 +1149,21 @@ def _prime(i):
 
 
 def _rref_rational(b):
-    """RREF over Q of the integer array b: (numerators, denominator, pivot
-    columns), the numerators with den at every pivot, their gcd with den 1
-    and den > 0.  Two routes give it, chosen by the size of b: at most
+    """RREF over Q of the integer array b, as _rref_array gives it: (block,
+    den, pivots), the numerators of its free columns over den > 0, their
+    gcd with den 1.  Two routes give it, chosen by the size of b: at most
     _FRACTION_FREE_SIZE entries, fraction-free Gauss-Jordan on Python ints
     (_fraction_free), exact by construction; above, elimination modulo
     primes, certified exactly.  The RREF is unique, so both return the same
     arrays.
 
     On the multimodular route, among the primes tried, those of the highest
-    rank and, at that rank,
-    of the lexicographically first pivot list are kept; their RREFs are
-    combined by CRT and the entries right of the pivots rationally
-    reconstructed as one column (_lift).  A candidate is returned only once
-    it passes the exact check of _certified; otherwise one more prime is
-    tried, up to _prime_budget primes.  By then a correct kernel mod p has certified,
-    so running out is a kernel bug: AssertionError.
+    rank and, at that rank, of the lexicographically first pivot list are
+    kept; their blocks are combined by CRT and rationally reconstructed as
+    one column (_lift).  A candidate is returned only once it passes the
+    exact check of _certified; otherwise one more prime is tried, up to
+    _prime_budget primes.  By then a correct kernel mod p has certified, so
+    running out is a kernel bug: AssertionError.
     """
     if b.size <= _FRACTION_FREE_SIZE:
         return _fraction_free(b)
@@ -1187,15 +1176,13 @@ def _rref_rational(b):
         rp, pivots = _rref_mod(_mod(b, p).astype(np.int64, copy=False), p)
         key = (-len(pivots), pivots)
         if best is None or key < best:
-            best, modulus = key, p
-            free = np.ones(b.shape[1], dtype=bool)
-            free[pivots] = False
-            x = rp[:, free].ravel()
+            best, modulus, free = key, p, _free_mask(b.shape[1], pivots)
+            x = rp.ravel()
         elif key == best:
             # CRT: the residue mod modulus * p that is x mod modulus and rp
             # mod p, on Python ints
             x = x.astype(object)
-            x += modulus * ((rp[:, free].ravel() - x) * pow(modulus, -1, p) % p)
+            x += modulus * ((rp.ravel() - x) * pow(modulus, -1, p) % p)
             modulus *= p
         else:
             continue
@@ -1205,13 +1192,8 @@ def _rref_rational(b):
         den, nmax = int(dens[0]), _mag(num)
         block = num.astype(_dtype_for(nmax), copy=False).reshape(len(pivots), b.shape[1] - len(pivots))
         if _certified(b, bmax * (den + len(pivots) * nmax), pivots, free, block, den):
-            break
-    else:
-        raise AssertionError(f"no certified RREF of a {b.shape[0]}x{b.shape[1]} matrix from its prime budget")
-    r = np.zeros((len(pivots), b.shape[1]), dtype=_dtype_for(max(den, nmax)))
-    r[range(len(pivots)), pivots] = den
-    r[:, free] = block
-    return r, den, pivots
+            return block, den, pivots
+    raise AssertionError(f"no certified RREF of a {b.shape[0]}x{b.shape[1]} matrix from its prime budget")
 
 
 def _fraction_free(b):
@@ -1227,7 +1209,8 @@ def _fraction_free(b):
     for another column of b; every entry of another row is, up to sign, the
     (k + 1) x (k + 1) minor of b that adds that row and that column to D's.
     All are integers, so each division is exact, and the pivot rows over
-    the last pivot are the RREF.  They are brought to den > 0 and gcd 1.
+    the last pivot are the RREF.  Their free columns are the block, brought
+    to den > 0 and gcd 1.
 
     Replayed on the Q elimination inputs of document set 0 of the les_sweep
     and deform_extend benchmark workloads: ms for all inputs of a size, min
@@ -1272,14 +1255,15 @@ def _fraction_free(b):
             break
     if not pivots:
         return b[:0].copy(), 1, []
-    flat = [x for row in rows[: len(pivots)] for x in row]
+    free = sorted(set(range(n)) - set(pivots))
+    flat = [row[c] for row in rows[: len(pivots)] for c in free]
     if d < 0:
         flat, d = [-x for x in flat], -d
     g = math.gcd(d, *flat)
     if g > 1:
         flat, d = [x // g for x in flat], d // g
-    big = max(max(flat), -min(flat))
-    return np.array(flat, dtype=_dtype_for(big)).reshape(len(pivots), n), d, pivots
+    big = max(map(abs, flat), default=0)
+    return np.array(flat, dtype=_dtype_for(big)).reshape(len(pivots), len(free)), d, pivots
 
 
 def _prime_budget(shape, bmax):
@@ -1482,17 +1466,20 @@ def kron_all(field, mats, empty_dim=1):
     return out
 
 
-def echelon_kernel(echelon):
+def _kernel(field, pivots, block, den):
     """The canonical kernel basis, as columns, of the matrices whose RREF is
-    echelon = (R, P), as ``rref`` gives it: the identity on the free
-    columns F and -R[:, F] on P."""
-    r, piv = echelon
-    free = np.ones(r.cols, dtype=bool)
-    free[list(piv)] = False
-    basis = np.zeros((r.cols, r.cols - len(piv)), dtype=r.num.dtype)
-    basis[free, np.arange(basis.shape[1])] = r.den
-    basis[list(piv)] = -r.num[:, free]
-    return _of(r.field, basis, r.den)
+    the identity on the pivots P and block / den on the free columns F, as
+    _rref_array gives it: the identity on F and -block / den on P."""
+    rank, nfree = block.shape
+    basis = np.zeros((rank + nfree, nfree), dtype=_holding(block, den))
+    basis[_free_mask(rank + nfree, pivots), np.arange(nfree)] = den
+    basis[list(pivots)] = -block
+    return _of(field, basis, den)
+
+
+def _holding(block, den):
+    """The dtype of an array that holds the entries of block and den."""
+    return block.dtype if den < _INT64_BOUND else object
 
 
 def row_blocks(field, shape):
@@ -1509,39 +1496,38 @@ def row_blocks(field, shape):
 
 class _Eliminated:
     """The RREF pivots P (a tuple) of one elimination, and its canonical
-    kernel basis K through kernel(): formed on the first read from the RREF
-    kept until then, which is then dropped, or given as a stream ends."""
+    kernel basis K through kernel(): formed on the first read from the
+    RREF's free block, which is kept until then and then dropped."""
 
     __slots__ = ("pivots", "_rref", "_kernel")
 
-    def __init__(self, pivots, rref=None, kernel=None):
-        self.pivots, self._rref, self._kernel = pivots, rref, kernel
+    def __init__(self, field, eliminated):
+        block, den, pivots = eliminated
+        self.pivots, self._rref, self._kernel = tuple(pivots), (field, block, den), None
 
     def kernel(self):
         if self._kernel is None:
-            self._kernel, self._rref = echelon_kernel((self._rref, self.pivots)), None
+            field, block, den = self._rref
+            self._kernel, self._rref = _kernel(field, self.pivots, block, den), None
         return self._kernel
 
 
 def rref_rows(field, shape, blocks):
     """The elimination of the matrix of this shape whose rows arrive as the
     matrices blocks, top to bottom: its RREF pivots P and canonical kernel
-    basis K (_Eliminated).  A block that covers the matrix is eliminated
-    whole, and no RREF is left on it; the elimination keeps the RREF until
-    K is read, so a reader of P alone forms no K.  Rows in several blocks
+    basis K (_Eliminated), which keeps the RREF's free block until K is
+    read, so a reader of P alone forms no K.  A block that covers the matrix
+    is eliminated whole, and no RREF is left on it.  Rows in several blocks
     are eliminated over GF(p) as a stream that holds one block at a time
-    besides the transposed echelon form, reads no block after that has a
-    pivot in every column, and yields K read off that form, never the RREF
-    (_stream_kernel)."""
+    besides the transposed echelon form, and reads no block after that has
+    a pivot in every column."""
     blocks = iter(blocks)
     first = next(blocks)
     if first.rows == shape[0]:
-        r, pivots = _echelon(first)
-        return _Eliminated(pivots, rref=r)
+        return _Eliminated(field, _eliminate(first))
     nums = itertools.chain([first.num], (b.num for b in blocks))
     del first  # no block is held past its turn
-    num, _, piv = _rref_array(_Rows(shape, nums), field)
-    return _Eliminated(tuple(piv), kernel=_new(field, num))
+    return _Eliminated(field, _rref_array(_Rows(shape, nums), field))
 
 
 def modulo_span(m, echelon):

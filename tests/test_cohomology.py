@@ -849,18 +849,36 @@ def test_rba_embedding_check_fails_where_phi_is_perturbed(degree, seed, monkeypa
 
 
 def test_rba_embedding_check_fails_where_partial_is_perturbed(monkeypatch, capsys, tmp_path):
-    # one entry added to partial_1 of D(M): degree 2 alone reads it
-    whole = Complexes.partial
+    # one entry added to partial_1 of D(M), as the check builds it (whole,
+    # stored nowhere): degree 2 alone reads it
+    whole = Complexes._whole
 
-    def partial(self, n):
-        out = whole(self, n)
-        if n != 1:
+    def built(self, key, n):
+        out = whole(self, key, n)
+        if (key, n) != (RBSO, 1):
             return out
         unit = [[int(i == j == 0) for j in range(out.cols)] for i in range(out.rows)]
         return out + Matrix.from_rows(out.field, unit)
 
-    monkeypatch.setattr(Complexes, "partial", partial)
+    monkeypatch.setattr(Complexes, "_whole", built)
     _embedding_fails_at(2, capsys, tmp_path)
+
+
+def test_rba_embedding_check_stores_no_slice(monkeypatch):
+    # phi_n and partial_(n-1) are each read at degree n alone, so the
+    # check's Complexes ends with no slice stored
+    made = []
+    init = Complexes.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Complexes, "__init__", spy)
+    field = GF(5)
+    R = Matrix.from_rows(field, [[-1, 0, 0], [0, -1, 0], [0, 0, 0]])  # -(e0 .)
+    assert rba_embedding_check(triangular_algebra(field), R, 1, 3).ok
+    assert len(made) == 1 and made[0]._built == {}
 
 
 def test_les_check_builds_each_block_once(monkeypatch):
@@ -1231,22 +1249,19 @@ def test_les_ranks_read_partial_and_rbs_off_one_elimination(field, monkeypatch):
 
 
 def _kernel_bases_formed(monkeypatch, run):
-    """How many kernel bases run() forms, by echelon_kernel or read off a
-    stream (_stream_kernel)."""
+    """How many canonical kernel bases run() forms: every one is formed by
+    linalg._kernel."""
     from rbsys import linalg
 
     formed = []
+    kernel = linalg._kernel
 
-    def spy(original):
-        def counted(*args):
-            formed.append(original.__name__)
-            return original(*args)
-
-        return counted
+    def counted(*args):
+        formed.append(args[0])
+        return kernel(*args)
 
     with monkeypatch.context() as patch:
-        for name in ("echelon_kernel", "_stream_kernel"):
-            patch.setattr(linalg, name, spy(getattr(linalg, name)))
+        patch.setattr(linalg, "_kernel", counted)
         run()
     return len(formed)
 
@@ -1254,12 +1269,18 @@ def _kernel_bases_formed(monkeypatch, run):
 def test_kernel_bases_are_formed_only_where_read(monkeypatch):
     # the valid route of les_check reads ranks and forms only the kernel
     # bases K of delta_0..3 that M_p reads; betti(rbs) forms the same four
-    # for N_p, and betti(alg) none
+    # for N_p, and betti(alg) none; the same whole and with every slice
+    # fed to elimination in row blocks, which keeps the RREF's free block
+    # until K is read, as a whole elimination does
+    from rbsys import linalg
+
     sys = triangular_system(GF(5), 1, 2)
     mod = regular_bimodule(sys)
-    assert _kernel_bases_formed(monkeypatch, lambda: les_check(sys, mod, 3)) == 4
-    assert _kernel_bases_formed(monkeypatch, lambda: betti(RBS, sys, mod, 3)) == 4
-    assert _kernel_bases_formed(monkeypatch, lambda: betti(ALG, sys, mod, 3)) == 0
+    for stream_size in (linalg._STREAM_SIZE, 0):
+        monkeypatch.setattr(linalg, "_STREAM_SIZE", stream_size)
+        assert _kernel_bases_formed(monkeypatch, lambda: les_check(sys, mod, 3)) == 4
+        assert _kernel_bases_formed(monkeypatch, lambda: betti(RBS, sys, mod, 3)) == 4
+        assert _kernel_bases_formed(monkeypatch, lambda: betti(ALG, sys, mod, 3)) == 0
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=repr)
@@ -1450,6 +1471,15 @@ def test_les_check_at_the_corner_matches_the_chain_level_slots():
     report = les_check(sys, mod, 4, cap=30000)
     assert report.ok
     assert _slot_fields(report) == _slot_fields(_les_by_spans(Complexes(sys, mod, 30000), 4))
+
+
+@pytest.mark.slow
+def test_les_check_at_the_corner_forms_the_kernel_bases_it_reads(monkeypatch):
+    # the corner to degree 4: the ranks read the kernel bases K of delta_0..4
+    # (M_p reads K of delta_p), and the stream M_4 (2048 x 720) keeps its
+    # free block and forms no basis.  Opt in with pytest -m slow
+    sys, mod = _corner_pair()
+    assert _kernel_bases_formed(monkeypatch, lambda: les_check(sys, mod, 4, cap=30000)) == 5
 
 
 def test_les_kernel_witness_is_outside_the_image(monkeypatch):

@@ -407,9 +407,10 @@ def _streamed(a, heights):
 def test_every_mod_p_path_reads_its_rows_only_in_any_blocks(field):
     # the bit kernel (GF(2)), Gauss-Jordan (under two blocks), the blocked
     # path (taller) and the object path (above 2^31) take a read-only array
-    # and leave it unchanged, and give the eager kernel's residues, dtype
-    # and pivots whether the rows come whole or in blocks of any heights
-    from rbsys.linalg import _block_rows, _rref_mod
+    # and leave it unchanged, and give the eager kernel's pivots, and its
+    # residues and dtype on the free columns (the block of the RREF),
+    # whether the rows come whole or in blocks of any heights
+    from rbsys.linalg import _block_rows, _free_mask, _rref_mod
 
     p, rng = field.p, random.Random(field.p)
     tall = [
@@ -423,6 +424,7 @@ def test_every_mod_p_path_reads_its_rows_only_in_any_blocks(field):
         before = a.copy()
         assert not a.flags.writeable
         want, want_pivots = eager_gauss_jordan(a.copy(), p)
+        want = want[:, _free_mask(a.shape[1], want_pivots)]
         for rows in [a] + [_streamed(a, heights) for heights in ([1], [47], [48], [49], [200], [1, 47, 48, 49, 200])]:
             got, got_pivots = _rref_mod(rows, p)
             assert got_pivots == want_pivots
@@ -432,7 +434,8 @@ def test_every_mod_p_path_reads_its_rows_only_in_any_blocks(field):
 
 def test_the_q_prime_loop_reads_its_input_only():
     # each prime reduces its own residues of the numerators, which stay as
-    # they were, int64 or past it
+    # they were, int64 or past it; the result is sympy's RREF on its free
+    # columns (the block)
     from rbsys import linalg
 
     rng = random.Random(37)
@@ -444,7 +447,10 @@ def test_the_q_prime_loop_reads_its_input_only():
         assert np.array_equal(m.num, before) and m.num.dtype == before.dtype
         want, want_pivots = sympy_rref(m)
         assert pivots == list(want_pivots)
-        assert [[Fraction(int(x), den) for x in row] for row in r.tolist()] == want
+        free = linalg._free_mask(m.cols, pivots)
+        assert [[Fraction(int(x), den) for x in row] for row in r.tolist()] == [
+            [x for x, f in zip(row, free) if f] for row in want
+        ]
 
 
 def test_bit_kernel_matches_the_eager_kernel():
