@@ -660,8 +660,7 @@ class Matrix:
 
     def kernel_basis(self):
         """Columns form the canonical basis of the null space."""
-        r, pivots = self.rref()
-        return _kernel(self.field, pivots, r.num[:, _free_mask(r.cols, pivots)], r.den)
+        return _kernel(self.field, *_eliminate(self))
 
     def solve(self, b):
         """Particular solution x of self @ x = b, or None if inconsistent.
@@ -939,8 +938,8 @@ def _rref_mod(a, p):
     if isinstance(a, np.ndarray):
         height = _block_rows(ncols)
         a = _Rows(a.shape, [a[s : s + height] for s in range(0, len(a), height)])
-    rt, pivots = _reduce_blocks(a, p)
-    return rt[np.ix_(_free_mask(ncols, pivots), np.argsort(pivots))].T, sorted(pivots)
+    rt, pivots, free = _reduce_blocks(a, p)
+    return rt[np.ix_(free, np.argsort(pivots))].T, sorted(pivots)
 
 
 def _free_mask(ncols, pivots):
@@ -953,9 +952,9 @@ def _free_mask(ncols, pivots):
 
 def _reduce_blocks(a, p):
     """The RREF R over GF(p), p odd, of the _Rows stream a, transposed:
-    (rt, pivots), where column i of rt is the row of R whose pivot is
-    pivots[i], in the order the pivots were found, and the columns of rt
-    past the rank are zero.
+    (rt, pivots, free), where column i of rt is the row of R whose pivot is
+    pivots[i], in the order the pivots were found, the columns of rt past
+    the rank are zero, and free is the mask of the free columns.
 
     rt is one array of min(rows, cols) columns (a column of R is a row of
     rt, so gathering and updating columns of R moves whole rows).  Each
@@ -992,7 +991,7 @@ def _reduce_blocks(a, p):
         free[found] = False
         if k0 + k == ncols:
             break
-    return rt, pivots
+    return rt, pivots, free
 
 
 def _rref_gf2(a):
@@ -1255,7 +1254,7 @@ def _fraction_free(b):
             break
     if not pivots:
         return b[:0].copy(), 1, []
-    free = sorted(set(range(n)) - set(pivots))
+    free = _free_mask(n, pivots).nonzero()[0].tolist()
     flat = [row[c] for row in rows[: len(pivots)] for c in free]
     if d < 0:
         flat, d = [-x for x in flat], -d
@@ -1466,7 +1465,7 @@ def kron_all(field, mats, empty_dim=1):
     return out
 
 
-def _kernel(field, pivots, block, den):
+def _kernel(field, block, den, pivots):
     """The canonical kernel basis, as columns, of the matrices whose RREF is
     the identity on the pivots P and block / den on the free columns F, as
     _rref_array gives it: the identity on F and -block / den on P."""
@@ -1502,13 +1501,11 @@ class _Eliminated:
     __slots__ = ("pivots", "_rref", "_kernel")
 
     def __init__(self, field, eliminated):
-        block, den, pivots = eliminated
-        self.pivots, self._rref, self._kernel = tuple(pivots), (field, block, den), None
+        self.pivots, self._rref, self._kernel = tuple(eliminated[2]), (field, *eliminated), None
 
     def kernel(self):
         if self._kernel is None:
-            field, block, den = self._rref
-            self._kernel, self._rref = _kernel(field, self.pivots, block, den), None
+            self._kernel, self._rref = _kernel(*self._rref), None
         return self._kernel
 
 
