@@ -274,10 +274,10 @@ class Complexes:
     cut there by ranges; any other is built range by range as elimination
     reads it and stored nowhere, and no block is kept past the first
     kernel read.  So rank and kernel hold one elimination at a time besides
-    the memos, and an analysis that also applies a slice reads it before
-    eliminating it to build it once.  rank, kernel and image all read the
-    same memo; rank and image read its pivots alone, and form no kernel
-    basis.
+    the memos; a slice that is also applied or cut is built once if it is
+    read before its elimination (image and les_check do so).  rank, kernel
+    and image all read the same memo; rank and image read its pivots
+    alone, and form no kernel basis.
     """
 
     def __init__(self, sys, mod, cap=None):
@@ -770,13 +770,13 @@ def _squares_to_zero(cx, top):
     = phi_p delta_(p-1), checked in that order by exact products on every
     field.  No elimination is read and no rbs_n is assembled.
 
-    The slices of degree below top are stored first: the check multiplies
-    them, the eliminations cut them, and the chain-level slots read them,
-    so each is built once.  delta_top and phi_top are read by the row
-    ranges of row_blocks: one range is stored, so that elimination cuts it
-    and it is built once; several are each built, multiplied by the stored
-    factors of degree top - 1 and dropped, so a tall slice is never held
-    whole (elimination builds its blocks again).
+    The slices of degree below top are read whole, so stored, before any
+    elimination: the check multiplies them, the eliminations cut them, and
+    the chain-level slots read them, so each is built once.  delta_top and
+    phi_top are read by the row ranges of row_blocks: one range is stored,
+    so that elimination cuts it and it is built once; several are each
+    built, multiplied by the stored factors of degree top - 1 and dropped,
+    so a tall slice is never held whole (elimination builds them again).
 
     One route serves every field: on the prime fields, too, these products
     cost less than testing the pivot columns of rbs_(p-1), cut through
@@ -784,8 +784,6 @@ def _squares_to_zero(cx, top):
     (les_sweep job_p50_ms fell 7.8 %, faster in 29 of 30 alternating
     pairs, on a 2-vCPU Xeon with one BLAS thread).
     """
-    for p in range(top):
-        cx.delta(p), cx.phi(p), cx.partial(p)
     for p in range(1, top + 1):
         delta_prev, phi_prev, partial_prev = cx.delta(p - 1), cx.phi(p - 1), cx.partial(p - 1)
         if any(not (part @ delta_prev).is_zero() for _, part in _by_rows(cx, ALG, p, top)):

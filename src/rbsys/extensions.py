@@ -141,18 +141,18 @@ def assemble_extension(sys, mod, c):
 def build_extension(sys, mod, c, cap=None):
     """Materialise a verified 2-cocycle as an abelian extension.
 
-    Validates the cocycle condition, assembles the structure, and checks
+    Tests the cocycle condition first, then the bimodule axioms, and checks
     the result end to end (system axioms and extension invariants).
     """
-    return _build(Complexes(sys, mod, cap), c)
-
-
-def _build(cx, c):
-    """build_extension, reading slices from cx; the cocycle is tested first."""
-    if not cx.is_cocycle(c.as_cochain()):
+    if not Complexes(sys, mod, cap).is_cocycle(c.as_cochain()):
         raise NotACocycle("payload is not a 2-cocycle; the assembled structure would fail")
-    check_rbs_bimodule(cx.mod).require("not a Rota-Baxter system bimodule")
-    ext = assemble_extension(cx.sys, cx.mod, c)
+    check_rbs_bimodule(mod).require("not a Rota-Baxter system bimodule")
+    return _checked(sys, mod, c)
+
+
+def _checked(sys, mod, c):
+    """assemble_extension, checked end to end: it passes exactly on a cocycle."""
+    ext = assemble_extension(sys, mod, c)
     check_extension(ext).require("extension invariants failed", AssertionError)
     return ext
 
@@ -309,14 +309,17 @@ def check_iso(ext1, ext2, iso):
 def iso_from_cohomologous(sys, mod, c1, c2, gamma, cap=None):
     """The shear (a, m) -> (a, -gamma(a) + m) between cohomologous payloads.
 
-    Requires c2 - c1 to be the coboundary of (gamma, (0, 0)); the returned
-    map is then an isomorphism from the c1-extension to the c2-extension,
-    which is verified before returning.  cap is the cochain-space guard.
+    Requires c1 to be a cocycle and c2 - c1 the coboundary of (gamma, (0,
+    0)); the returned map is then an isomorphism from the c1-extension to
+    the c2-extension, both checked end to end, which is verified before
+    returning.  cap is the cochain-space guard.
     """
     if gamma.arity != 1 or gamma.target_dim != mod.dim:
         raise ValueError("gamma must be a linear map from the base into the kernel")
-    diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
     cx = Complexes(sys, mod, cap)
+    if not cx.is_cocycle(c1.as_cochain()):
+        raise NotACocycle("payload is not a 2-cocycle; the assembled structure would fail")
+    diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
     # d(gamma, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
     expected = cx.alg_column(1) @ multimap_vector(gamma)
     if diff != expected:
@@ -327,8 +330,8 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma, cap=None):
         hstack([-gamma.mat, Matrix.identity(field, m)]),
     ])
     iso = ExtensionIso(zeta)
-    ext1 = assemble_extension(sys, mod, c1)
-    ext2 = assemble_extension(sys, mod, c2)
+    ext1 = _checked(sys, mod, c1)
+    ext2 = _checked(sys, mod, c2)
     check_iso(ext1, ext2, iso).require("shear failed the isomorphism checks", AssertionError)
     return iso
 
@@ -362,18 +365,14 @@ def h2_extension_census(sys, mod, cap=64, dim_cap=None):
 
     Returns the trivial class first (zero payload, the semidirect product)
     followed by one echelon-basis representative per basis vector of the
-    degree-2 cohomology.  Refused over the rationals, where the class set
-    is infinite.  cap bounds dim H^2; dim_cap is the cochain-space guard.
+    degree-2 cohomology: a column of the canonical kernel basis of rbs_2,
+    so a cocycle, untested as one, whose extension is checked end to end.
+    Refused over the rationals, where the class set is infinite.  cap
+    bounds dim H^2; dim_cap is the cochain-space guard.
     """
     if not sys.field.is_prime_field:
         raise ValueError("census requires a finite prime field")
     cx = Complexes(sys, mod, dim_cap)
-    # every class is tested as a cocycle by applying the blocks of rbs_2:
-    # read before the kernel of rbs_2 is eliminated, each is built once
-    cx.guard([(RBS, 2)])
-    cx.delta(2)
-    cx.phi(2)
-    cx.partial(1)
     kernel = cx.kernel(RBS, 2)
     boundaries = cx.image(RBS, 1)[0]
     # the kernel columns that are pivots past a basis of the coboundaries
@@ -383,10 +382,7 @@ def h2_extension_census(sys, mod, cap=64, dim_cap=None):
     h2_dim = len(reps)
     if h2_dim > cap:
         raise ValueError(f"second cohomology has dimension {h2_dim}, cap is {cap}")
-    out = []
-    zero = zero_cocycle(sys, mod)
-    out.append((zero, _build(cx, zero)))
-    for vec in reps:
-        c = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, vec))
-        out.append((c, _build(cx, c)))
-    return out
+    check_rbs_bimodule(mod).require("not a Rota-Baxter system bimodule")
+    payloads = [zero_cocycle(sys, mod)]
+    payloads += [cocycle_from_cochain(sys, mod, Cochain(RBS, 2, vec)) for vec in reps]
+    return [(c, _checked(sys, mod, c)) for c in payloads]

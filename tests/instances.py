@@ -169,6 +169,27 @@ def zero_action_bimodule(sys, m, rng):
     )
 
 
+def direct_sum(m1, m2):
+    """M1 (+) M2 over their common system: block-diagonal actions and
+    operators, checked by check_rbs_bimodule.  Column i m + u of the left
+    action matrix is e_i . f_u, so its blocks are taken one basis vector
+    e_i of the algebra at a time; the right action's column u d + i is
+    block-diagonal as it stands."""
+    from rbsys import BimoduleActions, block_diag, check_rbs_bimodule, hstack
+
+    d, a1, a2 = m1.base.dim, m1.dim, m2.dim
+    lam1, lam2 = m1.actions.left_matrix(), m2.actions.left_matrix()
+    lam = hstack([
+        block_diag([lam1.take(0, None, i * a1, (i + 1) * a1), lam2.take(0, None, i * a2, (i + 1) * a2)])
+        for i in range(d)
+    ])
+    rho = block_diag([m1.actions.right_matrix(), m2.actions.right_matrix()])
+    actions = BimoduleActions.from_matrices(d, lam, rho)
+    mod = RBSBimodule(m1.base, actions, block_diag([m1.RM, m2.RM]), block_diag([m1.SM, m2.SM]))
+    check_rbs_bimodule(mod).require("the direct sum is not a Rota-Baxter system bimodule")
+    return mod
+
+
 # -- randomized families -----------------------------------------------------
 
 

@@ -1066,9 +1066,10 @@ def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     # block and the kernel memos), against 256 MiB while a slice's RREF was
     # gathered whole and each block's update product was kept into the
     # next block.  rbs les to degree 4 on the same pair, whose check of
-    # rbs^2 = 0 reads delta_4 and phi_4 by row blocks, runs in a child too.
-    # Max RSS and wall time of both are printed (pytest -s).  Opt in with
-    # pytest -m slow.
+    # rbs^2 = 0 reads delta_4 and phi_4 by row blocks, runs in a child too;
+    # its stdout must equal, byte for byte, the one recorded in
+    # tests/data/corner_les_degree4.json.  Max RSS and wall time of both are
+    # printed (pytest -s).  Opt in with pytest -m slow.
     import os
     import random
     from pathlib import Path
@@ -1096,6 +1097,7 @@ def test_the_corner_of_the_ladder_runs_in_bounded_memory(tmp_path):
     assert peak <= 240 * 2**20
     code, out, peak, rss, wall = _child(["les", str(spath), str(mpath), "--max-degree", "4"] + flags, env)
     assert code == 0 and json.loads(out)["ok"]
+    assert out == (Path(__file__).parent / "data" / "corner_les_degree4.json").read_bytes()
     print(f"corner les: max RSS {rss / 1024:.1f} MiB, tracemalloc peak {peak / 2**20:.1f} MiB, {wall:.1f} s")
 
 

@@ -36,6 +36,7 @@ from rbsys import (
 from rbsys.cohomology import phi_rows
 
 from instances import (
+    direct_sum,
     f2_zero_instance,
     instance_set,
     line_system,
@@ -47,6 +48,7 @@ from instances import (
     triangular_algebra,
     triangular_system,
     unital_line,
+    zero_action_bimodule,
 )
 from oracles import (
     assembled_kernel,
@@ -922,6 +924,33 @@ def test_les_check_builds_each_block_once(monkeypatch):
     monkeypatch.setattr(cohomology, "_les_by_spans", counted_spans)
     les_check(sys, regular_bimodule(sys), 3)
     assert runs == [3] and degrees == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(40009), QQ], ids=str)
+def test_cohomology_is_additive_in_the_bimodule(field):
+    # every complex of M1 (+) M2 is the direct sum of those of M1 and M2,
+    # whatever base change scrambles M: the regular bimodule (+) a
+    # zero-action one of dimension 1 must give the sum of their Betti
+    # numbers, LES slot dimensions and, over a prime field, census class
+    # counts (triangular: rbs [0, 5, 13, 20, 28] = [0, 4, 9, 14, 20] +
+    # [0, 1, 4, 6, 8], and 13 = 9 + 4 classes)
+    from rbsys import check_rbs_bimodule, h2_extension_census
+
+    for sys in (triangular_system(field, 1, 2), line_system(field, 1, 0)):
+        rng = random.Random(5)
+        reg, zero = regular_bimodule(sys), zero_action_bimodule(sys, 1, rng)
+        scramble = random_invertible(field, reg.dim + 1, rng)
+        total = conjugate_bimodule(direct_sum(reg, zero), Matrix.identity(field, sys.dim), scramble)
+        assert check_rbs_bimodule(total)
+        mods = (reg, zero, total)
+        for tag in (ALG, RBSO, RBS):
+            h1, h2, h = (betti(tag, sys, mod, 4).h for mod in mods)
+            assert h == [a + b for a, b in zip(h1, h2)], tag
+        s1, s2, s = ([(slot.image_dim, slot.kernel_dim) for slot in les_check(sys, mod, 3).slots] for mod in mods)
+        assert s == [(a[0] + b[0], a[1] + b[1]) for a, b in zip(s1, s2)]
+        if field.is_prime_field:
+            n1, n2, n = (len(h2_extension_census(sys, mod)) - 1 for mod in mods)
+            assert n == n1 + n2
 
 
 def _weight_lam_systems(field, lam, rng):

@@ -378,6 +378,25 @@ def test_iso_from_cohomologous():
             call()
 
 
+def test_iso_from_cohomologous_refuses_a_non_cocycle():
+    # c2 = c1 + d(gamma, (0, 0)) with c1 outside Z^2: no extension is
+    # assembled from c1, so no shear between two is an isomorphism of
+    # extensions; both payloads used to be assembled unchecked, and the
+    # shear between them was returned
+    from rbsys.extensions import NotACocycle
+
+    rng = random.Random(3)
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    c1 = _random_non_cocycle(sys, mod, rng)
+    assert not check_extension(assemble_extension(sys, mod, c1))
+    gamma = MultiMap(sys.alg, 1, random_matrix(sys.field, mod.dim, sys.dim, rng))
+    c2vec = c1.as_cochain().vector + Complexes(sys, mod).alg_column(1) @ multimap_vector(gamma)
+    c2 = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, c2vec))
+    with pytest.raises(NotACocycle, match="not a 2-cocycle"):
+        iso_from_cohomologous(sys, mod, c1, c2, gamma)
+
+
 def test_same_class_check_guards():
     sys, mod = f2_zero_instance()
     ext = build_extension(sys, mod, zero_cocycle(sys, mod))
@@ -470,9 +489,10 @@ def test_build_tests_the_cocycle_before_the_bimodule_axioms():
 
 
 def test_census_builds_each_slice_once(monkeypatch):
-    # the census eliminates the blocks of rbs_2 and applies them to every
-    # class, and cuts the image of rbs_1 from its blocks: each Hochschild slice, each phi_n and the
-    # doubled module are built once, as in les_check
+    # the census eliminates the blocks of rbs_2, whose kernel columns it
+    # takes as classes without applying any block to them, and cuts the
+    # image of rbs_1 from its blocks: each Hochschild slice, each phi_n and
+    # the doubled module are built once, as in les_check
     from rbsys import cohomology
 
     sys = triangular_system(GF(5), 1, 2)
@@ -495,6 +515,44 @@ def test_census_builds_each_slice_once(monkeypatch):
     assert Counter(built) == Counter(
         [("alg", 1), ("alg", 2), ("rbso", 0), ("rbso", 1), ("phi", 1), ("phi", 2), ("D(M)",)]
     )
+
+
+def test_census_checks_each_extension_of_a_forged_class(monkeypatch):
+    # the census takes its classes as cocycles, since each is a column of
+    # the kernel basis of rbs_2, and does not test them; a forged class
+    # that is not a cocycle is still refused, by the end-to-end check of
+    # its extension
+    from rbsys import extensions
+
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    bad = _random_non_cocycle(sys, mod, random.Random(10)).as_cochain().vector
+    honest = extensions.cocycle_from_cochain
+
+    def forged(sys, mod, cochain):
+        return honest(sys, mod, Cochain(RBS, 2, cochain.vector + bad))
+
+    monkeypatch.setattr(extensions, "cocycle_from_cochain", forged)
+    with pytest.raises(AssertionError, match="extension invariants failed"):
+        h2_extension_census(sys, mod)
+
+
+def test_census_matrix_products(monkeypatch):
+    # 209 products for the census of triangular GF(5) (217 with the 8 that
+    # build the pair); it was 239 while each class was also tested as a
+    # cocycle by applying the blocks of rbs_2
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(other.cols)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    assert len(h2_extension_census(sys, mod)) == 10
+    assert len(calls) == 209
 
 
 def test_census_selects_classes_with_one_elimination(monkeypatch):
