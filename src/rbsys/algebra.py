@@ -351,19 +351,6 @@ class MultiMap:
             and self.mat == other.mat
         )
 
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return MultiMap(self.alg, self.arity, self.mat + other.mat)
-
-    def __sub__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return MultiMap(self.alg, self.arity, self.mat - other.mat)
-
-    def __neg__(self):
-        return MultiMap(self.alg, self.arity, -self.mat)
-
     def apply(self, cols):
         """Evaluate on a tuple of coordinate columns."""
         if len(cols) != self.arity:

@@ -157,13 +157,6 @@ class Cochain:
         self.degree = degree
         self.vector = vector
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and (self.tag, self.degree) == (other.tag, other.degree)
-            and self.vector == other.vector
-        )
-
     def __sub__(self, other):
         if (self.tag, self.degree) != (other.tag, other.degree):
             raise ValueError("cochain degree/tag mismatch")

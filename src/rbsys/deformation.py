@@ -15,9 +15,10 @@ Both operator residuals share the series inner_p = sum_{j+k=p} mu_j(R_k (x)
 Id + Id (x) S_k), so resR_n = sum_i mu_i RR_{n-i} - R_i inner_{n-i} with
 RR_p = sum_{j+k=p} R_j (x) R_k, and resS_n likewise with S and SS_p.
 
-Gauges are truncated series Id + Psi_1 t + ... acting by conjugation; the
-order-t coefficient of any valid deformation is a 2-cocycle of the total
-complex, and gauge changes move it by a coboundary.
+Gauges are truncated series Id + Psi_1 t + ... acting by conjugation.  The
+leading nonzero coefficient of a valid deformation is a 2-cocycle of the
+total complex (the residual of its order is rbs_2 of it), so a verified
+deformation needs no cocycle test, and gauge changes move it by a coboundary.
 
 An operator-only deformation, with the multiplication held fixed, is the
 deformation whose mu series is [mu | 0 | ... | 0].  Its order-t cochain is
@@ -326,15 +327,13 @@ def _gauge_step(cx, defn, n):
     """Kill the order n + 1 coefficient of a verified deformation, whose
     coefficients vanish in orders 1..n, with a gauge Id - Psi t^(n+1).
 
-    Packages the next coefficient as a degree-2 cochain (asserting it is a
-    cocycle) and solves the gauge-shaped coboundary system d(Psi, (0, 0)) =
-    cocycle, reading slices from cx; returns (gauge, transformed), or None
-    when that restricted system is inconsistent.
+    Packages the next coefficient as a degree-2 cochain, a cocycle since the
+    deformation is verified (so not tested again), and solves the gauge-shaped
+    system d(Psi, (0, 0)) = cocycle on cx.alg_column(1); returns (gauge,
+    transformed), or None when that restricted system is inconsistent.
     """
     sys = cx.sys
     target = _order_cochain(sys, defn, n + 1)
-    if not cx.is_cocycle(target):
-        raise AssertionError("leading coefficient of a valid deformation is not a cocycle")
     field, d = sys.field, sys.dim
     # d(Psi, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
     solution = cx.alg_column(1).solve(target.vector)

@@ -53,10 +53,6 @@ class Cocycle2:
         self.chi_r = chi_r
         self.chi_s = chi_s
 
-    @property
-    def target_dim(self):
-        return self.psi.target_dim
-
     def as_cochain(self):
         return pack_rbs_cochain(self.psi, self.chi_r, self.chi_s)
 
@@ -68,11 +64,8 @@ class Cocycle2:
             and self.chi_s == other.chi_s
         )
 
-    def __sub__(self, other):
-        return Cocycle2(self.psi - other.psi, self.chi_r - other.chi_r, self.chi_s - other.chi_s)
-
     def __repr__(self):
-        return f"Cocycle2(target_dim={self.target_dim})"
+        return f"Cocycle2(target_dim={self.psi.target_dim})"
 
 
 def zero_cocycle(sys, mod):

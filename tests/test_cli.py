@@ -681,6 +681,55 @@ def test_cap_applies_to_deform_and_extend(argv, tmp_path, capsys):
     assert "exceeds cap 5" in capsys.readouterr().out
 
 
+def test_rigidify_cap_guards_only_the_target_of_rbs_1(tmp_path, capsys):
+    # on the d = 3 pair above, rigidify reads [delta_1; -phi_1] alone, whose
+    # target C^2_rbs has dimension 45; infinitesimal tests its cocycle with
+    # rbs_2, whose target C^3_rbs has dimension 135
+    import random
+
+    from rbsys import apply_gauge, constant_deformation
+
+    from instances import random_gauge
+
+    sys = triangular_system(GF5(), 1, 2)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("sys", "defn")}
+    docs.dump(docs.serialize_system(sys), paths["sys"])
+    defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, random.Random(1)))
+    docs.dump(docs.serialize_deformation(defn, sys), paths["defn"])
+    assert main(["deform", "rigidify", paths["sys"], paths["defn"], "--cap", "100"]) == 0
+    capsys.readouterr()
+    assert main(["deform", "rigidify", paths["sys"], paths["defn"], "--cap", "5"]) == 2
+    assert capsys.readouterr().out == "error: cochain space of dimension 45 exceeds cap 5\n"
+    assert main(["deform", "infinitesimal", paths["sys"], paths["defn"], "--cap", "100"]) == 2
+    assert capsys.readouterr().out == "error: cochain space of dimension 135 exceeds cap 100\n"
+
+
+@pytest.mark.parametrize("module", ["rbsys", "rbsys.cli"])
+def test_python_m_runs_the_cli(module, f2_zero_path, tmp_path):
+    # python -m rbsys (__main__.py) and python -m rbsys.cli run main and
+    # exit with its code, here on the library in src/
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("RBS_DIM_CAP", None)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    result = run("validate", f2_zero_path)
+    assert result.returncode == 0, result.stderr
+    assert "pass" in result.stdout
+    result = run("validate", str(tmp_path / "missing.json"))
+    assert result.returncode == 2, result.stderr
+    assert result.stdout.startswith("error: ")
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize(
     "argv, before",

@@ -396,6 +396,58 @@ def test_rigidify_checks_each_object_once(monkeypatch):
     assert len(verified) == 3 and set(verified.values()) == {1}
 
 
+def test_rigidify_builds_only_the_first_block_column(monkeypatch):
+    # a gauge step reads [delta_1; -phi_1] alone: the leading coefficient of
+    # a verified deformation is a cocycle, so no block of rbs_2, no D(M)
+    # and no application of a differential
+    from collections import Counter
+
+    from rbsys import cohomology
+
+    calls = Counter()
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    for name in ("hochschild_slice", "phi", "_d_module_unchecked"):
+        counted(cohomology, name)
+    counted(Complexes, "apply")
+    sys = triangular_system(GF(5), 1, 2)
+    defn = apply_gauge(constant_deformation(sys, 3), random_gauge(sys, 3, random.Random(3)))
+    assert rigidify(sys, defn).success
+    assert [calls[name] for name in ("hochschild_slice", "phi", "_d_module_unchecked", "apply")] == [1, 1, 0, 0]
+
+
+def test_every_gauge_step_target_is_a_cocycle(monkeypatch):
+    # the cocycle test that _gauge_step no longer runs: every target it is
+    # given, the order n + 1 coefficient of a verified deformation whose
+    # orders 1..n vanish, is a 2-cocycle of the total complex
+    from rbsys import deformation
+
+    step, targets = deformation._gauge_step, []
+
+    def checked_step(cx, defn, n):
+        target = deformation._order_cochain(cx.sys, defn, n + 1)
+        assert Complexes(cx.sys, regular_bimodule(cx.sys)).is_cocycle(target)
+        targets.append(target)
+        return step(cx, defn, n)
+
+    monkeypatch.setattr(deformation, "_gauge_step", checked_step)
+    rng = random.Random(9)
+    systems = [sys for sys, _ in instance_set(6, seed=421)] + [triangular_system(QQ, 2, 1)]
+    for sys in systems:
+        for order in (2, 3):
+            defn = apply_gauge(constant_deformation(sys, order), random_gauge(sys, order, rng))
+            assert rigidify(sys, defn).success
+    assert len(targets) >= 2 * len(systems)
+
+
 SERIES_FIELDS = [QQ, GF(2), GF(5), GF(40009), GF(2**31 - 1)]
 
 
