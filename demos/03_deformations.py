@@ -10,6 +10,7 @@ from rbsys import (
     GF,
     QQ,
     Algebra,
+    Complexes,
     DeformationData,
     GaugeSeries,
     Matrix,
@@ -49,8 +50,8 @@ print("verifies through order", N, ":", report.ok)
 print("order-1 multiplication coefficient:")
 print("  ", defn.mus[1].entries())
 
-cochain, is_cocycle = infinitesimal(sys, defn)
-print("infinitesimal is a degree-2 cocycle:", is_cocycle)
+cochain = infinitesimal(sys, defn)
+print("infinitesimal is a degree-2 cocycle:", Complexes(sys, regular_bimodule(sys)).is_cocycle(cochain))
 
 # Rigidification walks back to the constant family order by order.
 result = rigidify(sys, defn)

@@ -42,7 +42,7 @@ residuals of a report.
 from __future__ import annotations
 
 from .algebra import MultiMap, multimap_from_vector
-from .cohomology import Complexes, pack_rbs_cochain
+from .cohomology import RBS, Complexes, pack_rbs_cochain
 from .cohomology import hochschild_slice, phi  # noqa: F401  (re-exported: read from here)
 from .bimodules import regular_bimodule
 from .linalg import Matrix, block_toeplitz, hstack, regroup_columns
@@ -211,18 +211,17 @@ def verify_deformation(sys, defn):
 
 
 def infinitesimal(sys, defn, cap=None):
-    """Package the order-t coefficient as a degree-2 total cochain.
-
-    Requires the deformation to hold through order 1; returns the cochain
-    together with its cocycle verdict (always true for valid input).
+    """The order-t coefficient of a deformation that holds through order 1,
+    as a degree-2 total cochain: a 2-cocycle, as its order-1 residual is
+    rbs_2 of it, so it is not tested again.  cap guards C^2_rbs, its space.
     """
     report = verify_deformation(sys, defn)
     if defn.order < 1:
         raise ValueError("need at least order 1")
     if not report.ok_through(1):
         raise ValueError("order-1 deformation equations fail")
-    cochain = _order_cochain(sys, defn, 1)
-    return cochain, Complexes(sys, regular_bimodule(sys), cap).is_cocycle(cochain)
+    Complexes(sys, regular_bimodule(sys), cap).guard([(RBS, 1)])
+    return _order_cochain(sys, defn, 1)
 
 
 def _order_cochain(sys, defn, k):
@@ -324,11 +323,11 @@ def apply_gauge(defn, g):
 
 
 def _gauge_step(cx, defn, n):
-    """Kill the order n + 1 coefficient of a verified deformation, whose
+    """Kill the order n + 1 coefficient of a valid deformation, whose
     coefficients vanish in orders 1..n, with a gauge Id - Psi t^(n+1).
 
     Packages the next coefficient as a degree-2 cochain, a cocycle since the
-    deformation is verified (so not tested again), and solves the gauge-shaped
+    deformation is valid (so not tested again), and solves the gauge-shaped
     system d(Psi, (0, 0)) = cocycle on cx.alg_column(1); returns (gauge,
     transformed), or None when that restricted system is inconsistent.
     """
@@ -369,8 +368,8 @@ class RigidifyReport:
 def rigidify(sys, defn, cap=None):
     """Trivialise order by order; report the composite gauge or where it sticks.
 
-    The input is verified once; each deformation a gauge step produces is
-    verified before the next step (_gauge_step) runs on it.
+    The input is verified, and so is the result if it is not the input (a
+    failure there is a bug); a gauge keeps a deformation valid (apply_gauge).
     """
     report = verify_deformation(sys, defn)
     if not report.ok:
@@ -381,12 +380,13 @@ def rigidify(sys, defn, cap=None):
     for n in range(defn.order):
         if current.coefficients_vanish(n + 1, n + 1):
             continue
-        if current is not defn and not verify_deformation(sys, current).ok:
-            raise ValueError("deformation equations fail")
         step = _gauge_step(cx, current, n)
         if step is None:
-            stuck = _order_cochain(sys, current, n + 1)
-            return RigidifyReport(False, composite, current, n + 1, stuck)
+            break
         gauge, current = step
         composite = compose_gauges(composite, gauge)
-    return RigidifyReport(True, composite, current)
+    if current is not defn and not verify_deformation(sys, current).ok:
+        raise AssertionError("a gauge step produced a deformation that fails its equations")
+    if current.coefficients_vanish(1, defn.order):
+        return RigidifyReport(True, composite, current)
+    return RigidifyReport(False, composite, current, n + 1, _order_cochain(sys, current, n + 1))

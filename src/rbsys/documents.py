@@ -64,13 +64,11 @@ _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 def _entry(field, x, what):
     """A checked entry: over GF(p) an integer in [0, p); over Q the pair
-    (numerator, positive denominator) of an integer or "[-]a/b" token."""
+    (numerator, positive denominator) of a "[-]a/b" token: _checked pairs ints."""
     if field.p is not None:
         if not (type(x) is int and 0 <= x < field.p):
             raise DocumentError(f"{what}: entry {x!r} is not an integer in [0, {field.p})")
         return x
-    if type(x) is int:
-        return x, 1
     match = _RATIONAL.fullmatch(x) if type(x) is str else None
     if match is None:
         if isinstance(x, bool):

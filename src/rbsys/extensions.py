@@ -132,21 +132,24 @@ def assemble_extension(sys, mod, c):
 
 
 def build_extension(sys, mod, c, cap=None):
-    """Materialise a verified 2-cocycle as an abelian extension.
+    """Materialise a 2-cocycle as an abelian extension.
 
-    Tests the cocycle condition first, then the bimodule axioms, and checks
-    the result end to end (system axioms and extension invariants).
+    Checks the bimodule axioms, then the extension end to end (system axioms
+    and extension invariants), which passes exactly on a cocycle and so is
+    the payload's cocycle test (NotACocycle).  cap guards C^2_rbs.
     """
-    if not Complexes(sys, mod, cap).is_cocycle(c.as_cochain()):
-        raise NotACocycle("payload is not a 2-cocycle; the assembled structure would fail")
+    Complexes(sys, mod, cap).guard([(RBS, 1)])
     check_rbs_bimodule(mod).require("not a Rota-Baxter system bimodule")
-    return _checked(sys, mod, c)
+    return _checked(sys, mod, c, NotACocycle)
 
 
-def _checked(sys, mod, c):
-    """assemble_extension, checked end to end: it passes exactly on a cocycle."""
+def _checked(sys, mod, c, error=AssertionError):
+    """assemble_extension, checked end to end: over a bimodule it passes
+    exactly on a cocycle.  A failure raises error: NotACocycle for a payload
+    that a caller gives, AssertionError (a bug) for one derived as a cocycle."""
     ext = assemble_extension(sys, mod, c)
-    check_extension(ext).require("extension invariants failed", AssertionError)
+    context = "payload is not a 2-cocycle" if error is NotACocycle else "extension invariants failed"
+    check_extension(ext).require(context, error)
     return ext
 
 
@@ -302,19 +305,18 @@ def check_iso(ext1, ext2, iso):
 def iso_from_cohomologous(sys, mod, c1, c2, gamma, cap=None):
     """The shear (a, m) -> (a, -gamma(a) + m) between cohomologous payloads.
 
-    Requires c1 to be a cocycle and c2 - c1 the coboundary of (gamma, (0,
-    0)); the returned map is then an isomorphism from the c1-extension to
-    the c2-extension, both checked end to end, which is verified before
-    returning.  cap is the cochain-space guard.
+    Requires a bimodule, c1 a cocycle (NotACocycle, from its extension's
+    check) and c2 - c1 the coboundary of (gamma, (0, 0)); the map is then
+    an isomorphism from the c1-extension to the c2-extension, both checked
+    end to end, which is verified before returning.  cap guards C^2_rbs.
     """
     if gamma.arity != 1 or gamma.target_dim != mod.dim:
         raise ValueError("gamma must be a linear map from the base into the kernel")
-    cx = Complexes(sys, mod, cap)
-    if not cx.is_cocycle(c1.as_cochain()):
-        raise NotACocycle("payload is not a 2-cocycle; the assembled structure would fail")
-    diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
     # d(gamma, (0, 0)) is the first block column of rbs_1: (delta_1, -phi_1)
-    expected = cx.alg_column(1) @ multimap_vector(gamma)
+    expected = Complexes(sys, mod, cap).alg_column(1) @ multimap_vector(gamma)
+    check_rbs_bimodule(mod).require("not a Rota-Baxter system bimodule")
+    ext1 = _checked(sys, mod, c1, NotACocycle)
+    diff = (c2.as_cochain().vector) - (c1.as_cochain().vector)
     if diff != expected:
         raise ValueError("payload difference is not the coboundary of the supplied map")
     field, d, m = sys.field, sys.dim, mod.dim
@@ -323,7 +325,6 @@ def iso_from_cohomologous(sys, mod, c1, c2, gamma, cap=None):
         hstack([-gamma.mat, Matrix.identity(field, m)]),
     ])
     iso = ExtensionIso(zeta)
-    ext1 = _checked(sys, mod, c1)
     ext2 = _checked(sys, mod, c2)
     check_iso(ext1, ext2, iso).require("shear failed the isomorphism checks", AssertionError)
     return iso

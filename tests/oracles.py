@@ -34,6 +34,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from rbsys import (
     ALG,
+    GF,
     RBS,
     RBSO,
     Algebra,
@@ -651,6 +652,20 @@ def modulo_prime_pair_by_tensors(sys, mod):
     mats = [sys.alg.mult_matrix(), sys.R, sys.S, acts.left_matrix(), acts.right_matrix(), mod.RM, mod.SM]
     reduced = modulo_prime(mats)
     return _pair_by_tensors(reduced[0].field, *reduced)
+
+
+def reduced_pair_by_tensors(sys, mod, p):
+    """The pair over Q reduced modulo p, entry by entry (n / L to n L^-1 mod
+    p), through the tensors; p must divide no denominator."""
+    acts = mod.actions
+    mats = [sys.alg.mult_matrix(), sys.R, sys.S, acts.left_matrix(), acts.right_matrix(), mod.RM, mod.SM]
+    field = GF(p)
+
+    def reduced(m):
+        assert all(x.denominator % p for row in m.entries() for x in row), f"{p} divides a denominator"
+        return Matrix.from_rows(field, [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.entries()])
+
+    return _pair_by_tensors(field, *map(reduced, mats))
 
 
 def twisted_star_by_tensors(sys, lam):

@@ -7,6 +7,7 @@ from rbsys import regular_bimodule, zero_cocycle
 from rbsys.cli import main
 
 from instances import f2_zero_instance, line_system, perturbed_phi, triangular_system
+from spies import count_calls
 
 
 @pytest.fixture
@@ -557,32 +558,42 @@ def test_cohomology_cap_message_names_the_total_space(tmp_path, capsys):
             assert code == 0 and out.startswith("complex: rbs\n")
 
 
-def test_extend_build_builds_each_block_once(tmp_path, monkeypatch):
-    # the cocycle test inside build reads rbs_2 = [[delta_2, 0], [-phi_2,
-    # -partial_1]]: two Hochschild slices, one phi and the doubled module once
-    from collections import Counter
+_BLOCK_BUILDERS = ("hochschild_slice", "phi", "_d_module_unchecked")
 
+
+def test_extend_build_builds_each_block_once(tmp_path, monkeypatch):
+    # the payload's cocycle test is the end-to-end check of its extension,
+    # which reads no block of rbs_2: no Hochschild slice, phi or doubled
+    # module is built
     from rbsys import cohomology
 
-    calls = Counter()
-
-    def counted(name):
-        original = getattr(cohomology, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cohomology, name, wrapper)
-
-    for name in ("hochschild_slice", "phi", "_d_module_unchecked"):
-        counted(name)
+    calls = count_calls(monkeypatch, cohomology, _BLOCK_BUILDERS)
     sys = triangular_system(GF5(), 1, 2)  # d = 3
     spath, cpath = str(tmp_path / "sys.json"), str(tmp_path / "c.json")
     docs.dump(docs.serialize_system(sys), spath)
     docs.dump(docs.serialize_cocycle(zero_cocycle(sys, regular_bimodule(sys))), cpath)
     assert main(["extend", "build", spath, cpath, "-o", str(tmp_path / "ext.json")]) == 0
-    assert calls == {"hochschild_slice": 2, "phi": 1, "_d_module_unchecked": 1}
+    assert [calls[name] for name in _BLOCK_BUILDERS] == [0, 0, 0]
+
+
+def test_deform_infinitesimal_builds_no_block(tmp_path, monkeypatch, capsys):
+    # the infinitesimal of a deformation verified through order 1 is a
+    # cocycle, read off the verification: no block of rbs_2 is built
+    import random
+
+    from rbsys import apply_gauge, cohomology, constant_deformation
+
+    from instances import random_gauge
+
+    calls = count_calls(monkeypatch, cohomology, _BLOCK_BUILDERS)
+    sys = triangular_system(GF5(), 1, 2)  # d = 3
+    spath, dpath = str(tmp_path / "sys.json"), str(tmp_path / "defn.json")
+    docs.dump(docs.serialize_system(sys), spath)
+    defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, random.Random(1)))
+    docs.dump(docs.serialize_deformation(defn, sys), dpath)
+    assert main(["deform", "infinitesimal", spath, dpath]) == 0
+    assert capsys.readouterr().out.endswith("infinitesimal packaged; cocycle: True\n")
+    assert [calls[name] for name in _BLOCK_BUILDERS] == [0, 0, 0]
 
 
 def _set(doc, path, value):
@@ -683,8 +694,8 @@ def test_cap_applies_to_deform_and_extend(argv, tmp_path, capsys):
 
 def test_rigidify_cap_guards_only_the_target_of_rbs_1(tmp_path, capsys):
     # on the d = 3 pair above, rigidify reads [delta_1; -phi_1] alone, whose
-    # target C^2_rbs has dimension 45; infinitesimal tests its cocycle with
-    # rbs_2, whose target C^3_rbs has dimension 135
+    # target C^2_rbs has dimension 45; infinitesimal guards C^2_rbs too, the
+    # space of its cochain, and reads no differential
     import random
 
     from rbsys import apply_gauge, constant_deformation
@@ -700,8 +711,24 @@ def test_rigidify_cap_guards_only_the_target_of_rbs_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["deform", "rigidify", paths["sys"], paths["defn"], "--cap", "5"]) == 2
     assert capsys.readouterr().out == "error: cochain space of dimension 45 exceeds cap 5\n"
-    assert main(["deform", "infinitesimal", paths["sys"], paths["defn"], "--cap", "100"]) == 2
-    assert capsys.readouterr().out == "error: cochain space of dimension 135 exceeds cap 100\n"
+    assert main(["deform", "infinitesimal", paths["sys"], paths["defn"], "--cap", "100"]) == 0
+    capsys.readouterr()
+    assert main(["deform", "infinitesimal", paths["sys"], paths["defn"], "--cap", "44"]) == 2
+    assert capsys.readouterr().out == "error: cochain space of dimension 45 exceeds cap 44\n"
+
+
+def test_extend_build_cap_guards_the_payload_space(tmp_path, capsys):
+    # build checks its payload through the extension, reading no
+    # differential: --cap guards C^2_rbs, of dimension 45 at d = 3
+    sys = triangular_system(GF5(), 1, 2)
+    spath, cpath = str(tmp_path / "sys.json"), str(tmp_path / "c.json")
+    docs.dump(docs.serialize_system(sys), spath)
+    docs.dump(docs.serialize_cocycle(zero_cocycle(sys, regular_bimodule(sys))), cpath)
+    argv = ["extend", "build", spath, cpath, "-o", str(tmp_path / "ext.json"), "--cap"]
+    assert main(argv + ["45"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["44"]) == 2
+    assert capsys.readouterr().out == "error: cochain space of dimension 45 exceeds cap 44\n"
 
 
 @pytest.mark.parametrize("module", ["rbsys", "rbsys.cli"])

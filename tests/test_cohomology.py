@@ -63,8 +63,10 @@ from oracles import (
     naive_delta_apply,
     naive_partial_apply,
     naive_phi_apply,
+    reduced_pair_by_tensors,
     slice_of,
 )
+from spies import count_calls
 
 
 def test_delta_zero_structure():
@@ -890,19 +892,7 @@ def test_les_check_builds_each_block_once(monkeypatch):
 
     from rbsys import cohomology
 
-    calls = Counter()
-
-    def counted(name):
-        original = getattr(cohomology, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cohomology, name, wrapper)
-
-    for name in ("hochschild_slice", "phi", "_d_module_unchecked"):
-        counted(name)
+    calls = count_calls(monkeypatch, cohomology, ("hochschild_slice", "phi", "_d_module_unchecked"))
     sys = triangular_system(GF(5), 1, 2)
     assert les_check(sys, regular_bimodule(sys), 3).ok
     assert calls == {"hochschild_slice": 7, "phi": 4, "_d_module_unchecked": 1}
@@ -951,6 +941,30 @@ def test_cohomology_is_additive_in_the_bimodule(field):
         if field.is_prime_field:
             n1, n2, n = (len(h2_extension_census(sys, mod)) - 1 for mod in mods)
             assert n == n1 + n2
+
+
+def test_rational_ladder_rungs_against_reduction_and_the_certified_ranks():
+    # every Q rung of rank_ladder document set 0 (the scrambles of
+    # run_rng(0, 0, name)): betti's ranks, found through one prime, are the
+    # certified ranks of the multimodular elimination (Complexes.rank); and
+    # the pair reduced mod p has ranks at most those over Q, so h_p >= h_Q
+    # in every degree, for p = 40009 and 2^28 - 57
+    import golden  # noqa: F401  (puts bench/ on the path)
+    from rbsbench import families, workloads
+    from rbsys.linalg import _prime
+
+    rungs = [spec for spec in workloads.rank_ladder_slots() if spec["field"] == "Q"]
+    assert len(rungs) == 7
+    for spec in rungs:
+        sys, mod = families.scrambled_pair(QQ, spec, families.run_rng(0, 0, spec["name"]))
+        top, cx = spec["degree"], Complexes(sys, mod)
+        reductions = [reduced_pair_by_tensors(sys, mod, p) for p in (40009, _prime(0))]
+        for tag in (ALG, RBSO, RBS):
+            report = betti(tag, sys, mod, top)
+            assert [row["rank"] for row in report.rows] == [cx.rank(tag, n) for n in range(top + 1)]
+            for base, reduced in reductions:
+                h_p = betti(tag, base, reduced, top).h
+                assert all(a >= b for a, b in zip(h_p, report.h)), (spec["name"], tag, h_p, report.h)
 
 
 def _weight_lam_systems(field, lam, rng):

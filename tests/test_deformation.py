@@ -47,6 +47,7 @@ from oracles import (
     series_residuals,
     slice_of,
 )
+from spies import count_calls
 
 
 def _random_order1_kernel_deformation(sys, rng):
@@ -124,8 +125,8 @@ def test_coefficients_of_a_family_share_one_shape():
 
 def test_infinitesimal_examples():
     sys = triangular_system(QQ, 1, 1)
-    cochain, ok = infinitesimal(sys, constant_deformation(sys, 2))
-    assert ok and cochain.vector.is_zero()
+    cochain = infinitesimal(sys, constant_deformation(sys, 2))
+    assert Complexes(sys, regular_bimodule(sys)).is_cocycle(cochain) and cochain.vector.is_zero()
 
     rng = random.Random(2)
     field = GF(5)
@@ -137,8 +138,7 @@ def test_infinitesimal_examples():
         [zsys.R, random_matrix(field, 2, 2, rng)],
         [zsys.S, random_matrix(field, 2, 2, rng)],
     )
-    cochain, ok = infinitesimal(zsys, defn)
-    assert ok
+    assert Complexes(zsys, regular_bimodule(zsys)).is_cocycle(infinitesimal(zsys, defn))
 
 
 def test_infinitesimal_random_kernel_samples():
@@ -149,8 +149,7 @@ def test_infinitesimal_random_kernel_samples():
         if defn is None:
             continue
         assert verify_deformation(sys, defn).ok_through(1)
-        _, ok = infinitesimal(sys, defn)
-        assert ok
+        assert Complexes(sys, regular_bimodule(sys)).is_cocycle(infinitesimal(sys, defn))
         count += 1
     assert count >= 5
 
@@ -207,9 +206,8 @@ def test_gauged_deformation_verifies_and_infinitesimals_cohomologous():
         g = random_gauge(sys, 1, rng)
         gauged = apply_gauge(defn, g)
         assert verify_deformation(sys, gauged).ok_through(1)
-        c1, ok1 = infinitesimal(sys, defn)
-        c2, ok2 = infinitesimal(sys, gauged)
-        assert ok1 and ok2
+        c1, c2 = infinitesimal(sys, defn), infinitesimal(sys, gauged)
+        assert cx.is_cocycle(c1) and cx.is_cocycle(c2)
         diff = c1 - c2
         pre = cx.coboundary_preimage(diff)
         assert pre is not None
@@ -340,8 +338,8 @@ def test_operator_infinitesimal_random():
         s1 = Matrix(sys.field, vec.take_rows(d * d, 2 * d * d).a.reshape(d, d).copy())
         od = operator_deformation(sys, [sys.R, r1], [sys.S, s1])
         assert verify_deformation(sys, od).ok_through(1)
-        cochain, ok = infinitesimal(sys, od)
-        assert ok
+        cochain = infinitesimal(sys, od)
+        assert Complexes(sys, mod).is_cocycle(cochain)
         assert cochain.vector == vstack([Matrix.zeros(sys.field, d**3, 1), vec])
         assert Complexes(sys, mod).is_cocycle(Cochain(RBSO, 1, vec))
         checked += 1
@@ -366,9 +364,30 @@ def test_order0_residuals_match_axioms():
     assert report.first_failure() == 0
 
 
+def _stuck_after_one_step(sys):
+    """An order-2 deformation whose order-1 coefficient a gauge step kills
+    and whose order-2 coefficient is then a nonzero class: an H^2 class of
+    the census at order 2, carried along a gauge Id + Psi_1 t."""
+    from rbsys import h2_extension_census
+
+    field, d = sys.field, sys.dim
+    c = h2_extension_census(sys, regular_bimodule(sys))[1][0]
+    zmu, zop = Matrix.zeros(field, d, d * d), Matrix.zeros(field, d, d)
+    defn = DeformationData(
+        2,
+        [sys.alg.mult_matrix(), zmu, c.psi.mat],
+        [sys.R, zop, c.chi_r.mat],
+        [sys.S, zop, c.chi_s.mat],
+    )
+    psi = random_matrix(field, d, d, random.Random(4))
+    return apply_gauge(defn, GaugeSeries(2, [Matrix.identity(field, d), psi, zop]))
+
+
 def test_rigidify_checks_each_object_once(monkeypatch):
-    # one system check per distinct system object, one verification per
-    # deformation object, over a three-step rigidification
+    # one system check per distinct system object; the input and the
+    # deformation returned are verified once each, and none in between (a
+    # gauge keeps a deformation valid): over a three-step rigidification,
+    # and over one stuck after a step
     from collections import Counter
 
     from rbsys import bimodules, deformation, systems
@@ -393,35 +412,53 @@ def test_rigidify_checks_each_object_once(monkeypatch):
     report = rigidify(sys, defn)
     assert report.success
     assert set(system_checks.values()) == {1}
-    assert len(verified) == 3 and set(verified.values()) == {1}
+    assert verified == Counter({id(defn): 1, id(report.result): 1})
+
+    stuck = _stuck_after_one_step(sys)
+    verified.clear()
+    report = rigidify(sys, stuck)
+    assert not report.success and report.stuck_order == 2 and report.result is not stuck
+    assert verified == Counter({id(stuck): 1, id(report.result): 1})
+
+
+def test_rigidify_verifies_the_deformation_it_returns(monkeypatch):
+    # a gauge step that breaks the deformation is a bug, caught in the
+    # result: on success and when stuck
+    from rbsys import deformation
+
+    step = deformation._gauge_step
+
+    def breaking_step(cx, defn, n):
+        out = step(cx, defn, n)
+        if out is None:
+            return None
+        gauge, transformed = out
+        # one more unit in the last entry of the top-order mu
+        mu, R, S = transformed.series
+        bump = Matrix.from_rows(mu.field, [[0] * (mu.cols - 1) + [int(i == 0)] for i in range(mu.rows)])
+        return gauge, DeformationData.from_series(transformed.order, mu + bump, R, S)
+
+    monkeypatch.setattr(deformation, "_gauge_step", breaking_step)
+    sys = triangular_system(GF(5), 1, 2)
+    defn = apply_gauge(constant_deformation(sys, 2), random_gauge(sys, 2, random.Random(3)))
+    for case in (defn, _stuck_after_one_step(sys)):
+        with pytest.raises(AssertionError, match="fails its equations"):
+            rigidify(sys, case)
 
 
 def test_rigidify_builds_only_the_first_block_column(monkeypatch):
     # a gauge step reads [delta_1; -phi_1] alone: the leading coefficient of
     # a verified deformation is a cocycle, so no block of rbs_2, no D(M)
     # and no application of a differential
-    from collections import Counter
-
     from rbsys import cohomology
 
-    calls = Counter()
-
-    def counted(owner, name):
-        inner = getattr(owner, name)
-
-        def spy(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, spy)
-
-    for name in ("hochschild_slice", "phi", "_d_module_unchecked"):
-        counted(cohomology, name)
-    counted(Complexes, "apply")
+    names = ("hochschild_slice", "phi", "_d_module_unchecked")
+    calls = count_calls(monkeypatch, cohomology, names)
+    count_calls(monkeypatch, Complexes, ["apply"], calls)
     sys = triangular_system(GF(5), 1, 2)
     defn = apply_gauge(constant_deformation(sys, 3), random_gauge(sys, 3, random.Random(3)))
     assert rigidify(sys, defn).success
-    assert [calls[name] for name in ("hochschild_slice", "phi", "_d_module_unchecked", "apply")] == [1, 1, 0, 0]
+    assert [calls[name] for name in names + ("apply",)] == [1, 1, 0, 0]
 
 
 def test_every_gauge_step_target_is_a_cocycle(monkeypatch):

@@ -397,6 +397,22 @@ def test_iso_from_cohomologous_refuses_a_non_cocycle():
         iso_from_cohomologous(sys, mod, c1, c2, gamma)
 
 
+def test_iso_from_cohomologous_checks_the_bimodule_first():
+    # c1's cocycle test is its extension's check, which holds exactly on a
+    # cocycle over a bimodule: over a module that fails the axioms even the
+    # zero payload fails it, so the bimodule is checked first and named
+    from rbsys import RBSBimodule
+    from rbsys.extensions import NotACocycle
+
+    sys = triangular_system(GF(5), 1, 2)
+    mod = regular_bimodule(sys)
+    bad = RBSBimodule(sys, mod.actions, Matrix.identity(sys.field, 3), mod.SM)
+    zero, gamma = zero_cocycle(sys, bad), MultiMap.zero(sys.alg, 1, 3)
+    with pytest.raises(ValueError, match="not a Rota-Baxter system bimodule") as raised:
+        iso_from_cohomologous(sys, bad, zero, zero, gamma)
+    assert not isinstance(raised.value, NotACocycle)
+
+
 def test_same_class_check_guards():
     sys, mod = f2_zero_instance()
     ext = build_extension(sys, mod, zero_cocycle(sys, mod))
@@ -473,7 +489,9 @@ def test_extract_cocycle_solves_once_per_map(monkeypatch):
     assert len(calls) <= 7
 
 
-def test_build_tests_the_cocycle_before_the_bimodule_axioms():
+def test_build_checks_the_bimodule_axioms_before_the_cocycle():
+    # the bimodule first, as the command line does; then the payload, whose
+    # cocycle test is the end-to-end check of its extension
     from rbsys import RBSBimodule
     from rbsys.extensions import NotACocycle
 
@@ -482,10 +500,11 @@ def test_build_tests_the_cocycle_before_the_bimodule_axioms():
     mod = regular_bimodule(sys)
     bad = RBSBimodule(sys, mod.actions, Matrix.identity(sys.field, 3), mod.SM)
     assert not check_rbs_bimodule(bad)
-    with pytest.raises(NotACocycle, match="not a 2-cocycle"):
+    with pytest.raises(ValueError, match="not a Rota-Baxter system bimodule") as raised:
         build_extension(sys, bad, _random_non_cocycle(sys, bad, rng))
-    with pytest.raises(ValueError, match="not a Rota-Baxter system bimodule"):
-        build_extension(sys, bad, zero_cocycle(sys, bad))
+    assert not isinstance(raised.value, NotACocycle)
+    with pytest.raises(NotACocycle, match="not a 2-cocycle"):
+        build_extension(sys, mod, _random_non_cocycle(sys, mod, rng))
 
 
 def test_census_builds_each_slice_once(monkeypatch):

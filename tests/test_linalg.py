@@ -619,6 +619,27 @@ def test_unlucky_prime_that_shifts_a_pivot(monkeypatch):
     _assert_matches_oracle(m, Matrix.column(QQ, [1, 0]))
 
 
+def test_a_prime_with_later_pivots_is_skipped(monkeypatch):
+    # 130 entries, past _FRACTION_FREE_SIZE: the multimodular route.  The
+    # second prime q divides b[1, 1], so mod q column 2 takes the pivot of
+    # column 1: pivots (0, 2), of full rank but lexicographically after the
+    # (0, 1) of the first prime, so that prime is neither kept nor combined
+    from rbsys import linalg
+
+    q = _prime(1)
+    b = np.zeros((2, 65), dtype=np.int64)
+    b[0, 0], b[0, 2], b[1, 1], b[1, 2] = 1, 3, q, 5
+    seen = _primes_tried(monkeypatch, multimodular=False)
+    block, den, pivots = linalg._rref_rational(b)
+    assert seen == [(_prime(0), (0, 1)), (q, (0, 2)), (_prime(2), (0, 1)), (_prime(3), (0, 1))]
+    assert pivots == [0, 1] and den == q
+    exact, exact_den, exact_pivots = linalg._fraction_free(b)
+    assert np.array_equal(block, exact) and (den, pivots) == (exact_den, exact_pivots)
+    rref, sympy_pivots = sympy_rref(Matrix.from_rows(QQ, b.tolist()))
+    assert sympy_pivots == (0, 1)
+    assert [[Fraction(int(x), den) for x in row] for row in block] == [row[2:] for row in rref]
+
+
 def test_a_wrong_mod_p_kernel_fails_within_the_prime_budget(monkeypatch):
     # a kernel whose RREF is off by one in an entry never certifies; the
     # multimodular RREF gives up, as a kernel bug, after the primes that a
