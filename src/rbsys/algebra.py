@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import QQ, Matrix, kron_all, regroup_columns
+from .linalg import QQ, Matrix, Side, kron_all, regroup_columns
 
 
 class Verdict:
@@ -91,11 +91,13 @@ def first_mismatch(tag, lhs, rhs, dims):
 
 
 def first_failure(checks):
-    """The first failing first_mismatch over (tag, lhs, rhs, dims) checks."""
-    for check in checks:
-        verdict = first_mismatch(*check)
-        if not verdict:
-            return verdict
+    """The verdict of the identities (tag, lhs, rhs, dims), whose sides are
+    linalg.Side: each pair of sides is compared once, exactly, and only the
+    first that differ are built as matrices, for first_mismatch to name
+    their witness."""
+    for tag, lhs, rhs, dims in checks:
+        if not lhs.matches(rhs):
+            return first_mismatch(tag, lhs.matrix(), rhs.matrix(), dims)
     return Verdict(True)
 
 
@@ -192,12 +194,9 @@ def zero_algebra(field, dim):
 def check_associative(alg):
     """Verify (e_i e_j) e_k = e_i (e_j e_k) on every basis triple."""
     if alg._assoc is None:
-        mu = alg.mult_matrix()
-        d = alg.dim
-        idd = Matrix.identity(alg.field, d)
-        alg._assoc = first_mismatch(
-            "associativity", mu @ mu.kron(idd), mu @ idd.kron(mu), (d, d, d)
-        )
+        # mu (mu (x) Id) and mu (Id (x) mu) on tuple columns (i, j, k)
+        mu, d = Side.of(alg.mult_matrix()), alg.dim
+        alg._assoc = first_failure([("associativity", mu.times(mu, 1, d), mu.times(mu, d, 1), (d, d, d))])
     return alg._assoc
 
 
@@ -302,19 +301,17 @@ def check_bimodule(alg, actions):
     """Associativity of the actions: (ab)m = a(bm), m(ab) = (ma)b, (am)b = a(mb)."""
     if actions.adim != alg.dim:
         raise ValueError("actions are over an algebra of different dimension")
-    field = alg.field
     d, m = alg.dim, actions.dim
-    mu = alg.mult_matrix()
-    lam = actions.left_matrix()
-    rho = actions.right_matrix()
-    idd = Matrix.identity(field, d)
-    idm = Matrix.identity(field, m)
-    checks = [
-        ("left_action", lam @ mu.kron(idm), lam @ idd.kron(lam), (d, d, m)),
-        ("right_action", rho @ idm.kron(mu), rho @ rho.kron(idd), (m, d, d)),
-        ("middle_action", rho @ lam.kron(idd), lam @ idd.kron(rho), (d, m, d)),
-    ]
-    return first_failure(checks)
+    mu = Side.of(alg.mult_matrix())
+    lam, rho = Side.of(actions.left_matrix()), Side.of(actions.right_matrix())
+    # lam (mu (x) Id_M) = lam (Id_A (x) lam), rho (Id_M (x) mu) = rho (rho
+    # (x) Id_A) and rho (lam (x) Id_A) = lam (Id_A (x) rho); times(x, p, q)
+    # multiplies by I_p (x) x (x) I_q
+    return first_failure([
+        ("left_action", lam.times(mu, 1, m), lam.times(lam, d, 1), (d, d, m)),
+        ("right_action", rho.times(mu, m, 1), rho.times(rho, 1, d), (m, d, d)),
+        ("middle_action", rho.times(lam, 1, d), lam.times(rho, d, 1), (d, m, d)),
+    ])
 
 
 class MultiMap:

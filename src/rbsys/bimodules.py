@@ -23,7 +23,7 @@ from .algebra import (
     first_failure,
     regular_actions,
 )
-from .linalg import Matrix, assemble, block_diag, hstack, vstack
+from .linalg import Matrix, Side, assemble, block_diag, hstack, vstack
 from .systems import (
     RotaBaxterSystem,
     _star_algebra_unchecked,
@@ -97,20 +97,21 @@ def _rbs_bimodule_verdict(mod):
     base_axioms = check_bimodule(sys.alg, mod.actions)
     if not base_axioms:
         return base_axioms
-    field, d, m = mod.field, sys.dim, mod.dim
-    lam = mod.actions.left_matrix()
-    rho = mod.actions.right_matrix()
-    idd = Matrix.identity(field, d)
-    idm = Matrix.identity(field, m)
-    R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
-    # inner maps (a, m) -> R(a)m + a S_M(m) and (m, a) -> R_M(m)a + m S(a)
-    inner_am = lam @ R.kron(idm) + lam @ idd.kron(SM)
-    inner_ma = rho @ RM.kron(idd) + rho @ idm.kron(S)
+    d, m = sys.dim, mod.dim
+    lam, rho = Side.of(mod.actions.left_matrix()), Side.of(mod.actions.right_matrix())
+    R, S, RM, SM = (Side.of(x) for x in (sys.R, sys.S, mod.RM, mod.SM))
+    # a product by op (x) op_M is one by op (x) Id_M, then one by Id_A (x)
+    # op_M; lam (R (x) Id_M) and rho (R_M (x) Id_A) serve an inner map and
+    # a left side each.  The inner maps are (a, m) -> R(a)m + a S_M(m) and
+    # (m, a) -> R_M(m)a + m S(a)
+    lam_r, rho_rm = lam.times(R, 1, m), rho.times(RM, 1, d)
+    inner_am = lam_r + lam.times(SM, d, 1)
+    inner_ma = rho_rm + rho.times(S, m, 1)
     return first_failure([
-        ("eq1", lam @ R.kron(RM), RM @ inner_am, (d, m)),
-        ("eq2", rho @ RM.kron(R), RM @ inner_ma, (m, d)),
-        ("eq3", lam @ S.kron(SM), SM @ inner_am, (d, m)),
-        ("eq4", rho @ SM.kron(S), SM @ inner_ma, (m, d)),
+        ("eq1", lam_r.times(RM, d, 1), RM.times(inner_am), (d, m)),
+        ("eq2", rho_rm.times(R, m, 1), RM.times(inner_ma), (m, d)),
+        ("eq3", lam.times(S, 1, m).times(SM, d, 1), SM.times(inner_am), (d, m)),
+        ("eq4", rho.times(SM, 1, d).times(S, m, 1), SM.times(inner_ma), (m, d)),
     ])
 
 

@@ -439,12 +439,46 @@ def _build_parser():
     return parser
 
 
+def _leaves(parser, path=()):
+    """{words: (leaf, path)} for every leaf below parser: words are the
+    command words that name the leaf, and path pairs each with the dest
+    that its group's subparsers set."""
+    table = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                step = path + ((action.dest, word),)
+                table.update(_leaves(sub, step) or {tuple(w for _, w in step): (sub, step)})
+    return table
+
+
 # built once, at import: main only parses
 _PARSER = _build_parser()
+_LEAVES = _leaves(_PARSER)
+
+
+def _parse(argv):
+    """The namespace of argv, as the full parser gives it.  When the leading
+    words of argv name a leaf, that leaf alone parses the rest, and the
+    words are set as the groups' subparsers set them; the leaf reports its
+    own usage errors, as it does below the full parser.  An argv whose
+    leading words name no leaf, or with words that its leaf does not take,
+    goes to the full parser, which reports the error."""
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    for n in (1, 2):
+        if tuple(argv[:n]) in _LEAVES:
+            leaf, path = _LEAVES[tuple(argv[:n])]
+            args, rest = leaf.parse_known_args(argv[n:])
+            if not rest:
+                for dest, word in path:
+                    setattr(args, dest, word)
+                return args
+            break
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     rep = _Reporter(args.json)
     try:
         # RBS_DIM_CAP is read here, once, for every leaf

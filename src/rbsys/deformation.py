@@ -158,14 +158,16 @@ def constant_deformation(sys, order):
 class DeformationReport:
     """The residual series (assoc, resR, resS) of a deformation through
     order count - 1; the deformation is valid when every residual is zero.
-    Verdicts read the series by order ranges; ``residuals`` splits them
-    into per-order matrices only when it is read."""
+    The orders with a nonzero residual are read off the series once, and
+    every verdict reads them; ``residuals`` splits the series into per-order
+    matrices only when it is read."""
 
-    __slots__ = ("series", "count")
+    __slots__ = ("series", "count", "_failing")
 
     def __init__(self, series, count):
         self.series = series
         self.count = count
+        self._failing = sorted({c // (x.cols // count) for x in series for c in x.nonzero_cols()})
 
     @property
     def residuals(self):
@@ -174,17 +176,17 @@ class DeformationReport:
         return _by_order(self.series, self.count)
 
     def failing_orders(self):
-        return [n for n in range(self.count) if not _vanish(self.series, self.count, n, n + 1)]
+        return list(self._failing)
 
     @property
     def ok(self):
-        return _vanish(self.series, self.count, 0, self.count)
+        return not self._failing
 
     def ok_through(self, order):
-        return _vanish(self.series, self.count, 0, min(order + 1, self.count))
+        return not self._failing or self._failing[0] > order
 
     def first_failure(self):
-        return next(iter(self.failing_orders()), None)
+        return self._failing[0] if self._failing else None
 
     def __repr__(self):
         return f"DeformationReport(ok={self.ok})"

@@ -205,9 +205,13 @@ def document_hash(doc):
 
 
 def load(path):
+    """The JSON document in the file path, read as bytes and decoded as
+    UTF-8 in one call: cheaper than a text-mode read, with the same errors
+    (no byte order mark or other encoding is detected)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         # bad JSON or UTF-8, an integer past the digit limit, deep nesting
         raise DocumentError(f"{path}: {exc}") from exc

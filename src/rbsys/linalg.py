@@ -686,6 +686,76 @@ class Matrix:
         return self.solve(Matrix.identity(self.field, self.rows))
 
 
+class Side:
+    """One side of an identity between matrix expressions, formed on the
+    stored integers of the matrices it comes from (``of``): over Q num / den
+    in no canonical form, with a bound on max |num|; over GF(p) the
+    residues.  A product (``times``) is one ``_dot``, through reshapes
+    rather than a Kronecker product, and a sum is an array sum; no Matrix
+    is built.  The axiom checks form both sides of each identity this
+    way and compare them once (``matches``); ``matrix`` builds the canonical
+    Matrix that names a failing identity's witness."""
+
+    __slots__ = ("field", "num", "den", "bound")
+
+    def __init__(self, field, num, den=1, bound=None):
+        self.field, self.num, self.den, self.bound = field, num, den, bound
+
+    @classmethod
+    def of(cls, m):
+        """The side of the matrix m alone."""
+        return cls(m.field, m.num, m.den, m._mag)
+
+    def times(self, x, p=1, q=1):
+        """self @ (I_p (x) x (x) I_q), formed without the Kronecker product:
+        the columns (i, s, k) of self, s below rows(x), are regrouped so that
+        s is the inner index of one product by x."""
+        r, cols = self.num.shape
+        a, b = x.num.shape
+        if cols != p * a * q:
+            raise ValueError(f"cannot multiply {self.num.shape} by I_{p} (x) {a}x{b} (x) I_{q}")
+        y = self.num.reshape(r * p, a, q).transpose(0, 2, 1).reshape(r * p * q, a)
+        if self.field.p is not None:
+            num, den, bound = _dot_mod(y, x.num, self.field.p), 1, None
+        else:
+            bound = max(self.bound, 1) * max(x.bound, 1) * max(a, 1)
+            num, den = _dot(y, x.num, bound), self.den * x.den
+        num = num.reshape(r * p, q, b).transpose(0, 2, 1).reshape(r, p * b * q)
+        return Side(self.field, num, den, bound)
+
+    def _scaled(self, other):
+        """The numerator arrays of self and other over one denominator, in a
+        dtype that holds each and their sum, and that denominator and bound."""
+        x, y, den = self.num, other.num, self.den
+        u = v = 1
+        if other.den != den:
+            den = math.lcm(self.den, other.den)
+            u, v = den // self.den, den // other.den
+        bound = max(self.bound, 1) * u + max(other.bound, 1) * v
+        dtype = _dtype_for(bound)
+        return x.astype(dtype, copy=False) * u, y.astype(dtype, copy=False) * v, den, bound
+
+    def __add__(self, other):
+        if self.field.p is not None:
+            return Side(self.field, _mod(self.num + other.num, self.field.p))
+        x, y, den, bound = self._scaled(other)
+        return Side(self.field, x + y, den, bound)
+
+    def matches(self, other):
+        """Whether both sides are the same matrix: over Q compared at a
+        common denominator."""
+        if self.field.p is not None or self.den == other.den:
+            return bool(np.array_equal(self.num, other.num))
+        x, y, _den, _bound = self._scaled(other)
+        return bool(np.array_equal(x, y))
+
+    def matrix(self):
+        """The canonical Matrix of this side."""
+        if self.field.p is not None:
+            return _new(self.field, self.num)
+        return _of(self.field, self.num, self.den, self.bound)
+
+
 def _eliminate(m):
     """_rref_array of the matrix m; a zero matrix is not eliminated."""
     if m.is_zero():

@@ -19,7 +19,7 @@ from .algebra import (
     first_failure,
     first_mismatch,
 )
-from .linalg import Matrix
+from .linalg import Matrix, Side
 
 
 class RotaBaxterSystem:
@@ -74,9 +74,11 @@ def check_rbs(sys):
     """
     check_associative(sys.alg).require("underlying algebra is not associative")
     if sys._verdict is None:
-        d, mu, inner = sys.dim, sys.alg.mult_matrix(), _star_product(sys)
+        d, mu, inner = sys.dim, Side.of(sys.alg.mult_matrix()), Side.of(_star_product(sys))
+        # mu (op (x) op) = mu (op (x) Id) (Id (x) op) against op inner
         verdict = first_failure(
-            (tag, mu @ op.kron(op), op @ inner, (d, d)) for tag, op in (("eqR", sys.R), ("eqS", sys.S))
+            (tag, mu.times(op, 1, d).times(op, d, 1), op.times(inner), (d, d))
+            for tag, op in (("eqR", Side.of(sys.R)), ("eqS", Side.of(sys.S)))
         )
         object.__setattr__(sys, "_verdict", verdict)
     return sys._verdict
@@ -173,8 +175,9 @@ def _star_product(sys):
     """mu (R (x) Id + Id (x) S), the matrix of (a, b) -> R(a)b + aS(b), kept
     on the system once computed."""
     if sys._star is None:
-        mu, idd = sys.alg.mult_matrix(), Matrix.identity(sys.field, sys.dim)
-        object.__setattr__(sys, "_star", mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S))
+        mu, d = Side.of(sys.alg.mult_matrix()), sys.dim
+        star = mu.times(Side.of(sys.R), 1, d) + mu.times(Side.of(sys.S), d, 1)
+        object.__setattr__(sys, "_star", star.matrix())
     return sys._star
 
 

@@ -17,7 +17,9 @@ kernel of an extension as an ideal one product per pair of basis columns.
 The structures that the library builds as integer matrices (D(M), star
 algebras, square-zero extensions, base changes, induced and reduced pairs)
 are built again as tensors of Python scalars, block by block.  Rational
-reconstruction runs as a list loop on Python ints, one list at a time.
+reconstruction runs as a list loop on Python ints, one list at a time.  The
+axiom checks are stated as products of matrices, each Kronecker factor
+formed whole, where the library multiplies stored arrays through reshapes.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ from rbsys import (
     RBSBimodule,
     RotaBaxterSystem,
     Verdict,
+    extract_cocycle,
     hstack,
+    induced_bimodule,
     vstack,
 )
+from rbsys.algebra import first_mismatch
 from rbsys.cohomology import LesReport, LesSlot, _first_outside
 from rbsys.linalg import _WHOLE_UPDATE_SIZE, _dtype_for, _of, modulo_prime, modulo_span
 
@@ -704,3 +709,77 @@ def reconstruct_list(x, m):
         if grown == den or grown > bound:
             return None
         den = grown
+
+
+# -- axiom checks as Matrix products ------------------------------------------
+
+
+def _first_mismatch_of(checks):
+    """The first failing first_mismatch over (tag, lhs, rhs, dims) matrices."""
+    for check in checks:
+        verdict = first_mismatch(*check)
+        if not verdict:
+            return verdict
+    return Verdict(True)
+
+
+def associativity_by_products(alg):
+    """check_associative as the matrix products mu (mu (x) Id) and mu (Id (x)
+    mu), each Kronecker product formed whole."""
+    mu, d = alg.mult_matrix(), alg.dim
+    idd = Matrix.identity(alg.field, d)
+    return first_mismatch("associativity", mu @ mu.kron(idd), mu @ idd.kron(mu), (d, d, d))
+
+
+def operator_equations_by_products(sys):
+    """check_rbs on an associative algebra, as matrix products: mu (op (x)
+    op) against op mu (R (x) Id + Id (x) S) for op = R, S."""
+    d, mu = sys.dim, sys.alg.mult_matrix()
+    idd = Matrix.identity(sys.field, d)
+    inner = mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S)
+    return _first_mismatch_of(
+        [(tag, mu @ op.kron(op), op @ inner, (d, d)) for tag, op in (("eqR", sys.R), ("eqS", sys.S))]
+    )
+
+
+def bimodule_by_products(alg, actions):
+    """check_bimodule as matrix products."""
+    d, m = alg.dim, actions.dim
+    mu, lam, rho = alg.mult_matrix(), actions.left_matrix(), actions.right_matrix()
+    idd, idm = Matrix.identity(alg.field, d), Matrix.identity(alg.field, m)
+    return _first_mismatch_of([
+        ("left_action", lam @ mu.kron(idm), lam @ idd.kron(lam), (d, d, m)),
+        ("right_action", rho @ idm.kron(mu), rho @ rho.kron(idd), (m, d, d)),
+        ("middle_action", rho @ lam.kron(idd), lam @ idd.kron(rho), (d, m, d)),
+    ])
+
+
+def rbs_bimodule_by_products(mod):
+    """The verdict of check_rbs_bimodule over a system, as matrix products:
+    the bimodule axioms, then the four operator equations."""
+    sys = mod.base
+    base_axioms = bimodule_by_products(sys.alg, mod.actions)
+    if not base_axioms:
+        return base_axioms
+    field, d, m = mod.field, sys.dim, mod.dim
+    lam, rho = mod.actions.left_matrix(), mod.actions.right_matrix()
+    idd, idm = Matrix.identity(field, d), Matrix.identity(field, m)
+    R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
+    inner_am = lam @ R.kron(idm) + lam @ idd.kron(SM)
+    inner_ma = rho @ RM.kron(idd) + rho @ idm.kron(S)
+    return _first_mismatch_of([
+        ("eq1", lam @ R.kron(RM), RM @ inner_am, (d, m)),
+        ("eq2", rho @ RM.kron(R), RM @ inner_ma, (m, d)),
+        ("eq3", lam @ S.kron(SM), SM @ inner_am, (d, m)),
+        ("eq4", rho @ SM.kron(S), SM @ inner_ma, (m, d)),
+    ])
+
+
+def checked_payload(ext, section=None):
+    """extract_cocycle of an extension that passed check_extension, with the
+    payload tested as a cocycle of the induced bimodule, which the library
+    takes it to be."""
+    c = extract_cocycle(ext, section)
+    mod = induced_bimodule(ext, section)
+    assert Complexes(mod.base, mod).is_cocycle(c.as_cochain())
+    return c

@@ -20,3 +20,12 @@ def count_calls(monkeypatch, owner, names, calls=None):
     for name in names:
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     return calls
+
+
+def count_products(monkeypatch):
+    """A Counter of the exact products made from now on, by entry point:
+    ``Matrix.__matmul__``, and ``Side.times``, through which the axiom
+    checks multiply stored arrays."""
+    from rbsys.linalg import Matrix, Side
+
+    return count_calls(monkeypatch, Side, ["times"], count_calls(monkeypatch, Matrix, ["__matmul__"]))

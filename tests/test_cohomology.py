@@ -66,7 +66,7 @@ from oracles import (
     reduced_pair_by_tensors,
     slice_of,
 )
-from spies import count_calls
+from spies import count_calls, count_products
 
 
 def test_delta_zero_structure():
@@ -1010,35 +1010,29 @@ def test_dbar_display_slice_matches_naive_evaluation():
 
 
 def test_les_check_matrix_products(monkeypatch):
-    # 16 products assemble and check the inputs, the star product
+    # 18 products assemble and check the inputs, the star product
     # mu (R (x) Id + Id (x) S) among them, made once for the check of the
-    # system and the star algebra.  On a valid pair the slots are read off
-    # the ranks: each M_p takes phi_p K (4), and the check that rbs_p
-    # rbs_(p-1) = 0 multiplies its blocks, delta_p delta_(p-1) (3),
-    # partial_(p-1) partial_(p-2) for p >= 2 (2) and both sides of
-    # partial_(p-1) phi_(p-1) = phi_p delta_(p-1) (6): 31 = 16 + 4 + 11.
-    # With phi_0 perturbed the check fails at p = 1 after its three
-    # products, and the chain-level slots make the products they made
-    # before the check existed, 49 with the inputs: 52.
+    # system and the star algebra; each side of mu (op (x) op) = op mu (R
+    # (x) Id + Id (x) S) takes two, by op (x) Id and then Id (x) op.  On a
+    # valid pair the slots are read off the ranks: each M_p takes phi_p K
+    # (4), and the check that rbs_p rbs_(p-1) = 0 multiplies its blocks,
+    # delta_p delta_(p-1) (3), partial_(p-1) partial_(p-2) for p >= 2 (2)
+    # and both sides of partial_(p-1) phi_(p-1) = phi_p delta_(p-1) (6):
+    # 33 = 18 + 4 + 11.  With phi_0 perturbed the check fails at p = 1
+    # after its three products, and the chain-level slots make the products
+    # they made before the check existed, 51 with the inputs: 54.
     from rbsys import cohomology
 
     def products(phi_rows):
-        calls = []
-        matmul = Matrix.__matmul__
-
-        def counted(self, other):
-            calls.append((self.shape, other.shape))
-            return matmul(self, other)
-
         with monkeypatch.context() as patch:
-            patch.setattr(Matrix, "__matmul__", counted)
+            calls = count_products(patch)
             patch.setattr(cohomology, "phi_rows", phi_rows)
             sys = triangular_system(GF(5), 1, 2)
             report = les_check(sys, regular_bimodule(sys), 3)
-        return report.ok, len(calls)
+        return report.ok, sum(calls.values())
 
-    assert products(phi_rows) == (True, 31)
-    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 52)
+    assert products(phi_rows) == (True, 33)
+    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 54)
 
 
 def _les_eliminations(monkeypatch, phi_rows, stream_size=None):
@@ -1568,23 +1562,19 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
     # every flag compares row blocks of phi_n and sums and differences of
     # the quadrants of partial_(n-1): no products with 0/1 matrices, no
     # elimination, and neither delta_n nor rbs_n is built.  What is left are
-    # the products that build phi_n, partial_(n-1) and the displayed
+    # the 28 products that build phi_n, partial_(n-1) and the displayed
     # differential, and that check the system, whose star product
     # mu (R (x) Id + Id (x) S) the doubled module reads again.
     from rbsys import linalg
 
-    products, eliminations = [], []
-    matmul, rref = Matrix.__matmul__, linalg._rref_array
-
-    def counted_matmul(self, other):
-        products.append((self.shape, other.shape))
-        return matmul(self, other)
+    eliminations = []
+    rref = linalg._rref_array
 
     def counted_rref(a, field):
         eliminations.append(a.shape)
         return rref(a, field)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    products = count_products(monkeypatch)
     monkeypatch.setattr(linalg, "_rref_array", counted_rref)
     field = GF(5)
     alg = triangular_algebra(field)
@@ -1594,7 +1584,7 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
     assert [sorted(row) for row in report.details] == [
         ["chain_map", "image_closed", "injective", "n", "quotient_matches_display"]
     ] * 4
-    assert len(products) == 26
+    assert sum(products.values()) == 28
     assert eliminations == []
 
 

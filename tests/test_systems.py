@@ -33,6 +33,9 @@ from instances import (
     unital_line,
     zero_mult_system,
 )
+from spies import count_calls
+
+from rbsys.linalg import Side
 
 
 def test_check_rbs_examples():
@@ -143,25 +146,18 @@ def test_star_examples():
 
 def test_star_product_is_made_once_per_system(monkeypatch):
     # the check of the operator equations and every star algebra read the
-    # one product mu (R (x) Id + Id (x) S) that the system keeps: R (x) Id
-    # and Id (x) S are formed once, and the star algebra of the doubled
+    # one product mu (R (x) Id + Id (x) S) that the system keeps: its sum of
+    # two products is formed once, and the star algebra of the doubled
     # module holds the same matrix
     for field in (QQ, GF(5)):
         sys = triangular_system(field, 1, 2)
         mu, idd = sys.alg.mult_matrix(), Matrix.identity(field, sys.dim)
         want = mu @ sys.R.kron(idd) + mu @ idd.kron(sys.S)
-        factors = []
-        kron = Matrix.kron
-
-        def counted(self, other, rows=None):
-            factors.append((self is sys.R and other == idd) or (self == idd and other is sys.S))
-            return kron(self, other, rows)
-
         with monkeypatch.context() as patch:
-            patch.setattr(Matrix, "kron", counted)
+            sums = count_calls(patch, Side, ["__add__"])
             stars = [star_algebra(sys), star_algebra(sys)]
             assert check_rbs(sys)
-        assert sum(factors) == 2
+        assert sums["__add__"] == 1
         assert all(star.mult_matrix() == want for star in stars)
         assert d_module(regular_bimodule(sys)).star.mult_matrix() is stars[0].mult_matrix()
 
