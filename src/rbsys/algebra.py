@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import QQ, Matrix, Side, kron_all, regroup_columns
+from .linalg import QQ, Matrix, kron_all, regroup_columns
 
 
 class Verdict:
@@ -91,13 +91,14 @@ def first_mismatch(tag, lhs, rhs, dims):
 
 
 def first_failure(checks):
-    """The verdict of the identities (tag, lhs, rhs, dims), whose sides are
-    linalg.Side: each pair of sides is compared once, exactly, and only the
-    first that differ are built as matrices, for first_mismatch to name
-    their witness."""
-    for tag, lhs, rhs, dims in checks:
-        if not lhs.matches(rhs):
-            return first_mismatch(tag, lhs.matrix(), rhs.matrix(), dims)
+    """The verdict of the identities (tag, lhs, rhs, dims), each a pair of
+    matrices for first_mismatch: the first failing one, or a pass.  checks
+    may be a generator, so that the sides of an identity are formed only
+    once those before it have passed."""
+    for check in checks:
+        verdict = first_mismatch(*check)
+        if not verdict:
+            return verdict
     return Verdict(True)
 
 
@@ -195,7 +196,7 @@ def check_associative(alg):
     """Verify (e_i e_j) e_k = e_i (e_j e_k) on every basis triple."""
     if alg._assoc is None:
         # mu (mu (x) Id) and mu (Id (x) mu) on tuple columns (i, j, k)
-        mu, d = Side.of(alg.mult_matrix()), alg.dim
+        mu, d = alg.mult_matrix(), alg.dim
         alg._assoc = first_failure([("associativity", mu.times(mu, 1, d), mu.times(mu, d, 1), (d, d, d))])
     return alg._assoc
 
@@ -302,11 +303,9 @@ def check_bimodule(alg, actions):
     if actions.adim != alg.dim:
         raise ValueError("actions are over an algebra of different dimension")
     d, m = alg.dim, actions.dim
-    mu = Side.of(alg.mult_matrix())
-    lam, rho = Side.of(actions.left_matrix()), Side.of(actions.right_matrix())
+    mu, lam, rho = alg.mult_matrix(), actions.left_matrix(), actions.right_matrix()
     # lam (mu (x) Id_M) = lam (Id_A (x) lam), rho (Id_M (x) mu) = rho (rho
-    # (x) Id_A) and rho (lam (x) Id_A) = lam (Id_A (x) rho); times(x, p, q)
-    # multiplies by I_p (x) x (x) I_q
+    # (x) Id_A) and rho (lam (x) Id_A) = lam (Id_A (x) rho)
     return first_failure([
         ("left_action", lam.times(mu, 1, m), lam.times(lam, d, 1), (d, d, m)),
         ("right_action", rho.times(mu, m, 1), rho.times(rho, 1, d), (m, d, d)),

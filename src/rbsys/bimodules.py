@@ -23,7 +23,7 @@ from .algebra import (
     first_failure,
     regular_actions,
 )
-from .linalg import Matrix, Side, assemble, block_diag, hstack, vstack
+from .linalg import Matrix, assemble, block_diag, hstack, vstack
 from .systems import (
     RotaBaxterSystem,
     _star_algebra_unchecked,
@@ -98,8 +98,8 @@ def _rbs_bimodule_verdict(mod):
     if not base_axioms:
         return base_axioms
     d, m = sys.dim, mod.dim
-    lam, rho = Side.of(mod.actions.left_matrix()), Side.of(mod.actions.right_matrix())
-    R, S, RM, SM = (Side.of(x) for x in (sys.R, sys.S, mod.RM, mod.SM))
+    lam, rho = mod.actions.left_matrix(), mod.actions.right_matrix()
+    R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
     # a product by op (x) op_M is one by op (x) Id_M, then one by Id_A (x)
     # op_M; lam (R (x) Id_M) and rho (R_M (x) Id_A) serve an inner map and
     # a left side each.  The inner maps are (a, m) -> R(a)m + a S_M(m) and
@@ -108,10 +108,10 @@ def _rbs_bimodule_verdict(mod):
     inner_am = lam_r + lam.times(SM, d, 1)
     inner_ma = rho_rm + rho.times(S, m, 1)
     return first_failure([
-        ("eq1", lam_r.times(RM, d, 1), RM.times(inner_am), (d, m)),
-        ("eq2", rho_rm.times(R, m, 1), RM.times(inner_ma), (m, d)),
-        ("eq3", lam.times(S, 1, m).times(SM, d, 1), SM.times(inner_am), (d, m)),
-        ("eq4", rho.times(SM, 1, d).times(S, m, 1), SM.times(inner_ma), (m, d)),
+        ("eq1", lam_r.times(RM, d, 1), RM @ inner_am, (d, m)),
+        ("eq2", rho_rm.times(R, m, 1), RM @ inner_ma, (m, d)),
+        ("eq3", lam.times(S, 1, m).times(SM, d, 1), SM @ inner_am, (d, m)),
+        ("eq4", rho.times(SM, 1, d).times(S, m, 1), SM @ inner_ma, (m, d)),
     ])
 
 
@@ -208,24 +208,23 @@ def d_module(mod):
 
 def _d_module_unchecked(mod):
     sys = mod.base
-    field, d, m = mod.field, sys.dim, mod.dim
+    d, m = sys.dim, mod.dim
     lam, rho = mod.actions.left_matrix(), mod.actions.right_matrix()
-    idm = Matrix.identity(field, m)
     R, S, RM, SM = sys.R, sys.S, mod.RM, mod.SM
     # e_i |> f_u and f_u <| e_i have coefficients [v, i, u] and [v, u, i] at f_v
     left = assemble((2 * m, d, 2 * m), [
         # e_i |> (f_u, 0) = (R(e_i) f_u, 0)
-        (lam @ R.kron(idm), np.s_[:m, :, :m]),
+        (lam.times(R, 1, m), np.s_[:m, :, :m]),
         # e_i |> (0, f_u) = (-R_M(e_i f_u), S(e_i) f_u - S_M(e_i f_u))
         (-(RM @ lam), np.s_[:m, :, m:]),
-        (lam @ S.kron(idm) - SM @ lam, np.s_[m:, :, m:]),
+        (lam.times(S, 1, m) - SM @ lam, np.s_[m:, :, m:]),
     ])
     right = assemble((2 * m, 2 * m, d), [
         # (f_u, 0) <| e_i = (f_u R(e_i) - R_M(f_u e_i), -S_M(f_u e_i))
-        (rho @ idm.kron(R) - RM @ rho, np.s_[:m, :m, :]),
+        (rho.times(R, m, 1) - RM @ rho, np.s_[:m, :m, :]),
         (-(SM @ rho), np.s_[m:, :m, :]),
         # (0, f_u) <| e_i = (0, f_u S(e_i))
-        (rho @ idm.kron(S), np.s_[m:, m:, :]),
+        (rho.times(S, m, 1), np.s_[m:, m:, :]),
     ])
     return DModule(_star_algebra_unchecked(sys), BimoduleActions.from_matrices(d, left, right))
 
@@ -260,7 +259,9 @@ def conjugate_bimodule(mod, P, Q):
     if Pinv is None or Qinv is None:
         raise ValueError("base change matrix is singular")
     sys2 = conjugate_system(mod.base, P)
-    lam = Qinv @ mod.actions.left_matrix() @ P.kron(Q)
-    rho = Qinv @ mod.actions.right_matrix() @ Q.kron(P)
-    actions = BimoduleActions.from_matrices(mod.base.dim, lam, rho)
+    d, m = mod.base.dim, mod.dim
+    # P (x) Q = (P (x) Id) (Id (x) Q), and Q (x) P likewise
+    lam = (Qinv @ mod.actions.left_matrix()).times(P, 1, m).times(Q, d, 1)
+    rho = (Qinv @ mod.actions.right_matrix()).times(Q, 1, d).times(P, m, 1)
+    actions = BimoduleActions.from_matrices(d, lam, rho)
     return RBSBimodule(sys2, actions, Qinv @ mod.RM @ Q, Qinv @ mod.SM @ Q)

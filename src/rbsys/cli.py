@@ -36,15 +36,7 @@ import sys as _sys
 from . import documents as docs
 from .algebra import check_associative
 from .bimodules import check_rbs_bimodule, regular_bimodule, semidirect_product
-from .cohomology import (
-    ALG,
-    RBS,
-    RBSO,
-    betti,
-    les_check,
-    rba_embedding_check,
-    resolve_cap,
-)
+from .cohomology import betti, les_check, rba_embedding_check, resolve_cap
 from .deformation import infinitesimal, rigidify, verify_deformation
 from .extensions import (
     NotACocycle,
@@ -188,13 +180,10 @@ def cmd_semidirect(args, rep):
     return PASS
 
 
-_TAGS = {"alg": ALG, "rbso": RBSO, "rbs": RBS}
-
-
 def cmd_cohomology(args, rep):
     sys_obj, system_doc = _guarded_system(args, rep)
     mod = _bimodule_or_regular(args, rep, sys_obj, system_doc)
-    report = betti(_TAGS[args.what], sys_obj, mod, args.max_degree, args.cap)
+    report = betti(args.what, sys_obj, mod, args.max_degree, args.cap)
     rep.set("complex", args.what)
     rep.set("rows", report.rows)
     rep.set("h", report.h)

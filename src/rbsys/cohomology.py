@@ -921,9 +921,9 @@ def _dbar_display_slice(sys, lam, n, cap=None):
 def _twisted_star(sys, lam):
     """The star algebra (A, R(a)b + a(R+lam)(b)) and its twisted actions
     a.h = R(a)h and h.b = h(R+lam)(b) on A."""
-    mu, idd = sys.alg.mult_matrix(), Matrix.identity(sys.field, sys.dim)
-    left = mu @ sys.R.kron(idd)
-    right = mu @ idd.kron(sys.R + idd.scale(lam))
+    mu, d = sys.alg.mult_matrix(), sys.dim
+    left = mu.times(sys.R, 1, d)
+    right = mu.times(sys.R + Matrix.identity(sys.field, d).scale(lam), d, 1)
     return Algebra.from_matrix(left + right), BimoduleActions.from_matrices(sys.dim, left, right)
 
 

@@ -183,14 +183,16 @@ def check_extension(ext):
     # image of incl is an ideal with zero internal multiplication: column
     # u m + v of inner is i_u i_v, column 2(u n + j) + side of sides is
     # i_u e_j (side 0, the right ideal) or e_j i_u (side 1, the left ideal)
-    mu_hat, idn = ext.hat.alg.mult_matrix(), Matrix.identity(field, n)
-    inner = mu_hat @ ext.incl.kron(ext.incl)
+    # mu (i (x) i) = mu (i (x) Id) (Id (x) i)
+    mu_hat = ext.hat.alg.mult_matrix()
+    mu_i = mu_hat.times(ext.incl, 1, n)
+    inner = mu_i.times(ext.incl, m, 1)
     col = inner.first_nonzero_col()
     if col is not None:
         return Verdict(False, tag="kernel_multiplication_nonzero", witness=divmod(col, m),
                        lhs=inner.col(col).entries())
-    left = regroup_columns(mu_hat @ idn.kron(ext.incl), n, m)
-    sides = regroup_columns(hstack([mu_hat @ ext.incl.kron(idn), left]), 2, m * n)
+    left = regroup_columns(mu_hat.times(ext.incl, n, 1), n, m)
+    sides = regroup_columns(hstack([mu_i, left]), 2, m * n)
     col = (ext.proj @ sides).first_nonzero_col()
     if col is not None:
         tag = ("kernel_not_right_ideal", "kernel_not_left_ideal")[col % 2]
@@ -221,7 +223,9 @@ def canonical_section(ext):
 def induced_base_system(ext, section=None):
     """The quotient system carried by the projection (independent of section)."""
     t = canonical_section(ext) if section is None else section
-    alg = Algebra.from_matrix(ext.proj @ ext.hat.alg.mult_matrix() @ t.kron(t))
+    n, d = ext.hat.dim, ext.base_dim
+    # t (x) t = (t (x) Id) (Id (x) t)
+    alg = Algebra.from_matrix((ext.proj @ ext.hat.alg.mult_matrix()).times(t, 1, n).times(t, d, 1))
     return RotaBaxterSystem(alg, ext.proj @ ext.hat.R @ t, ext.proj @ ext.hat.S @ t)
 
 
@@ -241,9 +245,9 @@ def induced_bimodule(ext, section=None):
     sm = induced_fiber_operator(ext, ext.hat.S)
     if rm is None or sm is None:
         raise ValueError("operators do not preserve the kernel")
-    mu_hat = ext.hat.alg.mult_matrix()
-    lam = ext.incl.solve(mu_hat @ t.kron(ext.incl))
-    rho = ext.incl.solve(mu_hat @ ext.incl.kron(t))
+    mu_hat, n, m = ext.hat.alg.mult_matrix(), ext.hat.dim, ext.fiber_dim
+    lam = ext.incl.solve(mu_hat.times(t, 1, n).times(ext.incl, d, 1))
+    rho = ext.incl.solve(mu_hat.times(ext.incl, 1, n).times(t, m, 1))
     if lam is None or rho is None:
         raise ValueError("kernel is not an ideal")
     mod = RBSBimodule(sys, BimoduleActions.from_matrices(d, lam, rho), rm, sm)
@@ -260,7 +264,9 @@ def extract_cocycle(ext, section=None, cap=None):
     t = canonical_section(ext) if section is None else section
     mod = induced_bimodule(ext, t)
     sys = mod.base
-    psi = ext.incl.solve(ext.hat.alg.mult_matrix() @ t.kron(t) - t @ sys.alg.mult_matrix())
+    n, d = ext.hat.dim, ext.base_dim
+    mu_tt = ext.hat.alg.mult_matrix().times(t, 1, n).times(t, d, 1)
+    psi = ext.incl.solve(mu_tt - t @ sys.alg.mult_matrix())
     if psi is None:
         raise ValueError("section defect does not land in the kernel")
     chi_r_mat = ext.incl.solve(ext.hat.R @ t - t @ sys.R)

@@ -23,10 +23,15 @@ view, and every entry of an RREF's view is a Fraction.
 
 Arithmetic is integer array arithmetic and builds no Fraction.  Over Q a
 sum brings both numerator arrays to the lcm of the denominators, and a
-product (``@``, ``kron``) multiplies numerators and denominators; the
-result is brought back to canonical form.  Sums and ``kron`` run in int64
-when a bound on every result is below 2^62, and over Python ints
-otherwise.  Every ``kron`` is one outer product of the two arrays.
+product (``@``, ``times``, ``kron``) multiplies numerators and
+denominators; the result is brought back to canonical form.  Sums and
+``kron`` run in int64 when a bound on every result is below 2^62, and over
+Python ints otherwise.  Every ``kron`` is one outer product of the two
+arrays.  A product by I_p (x) x (x) I_q, the form of every structure
+identity (mu (mu (x) Id) = mu (Id (x) mu), the operator and bimodule
+equations, the square-zero extension), is ``times``: one product by x of
+the matrix with its columns regrouped, with no identity and no Kronecker
+product formed; ``@`` is its case p = q = 1.
 
 Every exact integer product, over Q, mod p and in the certificate below,
 is one ``_dot`` of a bound on every partial sum, and one rule picks its
@@ -36,10 +41,10 @@ product is large enough to pay for the conversions (_FLOAT_RATIO); else
 int64 when the bound is below 2^63, and Python ints above.  No entry is
 ever a float; float64 holds only these exact integers inside a product
 (numpy's int64 product is no BLAS call, and 40x slower at 2187 x 729 x
-378).  For ``@`` over Q with inner dimension k the bound is max|x| max|y|
-k over the numerators, each of the three factors taken as at least 1, from
-the bounds that the matrices carry or, where those reach 2^62, from the
-measured maxima.  Over GF(p) it is k (p - 1)^2, as residues are
+378).  For ``@`` and ``times`` over Q with inner dimension k the bound is
+max|x| max|y| k over the numerators, each of the three factors taken as
+at least 1, from the bounds that the matrices carry or, where those reach
+2^62, from the measured maxima.  Over GF(p) it is k (p - 1)^2, as residues are
 non-negative: one ``_dot`` when that is below 2^63, else one per run of
 floor((2^63 - 1) / (p - 1)^2) inner terms, each reduced mod p; this is the
 delayed reduction of Dumas, Giorgi and Pernet (FFLAS-FFPACK), exact for
@@ -552,21 +557,46 @@ class Matrix:
         num = self.num.astype(_dtype_for(bound), copy=False) * n
         return _of(self.field, num, self.den * d, bound)
 
+    def times(self, x, p=1, q=1):
+        """self @ (I_p (x) x (x) I_q), canonical, with no identity and no
+        Kronecker product formed (see _times); ``@`` is times(x)."""
+        return self._times(x, p, q)
+
     def __matmul__(self, other):
-        self._same_field(other)
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        return self._times(other, 1, 1)
+
+    def _times(self, x, p, q):
+        """The product of times and of ``@``, so that each product is one
+        call of one of them: the columns (i, s, k) of self, i < p, s <
+        rows(x), k < q, are regrouped into the rows (row, i, k) of one
+        product by x, whose columns (i, t, k) are put back in place."""
+        self._same_field(x)
+        (r, cols), (a, b) = self.shape, x.shape
+        if cols != p * a * q:
+            raise ValueError(f"cannot multiply {self.shape} by I_{p} (x) {a}x{b} (x) I_{q}")
+        y = self.num
+        if q > 1:
+            y = y.reshape(r * p, a, q).transpose(0, 2, 1)
+        y = y.reshape(r * p * q, a)
         if self.field.p is not None:
-            return _new(self.field, _dot_mod(self.num, other.num, self.field.p, other._float))
-        # max|x| max|y| k bounds every sum of k entry products; each factor
-        # is taken as at least 1, so a zero factor or k = 0 cannot let an
-        # unbounded other factor into int64.  The stored bounds may be loose
-        # (a sum adds them), so past int64 the factors are measured.
-        k = max(self.cols, 1)
-        bound = max(self._mag, 1) * max(other._mag, 1) * k
-        if bound >= _INT64_BOUND:
-            bound = max(_mag(self.num), 1) * max(_mag(other.num), 1) * k
-        return _of(self.field, _dot(self.num, other.num, bound), self.den * other.den, bound)
+            num = _dot_mod(y, x.num, self.field.p, x._float)
+        else:
+            # max|x| max|y| k bounds every sum of k entry products; each
+            # factor is taken as at least 1, so a zero factor or k = 0
+            # cannot let an unbounded other factor into int64.  The stored
+            # bounds may be loose (a sum adds them), so past int64 the
+            # factors are measured.
+            k = max(a, 1)
+            bound = max(self._mag, 1) * max(x._mag, 1) * k
+            if bound >= _INT64_BOUND:
+                bound = max(_mag(self.num), 1) * max(_mag(x.num), 1) * k
+            num = _dot(y, x.num, bound)
+        if q > 1:
+            num = num.reshape(r * p, q, b).transpose(0, 2, 1)
+        num = num.reshape(r, p * b * q)
+        if self.field.p is not None:
+            return _new(self.field, num)
+        return _of(self.field, num, self.den * x.den, bound)
 
     def factor(self):
         """This matrix as the right factor of many products: a matrix of the
@@ -684,76 +714,6 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         return self.solve(Matrix.identity(self.field, self.rows))
-
-
-class Side:
-    """One side of an identity between matrix expressions, formed on the
-    stored integers of the matrices it comes from (``of``): over Q num / den
-    in no canonical form, with a bound on max |num|; over GF(p) the
-    residues.  A product (``times``) is one ``_dot``, through reshapes
-    rather than a Kronecker product, and a sum is an array sum; no Matrix
-    is built.  The axiom checks form both sides of each identity this
-    way and compare them once (``matches``); ``matrix`` builds the canonical
-    Matrix that names a failing identity's witness."""
-
-    __slots__ = ("field", "num", "den", "bound")
-
-    def __init__(self, field, num, den=1, bound=None):
-        self.field, self.num, self.den, self.bound = field, num, den, bound
-
-    @classmethod
-    def of(cls, m):
-        """The side of the matrix m alone."""
-        return cls(m.field, m.num, m.den, m._mag)
-
-    def times(self, x, p=1, q=1):
-        """self @ (I_p (x) x (x) I_q), formed without the Kronecker product:
-        the columns (i, s, k) of self, s below rows(x), are regrouped so that
-        s is the inner index of one product by x."""
-        r, cols = self.num.shape
-        a, b = x.num.shape
-        if cols != p * a * q:
-            raise ValueError(f"cannot multiply {self.num.shape} by I_{p} (x) {a}x{b} (x) I_{q}")
-        y = self.num.reshape(r * p, a, q).transpose(0, 2, 1).reshape(r * p * q, a)
-        if self.field.p is not None:
-            num, den, bound = _dot_mod(y, x.num, self.field.p), 1, None
-        else:
-            bound = max(self.bound, 1) * max(x.bound, 1) * max(a, 1)
-            num, den = _dot(y, x.num, bound), self.den * x.den
-        num = num.reshape(r * p, q, b).transpose(0, 2, 1).reshape(r, p * b * q)
-        return Side(self.field, num, den, bound)
-
-    def _scaled(self, other):
-        """The numerator arrays of self and other over one denominator, in a
-        dtype that holds each and their sum, and that denominator and bound."""
-        x, y, den = self.num, other.num, self.den
-        u = v = 1
-        if other.den != den:
-            den = math.lcm(self.den, other.den)
-            u, v = den // self.den, den // other.den
-        bound = max(self.bound, 1) * u + max(other.bound, 1) * v
-        dtype = _dtype_for(bound)
-        return x.astype(dtype, copy=False) * u, y.astype(dtype, copy=False) * v, den, bound
-
-    def __add__(self, other):
-        if self.field.p is not None:
-            return Side(self.field, _mod(self.num + other.num, self.field.p))
-        x, y, den, bound = self._scaled(other)
-        return Side(self.field, x + y, den, bound)
-
-    def matches(self, other):
-        """Whether both sides are the same matrix: over Q compared at a
-        common denominator."""
-        if self.field.p is not None or self.den == other.den:
-            return bool(np.array_equal(self.num, other.num))
-        x, y, _den, _bound = self._scaled(other)
-        return bool(np.array_equal(x, y))
-
-    def matrix(self):
-        """The canonical Matrix of this side."""
-        if self.field.p is not None:
-            return _new(self.field, self.num)
-        return _of(self.field, self.num, self.den, self.bound)
 
 
 def _eliminate(m):

@@ -19,14 +19,14 @@ from .algebra import (
     first_failure,
     first_mismatch,
 )
-from .linalg import Matrix, Side
+from .linalg import Matrix
 
 
 class RotaBaxterSystem:
     """An algebra together with its operator pair (R, S).
 
-    Immutable, so the verdict of check_rbs and the star product
-    (_star_product) are computed once and kept.
+    Immutable, so the verdict of check_rbs and the star product with its
+    two terms (_star_terms) are computed once and kept.
     """
 
     __slots__ = ("alg", "R", "S", "_verdict", "_star")
@@ -74,11 +74,12 @@ def check_rbs(sys):
     """
     check_associative(sys.alg).require("underlying algebra is not associative")
     if sys._verdict is None:
-        d, mu, inner = sys.dim, Side.of(sys.alg.mult_matrix()), Side.of(_star_product(sys))
-        # mu (op (x) op) = mu (op (x) Id) (Id (x) op) against op inner
+        d, (mu_r, mu_s, star) = sys.dim, _star_terms(sys)
+        # mu (R (x) R) = mu (R (x) Id) (Id (x) R) and mu (S (x) S) = mu (Id
+        # (x) S) (S (x) Id), each against op star
         verdict = first_failure(
-            (tag, mu.times(op, 1, d).times(op, d, 1), op.times(inner), (d, d))
-            for tag, op in (("eqR", Side.of(sys.R)), ("eqS", Side.of(sys.S)))
+            (tag, term.times(op, p, q), op @ star, (d, d))
+            for tag, term, op, p, q in (("eqR", mu_r, sys.R, d, 1), ("eqS", mu_s, sys.S, 1, d))
         )
         object.__setattr__(sys, "_verdict", verdict)
     return sys._verdict
@@ -89,10 +90,9 @@ def check_rb_operator(alg, R, lam):
     field, d = alg.field, alg.dim
     lam = field.coerce(lam)
     mu = alg.mult_matrix()
-    idd = Matrix.identity(field, d)
-    lhs = mu @ R.kron(R)
-    rhs = R @ (mu @ R.kron(idd) + mu @ idd.kron(R) + mu.scale(lam))
-    return first_mismatch("rb_weight", lhs, rhs, (d, d))
+    mu_r = mu.times(R, 1, d)  # mu (R (x) Id); mu (R (x) R) = mu (R (x) Id) (Id (x) R)
+    rhs = R @ (mu_r + mu.times(R, d, 1) + mu.scale(lam))
+    return first_mismatch("rb_weight", mu_r.times(R, d, 1), rhs, (d, d))
 
 
 def from_rb_operator(alg, R, lam):
@@ -143,14 +143,12 @@ def orthogonality_criterion(alg, R, S):
     aR(S(b)) = 0 = S(R(a))b for all a, b; for non-degenerate A this becomes
     R o S = S o R = 0.
     """
-    field, d = alg.field, alg.dim
-    mu = alg.mult_matrix()
-    idd = Matrix.identity(field, d)
-    r_left = (R @ mu) == (mu @ idd.kron(R))
-    s_right = (S @ mu) == (mu @ S.kron(idd))
+    d, mu = alg.dim, alg.mult_matrix()
+    r_left = (R @ mu) == mu.times(R, d, 1)
+    s_right = (S @ mu) == mu.times(S, 1, d)
     rs = R @ S
     sr = S @ R
-    criterion = (mu @ idd.kron(rs)).is_zero() and (mu @ sr.kron(idd)).is_zero()
+    criterion = mu.times(rs, d, 1).is_zero() and mu.times(sr, 1, d).is_zero()
     rbs_verdict = check_rbs(RotaBaxterSystem(alg, R, S))
     nondeg = bool(check_nondegenerate(alg))
     orthogonal = rs.is_zero() and sr.is_zero()
@@ -168,16 +166,17 @@ def star_algebra(sys):
 
 
 def _star_algebra_unchecked(sys):
-    return Algebra.from_matrix(_star_product(sys))
+    return Algebra.from_matrix(_star_terms(sys)[2])
 
 
-def _star_product(sys):
-    """mu (R (x) Id + Id (x) S), the matrix of (a, b) -> R(a)b + aS(b), kept
-    on the system once computed."""
+def _star_terms(sys):
+    """mu (R (x) Id), mu (Id (x) S) and their sum mu (R (x) Id + Id (x) S),
+    the matrix of (a, b) -> R(a)b + aS(b), kept on the system once
+    computed: check_rbs starts both sides of its equations from the terms."""
     if sys._star is None:
-        mu, d = Side.of(sys.alg.mult_matrix()), sys.dim
-        star = mu.times(Side.of(sys.R), 1, d) + mu.times(Side.of(sys.S), d, 1)
-        object.__setattr__(sys, "_star", star.matrix())
+        mu, d = sys.alg.mult_matrix(), sys.dim
+        mu_r, mu_s = mu.times(sys.R, 1, d), mu.times(sys.S, d, 1)
+        object.__setattr__(sys, "_star", (mu_r, mu_s, mu_r + mu_s))
     return sys._star
 
 
@@ -199,7 +198,8 @@ def check_morphism(f, src, dst):
     if f.shape != (dst.dim, src.dim):
         raise ValueError(f"morphism has shape {f.shape}, expected ({dst.dim}, {src.dim})")
     lhs = f @ src.alg.mult_matrix()
-    rhs = dst.alg.mult_matrix() @ f.kron(f)
+    # f (x) f = (f (x) Id) (Id (x) f)
+    rhs = dst.alg.mult_matrix().times(f, 1, dst.dim).times(f, src.dim, 1)
     multiplicative = first_mismatch("multiplicative", lhs, rhs, (src.dim, src.dim))
     if not multiplicative:
         return multiplicative
@@ -219,5 +219,6 @@ def conjugate_system(sys, P):
     Pinv = P.inverse()
     if Pinv is None:
         raise ValueError("base change matrix is singular")
-    alg = Algebra.from_matrix(Pinv @ sys.alg.mult_matrix() @ P.kron(P))
+    d = sys.dim
+    alg = Algebra.from_matrix((Pinv @ sys.alg.mult_matrix()).times(P, 1, d).times(P, d, 1))
     return RotaBaxterSystem(alg, Pinv @ sys.R @ P, Pinv @ sys.S @ P)

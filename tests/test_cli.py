@@ -619,6 +619,32 @@ def test_extend_extract_builds_no_block(tmp_path, monkeypatch, capsys):
     assert got == docs.serialize_cocycle(c)
 
 
+@pytest.mark.parametrize("field", ["GF(5)", "Q"])
+def test_structure_commands_form_no_kronecker_product(field, tmp_path, monkeypatch, capsys):
+    # every product by an identity Kronecker factor is Matrix.times: the
+    # axiom checks, the star product, the semidirect product and the
+    # extension round trip form no Kronecker product
+    from rbsys import GF, QQ, h2_extension_census
+    from rbsys.linalg import Matrix
+
+    sys = triangular_system(GF(5) if field == "GF(5)" else QQ, 1, 2)
+    mod = regular_bimodule(sys)
+    spath, mpath = str(tmp_path / "sys.json"), str(tmp_path / "mod.json")
+    system_doc = docs.serialize_system(sys)
+    docs.dump(system_doc, spath)
+    docs.dump(docs.serialize_bimodule(mod, system_doc), mpath)
+    runs = [["validate", spath, mpath], ["star", spath], ["semidirect", spath, mpath]]
+    if field == "GF(5)":
+        c, _ext = h2_extension_census(sys, mod)[1]
+        cpath, epath = str(tmp_path / "c.json"), str(tmp_path / "ext.json")
+        docs.dump(docs.serialize_cocycle(c, system_doc), cpath)
+        runs += [["extend", "build", spath, cpath, "-o", epath], ["extend", "extract", epath]]
+    calls = count_calls(monkeypatch, Matrix, ["kron"])
+    for argv in runs:
+        assert main(argv + ["--json"]) == 0
+    assert calls["kron"] == 0
+
+
 def test_deform_infinitesimal_builds_no_block(tmp_path, monkeypatch, capsys):
     # the infinitesimal of a deformation verified through order 1 is a
     # cocycle, read off the verification: no block of rbs_2 is built

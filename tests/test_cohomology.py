@@ -1010,17 +1010,20 @@ def test_dbar_display_slice_matches_naive_evaluation():
 
 
 def test_les_check_matrix_products(monkeypatch):
-    # 18 products assemble and check the inputs, the star product
-    # mu (R (x) Id + Id (x) S) among them, made once for the check of the
-    # system and the star algebra; each side of mu (op (x) op) = op mu (R
-    # (x) Id + Id (x) S) takes two, by op (x) Id and then Id (x) op.  On a
-    # valid pair the slots are read off the ranks: each M_p takes phi_p K
-    # (4), and the check that rbs_p rbs_(p-1) = 0 multiplies its blocks,
-    # delta_p delta_(p-1) (3), partial_(p-1) partial_(p-2) for p >= 2 (2)
-    # and both sides of partial_(p-1) phi_(p-1) = phi_p delta_(p-1) (6):
-    # 33 = 18 + 4 + 11.  With phi_0 perturbed the check fails at p = 1
-    # after its three products, and the chain-level slots make the products
-    # they made before the check existed, 51 with the inputs: 54.
+    # 16 products assemble and check the inputs.  The check of the system
+    # takes 8: two for associativity, the two terms mu (R (x) Id) and mu
+    # (Id (x) S) of the star product, made once for the check and the star
+    # algebra, and one more on each side of each operator equation, as mu
+    # (R (x) R) = mu (R (x) Id) (Id (x) R) and mu (S (x) S) = mu (Id (x) S)
+    # (S (x) Id) start from those terms and op star is one product.  The
+    # actions of the doubled module take 8.  On a valid pair the slots are
+    # read off the ranks: each M_p takes phi_p K (4), and the check that
+    # rbs_p rbs_(p-1) = 0 multiplies its blocks, delta_p delta_(p-1) (3),
+    # partial_(p-1) partial_(p-2) for p >= 2 (2) and both sides of
+    # partial_(p-1) phi_(p-1) = phi_p delta_(p-1) (6): 31 = 16 + 4 + 11.
+    # With phi_0 perturbed the check fails at p = 1 after its three
+    # products, and the chain-level slots make the products they made
+    # before the check existed, 49 with the inputs: 52.
     from rbsys import cohomology
 
     def products(phi_rows):
@@ -1031,8 +1034,8 @@ def test_les_check_matrix_products(monkeypatch):
             report = les_check(sys, regular_bimodule(sys), 3)
         return report.ok, sum(calls.values())
 
-    assert products(phi_rows) == (True, 33)
-    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 54)
+    assert products(phi_rows) == (True, 31)
+    assert products(perturbed_phi(phi_rows, 0, 1)) == (False, 52)
 
 
 def _les_eliminations(monkeypatch, phi_rows, stream_size=None):
@@ -1562,9 +1565,10 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
     # every flag compares row blocks of phi_n and sums and differences of
     # the quadrants of partial_(n-1): no products with 0/1 matrices, no
     # elimination, and neither delta_n nor rbs_n is built.  What is left are
-    # the 28 products that build phi_n, partial_(n-1) and the displayed
-    # differential, and that check the system, whose star product
-    # mu (R (x) Id + Id (x) S) the doubled module reads again.
+    # the 26 products that build phi_n, partial_(n-1) and the displayed
+    # differential, and that check the system, whose operator equations
+    # start from the two terms of the star product mu (R (x) Id + Id (x) S),
+    # which the doubled module reads again.
     from rbsys import linalg
 
     eliminations = []
@@ -1584,7 +1588,7 @@ def test_rba_embedding_check_matrix_products(monkeypatch):
     assert [sorted(row) for row in report.details] == [
         ["chain_map", "image_closed", "injective", "n", "quotient_matches_display"]
     ] * 4
-    assert sum(products.values()) == 28
+    assert sum(products.values()) == 26
     assert eliminations == []
 
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsys import GF, QQ, Matrix, rbs_d, regular_bimodule
-from rbsys.linalg import Field, _prime, block_diag, hstack, vstack
+from rbsys.linalg import Field, _prime, block_diag, hstack, kron_all, vstack
 
-from instances import random_matrix, triangular_system
+from instances import random_matrix, rational_base_change, triangular_system
 from oracles import eager_gauss_jordan, reconstruct_list, scatter_identity_kron_sum, sympy_rref
 
 
@@ -1142,6 +1142,37 @@ def test_prime_field_kron_matches_numpy(p):
         for start, stop in itertools.combinations(range(r * s + 1), 2):
             part = a.kron(b, (start, stop))
             assert part.entries() == want[start:stop].tolist() and part.a.dtype == field.dtype
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(40009), GF(4294967311), QQ], ids=repr)
+def test_times_is_the_product_by_the_identity_kronecker_factors(field):
+    # y.times(x, p, q) = y @ (I_p (x) x (x) I_q), canonical; over Q the
+    # entries are products of base changes, with denominators 1, 2, 3 and
+    # 7 mixed and numerators past 2^62
+    rng = random.Random(41)
+    k, b = 3, 2
+
+    def matrix(rows, cols):
+        if field.p is not None:
+            return random_matrix(field, rows, cols, rng)
+        n = max(rows, cols)
+        return (rational_base_change(n, rng) @ rational_base_change(n, rng)).take(0, rows, 0, cols)
+
+    dens, dtypes = set(), set()
+    for p, q in [(1, 1), (1, k), (k, 1), (2, 3)]:
+        x = matrix(k, b)
+        for rows in (1, 2):
+            y = matrix(rows, p * k * q)
+            ids = [Matrix.identity(field, p), x, Matrix.identity(field, q)]
+            assert y.times(x, p, q) == y @ kron_all(field, ids)
+            dens |= {x.den, y.den}
+            dtypes |= {x.num.dtype, y.num.dtype}
+    if field.p is None:
+        assert len(dens) > 1 and np.dtype(object) in dtypes
+    with pytest.raises(ValueError):
+        matrix(2, 5).times(matrix(k, b), 1, 2)
+    with pytest.raises(ValueError):
+        matrix(2, k).times(Matrix.zeros(GF(3) if field == QQ else QQ, k, b))
 
 
 # -- integer storage: numerators over one denominator, int64 residues ---------
